@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from .campaigns import CAMPAIGNS, run_campaign
 from .conditions import CONDITIONS
@@ -87,25 +87,16 @@ def _cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     t0 = time.perf_counter()
-
-    def timed(task):
-        start = time.perf_counter()
-        rec = run_task(sc, task, default_seed=args.seed,
-                       default_tolerance=args.tolerance)
-        return rec, (time.perf_counter() - start) * 1000.0
-
+    tasks, task_ms = [], []
     try:
-        if args.jobs > 1 and len(sc.tasks) > 1:
-            # tasks are pure and independent; threads keep results ordered
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(pool.map(timed, sc.tasks))
-        else:
-            outcomes = [timed(t) for t in sc.tasks]
+        for task in sc.tasks:
+            start = time.perf_counter()
+            tasks.append(run_task(sc, task, default_seed=args.seed,
+                                  default_tolerance=args.tolerance))
+            task_ms.append((time.perf_counter() - start) * 1000.0)
     except (ScenarioError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    tasks = [rec for rec, _ in outcomes]
-    task_ms = [ms for _, ms in outcomes]
     failed = sum(1 for rec in tasks if rec["verdict"] != "pass")
     report = {
         "report": _jsonify({
@@ -196,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--tolerance", type=float, default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
 
     fuzz_p = sub.add_parser("fuzz", help="run a seeded fuzz campaign")
     fuzz_p.add_argument("campaign")

@@ -16,6 +16,8 @@ but total and deterministic, which is what the rest of the library needs.
 
 Finite spaces carry subsets as bitmask integers; exhaustive subset work is
 capped at 24 points (and 12 for anything that enumerates subset pairs).
+Every table indexed by all subsets (measure tables, subset infima, mask
+expansion) comes from the one doubling pass ``_subset_fold``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -224,16 +226,6 @@ class FiniteSpace:
     def subsets(self) -> range:
         return range(1 << self.n)
 
-    def members(self, mask: int) -> list[int]:
-        return [i for i in range(self.n) if mask >> i & 1]
-
-
-def mask_of(points: Iterable[int]) -> int:
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
-
 
 def iter_submasks(mask: int):
     """All submasks of ``mask`` including 0 and ``mask`` itself."""
@@ -245,48 +237,31 @@ def iter_submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-# --- cached level structures for vectorized subset DP ---------------------
+# --- subset-lattice doubling ------------------------------------------------
 
-_LEVEL_CACHE: dict[int, list[np.ndarray]] = {}
-_LOWBIT_INDEX_CACHE: dict[int, np.ndarray] = {}
+def _subset_fold(xs, op, empty, dtype=float) -> np.ndarray:
+    """Fold ``op`` over every subset of a k-point universe, k = len(xs).
 
-
-def _levels(k: int) -> list[np.ndarray]:
-    """Masks of a k-bit universe grouped by popcount (level 0 is [0])."""
-    if k not in _LEVEL_CACHE:
-        idx = np.arange(1 << k, dtype=np.int64)
-        pc = np.zeros(1 << k, dtype=np.int64)
-        for j in range(k):
-            pc += (idx >> j) & 1
-        _LEVEL_CACHE[k] = [idx[pc == lvl] for lvl in range(k + 1)]
-    return _LEVEL_CACHE[k]
-
-
-def _lowbit_index(k: int) -> np.ndarray:
-    """Lookup table: power-of-two mask -> bit position (other entries 0)."""
-    if k not in _LOWBIT_INDEX_CACHE:
-        tab = np.zeros(1 << k, dtype=np.int64)
-        for j in range(k):
-            tab[1 << j] = j
-        _LOWBIT_INDEX_CACHE[k] = tab
-    return _LOWBIT_INDEX_CACHE[k]
+    Entry 0 is ``empty``; entry m is ``op`` applied to the entry of m minus
+    its highest bit and ``xs`` at that bit, so the bits of m are combined
+    from low to high.  Built by doubling: for bit b with h = 2**b, the upper
+    half ``tab[h:2h]`` is ``op(tab[:h], xs[b])``.
+    """
+    tab = np.empty(1 << len(xs), dtype=dtype)
+    tab[0] = empty
+    for b, x in enumerate(xs):
+        h = 1 << b
+        op(tab[:h], x, out=tab[h:2 * h])
+    return tab
 
 
 def subset_infima(values: Sequence[float]) -> np.ndarray:
     """Infimum of ``values`` over every subset of a k-point universe.
 
     Entry at mask m is min(values[i] for i in m); entry 0 is +inf (the
-    empty infimum).  Vectorized level-by-level over popcount so each mask
-    reads a previously completed parent.
+    empty infimum).  Built by one subset-lattice doubling pass.
     """
-    k = len(values)
-    vals = np.asarray(values, dtype=float)
-    out = np.full(1 << k, INF)
-    lbi = _lowbit_index(k)
-    for level in _levels(k)[1:]:
-        low = level & -level
-        out[level] = np.minimum(vals[lbi[low]], out[level ^ low])
-    return out
+    return _subset_fold([float(v) for v in values], np.minimum, INF)
 
 
 def expand_masks(domain_bits: Sequence[int]) -> np.ndarray:
@@ -295,14 +270,7 @@ def expand_masks(domain_bits: Sequence[int]) -> np.ndarray:
     ``domain_bits`` lists the original bit positions in increasing order;
     the result has one entry per compact mask.
     """
-    k = len(domain_bits)
-    orig_bit = np.array([1 << b for b in domain_bits], dtype=np.int64)
-    out = np.zeros(1 << k, dtype=np.int64)
-    lbi = _lowbit_index(k)
-    for level in _levels(k)[1:]:
-        low = level & -level
-        out[level] = out[level ^ low] | orig_bit[lbi[low]]
-    return out
+    return _subset_fold([1 << b for b in domain_bits], np.bitwise_or, 0, np.int64)
 
 
 # ---------------------------------------------------------------------------

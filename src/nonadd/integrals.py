@@ -179,8 +179,10 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
 
     The empty subset contributes with the lattice convention inf over the
     empty set = scale top, which makes the subset form agree with the level
-    form also for operators without an annihilating zero.  Enumerates all
-    2^|D| subsets; capped at |D| <= 20.
+    form also for operators without an annihilating zero.  Evaluates all
+    2^|D| subsets at once: the infima come from ``subset_infima`` and the
+    measures are read from ``mu.table()`` (built and cached on first use).
+    Capped at |D| <= 20.
     """
     values, scale = _unpack(f, scale)
     domain = _domain_mask(values, domain)
@@ -189,12 +191,13 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     if len(bits) > _ORACLE_CAP:
         raise DomainError(f"oracle domain capped at {_ORACLE_CAP} points, got {len(bits)}")
 
+    mu.space.validate_mask(domain)  # the table read below does not check masks
     best = -INF
     if bits:
         sub_vals = [values[i] for i in bits]
         infs = subset_infima(sub_vals)[1:]
         orig = expand_masks(bits)[1:]
-        mus = np.array([mu(int(m)) for m in orig])
+        mus = mu.table()[orig]
         terms = op.grid(infs, mus)
         best = float(terms.max())
     # empty-subset term: matches the level form's behaviour above the top

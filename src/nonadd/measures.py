@@ -31,6 +31,7 @@ from .core import (
     MAX_PAIRWISE_POINTS,
     ValueScale,
     UNIT,
+    _subset_fold,
     is_xreal,
     rng_for,
 )
@@ -135,45 +136,22 @@ class MonotoneMeasure:
         return self._table
 
     def _build_table(self) -> np.ndarray:
-        n = self.space.n
-        size = 1 << n
-        tab = np.zeros(size)
         if self.kind == "possibility":
-            dens = self.density
-            for bit in range(n):
-                step = 1 << bit
-                idx = np.arange(size)
-                has = (idx & step) != 0
-                tab[idx[has]] = np.maximum(tab[idx[has] ^ step], dens[bit])
-        elif self.kind == "distortion":
-            p = np.zeros(size)
-            for bit in range(n):
-                step = 1 << bit
-                idx = np.arange(size)
-                has = (idx & step) != 0
-                p[idx[has]] = p[idx[has] ^ step] + self.probs[bit]
+            return _subset_fold(self.density, np.maximum, 0.0)
+        if self.kind == "distortion":
+            p = _subset_fold(self.probs, np.add, 0.0)
             tab = np.asarray(self.distortion(np.clip(p, 0.0, 1.0)), dtype=float)
             tab[0] = 0.0
-        elif self.kind == "lambda_sugeno":
-            pr = np.ones(size)
-            for bit in range(n):
-                step = 1 << bit
-                idx = np.arange(size)
-                has = (idx & step) != 0
-                pr[idx[has]] = pr[idx[has] ^ step] * (1.0 + self.lam * self.density[bit])
+            return tab
+        if self.kind == "lambda_sugeno":
             if self.lam == 0.0:
-                for bit in range(n):
-                    step = 1 << bit
-                    idx = np.arange(size)
-                    has = (idx & step) != 0
-                    tab[idx[has]] = tab[idx[has] ^ step] + self.density[bit]
-            else:
-                tab = (pr - 1.0) / self.lam
-                tab[0] = 0.0
-                np.clip(tab, 0.0, None, out=tab)
-        else:
-            raise DomainError(f"cannot build table for kind {self.kind!r}")
-        return tab
+                return _subset_fold(self.density, np.add, 0.0)
+            pr = _subset_fold([1.0 + self.lam * d for d in self.density], np.multiply, 1.0)
+            tab = (pr - 1.0) / self.lam
+            tab[0] = 0.0
+            np.clip(tab, 0.0, None, out=tab)
+            return tab
+        raise DomainError(f"cannot build table for kind {self.kind!r}")
 
     def __call__(self, mask: int) -> float:
         self.space.validate_mask(mask)
@@ -280,18 +258,18 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         if not _skip_empty and tab[0] != 0.0:
             return CheckResult(False, float(tab[0]), {"set": 0, "value": float(tab[0]),
                                                       "reason": "empty set has nonzero measure"})
-        idx = np.arange(size, dtype=np.int64)
         slack = INF
         for bit in range(n):
             step = 1 << bit
-            lower = idx[(idx & step) == 0]
+            # rows of the view: [sets without the point, the same sets with it]
+            halves = tab.reshape(-1, 2, step)
             with np.errstate(invalid="ignore"):
-                diff = tab[lower | step] - tab[lower]
+                diff = (halves[:, 1] - halves[:, 0]).ravel()
             diff = np.where(np.isnan(diff), 0.0, diff)  # inf to inf
             bad = diff < -tol
             if bad.any():
-                k = int(np.argmax(-diff))
-                a = int(lower[bad][0])
+                j = int(np.argmax(bad))
+                a = (j >> bit << (bit + 1)) | (j & (step - 1))
                 return CheckResult(False, float(-(diff[bad]).max()),
                                    {"set": a, "point": bit,
                                     "value": float(tab[a]), "value_with_point": float(tab[a | step])})
@@ -432,16 +410,11 @@ def generate_measure(seed: int, family: str, n: int = 6) -> MonotoneMeasure:
     size = 1 << n
 
     if family == "monotonized_random":
-        raw = [0.0] + [rng.randrange(0, 65) / 64.0 for _ in range(size - 1)]
-        tab = np.zeros(size)
-        for mask in range(1, size):
-            best = raw[mask]
-            m = mask
-            while m:
-                low = m & -m
-                best = max(best, tab[mask ^ low])
-                m ^= low
-            tab[mask] = best
+        tab = np.array([0.0] + [rng.randrange(0, 65) / 64.0 for _ in range(size - 1)])
+        # running max over subsets: each set takes the max over its submasks
+        for bit in range(n):
+            halves = tab.reshape(-1, 2, 1 << bit)
+            np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
         return MonotoneMeasure.explicit(space, tab)
 
     if family == "possibility":
@@ -462,12 +435,7 @@ def generate_measure(seed: int, family: str, n: int = 6) -> MonotoneMeasure:
     # non_maxitive: additive with at least two strictly positive atoms
     weights = [rng.randrange(1, 11) for _ in range(n)]
     s = float(sum(weights))
-    tab = np.zeros(size)
-    idx = np.arange(size, dtype=np.int64)
-    for bit in range(n):
-        step = 1 << bit
-        has = (idx & step) != 0
-        tab[idx[has]] = tab[idx[has] ^ step] + weights[bit] / s
+    tab = _subset_fold([w / s for w in weights], np.add, 0.0)
     tab = np.clip(tab / tab[-1], 0.0, 1.0)  # pin the total to exactly 1
     return MonotoneMeasure.explicit(space, tab, rounding=True)
 

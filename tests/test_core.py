@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonadd.core import (
@@ -12,6 +12,7 @@ from nonadd.core import (
     FiniteSpace,
     Fn,
     INF,
+    MAX_POINTS,
     NONNEG,
     SurvivalProfile,
     UNIT,
@@ -149,17 +150,29 @@ class TestSpaceAndFn:
 
 
 class TestSubsetInfima:
-    def test_against_bruteforce(self):
-        vals = [0.4, 0.1, 0.7, 0.4]
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(xreals, max_size=10))
+    @example([0.4, 0.1, 0.7, 0.4])
+    def test_against_bruteforce(self, vals):
+        k = len(vals)
         table = subset_infima(vals)
-        for mask in range(1, 16):
-            expect = min(vals[i] for i in range(4) if mask >> i & 1)
+        assert table.shape == (1 << k,)
+        for mask in range(1, 1 << k):
+            expect = min(vals[i] for i in range(k) if mask >> i & 1)
             assert table[mask] == expect
         assert math.isinf(table[0])
 
-    def test_expand_masks(self):
-        orig = expand_masks([1, 3])
-        assert list(orig) == [0, 0b0010, 0b1000, 0b1010]
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, MAX_POINTS - 1), max_size=10, unique=True).map(sorted))
+    @example([1, 3])
+    def test_expand_masks(self, bits):
+        orig = expand_masks(bits)
+        assert orig.dtype == np.int64
+        expect = [sum(1 << b for i, b in enumerate(bits) if mask >> i & 1)
+                  for mask in range(1 << len(bits))]
+        assert orig.tolist() == expect
+        if bits == [1, 3]:
+            assert expect == [0, 0b0010, 0b1000, 0b1010]
 
 
 class TestRngFor:

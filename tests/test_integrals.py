@@ -136,6 +136,35 @@ class TestOracle:
             oracle = upper_integral_subset_oracle(f, mu, op, domain)
             assert abs(direct - oracle) <= 1e-12
 
+    def test_reads_the_table_not_per_subset_calls(self, monkeypatch):
+        n = 10
+        rng = rng_for(5, "oracle-table", n)
+        f = sampling.random_fn(rng, n, UNIT)
+        op = product()
+        measures = [MonotoneMeasure.possibility(FiniteSpace(n),
+                                                [rng.randrange(0, 65) / 64.0
+                                                 for _ in range(n)]),
+                    generate_measure(4, "monotonized_random", n)]
+        for mu in measures:
+            # the value of the former route: one mu() call per nonempty subset
+            # (on the possibility measure, without a cached table)
+            expect = max([float(op.fn(min(f[i] for i in range(n) if a >> i & 1), mu(a)))
+                          for a in range(1, 1 << n)]
+                         + [float(op.fn(1.0, mu(0))), float(op.fn(0.0, mu((1 << n) - 1)))])
+            assert mu.kind == "explicit" or mu._table is None
+            calls = []
+            original = MonotoneMeasure.__call__
+            monkeypatch.setattr(MonotoneMeasure, "__call__",
+                                lambda self, mask: calls.append(mask) or original(self, mask))
+            assert upper_integral_subset_oracle(f, mu, op) == expect
+            monkeypatch.undo()
+            assert len(calls) <= 3, mu.kind   # mu(0) and mu(domain), not 2^n
+
+    def test_rejects_function_larger_than_space(self):
+        mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
+        with pytest.raises(DomainError):
+            upper_integral_subset_oracle(Fn([0.5, 0.2, 0.9]), mu, minimum())
+
     def test_cap(self):
         big = FiniteSpace(22)
         mu = MonotoneMeasure.possibility(big, [0.5] * 22)

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT
+from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT, rng_for
 from nonadd.measures import (
     MonotoneMeasure,
     check_measure_property,
@@ -45,6 +47,111 @@ def brute_property(mu, prop):
                    for a in nulls for b in range(size)
                    if not (math.isinf(mu(a | b)) and math.isinf(mu(b))))
     raise ValueError(prop)
+
+
+# --- per-bit reference kernels ------------------------------------------------
+# The library builds subset tables by doubling on contiguous slices; these are
+# the fancy-index passes it replaced, kept as oracles that must agree bit for
+# bit (max, min and OR are exact, and sums and products combine the bits in
+# the same low-to-high order).
+
+def ref_build_table(mu):
+    n = mu.space.n
+    size = 1 << n
+    tab = np.zeros(size)
+    if mu.kind == "possibility":
+        for bit in range(n):
+            step = 1 << bit
+            idx = np.arange(size)
+            has = (idx & step) != 0
+            tab[idx[has]] = np.maximum(tab[idx[has] ^ step], mu.density[bit])
+    elif mu.kind == "distortion":
+        p = np.zeros(size)
+        for bit in range(n):
+            step = 1 << bit
+            idx = np.arange(size)
+            has = (idx & step) != 0
+            p[idx[has]] = p[idx[has] ^ step] + mu.probs[bit]
+        tab = np.asarray(mu.distortion(np.clip(p, 0.0, 1.0)), dtype=float)
+        tab[0] = 0.0
+    elif mu.kind == "lambda_sugeno":
+        pr = np.ones(size)
+        for bit in range(n):
+            step = 1 << bit
+            idx = np.arange(size)
+            has = (idx & step) != 0
+            pr[idx[has]] = pr[idx[has] ^ step] * (1.0 + mu.lam * mu.density[bit])
+        if mu.lam == 0.0:
+            for bit in range(n):
+                step = 1 << bit
+                idx = np.arange(size)
+                has = (idx & step) != 0
+                tab[idx[has]] = tab[idx[has] ^ step] + mu.density[bit]
+        else:
+            tab = (pr - 1.0) / mu.lam
+            tab[0] = 0.0
+            np.clip(tab, 0.0, None, out=tab)
+    return tab
+
+
+def ref_monotonized_random(seed, n):
+    """Table of ``generate_measure(seed, "monotonized_random", n)`` by a
+    Python running max over the subsets that drop one point."""
+    rng = rng_for(seed, "monotonized_random", n)
+    size = 1 << n
+    raw = [0.0] + [rng.randrange(0, 65) / 64.0 for _ in range(size - 1)]
+    tab = np.zeros(size)
+    for mask in range(1, size):
+        best = raw[mask]
+        m = mask
+        while m:
+            low = m & -m
+            best = max(best, tab[mask ^ low])
+            m ^= low
+        tab[mask] = best
+    return tab
+
+
+def ref_non_maxitive(seed, n):
+    """Table of ``generate_measure(seed, "non_maxitive", n)`` by per-bit passes."""
+    rng = rng_for(seed, "non_maxitive", n)
+    weights = [rng.randrange(1, 11) for _ in range(n)]
+    s = float(sum(weights))
+    size = 1 << n
+    tab = np.zeros(size)
+    idx = np.arange(size, dtype=np.int64)
+    for bit in range(n):
+        step = 1 << bit
+        has = (idx & step) != 0
+        tab[idx[has]] = tab[idx[has] ^ step] + weights[bit] / s
+    return np.clip(tab / tab[-1], 0.0, 1.0)
+
+
+def ref_monotone(tab, tol, skip_empty=False):
+    """Per-bit monotone check: (holds, margin, witness) as the library reports."""
+    size = tab.shape[0]
+    n = size.bit_length() - 1
+    if not skip_empty and tab[0] != 0.0:
+        return False, float(tab[0]), {"set": 0, "value": float(tab[0]),
+                                      "reason": "empty set has nonzero measure"}
+    idx = np.arange(size, dtype=np.int64)
+    slack = INF
+    for bit in range(n):
+        step = 1 << bit
+        lower = idx[(idx & step) == 0]
+        with np.errstate(invalid="ignore"):
+            diff = tab[lower | step] - tab[lower]
+        diff = np.where(np.isnan(diff), 0.0, diff)
+        bad = diff < -tol
+        if bad.any():
+            a = int(lower[bad][0])
+            return False, float(-(diff[bad]).max()), {
+                "set": a, "point": bit, "value": float(tab[a]),
+                "value_with_point": float(tab[a | step])}
+        finite = diff[np.isfinite(diff)]
+        if finite.size:
+            slack = min(slack, float(finite.min()))
+    return True, max(slack, 0.0), None
 
 
 SP2 = FiniteSpace(2)
@@ -87,6 +194,64 @@ class TestEvaluation:
             MonotoneMeasure.explicit(SP2, [0.1, 0.2, 0.3, 0.4])  # empty set not 0
         with pytest.raises(DomainError):
             MonotoneMeasure.explicit(SP2, [0.0, 0.5, 0.3, 0.4])  # not monotone
+
+
+grid_values = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 3.0, INF])
+
+
+@st.composite
+def raw_tables(draw):
+    """Tables for ``explicit(validate=False)``: often non-monotone, sometimes
+    with inf entries or a nonzero empty set, and half of them made monotone."""
+    n = draw(st.integers(1, 7))
+    tab = draw(st.lists(grid_values, min_size=1 << n, max_size=1 << n))
+    if draw(st.booleans()):
+        for mask in range(1, 1 << n):
+            tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
+                                           for b in range(n) if mask >> b & 1])
+    if draw(st.integers(0, 4)):
+        tab[0] = 0.0
+    return n, tab
+
+
+class TestTableBuilds:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_tables_match_per_bit_reference(self, n, data):
+        space = FiniteSpace(n)
+        dens = data.draw(st.lists(grid_values, min_size=n, max_size=n))
+        weights = data.draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+        finite = data.draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+        lam = data.draw(st.sampled_from([-0.9, -0.25, 0.0, 0.5, 3.0]))
+        gamma = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+        probs = [w / sum(weights) for w in weights]
+        measures = [
+            MonotoneMeasure.possibility(space, dens),
+            MonotoneMeasure.distortion(space, probs, lambda x: np.power(x, gamma)),
+            MonotoneMeasure.lambda_sugeno(space, lam, [v / 64.0 for v in finite]),
+        ]
+        for mu in measures:
+            assert mu.table().tobytes() == ref_build_table(mu).tobytes(), mu.kind
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 10))
+    def test_generators_match_reference(self, seed, n):
+        got = generate_measure(seed, "monotonized_random", n).table()
+        assert got.tobytes() == ref_monotonized_random(seed, n).tobytes()
+        got = generate_measure(seed, "non_maxitive", n).table()
+        assert got.tobytes() == ref_non_maxitive(seed, n).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_tables(), tol=st.sampled_from([0.0, 1e-12, 0.3]),
+           skip_empty=st.booleans())
+    def test_monotone_check_matches_reference(self, raw, tol, skip_empty):
+        n, tab = raw
+        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        res = check_measure_property(mu, "monotone", tol=tol, _skip_empty=skip_empty)
+        holds, margin, witness = ref_monotone(np.asarray(tab, dtype=float), tol, skip_empty)
+        assert res.holds == holds
+        assert res.margin == margin
+        assert res.witness == witness
 
 
 class TestPropertyChecks:
