@@ -5,8 +5,18 @@ Each condition is the scalar inequality that is equivalent to (or sufficient
 for) one of the integral inequalities in :mod:`nonadd.theorems`.  A check
 sweeps the scale's standard grid (spacing 1/64 for up to three free
 variables, 1/16 when four variables are free) or evaluates exactly the
-supplied values; witnesses are the lexicographically first violating tuple,
-margins the extreme slack/violation over the sweep.
+supplied values.
+
+Every check is one broadcast sweep (:func:`_sweep`).  The looped variable
+(``c`` or ``z``, the scale factors, or the index of a ``(c, d)`` pair) is the
+leading axis and the grid variables follow, so the witness is the first
+violating cell in C order: the smallest looped value, then the grid
+variables in the order of their axes.  A violation is ``lhs > rhs + tol``.
+A holding check reports the least finite slack ``rhs - lhs``; a failing one
+reports the largest violation, reduced per leading slice: the largest finite
+gap ``lhs - rhs`` of the slice, or ``inf`` when every violation of that slice
+is non-finite.  ``distributive_scaling`` sweeps ``z`` first and the scale
+factors second; ``unit_section_order`` is a single slice.
 
 Registry ids:
 
@@ -39,46 +49,63 @@ from .results import CheckResult, DomainError
 
 _DEFAULT_SPACING = 1.0 / 64.0
 _PAIR_SPACING = 1.0 / 16.0
+_CHUNK_CELLS = 1 << 15          # cells per evaluated chunk of leading slices
 
 
-class _Acc:
-    """Accumulates violations/slacks across chunked grid sweeps."""
+def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
+    """Evaluate ``lhs > rhs + tol`` over every leading slice of every pass.
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.min_slack = INF
-        self.max_viol = 0.0
-        self.witness: dict | None = None
-
-    def add(self, lhs, rhs, coords: dict, valid=None):
-        lhs = np.asarray(lhs, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        lhs, rhs = np.broadcast_arrays(lhs, rhs)
-        ok = np.ones(lhs.shape, dtype=bool) if valid is None else np.broadcast_to(valid, lhs.shape)
-        with np.errstate(invalid="ignore"):
-            viol = ok & (lhs > rhs + self.tol)
-            slack = rhs - lhs
-        finite = ok & np.isfinite(slack)
-        if finite.any():
-            self.min_slack = min(self.min_slack, float(slack[finite].min()))
-        if viol.any():
-            gap = np.where(viol & np.isfinite(slack), -slack, 0.0)
-            local_max = float(gap.max()) if np.isfinite(slack[viol]).any() else INF
-            self.max_viol = max(self.max_viol, local_max)
-            if self.witness is None:
-                idx = tuple(np.argwhere(viol)[0])
-                wit = {}
-                for name, arr in coords.items():
-                    a = np.broadcast_to(np.asarray(arr, dtype=float), lhs.shape)
-                    wit[name] = float(a[idx])
-                wit["lhs"] = float(lhs[idx])
-                wit["rhs"] = float(rhs[idx])
-                self.witness = wit
-
-    def result(self, mode: str) -> CheckResult:
-        if self.witness is None:
-            return CheckResult(True, margin=self.min_slack, mode=mode)
-        return CheckResult(False, margin=self.max_viol, witness=self.witness, mode=mode)
+    Each pass is ``(lead, body)``: ``lead`` is a 1-D array of looped values
+    and ``body(L)`` receives a chunk of it shaped ``(k, 1, ..., 1)`` and
+    returns ``(lhs, rhs, valid, coords)``, each broadcastable to
+    ``(k,) + shape``; ``valid`` may be ``None`` and ``coords`` lists the
+    witness coordinates in witness key order.  Chunks hold at most
+    ``_CHUNK_CELLS`` cells.  Witness and margins follow the module docstring.
+    """
+    ndim = len(shape)
+    step = max(1, _CHUNK_CELLS // max(1, math.prod(shape)))
+    slice_axes = tuple(range(1, ndim + 1))
+    min_slack, max_viol, witness = INF, 0.0, None
+    for lead, body in passes:
+        for i in range(0, len(lead), step):
+            chunk = lead[i:i + step]
+            full = (len(chunk),) + tuple(shape)
+            lhs, rhs, valid, coords = body(chunk.reshape((-1,) + (1,) * ndim))
+            with np.errstate(invalid="ignore"):
+                slack = np.subtract(rhs, lhs, out=np.empty(full))
+                if valid is not None:
+                    slack += np.where(valid, 0.0, np.nan)  # invalid cells drop out
+                least = float(np.fmin.reduce(slack, axis=None, initial=INF))
+                # for tol >= 0, lhs > rhs + tol forces slack < 0 (never nan),
+                # so a least slack >= 0 rules out every violation of the chunk
+                if tol >= 0 and least >= 0:
+                    min_slack = min(min_slack, least)
+                    continue
+                viol = np.greater(lhs, np.add(rhs, tol), out=np.empty(full, dtype=bool))
+            if valid is not None:
+                viol &= valid
+            if least == -INF:
+                finite = np.isfinite(slack)
+                least = float(np.where(finite, slack, INF).min(initial=INF))
+                viol_finite = viol & finite
+            else:
+                viol_finite = viol
+            min_slack = min(min_slack, least)
+            if not viol.any():
+                continue
+            max_viol = max(max_viol, -float(np.where(viol_finite, slack, 0.0).min()))
+            if (viol_finite is not viol
+                    and (viol.any(axis=slice_axes) & ~viol_finite.any(axis=slice_axes)).any()):
+                max_viol = INF
+            if witness is None:
+                idx = np.unravel_index(int(viol.argmax()), full)
+                witness = {name: float(np.broadcast_to(arr, full)[idx])
+                           for name, arr in coords.items()}
+                witness["lhs"] = float(np.broadcast_to(lhs, full)[idx])
+                witness["rhs"] = float(np.broadcast_to(rhs, full)[idx])
+    if witness is None:
+        return CheckResult(True, margin=min_slack, mode=mode)
+    return CheckResult(False, margin=max_viol, witness=witness, mode=mode)
 
 
 def _as_values(scale: ValueScale, values, spacing: float) -> np.ndarray:
@@ -89,6 +116,21 @@ def _as_values(scale: ValueScale, values, spacing: float) -> np.ndarray:
         if not scale.contains(float(v)):
             raise DomainError(f"supplied value {v!r} outside {scale.describe()}")
     return np.unique(arr)
+
+
+def _as_pairs(scale: ValueScale, cd_values, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (c, d) pairs as two arrays: the grid's pairs with c outer, or the
+    supplied pairs in their order."""
+    if cd_values is None:
+        g = scale.grid(spacing)
+        return np.repeat(g, len(g)), np.tile(g, len(g))
+    pairs = np.asarray([(float(c), float(d)) for c, d in cd_values], dtype=float).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _combined(boxplus: BinaryOp, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    return np.asarray([float(boxplus.fn(c, d)) for c, d in zip(cs.tolist(), ds.tolist())],
+                      dtype=float)
 
 
 def _in_scale(scale: ValueScale, arr) -> np.ndarray:
@@ -120,13 +162,13 @@ def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
     f1 = p1.forward(sAB)
     f2A = p2.forward(A)
     f3B = p3.forward(B)
-    acc = _Acc(tol)
-    for c in cs:
-        lhs = p1.inverse(c1.grid(f1, np.full_like(f1, c)))
-        rhs = combiner.grid(p2.inverse(c2.grid(f2A, np.full_like(f2A, c))),
-                            p3.inverse(c3.grid(f3B, np.full_like(f3B, c))))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
-    return acc.result(_mode(c_values, a_values, b_values))
+
+    def body(C):
+        lhs = p1.inverse(c1.grid(f1, C))
+        rhs = combiner.grid(p2.inverse(c2.grid(f2A, C)), p3.inverse(c3.grid(f3B, C)))
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
+
+    return _sweep((len(a), len(b)), [(cs, body)], tol, _mode(c_values, a_values, b_values))
 
 
 def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
@@ -138,13 +180,13 @@ def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = _in_scale(scale, sAB)
-    acc = _Acc(tol)
-    for c in cs:
-        lhs = np.minimum(sAB, float(p1.inverse(c)))
-        rhs = star.grid(np.minimum(A, float(p2.inverse(c))),
-                        np.minimum(B, float(p3.inverse(c))))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
-    return acc.result(_mode(c_values))
+
+    def body(C):
+        lhs = np.minimum(sAB, p1.inverse(C))
+        rhs = star.grid(np.minimum(A, p2.inverse(C)), np.minimum(B, p3.inverse(C)))
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
+
+    return _sweep((len(g), len(g)), [(cs, body)], tol, _mode(c_values))
 
 
 def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
@@ -157,12 +199,18 @@ def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
     g = UNIT.grid(spacing)
     cs = _as_values(UNIT, c_values, spacing)
     A, B = g[:, None], g[None, :]
-    acc = _Acc(tol)
-    for c in cs:
-        w1, w2, w3 = c ** (1.0 / p1), c ** (1.0 / p2), c ** (1.0 / p3)
-        expr = A * (w2 - w1) + B * (w3 - w1) + A * B * (w1 - w2 * w3)
-        acc.add(-expr, np.zeros_like(expr), {"a": A, "b": B, "c": c})
-    return acc.result(_mode(c_values))
+    AB = A * B
+    # scalar powers: numpy's array power can round differently
+    w1, w2, w3 = (np.asarray([c ** (1.0 / p) for c in cs], dtype=float)
+                  for p in (p1, p2, p3))
+
+    def body(i):
+        W1, W2, W3 = w1[i], w2[i], w3[i]
+        expr = A * (W2 - W1) + B * (W3 - W1)
+        expr += AB * (W1 - W2 * W3)
+        return np.negative(expr, out=expr), 0.0, None, {"a": A, "b": B, "c": cs[i]}
+
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], tol, _mode(c_values))
 
 
 def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
@@ -173,14 +221,13 @@ def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = _in_scale(UNIT, sAB)
-    acc = _Acc(tol)
-    for c in g:
-        cc = np.full_like(sAB, c)
-        lhs = S.grid(sAB, cc)
-        rhs = np.minimum(star.grid(S.grid(A, np.full_like(A, c)), B),
-                         star.grid(A, S.grid(B, np.full_like(B, c))))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
-    return acc.result("grid")
+
+    def body(C):
+        lhs = S.grid(sAB, C)
+        rhs = np.minimum(star.grid(S.grid(A, C), B), star.grid(A, S.grid(B, C)))
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
+
+    return _sweep((len(g), len(g)), [(g, body)], tol, "grid")
 
 
 def cond_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
@@ -189,13 +236,14 @@ def cond_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
     g = UNIT.grid(spacing)
     A, B = g[:, None], g[None, :]
     valid = A + B <= 1.0 + 1e-15
-    acc = _Acc(tol)
-    for c in g:
-        cc = np.full_like(A + B, c)
-        lhs = S.grid(np.minimum(A + B, 1.0), cc)
-        rhs = S.grid(A, np.full_like(A, c)) + S.grid(B, np.full_like(B, c))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
-    return acc.result("grid")
+    capped = np.minimum(A + B, 1.0)
+
+    def body(C):
+        lhs = S.grid(capped, C)
+        rhs = S.grid(A, C) + S.grid(B, C)
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
+
+    return _sweep((len(g), len(g)), [(g, body)], tol, "grid")
 
 
 def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
@@ -205,12 +253,14 @@ def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
     A, B = g[:, None], g[None, :]
     s = A + B
     valid = _in_scale(scale, s)
-    acc = _Acc(tol)
-    for c in cs:
-        lhs = op.grid(np.where(valid, s, 0.0), np.full_like(s, c))
-        rhs = op.grid(A, np.full_like(A, c)) + op.grid(B, np.full_like(B, c))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
-    return acc.result(_mode(c_values))
+    s = np.where(valid, s, 0.0)
+
+    def body(C):
+        lhs = op.grid(s, C)
+        rhs = op.grid(A, C) + op.grid(B, C)
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
+
+    return _sweep((len(g), len(g)), [(cs, body)], tol, _mode(c_values))
 
 
 def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
@@ -222,21 +272,26 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
     g = scale.grid(spacing)
     X, Y = g[:, None], g[None, :]
     opXY = op.grid(X, Y)
-    acc = _Acc(tol)
-    for z in g:
-        s = Y + z
+    factors = np.asarray([1.5, 2.0, 4.0, 16.0, 256.0])
+    bounds = np.asarray([a ** q for a in factors.tolist()], dtype=float)
+    with np.errstate(invalid="ignore"):
+        powered = np.power(opXY, r)
+
+    def by_z(Z):
+        s = Y + Z
         valid = _in_scale(scale, s)
         lhs = op.grid(X, np.where(valid, s, 0.0))
-        rhs = opXY + op.grid(X, np.full_like(X, z))
-        acc.add(lhs, rhs, {"x": X, "y": Y, "z": z}, valid)
-    for a in (1.5, 2.0, 4.0, 16.0, 256.0):
-        s = a * X
+        rhs = opXY + op.grid(X, Z)
+        return lhs, rhs, valid, {"x": X, "y": Y, "z": Z}
+
+    def by_factor(i):
+        s = factors[i] * X
         valid = _in_scale(scale, s)
         lhs = op.grid(np.where(valid, s, 0.0), Y)
-        with np.errstate(invalid="ignore"):
-            rhs = (a ** q) * np.power(opXY, r)
-        acc.add(lhs, rhs, {"scale_factor": np.full_like(X, a), "x": X, "y": Y}, valid)
-    return acc.result("grid")
+        return lhs, bounds[i] * powered, valid, {"scale_factor": factors[i], "x": X, "y": Y}
+
+    return _sweep((len(g), len(g)), [(g, by_z), (np.arange(len(factors)), by_factor)],
+                  tol, "grid")
 
 
 def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
@@ -248,25 +303,23 @@ def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
     p1, p2, p3 = phis
     a = _as_values(scale, a_values, spacing)
     b = _as_values(scale, b_values, spacing)
-    if cd_values is None:
-        cg = scale.grid(spacing)
-        cd_pairs = [(float(c), float(d)) for c in cg for d in cg]
-    else:
-        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    cs, ds = _as_pairs(scale, cd_values, spacing)
+    combined = _combined(boxplus, cs, ds)
     A, B = a[:, None], b[None, :]
     sAB = star.grid(A, B)
     valid = _in_scale(scale, sAB)
     f1 = p1.forward(sAB)
     f2A = p2.forward(A)
     f3B = p3.forward(B)
-    acc = _Acc(tol)
-    for c, d in cd_pairs:
-        combined = float(boxplus.fn(c, d))
-        lhs = p1.inverse(c1.grid(f1, np.full_like(f1, combined)))
-        rhs = combiner.grid(p2.inverse(c2.grid(f2A, np.full_like(f2A, c))),
-                            p3.inverse(c3.grid(f3B, np.full_like(f3B, d))))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
-    return acc.result(_mode(cd_values, a_values, b_values))
+
+    def body(i):
+        C, D = cs[i], ds[i]
+        lhs = p1.inverse(c1.grid(f1, combined[i]))
+        rhs = combiner.grid(p2.inverse(c2.grid(f2A, C)), p3.inverse(c3.grid(f3B, D)))
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
+
+    return _sweep((len(a), len(b)), [(np.arange(len(cs)), body)], tol,
+                  _mode(cd_values, a_values, b_values))
 
 
 def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
@@ -274,20 +327,18 @@ def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
                        tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
     p1, p2, p3 = phis
     g = scale.grid(spacing)
-    if cd_values is None:
-        cd_pairs = [(float(c), float(d)) for c in g for d in g]
-    else:
-        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    cs, ds = _as_pairs(scale, cd_values, spacing)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = _in_scale(scale, sAB)
-    acc = _Acc(tol)
-    for c, d in cd_pairs:
-        lhs = np.maximum(sAB, max(float(p1.inverse(c)), float(p1.inverse(d))))
-        rhs = star.grid(np.maximum(A, float(p2.inverse(c))),
-                        np.maximum(B, float(p3.inverse(d))))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
-    return acc.result(_mode(cd_values))
+
+    def body(i):
+        C, D = cs[i], ds[i]
+        lhs = np.maximum(sAB, np.maximum(p1.inverse(C), p1.inverse(D)))
+        rhs = star.grid(np.maximum(A, p2.inverse(C)), np.maximum(B, p3.inverse(D)))
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
+
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], tol, _mode(cd_values))
 
 
 def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
@@ -298,33 +349,32 @@ def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = _in_scale(scale, sAB)
-    acc = _Acc(tol)
-    for c in cs:
-        cc = np.full_like(sAB, c)
-        lhs = op_h.grid(sAB, cc)
-        rhs = star.grid(op_h.grid(A, np.full_like(A, c)), op_h.grid(B, np.full_like(B, c)))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
-    return acc.result(_mode(c_values))
+
+    def body(C):
+        lhs = op_h.grid(sAB, C)
+        rhs = star.grid(op_h.grid(A, C), op_h.grid(B, C))
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
+
+    return _sweep((len(g), len(g)), [(cs, body)], tol, _mode(c_values))
 
 
 def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
                               scale: ValueScale = UNIT, cd_values=None,
                               tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
     g = scale.grid(spacing)
-    if cd_values is None:
-        cd_pairs = [(float(c), float(d)) for c in g for d in g]
-    else:
-        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    cs, ds = _as_pairs(scale, cd_values, spacing)
+    combined = _combined(boxplus, cs, ds)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = _in_scale(scale, sAB)
-    acc = _Acc(tol)
-    for c, d in cd_pairs:
-        combined = float(boxplus.fn(c, d))
-        lhs = op_h.grid(sAB, np.full_like(sAB, combined))
-        rhs = star.grid(op_h.grid(A, np.full_like(A, c)), op_h.grid(B, np.full_like(B, d)))
-        acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
-    return acc.result(_mode(cd_values))
+
+    def body(i):
+        C, D = cs[i], ds[i]
+        lhs = op_h.grid(sAB, combined[i])
+        rhs = star.grid(op_h.grid(A, C), op_h.grid(B, D))
+        return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
+
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], tol, _mode(cd_values))
 
 
 def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
@@ -338,12 +388,14 @@ def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
     yg = yg[(yg > 0.0) & (yg < 1.0)]
     X, Y = xg[:, None], yg[None, :]
     sect = op.grid(np.ones_like(X), X)
-    premise = np.broadcast_to(sect, (len(xg), len(yg))) <= Y + tol
-    acc = _Acc(tol)
-    lhs = np.where(premise, X * np.ones_like(Y), 0.0)
-    rhs = np.where(premise, Y * np.ones_like(X), INF)
-    acc.add(lhs, rhs, {"x": X, "y": Y, "unit_section": sect * np.ones_like(Y)}, premise)
-    return acc.result("grid")
+
+    def body(_):
+        premise = sect <= Y + tol
+        lhs = np.where(premise, X, 0.0)
+        rhs = np.where(premise, Y, INF)
+        return lhs, rhs, premise, {"x": X, "y": Y, "unit_section": sect}
+
+    return _sweep((len(xg), len(yg)), [(np.zeros(1), body)], tol, "grid")
 
 
 CONDITIONS = {

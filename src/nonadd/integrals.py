@@ -35,7 +35,6 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
-    expand_masks,
     subset_infima,
 )
 from .measures import MonotoneMeasure, dual_measure
@@ -44,7 +43,6 @@ from .results import CheckResult, DomainError
 
 _ORACLE_CAP = 20
 
-# module-level operator singletons so flag verification caches across calls
 _MIN = minimum()
 _PROD = product()
 _JOIN = join()
@@ -181,8 +179,8 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     empty set = scale top, which makes the subset form agree with the level
     form also for operators without an annihilating zero.  Evaluates all
     2^|D| subsets at once: the infima come from ``subset_infima`` and the
-    measures are read from ``mu.table()`` (built and cached on first use).
-    Capped at |D| <= 20.
+    measures from ``mu.subset_table``, which folds only the domain's points
+    when the measure has no cached table.  Capped at |D| <= 20.
     """
     values, scale = _unpack(f, scale)
     domain = _domain_mask(values, domain)
@@ -194,10 +192,8 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     mu.space.validate_mask(domain)  # the table read below does not check masks
     best = -INF
     if bits:
-        sub_vals = [values[i] for i in bits]
-        infs = subset_infima(sub_vals)[1:]
-        orig = expand_masks(bits)[1:]
-        mus = mu.table()[orig]
+        infs = subset_infima([values[i] for i in bits])[1:]
+        mus = mu.subset_table(bits)[1:]
         terms = op.grid(infs, mus)
         best = float(terms.max())
     # empty-subset term: matches the level form's behaviour above the top

@@ -32,6 +32,7 @@ from .core import (
     ValueScale,
     UNIT,
     _subset_fold,
+    expand_masks,
     is_xreal,
     rng_for,
 )
@@ -135,18 +136,32 @@ class MonotoneMeasure:
             self._table = self._build_table()
         return self._table
 
-    def _build_table(self) -> np.ndarray:
+    def subset_table(self, bits: Sequence[int]) -> np.ndarray:
+        """Values on every subset of the points ``bits`` (increasing),
+        indexed by compact mask.  Without a cached table, a proper subset of
+        the space folds only its own points; the values are bit-identical to
+        the full table's."""
+        if self._table is None and len(bits) < self.space.n:
+            return self._build_table(bits)
+        return self.table()[expand_masks(bits)]
+
+    def _build_table(self, bits: Sequence[int] | None = None) -> np.ndarray:
+        """The table over all subsets, or over the subsets of ``bits``
+        (increasing) indexed by compact mask."""
+        def at(xs):
+            return xs if bits is None else [xs[b] for b in bits]
+
         if self.kind == "possibility":
-            return _subset_fold(self.density, np.maximum, 0.0)
+            return _subset_fold(at(self.density), np.maximum, 0.0)
         if self.kind == "distortion":
-            p = _subset_fold(self.probs, np.add, 0.0)
+            p = _subset_fold(at(self.probs), np.add, 0.0)
             tab = np.asarray(self.distortion(np.clip(p, 0.0, 1.0)), dtype=float)
             tab[0] = 0.0
             return tab
         if self.kind == "lambda_sugeno":
             if self.lam == 0.0:
-                return _subset_fold(self.density, np.add, 0.0)
-            pr = _subset_fold([1.0 + self.lam * d for d in self.density], np.multiply, 1.0)
+                return _subset_fold(at(self.density), np.add, 0.0)
+            pr = _subset_fold([1.0 + self.lam * d for d in at(self.density)], np.multiply, 1.0)
             tab = (pr - 1.0) / self.lam
             tab[0] = 0.0
             np.clip(tab, 0.0, None, out=tab)

@@ -36,7 +36,7 @@ from .integrals import (
     upper_integral,
 )
 from .measures import MonotoneMeasure, check_measure_property
-from .operators import BinaryOp, minimum, plain_sum, power_min, verify_flags
+from .operators import BinaryOp, cached_gate, minimum, plain_sum, power_min, verify_flags
 from .results import CheckResult, DomainError, HypothesisError
 
 _SUM = plain_sum()
@@ -70,14 +70,10 @@ class MetricSpec:
 def _gate_metric_op(spec: MetricSpec):
     """Hypothesis gate for the operator-based metric, cached on the operator."""
     op, p = spec.op, spec.p
-    key = ("metric_gate", p)
-    res = op._verified.get(key)
-    if res is None:
-        scaling = cond_distributive_scaling(op, q=p, r=1.0, scale=EXTENDED)
-        section = cond_unit_section_order(op, scale=EXTENDED)
-        res = (scaling, section)
-        op._verified[key] = res
-    scaling, section = res
+    scaling, section = cached_gate(
+        op, ("metric_gate", p),
+        lambda: (cond_distributive_scaling(op, q=p, r=1.0, scale=EXTENDED),
+                 cond_unit_section_order(op, scale=EXTENDED)))
     if not scaling.holds:
         raise HypothesisError(
             f"operator {op.name!r} fails the distributive-scaling gate at p={p}",

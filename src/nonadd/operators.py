@@ -14,6 +14,8 @@ records its mode.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,8 +41,8 @@ class BinaryOp:
     """An evaluable binary operator with declared algebraic flags.
 
     ``fn`` is the scalar evaluation; ``grid_fn`` (optional) must accept
-    numpy arrays and is used by grid sweeps.  ``_verified`` caches flag
-    verification per scale.
+    numpy arrays and is used by grid sweeps.  ``_verified`` caches gate
+    results (see :func:`cached_gate`).
     """
 
     name: str
@@ -76,9 +78,37 @@ def op_eval(op: BinaryOp, a: float, b: float, scale: ValueScale | None = None) -
 # catalog
 # ---------------------------------------------------------------------------
 
+def _shared(factory):
+    """Make a catalog factory return one shared operator per argument tuple.
+
+    Arguments are bound to the signature with defaults applied and keyed by
+    ``(type, repr)``, so ``power_min(0.5)`` and ``power_min(p=0.5, u=1.0)``
+    share an instance (and its gate caches), while ``1`` and ``1.0``, or
+    ``0.0`` and ``-0.0``, which name different operators, do not.
+    """
+    sig = inspect.signature(factory)
+    instances: dict[tuple, BinaryOp] = {}
+
+    @functools.wraps(factory)
+    def shared(*args, **kwargs) -> BinaryOp:
+        try:
+            bound = sig.bind(*args, **kwargs)
+        except TypeError:
+            return factory(*args, **kwargs)  # raises the factory's own error
+        bound.apply_defaults()
+        key = tuple((type(v), repr(v)) for v in bound.arguments.values())
+        op = instances.get(key)
+        if op is None:
+            op = instances.setdefault(key, factory(*args, **kwargs))
+        return op
+
+    return shared
+
+
 _CONTINUOUS = frozenset({"nondecreasing", "right_continuous", "left_continuous_second"})
 
 
+@_shared
 def minimum() -> BinaryOp:
     return BinaryOp(
         "min",
@@ -89,6 +119,7 @@ def minimum() -> BinaryOp:
     )
 
 
+@_shared
 def join() -> BinaryOp:
     return BinaryOp(
         "max",
@@ -98,6 +129,7 @@ def join() -> BinaryOp:
     )
 
 
+@_shared
 def product() -> BinaryOp:
     return BinaryOp(
         "product",
@@ -108,6 +140,7 @@ def product() -> BinaryOp:
     )
 
 
+@_shared
 def lukasiewicz() -> BinaryOp:
     """The Lukasiewicz t-norm (a + b - 1)_+ on the unit scale."""
     return BinaryOp(
@@ -119,6 +152,7 @@ def lukasiewicz() -> BinaryOp:
     )
 
 
+@_shared
 def bounded_sum() -> BinaryOp:
     """(a + b) clipped at 1; the standard nilpotent join on the unit scale."""
     return BinaryOp(
@@ -129,6 +163,7 @@ def bounded_sum() -> BinaryOp:
     )
 
 
+@_shared
 def plain_sum() -> BinaryOp:
     return BinaryOp(
         "sum",
@@ -138,6 +173,7 @@ def plain_sum() -> BinaryOp:
     )
 
 
+@_shared
 def prob_sum() -> BinaryOp:
     """a + b - ab on the unit scale."""
     return BinaryOp(
@@ -148,6 +184,7 @@ def prob_sum() -> BinaryOp:
     )
 
 
+@_shared
 def marshall_olkin(alpha: float, beta: float) -> BinaryOp:
     """The two-parameter family min(x^(1-alpha) y, x y^(1-beta)).
 
@@ -170,6 +207,7 @@ def marshall_olkin(alpha: float, beta: float) -> BinaryOp:
     )
 
 
+@_shared
 def power_product(q: float) -> BinaryOp:
     """(ab)^q; for 0 < q < 1 a modified product with subadditive sections."""
     if q <= 0:
@@ -186,6 +224,7 @@ def power_product(q: float) -> BinaryOp:
     )
 
 
+@_shared
 def power_min(p: float, u: float = 1.0) -> BinaryOp:
     """min(a^p, b^u); the min-type metric combiner family."""
     if p <= 0 or u <= 0:
@@ -199,6 +238,7 @@ def power_min(p: float, u: float = 1.0) -> BinaryOp:
     )
 
 
+@_shared
 def power_prod(p: float, u: float = 1.0) -> BinaryOp:
     """a^p * b^u; the product-type metric combiner family."""
     if p <= 0 or u <= 0:
@@ -385,7 +425,6 @@ def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT,
             d = np.where(np.isnan(d), 0.0, d)  # inf to inf steps
             if (d < -tol).any():
                 i, j = np.argwhere(d < -tol)[0]
-                a1, b1 = (g[i], g[j]) if axis == 0 else (g[i], g[j])
                 wi = {"axis": int(axis), "a": float(g[i]), "b": float(g[j]),
                       "step_to": float(g[i + 1]) if axis == 0 else float(g[j + 1]),
                       "drop": float(-d[i, j])}
@@ -458,6 +497,16 @@ def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT,
     return CheckResult(True, mode="grid")
 
 
+def cached_gate(op: BinaryOp, key, compute: Callable):
+    """The gate result stored on ``op`` under ``key``; ``compute()`` runs
+    only on the first request.  Catalog operators are shared by argument
+    tuple, so their gates are computed once per process."""
+    res = op._verified.get(key)
+    if res is None:
+        res = op._verified[key] = compute()
+    return res
+
+
 def verify_flags(op: BinaryOp, required, scale: ValueScale = UNIT) -> None:
     """Admission gate: every required flag must be declared and must pass.
 
@@ -467,11 +516,8 @@ def verify_flags(op: BinaryOp, required, scale: ValueScale = UNIT) -> None:
     for flag in required:
         if flag not in op.flags:
             raise HypothesisError(f"operator {op.name!r} does not declare {flag!r}")
-        key = (flag, scale.upper, scale.closed)
-        res = op._verified.get(key)
-        if res is None:
-            res = check_operator_property(op, flag, scale)
-            op._verified[key] = res
+        res = cached_gate(op, (flag, scale.upper, scale.closed),
+                          lambda: check_operator_property(op, flag, scale))
         if not res.holds:
             raise HypothesisError(
                 f"operator {op.name!r} fails declared flag {flag!r} on {scale.describe()}",

@@ -60,6 +60,7 @@ from .operators import (
     DualityMap,
     PhiMap,
     bounded_sum,
+    cached_gate,
     check_top_absorbing,
     lukasiewicz,
     op_dual,
@@ -406,11 +407,8 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
             raise HypothesisError(f"pointwise sum {s!r} leaves the scale")
     domain = _domain_mask(len(f), domain)
 
-    gate_key = ("sum_split_grid", scale.upper, scale.closed)
-    grid_cond = op._verified.get(gate_key)
-    if grid_cond is None:
-        grid_cond = cond_sum_split(op, scale)
-        op._verified[gate_key] = grid_cond
+    grid_cond = cached_gate(op, ("sum_split_grid", scale.upper, scale.closed),
+                            lambda: cond_sum_split(op, scale))
     realized = realized_measure_values(mu, domain)
     realized_cond = cond_sum_split(op, scale, c_values=realized)
     detail = {"condition_grid": grid_cond, "condition_realized": realized_cond}

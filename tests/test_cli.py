@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from nonadd.campaigns import CAMPAIGNS
 from nonadd.cli import main
 from nonadd.scenarios import BUILTIN_SCENARIOS, Scenario, ScenarioError, builtin_scenario
 
@@ -152,6 +153,43 @@ REPORT_SHA256 = {
 }
 
 
+# The same digest of the report of ``fuzz <id> --trials 20 --seed 0``, for
+# every campaign.  Recorded before the condition sweeps were vectorized; a
+# change to a sweep or a gate cache must leave all of them unchanged.
+FUZZ_REPORT_SHA256 = {
+    "cauchy_probe": "a564143fc72b18e4b4fb56aa1837371e0da931f55fb0f0fde182f8ffd5e06844",
+    "comonotone_subadditive":
+        "991718b870f0a03a38db37d1de9b09d49b690c76aeb66fa1b06beb27ae5cff80",
+    "convergence_lemmas":
+        "c65845ccb1b7b1e5c58083f685023abe9ff847d0d75cd5870792c81beeadfddb",
+    "counterexample": "2ca0bfb38322c5dd24cdf848d8f6db2ae8eaa4f55b978be8f1adc4e73cfee6f0",
+    "dual_minkowski": "4a5aab5fa1fff4b91ada8d630544da30a7e551d4cd8168c84b81db9159122f87",
+    "h_duality_one_minus":
+        "5a9b0f43ab47d721416f2d72261b3ef59b444e9b5717474a64ffb5272ade9fa2",
+    "h_duality_reciprocal":
+        "b8307a74d2da7d55c925e866c758e03c897efe3432a646eb9de26f3d9462577b",
+    "lower_mh": "826430607953fa98b59abc1b0133905cfed0bdea47a8fa997381749d1d5cb392",
+    "mean_convergence": "f02281ba156577f3212e913a3899f20938f9ebc95c5b77f111e5e6167e5cb745",
+    "measure_properties":
+        "c055959730542c66bc9d6407e0aebaf4e8fce8e8263d1323751e319f1b50297e",
+    "metric_axioms": "9e0d0b567ff8006d30c606af5b87f3dac8588516d9777a02a68209f79d00c1d0",
+    "oracle_agreement": "9f5a5207a8e59722ae32f1315541f57b746442154a665182d0e530b3280928a7",
+    "plus_assoc_comonotone":
+        "0a8426a24d4f3b5dffe09f92eee663b2f8a6e1842dcd1108450968348ddf0839",
+    "seminorm_minkowski":
+        "548586e4dba05aa70cb8c9aa9b999709dd0ac363e2fe57b81571c9633e04ff02",
+    "shilkret_maxitive": "3d31ee690bb896181d577db486d64392cac26aff9ee96e7b9a85743289afa8f4",
+    "subadditive_minkowski":
+        "ba1dafe669b22ecb63a8927b5c8097f173ffe30aa29e7fa88d958f26fa4cd4c3",
+    "sugeno_identity": "df4a6aec616d98660b101313e7eb79dcad38b9a75060d0f5fb1b9de83137921f",
+    "sugeno_subadditive":
+        "ca99f353490ea3afe399c63f48aed76e85fe4b2da528ef87367a84519b41b845",
+    "upper_mh": "f8ffb72b31311a5fb0d2cd2d585a81c3cae64bf301ffc8b894b663e6dd62fb9c",
+    "upper_mh_necessity":
+        "493882a290e7d9977860ffbcdaacde1461788f97d9554dc765b01eedf4e33b26",
+}
+
+
 class TestDeterminism:
     def test_pinned_names_are_the_non_smoke_builtins(self):
         assert sorted(REPORT_SHA256) == sorted(
@@ -163,6 +201,16 @@ class TestDeterminism:
         assert code == 0
         blob = json.dumps(doc["report"], sort_keys=True, indent=2).encode()
         assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[name]
+
+    def test_pinned_fuzz_ids_are_the_campaigns(self):
+        assert sorted(FUZZ_REPORT_SHA256) == sorted(CAMPAIGNS)
+
+    @pytest.mark.parametrize("cid", sorted(FUZZ_REPORT_SHA256))
+    def test_fuzz_report_bytes_pinned(self, cid, capsys):
+        code, doc = run_cli_json(["fuzz", cid, "--trials", "20", "--seed", "0"], capsys)
+        assert code == 0
+        blob = json.dumps(doc["report"], sort_keys=True, indent=2).encode()
+        assert hashlib.sha256(blob).hexdigest() == FUZZ_REPORT_SHA256[cid]
 
     def test_reports_identical_modulo_timing(self, capsys):
         code1, doc1 = run_cli_json(["run", "two_point_integrals", "--seed", "5"], capsys)

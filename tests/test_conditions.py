@@ -1,17 +1,27 @@
 """Named inequality conditions: grid verdicts, witnesses, and
 self-consistency between the general and specialized checkers."""
 
+import json
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonadd.conditions import (
     CONDITIONS,
+    _as_values,
+    _in_scale,
+    _mode,
     check_condition,
     cond_mh_sugeno,
     cond_mh_upper,
 )
-from nonadd.core import EXTENDED, UNIT
+from nonadd.core import EXTENDED, INF, NONNEG, UNIT, ValueScale
 from nonadd.operators import (
+    BinaryOp,
+    PhiMap,
     bounded_sum,
     join,
     lukasiewicz,
@@ -22,12 +32,13 @@ from nonadd.operators import (
     phi_power,
     plain_sum,
     power_min,
+    power_prod,
     power_product,
     prob_sum,
     product,
     reciprocal,
 )
-from nonadd.results import DomainError
+from nonadd.results import CheckResult, DomainError
 
 MIN = minimum()
 PROD = product()
@@ -255,3 +266,391 @@ class TestBruteForceAgreement:
 
     def test_registry_complete(self):
         assert len(CONDITIONS) == 12
+
+
+# --- loop-form reference kernels ----------------------------------------------
+# The library evaluates every condition as one chunked broadcast sweep.  These
+# are the per-slice Python loops it replaced, with their accumulator; each
+# condition must give the same verdict, margin (to the last bit), witness
+# (values and key order) and mode.
+
+_DEFAULT_SPACING = 1.0 / 64.0
+_PAIR_SPACING = 1.0 / 16.0
+
+
+class _Acc:
+    """Accumulates violations/slacks across chunked grid sweeps."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.min_slack = INF
+        self.max_viol = 0.0
+        self.witness: dict | None = None
+
+    def add(self, lhs, rhs, coords: dict, valid=None):
+        lhs = np.asarray(lhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        ok = np.ones(lhs.shape, dtype=bool) if valid is None else np.broadcast_to(valid, lhs.shape)
+        with np.errstate(invalid="ignore"):
+            viol = ok & (lhs > rhs + self.tol)
+            slack = rhs - lhs
+        finite = ok & np.isfinite(slack)
+        if finite.any():
+            self.min_slack = min(self.min_slack, float(slack[finite].min()))
+        if viol.any():
+            gap = np.where(viol & np.isfinite(slack), -slack, 0.0)
+            local_max = float(gap.max()) if np.isfinite(slack[viol]).any() else INF
+            self.max_viol = max(self.max_viol, local_max)
+            if self.witness is None:
+                idx = tuple(np.argwhere(viol)[0])
+                wit = {}
+                for name, arr in coords.items():
+                    a = np.broadcast_to(np.asarray(arr, dtype=float), lhs.shape)
+                    wit[name] = float(a[idx])
+                wit["lhs"] = float(lhs[idx])
+                wit["rhs"] = float(rhs[idx])
+                self.witness = wit
+
+    def result(self, mode: str) -> CheckResult:
+        if self.witness is None:
+            return CheckResult(True, margin=self.min_slack, mode=mode)
+        return CheckResult(False, margin=self.max_viol, witness=self.witness, mode=mode)
+
+
+def ref_mh_upper(star: BinaryOp, combiner: BinaryOp,
+                 circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
+                 scale: ValueScale = UNIT, c_values=None,
+                 a_values=None, b_values=None,
+                 tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    c1, c2, c3 = circs
+    p1, p2, p3 = phis
+    a = _as_values(scale, a_values, spacing)
+    b = _as_values(scale, b_values, spacing)
+    cs = _as_values(scale, c_values, spacing)
+    A, B = a[:, None], b[None, :]
+    sAB = star.grid(A, B)
+    valid = _in_scale(scale, sAB)
+    f1 = p1.forward(sAB)
+    f2A = p2.forward(A)
+    f3B = p3.forward(B)
+    acc = _Acc(tol)
+    for c in cs:
+        lhs = p1.inverse(c1.grid(f1, np.full_like(f1, c)))
+        rhs = combiner.grid(p2.inverse(c2.grid(f2A, np.full_like(f2A, c))),
+                            p3.inverse(c3.grid(f3B, np.full_like(f3B, c))))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
+    return acc.result(_mode(c_values, a_values, b_values))
+
+
+def ref_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
+                  scale: ValueScale = UNIT, c_values=None,
+                  tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    p1, p2, p3 = phis
+    g = scale.grid(spacing)
+    cs = _as_values(scale, c_values, spacing)
+    A, B = g[:, None], g[None, :]
+    sAB = star.grid(A, B)
+    valid = _in_scale(scale, sAB)
+    acc = _Acc(tol)
+    for c in cs:
+        lhs = np.minimum(sAB, float(p1.inverse(c)))
+        rhs = star.grid(np.minimum(A, float(p2.inverse(c))),
+                        np.minimum(B, float(p3.inverse(c))))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
+    return acc.result(_mode(c_values))
+
+
+def ref_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
+                         tol: float = 1e-12,
+                         spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    g = UNIT.grid(spacing)
+    cs = _as_values(UNIT, c_values, spacing)
+    A, B = g[:, None], g[None, :]
+    acc = _Acc(tol)
+    for c in cs:
+        w1, w2, w3 = c ** (1.0 / p1), c ** (1.0 / p2), c ** (1.0 / p3)
+        expr = A * (w2 - w1) + B * (w3 - w1) + A * B * (w1 - w2 * w3)
+        acc.add(-expr, np.zeros_like(expr), {"a": A, "b": B, "c": c})
+    return acc.result(_mode(c_values))
+
+
+def ref_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
+                               tol: float = 1e-12,
+                               spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    S = semicopula
+    g = UNIT.grid(spacing)
+    A, B = g[:, None], g[None, :]
+    sAB = star.grid(A, B)
+    valid = _in_scale(UNIT, sAB)
+    acc = _Acc(tol)
+    for c in g:
+        cc = np.full_like(sAB, c)
+        lhs = S.grid(sAB, cc)
+        rhs = np.minimum(star.grid(S.grid(A, np.full_like(A, c)), B),
+                         star.grid(A, S.grid(B, np.full_like(B, c))))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
+    return acc.result("grid")
+
+
+def ref_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
+                             spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    S = semicopula
+    g = UNIT.grid(spacing)
+    A, B = g[:, None], g[None, :]
+    valid = A + B <= 1.0 + 1e-15
+    acc = _Acc(tol)
+    for c in g:
+        cc = np.full_like(A + B, c)
+        lhs = S.grid(np.minimum(A + B, 1.0), cc)
+        rhs = S.grid(A, np.full_like(A, c)) + S.grid(B, np.full_like(B, c))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
+    return acc.result("grid")
+
+
+def ref_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
+                  tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    g = scale.grid(spacing)
+    cs = _as_values(scale, c_values, spacing)
+    A, B = g[:, None], g[None, :]
+    s = A + B
+    valid = _in_scale(scale, s)
+    acc = _Acc(tol)
+    for c in cs:
+        lhs = op.grid(np.where(valid, s, 0.0), np.full_like(s, c))
+        rhs = op.grid(A, np.full_like(A, c)) + op.grid(B, np.full_like(B, c))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
+    return acc.result(_mode(c_values))
+
+
+def ref_distributive_scaling(op: BinaryOp, q: float, r: float,
+                             scale: ValueScale = UNIT, tol: float = 1e-12,
+                             spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    g = scale.grid(spacing)
+    X, Y = g[:, None], g[None, :]
+    opXY = op.grid(X, Y)
+    acc = _Acc(tol)
+    for z in g:
+        s = Y + z
+        valid = _in_scale(scale, s)
+        lhs = op.grid(X, np.where(valid, s, 0.0))
+        rhs = opXY + op.grid(X, np.full_like(X, z))
+        acc.add(lhs, rhs, {"x": X, "y": Y, "z": z}, valid)
+    for a in (1.5, 2.0, 4.0, 16.0, 256.0):
+        s = a * X
+        valid = _in_scale(scale, s)
+        lhs = op.grid(np.where(valid, s, 0.0), Y)
+        with np.errstate(invalid="ignore"):
+            rhs = (a ** q) * np.power(opXY, r)
+        acc.add(lhs, rhs, {"scale_factor": np.full_like(X, a), "x": X, "y": Y}, valid)
+    return acc.result("grid")
+
+
+def ref_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
+                 circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
+                 scale: ValueScale = UNIT, cd_values=None,
+                 a_values=None, b_values=None,
+                 tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+    c1, c2, c3 = circs
+    p1, p2, p3 = phis
+    a = _as_values(scale, a_values, spacing)
+    b = _as_values(scale, b_values, spacing)
+    if cd_values is None:
+        cg = scale.grid(spacing)
+        cd_pairs = [(float(c), float(d)) for c in cg for d in cg]
+    else:
+        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    A, B = a[:, None], b[None, :]
+    sAB = star.grid(A, B)
+    valid = _in_scale(scale, sAB)
+    f1 = p1.forward(sAB)
+    f2A = p2.forward(A)
+    f3B = p3.forward(B)
+    acc = _Acc(tol)
+    for c, d in cd_pairs:
+        combined = float(boxplus.fn(c, d))
+        lhs = p1.inverse(c1.grid(f1, np.full_like(f1, combined)))
+        rhs = combiner.grid(p2.inverse(c2.grid(f2A, np.full_like(f2A, c))),
+                            p3.inverse(c3.grid(f3B, np.full_like(f3B, d))))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
+    return acc.result(_mode(cd_values, a_values, b_values))
+
+
+def ref_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
+                      scale: ValueScale = UNIT, cd_values=None,
+                      tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+    p1, p2, p3 = phis
+    g = scale.grid(spacing)
+    if cd_values is None:
+        cd_pairs = [(float(c), float(d)) for c in g for d in g]
+    else:
+        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    A, B = g[:, None], g[None, :]
+    sAB = star.grid(A, B)
+    valid = _in_scale(scale, sAB)
+    acc = _Acc(tol)
+    for c, d in cd_pairs:
+        lhs = np.maximum(sAB, max(float(p1.inverse(c)), float(p1.inverse(d))))
+        rhs = star.grid(np.maximum(A, float(p2.inverse(c))),
+                        np.maximum(B, float(p3.inverse(d))))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
+    return acc.result(_mode(cd_values))
+
+
+def ref_dual_star_split(star: BinaryOp, op_h: BinaryOp,
+                        scale: ValueScale = UNIT, c_values=None,
+                        tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    g = scale.grid(spacing)
+    cs = _as_values(scale, c_values, spacing)
+    A, B = g[:, None], g[None, :]
+    sAB = star.grid(A, B)
+    valid = _in_scale(scale, sAB)
+    acc = _Acc(tol)
+    for c in cs:
+        cc = np.full_like(sAB, c)
+        lhs = op_h.grid(sAB, cc)
+        rhs = star.grid(op_h.grid(A, np.full_like(A, c)), op_h.grid(B, np.full_like(B, c)))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
+    return acc.result(_mode(c_values))
+
+
+def ref_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
+                             scale: ValueScale = UNIT, cd_values=None,
+                             tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+    g = scale.grid(spacing)
+    if cd_values is None:
+        cd_pairs = [(float(c), float(d)) for c in g for d in g]
+    else:
+        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    A, B = g[:, None], g[None, :]
+    sAB = star.grid(A, B)
+    valid = _in_scale(scale, sAB)
+    acc = _Acc(tol)
+    for c, d in cd_pairs:
+        combined = float(boxplus.fn(c, d))
+        lhs = op_h.grid(sAB, np.full_like(sAB, combined))
+        rhs = star.grid(op_h.grid(A, np.full_like(A, c)), op_h.grid(B, np.full_like(B, d)))
+        acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
+    return acc.result(_mode(cd_values))
+
+
+def ref_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
+                           tol: float = 1e-12,
+                           spacing: float = _DEFAULT_SPACING) -> CheckResult:
+    xg = scale.grid(spacing)
+    yg = UNIT.grid(spacing)
+    yg = yg[(yg > 0.0) & (yg < 1.0)]
+    X, Y = xg[:, None], yg[None, :]
+    sect = op.grid(np.ones_like(X), X)
+    premise = np.broadcast_to(sect, (len(xg), len(yg))) <= Y + tol
+    acc = _Acc(tol)
+    lhs = np.where(premise, X * np.ones_like(Y), 0.0)
+    rhs = np.where(premise, Y * np.ones_like(X), INF)
+    acc.add(lhs, rhs, {"x": X, "y": Y, "unit_section": sect * np.ones_like(Y)}, premise)
+    return acc.result("grid")
+
+
+REFERENCE = {
+    "mh_upper": ref_mh_upper,
+    "mh_sugeno": ref_mh_sugeno,
+    "mh_product_power": ref_mh_product_power,
+    "counterexample_premise": ref_counterexample_premise,
+    "semicopula_sum_split": ref_semicopula_sum_split,
+    "sum_split": ref_sum_split,
+    "distributive_scaling": ref_distributive_scaling,
+    "mh_lower": ref_mh_lower,
+    "mh_lower_join": ref_mh_lower_join,
+    "dual_star_split": ref_dual_star_split,
+    "dual_star_split_pair": ref_dual_star_split_pair,
+    "unit_section_order": ref_unit_section_order,
+}
+
+# catalog operators (and two conjugates) whose grids reach 0, 1 and inf
+ORACLE_OPS = [MIN, JOIN, PROD, SL, BSUM, SUM, PSUM, marshall_olkin(0.5, 0.25),
+              power_product(0.5), power_min(2.0, 1.0), power_min(0.5, 2.0),
+              power_prod(0.5, 1.0), op_dual(SUM, reciprocal()), op_dual(MIN, reciprocal())]
+ORACLE_PHIS = [phi_identity(), phi_power(0.5), phi_power(2.0)]
+ORACLE_POINTS = [0.0, 0.125, 0.5, 0.75, 1.0, 2.0, 64.0, INF]
+_ops = st.sampled_from(ORACLE_OPS)
+_triples = lambda s: st.tuples(s, s, s)
+
+
+@st.composite
+def condition_kwargs(draw, cond):
+    """Keyword arguments for one condition: UNIT, NONNEG or EXTENDED scale
+    (so non-finite slacks occur), grid mode or explicit values (one value,
+    duplicates), and a tolerance that may be zero or negative."""
+    scale = draw(st.sampled_from([UNIT, NONNEG, EXTENDED]))
+    if cond == "mh_product_power":
+        scale = UNIT
+    points = st.sampled_from([v for v in ORACLE_POINTS if scale.contains(v)])
+    values = st.none() | st.lists(points, min_size=1, max_size=4)
+    pairs = st.none() | st.lists(st.tuples(points, points), min_size=1, max_size=4)
+    pair_form = cond in ("mh_lower", "mh_lower_join", "dual_star_split_pair")
+    kw = {"tol": draw(st.sampled_from([1e-12, 1e-12, 0.0, -1e-3])),
+          "spacing": draw(st.sampled_from([0.5, 0.25] if pair_form else [0.25, 0.125]))}
+    if cond == "mh_upper":
+        kw.update(star=draw(_ops), combiner=draw(_ops), circs=draw(_triples(_ops)),
+                  phis=draw(_triples(st.sampled_from(ORACLE_PHIS))), scale=scale,
+                  c_values=draw(values), a_values=draw(values), b_values=draw(values))
+    elif cond == "mh_sugeno":
+        kw.update(star=draw(_ops), phis=draw(_triples(st.sampled_from(ORACLE_PHIS))),
+                  scale=scale, c_values=draw(values))
+    elif cond == "mh_product_power":
+        exps = st.sampled_from([0.5, 1, 1.5, 2.0, 3.0])
+        kw.update(p1=draw(exps), p2=draw(exps), p3=draw(exps), c_values=draw(values))
+    elif cond == "counterexample_premise":
+        kw.update(semicopula=draw(_ops), star=draw(_ops))
+    elif cond == "semicopula_sum_split":
+        kw.update(semicopula=draw(_ops))
+    elif cond == "sum_split":
+        kw.update(op=draw(_ops), scale=scale, c_values=draw(values))
+    elif cond == "distributive_scaling":
+        exps = st.sampled_from([0.5, 1.0, 2.0])
+        kw.update(op=draw(_ops), q=draw(exps), r=draw(exps), scale=scale)
+    elif cond == "mh_lower":
+        kw.update(star=draw(_ops), combiner=draw(_ops), boxplus=draw(_ops),
+                  circs=draw(_triples(_ops)),
+                  phis=draw(_triples(st.sampled_from(ORACLE_PHIS))), scale=scale,
+                  cd_values=draw(pairs), a_values=draw(values), b_values=draw(values))
+    elif cond == "mh_lower_join":
+        kw.update(star=draw(_ops), phis=draw(_triples(st.sampled_from(ORACLE_PHIS))),
+                  scale=scale, cd_values=draw(pairs))
+    elif cond == "dual_star_split":
+        kw.update(star=draw(_ops), op_h=draw(_ops), scale=scale, c_values=draw(values))
+    elif cond == "dual_star_split_pair":
+        kw.update(star=draw(_ops), op_h=draw(_ops), boxplus=draw(_ops), scale=scale,
+                  cd_values=draw(pairs))
+    else:
+        kw.update(op=draw(_ops), scale=scale)
+    return kw
+
+
+def _fingerprint(res: CheckResult) -> tuple[str, str]:
+    return json.dumps(res.to_dict()), repr(res.margin)
+
+
+class TestSweepMatchesLoopReference:
+    def test_every_condition_has_a_reference(self):
+        assert sorted(REFERENCE) == sorted(CONDITIONS)
+
+    @pytest.mark.parametrize("cond", sorted(CONDITIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_identical_result(self, cond, data):
+        kw = data.draw(condition_kwargs(cond))
+        with np.errstate(all="ignore"):
+            assert _fingerprint(CONDITIONS[cond](**kw)) == _fingerprint(REFERENCE[cond](**kw))
+
+    def test_default_grids(self):
+        # full-size grids, several chunks per sweep, holding and failing
+        cases = [("distributive_scaling", dict(op=power_min(2.0, 1.0), q=2.0, r=1.0,
+                                               scale=EXTENDED)),
+                 ("distributive_scaling", dict(op=MIN, q=0.5, r=1.0, scale=EXTENDED)),
+                 ("mh_product_power", dict(p1=2.0, p2=1.0, p3=1.5)),
+                 ("sum_split", dict(op=SL, scale=UNIT)),
+                 ("dual_star_split_pair", dict(star=SUM, op_h=op_dual(MIN, reciprocal()),
+                                               boxplus=SUM, scale=EXTENDED)),
+                 ("unit_section_order", dict(op=power_min(1.0, 2.0), scale=EXTENDED))]
+        for cond, kw in cases:
+            assert _fingerprint(CONDITIONS[cond](**kw)) == _fingerprint(REFERENCE[cond](**kw))

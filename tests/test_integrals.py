@@ -160,6 +160,20 @@ class TestOracle:
             monkeypatch.undo()
             assert len(calls) <= 3, mu.kind   # mu(0) and mu(domain), not 2^n
 
+    def test_small_domain_leaves_the_table_unbuilt(self):
+        # a 3-point domain of a 20-point possibility measure folds 3 points,
+        # not 2^20 subsets
+        n = 20
+        rng = rng_for(6, "oracle-small-domain", n)
+        mu = MonotoneMeasure.possibility(FiniteSpace(n),
+                                         [rng.randrange(0, 65) / 64.0 for _ in range(n)])
+        f = sampling.random_fn(rng, n, UNIT)
+        domain = (1 << 2) | (1 << 11) | (1 << 19)
+        for op in (minimum(), product(), lukasiewicz()):
+            oracle = upper_integral_subset_oracle(f, mu, op, domain)
+            assert mu._table is None
+            assert abs(oracle - upper_integral(f, mu, op, domain)) <= 1e-12
+
     def test_rejects_function_larger_than_space(self):
         mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT, rng_for
+from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT, expand_masks, rng_for
 from nonadd.measures import (
     MonotoneMeasure,
     check_measure_property,
@@ -232,6 +232,31 @@ class TestTableBuilds:
         ]
         for mu in measures:
             assert mu.table().tobytes() == ref_build_table(mu).tobytes(), mu.kind
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_subset_table_matches_full_table_read(self, n, data):
+        # without a cached table a proper subset folds only its own points;
+        # its values are the full table's, bit for bit
+        space = FiniteSpace(n)
+        dens = data.draw(st.lists(grid_values, min_size=n, max_size=n))
+        weights = data.draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+        finite = data.draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+        lam = data.draw(st.sampled_from([-0.9, -0.25, 0.0, 0.5, 3.0]))
+        probs = [w / sum(weights) for w in weights]
+        bits = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        builders = [
+            lambda: MonotoneMeasure.possibility(space, dens),
+            lambda: MonotoneMeasure.distortion(space, probs, lambda x: np.sqrt(x)),
+            lambda: MonotoneMeasure.lambda_sugeno(space, lam, [v / 64.0 for v in finite]),
+        ]
+        for build in builders:
+            fresh, full = build(), build()
+            got = fresh.subset_table(bits)
+            assert (fresh._table is None) == (len(bits) < n)
+            want = full.table()[expand_masks(bits)]
+            assert got.tobytes() == want.tobytes(), fresh.kind
+            assert full.subset_table(bits).tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 10))

@@ -7,6 +7,7 @@ import pytest
 
 from nonadd.core import EXTENDED, INF, NONNEG, UNIT, ValueScale
 from nonadd.operators import (
+    OPERATOR_FACTORIES,
     BinaryOp,
     bounded_sum,
     check_operator_property,
@@ -196,3 +197,57 @@ class TestMetricFamilies:
         op = power_prod(2.0, 1.0)
         assert op_eval(op, 0.0, INF) == 0.0
         assert op_eval(op, 3.0, 0.5) == pytest.approx(4.5)
+
+
+class TestSharedCatalog:
+    """Catalog factories return one operator per argument tuple, so gate
+    caches are keyed by content."""
+
+    ARGS = {"marshall_olkin": (0.5, 0.25), "power_product": (0.5,),
+            "power_min": (2.0, 0.5), "power_prod": (0.5, 1.0)}
+
+    def test_every_factory_shares(self):
+        for name, factory in OPERATOR_FACTORIES.items():
+            args = self.ARGS.get(name, ())
+            assert factory(*args) is factory(*args), name
+
+    def test_keywords_and_defaults_share(self):
+        assert minimum() is minimum()
+        assert power_min(0.5) is power_min(p=0.5) is power_min(0.5, 1.0) \
+            is power_min(u=1.0, p=0.5)
+        assert power_prod(2.0) is power_prod(2.0, u=1.0)
+        assert marshall_olkin(0.5, 0.5) is marshall_olkin(beta=0.5, alpha=0.5)
+        assert power_product(q=0.5) is power_product(0.5)
+
+    def test_differently_named_arguments_stay_apart(self):
+        assert power_min(1) is not power_min(1.0)
+        assert power_min(1).name == "power_min(1,1.0)"
+        mo = marshall_olkin(0.0, -0.0)
+        assert mo is not marshall_olkin(0.0, 0.0)
+        assert mo.name == "marshall_olkin(0.0,-0.0)"
+        assert marshall_olkin(0.0, 0.0).name == "marshall_olkin(0.0,0.0)"
+
+    def test_constructed_operators_are_never_shared(self):
+        fn = lambda a, b: a * b
+        assert from_callable("x", fn) is not from_callable("x", fn)
+        assert op_dual(plain_sum(), reciprocal()) is not op_dual(plain_sum(), reciprocal())
+
+    def test_bad_arguments_raise_the_factory_errors(self):
+        with pytest.raises(TypeError, match=r"minimum\(\)"):
+            minimum(p=1.0)
+        with pytest.raises(DomainError):
+            power_min(-1.0)
+        assert power_min(0.25) is power_min(0.25)
+
+    def test_metric_gate_sweeps_once_per_exponent(self, monkeypatch):
+        from nonadd import metrics
+        from nonadd.campaigns import run_campaign
+
+        for p in (0.5, 1.0, 2.0):
+            power_min(p, 1.0)._verified.clear()
+        sweeps = []
+        sweep = metrics.cond_distributive_scaling
+        monkeypatch.setattr(metrics, "cond_distributive_scaling",
+                            lambda *a, **kw: sweeps.append(kw["q"]) or sweep(*a, **kw))
+        run_campaign("mean_convergence", 20, 0)
+        assert sorted(sweeps) == [0.5, 1.0, 2.0]
