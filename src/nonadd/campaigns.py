@@ -38,10 +38,12 @@ from .metrics import (
 )
 from .operators import (
     bounded_sum,
+    cached_gate,
     join,
     lukasiewicz,
     marshall_olkin,
     minimum,
+    op_dual,
     phi_identity,
     phi_power,
     plain_sum,
@@ -340,9 +342,11 @@ def campaign_subadditive_minkowski(trials: int, seed: int) -> dict:
         {"op": _PROD, "q": 1.0, "r": 1.0, "p": 2.0},
         {"op": power_product(0.5), "q": 0.5, "r": 1.0, "p": 2.0},
     ]
-    from .conditions import cond_distributive_scaling
     for combo in combos:
-        cond = cond_distributive_scaling(combo["op"], combo["q"], combo["r"], EXTENDED)
+        op, q, r = combo["op"], combo["q"], combo["r"]
+        cond = cached_gate(op, ("distributive_scaling", q, r, EXTENDED.upper, EXTENDED.closed),
+                           lambda: check_condition("distributive_scaling", op=op, q=q, r=r,
+                                                   scale=EXTENDED))
         if not cond.holds:
             raise DomainError(f"combo {combo['op'].name} fails its scaling gate: "
                               f"{cond.witness}")
@@ -463,20 +467,23 @@ def _reciprocal_pair_measure(seed: int, n: int) -> MonotoneMeasure:
 def campaign_dual_minkowski(trials: int, seed: int) -> dict:
     """Single-kind conjugation fuzz on the unit scale, the harmonic
     instance on the extended scale, and the reciprocal pair-kind instance."""
-    from .conditions import cond_dual_star_split, cond_dual_star_split_pair
-    from .operators import op_dual
+    def gate(cond, star, inner, h, scale, **extra):
+        # cached on the shared catalog operator; the conjugate is built on a miss
+        key = (cond, inner, h.name, *extra.values(), scale.upper, scale.closed)
+        return cached_gate(star, key, lambda: check_condition(
+            cond, star=star, op_h=op_dual(inner, h), scale=scale, **extra))
 
     failures = []
     h1 = one_minus()
     hr = reciprocal()
     gates = [
-        cond_dual_star_split(_JOIN, op_dual(_BSUM, h1), UNIT),
-        cond_dual_star_split(_SUM, op_dual(_SUM, hr), EXTENDED),
-        cond_dual_star_split_pair(_SUM, op_dual(_MIN, hr), _SUM, EXTENDED),
+        gate("dual_star_split", _JOIN, _BSUM, h1, UNIT),
+        gate("dual_star_split", _SUM, _SUM, hr, EXTENDED),
+        gate("dual_star_split_pair", _SUM, _MIN, hr, EXTENDED, boxplus=_SUM),
     ]
-    for i, gate in enumerate(gates):
-        if not gate.holds:
-            raise DomainError(f"duality tuple {i} fails its condition: {gate.witness}")
+    for i, res in enumerate(gates):
+        if not res.holds:
+            raise DomainError(f"duality tuple {i} fails its condition: {res.witness}")
     for k in range(trials):
         rng = rng_for(seed, "dual-mink", k)
         n = 3 + k % 5

@@ -43,13 +43,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import INF, ValueScale, UNIT
+from .core import INF, ValueScale, UNIT, _CHUNK_CELLS
 from .operators import BinaryOp, PhiMap
 from .results import CheckResult, DomainError
 
 _DEFAULT_SPACING = 1.0 / 64.0
 _PAIR_SPACING = 1.0 / 16.0
-_CHUNK_CELLS = 1 << 15          # cells per evaluated chunk of leading slices
 
 
 def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:

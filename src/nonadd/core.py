@@ -47,6 +47,7 @@ def rng_for(seed, *indices) -> random.Random:
 
 MAX_POINTS = 24          # exhaustive single-subset enumeration cap
 MAX_PAIRWISE_POINTS = 12  # cap for anything enumerating subset pairs
+_CHUNK_CELLS = 1 << 15    # cells per evaluated chunk of a broadcast sweep
 
 _LADDER = tuple(float(2 ** k) for k in range(1, 11))  # grid tail for unbounded scales
 

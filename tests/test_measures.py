@@ -2,7 +2,9 @@
 the generator families."""
 
 import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from hypothesis import strategies as st
 
 from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT, expand_masks, rng_for
 from nonadd.measures import (
+    GENERATOR_FAMILIES,
+    MEASURE_PROPERTIES,
     MonotoneMeasure,
+    _pair_blocks,
     check_measure_property,
     dual_measure,
     generate_measure,
@@ -19,7 +24,7 @@ from nonadd.measures import (
     measure_eval,
 )
 from nonadd.operators import one_minus, reciprocal
-from nonadd.results import DomainError
+from nonadd.results import CheckResult, DomainError
 
 
 def brute_property(mu, prop):
@@ -154,6 +159,91 @@ def ref_monotone(tab, tol, skip_empty=False):
     return True, max(slack, 0.0), None
 
 
+# --- pairwise reference sweeps ------------------------------------------------
+# The library reduces the pairwise checks in chunks, over the disjoint pairs
+# where they decide the result; these row-by-row sweeps over all 4**n pairs
+# are the forms it replaced, kept as oracles that must agree byte for byte.
+
+def ref_pair_sweep(tab, predicate, reducer):
+    """Loop A, vectorize B; returns (ok, witness_pair, extreme)."""
+    size = tab.shape[0]
+    idx = np.arange(size, dtype=np.int64)
+    worst = None
+    worst_val = -INF
+    slack = INF
+    for a in range(size):
+        viol, margin_arr = predicate(a, idx)
+        if viol.any():
+            b = int(idx[viol][np.argmax(margin_arr[viol])])
+            v = float(margin_arr[viol].max())
+            if v > worst_val:
+                worst_val = v
+                worst = (a, b)
+        else:
+            s = reducer(margin_arr)
+            if s < slack:
+                slack = s
+    if worst is not None:
+        return False, worst, worst_val
+    return True, None, slack
+
+
+def _least_slack(m):
+    return float(-m[np.isfinite(m)].max()) if np.isfinite(m).any() else INF
+
+
+def ref_pairwise(tab, prop, tol):
+    """The pairwise checks as row-by-row sweeps over all 4**n pairs: the
+    subadditive, disjoint maxitive, all-pairs maxitive and submodular forms
+    the library's pair kernel must reproduce byte for byte."""
+    def sweep(margin_of, reducer):
+        def pred(a, idx):
+            with np.errstate(invalid="ignore"):
+                margin = margin_of(a, idx)
+            margin = np.where(np.isnan(margin), 0.0, margin)
+            return margin > tol, margin
+        return ref_pair_sweep(tab, pred, reducer)
+
+    if prop == "subadditive":
+        ok, pair, extreme = sweep(lambda a, idx: tab[idx | a] - (tab[a] + tab[idx]),
+                                  _least_slack)
+        if ok:
+            return CheckResult(True, margin=extreme)
+        a, b = pair
+        return CheckResult(False, extreme,
+                           {"set_a": a, "set_b": b, "mu_a": float(tab[a]),
+                            "mu_b": float(tab[b]), "mu_union": float(tab[a | b])})
+    if prop == "maxitive":
+        ok, pair, extreme = sweep(
+            lambda a, idx: np.where((idx & a) == 0,
+                                    tab[idx | a] - np.maximum(tab[a], tab[idx]), 0.0),
+            lambda m: 0.0)
+        if not ok:
+            a, b = pair
+            return CheckResult(False, extreme,
+                               {"set_a": a, "set_b": b, "mu_a": float(tab[a]),
+                                "mu_b": float(tab[b]), "mu_union": float(tab[a | b]),
+                                "disjoint": True})
+        ok, pair, extreme = sweep(lambda a, idx: tab[idx | a] - np.maximum(tab[a], tab[idx]),
+                                  lambda m: 0.0)
+        if not ok:
+            a, b = pair
+            return CheckResult(False, extreme,
+                               {"set_a": a, "set_b": b, "disjoint": False,
+                                "reason": "derived all-pairs form failed"})
+        return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
+    assert prop == "submodular"
+    ok, pair, extreme = sweep(
+        lambda a, idx: tab[idx | a] + tab[idx & a] - tab[a] - tab[idx], _least_slack)
+    if ok:
+        return CheckResult(True, margin=extreme)
+    a, b = pair
+    return CheckResult(False, extreme,
+                       {"set_a": a, "set_b": b, "mu_union": float(tab[a | b]),
+                        "mu_inter": float(tab[a & b]), "mu_a": float(tab[a]),
+                        "mu_b": float(tab[b])})
+
+
 SP2 = FiniteSpace(2)
 SP3 = FiniteSpace(3)
 
@@ -212,6 +302,31 @@ def raw_tables(draw):
     if draw(st.integers(0, 4)):
         tab[0] = 0.0
     return n, tab
+
+
+@st.composite
+def pairwise_measures(draw):
+    """Measures for the pair-kernel oracle (n <= 8): raw tables, monotonized
+    tables with inf entries, the generator families, the lambda family and
+    h-duals (the reciprocal dual of a table with null sets holds inf)."""
+    kind = draw(st.sampled_from(["raw", "inf", "family", "lambda", "dual"]))
+    if kind == "raw":
+        n, tab = draw(raw_tables())
+        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "inf":
+        tab = generate_measure(seed, "monotonized_random", n).table().copy()
+        pin = draw(st.integers(1, (1 << n) - 1))
+        tab[[m for m in range(1 << n) if m & pin == pin]] = INF
+        return MonotoneMeasure.explicit(FiniteSpace(n), tab,
+                                        rounding=draw(st.booleans()))
+    if kind == "lambda":
+        return lambda_sugeno_random(seed, n)
+    mu = generate_measure(seed, draw(st.sampled_from(GENERATOR_FAMILIES)), n)
+    if kind == "dual":
+        return dual_measure(mu, draw(st.sampled_from([one_minus(), reciprocal()])))
+    return mu
 
 
 class TestTableBuilds:
@@ -336,6 +451,81 @@ class TestPropertyChecks:
         a, b = w["set_a"], w["set_b"]
         assert a & b == 0
         assert mu(a | b) > max(mu(a), mu(b))
+
+
+class TestPairKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(mu=pairwise_measures(), tol=st.sampled_from([None, 0.0, 1e-12, 0.3, -1e-3]))
+    def test_matches_reference_sweeps(self, mu, tol):
+        for prop in ("subadditive", "maxitive", "submodular"):
+            got = check_measure_property(mu, prop, tol=tol)
+            want = ref_pairwise(mu.table(), prop, mu.tolerance() if tol is None else tol)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), prop
+            assert repr(got.margin) == repr(want.margin), prop
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 10])
+    def test_disjoint_blocks_cover_each_disjoint_pair_once(self, n):
+        keys = np.concatenate([(a << n) | b for a, b in _pair_blocks(n, disjoint=True)])
+        assert sorted(keys.tolist()) == [(a << n) | b for a in range(1 << n)
+                                         for b in range(1 << n) if a & b == 0]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_sweeps_across_blocks(self, seed):
+        # n = 10 lifts the low-bit block over the disjoint pairs of the high bits
+        tab = generate_measure(seed, "monotonized_random", 10).table().copy()
+        tab[[m for m in range(1 << 10) if m & 0b1000000001 == 0b1000000001]] = INF
+        mus = [generate_measure(seed, family, 10) for family in GENERATOR_FAMILIES]
+        mus += [lambda_sugeno_random(seed, 10), MonotoneMeasure.explicit(FiniteSpace(10), tab)]
+        for mu in mus:
+            for prop in ("subadditive", "maxitive", "submodular"):
+                got = check_measure_property(mu, prop)
+                want = ref_pairwise(mu.table(), prop, mu.tolerance())
+                assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), prop
+                assert repr(got.margin) == repr(want.margin), prop
+
+    def test_overlapping_only_violation_on_non_monotone_table(self):
+        # every disjoint pair holds; only ({0,1}, {1,2}) breaks subadditivity
+        tab = [0, 1, 0.5, 0.3, 1, 0.5, 0.3, 1]
+        mu = MonotoneMeasure.explicit(SP3, tab, validate=False)
+        assert all(tab[a | b] <= tab[a] + tab[b]
+                   for a in range(8) for b in range(8) if a & b == 0)
+        res = check_measure_property(mu, "subadditive")
+        assert not res.holds
+        assert (res.witness["set_a"], res.witness["set_b"]) == (3, 6)
+        assert repr(res.margin) == "0.4"
+        assert res.to_dict() == ref_pairwise(np.asarray(tab, dtype=float),
+                                             "subadditive", 0.0).to_dict()
+
+    def test_overlapping_only_maxitive_violation_on_non_monotone_table(self):
+        # every disjoint pair holds; ({0,1}, {0,2}) breaks the all-pairs form
+        tab = [0, 0, 0.5, 0, 0.5, 0, 0.5, 0.5]
+        mu = MonotoneMeasure.explicit(SP3, tab, validate=False)
+        res = check_measure_property(mu, "maxitive")
+        assert res.to_dict() == {"holds": False, "margin": 0.5, "mode": "exhaustive",
+                                 "status": "checked",
+                                 "witness": {"set_a": 3, "set_b": 5, "disjoint": False,
+                                             "reason": "derived all-pairs form failed"}}
+        assert res.to_dict() == ref_pairwise(np.asarray(tab, dtype=float),
+                                             "maxitive", 0.0).to_dict()
+
+    @pytest.mark.parametrize("mu", [
+        MonotoneMeasure.possibility(SP3, [0.25, 0.5, 1.0]),
+        generate_measure(3, "non_maxitive", 5),
+        MonotoneMeasure.explicit(SP3, [0, 1, 0.5, 0.3, 1, 0.5, 0.3, 1], validate=False),
+    ])
+    def test_maxitive_negative_tol_matches_reference(self, mu):
+        got = check_measure_property(mu, "maxitive", tol=-1e-3)
+        want = ref_pairwise(mu.table(), "maxitive", -1e-3)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    def test_every_property_is_warning_free_on_inf_table(self):
+        mu = MonotoneMeasure.explicit(SP2, [0, INF, INF, INF])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = {prop: check_measure_property(mu, prop).holds
+                        for prop in MEASURE_PROPERTIES}
+        assert verdicts == {"monotone": True, "subadditive": True, "maxitive": True,
+                            "submodular": True, "null_additive": True, "finite": False}
 
 
 class TestDuality:

@@ -251,3 +251,30 @@ class TestSharedCatalog:
                             lambda *a, **kw: sweeps.append(kw["q"]) or sweep(*a, **kw))
         run_campaign("mean_convergence", 20, 0)
         assert sorted(sweeps) == [0.5, 1.0, 2.0]
+
+    def test_campaign_gates_sweep_once(self, monkeypatch):
+        # the fixed gates of two campaigns are cached on their catalog operators
+        from nonadd import conditions
+        from nonadd.campaigns import run_campaign
+
+        ids = ("distributive_scaling", "dual_star_split", "dual_star_split_pair")
+        for op in (minimum(), product(), power_product(0.5), join(), plain_sum()):
+            for key in [k for k in op._verified if k[0] in ids]:
+                del op._verified[key]
+        sweeps = []
+        for cid in ids:
+            def counted(*a, _cid=cid, _fn=conditions.CONDITIONS[cid], **kw):
+                sweeps.append((_cid, (kw.get("op") or kw["star"]).name))
+                return _fn(*a, **kw)
+            monkeypatch.setitem(conditions.CONDITIONS, cid, counted)
+        for _ in range(2):
+            run_campaign("subadditive_minkowski", 5, 0)
+            run_campaign("dual_minkowski", 3, 0)
+        assert sorted(sweeps) == sorted([
+            ("distributive_scaling", minimum().name),
+            ("distributive_scaling", product().name),
+            ("distributive_scaling", power_product(0.5).name),
+            ("dual_star_split", join().name),
+            ("dual_star_split", plain_sum().name),
+            ("dual_star_split_pair", plain_sum().name),
+        ])
