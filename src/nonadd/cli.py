@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .campaigns import CAMPAIGNS, run_campaign
 from .conditions import CONDITIONS
@@ -113,37 +112,13 @@ def _cmd_run(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_MATH_FAILURE
 
 
-def _fuzz_chunk(args_tuple):
-    campaign_id, trials, seed, offset = args_tuple
-    # chunk seeds derive from (seed, offset); campaigns mix the index in
-    return run_campaign(campaign_id, trials, seed + offset)
-
-
 def _cmd_fuzz(args) -> int:
-    if args.campaign not in CAMPAIGNS:
-        print(f"error: unknown campaign {args.campaign!r}; try --list",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
     t0 = time.perf_counter()
     try:
-        if args.jobs > 1 and args.trials >= 2 * args.jobs:
-            per = args.trials // args.jobs
-            chunks = [(args.campaign, per + (1 if i < args.trials % args.jobs else 0),
-                       args.seed, i) for i in range(args.jobs)]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                parts = list(pool.map(_fuzz_chunk, chunks))
-            rep = {
-                "id": args.campaign,
-                "trials": sum(p["trials"] for p in parts),
-                "passed": sum(p["passed"] for p in parts),
-                "failed": sum(p["failed"] for p in parts),
-                "failures": [f for p in parts for f in p["failures"]][:10],
-                "notes": {"jobs": args.jobs},
-            }
-        else:
-            rep = run_campaign(args.campaign, args.trials, args.seed)
+        rep = run_campaign(args.campaign, args.trials, args.seed, jobs=args.jobs)
     except DomainError as e:
-        # instance generation exhausted its resample budget, or similar
+        # an unknown campaign, a count below 1, or instance generation
+        # exhausted its resample budget
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = {

@@ -79,7 +79,8 @@ def op_eval(op: BinaryOp, a: float, b: float, scale: ValueScale | None = None) -
 # ---------------------------------------------------------------------------
 
 def _shared(factory):
-    """Make a catalog factory return one shared operator per argument tuple.
+    """Make a catalog factory return one shared instance (an operator or a
+    duality map) per argument tuple.
 
     Arguments are bound to the signature with defaults applied and keyed by
     ``(type, repr)``, so ``power_min(0.5)`` and ``power_min(p=0.5, u=1.0)``
@@ -87,10 +88,10 @@ def _shared(factory):
     ``0.0`` and ``-0.0``, which name different operators, do not.
     """
     sig = inspect.signature(factory)
-    instances: dict[tuple, BinaryOp] = {}
+    instances: dict[tuple, object] = {}
 
     @functools.wraps(factory)
-    def shared(*args, **kwargs) -> BinaryOp:
+    def shared(*args, **kwargs):
         try:
             bound = sig.bind(*args, **kwargs)
         except TypeError:
@@ -359,11 +360,13 @@ class DualityMap:
         return {"name": self.name}
 
 
+@_shared
 def one_minus() -> DualityMap:
     fn = lambda x: 1.0 - np.asarray(x, dtype=float)
     return DualityMap("one_minus", fn, fn)
 
 
+@_shared
 def reciprocal() -> DualityMap:
     return DualityMap("reciprocal", vinv, vinv)
 
@@ -377,9 +380,14 @@ def op_dual(op: BinaryOp, h: DualityMap) -> BinaryOp:
     Monotonicity survives conjugation by a decreasing bijection; cheap exact
     flags (annihilators, neutral element, commutativity) are probed on a
     coarse grid and declared only when they hold there.  Applying an
-    involutive h twice yields an operator grid-equal to the original.
+    involutive h twice yields an operator grid-equal to the original.  The
+    conjugate is built once per (op, h) and cached on ``op``, so its flag
+    gates also run once per process.
     """
+    return cached_gate(op, ("dual", h), lambda: _conjugate(op, h))
 
+
+def _conjugate(op: BinaryOp, h: DualityMap) -> BinaryOp:
     def fn(a: float, b: float) -> float:
         return float(h.inverse(op.fn(float(h.forward(a)), float(h.forward(b)))))
 

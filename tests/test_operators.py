@@ -230,7 +230,37 @@ class TestSharedCatalog:
     def test_constructed_operators_are_never_shared(self):
         fn = lambda a, b: a * b
         assert from_callable("x", fn) is not from_callable("x", fn)
-        assert op_dual(plain_sum(), reciprocal()) is not op_dual(plain_sum(), reciprocal())
+
+    def test_duality_maps_and_conjugates_are_shared(self):
+        assert one_minus() is one_minus() and reciprocal() is reciprocal()
+        dual = op_dual(plain_sum(), reciprocal())
+        assert dual is op_dual(plain_sum(), reciprocal())
+        assert dual is not op_dual(plain_sum(), one_minus())
+        assert dual is not op_dual(join(), reciprocal())
+
+    def test_duality_flag_gates_run_once(self, monkeypatch):
+        # conjugates are cached on their base operator, so their flag gates
+        # run once per (operator, map, flag, scale) however many trials use them
+        from nonadd import operators
+        from nonadd.campaigns import run_campaign
+
+        for op in (join(), minimum(), bounded_sum(), prob_sum(), plain_sum()):
+            for h in (one_minus(), reciprocal()):
+                op._verified.pop(("dual", h), None)
+        checks = []
+        check = operators.check_operator_property
+        monkeypatch.setattr(operators, "check_operator_property",
+                            lambda op, flag, scale=UNIT, **kw: checks.append(
+                                (op.name, flag, scale.upper, scale.closed))
+                            or check(op, flag, scale, **kw))
+        for _ in range(2):
+            run_campaign("h_duality_one_minus", 20, 0)
+            run_campaign("h_duality_reciprocal", 20, 0)
+        assert checks and len(checks) == len(set(checks))
+        assert {name for name, *_ in checks} >= {
+            "max_dual_one_minus", "min_dual_one_minus", "bounded_sum_dual_one_minus",
+            "prob_sum_dual_one_minus", "sum_dual_reciprocal", "max_dual_reciprocal",
+            "min_dual_reciprocal"}
 
     def test_bad_arguments_raise_the_factory_errors(self):
         with pytest.raises(TypeError, match=r"minimum\(\)"):
@@ -253,28 +283,34 @@ class TestSharedCatalog:
         assert sorted(sweeps) == [0.5, 1.0, 2.0]
 
     def test_campaign_gates_sweep_once(self, monkeypatch):
-        # the fixed gates of two campaigns are cached on their catalog operators
+        # the seed-independent conditions of the campaigns are cached on
+        # their catalog operators, so two runs sweep each distinct one once
+        import collections
+
         from nonadd import conditions
         from nonadd.campaigns import run_campaign
 
-        ids = ("distributive_scaling", "dual_star_split", "dual_star_split_pair")
-        for op in (minimum(), product(), power_product(0.5), join(), plain_sum()):
+        ids = ("distributive_scaling", "dual_star_split", "dual_star_split_pair",
+               "mh_upper", "counterexample_premise", "sum_split", "mh_product_power")
+        for name, factory in OPERATOR_FACTORIES.items():
+            op = factory(*self.ARGS.get(name, ()))
             for key in [k for k in op._verified if k[0] in ids]:
                 del op._verified[key]
         sweeps = []
         for cid in ids:
             def counted(*a, _cid=cid, _fn=conditions.CONDITIONS[cid], **kw):
-                sweeps.append((_cid, (kw.get("op") or kw["star"]).name))
+                sweeps.append((_cid, tuple(sorted((k, repr(v)) for k, v in kw.items()))))
                 return _fn(*a, **kw)
             monkeypatch.setitem(conditions.CONDITIONS, cid, counted)
         for _ in range(2):
-            run_campaign("subadditive_minkowski", 5, 0)
-            run_campaign("dual_minkowski", 3, 0)
-        assert sorted(sweeps) == sorted([
-            ("distributive_scaling", minimum().name),
-            ("distributive_scaling", product().name),
-            ("distributive_scaling", power_product(0.5).name),
-            ("dual_star_split", join().name),
-            ("dual_star_split", plain_sum().name),
-            ("dual_star_split_pair", plain_sum().name),
-        ])
+            for cid, trials in (("subadditive_minkowski", 5), ("dual_minkowski", 3),
+                                ("upper_mh", 6), ("seminorm_minkowski", 3),
+                                ("comonotone_subadditive", 2), ("upper_mh_necessity", 20)):
+                run_campaign(cid, trials, 0)
+        assert max(collections.Counter(sweeps).values()) == 1
+        per_id = collections.Counter(cid for cid, _ in sweeps)
+        necessity = per_id.pop("mh_product_power")
+        assert 6 <= necessity <= 18  # distinct (p1, p2, p3) of 20 trials
+        assert per_id == {"distributive_scaling": 3, "dual_star_split": 2,
+                          "dual_star_split_pair": 1, "mh_upper": 7,
+                          "counterexample_premise": 1, "sum_split": 1}
