@@ -429,19 +429,19 @@ def _dual_minkowski(seed: int, k: int) -> list:
     if style == 0:
         mu = sampling.monotone_measure(seed * 31 + 17, k, n)
         f, g = sampling.comonotone_pair(rng, n, UNIT)
-        res = verify_dual_minkowski("single", _JOIN, _BSUM, _H1, mu, f, g, seed=k,
+        res = verify_dual_minkowski("single", _JOIN, _BSUM, _H1, mu, f, g,
                                     condition_verified=True)
     elif style == 1:
         mu = sampling.monotone_measure(seed * 31 + 18, k, n)
         f, g = sampling.comonotone_pair(rng, n, EXTENDED)
-        res = verify_dual_minkowski("single", _SUM, _SUM, _HR, mu, f, g, seed=k,
+        res = verify_dual_minkowski("single", _SUM, _SUM, _HR, mu, f, g,
                                     condition_verified=True)
     else:
         mu = _reciprocal_pair_measure(seed + k, n)
         f = sampling.random_fn(rng, n, EXTENDED, zero_rate=0.3)
         g = sampling.random_fn(rng, n, EXTENDED, zero_rate=0.3)
         res = verify_dual_minkowski("pair", _SUM, _MIN, _HR, mu, f, g,
-                                    boxplus=_SUM, seed=k, condition_verified=True)
+                                    boxplus=_SUM, condition_verified=True)
     return _failed(k, res, style=style)
 
 

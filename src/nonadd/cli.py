@@ -51,7 +51,10 @@ def _emit(report: dict, fmt: str, stream=None) -> None:
         stream.write("\n")
         return
     body = report.get("report", report)
-    print(f"scenario: {body.get('scenario', body.get('campaign', '?'))}", file=stream)
+    if "campaign" in body:
+        print(f"campaign: {body['campaign']['id']}", file=stream)
+    else:
+        print(f"scenario: {body.get('scenario', '?')}", file=stream)
     print(f"seed: {body.get('seed')}", file=stream)
     for i, task in enumerate(body.get("tasks", [])):
         mark = "pass" if task.get("verdict") == "pass" else "FAIL"

@@ -180,11 +180,6 @@ class ValueScale:
                 pts.append(self.upper - spacing / 2)
         return np.array(sorted(set(float(p) for p in pts)))
 
-    def interior_grid(self, spacing: float = 1.0 / 64.0) -> np.ndarray:
-        g = self.grid(spacing)
-        top = self.upper if self.closed else INF
-        return g[(g > 0.0) & (g < top) & np.isfinite(g)]
-
     def describe(self) -> str:
         upper = "inf" if math.isinf(self.upper) else repr(self.upper)
         return f"[0,{upper}{']' if self.closed else ')'}"

@@ -64,8 +64,9 @@ class CheckResult:
 class RelationVerdict:
     """Decision for a binary relation between two functions.
 
-    In ``exhaustive`` mode the verdict is exact; in ``sampled`` mode
-    ``holds=True`` only means that no violation was found.
+    Every relation in ``nonadd.relations`` is decided exactly, so ``mode``
+    is ``exhaustive``; the field keeps the report schema of the other
+    results.
     """
 
     relation: str

@@ -407,8 +407,7 @@ def run_task(sc: Scenario, task: dict, default_seed: int = 0,
                 return finish(is_comonotone(f, g, task.get("domain")))
             if rel == "star_associated":
                 star = sc.operator(task.get("star"), "check_relation.star")
-                return finish(is_star_associated(f, g, star, task.get("domain"),
-                                                 seed=seed))
+                return finish(is_star_associated(f, g, star, task.get("domain")))
             if rel == "mu_subadditive":
                 boxplus = sc.operator(task.get("boxplus"), "check_relation.boxplus")
                 mu = sc.measure(task.get("measure"), "check_relation.measure")
@@ -532,7 +531,7 @@ def _run_verify(sc: Scenario, task: dict, seed: int):
             _num(task.get("p", 1), "verify.p"),
             sc.measure(task.get("measure"), "verify.measure"),
             sc.fn(task.get("f"), "verify.f"), sc.fn(task.get("g"), "verify.g"),
-            task.get("domain"), task.get("normalization", "total_one"), seed=seed)
+            task.get("domain"), task.get("normalization", "total_one"))
     if theorem == "comonotone_subadditive":
         return verify_comonotone_subadditive(
             sc.operator(task.get("operator"), "verify.operator"),
@@ -572,7 +571,7 @@ def _run_verify(sc: Scenario, task: dict, seed: int):
             sc.dual(task.get("map"), "verify.map"),
             sc.measure(task.get("measure"), "verify.measure"),
             sc.fn(task.get("f"), "verify.f"), sc.fn(task.get("g"), "verify.g"),
-            boxplus=boxplus, seed=seed)
+            boxplus=boxplus)
     if theorem == "mean_convergence":
         spec = _metric_spec(sc, task)
         seq = [sc.fn(rf, "verify.sequence", NONNEG) for rf in task.get("sequence", [])]

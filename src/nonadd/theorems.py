@@ -201,7 +201,7 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     scale = f.scale
     _gate_upper(ops, scale)
     domain = _domain_mask(len(f), domain)
-    assoc = is_star_associated(f, g, ops.star, domain, seed=seed)
+    assoc = is_star_associated(f, g, ops.star, domain)
     if not assoc.holds:
         raise HypothesisError("functions are not star-associated on the domain",
                               detail=assoc)
@@ -287,7 +287,7 @@ def verify_seminorm_minkowski(semicopula: BinaryOp, star: BinaryOp, p: float,
                               mu: MonotoneMeasure, f: Fn, g: Fn,
                               domain: int | None = None,
                               normalization: str = "total_one",
-                              tol: float = 1e-12, seed: int = 0) -> CheckResult:
+                              tol: float = 1e-12) -> CheckResult:
     """Power-map form of the inequality for seminormed integrals.
 
     ``normalization`` selects the reading of the measure restriction:
@@ -308,7 +308,7 @@ def verify_seminorm_minkowski(semicopula: BinaryOp, star: BinaryOp, p: float,
         raise DomainError(f"unknown normalization reading {normalization!r}")
     phi = phi_power(p)
     ops = MHOperators(star, star, (semicopula,) * 3, (phi,) * 3)
-    return verify_upper_mh(ops, mu, f, g, domain, "sufficiency", tol, seed)
+    return verify_upper_mh(ops, mu, f, g, domain, "sufficiency", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +766,7 @@ def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
 def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap,
                           mu: MonotoneMeasure, f: Fn, g: Fn,
                           boxplus: BinaryOp | None = None,
-                          tol: float = 1e-12, seed: int = 0,
+                          tol: float = 1e-12,
                           condition_verified: bool = False) -> CheckResult:
     """Order-reversing conjugation corollaries.
 
@@ -788,7 +788,7 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
         absorb = check_top_absorbing(op, scale)
         if not absorb.holds:
             raise HypothesisError("operator must absorb the scale top", detail=absorb)
-        assoc = is_star_associated(f, g, star, seed=seed)
+        assoc = is_star_associated(f, g, star)
         if not assoc.holds:
             raise HypothesisError("functions are not star-associated", detail=assoc)
         if condition_verified:

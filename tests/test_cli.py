@@ -236,6 +236,15 @@ class TestFuzzCommand:
         assert code == 0
         assert doc["report"]["campaign"]["passed"] == 40
 
+    def test_text_output_names_the_campaign(self, capsys):
+        code, out = run_cli(["fuzz", "plus_assoc_comonotone", "--trials", "3",
+                             "--seed", "2"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["campaign: plus_assoc_comonotone", "seed: 2"]
+        assert "campaign plus_assoc_comonotone: 3/3 passed" in lines
+        assert not any(line.startswith("scenario:") for line in lines)
+
     def test_unknown_campaign_exits_2(self, capsys):
         code, _ = run_cli(["fuzz", "unknown_theorem"], capsys)
         assert code == 2

@@ -1,11 +1,23 @@
 """Relation classes: comonotonicity, star-association, level-union
 subadditivity, and positive quadrant dependence."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonadd.core import EXTENDED, FiniteSpace, Fn, UNIT, rng_for
+from nonadd.core import (
+    EXTENDED,
+    INF,
+    UNIT,
+    FiniteSpace,
+    Fn,
+    expand_masks,
+    rng_for,
+    subset_infima,
+)
 from nonadd.measures import MonotoneMeasure, generate_measure
 from nonadd.operators import (
     bounded_sum,
@@ -13,10 +25,12 @@ from nonadd.operators import (
     lukasiewicz,
     minimum,
     plain_sum,
+    power_min,
     prob_sum,
     product,
 )
 from nonadd.relations import is_comonotone, is_mu_subadditive, is_pqd, is_star_associated
+from nonadd.results import RelationVerdict
 from nonadd import sampling
 
 unit_vals = st.lists(st.sampled_from([k / 8.0 for k in range(9)]),
@@ -107,12 +121,75 @@ class TestStarAssociated:
         star_infs = min(f[i] for i in pts) + min(g[i] for i in pts)
         assert abs(inf_comb - star_infs) > 1e-12
 
-    def test_sampled_mode_beyond_cap(self):
-        n = 16
-        rng = rng_for(73, "big", 0)
-        f, g = sampling.comonotone_pair(rng, n, UNIT)
-        res = is_star_associated(f, g, minimum(), samples=500)
-        assert res.holds and res.mode == "sampled"
+    def test_exhaustive_at_every_size(self):
+        for n in (16, 24):
+            rng = rng_for(73, "big", n)
+            f, g = sampling.comonotone_pair(rng, n, UNIT)
+            res = is_star_associated(f, g, minimum())
+            assert res.holds and res.mode == "exhaustive"
+        rng = rng_for(73, "big-violating", 24)
+        f = sampling.random_fn(rng, 24, UNIT)
+        g = sampling.random_fn(rng, 24, UNIT)
+        res = is_star_associated(f, g, plain_sum())
+        assert not res.holds and res.mode == "exhaustive"
+        pts = [i for i in range(24) if res.witness["subset"] >> i & 1]
+        assert 1 <= len(pts) <= 3
+        inf_comb = min(f[i] + g[i] for i in pts)
+        star_infs = min(f[i] for i in pts) + min(g[i] for i in pts)
+        assert inf_comb == res.witness["inf_combined"]
+        assert star_infs == res.witness["star_of_infs"]
+        assert abs(inf_comb - star_infs) > 1e-12
+
+
+def _star_reference(f, g, star, domain):
+    """Star-association by sweeping all 2^k subsets of the domain, with the
+    first violating subset in bitmask order as the witness."""
+    pts = [i for i in range(len(f)) if domain is None or domain >> i & 1]
+    if not pts:
+        return RelationVerdict("star_associated", True)
+    inf_f = subset_infima([f[i] for i in pts])[1:]
+    inf_g = subset_infima([g[i] for i in pts])[1:]
+    inf_s = subset_infima([float(star.fn(f[i], g[i])) for i in pts])[1:]
+    combined = star.grid(inf_f, inf_g)
+    with np.errstate(invalid="ignore"):
+        bad = np.abs(combined - inf_s) > 1e-12
+    if not bad.any():
+        return RelationVerdict("star_associated", True)
+    j = int(np.argmax(bad))
+    return RelationVerdict("star_associated", False,
+                           {"subset": int(expand_masks(pts)[j + 1]),
+                            "inf_combined": float(inf_s[j]),
+                            "star_of_infs": float(combined[j])})
+
+
+_UNIT_STARS = [minimum(), product(), lukasiewicz(), bounded_sum(), prob_sum(), join(),
+               plain_sum(), power_min(0.5)]
+_unit_value = st.one_of(st.sampled_from([k / 8.0 for k in range(9)]),
+                        st.floats(0.0, 1.0))
+_ext_value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, INF]),
+                       st.floats(0.0, 4.0))
+
+
+@st.composite
+def _star_case(draw):
+    k = draw(st.integers(1, 12))
+    extended = draw(st.booleans())
+    star = plain_sum() if extended else draw(st.sampled_from(_UNIT_STARS))
+    scale, value = (EXTENDED, _ext_value) if extended else (UNIT, _unit_value)
+    f = Fn(draw(st.lists(value, min_size=k, max_size=k)), scale)
+    g = Fn(draw(st.lists(value, min_size=k, max_size=k)), scale)
+    domain = draw(st.one_of(st.none(), st.integers(0, (1 << k) - 1)))
+    return f, g, star, domain
+
+
+class TestStarAssociatedOracle:
+    @given(case=_star_case())
+    @settings(max_examples=300, deadline=None)
+    def test_report_bytes_match_subset_sweep(self, case):
+        f, g, star, domain = case
+        got = json.dumps(is_star_associated(f, g, star, domain).to_dict(), sort_keys=True)
+        want = json.dumps(_star_reference(f, g, star, domain).to_dict(), sort_keys=True)
+        assert got == want
 
 
 class TestMuSubadditive:
