@@ -20,6 +20,7 @@ from .results import DomainError, _jsonify
 from .scenarios import (
     BUILTIN_SCENARIOS,
     SCENARIO_VERSION,
+    TASKS,
     Scenario,
     ScenarioError,
     builtin_scenario,
@@ -147,6 +148,12 @@ def _cmd_list(_args) -> int:
     print("conditions (check_condition ids):")
     for name in sorted(CONDITIONS):
         print(f"  {name}")
+    print("scenario tasks and their fields ([optional]; every task also takes [expect]):")
+    specs = {key if isinstance(key, str) else " ".join(key): spec for key, spec in TASKS.items()}
+    for label in sorted(specs):
+        fields = [name if field.required else f"[{name}]"
+                  for name, field in specs[label].fields.items() if name != "expect"]
+        print(f"  {label}: {' '.join(fields) or '(none)'}")
     return EXIT_OK
 
 

@@ -256,18 +256,19 @@ def lower_integral(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = No
 # named integral kinds
 # ---------------------------------------------------------------------------
 
+INTEGRAL_KINDS = ("upper_generalized", "lower_generalized", "sugeno", "shilkret", "seminormed")
+
+
 @dataclass(frozen=True)
 class IntegralSpec:
     """A named integral: kind, operator (for the generalized kinds), domain."""
 
-    kind: str                      # upper_generalized | lower_generalized | sugeno
-    #                              # | shilkret | seminormed
+    kind: str                      # one of INTEGRAL_KINDS
     op: BinaryOp | None = None
     domain: int | None = None
 
     def __post_init__(self):
-        kinds = ("upper_generalized", "lower_generalized", "sugeno", "shilkret", "seminormed")
-        if self.kind not in kinds:
+        if self.kind not in INTEGRAL_KINDS:
             raise DomainError(f"unknown integral kind {self.kind!r}")
         if self.kind in ("upper_generalized", "lower_generalized", "seminormed") and self.op is None:
             raise DomainError(f"{self.kind} integral needs an operator")

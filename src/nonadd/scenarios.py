@@ -16,31 +16,31 @@ number is expected):
                      "measure": "mu", "expect_value": 0.3}]
     }
 
+``TASKS`` declares each task's fields (a resolver, and a default unless
+required) and its library call; ``MEASURE_KINDS`` and ``PROFILE_FORMS``
+declare the bindings alike.  Parsing resolves everything through them, so
+an undeclared, missing or malformed field raises ``ScenarioError`` naming it
+(``tasks[2].p``, ``measures.mu.density``) before any task runs: exit code 2.
+
 Each task carries an optional ``expect`` field (default ``"holds"``); the
 task passes when the mathematical outcome matches the expectation, so a
 scenario that documents a counterexample passes by reproducing the
-violation.  Validation failures name the offending field and map to exit
-code 2 in the command line.
+violation.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any
+import inspect
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from .campaigns import CAMPAIGNS, run_campaign
 from .conditions import CONDITIONS, check_condition
-from .core import (
-    EXTENDED,
-    FiniteSpace,
-    Fn,
-    INF,
-    NONNEG,
-    SurvivalProfile,
-    UNIT,
-    ValueScale,
-)
+from .core import FiniteSpace, Fn, INF, NONNEG, SurvivalProfile, ValueScale
 from .integrals import (
+    INTEGRAL_KINDS,
     IntegralSpec,
     check_h_duality,
     check_sugeno_identity,
@@ -60,16 +60,9 @@ from .metrics import (
     metric_eval,
     verify_mean_convergence,
 )
-from .operators import (
-    BinaryOp,
-    DUALITY_FACTORIES,
-    OPERATOR_FACTORIES,
-    PHI_FACTORIES,
-    PhiMap,
-    DualityMap,
-)
+from .operators import DUALITY_FACTORIES, OPERATOR_FACTORIES, PHI_FACTORIES, DualityMap, PhiMap
 from .relations import is_comonotone, is_mu_subadditive, is_pqd, is_star_associated
-from .results import CheckResult, DomainError, HypothesisError, RelationVerdict, _jsonify
+from .results import CheckResult, DomainError, HypothesisError, _jsonify
 from .theorems import (
     MHOperators,
     reproduce_counterexample,
@@ -91,24 +84,171 @@ class ScenarioError(ValueError):
     """Scenario document fails validation; the message names the field."""
 
 
-def _num(value, field: str) -> float:
-    if isinstance(value, str):
-        if value == "inf":
-            return INF
-        raise ScenarioError(f"{field}: expected a number or \"inf\", got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{field}: expected a number, got {value!r}")
-    return float(value)
+# ---------------------------------------------------------------------------
+# field resolvers: (scenario, JSON value, field path) -> library value
+# ---------------------------------------------------------------------------
+
+def _number(sc, value, where: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if value == "inf":
+        return INF
+    raise ScenarioError(f"{where}: expected a number or \"inf\", got {value!r}")
 
 
-def _vector(values, field: str) -> list[float]:
-    if not isinstance(values, list) or not values:
-        raise ScenarioError(f"{field}: expected a nonempty list of numbers")
-    return [_num(v, f"{field}[{i}]") for i, v in enumerate(values)]
+def _int(sc, value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _domain(sc, value, where: str) -> int:
+    full = (1 << sc.space.n) - 1
+    if not 0 <= _int(sc, value, where) <= full:
+        raise ScenarioError(f"{where}: expected a bitmask of points in [0, {full}], "
+                            f"got {value!r}")
+    return value
+
+
+def _enum(choices, aliases: dict | None = None):
+    def resolve(sc, value, where: str) -> str:
+        if isinstance(value, str):
+            value = (aliases or {}).get(value, value)
+        if not isinstance(value, str) or value not in choices:
+            raise ScenarioError(f"{where}: expected one of {sorted(choices)}, got {value!r}")
+        return value
+    return resolve
+
+
+def _listof(item, length: int | None = None):
+    """A nonempty list resolved item by item; a fixed ``length`` gives a tuple."""
+    def resolve(sc, value, where: str):
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            raise ScenarioError(f"{where}: expected a list of {length or 'one or more'} "
+                                f"items, got {value!r}")
+        items = [item(sc, v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return items if length is None else tuple(items)
+    return resolve
+
+
+def _ref(table: str, what: str):
+    """The one lookup: a name bound in one of the scenario's tables."""
+    def resolve(sc, ref, where: str):
+        try:
+            return getattr(sc, table)[ref]
+        except (KeyError, TypeError):
+            raise ScenarioError(f"{where}: undefined {what} {ref!r}") from None
+    return resolve
+
+
+_MEASURE = _ref("measures", "measure")
+_VECTOR = _ref("functions", "function")
+_OP = _ref("operators", "operator")
+_PHI = _ref("phis", "increasing map")
+_DUAL = _ref("duals", "duality map")
+_PROFILE = _ref("profiles", "profile")
+_NUMBERS = _listof(_number)
+_OPS3 = _listof(_OP, 3)
+_PHIS3 = _listof(_PHI, 3)
+
+
+def _fn(scale: ValueScale | None = None):
+    def resolve(sc, ref, where: str) -> Fn:
+        try:
+            return Fn(_VECTOR(sc, ref, where), scale or sc.scale)
+        except DomainError as e:
+            raise ScenarioError(f"{where}: {e}") from None
+    return resolve
+
+
+_FN = _fn()
+_FN_NONNEG = _fn(NONNEG)
+_MAP_FACTORIES = {**PHI_FACTORIES, **DUALITY_FACTORIES}
+
+
+# ---------------------------------------------------------------------------
+# declared bindings
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """An optional field; a bare resolver in a table declares a required one."""
+
+    resolve: Callable[[Any, Any, str], Any]
+    default: Any = None
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED
+
+
+class Spec(NamedTuple):
+    """A declared binding: its fields, an optional ``bind(args, where)`` that
+    joins several resolved fields at parse time, and ``call(sc, args)``."""
+
+    fields: dict[str, Field]
+    call: Callable
+    bind: Callable | None = None
+
+
+def _spec(call, bind=None, **fields) -> Spec:
+    return Spec({k: f if isinstance(f, Field) else Field(f, _REQUIRED)
+                 for k, f in fields.items()}, call, bind)
+
+
+def _resolve(sc, doc: dict, spec: Spec, where: str, skip=()) -> SimpleNamespace:
+    for key in doc:
+        if key not in spec.fields and key not in skip:
+            raise ScenarioError(f"{where}.{key}: undeclared field; declared: "
+                                f"{', '.join(spec.fields) or 'none'}")
+    args = SimpleNamespace()
+    for key, field in spec.fields.items():
+        if key in doc:
+            value = field.resolve(sc, doc[key], f"{where}.{key}")
+        elif field.required:
+            raise ScenarioError(f"{where}.{key}: required field is missing")
+        else:
+            value = field.default
+        setattr(args, key, value)
+    if spec.bind is not None:
+        try:
+            spec.bind(args, where)
+        except DomainError as e:
+            raise ScenarioError(f"{where}: {e}") from None
+    return args
+
+
+MEASURE_KINDS = {
+    "explicit": _spec(lambda sc, a: MonotoneMeasure.explicit(sc.space, a.table,
+                                                             rounding=True),
+                      table=_NUMBERS),
+    "possibility": _spec(lambda sc, a: MonotoneMeasure.possibility(sc.space, a.density),
+                         density=_NUMBERS),
+    "distortion": _spec(lambda sc, a: MonotoneMeasure.distortion(
+                            sc.space, a.probs, lambda x: x ** a.exponent,
+                            name=f"power({a.exponent})"),
+                        exponent=Field(_number, 0.5), probs=_NUMBERS),
+    "lambda_sugeno": _spec(lambda sc, a: MonotoneMeasure.lambda_sugeno(
+                               sc.space, getattr(a, "lambda"), a.density),
+                           **{"lambda": _number}, density=_NUMBERS),
+}
+
+# survival profiles: tabulated knots (the form when "form" is absent), or the
+# truncated-quadratic closed form (1 - k t^2)_+ referenced by its coefficient
+PROFILE_FORMS = {
+    "knots": _spec(lambda sc, a: SurvivalProfile(sc.scale, knots=a.knots),
+                   knots=_listof(_listof(_number, 2))),
+    "truncated_quadratic": _spec(lambda sc, a: SurvivalProfile(
+                                     sc.scale, fn=lambda t: np.maximum(
+                                         1.0 - a.coefficient * np.square(t), 0.0)),
+                                 coefficient=Field(_number, 1.0)),
+}
 
 
 class Scenario:
-    """Parsed and validated scenario with named bindings."""
+    """Parsed and validated scenario with named bindings and resolved tasks."""
 
     def __init__(self, doc: dict, name: str = "<inline>"):
         if not isinstance(doc, dict):
@@ -128,471 +268,321 @@ class Scenario:
 
         scale_doc = doc.get("scale", {"upper": 1, "closed": True})
         try:
-            self.scale = ValueScale(_num(scale_doc.get("upper", 1), "scale.upper"),
+            self.scale = ValueScale(_number(self, scale_doc.get("upper", 1), "scale.upper"),
                                     bool(scale_doc.get("closed", True)))
         except DomainError as e:
             raise ScenarioError(f"scale: {e}") from None
 
-        self.measures: dict[str, MonotoneMeasure] = {}
-        for mname, mdoc in (doc.get("measures") or {}).items():
-            self.measures[mname] = self._build_measure(mname, mdoc)
+        self.measures = {name: self._build(f"measures.{name}", mdoc, MEASURE_KINDS, "kind")
+                         for name, mdoc in (doc.get("measures") or {}).items()}
         self.functions: dict[str, list[float]] = {}
         for fname, fdoc in (doc.get("functions") or {}).items():
-            self.functions[fname] = _vector(fdoc, f"functions.{fname}")
+            self.functions[fname] = _NUMBERS(self, fdoc, f"functions.{fname}")
             if len(self.functions[fname]) != self.space.n:
                 raise ScenarioError(f"functions.{fname}: length must equal space.n")
-        self.operators: dict[str, BinaryOp] = {}
-        for oname, odoc in (doc.get("operators") or {}).items():
-            self.operators[oname] = self._build_operator(oname, odoc)
+        self.operators = {name: self._make(f"operators.{name}", odoc, OPERATOR_FACTORIES)
+                          for name, odoc in (doc.get("operators") or {}).items()}
         self.phis: dict[str, PhiMap] = {}
         self.duals: dict[str, DualityMap] = {}
-        for pname, pdoc in (doc.get("maps") or {}).items():
-            self._build_map(pname, pdoc)
-        self.profiles: dict[str, SurvivalProfile] = {}
-        for pname, pdoc in (doc.get("profiles") or {}).items():
-            self.profiles[pname] = self._build_profile(pname, pdoc)
+        for name, mdoc in (doc.get("maps") or {}).items():
+            made = self._make(f"maps.{name}", mdoc, _MAP_FACTORIES)
+            (self.duals if isinstance(made, DualityMap) else self.phis)[name] = made
+        self.profiles = {name: self._build(f"profiles.{name}", pdoc, PROFILE_FORMS, "form",
+                                           "knots")
+                         for name, pdoc in (doc.get("profiles") or {}).items()}
 
         tasks = doc.get("tasks")
         if not isinstance(tasks, list) or not tasks:
             raise ScenarioError("tasks: expected a nonempty list")
         self.tasks = tasks
-        for i, task in enumerate(tasks):
-            if not isinstance(task, dict) or "task" not in task:
-                raise ScenarioError(f"tasks[{i}]: expected an object with a 'task' kind")
+        self._resolved = {id(task): _resolve_task(self, task, f"tasks[{i}]")
+                          for i, task in enumerate(tasks)}
 
-    # -- binding builders --------------------------------------------------
-
-    def _build_measure(self, name: str, doc) -> MonotoneMeasure:
-        field = f"measures.{name}"
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ScenarioError(f"{field}: expected an object with 'kind'")
-        kind = doc["kind"]
+    def _build(self, field: str, doc, specs: dict, selector: str, default=None):
+        """A measure or profile: ``doc[selector]`` picks its declared fields."""
+        key = doc.get(selector, default) if isinstance(doc, dict) else None
+        if not isinstance(key, str) or key not in specs:
+            raise ScenarioError(f"{field}.{selector}: expected one of {sorted(specs)}, "
+                                f"got {key!r}")
+        spec = specs[key]
         try:
-            if kind == "explicit":
-                table = _vector(doc.get("table"), f"{field}.table")
-                return MonotoneMeasure.explicit(self.space, table, rounding=True)
-            if kind == "possibility":
-                return MonotoneMeasure.possibility(
-                    self.space, _vector(doc.get("density"), f"{field}.density"))
-            if kind == "distortion":
-                gamma = _num(doc.get("exponent", 0.5), f"{field}.exponent")
-                probs = _vector(doc.get("probs"), f"{field}.probs")
-                return MonotoneMeasure.distortion(
-                    self.space, probs, lambda x: x ** gamma, name=f"power({gamma})")
-            if kind == "lambda_sugeno":
-                return MonotoneMeasure.lambda_sugeno(
-                    self.space, _num(doc.get("lambda"), f"{field}.lambda"),
-                    _vector(doc.get("density"), f"{field}.density"))
+            return spec.call(self, _resolve(self, doc, spec, field, (selector,)))
         except DomainError as e:
             raise ScenarioError(f"{field}: {e}") from None
-        raise ScenarioError(f"{field}.kind: unknown measure kind {kind!r}")
 
-    def _build_operator(self, name: str, doc) -> BinaryOp:
-        field = f"operators.{name}"
-        if not isinstance(doc, dict) or "name" not in doc:
-            raise ScenarioError(f"{field}: expected an object with 'name'")
-        factory = OPERATOR_FACTORIES.get(doc["name"])
-        if factory is None:
-            raise ScenarioError(f"{field}.name: unknown operator {doc['name']!r}")
-        params = {k: _num(v, f"{field}.{k}") for k, v in doc.items() if k != "name"}
+    def _make(self, field: str, doc, factories: dict):
+        """An operator or map: ``doc["name"]`` picks the factory, the other
+        keys are its numeric parameters (the factory rejects unknown ones)."""
+        name = doc.get("name") if isinstance(doc, dict) else None
+        if not isinstance(name, str) or name not in factories:
+            raise ScenarioError(f"{field}.name: expected one of {sorted(factories)}, "
+                                f"got {name!r}")
+        params = {k: _number(self, v, f"{field}.{k}") for k, v in doc.items() if k != "name"}
         try:
-            return factory(**params)
+            return factories[name](**params)
         except (TypeError, DomainError) as e:
             raise ScenarioError(f"{field}: {e}") from None
 
-    def _build_profile(self, name: str, doc) -> SurvivalProfile:
-        """Survival profiles: tabulated knots or the truncated-quadratic
-        closed form (1 - k t^2)_+ referenced by its coefficient."""
-        field = f"profiles.{name}"
-        if not isinstance(doc, dict):
-            raise ScenarioError(f"{field}: expected an object")
-        try:
-            if "knots" in doc:
-                knots = [(_num(t, f"{field}.knots"), _num(g, f"{field}.knots"))
-                         for t, g in doc["knots"]]
-                return SurvivalProfile(self.scale, knots=knots)
-            if doc.get("form") == "truncated_quadratic":
-                k = _num(doc.get("coefficient", 1.0), f"{field}.coefficient")
-                import numpy as np
-                return SurvivalProfile(self.scale,
-                                       fn=lambda t: np.maximum(1.0 - k * np.square(t), 0.0))
-        except DomainError as e:
-            raise ScenarioError(f"{field}: {e}") from None
-        raise ScenarioError(f"{field}: expected 'knots' or a known 'form'")
 
-    def _build_map(self, name: str, doc):
-        field = f"maps.{name}"
-        if not isinstance(doc, dict) or "name" not in doc:
-            raise ScenarioError(f"{field}: expected an object with 'name'")
-        if doc["name"] in PHI_FACTORIES:
-            params = {k: _num(v, f"{field}.{k}") for k, v in doc.items() if k != "name"}
-            try:
-                self.phis[name] = PHI_FACTORIES[doc["name"]](**params)
-            except (TypeError, DomainError) as e:
-                raise ScenarioError(f"{field}: {e}") from None
-        elif doc["name"] in DUALITY_FACTORIES:
-            self.duals[name] = DUALITY_FACTORIES[doc["name"]]()
-        else:
-            raise ScenarioError(f"{field}.name: unknown map {doc['name']!r}")
+# ---------------------------------------------------------------------------
+# the task table
+# ---------------------------------------------------------------------------
 
-    # -- lookups -----------------------------------------------------------
+_EXPECT = Field(_enum(("holds", "fails", "condition-failed", "premise-failed",
+                       "hypothesis-failed"),
+                      {"violated": "fails", "pass": "holds", "fail": "fails"}), "holds")
+_SEED = Field(_int)              # None: the run's seed
+_TOLERANCE = Field(_number)      # None: the run's tolerance, else the task's own
+_DOMAIN = Field(_domain)
+_VALUE = {"expect_value": Field(_number), "tolerance": _TOLERANCE}
 
-    def measure(self, ref, field: str) -> MonotoneMeasure:
-        if ref not in self.measures:
-            raise ScenarioError(f"{field}: undefined measure {ref!r}")
-        return self.measures[ref]
 
-    def vector(self, ref, field: str) -> list[float]:
-        if ref not in self.functions:
-            raise ScenarioError(f"{field}: undefined function {ref!r}")
-        return self.functions[ref]
+def _task(call, bind=None, **fields) -> Spec:
+    return _spec(call, bind, **fields, expect=_EXPECT)
 
-    def fn(self, ref, field: str, scale: ValueScale | None = None) -> Fn:
-        vec = self.vector(ref, field)
-        try:
-            return Fn(vec, scale or self.scale)
-        except DomainError as e:
-            raise ScenarioError(f"{field}: {e}") from None
 
-    def operator(self, ref, field: str) -> BinaryOp:
-        if ref not in self.operators:
-            raise ScenarioError(f"{field}: undefined operator {ref!r}")
-        return self.operators[ref]
+def _within(value, want, a, eps: float, witness: dict) -> CheckResult:
+    """``value`` within the task's tolerance (``eps`` when none) of ``want``."""
+    eps = a.tolerance if a.tolerance is not None else eps
+    gap = abs(value - want)
+    return CheckResult(True, margin=gap) if gap <= eps else CheckResult(False, gap, witness)
 
-    def phi(self, ref, field: str) -> PhiMap:
-        if ref not in self.phis:
-            raise ScenarioError(f"{field}: undefined increasing map {ref!r}")
-        return self.phis[ref]
 
-    def dual(self, ref, field: str) -> DualityMap:
-        if ref not in self.duals:
-            raise ScenarioError(f"{field}: undefined duality map {ref!r}")
-        return self.duals[ref]
+def _valued(value, a, eps: float, margin: float = 0.0, **extra):
+    """A computed value, checked against ``expect_value`` when the task gives one."""
+    res = CheckResult(True, margin=margin) if a.expect_value is None else \
+        _within(value, a.expect_value, a, eps, {"value": value, "expected": a.expect_value})
+    return res, {"value": value, **extra}
 
-    def profile(self, ref, field: str) -> SurvivalProfile:
-        if ref not in self.profiles:
-            raise ScenarioError(f"{field}: undefined profile {ref!r}")
-        return self.profiles[ref]
+
+def _integral_spec(a, where: str) -> None:
+    if (a.operator is None) != (a.kind in ("sugeno", "shilkret")):
+        raise ScenarioError(f"{where}.operator: "
+                            f"{'required' if a.operator is None else 'not read'} by the "
+                            f"{a.kind!r} integral")
+    a.spec = IntegralSpec(a.kind, a.operator, a.domain)
+
+
+def _metric_spec(a, where: str) -> None:
+    if a.kind != "d_op_p":
+        for key in ("operator", "p"):
+            if getattr(a, key) is not None:
+                raise ScenarioError(f"{where}.{key}: not read by the {a.kind!r} metric")
+        a.spec = MetricSpec(a.kind)
+    elif a.operator is None or (a.p is not None and not a.p > 0):
+        raise ScenarioError(f"{where}.{'operator' if a.operator is None else 'p'}: the "
+                            f"'d_op_p' metric needs an operator and a positive exponent")
+    else:
+        a.spec = MetricSpec("d_op_p", a.operator, 1.0 if a.p is None else a.p)
+
+
+def _mh_bundle(a, where: str) -> None:
+    a.ops = MHOperators(a.star, a.star if a.combiner is None else a.combiner, a.circs,
+                        a.phis or (PHI_FACTORIES["identity"](),) * 3)
+
+
+_METRIC = {"kind": Field(_enum(METRIC_KINDS), "kyfan"), "operator": Field(_OP),
+           "p": Field(_number), "measure": _MEASURE}
+_MH = {"star": _OP, "combiner": Field(_OP), "circs": _OPS3, "phis": Field(_PHIS3),
+       "measure": _MEASURE, "f": _FN, "g": _FN, "domain": _DOMAIN}
+
+
+def _counterexample(sc, a):
+    rep = reproduce_counterexample(a.resolution)
+    ok = (rep.violated and rep.premise.holds and not rep.power_condition.holds
+          and abs(rep.lhs_grid.value - rep.lhs) <= 1e-3
+          and abs(rep.rhs_each_grid.value - rep.rhs_each) <= 1e-3)
+    res = CheckResult(True, margin=rep.lhs - rep.rhs_sum) if ok else \
+        CheckResult(False, 0.0, {"report": rep.to_dict()})
+    return res, {"report": rep.to_dict()}
+
+
+def _profile_integral(sc, a):
+    res = profile_integral(a.profile, a.operator, a.resolution)
+    return _valued(res.value, a, 1e-3, res.error_bound, error_bound=res.error_bound)
+
+
+def _oracle(sc, a):
+    direct = integral_eval(IntegralSpec("upper_generalized", a.operator, a.domain),
+                           a.function, a.measure)
+    both = {"direct": direct,
+            "oracle": upper_integral_subset_oracle(a.function, a.measure, a.operator,
+                                                   a.domain)}
+    return _within(direct, both["oracle"], a, 1e-12, both), both
+
+
+def _fuzz(sc, a):
+    rep = run_campaign(a.campaign, a.trials, a.seed)
+    res = CheckResult(True, margin=0.0) if rep["failed"] == 0 else \
+        CheckResult(False, float(rep["failed"]), {"failures": rep["failures"]})
+    return res, {"campaign": rep}
+
+
+# check_condition fields come from each condition's signature; the scenario
+# reaches only these parameters (tol, spacing and the extra grids stay out)
+_CONDITION_PARAMS = {
+    **dict.fromkeys(("p1", "p2", "p3", "q", "r"), _number),
+    **dict.fromkeys(("op", "semicopula", "star", "combiner", "boxplus", "op_h"), _OP),
+    "circs": _OPS3, "phis": _PHIS3, "c_values": _NUMBERS,
+}
+
+
+def _condition_task(cid: str) -> Spec:
+    params = inspect.signature(CONDITIONS[cid]).parameters
+    names = {"operator" if p == "op" else p: p for p in params if p in _CONDITION_PARAMS}
+
+    def call(sc, a):
+        kwargs = {p: getattr(a, f) for f, p in names.items() if getattr(a, f) is not None}
+        if "scale" in params:
+            kwargs["scale"] = sc.scale
+        return check_condition(cid, **kwargs)
+
+    return _task(call, **{f: Field(_CONDITION_PARAMS[p], _REQUIRED if params[p].default
+                                   is inspect.Parameter.empty else None)
+                          for f, p in names.items()})
+
+
+# the field that selects the table entry, for the kinds keyed by (kind, selector)
+SELECTORS = {"verify": "theorem", "check_relation": "relation",
+             "check_identity": "identity", "check_condition": "condition"}
+
+TASKS: dict[Any, Spec] = {
+    "counterexample": _task(_counterexample, resolution=Field(_number, 1e-4)),
+    "integral": _task(
+        lambda sc, a: _valued(integral_eval(a.spec, a.function, a.measure), a, 1e-12),
+        _integral_spec, kind=Field(_enum(INTEGRAL_KINDS), "sugeno"), operator=Field(_OP),
+        domain=_DOMAIN, function=_FN, measure=_MEASURE, **_VALUE),
+    "profile_integral": _task(_profile_integral, profile=_PROFILE, operator=_OP,
+                              resolution=Field(_number, 1e-4), **_VALUE),
+    "oracle": _task(_oracle, function=_FN, measure=_MEASURE, operator=_OP, domain=_DOMAIN,
+                    tolerance=_TOLERANCE),
+    "check_measure": _task(lambda sc, a: check_measure_property(a.measure, a.property),
+                           measure=_MEASURE, property=_enum(MEASURE_PROPERTIES)),
+    ("check_relation", "comonotone"): _task(
+        lambda sc, a: is_comonotone(a.f, a.g, a.domain), f=_FN, g=_FN, domain=_DOMAIN),
+    ("check_relation", "star_associated"): _task(
+        lambda sc, a: is_star_associated(a.f, a.g, a.star, a.domain),
+        f=_FN, g=_FN, star=_OP, domain=_DOMAIN),
+    ("check_relation", "mu_subadditive"): _task(
+        lambda sc, a: is_mu_subadditive(a.f, a.g, a.boxplus, a.measure, a.domain),
+        f=_FN, g=_FN, boxplus=_OP, measure=_MEASURE, domain=_DOMAIN),
+    ("check_relation", "pqd"): _task(
+        lambda sc, a: is_pqd(a.f, a.g, a.measure), f=_FN, g=_FN, measure=_MEASURE),
+    **{("check_condition", cid): _condition_task(cid) for cid in CONDITIONS},
+    ("check_identity", "sugeno_identity"): _task(
+        lambda sc, a: check_sugeno_identity(a.function, a.measure, a.domain),
+        function=_FN, measure=_MEASURE, domain=_DOMAIN),
+    ("check_identity", "h_duality"): _task(
+        lambda sc, a: check_h_duality(a.function, a.measure, a.operator, a.map),
+        function=_FN, measure=_MEASURE, operator=_OP, map=_DUAL),
+    ("verify", "upper_mh"): _task(
+        lambda sc, a: verify_upper_mh(a.ops, a.measure, a.f, a.g, a.domain, a.direction,
+                                      seed=a.seed),
+        _mh_bundle, **_MH, seed=_SEED,
+        direction=Field(_enum(("sufficiency", "necessity", "both")), "sufficiency")),
+    ("verify", "seminorm_minkowski"): _task(
+        lambda sc, a: verify_seminorm_minkowski(a.semicopula, a.star, a.p, a.measure,
+                                                a.f, a.g, a.domain, a.normalization),
+        semicopula=_OP, star=_OP, p=Field(_number, 1.0), measure=_MEASURE, f=_FN, g=_FN,
+        domain=_DOMAIN, normalization=Field(_enum(("total_one", "values_unit")), "total_one")),
+    ("verify", "comonotone_subadditive"): _task(
+        lambda sc, a: verify_comonotone_subadditive(a.operator, a.measure, a.f, a.g, a.domain),
+        operator=_OP, measure=_MEASURE, f=_FN, g=_FN, domain=_DOMAIN),
+    ("verify", "subadditive_minkowski"): _task(
+        lambda sc, a: verify_subadditive_minkowski(a.operator, a.q, a.r, a.p, a.measure,
+                                                   a.f, a.g),
+        operator=_OP, q=Field(_number, 1.0), r=Field(_number, 1.0), p=Field(_number, 1.0),
+        measure=_MEASURE, f=_VECTOR, g=_VECTOR),
+    ("verify", "shilkret_maxitive"): _task(
+        lambda sc, a: verify_shilkret_maxitive(a.measure, trials=a.trials, seed=a.seed),
+        measure=_MEASURE, trials=Field(_int, 8), seed=_SEED),
+    ("verify", "sugeno_subadditive"): _task(
+        lambda sc, a: verify_sugeno_subadditive(a.measure, trials=a.trials, seed=a.seed),
+        measure=_MEASURE, trials=Field(_int, 8), seed=_SEED),
+    ("verify", "sugeno_subadditive_boundary"): _task(
+        lambda sc, a: verify_sugeno_subadditive_boundary()),
+    ("verify", "lower_mh"): _task(
+        lambda sc, a: verify_lower_mh(a.ops, a.boxplus, a.measure, a.f, a.g, a.domain),
+        _mh_bundle, **_MH, boxplus=_OP),
+    **{("verify", f"dual_minkowski_{kind}"): _task(
+        lambda sc, a, kind=kind: verify_dual_minkowski(
+            kind, a.star, a.operator, a.map, a.measure, a.f, a.g, boxplus=a.boxplus),
+        star=_OP, operator=_OP, map=_DUAL, measure=_MEASURE, f=_FN, g=_FN,
+        boxplus=Field(_OP)) for kind in ("single", "pair")},
+    ("verify", "mean_convergence"): _task(
+        lambda sc, a: verify_mean_convergence(a.spec, a.measure, a.sequence, a.limit),
+        _metric_spec, **_METRIC, sequence=_listof(_FN_NONNEG), limit=_FN_NONNEG),
+    ("verify", "cauchy_probe"): _task(
+        lambda sc, a: cauchy_probe(a.spec, a.measure, seed=a.seed, levels=a.levels),
+        _metric_spec, **_METRIC, seed=_SEED, levels=Field(_int, 8)),
+    ("verify", "convergence_lemmas"): _task(
+        lambda sc, a: check_convergence_lemmas(a.operator, a.measure, a.sequence,
+                                               a.limit, a.kind),
+        operator=_OP, measure=_MEASURE, sequence=_listof(_FN_NONNEG), limit=_FN_NONNEG,
+        kind=Field(_enum(("monotone", "fatou")), "monotone")),
+    ("verify", "shilkret_norm"): _task(
+        lambda sc, a: check_shilkret_norm(a.measure, trials=a.trials, seed=a.seed),
+        measure=_MEASURE, trials=Field(_int, 50), seed=_SEED),
+    "metric_axioms": _task(
+        lambda sc, a: check_metric_axioms(a.spec, a.measure, trials=a.trials, seed=a.seed),
+        _metric_spec, **_METRIC, trials=Field(_int, 200), seed=_SEED),
+    "triangle_search": _task(
+        lambda sc, a: find_triangle_violation(a.measure, kinds=a.kinds),
+        measure=_MEASURE, kinds=Field(_listof(_enum(METRIC_KINDS)), METRIC_KINDS)),
+    "metric": _task(
+        lambda sc, a: _valued(metric_eval(a.spec, a.f, a.g, a.measure), a, 1e-12),
+        _metric_spec, **_METRIC, f=_VECTOR, g=_VECTOR, **_VALUE),
+    "fuzz": _task(_fuzz, campaign=_enum(CAMPAIGNS), trials=Field(_int, 100), seed=_SEED),
+}
+
+
+def _resolve_task(sc: Scenario, task, where: str):
+    """(kind, table entry, resolved fields) of one task document."""
+    kind = task.get("task") if isinstance(task, dict) else None
+    if not isinstance(kind, str):
+        raise ScenarioError(f"{where}: expected an object with a 'task' kind")
+    selector = SELECTORS.get(kind)
+    key = (kind, task.get(selector)) if selector else kind
+    try:
+        spec = TASKS[key]
+    except (KeyError, TypeError):
+        field = selector or "task"
+        raise ScenarioError(f"{where}.{field}: unknown {field} {task.get(field)!r}") from None
+    return kind, spec, _resolve(sc, task, spec, where, ("task", selector))
 
 
 # ---------------------------------------------------------------------------
 # task execution
 # ---------------------------------------------------------------------------
 
-def _outcome_token(result) -> str:
-    if isinstance(result, (CheckResult, RelationVerdict)):
-        if isinstance(result, CheckResult) and result.status != "checked":
-            return result.status
-        return "holds" if result.holds else "fails"
-    raise TypeError(f"no outcome token for {result!r}")
-
-
-def _expectation(task: dict) -> str:
-    exp = task.get("expect", "holds")
-    aliases = {"violated": "fails", "pass": "holds", "fail": "fails"}
-    exp = aliases.get(exp, exp)
-    if exp not in ("holds", "fails", "condition-failed", "premise-failed",
-                   "hypothesis-failed"):
-        raise ScenarioError(f"expect: unknown expectation {exp!r}")
-    return exp
-
-
-def _mh_bundle(sc: Scenario, task: dict, prefix: str) -> MHOperators:
-    star = sc.operator(task.get("star"), f"{prefix}.star")
-    combiner = sc.operator(task.get("combiner", task.get("star")), f"{prefix}.combiner")
-    circ_refs = task.get("circs") or [task.get("circ")] * 3
-    if not isinstance(circ_refs, list) or len(circ_refs) != 3:
-        raise ScenarioError(f"{prefix}.circs: expected three operator names")
-    circs = tuple(sc.operator(r, f"{prefix}.circs") for r in circ_refs)
-    phi_refs = task.get("phis")
-    if phi_refs is None:
-        phis = (PHI_FACTORIES["identity"](),) * 3
-    else:
-        if not isinstance(phi_refs, list) or len(phi_refs) != 3:
-            raise ScenarioError(f"{prefix}.phis: expected three map names")
-        phis = tuple(sc.phi(r, f"{prefix}.phis") for r in phi_refs)
-    return MHOperators(star, combiner, circs, phis)
-
-
 def run_task(sc: Scenario, task: dict, default_seed: int = 0,
              default_tolerance: float | None = None) -> dict:
-    """Execute a single task; returns a JSON-safe record with a verdict."""
-    kind = task["task"]
-    seed = int(task.get("seed", default_seed))
-    tol = task.get("tolerance", default_tolerance)
-    record: dict[str, Any] = {"task": kind}
+    """Execute a single task; returns a JSON-safe record with a verdict.
 
-    def finish(result, extra: dict | None = None) -> dict:
-        outcome = _outcome_token(result)
-        expected = _expectation(task)
-        record["outcome"] = outcome
-        record["expected"] = expected
-        record["verdict"] = "pass" if outcome == expected else "fail"
-        if isinstance(result, (CheckResult, RelationVerdict)):
-            record["result"] = result.to_dict()
-        if extra:
-            record.update(_jsonify(extra))
-        return record
-
+    A task of ``sc.tasks`` was resolved when the scenario was parsed; any
+    other task document is resolved here."""
+    kind, spec, resolved = sc._resolved.get(id(task)) or _resolve_task(sc, task, "task")
+    a = SimpleNamespace(**vars(resolved))
+    if hasattr(a, "seed") and a.seed is None:
+        a.seed = default_seed
+    if hasattr(a, "tolerance") and a.tolerance is None:
+        a.tolerance = default_tolerance
+    record: dict[str, Any] = {"task": kind, "expected": a.expect}
     try:
-        if kind == "counterexample":
-            rep = reproduce_counterexample(float(task.get("resolution", 1e-4)))
-            ok = (rep.violated and rep.premise.holds and not rep.power_condition.holds)
-            grid_ok = (abs(rep.lhs_grid.value - rep.lhs) <= 1e-3
-                       and abs(rep.rhs_each_grid.value - rep.rhs_each) <= 1e-3)
-            res = CheckResult(ok and grid_ok, margin=rep.lhs - rep.rhs_sum) \
-                if ok and grid_ok else \
-                CheckResult(False, 0.0, {"report": rep.to_dict()})
-            return finish(res, {"report": rep.to_dict()})
-
-        if kind == "integral":
-            spec = IntegralSpec(task.get("kind", "sugeno"),
-                                sc.operator(task["operator"], "integral.operator")
-                                if "operator" in task else None,
-                                task.get("domain"))
-            f = sc.fn(task.get("function"), "integral.function")
-            mu = sc.measure(task.get("measure"), "integral.measure")
-            value = integral_eval(spec, f, mu)
-            record["value"] = value
-            if "expect_value" in task:
-                want = _num(task["expect_value"], "integral.expect_value")
-                eps = float(tol if tol is not None else 1e-12)
-                res = CheckResult(abs(value - want) <= eps, margin=abs(value - want)) \
-                    if abs(value - want) <= eps else \
-                    CheckResult(False, abs(value - want),
-                                {"value": value, "expected": want})
-                return finish(res)
-            return finish(CheckResult(True, margin=0.0))
-
-        if kind == "profile_integral":
-            prof = sc.profile(task.get("profile"), "profile_integral.profile")
-            op = sc.operator(task.get("operator"), "profile_integral.operator")
-            res_p = profile_integral(prof, op, float(task.get("resolution", 1e-4)))
-            record["value"] = res_p.value
-            record["error_bound"] = res_p.error_bound
-            if "expect_value" in task:
-                want = _num(task["expect_value"], "profile_integral.expect_value")
-                eps = float(tol if tol is not None else 1e-3)
-                gap = abs(res_p.value - want)
-                res = CheckResult(gap <= eps, margin=gap) if gap <= eps else \
-                    CheckResult(False, gap, {"value": res_p.value, "expected": want})
-                return finish(res)
-            return finish(CheckResult(True, margin=res_p.error_bound))
-
-        if kind == "oracle":
-            f = sc.fn(task.get("function"), "oracle.function")
-            mu = sc.measure(task.get("measure"), "oracle.measure")
-            op = sc.operator(task.get("operator"), "oracle.operator")
-            direct = integral_eval(IntegralSpec("upper_generalized", op,
-                                                task.get("domain")), f, mu)
-            oracle = upper_integral_subset_oracle(f, mu, op, task.get("domain"))
-            gap = abs(direct - oracle)
-            eps = float(tol if tol is not None else 1e-12)
-            res = CheckResult(gap <= eps, margin=gap) if gap <= eps else \
-                CheckResult(False, gap, {"direct": direct, "oracle": oracle})
-            return finish(res, {"direct": direct, "oracle": oracle})
-
-        if kind == "check_measure":
-            mu = sc.measure(task.get("measure"), "check_measure.measure")
-            prop = task.get("property")
-            if prop not in MEASURE_PROPERTIES:
-                raise ScenarioError(f"check_measure.property: unknown {prop!r}")
-            return finish(check_measure_property(mu, prop))
-
-        if kind == "check_relation":
-            rel = task.get("relation")
-            f = sc.fn(task.get("f"), "check_relation.f")
-            g = sc.fn(task.get("g"), "check_relation.g")
-            if rel == "comonotone":
-                return finish(is_comonotone(f, g, task.get("domain")))
-            if rel == "star_associated":
-                star = sc.operator(task.get("star"), "check_relation.star")
-                return finish(is_star_associated(f, g, star, task.get("domain")))
-            if rel == "mu_subadditive":
-                boxplus = sc.operator(task.get("boxplus"), "check_relation.boxplus")
-                mu = sc.measure(task.get("measure"), "check_relation.measure")
-                return finish(is_mu_subadditive(f, g, boxplus, mu, task.get("domain")))
-            if rel == "pqd":
-                mu = sc.measure(task.get("measure"), "check_relation.measure")
-                return finish(is_pqd(f, g, mu))
-            raise ScenarioError(f"check_relation.relation: unknown {rel!r}")
-
-        if kind == "check_condition":
-            cond = task.get("condition")
-            if cond not in CONDITIONS:
-                raise ScenarioError(f"check_condition.condition: unknown {cond!r}")
-            kwargs: dict[str, Any] = {}
-            for key in ("p1", "p2", "p3", "q", "r"):
-                if key in task:
-                    kwargs[key] = _num(task[key], f"check_condition.{key}")
-            name_map = {"operator": "op", "semicopula": "semicopula", "star": "star",
-                        "combiner": "combiner", "boxplus": "boxplus", "op_h": "op_h"}
-            for field, arg in name_map.items():
-                if field in task:
-                    kwargs[arg] = sc.operator(task[field], f"check_condition.{field}")
-            if "circs" in task:
-                kwargs["circs"] = tuple(sc.operator(r, "check_condition.circs")
-                                        for r in task["circs"])
-            if "phis" in task:
-                kwargs["phis"] = tuple(sc.phi(r, "check_condition.phis")
-                                       for r in task["phis"])
-            if "c_values" in task:
-                kwargs["c_values"] = _vector(task["c_values"], "check_condition.c_values")
-            if cond not in ("mh_product_power", "counterexample_premise",
-                            "semicopula_sum_split"):
-                kwargs.setdefault("scale", sc.scale)
-            return finish(check_condition(cond, **kwargs))
-
-        if kind == "check_identity":
-            ident = task.get("identity")
-            f = sc.fn(task.get("function"), "check_identity.function")
-            mu = sc.measure(task.get("measure"), "check_identity.measure")
-            if ident == "sugeno_identity":
-                return finish(check_sugeno_identity(f, mu, task.get("domain")))
-            if ident == "h_duality":
-                op = sc.operator(task.get("operator"), "check_identity.operator")
-                h = sc.dual(task.get("map"), "check_identity.map")
-                return finish(check_h_duality(f, mu, op, h))
-            raise ScenarioError(f"check_identity.identity: unknown {ident!r}")
-
-        if kind == "verify":
-            return finish(_run_verify(sc, task, seed))
-
-        if kind == "metric_axioms":
-            spec = _metric_spec(sc, task)
-            mu = sc.measure(task.get("measure"), "metric_axioms.measure")
-            return finish(check_metric_axioms(spec, mu,
-                                              trials=int(task.get("trials", 200)),
-                                              seed=seed))
-
-        if kind == "triangle_search":
-            mu = sc.measure(task.get("measure"), "triangle_search.measure")
-            kinds = task.get("kinds", list(METRIC_KINDS))
-            return finish(find_triangle_violation(mu, kinds=kinds))
-
-        if kind == "metric":
-            spec = _metric_spec(sc, task)
-            mu = sc.measure(task.get("measure"), "metric.measure")
-            f = sc.vector(task.get("f"), "metric.f")
-            g = sc.vector(task.get("g"), "metric.g")
-            value = metric_eval(spec, f, g, mu)
-            record["value"] = value
-            if "expect_value" in task:
-                want = _num(task["expect_value"], "metric.expect_value")
-                eps = float(tol if tol is not None else 1e-12)
-                ok = abs(value - want) <= eps
-                res = CheckResult(ok, margin=abs(value - want)) if ok else \
-                    CheckResult(False, abs(value - want), {"value": value, "expected": want})
-                return finish(res)
-            return finish(CheckResult(True, margin=0.0))
-
-        if kind == "fuzz":
-            campaign = task.get("campaign")
-            if campaign not in CAMPAIGNS:
-                raise ScenarioError(f"fuzz.campaign: unknown {campaign!r}")
-            rep = run_campaign(campaign, int(task.get("trials", 100)), seed)
-            res = CheckResult(rep["failed"] == 0, margin=float(rep["failed"])) \
-                if rep["failed"] == 0 else \
-                CheckResult(False, float(rep["failed"]), {"failures": rep["failures"]})
-            return finish(res, {"campaign": rep})
-
-        raise ScenarioError(f"task: unknown task kind {kind!r}")
+        out = spec.call(sc, a)
     except HypothesisError as e:
-        record["outcome"] = "hypothesis-failed"
-        record["expected"] = _expectation(task)
-        record["verdict"] = "pass" if record["expected"] == "hypothesis-failed" else "fail"
-        record["error"] = str(e)
+        record.update(outcome="hypothesis-failed", error=str(e))
         if e.detail is not None:
             record["error_detail"] = _jsonify(e.detail)
-        return record
-
-
-def _metric_spec(sc: Scenario, task: dict) -> MetricSpec:
-    kind = task.get("kind", "kyfan")
-    if kind == "d_op_p":
-        op = sc.operator(task.get("operator"), "metric.operator")
-        return MetricSpec(kind, op, _num(task.get("p", 1), "metric.p"))
-    return MetricSpec(kind)
-
-
-def _run_verify(sc: Scenario, task: dict, seed: int):
-    theorem = task.get("theorem")
-    if theorem == "upper_mh":
-        ops = _mh_bundle(sc, task, "verify")
-        return verify_upper_mh(ops, sc.measure(task.get("measure"), "verify.measure"),
-                               sc.fn(task.get("f"), "verify.f"),
-                               sc.fn(task.get("g"), "verify.g"),
-                               task.get("domain"),
-                               task.get("direction", "sufficiency"), seed=seed)
-    if theorem == "seminorm_minkowski":
-        return verify_seminorm_minkowski(
-            sc.operator(task.get("semicopula"), "verify.semicopula"),
-            sc.operator(task.get("star"), "verify.star"),
-            _num(task.get("p", 1), "verify.p"),
-            sc.measure(task.get("measure"), "verify.measure"),
-            sc.fn(task.get("f"), "verify.f"), sc.fn(task.get("g"), "verify.g"),
-            task.get("domain"), task.get("normalization", "total_one"))
-    if theorem == "comonotone_subadditive":
-        return verify_comonotone_subadditive(
-            sc.operator(task.get("operator"), "verify.operator"),
-            sc.measure(task.get("measure"), "verify.measure"),
-            sc.fn(task.get("f"), "verify.f"), sc.fn(task.get("g"), "verify.g"),
-            task.get("domain"))
-    if theorem == "subadditive_minkowski":
-        return verify_subadditive_minkowski(
-            sc.operator(task.get("operator"), "verify.operator"),
-            _num(task.get("q", 1), "verify.q"), _num(task.get("r", 1), "verify.r"),
-            _num(task.get("p", 1), "verify.p"),
-            sc.measure(task.get("measure"), "verify.measure"),
-            sc.vector(task.get("f"), "verify.f"), sc.vector(task.get("g"), "verify.g"))
-    if theorem == "shilkret_maxitive":
-        return verify_shilkret_maxitive(
-            sc.measure(task.get("measure"), "verify.measure"),
-            trials=int(task.get("trials", 8)), seed=seed)
-    if theorem == "sugeno_subadditive":
-        return verify_sugeno_subadditive(
-            sc.measure(task.get("measure"), "verify.measure"),
-            trials=int(task.get("trials", 8)), seed=seed)
-    if theorem == "sugeno_subadditive_boundary":
-        return verify_sugeno_subadditive_boundary()
-    if theorem == "lower_mh":
-        ops = _mh_bundle(sc, task, "verify")
-        return verify_lower_mh(ops, sc.operator(task.get("boxplus"), "verify.boxplus"),
-                               sc.measure(task.get("measure"), "verify.measure"),
-                               sc.fn(task.get("f"), "verify.f"),
-                               sc.fn(task.get("g"), "verify.g"), task.get("domain"))
-    if theorem in ("dual_minkowski_single", "dual_minkowski_pair"):
-        kind = "single" if theorem.endswith("single") else "pair"
-        boxplus = sc.operator(task["boxplus"], "verify.boxplus") \
-            if "boxplus" in task else None
-        return verify_dual_minkowski(
-            kind, sc.operator(task.get("star"), "verify.star"),
-            sc.operator(task.get("operator"), "verify.operator"),
-            sc.dual(task.get("map"), "verify.map"),
-            sc.measure(task.get("measure"), "verify.measure"),
-            sc.fn(task.get("f"), "verify.f"), sc.fn(task.get("g"), "verify.g"),
-            boxplus=boxplus)
-    if theorem == "mean_convergence":
-        spec = _metric_spec(sc, task)
-        seq = [sc.fn(rf, "verify.sequence", NONNEG) for rf in task.get("sequence", [])]
-        return verify_mean_convergence(spec,
-                                       sc.measure(task.get("measure"), "verify.measure"),
-                                       seq, sc.fn(task.get("limit"), "verify.limit", NONNEG))
-    if theorem == "cauchy_probe":
-        spec = _metric_spec(sc, task)
-        return cauchy_probe(spec, sc.measure(task.get("measure"), "verify.measure"),
-                            seed=seed, levels=int(task.get("levels", 8)))
-    if theorem == "convergence_lemmas":
-        seq = [sc.fn(rf, "verify.sequence", NONNEG) for rf in task.get("sequence", [])]
-        return check_convergence_lemmas(
-            sc.operator(task.get("operator"), "verify.operator"),
-            sc.measure(task.get("measure"), "verify.measure"),
-            seq, sc.fn(task.get("limit"), "verify.limit", NONNEG),
-            task.get("kind", "monotone"))
-    if theorem == "shilkret_norm":
-        return check_shilkret_norm(sc.measure(task.get("measure"), "verify.measure"),
-                                   trials=int(task.get("trials", 50)), seed=seed)
-    raise ScenarioError(f"verify.theorem: unknown theorem {theorem!r}")
+    else:
+        result, extra = out if isinstance(out, tuple) else (out, {})
+        status = getattr(result, "status", "checked")     # a RelationVerdict has none
+        record["outcome"] = status if status != "checked" else \
+            "holds" if result.holds else "fails"
+        record["result"] = result.to_dict()
+        record.update(_jsonify(extra))
+    record["verdict"] = "pass" if record["outcome"] == a.expect else "fail"
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from nonadd import scenarios
 from nonadd.campaigns import CAMPAIGNS, Campaign, merge_report, run_campaign, run_trials
 from nonadd.cli import main
 from nonadd.results import DomainError
@@ -132,6 +134,78 @@ class TestRun:
         }
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(doc))
+        code, _ = run_cli(["run", str(path)], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("tasks, measure, named", [
+        pytest.param([{"task": "verify", "theorem": "subadditive_minkowski",
+                       "operator": "min", "measure": "mu", "f": "f", "g": "g", "pp": 7}],
+                     None, "tasks[0].pp", id="typo_pp"),
+        pytest.param([{"task": "check_measure", "measure": "mu", "property": "maxitive",
+                       "tolerence": 0.5}], None, "tasks[0].tolerence", id="typo_tolerence"),
+        pytest.param([{"task": "check_measure", "measure": "mu", "property": "maxitive",
+                       "tolerance": 0.5}], None, "tasks[0].tolerance",
+                     id="tolerance_not_read"),
+        pytest.param([{"task": "check_relation", "relation": "comonotone", "f": "f",
+                       "g": "g", "star": "min"}], None, "tasks[0].star",
+                     id="star_not_read"),
+        pytest.param([{"task": "check_condition", "condition": "mh_product_power",
+                       "p1": 1, "p2": 2, "p3": 2, "p4": 3}], None, "tasks[0].p4",
+                     id="typo_p4"),
+        pytest.param([{"task": "triangle_search", "measure": "mu", "kinds": ["nope"],
+                       "expect": "premise-failed"}], None, "tasks[0].kinds",
+                     id="unknown_metric_kind"),
+        pytest.param([{"task": "check_measure", "measure": "mu", "property": "maxitive"}],
+                     {"kind": "possibility", "density": [0.5, 1.0], "densty": [1, 1]},
+                     "measures.mu.densty", id="typo_densty"),
+        pytest.param([{"task": "verify", "theorem": "shilkret_maxitive", "measure": "mu",
+                       "trials": "abc"}], None, "tasks[0].trials", id="trials_not_int"),
+        pytest.param([{"task": "fuzz", "campaign": "sugeno_identity", "trials": 2,
+                       "seed": "x"}], None, "tasks[0].seed", id="seed_not_int"),
+        pytest.param([{"task": "integral", "function": "f", "measure": "mu",
+                       "expect_value": 0.5, "tolerance": "x"}], None, "tasks[0].tolerance",
+                     id="tolerance_not_number"),
+        pytest.param([{"task": "check_condition", "condition": "mh_product_power",
+                       "p1": 1, "p2": 2, "p3": 2, "operator": "min"}], None,
+                     "tasks[0].operator", id="operator_not_a_parameter"),
+        pytest.param([{"task": "check_condition", "condition": "mh_upper", "star": "max",
+                       "combiner": "max", "circs": ["min", "min", "min"]}], None,
+                     "tasks[0].phis", id="required_phis_missing"),
+        pytest.param([{"task": "check_condition", "condition": "mh_upper", "star": "max",
+                       "combiner": "max", "circs": "min", "phis": ["id", "id", "id"]}],
+                     None, "tasks[0].circs", id="circs_not_a_triple"),
+        pytest.param([{"task": "fuzz", "campaign": "sugeno_identity", "trials": 300},
+                      {"task": "check_measure", "measure": "mu", "property": "maxitive",
+                       "expect": "hold"}], None, "tasks[1].expect",
+                     id="late_bad_expect"),
+    ])
+    def test_undeclared_or_malformed_field_exits_2_before_any_task(
+            self, tasks, measure, named, tmp_path, capsys, monkeypatch):
+        def no_task_runs(*args, **kwargs):
+            raise AssertionError("a task ran before validation finished")
+
+        monkeypatch.setattr(scenarios, "run_campaign", no_task_runs)
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": measure or {"kind": "possibility",
+                                              "density": [0.5, 1.0]}},
+               "functions": {"f": [0.5, 0.25], "g": [0.25, 0.5]},
+               "operators": {"min": {"name": "min"}, "max": {"name": "max"}},
+               "maps": {"id": {"name": "identity"}},
+               "tasks": tasks}
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_readme_scenario_example_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Scenario format (version 1)"):]
+        start = section.index("```json\n") + len("```json\n")
+        path = tmp_path / "readme.json"
+        path.write_text(section[start:section.index("```", start)])
         code, _ = run_cli(["run", str(path)], capsys)
         assert code == 0
 
@@ -274,6 +348,12 @@ class TestFuzzCommand:
         code, out = run_cli(["--list"], capsys)
         assert code == 0
         assert "counterexample" in out and "mh_upper" in out
+        lines = {line.split(":")[0].strip(): line.split(":", 1)[1].split()
+                 for line in out.splitlines() if line.startswith("  ") and ":" in line}
+        assert {"[p]", "[q]", "[r]", "operator", "measure"} <= set(
+            lines["verify subadditive_minkowski"])
+        assert lines["check_condition mh_upper"][:4] == ["star", "combiner", "circs", "phis"]
+        assert len([k for k in lines if k.startswith("verify ")]) == 14
 
 
 class TestCampaignDriver:
