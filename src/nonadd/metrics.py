@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .conditions import cond_distributive_scaling, cond_unit_section_order
 from .core import EXTENDED, Fn, INF, NONNEG, ValueScale, level_mask_gt, rng_for
 from .integrals import (
@@ -35,7 +33,7 @@ from .integrals import (
     sugeno_integral,
     upper_integral,
 )
-from .measures import MonotoneMeasure, check_measure_property
+from .measures import MonotoneMeasure, check_measure_property, null_union
 from .operators import BinaryOp, cached_gate, minimum, plain_sum, power_min, verify_flags
 from .results import CheckResult, DomainError, HypothesisError
 
@@ -187,7 +185,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
     n = mu.space.n
     full = (1 << n) - 1
     tol_eff = max(tol, mu.tolerance())
-    null_union = _null_union(mu, tol_eff)
+    nulls = null_union(mu, tol_eff)
     min_slack = INF
     for k in range(trials):
         rng = rng_for(seed, "metric-triple", k)
@@ -211,13 +209,13 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
                                 "support_measure": mu(support), "distance": dfg},
                                mode="sampled")
         # a genuinely equivalent perturbation must stay at distance zero
-        if null_union and k % 7 == 0:
-            g2 = [v + (1.0 if null_union >> i & 1 else 0.0) for i, v in enumerate(f)]
+        if nulls and k % 7 == 0:
+            g2 = [v + (1.0 if nulls >> i & 1 else 0.0) for i, v in enumerate(f)]
             d2 = metric_eval(spec, f, g2, mu)
             if d2 > tol_eff:
                 return CheckResult(False, d2,
                                    {"axiom": "identity", "f": f, "g": g2,
-                                    "null_set": null_union, "distance": d2},
+                                    "null_set": nulls, "distance": d2},
                                    mode="sampled")
         dfh = metric_eval(spec, f, h, mu)
         dhg = metric_eval(spec, h, g, mu)
@@ -286,12 +284,6 @@ def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0,
 # convergence lemmas
 # ---------------------------------------------------------------------------
 
-def _null_union(mu: MonotoneMeasure, tol: float) -> int:
-    tab = mu.table()
-    nulls = np.arange(tab.shape[0], dtype=np.int64)[tab <= tol]
-    return int(np.bitwise_or.reduce(nulls)) if nulls.size else 0
-
-
 def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
                              sequence: Sequence[Fn], limit: Fn, kind: str,
                              tol: float = 1e-12) -> CheckResult:
@@ -313,7 +305,7 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
         raise HypothesisError("lemmas need a null-additive measure", detail=nulls)
     verify_flags(op, ["nondecreasing", "left_continuous_second"], limit.scale)
 
-    exempt = _null_union(mu, max(tol, mu.tolerance()))
+    exempt = null_union(mu, max(tol, mu.tolerance()))
     n = len(limit)
     live = [i for i in range(n) if not exempt >> i & 1]
     if kind == "monotone":

@@ -17,10 +17,11 @@ number is expected):
     }
 
 ``TASKS`` declares each task's fields (a resolver, and a default unless
-required) and its library call; ``MEASURE_KINDS`` and ``PROFILE_FORMS``
-declare the bindings alike.  Parsing resolves everything through them, so
-an undeclared, missing or malformed field raises ``ScenarioError`` naming it
-(``tasks[2].p``, ``measures.mu.density``) before any task runs: exit code 2.
+required) and its library call; ``SPACE``, ``SCALE``, ``MEASURE_KINDS`` and
+``PROFILE_FORMS`` declare the other objects alike.  Parsing resolves
+everything through them, so an undeclared, missing or malformed field raises
+``ScenarioError`` naming it (``tasks[2].p``, ``measures.mu.density``,
+``scale.closed``) before any task runs: exit code 2.
 
 Each task carries an optional ``expect`` field (default ``"holds"``); the
 task passes when the mathematical outcome matches the expectation, so a
@@ -99,6 +100,12 @@ def _number(sc, value, where: str) -> float:
 def _int(sc, value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _bool(sc, value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
     return value
 
 
@@ -220,6 +227,10 @@ def _resolve(sc, doc: dict, spec: Spec, where: str, skip=()) -> SimpleNamespace:
     return args
 
 
+SPACE = _spec(lambda sc, a: FiniteSpace(a.n), n=_int)
+SCALE = _spec(lambda sc, a: ValueScale(a.upper, a.closed),
+              upper=Field(_number, 1.0), closed=Field(_bool, True))
+
 MEASURE_KINDS = {
     "explicit": _spec(lambda sc, a: MonotoneMeasure.explicit(sc.space, a.table,
                                                              rounding=True),
@@ -258,21 +269,8 @@ class Scenario:
         if version != SCENARIO_VERSION:
             raise ScenarioError(f"version: expected {SCENARIO_VERSION}, got {version!r}")
 
-        space_doc = doc.get("space", {"n": 1})
-        if not isinstance(space_doc, dict) or "n" not in space_doc:
-            raise ScenarioError("space: expected an object with point count 'n'")
-        try:
-            self.space = FiniteSpace(int(space_doc["n"]))
-        except (TypeError, ValueError, DomainError) as e:
-            raise ScenarioError(f"space.n: {e}") from None
-
-        scale_doc = doc.get("scale", {"upper": 1, "closed": True})
-        try:
-            self.scale = ValueScale(_number(self, scale_doc.get("upper", 1), "scale.upper"),
-                                    bool(scale_doc.get("closed", True)))
-        except DomainError as e:
-            raise ScenarioError(f"scale: {e}") from None
-
+        self.space = self._bind("space", doc.get("space", {"n": 1}), SPACE)
+        self.scale = self._bind("scale", doc.get("scale", {}), SCALE)
         self.measures = {name: self._build(f"measures.{name}", mdoc, MEASURE_KINDS, "kind")
                          for name, mdoc in (doc.get("measures") or {}).items()}
         self.functions: dict[str, list[float]] = {}
@@ -298,17 +296,22 @@ class Scenario:
         self._resolved = {id(task): _resolve_task(self, task, f"tasks[{i}]")
                           for i, task in enumerate(tasks)}
 
+    def _bind(self, field: str, doc, spec: Spec, skip=()):
+        """The value of an object field whose keys ``spec`` declares."""
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"{field}: expected an object, got {doc!r}")
+        try:
+            return spec.call(self, _resolve(self, doc, spec, field, skip))
+        except DomainError as e:
+            raise ScenarioError(f"{field}: {e}") from None
+
     def _build(self, field: str, doc, specs: dict, selector: str, default=None):
         """A measure or profile: ``doc[selector]`` picks its declared fields."""
         key = doc.get(selector, default) if isinstance(doc, dict) else None
         if not isinstance(key, str) or key not in specs:
             raise ScenarioError(f"{field}.{selector}: expected one of {sorted(specs)}, "
                                 f"got {key!r}")
-        spec = specs[key]
-        try:
-            return spec.call(self, _resolve(self, doc, spec, field, (selector,)))
-        except DomainError as e:
-            raise ScenarioError(f"{field}: {e}") from None
+        return self._bind(field, doc, specs[key], (selector,))
 
     def _make(self, field: str, doc, factories: dict):
         """An operator or map: ``doc["name"]`` picks the factory, the other
@@ -383,6 +386,7 @@ def _mh_bundle(a, where: str) -> None:
 
 _METRIC = {"kind": Field(_enum(METRIC_KINDS), "kyfan"), "operator": Field(_OP),
            "p": Field(_number), "measure": _MEASURE}
+_OP_METRIC = {**_METRIC, "kind": Field(_enum(("d_op_p",)), "d_op_p")}
 _MH = {"star": _OP, "combiner": Field(_OP), "circs": _OPS3, "phis": Field(_PHIS3),
        "measure": _MEASURE, "f": _FN, "g": _FN, "domain": _DOMAIN}
 
@@ -511,7 +515,7 @@ TASKS: dict[Any, Spec] = {
         boxplus=Field(_OP)) for kind in ("single", "pair")},
     ("verify", "mean_convergence"): _task(
         lambda sc, a: verify_mean_convergence(a.spec, a.measure, a.sequence, a.limit),
-        _metric_spec, **_METRIC, sequence=_listof(_FN_NONNEG), limit=_FN_NONNEG),
+        _metric_spec, **_OP_METRIC, sequence=_listof(_FN_NONNEG), limit=_FN_NONNEG),
     ("verify", "cauchy_probe"): _task(
         lambda sc, a: cauchy_probe(a.spec, a.measure, seed=a.seed, levels=a.levels),
         _metric_spec, **_METRIC, seed=_SEED, levels=Field(_int, 8)),

@@ -178,6 +178,14 @@ class TestRun:
                       {"task": "check_measure", "measure": "mu", "property": "maxitive",
                        "expect": "hold"}], None, "tasks[1].expect",
                      id="late_bad_expect"),
+        pytest.param([{"task": "fuzz", "campaign": "sugeno_identity", "trials": 300},
+                      {"task": "verify", "theorem": "mean_convergence", "measure": "mu",
+                       "sequence": ["f", "g"], "limit": "f"}], None, "tasks[1].operator",
+                     id="mean_convergence_without_kind_or_operator"),
+        pytest.param([{"task": "fuzz", "campaign": "sugeno_identity", "trials": 300},
+                      {"task": "verify", "theorem": "mean_convergence", "kind": "kyfan",
+                       "measure": "mu", "sequence": ["f", "g"], "limit": "f"}], None,
+                     "tasks[1].kind", id="mean_convergence_kyfan"),
     ])
     def test_undeclared_or_malformed_field_exits_2_before_any_task(
             self, tasks, measure, named, tmp_path, capsys, monkeypatch):
@@ -198,6 +206,25 @@ class TestRun:
         captured = capsys.readouterr()
         assert code == 2
         assert named in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key, value, named", [
+        pytest.param("scale", {"upper": 1, "closed": "false"}, "scale.closed",
+                     id="closed_not_a_bool"),
+        pytest.param("scale", {"uper": 2}, "scale.uper", id="typo_uper"),
+        pytest.param("space", {"n": 2.7}, "space.n", id="n_not_int"),
+        pytest.param("scale", [1], "scale", id="scale_not_an_object"),
+    ])
+    def test_space_and_scale_fields_are_declared(self, key, value, named, tmp_path,
+                                                 capsys):
+        doc = builtin_scenario("two_point_integrals")
+        doc[key] = value
+        path = tmp_path / "bad_header.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{named}:" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_readme_scenario_example_runs(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT, expand_masks, rng_for
@@ -133,12 +133,13 @@ def ref_non_maxitive(seed, n):
 
 
 def ref_monotone(tab, tol, skip_empty=False):
-    """Per-bit monotone check: (holds, margin, witness) as the library reports."""
+    """Per-bit monotone check with a gather of the finite differences, as
+    the library reports it."""
     size = tab.shape[0]
     n = size.bit_length() - 1
     if not skip_empty and tab[0] != 0.0:
-        return False, float(tab[0]), {"set": 0, "value": float(tab[0]),
-                                      "reason": "empty set has nonzero measure"}
+        return CheckResult(False, float(tab[0]), {"set": 0, "value": float(tab[0]),
+                                                  "reason": "empty set has nonzero measure"})
     idx = np.arange(size, dtype=np.int64)
     slack = INF
     for bit in range(n):
@@ -150,13 +151,34 @@ def ref_monotone(tab, tol, skip_empty=False):
         bad = diff < -tol
         if bad.any():
             a = int(lower[bad][0])
-            return False, float(-(diff[bad]).max()), {
+            return CheckResult(False, float(-(diff[bad]).max()), {
                 "set": a, "point": bit, "value": float(tab[a]),
-                "value_with_point": float(tab[a | step])}
+                "value_with_point": float(tab[a | step])})
         finite = diff[np.isfinite(diff)]
         if finite.size:
             slack = min(slack, float(finite.min()))
-    return True, max(slack, 0.0), None
+    return CheckResult(True, margin=max(slack, 0.0))
+
+
+def ref_null_additive(tab, tol):
+    """One full pass per null set: the check the library replaced by a test
+    of the null union's points, kept as an oracle that must agree byte for
+    byte."""
+    size = tab.shape[0]
+    idx = np.arange(size, dtype=np.int64)
+    worst = 0.0
+    for a in idx[tab <= tol]:
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(tab[idx | int(a)] - tab[idx])
+        diff = np.where(np.isnan(diff), 0.0, diff)  # inf vs inf agrees
+        if (diff > tol).any():
+            b = int(idx[diff > tol][0])
+            return CheckResult(False, float(diff.max()),
+                               {"null_set": int(a), "set": b,
+                                "value_union": float(tab[b | int(a)]),
+                                "value": float(tab[b])})
+        worst = max(worst, float(diff[np.isfinite(diff)].max()))
+    return CheckResult(True, margin=worst)
 
 
 # --- pairwise reference sweeps ------------------------------------------------
@@ -382,16 +404,23 @@ class TestTableBuilds:
         assert got.tobytes() == ref_non_maxitive(seed, n).tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(raw=raw_tables(), tol=st.sampled_from([0.0, 1e-12, 0.3]),
-           skip_empty=st.booleans())
-    def test_monotone_check_matches_reference(self, raw, tol, skip_empty):
+    @given(raw=raw_tables(), tol=st.sampled_from([0.0, 1e-12, 0.3, -1e-3, INF]),
+           skip_empty=st.booleans(), signs=st.integers(0, (1 << 128) - 1))
+    # a zero minimum whose sign the gather gives; inf - inf read as 0 below
+    # -tol; a -inf difference that does not fail
+    @example(raw=(2, [INF, INF, 0.0, 0.0]), tol=INF, skip_empty=True, signs=0b1000)
+    @example(raw=(2, [0.0, INF, INF, INF]), tol=-1e-3, skip_empty=False, signs=0)
+    @example(raw=(2, [0.0, INF, 2.0, 3.0]), tol=INF, skip_empty=False, signs=0)
+    def test_monotone_check_matches_reference(self, raw, tol, skip_empty, signs):
         n, tab = raw
+        # zeros whose bit is set in signs become -0.0, whose sign a holding
+        # check's margin may carry
+        tab = [-0.0 if v == 0.0 and signs >> i & 1 else v for i, v in enumerate(tab)]
         mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
-        res = check_measure_property(mu, "monotone", tol=tol, _skip_empty=skip_empty)
-        holds, margin, witness = ref_monotone(np.asarray(tab, dtype=float), tol, skip_empty)
-        assert res.holds == holds
-        assert res.margin == margin
-        assert res.witness == witness
+        got = check_measure_property(mu, "monotone", tol=tol, _skip_empty=skip_empty)
+        want = ref_monotone(np.asarray(tab, dtype=float), tol, skip_empty)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert repr(got.margin) == repr(want.margin)
 
 
 class TestPropertyChecks:
@@ -451,6 +480,59 @@ class TestPropertyChecks:
         a, b = w["set_a"], w["set_b"]
         assert a & b == 0
         assert mu(a | b) > max(mu(a), mu(b))
+
+
+@st.composite
+def null_additive_measures(draw):
+    """Raw tables (often non-monotone, with inf), possibility measures with
+    zero-density points, and lambda and distortion measures with null atoms."""
+    kind = draw(st.sampled_from(["raw", "possibility", "lambda", "distortion"]))
+    if kind == "raw":
+        n, tab = draw(raw_tables())
+        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+    n = draw(st.integers(1, 10))
+    space = FiniteSpace(n)
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if kind == "possibility":
+        dens = draw(st.lists(grid_values, min_size=n, max_size=n))
+        return MonotoneMeasure.possibility(space, [0.0 if z else d
+                                                   for z, d in zip(zero, dens)])
+    weights = [0 if z else w for z, w in
+               zip(zero, draw(st.lists(st.integers(1, 16), min_size=n, max_size=n)))]
+    if kind == "lambda":
+        lam = draw(st.sampled_from([-0.9, -0.25, 0.0, 0.5, 3.0]))
+        return MonotoneMeasure.lambda_sugeno(space, lam, [w / 64.0 for w in weights])
+    weights[-1] += 1
+    gamma = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    return MonotoneMeasure.distortion(space, [w / sum(weights) for w in weights],
+                                      lambda x: np.power(x, gamma))
+
+
+class TestNullAdditive:
+    @settings(max_examples=300, deadline=None)
+    @given(mu=null_additive_measures(), tol=st.sampled_from([None, 0.0, 1e-12, 0.3]))
+    def test_matches_per_null_set_reference(self, mu, tol):
+        got = check_measure_property(mu, "null_additive", tol=tol)
+        want = ref_null_additive(mu.table(), mu.tolerance() if tol is None else tol)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert repr(got.margin) == repr(want.margin)
+
+    def test_negative_tol_keeps_the_per_null_set_sweep(self):
+        # the null union's point leaves every value unchanged, but under a
+        # negative tol even a zero difference fails
+        tab = np.array([-0.5, -0.5, 0.25, 0.25])
+        mu = MonotoneMeasure(SP2, "explicit", table=tab)
+        got = check_measure_property(mu, "null_additive", tol=-0.25)
+        assert not got.holds
+        assert got.to_dict() == ref_null_additive(tab, -0.25).to_dict()
+
+    def test_possibility_with_ten_null_atoms_at_twenty_points(self):
+        # 2**10 null sets; one full pass each took 26 s
+        dens = [0.0] * 10 + [(i + 1) / 16.0 for i in range(10)]
+        res = check_measure_property(MonotoneMeasure.possibility(FiniteSpace(20), dens),
+                                     "null_additive")
+        assert res.holds
+        assert repr(res.margin) == "0.0"
 
 
 class TestPairKernel:
