@@ -94,6 +94,14 @@ def xmax(a: float, b: float) -> float:
     return a if a >= b else b
 
 
+def _rel_gap(lhs: float, rhs: float) -> float:
+    """The gap lhs - rhs, and 0 when both sides are infinite: the one rule
+    every check comparing two extended values reads a gap by."""
+    if math.isinf(lhs) and math.isinf(rhs):
+        return 0.0
+    return lhs - rhs
+
+
 _COMBINERS: dict[str, Callable[[float, float], float]] = {
     "add": xadd,
     "mul": xmul,

@@ -35,6 +35,7 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
+    _rel_gap,
     subset_infima,
 )
 from .measures import MonotoneMeasure, dual_measure
@@ -317,10 +318,7 @@ def check_sugeno_identity(f, mu: MonotoneMeasure, domain: int | None = None,
         tol = mu.tolerance()
     lo = lower_integral_result(f, mu, _JOIN, domain, scale)
     hi = upper_integral_result(f, mu, _MIN, domain, scale)
-    if math.isinf(lo.value) and math.isinf(hi.value):
-        gap = 0.0
-    else:
-        gap = abs(lo.value - hi.value)
+    gap = abs(_rel_gap(lo.value, hi.value))
     if gap <= tol:
         return CheckResult(True, margin=gap)
     return CheckResult(False, gap, {"lower_join": lo.value, "upper_min": hi.value,
@@ -341,10 +339,7 @@ def check_h_duality(f: Fn, mu: MonotoneMeasure, op: BinaryOp, h: DualityMap,
     mu_h = dual_measure(mu, h)
     op_h = op_dual(op, h)
     right = upper_integral(f, mu_h, op_h, None, scale)
-    if math.isinf(left) and math.isinf(right):
-        gap = 0.0
-    else:
-        gap = abs(left - right) / max(1.0, abs(left), abs(right))
+    gap = abs(_rel_gap(left, right)) / max(1.0, abs(left), abs(right))
     if gap <= tol:
         return CheckResult(True, margin=gap)
     return CheckResult(False, gap, {"lower_route": left, "upper_route": right,

@@ -312,14 +312,14 @@ def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool):
     depend on the block order.  On success the extreme is minus the largest
     finite margin, or ``INF`` when no margin is finite.
     """
-    has_nan = not np.isfinite(tab).all()   # finite tables give no nan margin
     best, key, top = -INF, None, -INF
     with np.errstate(invalid="ignore"):
         for a, b in _pair_blocks(n, disjoint):
             m = margin(a, b)
-            if has_nan:
-                m[np.isnan(m)] = 0.0
             hi = float(m.max())
+            if hi != hi:         # the max is nan exactly when some margin is
+                m[np.isnan(m)] = 0.0
+                hi = float(m.max())
             if hi > tol:
                 if hi >= best:
                     hits = np.flatnonzero(m == hi)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import cond_distributive_scaling, cond_unit_section_order
-from .core import EXTENDED, Fn, INF, NONNEG, ValueScale, level_mask_gt, rng_for
+from .core import EXTENDED, Fn, INF, NONNEG, ValueScale, _rel_gap, level_mask_gt, rng_for
 from .integrals import (
     abs_power,
     lower_integral,
@@ -325,9 +325,7 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
                 return CheckResult(False, a - b,
                                    {"reason": "integral sequence decreased",
                                     "values": integrals}, detail=detail)
-        gap = abs(integrals[-1] - i_limit)
-        if math.isinf(integrals[-1]) and math.isinf(i_limit):
-            gap = 0.0
+        gap = abs(_rel_gap(integrals[-1], i_limit))
         if gap > tol:
             return CheckResult(False, gap,
                                {"terminal": integrals[-1], "limit": i_limit},
@@ -336,17 +334,11 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
 
     tail = integrals[len(integrals) // 2:]
     bound = min(tail)
-    gap = _finite_gap(i_limit, bound)
+    gap = _rel_gap(i_limit, bound)
     if gap > tol:
         return CheckResult(False, gap, {"limit_integral": i_limit,
                                         "tail_minimum": bound}, detail=detail)
     return CheckResult(True, margin=-gap if math.isfinite(gap) else INF, detail=detail)
-
-
-def _finite_gap(lhs: float, rhs: float) -> float:
-    if math.isinf(lhs) and math.isinf(rhs):
-        return 0.0
-    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

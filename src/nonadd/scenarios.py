@@ -18,10 +18,11 @@ number is expected):
 
 ``TASKS`` declares each task's fields (a resolver, and a default unless
 required) and its library call; ``SPACE``, ``SCALE``, ``MEASURE_KINDS`` and
-``PROFILE_FORMS`` declare the other objects alike.  Parsing resolves
-everything through them, so an undeclared, missing or malformed field raises
-``ScenarioError`` naming it (``tasks[2].p``, ``measures.mu.density``,
-``scale.closed``) before any task runs: exit code 2.
+``PROFILE_FORMS`` declare the other objects alike, and ``_TOP_LEVEL`` the
+document's own keys.  Parsing resolves everything through them, so an
+undeclared, missing or malformed field raises ``ScenarioError`` naming it
+(``tasks[2].p``, ``measures.mu.density``, ``scale.closed``, ``spce``) before
+any task runs: exit code 2.
 
 Each task carries an optional ``expect`` field (default ``"holds"``); the
 task passes when the mathematical outcome matches the expectation, so a
@@ -206,16 +207,21 @@ def _spec(call, bind=None, **fields) -> Spec:
 
 
 def _resolve(sc, doc: dict, spec: Spec, where: str, skip=()) -> SimpleNamespace:
+    """The fields of ``doc`` resolved by ``spec``; ``where`` ("" at the top
+    level) prefixes the field names in errors."""
+    def path(key):
+        return f"{where}.{key}" if where else key
+
     for key in doc:
         if key not in spec.fields and key not in skip:
-            raise ScenarioError(f"{where}.{key}: undeclared field; declared: "
+            raise ScenarioError(f"{path(key)}: undeclared field; declared: "
                                 f"{', '.join(spec.fields) or 'none'}")
     args = SimpleNamespace()
     for key, field in spec.fields.items():
         if key in doc:
-            value = field.resolve(sc, doc[key], f"{where}.{key}")
+            value = field.resolve(sc, doc[key], path(key))
         elif field.required:
-            raise ScenarioError(f"{where}.{key}: required field is missing")
+            raise ScenarioError(f"{path(key)}: required field is missing")
         else:
             value = field.default
         setattr(args, key, value)
@@ -227,6 +233,15 @@ def _resolve(sc, doc: dict, spec: Spec, where: str, skip=()) -> SimpleNamespace:
     return args
 
 
+def _raw(sc, value, where: str):
+    return value
+
+
+# the document's keys, passed on as written: Scenario.__init__ validates each
+_TOP_LEVEL = _spec(None, version=Field(_raw), space=Field(_raw, {"n": 1}),
+                   scale=Field(_raw, {}), measures=Field(_raw), functions=Field(_raw),
+                   operators=Field(_raw), maps=Field(_raw), profiles=Field(_raw),
+                   tasks=Field(_raw))
 SPACE = _spec(lambda sc, a: FiniteSpace(a.n), n=_int)
 SCALE = _spec(lambda sc, a: ValueScale(a.upper, a.closed),
               upper=Field(_number, 1.0), closed=Field(_bool, True))
@@ -265,31 +280,31 @@ class Scenario:
         if not isinstance(doc, dict):
             raise ScenarioError("scenario: expected a JSON object")
         self.name = name
-        version = doc.get("version")
-        if version != SCENARIO_VERSION:
-            raise ScenarioError(f"version: expected {SCENARIO_VERSION}, got {version!r}")
+        top = _resolve(self, doc, _TOP_LEVEL, "")
+        if top.version != SCENARIO_VERSION:
+            raise ScenarioError(f"version: expected {SCENARIO_VERSION}, got {top.version!r}")
 
-        self.space = self._bind("space", doc.get("space", {"n": 1}), SPACE)
-        self.scale = self._bind("scale", doc.get("scale", {}), SCALE)
+        self.space = self._bind("space", top.space, SPACE)
+        self.scale = self._bind("scale", top.scale, SCALE)
         self.measures = {name: self._build(f"measures.{name}", mdoc, MEASURE_KINDS, "kind")
-                         for name, mdoc in (doc.get("measures") or {}).items()}
+                         for name, mdoc in (top.measures or {}).items()}
         self.functions: dict[str, list[float]] = {}
-        for fname, fdoc in (doc.get("functions") or {}).items():
+        for fname, fdoc in (top.functions or {}).items():
             self.functions[fname] = _NUMBERS(self, fdoc, f"functions.{fname}")
             if len(self.functions[fname]) != self.space.n:
                 raise ScenarioError(f"functions.{fname}: length must equal space.n")
         self.operators = {name: self._make(f"operators.{name}", odoc, OPERATOR_FACTORIES)
-                          for name, odoc in (doc.get("operators") or {}).items()}
+                          for name, odoc in (top.operators or {}).items()}
         self.phis: dict[str, PhiMap] = {}
         self.duals: dict[str, DualityMap] = {}
-        for name, mdoc in (doc.get("maps") or {}).items():
+        for name, mdoc in (top.maps or {}).items():
             made = self._make(f"maps.{name}", mdoc, _MAP_FACTORIES)
             (self.duals if isinstance(made, DualityMap) else self.phis)[name] = made
         self.profiles = {name: self._build(f"profiles.{name}", pdoc, PROFILE_FORMS, "form",
                                            "knots")
-                         for name, pdoc in (doc.get("profiles") or {}).items()}
+                         for name, pdoc in (top.profiles or {}).items()}
 
-        tasks = doc.get("tasks")
+        tasks = top.tasks
         if not isinstance(tasks, list) or not tasks:
             raise ScenarioError("tasks: expected a nonempty list")
         self.tasks = tasks
@@ -393,10 +408,7 @@ _MH = {"star": _OP, "combiner": Field(_OP), "circs": _OPS3, "phis": Field(_PHIS3
 
 def _counterexample(sc, a):
     rep = reproduce_counterexample(a.resolution)
-    ok = (rep.violated and rep.premise.holds and not rep.power_condition.holds
-          and abs(rep.lhs_grid.value - rep.lhs) <= 1e-3
-          and abs(rep.rhs_each_grid.value - rep.rhs_each) <= 1e-3)
-    res = CheckResult(True, margin=rep.lhs - rep.rhs_sum) if ok else \
+    res = CheckResult(True, margin=rep.lhs - rep.rhs_sum) if rep.reproduced else \
         CheckResult(False, 0.0, {"report": rep.to_dict()})
     return res, {"report": rep.to_dict()}
 

@@ -13,10 +13,19 @@ chain triples (subset infima paired with the subset's measure), which is
 the exact value set the finite-space proof chain consumes; the dense-grid
 tuple-level checks live in :mod:`nonadd.conditions` and can be run
 independently.
+
+Shared pieces: ``_verdict`` decides the integral inequality of every
+verifier but the two equivalences, reading gaps by ``core._rel_gap`` (0
+between two infinities); ``_mh_sides`` gives both sides of the upper and the
+lower inequality, ``_sum_split`` I(f + g) against I(f) + I(g).  The indicator
+sweeps of both equivalences run ``measures._pair_kernel`` over all pairs, so
+their witness follows the library's one pair rule: the largest violation,
+and among equal ones the smallest ``(a << n) | b``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,8 +49,10 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
+    _rel_gap,
     expand_masks,
     iter_submasks,
+    level_mask_gt,
     rng_for,
     subset_infima,
 )
@@ -54,7 +65,7 @@ from .integrals import (
     sugeno_integral,
     upper_integral,
 )
-from .measures import MonotoneMeasure, check_measure_property, dual_measure
+from .measures import MonotoneMeasure, _pair_kernel, check_measure_property, dual_measure
 from .operators import (
     BinaryOp,
     DualityMap,
@@ -98,22 +109,69 @@ def _apply_phi(f: Fn, phi: PhiMap) -> Fn:
     return Fn([float(phi.forward(v)) for v in f.values], f.scale)
 
 
-def realized_measure_values(mu: MonotoneMeasure, domain: int, cap: int = 1 << 16) -> list[float]:
+_REALIZED_CAP = 1 << 16   # submasks realized_measure_values enumerates at most
+
+
+def realized_measure_values(mu: MonotoneMeasure, domain: int) -> list[float]:
     """Distinct measure values over submasks of the domain (the set the
     necessity directions quantify over)."""
     bits = _domain_bits(mu.space.n, domain)
-    if (1 << len(bits)) > cap:
+    if (1 << len(bits)) > _REALIZED_CAP:
         raise DomainError("too many submasks; restrict the domain")
     tab = mu.table()
     masks = expand_masks(bits)
     return sorted(set(float(v) for v in tab[masks]))
 
 
-def _rel_gap(lhs: float, rhs: float) -> float:
-    """Violation amount lhs - rhs, 0 when both infinite."""
-    if math.isinf(lhs) and math.isinf(rhs):
-        return 0.0
-    return lhs - rhs
+def _require(gate: CheckResult, message: str) -> None:
+    if not gate.holds:
+        raise HypothesisError(message, detail=gate)
+
+
+def _condition_failed(cond: CheckResult, detail: dict) -> CheckResult:
+    return CheckResult(False, cond.margin, cond.witness, status="condition-failed",
+                       detail=detail)
+
+
+def _verdict(lhs: float, rhs: float, tol: float, detail: dict | None, *,
+             relative: bool = False, **witness) -> CheckResult:
+    """``lhs <= rhs`` within ``tol`` (times ``max(1, |rhs|)`` when ``relative``
+    and rhs is finite): a failure has the gap and witness ``{lhs, rhs,
+    **witness}``, a success minus the gap (``INF`` if not finite).  ``detail``
+    gains both sides; ``None`` leaves a failure without detail."""
+    sides = {"lhs": lhs, "rhs": rhs}
+    gap = _rel_gap(lhs, rhs)
+    limit = tol * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0) if relative else tol
+    if gap > limit:
+        return CheckResult(False, gap, {**sides, **witness},
+                           detail={} if detail is None else {**detail, **sides})
+    return CheckResult(True, margin=-gap if math.isfinite(gap) else INF,
+                       detail={**(detail or {}), **sides})
+
+
+def _sum_split(integral, mu: MonotoneMeasure, f: Fn, g: Fn) -> tuple[float, float]:
+    """I(f + g) and I(f) + I(g) for nonnegative f and g."""
+    s = Fn([a + b for a, b in zip(f.values, g.values)], NONNEG)
+    return integral(s, mu), integral(f, mu) + integral(g, mu)
+
+
+def _random_pair_probe(integral, mu: MonotoneMeasure, trials: int, seed: int, key: str,
+                       tol: float) -> tuple[list[dict], float]:
+    """Seeded random pairs on {0, 1/8, ..., 4}: those with I(f + g) beyond
+    I(f) + I(g) + tol, and the least finite slack of the others."""
+    n = mu.space.n
+    violations, slack = [], INF
+    for k in range(trials):
+        rng = rng_for(seed, key, k)
+        fv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
+        gv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
+        lhs, rhs = _sum_split(integral, mu, Fn(fv, NONNEG), Fn(gv, NONNEG))
+        gap = _rel_gap(lhs, rhs)
+        if gap > tol:
+            violations.append({"f": fv, "g": gv, "lhs": lhs, "rhs": rhs})
+        elif math.isfinite(gap):
+            slack = min(slack, -gap)
+    return violations, slack
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +188,31 @@ class MHOperators:
     phis: tuple[PhiMap, PhiMap, PhiMap]
 
 
-def _gate_upper(ops: MHOperators, scale: ValueScale):
-    verify_flags(ops.combiner, ["nondecreasing"], scale)
-    verify_flags(ops.star, ["nondecreasing"], scale)
+_ANNIHILATING = ("nondecreasing", "zero_left_annihilator", "zero_right_annihilator")
+
+
+def _gate_mh(ops: MHOperators, scale: ValueScale, combiner_flags: Sequence[str],
+             circ_flags: Sequence[str], *nondecreasing: BinaryOp):
+    """Gates of the three-integral inequalities, in order: the combiner, the
+    star and ``nondecreasing``, the circs, the rescalings."""
+    verify_flags(ops.combiner, combiner_flags, scale)
+    for op in (ops.star, *nondecreasing):
+        verify_flags(op, ["nondecreasing"], scale)
     for c in ops.circs:
-        verify_flags(c, ["nondecreasing", "zero_left_annihilator",
-                         "zero_right_annihilator"], scale)
+        verify_flags(c, circ_flags, scale)
     for p in ops.phis:
         p.validate_on(scale)
+
+
+def _condition_sides(ops: MHOperators, a: float, b: float, c_ab: float, c_a: float,
+                     c_b: float) -> tuple[float, float]:
+    """Both sides of the scalar condition at heights (a, b), with measure
+    value ``c_ab`` for a star b on the left, ``c_a`` and ``c_b`` on the right."""
+    p1, p2, p3 = ops.phis
+    c1, c2, c3 = ops.circs
+    lhs = float(p1.inverse(c1.fn(float(p1.forward(float(ops.star.fn(a, b)))), c_ab)))
+    return lhs, float(ops.combiner.fn(float(p2.inverse(c2.fn(float(p2.forward(a)), c_a))),
+                                      float(p3.inverse(c3.fn(float(p3.forward(b)), c_b)))))
 
 
 def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
@@ -146,7 +221,7 @@ def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     (inf of f on A, inf of g on A, mu(A)) for nonempty A in the domain."""
     bits = _domain_bits(len(f), domain)
     if not bits:
-        return CheckResult(True, mode="exhaustive")
+        return CheckResult(True)
     inf_f = subset_infima([f[i] for i in bits])[1:]
     inf_g = subset_infima([g[i] for i in bits])[1:]
     mus = mu.table()[expand_masks(bits)[1:]]
@@ -163,21 +238,21 @@ def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
         return CheckResult(False, float(gap.max()),
                            {"a": float(inf_f[k]), "b": float(inf_g[k]),
                             "c": float(mus[k]), "lhs": float(lhs[k]),
-                            "rhs": float(rhs[k])},
-                           mode="exhaustive")
+                            "rhs": float(rhs[k])})
     finite = np.isfinite(gap)
     margin = float(-gap[finite].max()) if finite.any() else INF
-    return CheckResult(True, margin=margin, mode="exhaustive")
+    return CheckResult(True, margin=margin)
 
 
-def _upper_mh_sides(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
-                    domain: int, scale: ValueScale) -> tuple[float, float]:
+def _mh_sides(integral, ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
+              domain: int, scale: ValueScale) -> tuple[float, float]:
+    """Both sides of the three-integral inequality under ``integral``."""
     p1, p2, p3 = ops.phis
     c1, c2, c3 = ops.circs
     fg = _star_combine(f, g, ops.star, scale)
-    lhs = float(p1.inverse(upper_integral(_apply_phi(fg, p1), mu, c1, domain, scale)))
-    rf = float(p2.inverse(upper_integral(_apply_phi(f, p2), mu, c2, domain, scale)))
-    rg = float(p3.inverse(upper_integral(_apply_phi(g, p3), mu, c3, domain, scale)))
+    lhs = float(p1.inverse(integral(_apply_phi(fg, p1), mu, c1, domain, scale)))
+    rf = float(p2.inverse(integral(_apply_phi(f, p2), mu, c2, domain, scale)))
+    rg = float(p3.inverse(integral(_apply_phi(g, p3), mu, c3, domain, scale)))
     return lhs, float(ops.combiner.fn(rf, rg))
 
 
@@ -199,84 +274,54 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     if direction not in ("sufficiency", "necessity", "both"):
         raise DomainError(f"unknown direction {direction!r}")
     scale = f.scale
-    _gate_upper(ops, scale)
+    _gate_mh(ops, scale, ["nondecreasing"], _ANNIHILATING)
     domain = _domain_mask(len(f), domain)
     assoc = is_star_associated(f, g, ops.star, domain)
-    if not assoc.holds:
-        raise HypothesisError("functions are not star-associated on the domain",
-                              detail=assoc)
+    _require(assoc, "functions are not star-associated on the domain")
 
     detail: dict = {"association_mode": assoc.mode}
-    out_holds = True
-    out_margin = INF
-    witness = None
+    result = CheckResult(True, margin=INF, detail=detail)
 
     if direction in ("sufficiency", "both"):
         cond = _chain_condition_upper(ops, mu, f, g, domain, tol)
         detail["condition_chain"] = cond
         if not cond.holds and not condition_verified:
-            return CheckResult(False, cond.margin, cond.witness,
-                               status="condition-failed", detail=detail)
-        lhs, rhs = _upper_mh_sides(ops, mu, f, g, domain, scale)
-        gap = _rel_gap(lhs, rhs)
-        detail["lhs"] = lhs
-        detail["rhs"] = rhs
-        if gap > tol:
-            out_holds = False
-            witness = {"lhs": lhs, "rhs": rhs, "f": list(f.values), "g": list(g.values)}
-            out_margin = gap
-        else:
-            out_margin = min(out_margin, -gap)
+            return _condition_failed(cond, detail)
+        lhs, rhs = _mh_sides(upper_integral, ops, mu, f, g, domain, scale)
+        result = _verdict(lhs, rhs, tol, detail, f=list(f.values), g=list(g.values))
+        detail = result.detail        # the necessity entries extend this result
 
     if direction in ("necessity", "both"):
         heights = list(necessity_grid) if necessity_grid is not None else \
             [k / 8.0 for k in range(9) if scale.contains(k / 8.0)]
-        bits = _domain_bits(len(f), domain)
         subsets = [m for m in iter_submasks(domain) if m]
         if len(subsets) > 64:
             rng = rng_for(seed, "necessity-subsets")
             subsets = [subsets[rng.randrange(len(subsets))] for _ in range(64)]
-        p1, p2, p3 = ops.phis
-        c1, c2, c3 = ops.circs
         checked = 0
         failures = []
-        for A in subsets:
-            c = mu(A)
-            for a in heights:
-                for b in heights:
-                    sab = float(ops.star.fn(a, b))
-                    if not scale.contains(sab):
-                        continue
-                    lhs_c = float(p1.inverse(c1.fn(float(p1.forward(sab)), c)))
-                    rhs_c = float(ops.combiner.fn(
-                        float(p2.inverse(c2.fn(float(p2.forward(a)), c))),
-                        float(p3.inverse(c3.fn(float(p3.forward(b)), c)))))
-                    if _rel_gap(lhs_c, rhs_c) <= tol:
-                        continue
-                    # condition fails here; the indicator instance must violate
-                    fa = Fn.indicator(len(f), A, a, scale)
-                    gb = Fn.indicator(len(f), A, b, scale)
-                    lhs_i, rhs_i = _upper_mh_sides(ops, mu, fa, gb, domain, scale)
-                    checked += 1
-                    if _rel_gap(lhs_i, rhs_i) <= tol:
-                        failures.append({"a": a, "b": b, "set": A, "c": c,
-                                         "lhs": lhs_i, "rhs": rhs_i})
-                    if checked >= 200:
-                        break
-                if checked >= 200:
-                    break
+        triples = ((A, c, a, b) for A in subsets for c in (mu(A),)
+                   for a in heights for b in heights)
+        for A, c, a, b in triples:
+            if (not scale.contains(float(ops.star.fn(a, b)))
+                    or _rel_gap(*_condition_sides(ops, a, b, c, c, c)) <= tol):
+                continue
+            # condition fails here; the indicator instance must violate
+            fa = Fn.indicator(len(f), A, a, scale)
+            gb = Fn.indicator(len(f), A, b, scale)
+            lhs_i, rhs_i = _mh_sides(upper_integral, ops, mu, fa, gb, domain, scale)
+            checked += 1
+            if _rel_gap(lhs_i, rhs_i) <= tol:
+                failures.append({"a": a, "b": b, "set": A, "c": c,
+                                 "lhs": lhs_i, "rhs": rhs_i})
             if checked >= 200:
                 break
         detail["necessity_instances"] = checked
-        if failures:
-            out_holds = False
-            witness = {"necessity_failures": failures[:5]}
-            out_margin = 0.0
         detail["necessity_violations_confirmed"] = checked - len(failures)
-
-    if out_holds:
-        return CheckResult(True, margin=out_margin, detail=detail)
-    return CheckResult(False, out_margin, witness, detail=detail)
+        if failures:
+            return CheckResult(False, 0.0, {"necessity_failures": failures[:5]},
+                               detail=detail)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +370,14 @@ class CounterexampleReport:
     rhs_each_grid: ProfileIntegralResult
     premise: CheckResult
     power_condition: CheckResult
+
+    @property
+    def reproduced(self) -> bool:
+        """The inequality fails, the premise holds, the power condition fails,
+        and both grid values lie within 1e-3 of their closed forms."""
+        return (self.violated and self.premise.holds and not self.power_condition.holds
+                and abs(self.lhs_grid.value - self.lhs) <= 1e-3
+                and abs(self.rhs_each_grid.value - self.rhs_each) <= 1e-3)
 
     def to_dict(self) -> dict:
         return {
@@ -396,11 +449,8 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
     over); the integral inequality is asserted when the grid form holds.
     """
     scale = f.scale
-    verify_flags(op, ["nondecreasing", "zero_left_annihilator",
-                      "zero_right_annihilator"], scale)
-    como = is_comonotone(f, g, domain)
-    if not como.holds:
-        raise HypothesisError("functions are not comonotone", detail=como)
+    verify_flags(op, _ANNIHILATING, scale)
+    _require(is_comonotone(f, g, domain), "functions are not comonotone")
     sums = [a + b for a, b in zip(f.values, g.values)]
     for s in sums:
         if not scale.contains(s):
@@ -413,19 +463,11 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
     realized_cond = cond_sum_split(op, scale, c_values=realized)
     detail = {"condition_grid": grid_cond, "condition_realized": realized_cond}
     if not grid_cond.holds:
-        return CheckResult(False, grid_cond.margin, grid_cond.witness,
-                           status="condition-failed", detail=detail)
+        return _condition_failed(grid_cond, detail)
 
-    fs = Fn(sums, scale)
-    lhs = upper_integral(fs, mu, op, domain, scale)
+    lhs = upper_integral(Fn(sums, scale), mu, op, domain, scale)
     rhs = upper_integral(f, mu, op, domain, scale) + upper_integral(g, mu, op, domain, scale)
-    gap = _rel_gap(lhs, rhs)
-    detail.update({"lhs": lhs, "rhs": rhs})
-    if gap > tol:
-        return CheckResult(False, gap, {"lhs": lhs, "rhs": rhs,
-                                        "f": list(f.values), "g": list(g.values)},
-                           detail=detail)
-    return CheckResult(True, margin=-gap, detail=detail)
+    return _verdict(lhs, rhs, tol, detail, f=list(f.values), g=list(g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +491,11 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
     """
     if p <= 0:
         raise DomainError("exponent must be positive")
-    sub = check_measure_property(mu, "subadditive")
-    if not sub.holds:
-        raise HypothesisError("measure is not subadditive", detail=sub)
+    _require(check_measure_property(mu, "subadditive"), "measure is not subadditive")
     if not condition_verified:
         cond = cond_distributive_scaling(op, q, r, scale)
         if not cond.holds:
-            return CheckResult(False, cond.margin, cond.witness,
-                               status="condition-failed",
-                               detail={"condition": cond})
+            return _condition_failed(cond, {"condition": cond})
     if len(f) != len(g):
         raise DomainError("vectors must have equal length")
     s = [a + b for a, b in zip(f, g)]
@@ -465,15 +503,8 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
     i_sum = upper_integral(abs_power(s, p, scale), mu, op, None, scale)
     i_f = upper_integral(abs_power(f, p, scale), mu, op, None, scale)
     i_g = upper_integral(abs_power(g, p, scale), mu, op, None, scale)
-    lhs = i_sum ** e
-    rhs = i_f ** (r * e) + i_g ** (r * e)
-    gap = _rel_gap(lhs, rhs)
-    limit = tol * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
-    if gap > limit:
-        return CheckResult(False, gap, {"lhs": lhs, "rhs": rhs, "f": list(f), "g": list(g),
-                                        "integrals": [i_sum, i_f, i_g]})
-    return CheckResult(True, margin=-gap if math.isfinite(gap) else INF,
-                       detail={"lhs": lhs, "rhs": rhs})
+    return _verdict(i_sum ** e, i_f ** (r * e) + i_g ** (r * e), tol, None, relative=True,
+                    f=list(f), g=list(g), integrals=[i_sum, i_f, i_g])
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +514,18 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
 def _max_product_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None:
     """All indicator pairs: max(mu(A|B), 2*mu(A&B)) <= mu(A)+mu(B)."""
     tab = mu.table()
-    size = tab.shape[0]
-    idx = np.arange(size, dtype=np.int64)
-    for a in range(size):
-        lhs = np.maximum(tab[np.bitwise_or(idx, a)], 2.0 * tab[np.bitwise_and(idx, a)])
-        with np.errstate(invalid="ignore"):
-            gap = lhs - (tab[a] + tab[idx])
-        gap = np.where(np.isnan(gap), 0.0, gap)
-        if (gap > tol).any():
-            b = int(idx[np.argmax(gap)])
-            return {"set_a": a, "set_b": b, "lhs": float(lhs[b]),
-                    "rhs": float(tab[a] + tab[b])}
-    return None
+
+    def excess(a, b):
+        m = np.maximum(tab.take(a | b), 2.0 * tab.take(a & b))
+        m -= tab.take(a) + tab.take(b)
+        return m
+
+    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, disjoint=False)
+    if ok:
+        return None
+    a, b = pair
+    return {"set_a": a, "set_b": b, "lhs": float(np.maximum(tab[a | b], 2.0 * tab[a & b])),
+            "rhs": float(tab[a] + tab[b])}
 
 
 def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8, seed: int = 0,
@@ -517,21 +548,8 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8, seed: int 
         if wit is not None:
             return CheckResult(False, 0.0, wit,
                                detail={**detail, "stage": "indicator sweep"})
-        violations = []
-        min_slack = INF
-        for k in range(trials):
-            rng = rng_for(seed, "shilkret-pairs", k)
-            fv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
-            gv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
-            f, g = Fn(fv, NONNEG), Fn(gv, NONNEG)
-            s = Fn([a + b for a, b in zip(fv, gv)], NONNEG)
-            lhs = shilkret_integral(s, mu)
-            rhs = shilkret_integral(f, mu) + shilkret_integral(g, mu)
-            gap = _rel_gap(lhs, rhs)
-            if gap > tol:
-                violations.append({"f": fv, "g": gv, "lhs": lhs, "rhs": rhs})
-            elif math.isfinite(gap):
-                min_slack = min(min_slack, -gap)
+        violations, min_slack = _random_pair_probe(shilkret_integral, mu, trials, seed,
+                                                   "shilkret-pairs", tol)
         if violations:
             return CheckResult(False, 0.0, {"random_pair_violations": violations[:3]},
                                detail=detail)
@@ -551,9 +569,7 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8, seed: int 
         lam = (peak / mu_union + 1.0) / 2.0
     f = Fn([1.0 if A >> i & 1 else (lam if B >> i & 1 else 0.0) for i in range(n)], NONNEG)
     g = Fn([(1.0 - lam) if B >> i & 1 else 0.0 for i in range(n)], NONNEG)
-    s = Fn([a + b for a, b in zip(f.values, g.values)], NONNEG)
-    lhs = shilkret_integral(s, mu)
-    rhs = shilkret_integral(f, mu) + shilkret_integral(g, mu)
+    lhs, rhs = _sum_split(shilkret_integral, mu, f, g)
     margin = _rel_gap(lhs, rhs)
     detail.update({"witness_pair": {"set_a": A, "set_b": B, "lambda": lam},
                    "lhs": lhs, "rhs": rhs,
@@ -569,6 +585,27 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8, seed: int 
 # ---------------------------------------------------------------------------
 # max-min subadditivity is measure subadditivity
 # ---------------------------------------------------------------------------
+
+def _subadditive_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None:
+    """All indicator pairs at height mu(A|B): mu(A|B) <= mu(A)+mu(B).  A pair
+    of infinite height has no admissible finite level and passes."""
+    tab = mu.table()
+    finite = bool(np.isfinite(tab).all())
+
+    def excess(a, b):
+        height = tab.take(a | b)
+        m = height - (tab.take(a) + tab.take(b))
+        if not finite:      # else no height is inf and no margin nan
+            m[np.isnan(m) | np.isinf(height)] = -INF
+        return m
+
+    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, disjoint=False)
+    if ok:
+        return None
+    a, b = pair
+    return {"set_a": a, "set_b": b, "mu_union": float(tab[a | b]), "mu_a": float(tab[a]),
+            "mu_b": float(tab[b])}
+
 
 def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8, seed: int = 0,
                               spot_checks: int = 20) -> CheckResult:
@@ -591,19 +628,7 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8, seed: int
     size = tab.shape[0]
 
     # backward sweep over all pairs via the exact two-level reduction
-    idx = np.arange(size, dtype=np.int64)
-    sweep_wit = None
-    for a in range(size):
-        height = tab[np.bitwise_or(idx, a)]
-        with np.errstate(invalid="ignore"):
-            gap = height - (tab[a] + tab[idx])
-        gap = np.where(np.isnan(gap) | np.isinf(height), -INF, gap)
-        # infinite-height pairs have no admissible finite indicator level
-        if (gap > tol).any():
-            b = int(idx[np.argmax(gap)])
-            sweep_wit = {"set_a": a, "set_b": b, "mu_union": float(tab[a | b]),
-                         "mu_a": float(tab[a]), "mu_b": float(tab[b])}
-            break
+    sweep_wit = _subadditive_indicator_sweep(mu, tol)
     recovered_subadditive = sweep_wit is None
     detail["indicator_recovery_matches"] = (recovered_subadditive == sub.holds) \
         if fin.holds else "skipped-infinite"
@@ -618,12 +643,9 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8, seed: int
         if not math.isfinite(height):
             continue
         h = height if height > 0 else 1.0
-        f = Fn.indicator(n, a_set, h, NONNEG)
-        g = Fn.indicator(n, b_set, h, NONNEG)
-        s = Fn([x + y for x, y in zip(f.values, g.values)], NONNEG)
-        lhs = sugeno_integral(s, mu)
-        rhs = sugeno_integral(f, mu) + sugeno_integral(g, mu)
-        direct = float(tab[a_set | b_set]) <= float(tab[a_set]) + float(tab[b_set]) + tol
+        lhs, rhs = _sum_split(sugeno_integral, mu, Fn.indicator(n, a_set, h, NONNEG),
+                              Fn.indicator(n, b_set, h, NONNEG))
+        direct = height <= float(tab[a_set]) + float(tab[b_set]) + tol
         via_integral = _rel_gap(lhs, rhs) <= tol
         if direct != via_integral:
             spots_ok = False
@@ -633,23 +655,13 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8, seed: int
     detail["spot_checks_consistent"] = spots_ok
 
     if sub.holds:
-        violations = []
-        for k in range(trials):
-            rng = rng_for(seed, "sugeno-pairs", k)
-            fv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
-            gv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
-            f, g = Fn(fv, NONNEG), Fn(gv, NONNEG)
-            s = Fn([x + y for x, y in zip(fv, gv)], NONNEG)
-            lhs = sugeno_integral(s, mu)
-            rhs = sugeno_integral(f, mu) + sugeno_integral(g, mu)
-            if _rel_gap(lhs, rhs) > tol:
-                violations.append({"f": fv, "g": gv, "lhs": lhs, "rhs": rhs})
+        violations, _ = _random_pair_probe(sugeno_integral, mu, trials, seed,
+                                           "sugeno-pairs", tol)
         if violations:
             return CheckResult(False, 0.0, {"forward_violations": violations[:3]},
                                detail=detail)
 
-    consistent = spots_ok and (not fin.holds or recovered_subadditive == sub.holds)
-    if consistent:
+    if spots_ok and (not fin.holds or recovered_subadditive == sub.holds):
         return CheckResult(True, detail=detail)
     wit = sweep_wit or {"reason": "spot checks diverged"}
     return CheckResult(False, 0.0, wit, detail=detail)
@@ -659,18 +671,12 @@ def verify_sugeno_subadditive_boundary() -> CheckResult:
     """The finiteness hypothesis matters: with an infinite total and finite
     values on a two-set cover, the indicator pair at a level above the sum
     of the parts violates integral subadditivity."""
-    space = FiniteSpace(2)
-    mu = MonotoneMeasure.explicit(space, [0.0, 2.0, 3.0, INF])
+    mu = MonotoneMeasure.explicit(FiniteSpace(2), [0.0, 2.0, 3.0, INF])
     a = 6.0  # above mu(A) + mu(B), hence above both parts
-    f = Fn.indicator(2, 0b01, a, NONNEG)
-    g = Fn.indicator(2, 0b10, a, NONNEG)
-    s = Fn([x + y for x, y in zip(f.values, g.values)], NONNEG)
-    lhs = sugeno_integral(s, mu)
-    rhs = sugeno_integral(f, mu) + sugeno_integral(g, mu)
-    violated = lhs > rhs
-    detail = {"lhs": lhs, "rhs": rhs, "level": a,
-              "mu": [0.0, 2.0, 3.0, "inf"]}
-    if violated:
+    lhs, rhs = _sum_split(sugeno_integral, mu, Fn.indicator(2, 0b01, a, NONNEG),
+                          Fn.indicator(2, 0b10, a, NONNEG))
+    detail = {"lhs": lhs, "rhs": rhs, "level": a, "mu": [0.0, 2.0, 3.0, "inf"]}
+    if lhs > rhs:
         return CheckResult(True, margin=lhs - rhs, detail=detail)
     return CheckResult(False, 0.0, {"lhs": lhs, "rhs": rhs,
                                     "reason": "expected violation did not occur"},
@@ -685,9 +691,6 @@ def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeas
                            f: Fn, g: Fn, domain: int, tol: float) -> CheckResult:
     """The four-variable condition on the realized chain quadruples
     (a, b, mu(D & {f > a}), mu(D & {g > b}))."""
-    from .core import level_mask_gt
-    p1, p2, p3 = ops.phis
-    c1, c2, c3 = ops.circs
     a_cands = sorted(set([0.0] + [f[i] for i in range(len(f)) if domain >> i & 1]))
     b_cands = sorted(set([0.0] + [g[i] for i in range(len(g)) if domain >> i & 1]))
     worst = None
@@ -697,11 +700,7 @@ def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeas
         c = mu(level_mask_gt(f.values, a, domain))
         for b in b_cands:
             d = mu(level_mask_gt(g.values, b, domain))
-            sab = float(ops.star.fn(a, b))
-            lhs = float(p1.inverse(c1.fn(float(p1.forward(sab)), float(boxplus.fn(c, d)))))
-            rhs = float(ops.combiner.fn(
-                float(p2.inverse(c2.fn(float(p2.forward(a)), c))),
-                float(p3.inverse(c3.fn(float(p3.forward(b)), d)))))
+            lhs, rhs = _condition_sides(ops, a, b, float(boxplus.fn(c, d)), c, d)
             gap = _rel_gap(lhs, rhs)
             if gap > tol and gap > worst_gap:
                 worst_gap = gap
@@ -709,8 +708,8 @@ def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeas
             elif math.isfinite(gap):
                 slack = min(slack, -gap)
     if worst is not None:
-        return CheckResult(False, worst_gap, worst, mode="exhaustive")
-    return CheckResult(True, margin=slack, mode="exhaustive")
+        return CheckResult(False, worst_gap, worst)
+    return CheckResult(True, margin=slack)
 
 
 def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
@@ -724,39 +723,17 @@ def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
     inequality is asserted exactly.
     """
     scale = f.scale
-    verify_flags(ops.combiner, ["nondecreasing", "right_continuous"], scale)
-    verify_flags(ops.star, ["nondecreasing"], scale)
-    verify_flags(boxplus, ["nondecreasing"], scale)
-    for c in ops.circs:
-        verify_flags(c, ["nondecreasing"], scale)
-    for p in ops.phis:
-        p.validate_on(scale)
+    _gate_mh(ops, scale, ["nondecreasing", "right_continuous"], ["nondecreasing"], boxplus)
     domain = _domain_mask(len(f), domain)
-    rel = is_mu_subadditive(f, g, boxplus, mu, domain)
-    if not rel.holds:
-        raise HypothesisError("pair is not level-union subadditive for the combiner",
-                              detail=rel)
+    _require(is_mu_subadditive(f, g, boxplus, mu, domain),
+             "pair is not level-union subadditive for the combiner")
 
     cond = _chain_condition_lower(ops, boxplus, mu, f, g, domain, tol)
     detail = {"condition_chain": cond}
     if not cond.holds:
-        return CheckResult(False, cond.margin, cond.witness,
-                           status="condition-failed", detail=detail)
-
-    p1, p2, p3 = ops.phis
-    c1, c2, c3 = ops.circs
-    fg = _star_combine(f, g, ops.star, scale)
-    lhs = float(p1.inverse(lower_integral(_apply_phi(fg, p1), mu, c1, domain, scale)))
-    rf = float(p2.inverse(lower_integral(_apply_phi(f, p2), mu, c2, domain, scale)))
-    rg = float(p3.inverse(lower_integral(_apply_phi(g, p3), mu, c3, domain, scale)))
-    rhs = float(ops.combiner.fn(rf, rg))
-    gap = _rel_gap(lhs, rhs)
-    detail.update({"lhs": lhs, "rhs": rhs})
-    if gap > tol:
-        return CheckResult(False, gap, {"lhs": lhs, "rhs": rhs,
-                                        "f": list(f.values), "g": list(g.values)},
-                           detail=detail)
-    return CheckResult(True, margin=-gap, detail=detail)
+        return _condition_failed(cond, detail)
+    lhs, rhs = _mh_sides(lower_integral, ops, mu, f, g, domain, scale)
+    return _verdict(lhs, rhs, tol, detail, f=list(f.values), g=list(g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -785,62 +762,34 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
     op_h = op_dual(op, h)
 
     if kind == "single":
-        absorb = check_top_absorbing(op, scale)
-        if not absorb.holds:
-            raise HypothesisError("operator must absorb the scale top", detail=absorb)
-        assoc = is_star_associated(f, g, star)
-        if not assoc.holds:
-            raise HypothesisError("functions are not star-associated", detail=assoc)
-        if condition_verified:
-            detail = {"condition": "verified-by-caller"}
-        else:
-            cond = cond_dual_star_split(star, op_h, scale)
-            detail = {"condition": cond}
-            if not cond.holds:
-                return CheckResult(False, cond.margin, cond.witness,
-                                   status="condition-failed", detail=detail)
-
-        def transform(x: Fn) -> float:
-            hx = Fn([float(h.forward(v)) for v in x.values], scale)
-            return float(h.inverse(lower_integral(hx, mu, op, None, scale)))
-
-        fg = _star_combine(f, g, star, scale)
-        lhs = transform(fg)
-        rhs = float(star.fn(transform(f), transform(g)))
+        _require(check_top_absorbing(op, scale), "operator must absorb the scale top")
+        _require(is_star_associated(f, g, star), "functions are not star-associated")
+        integral = lower_integral
+        condition = functools.partial(cond_dual_star_split, star, op_h, scale)
     elif kind == "pair":
         if boxplus is None:
             raise DomainError("pair corollary needs the level combiner")
         verify_flags(star, ["nondecreasing", "right_continuous"], scale)
-        mu_h = dual_measure(mu, h)
-        rel = is_mu_subadditive(f, g, boxplus, mu_h)
-        if not rel.holds:
-            raise HypothesisError(
-                "pair is not level-union subadditive under the conjugate measure",
-                detail=rel)
-        if condition_verified:
-            detail = {"condition": "verified-by-caller"}
-        else:
-            cond = cond_dual_star_split_pair(star, op_h, boxplus, scale)
-            detail = {"condition": cond}
-            if not cond.holds:
-                return CheckResult(False, cond.margin, cond.witness,
-                                   status="condition-failed", detail=detail)
-
-        def transform(x: Fn) -> float:
-            hx = Fn([float(h.forward(v)) for v in x.values], scale)
-            return float(h.inverse(upper_integral(hx, mu, op, None, scale)))
-
-        fg = _star_combine(f, g, star, scale)
-        lhs = transform(fg)
-        rhs = float(star.fn(transform(f), transform(g)))
+        _require(is_mu_subadditive(f, g, boxplus, dual_measure(mu, h)),
+                 "pair is not level-union subadditive under the conjugate measure")
+        integral = upper_integral
+        condition = functools.partial(cond_dual_star_split_pair, star, op_h, boxplus,
+                                      scale)
     else:
         raise DomainError(f"unknown duality corollary kind {kind!r}")
 
-    gap = _rel_gap(lhs, rhs)
-    limit = tol * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
-    detail.update({"lhs": lhs, "rhs": rhs})
-    if gap > limit:
-        return CheckResult(False, gap, {"lhs": lhs, "rhs": rhs,
-                                        "f": list(f.values), "g": list(g.values)},
-                           detail=detail)
-    return CheckResult(True, margin=-gap if math.isfinite(gap) else INF, detail=detail)
+    if condition_verified:
+        detail = {"condition": "verified-by-caller"}
+    else:
+        cond = condition()
+        detail = {"condition": cond}
+        if not cond.holds:
+            return _condition_failed(cond, detail)
+
+    def transform(x: Fn) -> float:
+        hx = Fn([float(h.forward(v)) for v in x.values], scale)
+        return float(h.inverse(integral(hx, mu, op, None, scale)))
+
+    lhs = transform(_star_combine(f, g, star, scale))
+    rhs = float(star.fn(transform(f), transform(g)))
+    return _verdict(lhs, rhs, tol, detail, relative=True, f=list(f.values), g=list(g.values))

@@ -214,6 +214,8 @@ class TestRun:
         pytest.param("scale", {"uper": 2}, "scale.uper", id="typo_uper"),
         pytest.param("space", {"n": 2.7}, "space.n", id="n_not_int"),
         pytest.param("scale", [1], "scale", id="scale_not_an_object"),
+        pytest.param("spce", {"n": 3}, "spce", id="typo_spce"),
+        pytest.param("scael", {"upper": 2}, "scael", id="typo_scael"),
     ])
     def test_space_and_scale_fields_are_declared(self, key, value, named, tmp_path,
                                                  capsys):
@@ -364,12 +366,13 @@ class TestFuzzCommand:
         assert code == 2
 
     def test_scenario_fuzz_task_with_no_trials_exits_2(self, tmp_path, capsys):
-        doc = {"version": 1, "name": "t",
+        doc = {"version": 1,
                "tasks": [{"task": "fuzz", "campaign": "sugeno_identity", "trials": 0}]}
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
-        code, _ = run_cli(["run", str(path)], capsys)
+        code = main(["run", str(path)])
         assert code == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_list(self, capsys):
         code, out = run_cli(["--list"], capsys)

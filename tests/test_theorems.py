@@ -3,11 +3,20 @@ and the exact counterexample reproduction."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonadd.core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, rng_for
 from nonadd.integrals import shilkret_integral, sugeno_integral, upper_integral
-from nonadd.measures import MonotoneMeasure, check_measure_property, generate_measure
+from nonadd.measures import (
+    GENERATOR_FAMILIES,
+    MonotoneMeasure,
+    check_measure_property,
+    dual_measure,
+    generate_measure,
+)
 from nonadd.operators import (
     bounded_sum,
     join,
@@ -25,6 +34,8 @@ from nonadd.operators import (
 from nonadd.results import CheckResult, DomainError, HypothesisError
 from nonadd.theorems import (
     MHOperators,
+    _max_product_indicator_sweep,
+    _subadditive_indicator_sweep,
     reproduce_counterexample,
     verify_comonotone_subadditive,
     verify_dual_minkowski,
@@ -285,6 +296,154 @@ class TestShilkretMaxitive:
                                       rounding=True)
         res = verify_shilkret_maxitive(mu, trials=4, seed=0)
         assert res.holds and not res.detail["maxitive"].holds
+
+
+def ref_max_product_sweep(mu, tol):
+    """The row loop the max-product indicator sweep ran before the pair
+    kernel: the first violating row a, then that row's argmax."""
+    tab = mu.table()
+    idx = np.arange(tab.shape[0], dtype=np.int64)
+    for a in range(tab.shape[0]):
+        lhs = np.maximum(tab[np.bitwise_or(idx, a)], 2.0 * tab[np.bitwise_and(idx, a)])
+        with np.errstate(invalid="ignore"):
+            gap = lhs - (tab[a] + tab[idx])
+        gap = np.where(np.isnan(gap), 0.0, gap)
+        if (gap > tol).any():
+            b = int(idx[np.argmax(gap)])
+            return {"set_a": a, "set_b": b, "lhs": float(lhs[b]),
+                    "rhs": float(tab[a] + tab[b])}
+    return None
+
+
+def ref_subadditive_sweep(mu, tol):
+    """The row loop of the max-min backward sweep before the pair kernel."""
+    tab = mu.table()
+    idx = np.arange(tab.shape[0], dtype=np.int64)
+    for a in range(tab.shape[0]):
+        height = tab[np.bitwise_or(idx, a)]
+        with np.errstate(invalid="ignore"):
+            gap = height - (tab[a] + tab[idx])
+        gap = np.where(np.isnan(gap) | np.isinf(height), -INF, gap)
+        if (gap > tol).any():
+            b = int(idx[np.argmax(gap)])
+            return {"set_a": a, "set_b": b, "mu_union": float(tab[a | b]),
+                    "mu_a": float(tab[a]), "mu_b": float(tab[b])}
+    return None
+
+
+def max_product_excess(tab, a, b):
+    """max(mu(A|B), 2 mu(A&B)) - (mu(A) + mu(B)), nan read as 0."""
+    with np.errstate(invalid="ignore"):
+        m = np.maximum(tab[a | b], 2.0 * tab[a & b]) - (tab[a] + tab[b])
+    return np.where(np.isnan(m), 0.0, m)
+
+
+def subadditive_excess(tab, a, b):
+    """mu(A|B) - (mu(A) + mu(B)), -inf for nan or an infinite height."""
+    with np.errstate(invalid="ignore"):
+        m = tab[a | b] - (tab[a] + tab[b])
+    return np.where(np.isnan(m) | np.isinf(tab[a | b]), -INF, m)
+
+
+SWEEP_VALUES = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 3.0, INF]
+
+
+@st.composite
+def sweep_measures(draw):
+    """Measures on at most 8 points: the generator families and their
+    reciprocal duals, ``explicit(validate=False)`` tables (mostly
+    non-monotone) and monotone tables holding inf."""
+    kind = draw(st.sampled_from(["family", "dual", "raw", "inf"]))
+    n = draw(st.integers(1, 8))
+    if kind in ("family", "dual"):
+        mu = generate_measure(draw(st.integers(0, 10 ** 6)),
+                              draw(st.sampled_from(GENERATOR_FAMILIES)), n)
+        return dual_measure(mu, reciprocal()) if kind == "dual" else mu
+    tab = draw(st.lists(st.sampled_from(SWEEP_VALUES), min_size=1 << n, max_size=1 << n))
+    tab[0] = 0.0
+    if kind == "raw":
+        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+    for mask in range(1, 1 << n):
+        tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
+                                       for b in range(n) if mask >> b & 1])
+    tab[-1] = INF
+    return MonotoneMeasure.explicit(FiniteSpace(n), tab, rounding=draw(st.booleans()))
+
+
+def check_against_reference(mu, tol, got, ref, excess):
+    """Equal verdicts; the witness is the largest violation with the
+    smallest key (a << n) | b, replays by direct evaluation, and equals the
+    reference's wherever the reference's first violating row holds the
+    largest violation."""
+    assert (got is None) == (ref is None)
+    if got is None:
+        return
+    tab, n = mu.table(), mu.space.n
+    idx = np.arange(1 << n)
+    grid = excess(tab, idx[:, None], idx[None, :])
+    top = grid.max()
+    a, b = got["set_a"], got["set_b"]
+    assert excess(tab, a, b) == top > tol
+    assert (a << n) | b == min((int(x) << n) | int(y) for x, y in zip(*np.nonzero(grid == top)))
+    if grid[ref["set_a"]].max() == top:
+        assert got == ref
+
+
+class TestIndicatorSweeps:
+    """Both indicator sweeps against the row loops they replaced."""
+
+    TOLS = [None, 0.0, 1e-12, -1e-3]   # None: the measure's own tolerance
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=sweep_measures(), tol=st.sampled_from(TOLS))
+    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 0.5, 0.25, 0.5 - 1e-13],
+                                         rounding=True), tol=0.0)
+    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 3, 2], validate=False),
+             tol=None)
+    def test_max_product_sweep_matches_row_loop(self, mu, tol):
+        tol = mu.tolerance() if tol is None else tol
+        got = _max_product_indicator_sweep(mu, tol)
+        ref = ref_max_product_sweep(mu, tol)
+        check_against_reference(mu, tol, got, ref, max_product_excess)
+        if got is not None:
+            tab, a, b = mu.table(), got["set_a"], got["set_b"]
+            assert got["lhs"] == max(tab[a | b], 2.0 * tab[a & b])
+            assert got["rhs"] == tab[a] + tab[b]
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=sweep_measures(), tol=st.sampled_from(TOLS))
+    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 1, 3], validate=False),
+             tol=0.0)
+    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 0.5, 0.25], validate=False),
+             tol=-1e-3)
+    def test_subadditive_sweep_matches_row_loop(self, mu, tol):
+        tol = mu.tolerance() if tol is None else tol
+        got = _subadditive_indicator_sweep(mu, tol)
+        ref = ref_subadditive_sweep(mu, tol)
+        check_against_reference(mu, tol, got, ref, subadditive_excess)
+        if got is not None:
+            tab, a, b = mu.table(), got["set_a"], got["set_b"]
+            assert (got["mu_union"], got["mu_a"], got["mu_b"]) == (tab[a | b], tab[a], tab[b])
+
+    def test_nan_margin_on_a_finite_table_reads_as_zero(self):
+        # at (3, 3) both 2 mu({0, 1}) and mu({0, 1}) + mu({0, 1}) overflow to
+        # inf, so the margin is nan; (1, 2) violates by 1e308 all the same
+        mu = MonotoneMeasure.explicit(FiniteSpace(2), [0.0, 1.0, 1.0, 1e308],
+                                      validate=False)
+        with np.errstate(over="ignore"):
+            got = _max_product_indicator_sweep(mu, 1e-12)
+        assert got == ref_max_product_sweep(mu, 1e-12)
+        assert (got["set_a"], got["set_b"]) == (1, 2)
+
+    def test_maxitive_measure_failing_the_sweep(self):
+        # maxitive within the rounding tolerance, but (A, B) = ({0}, {0, 1})
+        # gives max(mu(A|B), 2 mu(A&B)) = 1 > mu(A) + mu(B) = 1 - 1e-13
+        mu = MonotoneMeasure.explicit(FiniteSpace(2), [0, 0.5, 0.25, 0.5 - 1e-13],
+                                      rounding=True)
+        res = verify_shilkret_maxitive(mu, tol=0.0)
+        assert res.detail["maxitive"].holds
+        assert not res.holds and res.detail["stage"] == "indicator sweep"
+        assert (res.witness["set_a"], res.witness["set_b"]) == (1, 3)
 
 
 class TestSugenoSubadditive:
