@@ -13,10 +13,9 @@ leading axis and the grid variables follow, so the witness is the first
 violating cell in C order: the smallest looped value, then the grid
 variables in the order of their axes.  A violation is ``lhs > rhs + tol``.
 A holding check reports the least finite slack ``rhs - lhs``; a failing one
-reports the largest violation, reduced per leading slice: the largest finite
-gap ``lhs - rhs`` of the slice, or ``inf`` when every violation of that slice
-is non-finite.  ``distributive_scaling`` sweeps ``z`` first and the scale
-factors second; ``unit_section_order`` is a single slice.
+reports the largest violation ``lhs - rhs`` over all violating cells, so
+``inf`` as soon as one is infinite.  ``distributive_scaling`` sweeps ``z``
+first and the scale factors second; ``unit_section_order`` is one slice.
 
 Registry ids:
 
@@ -63,7 +62,6 @@ def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
     """
     ndim = len(shape)
     step = max(1, _CHUNK_CELLS // max(1, math.prod(shape)))
-    slice_axes = tuple(range(1, ndim + 1))
     min_slack, max_viol, witness = INF, 0.0, None
     for lead, body in passes:
         for i in range(0, len(lead), step):
@@ -84,18 +82,11 @@ def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
             if valid is not None:
                 viol &= valid
             if least == -INF:
-                finite = np.isfinite(slack)
-                least = float(np.where(finite, slack, INF).min(initial=INF))
-                viol_finite = viol & finite
-            else:
-                viol_finite = viol
+                least = float(np.where(np.isfinite(slack), slack, INF).min(initial=INF))
             min_slack = min(min_slack, least)
             if not viol.any():
                 continue
-            max_viol = max(max_viol, -float(np.where(viol_finite, slack, 0.0).min()))
-            if (viol_finite is not viol
-                    and (viol.any(axis=slice_axes) & ~viol_finite.any(axis=slice_axes)).any()):
-                max_viol = INF
+            max_viol = max(max_viol, -float(np.where(viol, slack, INF).min()))
             if witness is None:
                 idx = np.unravel_index(int(viol.argmax()), full)
                 witness = {name: float(np.broadcast_to(arr, full)[idx])

@@ -17,7 +17,10 @@ but total and deterministic, which is what the rest of the library needs.
 Finite spaces carry subsets as bitmask integers; exhaustive subset work is
 capped at 24 points (and 12 for anything that enumerates subset pairs).
 Every table indexed by all subsets (measure tables, subset infima, mask
-expansion) comes from the one doubling pass ``_subset_fold``.
+expansion) comes from the one doubling pass ``_subset_fold``.  Every level
+set of a function on a domain comes from the one pass ``_level_sets``: the
+strict sets ``{f > t}`` at the thresholds t in {0} and the realized values,
+from which the sets ``{f >= t}`` are read one threshold lower.
 """
 
 from __future__ import annotations
@@ -324,22 +327,36 @@ class Fn:
         return self.values[i]
 
 
-def level_mask_ge(values: Sequence[float], t: float, domain: int) -> int:
-    """Bitmask of domain points where the value is >= t."""
-    m = 0
-    for i, v in enumerate(values):
-        if domain >> i & 1 and v >= t:
-            m |= 1 << i
-    return m
+def _domain_mask(n: int, domain: int | None) -> int:
+    """The domain bitmask over n points: every point for ``None``."""
+    full = (1 << n) - 1
+    if domain is None:
+        return full
+    if not isinstance(domain, int) or not 0 <= domain <= full:
+        raise DomainError(f"invalid domain bitmask {domain!r}")
+    return domain
 
 
-def level_mask_gt(values: Sequence[float], t: float, domain: int) -> int:
-    """Bitmask of domain points where the value is > t."""
-    m = 0
-    for i, v in enumerate(values):
-        if domain >> i & 1 and v > t:
-            m |= 1 << i
-    return m
+def _level_sets(values: Sequence[float], domain: int) -> tuple[list[float], list[int]]:
+    """Thresholds T = sorted({0} | {values on the domain}) and, for each
+    T[j], the bitmask A[j] of domain points whose value is above T[j].
+
+    ``{f >= T[j]}`` on the domain is A[j-1], and the whole domain for j = 0.
+    One pass over the distinct values, from the top down.
+    """
+    at: dict[float, int] = {0.0: 0}  # value -> domain points holding it
+    bit = 1
+    for v in values:
+        if domain & bit:
+            at[v] = at.get(v, 0) | bit
+        bit <<= 1
+    ts = sorted(at)
+    above, m = [], 0
+    for t in reversed(ts):
+        above.append(m)
+        m |= at[t]
+    above.reverse()
+    return ts, above
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ decision.  The only inexact case is an upper integral over an *open* scale
 with an operator whose second-argument zero is not annihilating: there the
 tail sup is approximated on a geometric ladder and the result is flagged.
 
+Both forms read one level-set pass, ``core._level_sets``: at the thresholds
+T = sorted({0} union {values on D}) it gives A[j] = D intersect {f > T[j]},
+the lower form's sets, and D intersect {f >= T[j]} = A[j-1] (D itself for
+j = 0), the upper form's.  One bisection of T finds the set at the scale top
+and the largest level below it, where the tail ladder (``_tail_ladder``,
+shared with the subset oracle's empty-set term) starts.
+
 ``min`` as the operator gives the classical max-min integral, ``product``
 the max-product integral; a semicopula gives the seminormed form.
 """
@@ -23,6 +30,7 @@ the max-product integral; a semicopula gives the seminormed form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -35,6 +43,8 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
+    _domain_mask,
+    _level_sets,
     _rel_gap,
     subset_infima,
 )
@@ -62,44 +72,22 @@ class ProfileIntegralResult(NamedTuple):
     truncated: bool
 
 
-def _unpack(f, scale: ValueScale | None):
+def _unpack(f, scale: ValueScale | None, domain: int | None = None):
+    """The values and scale of an integrand, and its checked domain mask."""
     if isinstance(f, Fn):
-        return f.values, (scale or f.scale)
-    if scale is None:
+        values, scale = f.values, (scale or f.scale)
+    elif scale is None:
         raise DomainError("raw value vectors need an explicit scale")
-    return tuple(float(v) for v in f), scale
+    else:
+        values = tuple(float(v) for v in f)
+    return values, scale, _domain_mask(len(values), domain)
 
 
-def _domain_mask(values, domain) -> int:
-    full = (1 << len(values)) - 1
-    if domain is None:
-        return full
-    if not isinstance(domain, int) or not 0 <= domain <= full:
-        raise DomainError(f"invalid domain bitmask {domain!r}")
-    return domain
-
-
-def _desc_levels(values, domain: int):
-    """Distinct values on the domain, descending, with cumulative masks.
-
-    Returns (vals_desc, ge_masks) where ge_masks[i] is the bitmask of
-    domain points with value >= vals_desc[i].
-    """
-    pairs: dict[float, int] = {}
-    for i, v in enumerate(values):
-        if domain >> i & 1:
-            pairs[v] = pairs.get(v, 0) | (1 << i)
-    vals = sorted(pairs, reverse=True)
-    masks = []
-    m = 0
-    for v in vals:
-        m |= pairs[v]
-        masks.append(m)
-    return vals, masks
-
-
-def _require_nondecreasing(op: BinaryOp, scale: ValueScale):
-    verify_flags(op, ["nondecreasing"], scale)
+def _positive_levels(ts: list[float], scale: ValueScale) -> range:
+    """Indices of the thresholds in the scale above 0, descending: the
+    candidates after 0, in the order both integrals evaluate them."""
+    end = bisect_right(ts, scale.upper) if scale.closed else bisect_left(ts, scale.upper)
+    return range(end - 1, bisect_right(ts, 0.0) - 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,60 +97,47 @@ def _require_nondecreasing(op: BinaryOp, scale: ValueScale):
 _TAIL_LADDER_STEPS = 12
 
 
+def _tail_ladder(lo: float, scale: ValueScale) -> list[float]:
+    """Levels of an open scale above ``lo``, the largest in-scale domain
+    value (or 0.0): doubling from max(lo, 1) on an unbounded scale, halving
+    the distance to a finite top otherwise."""
+    if math.isinf(scale.upper):
+        ladder = [max(lo, 1.0) * 2.0 ** k for k in range(1, _TAIL_LADDER_STEPS)]
+    else:
+        ladder = [scale.upper - (scale.upper - lo) * 2.0 ** -k
+                  for k in range(1, _TAIL_LADDER_STEPS)]
+    return [t for t in ladder if scale.contains(t)]
+
+
 def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None,
                           scale: ValueScale | None = None) -> IntegralResult:
     """sup over t in the scale of op(t, mu(D intersect {f >= t})), with
     attained level and exactness flag."""
-    values, scale = _unpack(f, scale)
-    domain = _domain_mask(values, domain)
-    _require_nondecreasing(op, scale)
-
-    vals_desc, ge_masks = _desc_levels(values, domain)
-    candidates: list[tuple[float, int]] = [(0.0, domain)]
-    for v, m in zip(vals_desc, ge_masks):
-        if scale.contains(v):
-            candidates.append((v, m))
+    values, scale, domain = _unpack(f, scale, domain)
+    verify_flags(op, ["nondecreasing"], scale)
+    ts, above = _level_sets(values, domain)
+    ge = [domain] + above  # ge[j] = D intersect {f >= ts[j]}
+    top = bisect_left(ts, scale.upper)  # ge[top] = D intersect {f >= scale top}
+    levels = [(0.0, mu(domain))] + [(ts[j], mu(ge[j])) for j in _positive_levels(ts, scale)]
+    exact = True
     if scale.closed:
-        top = scale.upper
-        m_top = 0
-        for v, m in zip(vals_desc, ge_masks):
-            if v >= top:
-                m_top = m
-        candidates.append((top, m_top))
+        levels.append((scale.upper, mu(ge[top])))
+    else:
+        # tail piece above the largest in-scale value: level mass is the
+        # measure of points at or above the open end (constant there); with
+        # an annihilating zero and no mass it contributes 0 exactly
+        tail_mu = mu(ge[top])
+        if not (tail_mu == 0.0 and "zero_right_annihilator" in op.flags):
+            levels += [(t, tail_mu) for t in _tail_ladder(ts[top - 1], scale)]
+            exact = False  # grid-bounded: the open-end sup is only approximated
 
     best = -INF
     best_level = 0.0
-    for t, mask in candidates:
-        val = float(op.fn(t, mu(mask)))
+    for t, c in levels:
+        val = float(op.fn(t, c))
         if val > best:
             best = val
             best_level = t
-    exact = True
-    if not scale.closed:
-        # tail piece above the largest in-scale value: level mass is the
-        # measure of points at or above the open end (constant there)
-        tail_mask = 0
-        for v, m in zip(vals_desc, ge_masks):
-            if v >= scale.upper:
-                tail_mask = m
-        tail_mu = mu(tail_mask)
-        if tail_mu == 0.0 and "zero_right_annihilator" in op.flags:
-            pass  # tail contributes op(t, 0) = 0 exactly
-        else:
-            lo = max((v for v in vals_desc if scale.contains(v)), default=0.0)
-            if math.isinf(scale.upper):
-                ladder = [max(lo, 1.0) * 2.0 ** k for k in range(1, _TAIL_LADDER_STEPS)]
-            else:
-                ladder = [scale.upper - (scale.upper - lo) * 2.0 ** -k
-                          for k in range(1, _TAIL_LADDER_STEPS)]
-            for t in ladder:
-                if not scale.contains(t):
-                    continue
-                val = float(op.fn(t, tail_mu))
-                if val > best:
-                    best = val
-                    best_level = t
-            exact = False  # grid-bounded: the open-end sup is only approximated
     return IntegralResult(best, exact, best_level)
 
 
@@ -178,14 +153,14 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
 
     The empty subset contributes with the lattice convention inf over the
     empty set = scale top, which makes the subset form agree with the level
-    form also for operators without an annihilating zero.  Evaluates all
-    2^|D| subsets at once: the infima come from ``subset_infima`` and the
-    measures from ``mu.subset_table``, which folds only the domain's points
-    when the measure has no cached table.  Capped at |D| <= 20.
+    form also for operators without an annihilating zero; on an open scale
+    it takes the level form's tail ladder.  Evaluates all 2^|D| subsets at
+    once: the infima come from ``subset_infima`` and the measures from
+    ``mu.subset_table``, which folds only the domain's points when the
+    measure has no cached table.  Capped at |D| <= 20.
     """
-    values, scale = _unpack(f, scale)
-    domain = _domain_mask(values, domain)
-    _require_nondecreasing(op, scale)
+    values, scale, domain = _unpack(f, scale, domain)
+    verify_flags(op, ["nondecreasing"], scale)
     bits = [i for i in range(len(values)) if domain >> i & 1]
     if len(bits) > _ORACLE_CAP:
         raise DomainError(f"oracle domain capped at {_ORACLE_CAP} points, got {len(bits)}")
@@ -201,17 +176,10 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     # realized value
     if scale.closed:
         best = max(best, float(op.fn(scale.upper, mu(0))))
-    else:
-        if not (mu(0) == 0.0 and "zero_right_annihilator" in op.flags):
-            lo = max((values[i] for i in bits), default=1.0)
-            if math.isinf(scale.upper):
-                ladder = [max(lo, 1.0) * 2.0 ** k for k in range(1, _TAIL_LADDER_STEPS)]
-            else:
-                ladder = [scale.upper - (scale.upper - min(lo, scale.upper)) * 2.0 ** -k
-                          for k in range(1, _TAIL_LADDER_STEPS)]
-            for t in ladder:
-                if scale.contains(t):
-                    best = max(best, float(op.fn(t, mu(0))))
+    elif not (mu(0) == 0.0 and "zero_right_annihilator" in op.flags):
+        ts = _level_sets(values, domain)[0]
+        for t in _tail_ladder(ts[bisect_left(ts, scale.upper) - 1], scale):
+            best = max(best, float(op.fn(t, mu(0))))
     best = max(best, float(op.fn(0.0, mu(domain))))
     return best
 
@@ -226,25 +194,19 @@ def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
 
     The strict level measure is constant on [v_k, v_{k+1}) between realized
     values and t -> op(t, c) is nondecreasing, so the infimum sits at the
-    left end of a piece: always exact on finite spaces.
+    left end of a piece: always exact on finite spaces.  Candidates run
+    from 0 and then down from the largest in-scale value.
     """
-    values, scale = _unpack(f, scale)
-    domain = _domain_mask(values, domain)
-    _require_nondecreasing(op, scale)
-
-    vals_desc, ge_masks = _desc_levels(values, domain)
-    candidates = [0.0] + [v for v in vals_desc if scale.contains(v)]
+    values, scale, domain = _unpack(f, scale, domain)
+    verify_flags(op, ["nondecreasing"], scale)
+    ts, above = _level_sets(values, domain)
     best = INF
     best_level = 0.0
-    for t in candidates:
-        gt_mask = 0
-        for v, m in zip(vals_desc, ge_masks):
-            if v > t:
-                gt_mask = m  # masks accumulate as v decreases toward t
-        val = float(op.fn(t, mu(gt_mask)))
+    for j in [ts.index(0.0), *_positive_levels(ts, scale)]:
+        val = float(op.fn(ts[j], mu(above[j])))
         if val < best:
             best = val
-            best_level = t
+            best_level = ts[j]
     return IntegralResult(best, True, best_level)
 
 
@@ -365,7 +327,7 @@ def profile_integral(profile: SurvivalProfile, op: BinaryOp,
     """
     if resolution <= 0:
         raise DomainError("resolution must be positive")
-    _require_nondecreasing(op, profile.scale)
+    verify_flags(op, ["nondecreasing"], profile.scale)
     scale = profile.scale
     truncated = False
     if math.isinf(scale.upper):

@@ -313,7 +313,7 @@ def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool):
     finite margin, or ``INF`` when no margin is finite.
     """
     best, key, top = -INF, None, -INF
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # overflow to inf is intended
         for a, b in _pair_blocks(n, disjoint):
             m = margin(a, b)
             hi = float(m.max())

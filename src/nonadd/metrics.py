@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import cond_distributive_scaling, cond_unit_section_order
-from .core import EXTENDED, Fn, INF, NONNEG, ValueScale, _rel_gap, level_mask_gt, rng_for
+from .core import EXTENDED, Fn, INF, NONNEG, ValueScale, _level_sets, _rel_gap, rng_for
 from .integrals import (
     abs_power,
     lower_integral,
@@ -109,13 +109,11 @@ def kyfan_classical(f: Sequence[float], g: Sequence[float], mu: MonotoneMeasure)
     Equals the max-min integral of |f-g| on finite spaces; kept as an
     independent route for agreement tests.
     """
-    diff = _abs_diff(f, g)
-    candidates = sorted(set([0.0] + diff))
-    full = (1 << len(diff)) - 1
+    # a point where both are infinite (|inf - inf| is nan) lies in no level set
+    diff = [d if d == d else 0.0 for d in _abs_diff(f, g)]
     best = INF
-    for eps in candidates:
-        m = mu(level_mask_gt(diff, eps, full))
-        best = min(best, max(eps, m))
+    for eps, mask in zip(*_level_sets(diff, (1 << len(diff)) - 1)):
+        best = min(best, max(eps, mu(mask)))
     return best
 
 
@@ -200,7 +198,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
                                 "d_fg": dfg, "d_gf": dgf}, mode="sampled")
         # identity of indiscernibles, as the null-support equivalence
         diff = _abs_diff(f, g)
-        support = level_mask_gt(diff, 0.0, full)
+        support = _level_sets(diff, full)[1][0]  # the points where diff > 0
         equivalent = mu(support) <= tol_eff
         dist_zero = dfg <= tol_eff
         if equivalent != dist_zero:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Sequence
 
 import numpy as np
 
-from .core import Fn, level_mask_gt
+from .core import Fn, _domain_mask, _level_sets
 from .measures import MonotoneMeasure
 from .operators import BinaryOp
 from .results import DomainError, RelationVerdict
@@ -25,12 +24,7 @@ from .results import DomainError, RelationVerdict
 def _pair_domain(f: Fn, g: Fn, domain: int | None) -> int:
     if len(f) != len(g):
         raise DomainError("functions must live on the same space")
-    full = (1 << len(f)) - 1
-    if domain is None:
-        return full
-    if not isinstance(domain, int) or not 0 <= domain <= full:
-        raise DomainError(f"invalid domain bitmask {domain!r}")
-    return domain
+    return _domain_mask(len(f), domain)
 
 
 def is_comonotone(f: Fn, g: Fn, domain: int | None = None) -> RelationVerdict:
@@ -97,10 +91,6 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp, domain: int | None = None,
     return RelationVerdict("star_associated", True)
 
 
-def _threshold_grid(values: Sequence[float]) -> list[float]:
-    return sorted(set([0.0] + [float(v) for v in values]))
-
-
 def is_mu_subadditive(f: Fn, g: Fn, boxplus: BinaryOp, mu: MonotoneMeasure,
                       domain: int | None = None, tol: float = 1e-12) -> RelationVerdict:
     """Union level-set measure dominated by the boxplus-combination of the
@@ -110,13 +100,10 @@ def is_mu_subadditive(f: Fn, g: Fn, boxplus: BinaryOp, mu: MonotoneMeasure,
     decides the relation exactly.
     """
     domain = _pair_domain(f, g, domain)
-    fa = _threshold_grid([f[i] for i in range(len(f)) if domain >> i & 1])
-    gb = _threshold_grid([g[i] for i in range(len(g)) if domain >> i & 1])
-    for a in fa:
-        mask_f = level_mask_gt(f.values, a, domain)
+    g_levels = list(zip(*_level_sets(g.values, domain)))
+    for a, mask_f in zip(*_level_sets(f.values, domain)):
         mu_f = mu(mask_f)
-        for b in gb:
-            mask_g = level_mask_gt(g.values, b, domain)
+        for b, mask_g in g_levels:
             union = mu(mask_f | mask_g)
             bound = float(boxplus.fn(mu_f, mu(mask_g)))
             if union > bound + tol:
@@ -132,11 +119,10 @@ def is_pqd(f: Fn, g: Fn, mu: MonotoneMeasure, tol: float = 1e-12) -> RelationVer
     if len(f) != len(g):
         raise DomainError("functions must live on the same space")
     domain = (1 << len(f)) - 1
-    for t in _threshold_grid(f.values):
-        mask_f = level_mask_gt(f.values, t, domain)
+    g_levels = list(zip(*_level_sets(g.values, domain)))
+    for t, mask_f in zip(*_level_sets(f.values, domain)):
         mu_f = mu(mask_f)
-        for s in _threshold_grid(g.values):
-            mask_g = level_mask_gt(g.values, s, domain)
+        for s, mask_g in g_levels:
             joint = mu(mask_f & mask_g)
             prod = mu_f * mu(mask_g)
             if joint < prod - tol:

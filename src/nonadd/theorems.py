@@ -49,10 +49,11 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
+    _domain_mask,
+    _level_sets,
     _rel_gap,
     expand_masks,
     iter_submasks,
-    level_mask_gt,
     rng_for,
     subset_infima,
 )
@@ -85,11 +86,6 @@ from .results import CheckResult, DomainError, HypothesisError
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _domain_mask(n: int, domain) -> int:
-    full = (1 << n) - 1
-    return full if domain is None else domain
-
 
 def _domain_bits(n: int, domain: int) -> list[int]:
     return [i for i in range(n) if domain >> i & 1]
@@ -691,15 +687,14 @@ def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeas
                            f: Fn, g: Fn, domain: int, tol: float) -> CheckResult:
     """The four-variable condition on the realized chain quadruples
     (a, b, mu(D & {f > a}), mu(D & {g > b}))."""
-    a_cands = sorted(set([0.0] + [f[i] for i in range(len(f)) if domain >> i & 1]))
-    b_cands = sorted(set([0.0] + [g[i] for i in range(len(g)) if domain >> i & 1]))
+    g_levels = list(zip(*_level_sets(g.values, domain)))
     worst = None
     worst_gap = 0.0
     slack = INF
-    for a in a_cands:
-        c = mu(level_mask_gt(f.values, a, domain))
-        for b in b_cands:
-            d = mu(level_mask_gt(g.values, b, domain))
+    for a, mask_f in zip(*_level_sets(f.values, domain)):
+        c = mu(mask_f)
+        for b, mask_g in g_levels:
+            d = mu(mask_g)
             lhs, rhs = _condition_sides(ops, a, b, float(boxplus.fn(c, d)), c, d)
             gap = _rel_gap(lhs, rhs)
             if gap > tol and gap > worst_gap:

@@ -230,6 +230,14 @@ class TestDualitySplits:
         res = check_condition("dual_star_split", star=JOIN, op_h=oph, scale=UNIT)
         assert res.holds
 
+    def test_infinite_violation_gives_infinite_margin(self):
+        # the c = 0 slice holds finite violations (up to 2046) and infinite ones
+        # (lhs = inf); the margin is the largest violation over all cells, inf
+        res = check_condition("dual_star_split", star=PROD, op_h=SL, scale=EXTENDED)
+        assert not res.holds
+        assert res.margin == INF
+        assert res.witness == {"a": 0.015625, "b": 128.0, "c": 0.0, "lhs": 1.0, "rhs": 0.0}
+
     def test_pair_form_with_join_conjugate(self):
         oph = op_dual(MIN, reciprocal())  # conjugate of min is join
         res = check_condition("dual_star_split_pair", star=SUM, op_h=oph,
@@ -299,9 +307,7 @@ class _Acc:
         if finite.any():
             self.min_slack = min(self.min_slack, float(slack[finite].min()))
         if viol.any():
-            gap = np.where(viol & np.isfinite(slack), -slack, 0.0)
-            local_max = float(gap.max()) if np.isfinite(slack[viol]).any() else INF
-            self.max_viol = max(self.max_viol, local_max)
+            self.max_viol = max(self.max_viol, -float(slack[viol].min()))
             if self.witness is None:
                 idx = tuple(np.argwhere(viol)[0])
                 wit = {}

@@ -19,15 +19,15 @@ from nonadd.core import (
     ValueScale,
     combine,
     expand_masks,
+    _level_sets,
     iter_submasks,
-    level_mask_ge,
-    level_mask_gt,
     profile_eval,
     rng_for,
     scale_contains,
     subset_infima,
 )
 from nonadd.results import DomainError
+from test_integrals import ref_level_mask_ge, ref_level_mask_gt
 
 xreals = st.one_of(
     st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
@@ -140,9 +140,26 @@ class TestSpaceAndFn:
 
     def test_level_masks(self):
         vals = [0.5, 0.2, 0.8]
-        assert level_mask_ge(vals, 0.5, 0b111) == 0b101
-        assert level_mask_gt(vals, 0.5, 0b111) == 0b100
-        assert level_mask_ge(vals, 0.5, 0b011) == 0b001
+        assert ref_level_mask_ge(vals, 0.5, 0b111) == 0b101
+        assert ref_level_mask_gt(vals, 0.5, 0b111) == 0b100
+        assert ref_level_mask_ge(vals, 0.5, 0b011) == 0b001
+        assert _level_sets(vals, 0b111) == ([0.0, 0.2, 0.5, 0.8], [0b111, 0b101, 0b100, 0])
+        assert _level_sets(vals, 0b011) == ([0.0, 0.2, 0.5], [0b011, 0b001, 0])
+        assert _level_sets(vals, 0) == ([0.0], [0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(vals=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, INF]) | xreals,
+                         min_size=1, max_size=10),
+           data=st.data())
+    @example(vals=[0.0, 0.5, 0.5, INF], data=None)
+    def test_level_sets_against_per_threshold_masks(self, vals, data):
+        domain = (1 << len(vals)) - 1 if data is None else data.draw(
+            st.integers(0, (1 << len(vals)) - 1))
+        ts, above = _level_sets(vals, domain)
+        assert ts == sorted(set([0.0] + [v for i, v in enumerate(vals) if domain >> i & 1]))
+        assert above == [ref_level_mask_gt(vals, t, domain) for t in ts]
+        # the >= sets, one threshold lower
+        assert [domain] + above[:-1] == [ref_level_mask_ge(vals, t, domain) for t in ts]
 
     def test_submask_iteration(self):
         subs = sorted(iter_submasks(0b101))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonadd.core import (
     EXTENDED,
@@ -33,7 +35,7 @@ from nonadd.integrals import (
     upper_integral_result,
     upper_integral_subset_oracle,
 )
-from nonadd.measures import MonotoneMeasure, generate_measure
+from nonadd.measures import GENERATOR_FAMILIES, MonotoneMeasure, generate_measure
 from nonadd.operators import (
     bounded_sum,
     join,
@@ -44,6 +46,7 @@ from nonadd.operators import (
     plain_sum,
     product,
     reciprocal,
+    verify_flags,
 )
 from nonadd.results import DomainError, HypothesisError
 from nonadd import sampling
@@ -63,6 +66,171 @@ def brute_upper(f, mu, op, domain, ts):
                 mask |= 1 << i
         best = max(best, float(op.fn(t, mu(mask))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# References: the level-set scans that ``core._level_sets`` replaced, kept so
+# that the integrals (and, in test_relations, the level-set relations) must
+# match them byte for byte.
+# ---------------------------------------------------------------------------
+
+def ref_level_mask_ge(values, t, domain):
+    """Bitmask of domain points where the value is >= t."""
+    m = 0
+    for i, v in enumerate(values):
+        if domain >> i & 1 and v >= t:
+            m |= 1 << i
+    return m
+
+
+def ref_level_mask_gt(values, t, domain):
+    """Bitmask of domain points where the value is > t."""
+    m = 0
+    for i, v in enumerate(values):
+        if domain >> i & 1 and v > t:
+            m |= 1 << i
+    return m
+
+
+def _ref_inputs(f, domain, op, scale):
+    if isinstance(f, Fn):
+        values, scale = f.values, scale or f.scale
+    else:
+        values = tuple(float(v) for v in f)
+    full = (1 << len(values)) - 1
+    if domain is None:
+        domain = full
+    if not isinstance(domain, int) or not 0 <= domain <= full:
+        raise DomainError(f"invalid domain bitmask {domain!r}")
+    verify_flags(op, ["nondecreasing"], scale)
+    return values, scale, domain
+
+
+def _ref_desc_levels(values, domain):
+    """Distinct values on the domain, descending, with their >= masks."""
+    pairs = {}
+    for i, v in enumerate(values):
+        if domain >> i & 1:
+            pairs[v] = pairs.get(v, 0) | (1 << i)
+    vals = sorted(pairs, reverse=True)
+    masks, m = [], 0
+    for v in vals:
+        m |= pairs[v]
+        masks.append(m)
+    return vals, masks
+
+
+def ref_upper_integral_result(f, mu, op, domain=None, scale=None):
+    values, scale, domain = _ref_inputs(f, domain, op, scale)
+    vals_desc, ge_masks = _ref_desc_levels(values, domain)
+    candidates = [(0.0, domain)]
+    for v, m in zip(vals_desc, ge_masks):
+        if scale.contains(v):
+            candidates.append((v, m))
+    if scale.closed:
+        m_top = 0
+        for v, m in zip(vals_desc, ge_masks):
+            if v >= scale.upper:
+                m_top = m
+        candidates.append((scale.upper, m_top))
+    best, best_level = -INF, 0.0
+    for t, mask in candidates:
+        val = float(op.fn(t, mu(mask)))
+        if val > best:
+            best, best_level = val, t
+    exact = True
+    if not scale.closed:
+        tail_mask = 0
+        for v, m in zip(vals_desc, ge_masks):
+            if v >= scale.upper:
+                tail_mask = m
+        tail_mu = mu(tail_mask)
+        if not (tail_mu == 0.0 and "zero_right_annihilator" in op.flags):
+            lo = max((v for v in vals_desc if scale.contains(v)), default=0.0)
+            if math.isinf(scale.upper):
+                ladder = [max(lo, 1.0) * 2.0 ** k for k in range(1, 12)]
+            else:
+                ladder = [scale.upper - (scale.upper - lo) * 2.0 ** -k for k in range(1, 12)]
+            for t in ladder:
+                if scale.contains(t):
+                    val = float(op.fn(t, tail_mu))
+                    if val > best:
+                        best, best_level = val, t
+            exact = False
+    return best, exact, best_level
+
+
+def ref_lower_integral_result(f, mu, op, domain=None, scale=None):
+    values, scale, domain = _ref_inputs(f, domain, op, scale)
+    vals_desc, ge_masks = _ref_desc_levels(values, domain)
+    best, best_level = INF, 0.0
+    for t in [0.0] + [v for v in vals_desc if scale.contains(v)]:
+        gt_mask = 0
+        for v, m in zip(vals_desc, ge_masks):
+            if v > t:
+                gt_mask = m
+        val = float(op.fn(t, mu(gt_mask)))
+        if val < best:
+            best, best_level = val, t
+    return best, True, best_level
+
+
+_SCALES = [UNIT, UNIT_OPEN, NONNEG, EXTENDED, ValueScale(2.0, False), ValueScale(2.0, True),
+           ValueScale(0.5, True), ValueScale(0.5, False)]
+_OPS = [minimum(), product(), join(), plain_sum(), bounded_sum(), lukasiewicz()]
+
+
+@st.composite
+def integral_cases(draw, max_n=6):
+    """An integrand with zeros, ties, the scale top and inf where the scale
+    holds them, as an ``Fn`` or a raw vector with an explicit scale; a
+    generated measure or a possibility measure with infinite mass; and a
+    domain that may be empty."""
+    n = draw(st.integers(1, max_n))
+    scale = draw(st.sampled_from(_SCALES))
+    pool = [v for v in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0, scale.upper) if scale.contains(v)]
+    value = st.one_of(st.sampled_from(pool),
+                      st.floats(0.0, min(scale.upper, 4.0)).filter(scale.contains))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        mu = generate_measure(draw(st.integers(0, 10 ** 6)),
+                              draw(st.sampled_from(GENERATOR_FAMILIES)), n)
+    else:
+        density = st.sampled_from([0.0, 0.25, 0.5, 1.0, INF])
+        mu = MonotoneMeasure.possibility(FiniteSpace(n),
+                                         draw(st.lists(density, min_size=n, max_size=n)))
+    op = draw(st.sampled_from(_OPS))
+    domain = draw(st.one_of(st.none(), st.just(0), st.integers(0, (1 << n) - 1)))
+    if draw(st.booleans()):
+        return list(values), mu, op, domain, scale
+    return Fn(values, scale), mu, op, domain, None
+
+
+def _result_bytes(value, exact, level):
+    return value.hex(), exact, level.hex()
+
+
+class TestLevelFormsMatchReference:
+    """Both integrals against the per-threshold scans they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=integral_cases())
+    @example(case=(Fn([0.5, 0.5, 0.0]), MonotoneMeasure.possibility(
+        FiniteSpace(3), [0.5, 1.0, 0.25]), bounded_sum(), None, None))
+    @example(case=(Fn([1.0, 0.5, 1.0]), MonotoneMeasure.possibility(
+        FiniteSpace(3), [0.25, 1.0, 0.5]), join(), 0b011, None))
+    @example(case=([0.25, INF], MonotoneMeasure.possibility(FiniteSpace(2), [INF, 0.5]),
+                   plain_sum(), 0b10, EXTENDED))
+    @example(case=(Fn([0.25, 0.5], UNIT_OPEN), MonotoneMeasure.possibility(
+        FiniteSpace(2), [0.5, 1.0]), join(), 0, None))
+    def test_upper_and_lower_bytes(self, case):
+        f, mu, op, domain, scale = case
+        got = upper_integral_result(f, mu, op, domain, scale)
+        assert _result_bytes(*got) == _result_bytes(
+            *ref_upper_integral_result(f, mu, op, domain, scale))
+        got = lower_integral_result(f, mu, op, domain, scale)
+        assert _result_bytes(*got) == _result_bytes(
+            *ref_lower_integral_result(f, mu, op, domain, scale))
 
 
 class TestWorkedExamples:
@@ -135,6 +303,27 @@ class TestOracle:
             direct = upper_integral(f, mu, op, domain)
             oracle = upper_integral_subset_oracle(f, mu, op, domain)
             assert abs(direct - oracle) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=integral_cases())
+    def test_agreement_on_every_scale_and_domain(self, case):
+        # open and closed scales, raw vectors and empty domains: the subset
+        # form's empty-set term walks the level form's tail ladder
+        f, mu, op, domain, scale = case
+        direct = upper_integral(f, mu, op, domain, scale)
+        oracle = upper_integral_subset_oracle(f, mu, op, domain, scale)
+        assert direct == oracle or abs(direct - oracle) <= 1e-12
+
+    def test_open_scale_tail_over_an_empty_domain(self):
+        # both tails climb the ladder from 0.0, the largest in-scale level of
+        # the empty domain
+        mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
+        f = Fn([0.25, 0.5], UNIT_OPEN)
+        assert upper_integral_subset_oracle(f, mu, join(), 0) == 0.99951171875
+        assert upper_integral(f, mu, join(), 0) == 0.99951171875
+        f = Fn([0.25, 0.5], ValueScale(2.0, False))
+        assert upper_integral_subset_oracle(f, mu, plain_sum(), 0) == 1.9990234375
+        assert upper_integral(f, mu, plain_sum(), 0) == 1.9990234375
 
     def test_reads_the_table_not_per_subset_calls(self, monkeypatch):
         n = 10

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonadd.core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, rng_for
 from nonadd.integrals import lower_integral, sugeno_integral
@@ -24,6 +26,7 @@ from nonadd.metrics import (
 from nonadd.operators import join, minimum, plain_sum, power_min, power_prod
 from nonadd.results import DomainError, HypothesisError
 from nonadd import sampling
+from test_integrals import ref_level_mask_gt
 
 SP2 = FiniteSpace(2)
 MU2 = MonotoneMeasure.explicit(SP2, [0.0, 0.3, 0.6, 0.8])
@@ -61,10 +64,31 @@ class TestMetricEval:
             exact = metric_eval(MetricSpec("frechet"), f, g, mu)
             diff = [abs(a - b) for a, b in zip(f, g)]
             full = (1 << n) - 1
-            from nonadd.core import level_mask_gt
-            dense = min(e + mu(level_mask_gt(diff, e, full)) for e in eps_grid)
+            dense = min(e + mu(ref_level_mask_gt(diff, e, full)) for e in eps_grid)
             assert exact <= dense + 1e-12
             assert dense - exact <= 2.5e-3  # within one grid step
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(["monotonized_random", "possibility"]),
+           seed=st.integers(0, 10 ** 6))
+    @example(data=None, family="possibility", seed=3)
+    def test_kyfan_classical_matches_threshold_loop(self, data, family, seed):
+        # the loop over sorted({0} | diffs) with one mask scan per threshold,
+        # with infinite entries (both infinite: |inf - inf| is nan)
+        if data is None:
+            f, g = [0.5, INF, 1.0], [0.25, INF, -INF]
+        else:
+            value = st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, INF, -INF]) | st.floats(-2, 2)
+            n = data.draw(st.integers(1, 6))
+            f = data.draw(st.lists(value, min_size=n, max_size=n))
+            g = data.draw(st.lists(value, min_size=n, max_size=n))
+        mu = generate_measure(seed, family, len(f))
+        diff = [abs(a - b) for a, b in zip(f, g)]
+        full = (1 << len(diff)) - 1
+        want = INF
+        for eps in sorted(set([0.0] + diff)):
+            want = min(want, max(eps, mu(ref_level_mask_gt(diff, eps, full))))
+        assert kyfan_classical(f, g, mu).hex() == want.hex()
 
     def test_kyfan_three_way_agreement(self):
         for k in range(40):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nonadd.core import (
     EXTENDED,
     INF,
+    NONNEG,
     UNIT,
     FiniteSpace,
     Fn,
@@ -18,7 +19,7 @@ from nonadd.core import (
     rng_for,
     subset_infima,
 )
-from nonadd.measures import MonotoneMeasure, generate_measure
+from nonadd.measures import GENERATOR_FAMILIES, MonotoneMeasure, generate_measure
 from nonadd.operators import (
     bounded_sum,
     join,
@@ -30,8 +31,9 @@ from nonadd.operators import (
     product,
 )
 from nonadd.relations import is_comonotone, is_mu_subadditive, is_pqd, is_star_associated
-from nonadd.results import RelationVerdict
+from nonadd.results import DomainError, RelationVerdict
 from nonadd import sampling
+from test_integrals import ref_level_mask_gt
 
 unit_vals = st.lists(st.sampled_from([k / 8.0 for k in range(9)]),
                      min_size=2, max_size=6)
@@ -255,3 +257,92 @@ class TestPQD:
         res = is_pqd(f, g, mu)
         assert not res.holds
         assert res.witness["mu_joint"] < res.witness["mu_product"]
+
+
+# ---------------------------------------------------------------------------
+# The per-threshold loops that ``core._level_sets`` replaced, kept as
+# references that must agree byte for byte.
+# ---------------------------------------------------------------------------
+
+def _ref_threshold_grid(values):
+    return sorted(set([0.0] + [float(v) for v in values]))
+
+
+def ref_is_mu_subadditive(f, g, boxplus, mu, domain=None, tol=1e-12):
+    if len(f) != len(g):
+        raise DomainError("functions must live on the same space")
+    full = (1 << len(f)) - 1
+    if domain is None:
+        domain = full
+    if not isinstance(domain, int) or not 0 <= domain <= full:
+        raise DomainError(f"invalid domain bitmask {domain!r}")
+    fa = _ref_threshold_grid([f[i] for i in range(len(f)) if domain >> i & 1])
+    gb = _ref_threshold_grid([g[i] for i in range(len(g)) if domain >> i & 1])
+    for a in fa:
+        mask_f = ref_level_mask_gt(f.values, a, domain)
+        mu_f = mu(mask_f)
+        for b in gb:
+            mask_g = ref_level_mask_gt(g.values, b, domain)
+            union = mu(mask_f | mask_g)
+            bound = float(boxplus.fn(mu_f, mu(mask_g)))
+            if union > bound + tol:
+                return RelationVerdict("mu_subadditive", False,
+                                       {"a": a, "b": b, "mu_union": union, "bound": bound})
+    return RelationVerdict("mu_subadditive", True)
+
+
+def ref_is_pqd(f, g, mu, tol=1e-12):
+    domain = (1 << len(f)) - 1
+    for t in _ref_threshold_grid(f.values):
+        mask_f = ref_level_mask_gt(f.values, t, domain)
+        mu_f = mu(mask_f)
+        for s in _ref_threshold_grid(g.values):
+            mask_g = ref_level_mask_gt(g.values, s, domain)
+            joint = mu(mask_f & mask_g)
+            prod = mu_f * mu(mask_g)
+            if joint < prod - tol:
+                return RelationVerdict("pqd", False,
+                                       {"t": t, "s": s, "mu_joint": joint, "mu_product": prod})
+    return RelationVerdict("pqd", True)
+
+
+@st.composite
+def _level_case(draw):
+    """Two functions with zeros, ties and (on EXTENDED) inf, a generated or
+    possibility measure (possibly with infinite mass) and a domain that may
+    be empty."""
+    n = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([UNIT, NONNEG, EXTENDED]))
+    pool = [v for v in (0.0, 0.25, 0.5, 1.0, 2.0, INF) if scale.contains(v)]
+    value = st.one_of(st.sampled_from(pool), st.floats(0.0, 1.0))
+    f = Fn(draw(st.lists(value, min_size=n, max_size=n)), scale)
+    g = Fn(draw(st.lists(value, min_size=n, max_size=n)), scale)
+    if draw(st.booleans()):
+        mu = generate_measure(draw(st.integers(0, 10 ** 6)),
+                              draw(st.sampled_from(GENERATOR_FAMILIES)), n)
+    else:
+        density = st.sampled_from([0.0, 0.25, 0.5, 1.0, INF])
+        mu = MonotoneMeasure.possibility(FiniteSpace(n),
+                                         draw(st.lists(density, min_size=n, max_size=n)))
+    boxplus = draw(st.sampled_from([plain_sum(), join(), bounded_sum(), product()]))
+    domain = draw(st.one_of(st.none(), st.just(0), st.integers(0, (1 << n) - 1)))
+    return f, g, boxplus, mu, domain
+
+
+def _bytes(verdict):
+    return json.dumps(verdict.to_dict(), sort_keys=True)
+
+
+class TestLevelRelationsMatchReference:
+    @given(case=_level_case(), tol=st.sampled_from([1e-12, 0.0, -1e-3]))
+    @settings(max_examples=300, deadline=None)
+    def test_mu_subadditive_bytes(self, case, tol):
+        f, g, boxplus, mu, domain = case
+        assert (_bytes(is_mu_subadditive(f, g, boxplus, mu, domain, tol))
+                == _bytes(ref_is_mu_subadditive(f, g, boxplus, mu, domain, tol)))
+
+    @given(case=_level_case(), tol=st.sampled_from([1e-12, 0.0, -1e-3]))
+    @settings(max_examples=300, deadline=None)
+    def test_pqd_bytes(self, case, tol):
+        f, g, _, mu, _ = case
+        assert _bytes(is_pqd(f, g, mu, tol)) == _bytes(ref_is_pqd(f, g, mu, tol))
