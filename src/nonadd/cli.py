@@ -10,6 +10,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -184,8 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.list or args.command == "list":
         return _cmd_list(args)

@@ -296,14 +296,19 @@ class Fn:
     scale: ValueScale = UNIT
 
     def __init__(self, values: Sequence[float], scale: ValueScale = UNIT):
-        values = tuple(float(v) for v in values)
+        values = tuple(map(float, values))
         if not 1 <= len(values) <= MAX_POINTS:
             raise DomainError(f"function length must be in [1, {MAX_POINTS}]")
-        for i, v in enumerate(values):
-            if not scale.contains(v):
-                raise DomainError(
-                    f"value {v!r} at point {i} lies outside the scale {scale.describe()}"
-                )
+        # ValueScale.contains as one chain per value (NaN fails it); the
+        # per-point loop runs only to name the first value outside the scale
+        upper = scale.upper
+        if not (all(0.0 <= v <= upper for v in values) if scale.closed
+                else all(0.0 <= v < upper for v in values)):
+            for i, v in enumerate(values):
+                if not scale.contains(v):
+                    raise DomainError(
+                        f"value {v!r} at point {i} lies outside the scale {scale.describe()}"
+                    )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "scale", scale)
 

@@ -23,6 +23,11 @@ j = 0), the upper form's.  One bisection of T finds the set at the scale top
 and the largest level below it, where the tail ladder (``_tail_ladder``,
 shared with the subset oracle's empty-set term) starts.
 
+The domain is checked against the measure's space once per call
+(``_level_reader``).  Every level set is a submask of the domain, so the
+level masses are then read unchecked from the measure's cached table, or
+through ``mu()`` when the measure has none (no table is built to be read).
+
 ``min`` as the operator gives the classical max-min integral, ``product``
 the max-product integral; a semicopula gives the seminormed form.
 """
@@ -83,6 +88,15 @@ def _unpack(f, scale: ValueScale | None, domain: int | None = None):
     return values, scale, _domain_mask(len(values), domain)
 
 
+def _level_reader(mu: MonotoneMeasure, domain: int):
+    """Check ``domain`` against the measure's space once and return a
+    reader of the masses of its submasks: the cached table's ``item``, or
+    ``mu`` itself when no table is cached."""
+    mu.space.validate_mask(domain)
+    tab = mu._table
+    return mu if tab is None else tab.item
+
+
 def _positive_levels(ts: list[float], scale: ValueScale) -> range:
     """Indices of the thresholds in the scale above 0, descending: the
     candidates after 0, in the order both integrals evaluate them."""
@@ -115,18 +129,19 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     attained level and exactness flag."""
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
+    mass = _level_reader(mu, domain)
     ts, above = _level_sets(values, domain)
     ge = [domain] + above  # ge[j] = D intersect {f >= ts[j]}
     top = bisect_left(ts, scale.upper)  # ge[top] = D intersect {f >= scale top}
-    levels = [(0.0, mu(domain))] + [(ts[j], mu(ge[j])) for j in _positive_levels(ts, scale)]
+    levels = [(0.0, mass(domain))] + [(ts[j], mass(ge[j])) for j in _positive_levels(ts, scale)]
     exact = True
     if scale.closed:
-        levels.append((scale.upper, mu(ge[top])))
+        levels.append((scale.upper, mass(ge[top])))
     else:
         # tail piece above the largest in-scale value: level mass is the
         # measure of points at or above the open end (constant there); with
         # an annihilating zero and no mass it contributes 0 exactly
-        tail_mu = mu(ge[top])
+        tail_mu = mass(ge[top])
         if not (tail_mu == 0.0 and "zero_right_annihilator" in op.flags):
             levels += [(t, tail_mu) for t in _tail_ladder(ts[top - 1], scale)]
             exact = False  # grid-bounded: the open-end sup is only approximated
@@ -199,11 +214,12 @@ def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     """
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
+    mass = _level_reader(mu, domain)
     ts, above = _level_sets(values, domain)
     best = INF
     best_level = 0.0
     for j in [ts.index(0.0), *_positive_levels(ts, scale)]:
-        val = float(op.fn(ts[j], mu(above[j])))
+        val = float(op.fn(ts[j], mass(above[j])))
         if val < best:
             best = val
             best_level = ts[j]

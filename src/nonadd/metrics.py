@@ -87,7 +87,10 @@ def _abs_diff(f: Sequence[float], g: Sequence[float]) -> list[float]:
     gv = g.values if isinstance(g, Fn) else g
     if len(fv) != len(gv):
         raise DomainError("vectors must have equal length")
-    return [abs(float(a) - float(b)) for a, b in zip(fv, gv)]
+    # equal values are at distance 0, two equal infinities included
+    # (|inf - inf| is nan); a nan value stays nan and fails the scale check
+    # of the integrand
+    return [0.0 if a == b else abs(a - b) for a, b in zip(map(float, fv), map(float, gv))]
 
 
 def metric_eval(spec: MetricSpec, f: Sequence[float], g: Sequence[float],
@@ -109,8 +112,7 @@ def kyfan_classical(f: Sequence[float], g: Sequence[float], mu: MonotoneMeasure)
     Equals the max-min integral of |f-g| on finite spaces; kept as an
     independent route for agreement tests.
     """
-    # a point where both are infinite (|inf - inf| is nan) lies in no level set
-    diff = [d if d == d else 0.0 for d in _abs_diff(f, g)]
+    diff = Fn(_abs_diff(f, g), EXTENDED).values   # metric_eval's scale check
     best = INF
     for eps, mask in zip(*_level_sets(diff, (1 << len(diff)) - 1)):
         best = min(best, max(eps, mu(mask)))

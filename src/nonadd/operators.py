@@ -79,8 +79,8 @@ def op_eval(op: BinaryOp, a: float, b: float, scale: ValueScale | None = None) -
 # ---------------------------------------------------------------------------
 
 def _shared(factory):
-    """Make a catalog factory return one shared instance (an operator or a
-    duality map) per argument tuple.
+    """Make a catalog factory return one shared instance (an operator, a
+    rescaling map or a duality map) per argument tuple.
 
     Arguments are bound to the signature with defaults applied and keyed by
     ``(type, repr)``, so ``power_min(0.5)`` and ``power_min(p=0.5, u=1.0)``
@@ -278,14 +278,22 @@ OPERATOR_FACTORIES: dict[str, Callable[..., BinaryOp]] = {
 
 @dataclass(frozen=True, eq=False)
 class PhiMap:
-    """An increasing bijection of the scale onto itself (array-safe)."""
+    """An increasing bijection of the scale onto itself (array-safe).
+
+    ``validate_on`` passes are cached per ``(scale, tol)`` (see
+    :func:`cached_gate`); a failing map raises on every call.
+    """
 
     name: str
     forward: Callable
     inverse: Callable
     params: dict = field(default_factory=dict)
+    _verified: dict = field(default_factory=dict, repr=False)
 
     def validate_on(self, scale: ValueScale, tol: float = 1e-12) -> None:
+        cached_gate(self, (scale, tol), lambda: self._validate(scale, tol))
+
+    def _validate(self, scale: ValueScale, tol: float) -> bool:
         g = scale.grid()
         fwd = np.asarray(self.forward(g), dtype=float)
         back = np.asarray(self.inverse(fwd), dtype=float)
@@ -301,6 +309,7 @@ class PhiMap:
             raise DomainError(f"{self.name}: forward map is not strictly increasing")
         if abs(float(self.forward(0.0))) > tol:
             raise DomainError(f"{self.name}: must map 0 to 0")
+        return True
 
     def describe(self) -> dict:
         out = {"name": self.name}
@@ -308,11 +317,13 @@ class PhiMap:
         return out
 
 
+@_shared
 def phi_identity() -> PhiMap:
     return PhiMap("identity", lambda x: np.asarray(x, dtype=float),
                   lambda x: np.asarray(x, dtype=float))
 
 
+@_shared
 def phi_power(p: float) -> PhiMap:
     if p <= 0:
         raise DomainError("power map exponent must be positive")
@@ -329,13 +340,21 @@ PHI_FACTORIES = {"identity": phi_identity, "power": phi_power}
 
 @dataclass(frozen=True, eq=False)
 class DualityMap:
-    """A decreasing bijection h of a closed scale with h(0) > 0 and h(m) = 0."""
+    """A decreasing bijection h of a closed scale with h(0) > 0 and h(m) = 0.
+
+    ``validate_on`` passes are cached per ``(scale, tol)``, as for
+    :class:`PhiMap`.
+    """
 
     name: str
     forward: Callable
     inverse: Callable
+    _verified: dict = field(default_factory=dict, repr=False)
 
     def validate_on(self, scale: ValueScale, tol: float = 1e-12) -> None:
+        cached_gate(self, (scale, tol), lambda: self._validate(scale, tol))
+
+    def _validate(self, scale: ValueScale, tol: float) -> bool:
         if not scale.closed:
             raise DomainError("duality maps need a closed scale")
         g = scale.grid()
@@ -355,6 +374,7 @@ class DualityMap:
         err = np.abs(back[both] - g[both]) / np.maximum(1.0, np.abs(g[both]))
         if err.size and err.max() > tol:
             raise DomainError(f"{self.name}: inverse round trip drifts by {err.max():.3e}")
+        return True
 
     def describe(self) -> dict:
         return {"name": self.name}
@@ -505,10 +525,12 @@ def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT,
     return CheckResult(True, mode="grid")
 
 
-def cached_gate(op: BinaryOp, key, compute: Callable):
-    """The gate result stored on ``op`` under ``key``; ``compute()`` runs
-    only on the first request.  Catalog operators are shared by argument
-    tuple, so their gates are computed once per process."""
+def cached_gate(op, key, compute: Callable):
+    """The gate result stored on ``op`` (an operator or a map) under
+    ``key``; ``compute()`` runs only until it returns a result, so a gate
+    that raises runs again on the next request.  Catalog operators and maps
+    are shared by argument tuple, so their gates are computed once per
+    process."""
     res = op._verified.get(key)
     if res is None:
         res = op._verified[key] = compute()

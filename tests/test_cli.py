@@ -348,6 +348,19 @@ class TestFuzzCommand:
         assert "campaign plus_assoc_comonotone: 3/3 passed" in lines
         assert not any(line.startswith("scenario:") for line in lines)
 
+    def test_one_parser_serves_every_call(self, capsys):
+        argv = ["fuzz", "sugeno_identity", "--trials", "6", "--seed", "4"]
+        first = run_cli_json(argv, capsys)
+        with pytest.raises(SystemExit) as bad:
+            main(["fuzz", "sugeno_identity", "--trials", "six"])
+        assert bad.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert run_cli(["fuzz", "unknown_theorem"], capsys)[0] == 2
+        second = run_cli_json(argv, capsys)
+        assert first[0] == second[0] == 0
+        assert json.dumps(first[1]["report"], sort_keys=True) == \
+            json.dumps(second[1]["report"], sort_keys=True)
+
     def test_unknown_campaign_exits_2(self, capsys):
         code, _ = run_cli(["fuzz", "unknown_theorem"], capsys)
         assert code == 2

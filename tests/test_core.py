@@ -16,6 +16,7 @@ from nonadd.core import (
     NONNEG,
     SurvivalProfile,
     UNIT,
+    UNIT_OPEN,
     ValueScale,
     combine,
     expand_masks,
@@ -133,6 +134,32 @@ class TestSpaceAndFn:
             Fn([0.5, 1.5], UNIT)
         f = Fn([0.5, 1.0], UNIT)
         assert f[1] == 1.0 and len(f) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(scale=st.sampled_from([UNIT, UNIT_OPEN, NONNEG, EXTENDED]), data=st.data())
+    @example(scale=UNIT, data=None)
+    def test_fn_matches_per_value_loop(self, scale, data):
+        # the per-value ValueScale.contains loop Fn ran on every value, kept
+        # as the reference for accept/reject and the message
+        top = scale.upper
+        edges = [math.nan, -0.0, 0.0, INF, -INF, -1.0, -5e-324, top,
+                 math.nextafter(top, 0.0)]
+        if data is None:
+            values = [0.5, -0.0, math.nextafter(1.0, 0.0), 1.0, math.nan, -1.0]
+        else:
+            value = st.sampled_from(edges) | st.floats(-2.0, 2.0)
+            values = data.draw(st.lists(value, min_size=1, max_size=MAX_POINTS))
+        want = None
+        for i, v in enumerate(values):
+            if not scale.contains(v):
+                want = f"value {v!r} at point {i} lies outside the scale {scale.describe()}"
+                break
+        if want is None:
+            assert Fn(values, scale).values == tuple(values)
+        else:
+            with pytest.raises(DomainError) as err:
+                Fn(values, scale)
+            assert str(err.value) == want
 
     def test_indicator(self):
         f = Fn.indicator(3, 0b101, 0.75)

@@ -233,6 +233,61 @@ class TestLevelFormsMatchReference:
             *ref_lower_integral_result(f, mu, op, domain, scale))
 
 
+class TestOneDomainCheckPerIntegral:
+    """The domain is checked once per integral and level masses are read
+    unchecked: from a cached table, or through ``mu()`` without one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=integral_cases(), form=st.sampled_from(["as_drawn", "cached", "explicit"]))
+    @example(case=(Fn([0.5, INF, 0.25], EXTENDED), MonotoneMeasure.possibility(
+        FiniteSpace(3), [0.5, INF, 0.25]), product(), None, None), form="as_drawn")
+    def test_against_reference_on_every_table_form(self, case, form):
+        f, mu, op, domain, scale = case
+        if form == "cached":
+            mu.table()
+        elif form == "explicit":
+            mu = MonotoneMeasure.explicit(mu.space, mu.table(), validate=False)
+        tableless = mu._table is None
+        got_upper = upper_integral_result(f, mu, op, domain, scale)
+        got_lower = lower_integral_result(f, mu, op, domain, scale)
+        if tableless and mu.kind == "possibility":
+            assert mu._table is None   # read through mu(), no table built
+        assert _result_bytes(*got_upper) == _result_bytes(
+            *ref_upper_integral_result(f, mu, op, domain, scale))
+        assert _result_bytes(*got_lower) == _result_bytes(
+            *ref_lower_integral_result(f, mu, op, domain, scale))
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_function_longer_than_space_raises_the_same_error(self, cached):
+        mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
+        if cached:
+            mu.table()
+        # the lower form reads no level set holding the third point of the
+        # second function, and is rejected all the same
+        for values in ([0.5, 0.2, 0.9], [0.5, 0.2, 0.0]):
+            for integral in (upper_integral_result, lower_integral_result):
+                with pytest.raises(DomainError,
+                                   match=r"^invalid subset bitmask 7 for 2-point space$"):
+                    integral(Fn(values), mu, minimum())
+
+    def test_cached_table_is_read_without_calls(self, monkeypatch):
+        n = 8
+        rng = rng_for(9, "integral-table-reads", n)
+        f = sampling.random_fn(rng, n, UNIT)
+        measures = [generate_measure(3, "monotonized_random", n),
+                    generate_measure(3, "possibility", n)]
+        measures[1].table()
+        calls = []
+        original = MonotoneMeasure.__call__
+        monkeypatch.setattr(MonotoneMeasure, "__call__",
+                            lambda self, mask: calls.append(mask) or original(self, mask))
+        for mu in measures:
+            for op in (minimum(), product(), join()):
+                upper_integral_result(f, mu, op, 0b10110111)
+                lower_integral_result(f, mu, op)
+        assert calls == []
+
+
 class TestWorkedExamples:
     def test_two_point_min(self):
         # candidates 0.2 and 0.5: max(0.2 ^ 0.8, 0.5 ^ 0.3) by hand

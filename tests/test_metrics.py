@@ -43,6 +43,22 @@ class TestMetricEval:
         f = [0.5, -0.2]
         assert metric_eval(spec, f, f, MU2) == 0.0
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: str(s.describe()))
+    def test_equal_infinities_are_at_distance_zero(self, spec):
+        # a point where both vectors are infinite reads |inf - inf| as 0 on
+        # every route, as at a point where both are 0
+        mu = MonotoneMeasure.possibility(SP2, [1.0, 1.0])
+        f, g = [INF, 1.0], [INF, 0.5]
+        want = metric_eval(spec, [0.0, 1.0], [0.0, 0.5], mu)
+        assert metric_eval(spec, f, g, mu) == want
+        assert metric_eval(spec, [-INF, 1.0], [-INF, 0.5], mu) == want
+        with pytest.raises(DomainError, match="nan"):
+            metric_eval(spec, [math.nan, 1.0], [math.nan, 0.5], mu)
+        if spec.kind == "kyfan":
+            assert want == kyfan_classical(f, g, mu) == 0.5
+            with pytest.raises(DomainError, match="nan"):
+                kyfan_classical([math.nan, 1.0], [math.nan, 0.5], mu)
+
     def test_kyfan_indicator(self):
         # |f - g| is an indicator of height a: the max-min integral is a ^ mu(A)
         f, g = [0.7, 0.0], [0.2, 0.0]

@@ -9,6 +9,8 @@ from nonadd.core import EXTENDED, INF, NONNEG, UNIT, ValueScale
 from nonadd.operators import (
     OPERATOR_FACTORIES,
     BinaryOp,
+    DualityMap,
+    PhiMap,
     bounded_sum,
     check_operator_property,
     check_top_absorbing,
@@ -155,6 +157,54 @@ class TestDualityMaps:
     def test_open_scale_rejected(self):
         with pytest.raises(DomainError):
             one_minus().validate_on(ValueScale(1.0, False))
+
+
+class TestMapGates:
+    """Map validation runs once per (scale, tol) on a passing map and on
+    every call on a failing one."""
+
+    def test_catalog_maps_are_shared(self):
+        assert phi_power(2.0) is phi_power(2.0)
+        assert phi_power(p=2.0) is phi_power(2.0)
+        assert phi_power(2) is not phi_power(2.0)
+        assert phi_identity() is phi_identity()
+
+    def test_passing_map_runs_forward_on_its_grid_once_per_scale_and_tol(self):
+        grids = []
+
+        def forward(x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim:
+                grids.append(x.size)
+            return x
+
+        def ident(x):
+            return np.asarray(x, dtype=float)
+
+        for m in (PhiMap("traced_identity", forward, ident),
+                  DualityMap("traced_one_minus", lambda x: 1.0 - forward(x),
+                             lambda x: 1.0 - ident(x))):
+            grids.clear()
+            for _ in range(3):
+                m.validate_on(UNIT)
+                m.validate_on(UNIT, 1e-9)
+            assert grids == [UNIT.grid().size] * 2, m.name
+            m.validate_on(ValueScale(1.0, True))   # an equal scale shares the entry
+            assert len(grids) == 2
+
+    def test_failing_maps_raise_on_every_call(self):
+        squash = PhiMap("squash", lambda x: np.minimum(np.asarray(x, float), 0.5),
+                        lambda x: np.asarray(x, dtype=float))
+        rising = DualityMap("rising", lambda x: np.asarray(x, dtype=float),
+                            lambda x: np.asarray(x, dtype=float))
+        for m, match in ((squash, "squash"), (rising, "rising: must be strictly decreasing")):
+            for _ in range(2):
+                with pytest.raises(DomainError, match=match):
+                    m.validate_on(UNIT)
+            assert m._verified == {}
+        for _ in range(2):
+            with pytest.raises(DomainError, match="closed scale"):
+                one_minus().validate_on(ValueScale(1.0, False))
 
 
 class TestOpDual:
