@@ -17,6 +17,11 @@ reports the largest violation ``lhs - rhs`` over all violating cells, so
 ``inf`` as soon as one is infinite.  ``distributive_scaling`` sweeps ``z``
 first and the scale factors second; ``unit_section_order`` is one slice.
 
+The three-map condition is written once, in :func:`_three_map_sides`:
+``mh_upper`` and ``mh_lower`` evaluate it here, and the chain conditions and
+necessity cells of :mod:`nonadd.theorems` evaluate it on realized values
+and end in the same :func:`_sweep`.
+
 Registry ids:
 
 ====================== =========================================================
@@ -132,6 +137,20 @@ def _mode(*value_lists) -> str:
     return "explicit" if any(v is not None for v in value_lists) else "grid"
 
 
+def _three_map_sides(star: BinaryOp, combiner: BinaryOp, circs: Sequence[BinaryOp],
+                     phis: Sequence[PhiMap], a, b, c_ab, c_a, c_b):
+    """Both sides of the three-map condition at heights (a, b), on arrays
+    that broadcast together: ``p1^-1(p1(a star b) o1 c_ab)`` on the left and
+    ``p2^-1(p2(a) o2 c_a)`` combined with ``p3^-1(p3(b) o3 c_b)`` on the
+    right, every operator through ``op.grid``."""
+    c1, c2, c3 = circs
+    p1, p2, p3 = phis
+    lhs = p1.inverse(c1.grid(p1.forward(star.grid(a, b)), c_ab))
+    rhs = combiner.grid(p2.inverse(c2.grid(p2.forward(a), c_a)),
+                        p3.inverse(c3.grid(p3.forward(b), c_b)))
+    return lhs, rhs
+
+
 # ---------------------------------------------------------------------------
 # individual conditions
 # ---------------------------------------------------------------------------
@@ -141,21 +160,14 @@ def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
                   scale: ValueScale = UNIT, c_values=None,
                   a_values=None, b_values=None,
                   tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    c1, c2, c3 = circs
-    p1, p2, p3 = phis
     a = _as_values(scale, a_values, spacing)
     b = _as_values(scale, b_values, spacing)
     cs = _as_values(scale, c_values, spacing)
     A, B = a[:, None], b[None, :]
-    sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
-    f1 = p1.forward(sAB)
-    f2A = p2.forward(A)
-    f3B = p3.forward(B)
+    valid = _in_scale(scale, star.grid(A, B))
 
     def body(C):
-        lhs = p1.inverse(c1.grid(f1, C))
-        rhs = combiner.grid(p2.inverse(c2.grid(f2A, C)), p3.inverse(c3.grid(f3B, C)))
+        lhs, rhs = _three_map_sides(star, combiner, circs, phis, A, B, C, C, C)
         return lhs, rhs, valid, {"a": A, "b": B, "c": C}
 
     return _sweep((len(a), len(b)), [(cs, body)], tol, _mode(c_values, a_values, b_values))
@@ -289,23 +301,16 @@ def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
                   scale: ValueScale = UNIT, cd_values=None,
                   a_values=None, b_values=None,
                   tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
-    c1, c2, c3 = circs
-    p1, p2, p3 = phis
     a = _as_values(scale, a_values, spacing)
     b = _as_values(scale, b_values, spacing)
     cs, ds = _as_pairs(scale, cd_values, spacing)
     combined = _combined(boxplus, cs, ds)
     A, B = a[:, None], b[None, :]
-    sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
-    f1 = p1.forward(sAB)
-    f2A = p2.forward(A)
-    f3B = p3.forward(B)
+    valid = _in_scale(scale, star.grid(A, B))
 
     def body(i):
         C, D = cs[i], ds[i]
-        lhs = p1.inverse(c1.grid(f1, combined[i]))
-        rhs = combiner.grid(p2.inverse(c2.grid(f2A, C)), p3.inverse(c3.grid(f3B, D)))
+        lhs, rhs = _three_map_sides(star, combiner, circs, phis, A, B, combined[i], C, D)
         return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
 
     return _sweep((len(a), len(b)), [(np.arange(len(cs)), body)], tol,

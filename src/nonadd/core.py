@@ -380,13 +380,11 @@ class SurvivalProfile:
 
     def __init__(self, scale: ValueScale, fn: Callable | None = None,
                  knots: Sequence[tuple[float, float]] | None = None,
-                 domain_measure: float | None = None,
-                 lipschitz: float | None = None):
+                 domain_measure: float | None = None):
         if (fn is None) == (knots is None):
             raise DomainError("provide exactly one of fn= or knots=")
         self.scale = scale
         self.fn = fn
-        self.lipschitz = lipschitz
         if knots is not None:
             ts = [float(t) for t, _ in knots]
             gs = [float(g) for _, g in knots]

@@ -26,9 +26,7 @@ with it.
   minus the largest such difference; a success reports the least finite
   difference, floored at 0.  These are the values of a gather of each bit's
   finite differences, which runs only where the min alone cannot decide the
-  value: a zero minimum on a table holding -0.0 (the sign of the zero is
-  the one the gather's min gives), and a -inf difference under an infinite
-  ``tol``.
+  value: a -inf difference under an infinite ``tol``.
 * ``null_additive`` tests the points of the null union U, the union of the
   sets with value at most ``tol`` (:func:`null_union`).  If ``tol >= 0`` and
   adding any one point of U leaves every value unchanged, then every null
@@ -102,9 +100,7 @@ class MonotoneMeasure:
                  distortion: Callable | None = None,
                  distortion_name: str = "",
                  lam: float | None = None,
-                 rounding: bool = False,
-                 empty_value: float = 0.0,
-                 params: dict | None = None):
+                 rounding: bool = False):
         self.space = space
         self.kind = kind
         self.density = density
@@ -113,8 +109,6 @@ class MonotoneMeasure:
         self.distortion_name = distortion_name
         self.lam = lam
         self.rounding = rounding          # True when evaluation involves float rounding
-        self.empty_value = empty_value
-        self.params = params or {}
         self._table = table
 
     # -- constructors -------------------------------------------------------
@@ -131,8 +125,7 @@ class MonotoneMeasure:
             )
         if np.isnan(tab).any() or (tab < 0).any():
             raise DomainError("table entries must be extended nonnegative reals")
-        mu = cls(space, "explicit", table=tab, rounding=rounding,
-                 empty_value=float(tab[0]))
+        mu = cls(space, "explicit", table=tab, rounding=rounding)
         if validate:
             if not allow_nonzero_empty and tab[0] != 0.0:
                 raise DomainError("measure of the empty set must be 0")
@@ -262,14 +255,6 @@ def measure_eval(mu: MonotoneMeasure, mask: int) -> float:
 # exhaustive property checks
 # ---------------------------------------------------------------------------
 
-def _require_pairwise(space: FiniteSpace, prop: str):
-    if space.n > MAX_PAIRWISE_POINTS:
-        raise DomainError(
-            f"{prop} check enumerates subset pairs; space size {space.n} exceeds "
-            f"the cap of {MAX_PAIRWISE_POINTS}"
-        )
-
-
 _LOW_BITS = 8   # the disjoint pairs of the low bits form one cached block (6,561 cells)
 
 
@@ -377,6 +362,11 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
     """
     if prop not in MEASURE_PROPERTIES:
         raise DomainError(f"unknown measure property {prop!r}")
+    if prop in ("subadditive", "maxitive", "submodular") and mu.space.n > MAX_PAIRWISE_POINTS:
+        raise DomainError(     # before the table is built
+            f"{prop} check enumerates subset pairs; space size {mu.space.n} exceeds "
+            f"the cap of {MAX_PAIRWISE_POINTS}"
+        )
     if tol is None:
         tol = mu.tolerance()
     tab = mu.table()
@@ -394,7 +384,6 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
             return CheckResult(False, float(tab[0]), {"set": 0, "value": float(tab[0]),
                                                       "reason": "empty set has nonzero measure"})
         diff = np.empty(size >> 1)
-        signed = None        # whether an entry carries a sign bit, read on a zero minimum
         slack = INF
         for bit in range(n):
             low, high = _bit_halves(tab, bit)
@@ -418,9 +407,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                 return CheckResult(False, float(-(diff[bad]).max()),
                                    {"set": a, "point": bit, "value": float(tab[a]),
                                     "value_with_point": float(tab[a | 1 << bit])})
-            if least == 0.0 and signed is None:
-                signed = bool(np.signbit(tab).any())
-            if least == -INF or (least == 0.0 and signed):
+            if least == -INF:
                 least = _finite_min(diff)
             elif has_nan and not least < 0.0:
                 least = 0.0                              # a nan difference reads as 0
@@ -447,8 +434,6 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                                     "value": float(tab[b])})
             worst = max(worst, float(diff[np.isfinite(diff)].max()) if diff.size else 0.0)
         return CheckResult(True, margin=worst)
-
-    _require_pairwise(mu.space, prop)
 
     if prop == "subadditive":
         # on an exactly monotone table, (A, B - A) violates at least as much

@@ -2,7 +2,9 @@
 
 Every relation here is decided exactly, so every verdict has mode
 ``exhaustive``.  ``comonotone`` compares all point pairs and the level-set
-relations sweep the realized threshold grid.  Star-association quantifies
+relations sweep the realized threshold grid in one broadcast over
+:func:`_level_grid` (f's levels as rows, g's as columns; the witness is the
+first failing pair in that order).  Star-association quantifies
 over all nonempty subsets, but subsets of at most three points already
 decide it (see ``is_star_associated``), so it checks C(k+2, 3) index
 triples on k points, at most 2,600 at 24 points.
@@ -91,42 +93,67 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp, domain: int | None = None,
     return RelationVerdict("star_associated", True)
 
 
+def _level_grid(f: Fn, g: Fn, mu: MonotoneMeasure, domain: int):
+    """f's thresholds and strict level masks on the domain as the rows of a
+    grid, g's as its columns (``core._level_sets``), and a reader of the
+    masses of any array of their submasks.  The domain is checked against the measure's space once;
+    the reader takes the masses from the cached table, or else through
+    ``mu()``."""
+    (tf, mf), (tg, mg) = _level_sets(f.values, domain), _level_sets(g.values, domain)
+    mu.space.validate_mask(domain)
+
+    def mass(masks: np.ndarray) -> np.ndarray:
+        tab = mu._table
+        if tab is not None:
+            return tab[masks]
+        return np.array([mu(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
+
+    return (np.array(tf)[:, None], np.array(mf, dtype=np.int64)[:, None],
+            np.array(tg)[None, :], np.array(mg, dtype=np.int64)[None, :], mass)
+
+
+def _first(bad: np.ndarray) -> tuple[int, int] | None:
+    """The first true cell of a grid in row-major order, or ``None``."""
+    return np.unravel_index(int(bad.argmax()), bad.shape) if bad.any() else None
+
+
 def is_mu_subadditive(f: Fn, g: Fn, boxplus: BinaryOp, mu: MonotoneMeasure,
                       domain: int | None = None, tol: float = 1e-12) -> RelationVerdict:
-    """Union level-set measure dominated by the boxplus-combination of the
-    individual level-set measures, at every threshold pair.
+    """Union level-set measure dominated by the boxplus-combination (through
+    ``boxplus.grid``) of the individual level-set measures, at every
+    threshold pair.
 
     Level sets only change at realized values, so the realized grid plus 0
-    decides the relation exactly.
+    decides the relation exactly.  The witness is the first violating pair,
+    f's threshold first.
     """
-    domain = _pair_domain(f, g, domain)
-    g_levels = list(zip(*_level_sets(g.values, domain)))
-    for a, mask_f in zip(*_level_sets(f.values, domain)):
-        mu_f = mu(mask_f)
-        for b, mask_g in g_levels:
-            union = mu(mask_f | mask_g)
-            bound = float(boxplus.fn(mu_f, mu(mask_g)))
-            if union > bound + tol:
-                return RelationVerdict("mu_subadditive", False,
-                                       {"a": a, "b": b, "mu_union": union,
-                                        "bound": bound})
+    a, mf, b, mg, mass = _level_grid(f, g, mu, _pair_domain(f, g, domain))
+    union = mass(mf | mg)
+    with np.errstate(invalid="ignore"):
+        bound = np.broadcast_to(boxplus.grid(mass(mf), mass(mg)), union.shape)
+        cell = _first(union > bound + tol)
+    if cell is not None:
+        i, j = cell
+        return RelationVerdict("mu_subadditive", False,
+                               {"a": float(a[i, 0]), "b": float(b[0, j]),
+                                "mu_union": float(union[i, j]), "bound": float(bound[i, j])})
     return RelationVerdict("mu_subadditive", True)
 
 
 def is_pqd(f: Fn, g: Fn, mu: MonotoneMeasure, tol: float = 1e-12) -> RelationVerdict:
     """Positive quadrant dependence: joint strict level sets dominate the
-    product of the marginal ones on the realized threshold grid."""
+    product of the marginal ones on the realized threshold grid.  The
+    witness is the first failing pair, f's threshold first."""
     if len(f) != len(g):
         raise DomainError("functions must live on the same space")
-    domain = (1 << len(f)) - 1
-    g_levels = list(zip(*_level_sets(g.values, domain)))
-    for t, mask_f in zip(*_level_sets(f.values, domain)):
-        mu_f = mu(mask_f)
-        for s, mask_g in g_levels:
-            joint = mu(mask_f & mask_g)
-            prod = mu_f * mu(mask_g)
-            if joint < prod - tol:
-                return RelationVerdict("pqd", False,
-                                       {"t": t, "s": s, "mu_joint": joint,
-                                        "mu_product": prod})
+    t, mf, s, mg, mass = _level_grid(f, g, mu, (1 << len(f)) - 1)
+    joint = mass(mf & mg)
+    with np.errstate(invalid="ignore"):          # 0 * inf
+        prod = mass(mf) * mass(mg)
+        cell = _first(joint < prod - tol)
+    if cell is not None:
+        i, j = cell
+        return RelationVerdict("pqd", False,
+                               {"t": float(t[i, 0]), "s": float(s[0, j]),
+                                "mu_joint": float(joint[i, j]), "mu_product": float(prod[i, j])})
     return RelationVerdict("pqd", True)

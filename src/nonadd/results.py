@@ -32,7 +32,7 @@ class CheckResult:
     ``witness`` with enough data to reproduce the violation by direct
     evaluation.  ``status`` distinguishes a genuine mathematical failure
     (``"checked"``) from a gate that never ran (``"premise-failed"`` or
-    ``"condition-failed"``).
+    ``"condition-failed"``).  A zero margin is always ``0.0``, never ``-0.0``.
     """
 
     holds: bool
@@ -45,6 +45,8 @@ class CheckResult:
     def __post_init__(self):
         if not self.holds and self.witness is None:
             raise ValueError("failing CheckResult requires a witness")
+        if isinstance(self.margin, float) and self.margin == 0.0:
+            object.__setattr__(self, "margin", 0.0)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -12,7 +12,13 @@ Sufficiency directions evaluate their scalar condition on the realized
 chain triples (subset infima paired with the subset's measure), which is
 the exact value set the finite-space proof chain consumes; the dense-grid
 tuple-level checks live in :mod:`nonadd.conditions` and can be run
-independently.
+independently.  Both chain conditions and the necessity cells evaluate the
+one three-map formula of ``conditions._three_map_sides`` through ``op.grid``,
+and both chains end in ``conditions._sweep``: the upper chain loops over the
+realized triples, the lower chain is one slice over the f x g level grid of
+``relations._level_grid``.  Their witness is the first violating cell and
+their failing margin the largest violation; two infinite sides read as gap 0,
+and on the upper chain so does any nan gap.
 
 Shared pieces: ``_verdict`` decides the integral inequality of every
 verifier but the two equivalences, reading gaps by ``core._rel_gap`` (0
@@ -27,12 +33,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .conditions import (
+    _in_scale,
+    _sweep,
+    _three_map_sides,
     cond_counterexample_premise,
     cond_distributive_scaling,
     cond_dual_star_split,
@@ -50,7 +59,6 @@ from .core import (
     UNIT,
     ValueScale,
     _domain_mask,
-    _level_sets,
     _rel_gap,
     expand_masks,
     iter_submasks,
@@ -79,7 +87,7 @@ from .operators import (
     phi_power,
     verify_flags,
 )
-from .relations import is_comonotone, is_mu_subadditive, is_star_associated
+from .relations import _level_grid, is_comonotone, is_mu_subadditive, is_star_associated
 from .results import CheckResult, DomainError, HypothesisError
 
 
@@ -200,44 +208,34 @@ def _gate_mh(ops: MHOperators, scale: ValueScale, combiner_flags: Sequence[str],
         p.validate_on(scale)
 
 
-def _condition_sides(ops: MHOperators, a: float, b: float, c_ab: float, c_a: float,
-                     c_b: float) -> tuple[float, float]:
-    """Both sides of the scalar condition at heights (a, b), with measure
-    value ``c_ab`` for a star b on the left, ``c_a`` and ``c_b`` on the right."""
-    p1, p2, p3 = ops.phis
-    c1, c2, c3 = ops.circs
-    lhs = float(p1.inverse(c1.fn(float(p1.forward(float(ops.star.fn(a, b)))), c_ab)))
-    return lhs, float(ops.combiner.fn(float(p2.inverse(c2.fn(float(p2.forward(a)), c_a))),
-                                      float(p3.inverse(c3.fn(float(p3.forward(b)), c_b)))))
+def _tied_sides(ops: MHOperators, a, b, c_ab, c_a, c_b, nan_ties: bool = False):
+    """Both sides of the three-map condition (``conditions._three_map_sides``)
+    under ``ops``, with two infinite sides read as 0 against 0: the gap
+    between two infinities is 0 (``core._rel_gap``).  With ``nan_ties``,
+    every cell whose gap is nan reads so (the upper chain's rule)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs, rhs = _three_map_sides(ops.star, ops.combiner, ops.circs, ops.phis,
+                                    a, b, c_ab, c_a, c_b)
+        tie = np.isnan(lhs - rhs) if nan_ties else np.isinf(lhs) & np.isinf(rhs)
+    return np.where(tie, 0.0, lhs), np.where(tie, 0.0, rhs)
 
 
 def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
                            domain: int, tol: float) -> CheckResult:
-    """The scalar condition evaluated on every realized chain triple
-    (inf of f on A, inf of g on A, mu(A)) for nonempty A in the domain."""
+    """The condition on every realized chain triple (inf of f on A, inf of g
+    on A, mu(A)), one cell per nonempty A in the domain in compact-mask
+    order."""
     bits = _domain_bits(len(f), domain)
-    if not bits:
-        return CheckResult(True)
     inf_f = subset_infima([f[i] for i in bits])[1:]
     inf_g = subset_infima([g[i] for i in bits])[1:]
-    mus = mu.table()[expand_masks(bits)[1:]]
-    p1, p2, p3 = ops.phis
-    c1, c2, c3 = ops.circs
-    lhs = p1.inverse(c1.grid(p1.forward(ops.star.grid(inf_f, inf_g)), mus))
-    rhs = ops.combiner.grid(p2.inverse(c2.grid(p2.forward(inf_f), mus)),
-                            p3.inverse(c3.grid(p3.forward(inf_g), mus)))
-    with np.errstate(invalid="ignore"):
-        gap = lhs - rhs
-    gap = np.where(np.isnan(gap), 0.0, gap)
-    if (gap > tol).any():
-        k = int(np.argmax(gap))
-        return CheckResult(False, float(gap.max()),
-                           {"a": float(inf_f[k]), "b": float(inf_g[k]),
-                            "c": float(mus[k]), "lhs": float(lhs[k]),
-                            "rhs": float(rhs[k])})
-    finite = np.isfinite(gap)
-    margin = float(-gap[finite].max()) if finite.any() else INF
-    return CheckResult(True, margin=margin)
+    mus = mu.subset_table(bits)[1:]
+
+    def body(i):
+        a, b, c = inf_f[i], inf_g[i], mus[i]
+        return (*_tied_sides(ops, a, b, c, c, c, nan_ties=True), None,
+                {"a": a, "b": b, "c": c})
+
+    return _sweep((), [(np.arange(len(mus)), body)], tol, "exhaustive")
 
 
 def _mh_sides(integral, ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
@@ -252,10 +250,45 @@ def _mh_sides(integral, ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     return lhs, float(ops.combiner.fn(rf, rg))
 
 
+def _necessity(ops: MHOperators, mu: MonotoneMeasure, n: int, domain: int,
+               scale: ValueScale, tol: float, seed: int) -> tuple[int, list, bool]:
+    """The necessity direction on indicator pairs: the instances run, the
+    failures among them (the inequality survives a failing condition cell),
+    and whether the subset sample or the 200-instance stop was used.
+
+    Condition cells are (A, a, b) for nonempty A in the domain (a seeded
+    sample of 64 above 64 subsets) and heights a, b = k/8 in the scale with
+    a star b in the scale, all decided in one broadcast; the indicator
+    instances of the failing cells run in (A, a, b) order.
+    """
+    heights = [k / 8.0 for k in range(9) if scale.contains(k / 8.0)]
+    subsets = [m for m in iter_submasks(domain) if m]
+    sampled = len(subsets) > 64
+    if sampled:
+        rng = rng_for(seed, "necessity-subsets")
+        subsets = [subsets[rng.randrange(len(subsets))] for _ in range(64)]
+    c = np.array([mu(A) for A in subsets])[:, None, None]
+    a, b = np.array(heights)[:, None], np.array(heights)
+    lhs, rhs = _tied_sides(ops, a, b, c, c, c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ab = ops.star.grid(a, b)
+        failing = (ab >= 0.0) & _in_scale(scale, ab) & ~(lhs - rhs <= tol)
+    # failing cells in (A, a, b) order; a 201st one means the stop was used
+    cells = np.argwhere(failing)[:201].tolist()
+    failures = []
+    for s, i, j in cells[:200]:
+        fa = Fn.indicator(n, subsets[s], heights[i], scale)
+        gb = Fn.indicator(n, subsets[s], heights[j], scale)
+        lhs_i, rhs_i = _mh_sides(upper_integral, ops, mu, fa, gb, domain, scale)
+        if _rel_gap(lhs_i, rhs_i) <= tol:
+            failures.append({"a": heights[i], "b": heights[j], "set": subsets[s],
+                             "c": float(c[s, 0, 0]), "lhs": lhs_i, "rhs": rhs_i})
+    return min(len(cells), 200), failures, sampled or len(cells) > 200
+
+
 def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
                     domain: int | None = None, direction: str = "sufficiency",
                     tol: float = 1e-12, seed: int = 0,
-                    necessity_grid: Sequence[float] | None = None,
                     condition_verified: bool = False) -> CheckResult:
     """Bidirectional verifier for the upper-integral inequality.
 
@@ -265,7 +298,9 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     Necessity: on indicator pairs, a condition failure at height pair
     (a, b) and subset A must surface as a violation of the integral
     inequality itself; any triple where the inequality survives while the
-    condition fails refutes necessity and is reported.
+    condition fails refutes necessity and is reported (see
+    :func:`_necessity`).  Its result is ``sampled`` when the subset sample
+    or the 200-instance stop was used.
     """
     if direction not in ("sufficiency", "necessity", "both"):
         raise DomainError(f"unknown direction {direction!r}")
@@ -288,35 +323,14 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
         detail = result.detail        # the necessity entries extend this result
 
     if direction in ("necessity", "both"):
-        heights = list(necessity_grid) if necessity_grid is not None else \
-            [k / 8.0 for k in range(9) if scale.contains(k / 8.0)]
-        subsets = [m for m in iter_submasks(domain) if m]
-        if len(subsets) > 64:
-            rng = rng_for(seed, "necessity-subsets")
-            subsets = [subsets[rng.randrange(len(subsets))] for _ in range(64)]
-        checked = 0
-        failures = []
-        triples = ((A, c, a, b) for A in subsets for c in (mu(A),)
-                   for a in heights for b in heights)
-        for A, c, a, b in triples:
-            if (not scale.contains(float(ops.star.fn(a, b)))
-                    or _rel_gap(*_condition_sides(ops, a, b, c, c, c)) <= tol):
-                continue
-            # condition fails here; the indicator instance must violate
-            fa = Fn.indicator(len(f), A, a, scale)
-            gb = Fn.indicator(len(f), A, b, scale)
-            lhs_i, rhs_i = _mh_sides(upper_integral, ops, mu, fa, gb, domain, scale)
-            checked += 1
-            if _rel_gap(lhs_i, rhs_i) <= tol:
-                failures.append({"a": a, "b": b, "set": A, "c": c,
-                                 "lhs": lhs_i, "rhs": rhs_i})
-            if checked >= 200:
-                break
+        checked, failures, sampled = _necessity(ops, mu, len(f), domain, scale, tol, seed)
         detail["necessity_instances"] = checked
         detail["necessity_violations_confirmed"] = checked - len(failures)
+        mode = "sampled" if sampled else "exhaustive"
         if failures:
             return CheckResult(False, 0.0, {"necessity_failures": failures[:5]},
-                               detail=detail)
+                               mode=mode, detail=detail)
+        result = replace(result, mode=mode)
     return result
 
 
@@ -603,8 +617,8 @@ def _subadditive_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None
             "mu_b": float(tab[b])}
 
 
-def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8, seed: int = 0,
-                              spot_checks: int = 20) -> CheckResult:
+def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8,
+                              seed: int = 0) -> CheckResult:
     """Equivalence between subadditivity of the max-min integral and of the
     (finite) measure itself.
 
@@ -612,43 +626,18 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8, seed: int
     integral inequality.  Backward: for every subset pair the two-level
     indicator instance at height mu(A|B) reduces the integral inequality to
     mu(A|B) <= mu(A) + mu(B) exactly, so sweeping all pairs recovers the
-    subadditivity verdict; a sample of pairs is re-verified through the
-    actual integral routine to keep the sweep honest.
+    subadditivity verdict.
     """
     tol = mu.tolerance()
     sub = check_measure_property(mu, "subadditive")
     fin = check_measure_property(mu, "finite")
     detail: dict = {"subadditive": sub, "finite": fin}
-    n = mu.space.n
-    tab = mu.table()
-    size = tab.shape[0]
 
     # backward sweep over all pairs via the exact two-level reduction
     sweep_wit = _subadditive_indicator_sweep(mu, tol)
     recovered_subadditive = sweep_wit is None
     detail["indicator_recovery_matches"] = (recovered_subadditive == sub.holds) \
         if fin.holds else "skipped-infinite"
-
-    # spot-check the reduction through the real integral evaluation
-    rng = rng_for(seed, "sugeno-spot")
-    spots_ok = True
-    for _ in range(spot_checks):
-        a_set = rng.randrange(size)
-        b_set = rng.randrange(size)
-        height = float(tab[a_set | b_set])
-        if not math.isfinite(height):
-            continue
-        h = height if height > 0 else 1.0
-        lhs, rhs = _sum_split(sugeno_integral, mu, Fn.indicator(n, a_set, h, NONNEG),
-                              Fn.indicator(n, b_set, h, NONNEG))
-        direct = height <= float(tab[a_set]) + float(tab[b_set]) + tol
-        via_integral = _rel_gap(lhs, rhs) <= tol
-        if direct != via_integral:
-            spots_ok = False
-            detail["spot_mismatch"] = {"set_a": a_set, "set_b": b_set,
-                                       "lhs": lhs, "rhs": rhs}
-            break
-    detail["spot_checks_consistent"] = spots_ok
 
     if sub.holds:
         violations, _ = _random_pair_probe(sugeno_integral, mu, trials, seed,
@@ -657,9 +646,9 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8, seed: int
             return CheckResult(False, 0.0, {"forward_violations": violations[:3]},
                                detail=detail)
 
-    if spots_ok and (not fin.holds or recovered_subadditive == sub.holds):
+    if not fin.holds or recovered_subadditive == sub.holds:
         return CheckResult(True, detail=detail)
-    wit = sweep_wit or {"reason": "spot checks diverged"}
+    wit = sweep_wit or {"reason": "the indicator sweep found no violation"}
     return CheckResult(False, 0.0, wit, detail=detail)
 
 
@@ -686,25 +675,15 @@ def verify_sugeno_subadditive_boundary() -> CheckResult:
 def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
                            f: Fn, g: Fn, domain: int, tol: float) -> CheckResult:
     """The four-variable condition on the realized chain quadruples
-    (a, b, mu(D & {f > a}), mu(D & {g > b}))."""
-    g_levels = list(zip(*_level_sets(g.values, domain)))
-    worst = None
-    worst_gap = 0.0
-    slack = INF
-    for a, mask_f in zip(*_level_sets(f.values, domain)):
-        c = mu(mask_f)
-        for b, mask_g in g_levels:
-            d = mu(mask_g)
-            lhs, rhs = _condition_sides(ops, a, b, float(boxplus.fn(c, d)), c, d)
-            gap = _rel_gap(lhs, rhs)
-            if gap > tol and gap > worst_gap:
-                worst_gap = gap
-                worst = {"a": a, "b": b, "c": c, "d": d, "lhs": lhs, "rhs": rhs}
-            elif math.isfinite(gap):
-                slack = min(slack, -gap)
-    if worst is not None:
-        return CheckResult(False, worst_gap, worst)
-    return CheckResult(True, margin=slack)
+    (a, b, mu(D & {f > a}), mu(D & {g > b})), one cell per threshold pair:
+    f's thresholds as rows, g's as columns."""
+    a, mask_f, b, mask_g, mass = _level_grid(f, g, mu, domain)
+    c, d = mass(mask_f), mass(mask_g)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c_ab = boxplus.grid(c, d)
+    cells = (*_tied_sides(ops, a, b, c_ab, c, d), None, {"a": a, "b": b, "c": c, "d": d})
+    return _sweep((a.shape[0], b.shape[1]), [(np.zeros(1), lambda _: cells)], tol,
+                  "exhaustive")
 
 
 def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,

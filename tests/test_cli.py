@@ -248,12 +248,12 @@ REPORT_SHA256 = {
     "harmonic_duality": "b6a8965829f6464821aa942aa6761731604d3d0017131c164df7a94669646a49",
     "infinite_total_boundary":
         "b636c378066aa6376cc16e47e2fcdab4b2fb5d57225ac7f191a7160502f4dcb5",
-    "lower_bounded_sum": "04bc2fb7e0303637adc5c90b909b3b24358fc9e94b7b39b881a5a904475a0a81",
+    "lower_bounded_sum": "34de13674257b4f7c81c20a360157c9a96ebc9e2f70783da6d28378257ff854b",
     "lower_sum_subadditive":
-        "7f9965b5666cfe8e3aa18ecdbd99f815e28025ef8f2c6876dd35b58d38f6560e",
+        "f40e39a20511e86923ed631d667471d46494be3d3d2aadab7ed4910c6720dcb7",
     "reciprocal_integral": "e9bc74f2d12c4871d271d2aacff4be230329e033d4b90adce9a73c44c6d654e6",
     "two_point_integrals": "445af2a1e3512dc89546b918890f3aa5e95ab300b391be118efc5ba5f6b00bb3",
-    "verifier_tour": "7c83a5e0532df79347372c606cd74a844ea088822fd7a934d91017afd08c9040",
+    "verifier_tour": "d4842d5ce7ba03c3ab85490a379297791711db53ee0ca784bc8e256417fc41e9",
 }
 
 

@@ -336,6 +336,11 @@ class TestOracle:
     def test_worked_instance(self):
         assert upper_integral_subset_oracle(F2, MU2, minimum()) == 0.3
 
+    def test_domain_cap(self):
+        mu = MonotoneMeasure.possibility(FiniteSpace(21), [0.5] * 21)
+        with pytest.raises(DomainError):
+            upper_integral_subset_oracle(Fn([0.25] * 21), mu, minimum())
+
     def test_constant_is_single_term(self):
         f = Fn([0.4, 0.4])
         assert upper_integral_subset_oracle(f, MU2, minimum()) == min(0.4, 0.8)

@@ -468,9 +468,24 @@ class TestPropertyChecks:
         assert check_measure_property(mu, "monotone").holds
 
     def test_pairwise_cap(self):
+        # the limit is checked before the 2**n table is built
         mu = MonotoneMeasure.possibility(FiniteSpace(13), [0.5] * 13)
+        for prop in ("subadditive", "maxitive", "submodular"):
+            with pytest.raises(DomainError):
+                check_measure_property(mu, prop)
+        assert mu._table is None
+
+    def test_generator_cap(self):
         with pytest.raises(DomainError):
-            check_measure_property(mu, "subadditive")
+            generate_measure(0, "possibility", 13)
+
+    def test_zero_margins_are_positive_zero(self):
+        # minus the largest margin 0 of the pair kernel was -0.0
+        mu = MonotoneMeasure.explicit(SP2, [0, INF, INF, INF])
+        for prop in MEASURE_PROPERTIES:
+            res = check_measure_property(mu, prop)
+            assert math.copysign(1.0, res.margin) == 1.0, prop
+        assert repr(CheckResult(True, margin=-0.0).margin) == "0.0"
 
     def test_witness_replays(self):
         mu = generate_measure(3, "non_maxitive", 5)

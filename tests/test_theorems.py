@@ -1,14 +1,29 @@
 """Theorem verifiers: worked instances, hypothesis gates, both directions,
 and the exact counterexample reproduction."""
 
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nonadd.core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, rng_for
+from nonadd.core import (
+    EXTENDED,
+    FiniteSpace,
+    Fn,
+    INF,
+    NONNEG,
+    UNIT,
+    _level_sets,
+    _rel_gap,
+    expand_masks,
+    iter_submasks,
+    rng_for,
+    subset_infima,
+)
 from nonadd.integrals import shilkret_integral, sugeno_integral, upper_integral
 from nonadd.measures import (
     GENERATOR_FAMILIES,
@@ -21,11 +36,14 @@ from nonadd.operators import (
     bounded_sum,
     join,
     lukasiewicz,
+    marshall_olkin,
     minimum,
     one_minus,
     phi_identity,
     phi_power,
     plain_sum,
+    power_min,
+    power_prod,
     power_product,
     prob_sum,
     product,
@@ -34,8 +52,16 @@ from nonadd.operators import (
 from nonadd.results import CheckResult, DomainError, HypothesisError
 from nonadd.theorems import (
     MHOperators,
+    _ANNIHILATING,
+    _chain_condition_lower,
+    _chain_condition_upper,
+    _gate_mh,
     _max_product_indicator_sweep,
+    _mh_sides,
+    _necessity,
     _subadditive_indicator_sweep,
+    _sum_split,
+    realized_measure_values,
     reproduce_counterexample,
     verify_comonotone_subadditive,
     verify_dual_minkowski,
@@ -349,12 +375,12 @@ SWEEP_VALUES = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 3.0, INF]
 
 
 @st.composite
-def sweep_measures(draw):
-    """Measures on at most 8 points: the generator families and their
+def sweep_measures(draw, max_n=8, kinds=("family", "dual", "raw", "inf")):
+    """Measures on at most ``max_n`` points: the generator families and their
     reciprocal duals, ``explicit(validate=False)`` tables (mostly
     non-monotone) and monotone tables holding inf."""
-    kind = draw(st.sampled_from(["family", "dual", "raw", "inf"]))
-    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, max_n))
     if kind in ("family", "dual"):
         mu = generate_measure(draw(st.integers(0, 10 ** 6)),
                               draw(st.sampled_from(GENERATOR_FAMILIES)), n)
@@ -449,6 +475,28 @@ class TestIndicatorSweeps:
 
 
 class TestSugenoSubadditive:
+    def test_realized_values_cap(self):
+        mu = MonotoneMeasure.possibility(FiniteSpace(17), [0.5] * 17)
+        with pytest.raises(DomainError):
+            realized_measure_values(mu, (1 << 17) - 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mu=sweep_measures(max_n=4, kinds=("family", "dual", "inf")))
+    def test_sweep_verdict_is_the_integral_verdict(self, mu):
+        # the two-level reduction through the max-min integral itself, on
+        # every pair of a monotone measure: a pair of infinite height has no
+        # finite level and passes
+        tab, n, tol = mu.table(), mu.space.n, mu.tolerance()
+        violated = False
+        for a_set, b_set in itertools.product(range(1 << n), repeat=2):
+            height = float(tab[a_set | b_set])
+            if math.isinf(height):
+                continue
+            h = height if height > 0 else 1.0
+            lhs, rhs = _sum_split(sugeno_integral, mu, Fn.indicator(n, a_set, h, NONNEG),
+                                  Fn.indicator(n, b_set, h, NONNEG))
+            violated |= _rel_gap(lhs, rhs) > tol
+        assert (_subadditive_indicator_sweep(mu, tol) is not None) == violated
     def test_forward_and_recovery_on_subadditive(self):
         for k in range(20):
             mu = sampling.subadditive_measure(47, k, 2 + k % 6)
@@ -537,3 +585,203 @@ class TestDualMinkowski:
         res = verify_dual_minkowski("pair", SUM, MIN, reciprocal(), mu, f, g,
                                     boxplus=SUM)
         assert res.holds
+
+
+# ---------------------------------------------------------------------------
+# chain conditions and necessity cells against the loops they replaced
+# ---------------------------------------------------------------------------
+
+CATALOG = [MIN, JOIN, PROD, SL, BSUM, SUM, PSUM, marshall_olkin(0.5, 0.25),
+           power_product(0.5), power_min(0.5, 1.0), power_prod(2.0, 1.0)]
+PHIS = [phi_identity(), phi_power(0.5), phi_power(2.0)]
+
+
+def _grid(op, x, y):
+    """One operator cell through ``op.grid`` on scalars."""
+    return float(op.grid(x, y))
+
+
+def ref_condition_sides(ops, a, b, c_ab, c_a, c_b):
+    """The scalar three-map condition as the chain loops evaluated it, with
+    ``op.grid`` on scalars in place of ``op.fn``."""
+    p1, p2, p3 = ops.phis
+    c1, c2, c3 = ops.circs
+    lhs = float(p1.inverse(_grid(c1, float(p1.forward(_grid(ops.star, a, b))), c_ab)))
+    return lhs, _grid(ops.combiner, float(p2.inverse(_grid(c2, float(p2.forward(a)), c_a))),
+                      float(p3.inverse(_grid(c3, float(p3.forward(b)), c_b))))
+
+
+def ref_chain_upper(ops, mu, f, g, domain, tol):
+    """The upper chain condition before it ran through ``_sweep``: the
+    verdict with the largest gap as witness, and the first violating triple."""
+    bits = [i for i in range(len(f)) if domain >> i & 1]
+    if not bits:
+        return CheckResult(True), None
+    inf_f = subset_infima([f[i] for i in bits])[1:]
+    inf_g = subset_infima([g[i] for i in bits])[1:]
+    mus = mu.table()[expand_masks(bits)[1:]]
+    p1, p2, p3 = ops.phis
+    c1, c2, c3 = ops.circs
+    lhs = p1.inverse(c1.grid(p1.forward(ops.star.grid(inf_f, inf_g)), mus))
+    rhs = ops.combiner.grid(p2.inverse(c2.grid(p2.forward(inf_f), mus)),
+                            p3.inverse(c3.grid(p3.forward(inf_g), mus)))
+    gap = lhs - rhs
+    gap = np.where(np.isnan(gap), 0.0, gap)
+    if (gap > tol).any():
+        k = int(np.argmax(gap > tol))
+        first = {"a": float(inf_f[k]), "b": float(inf_g[k]), "c": float(mus[k]),
+                 "lhs": float(lhs[k]), "rhs": float(rhs[k])}
+        return CheckResult(False, float(gap.max()), first), first
+    finite = np.isfinite(gap)
+    return CheckResult(True, margin=float(-gap[finite].max()) if finite.any() else INF), None
+
+
+def ref_chain_lower(ops, boxplus, mu, f, g, domain, tol):
+    """The lower chain condition's scalar double loop: the verdict with the
+    largest gap as witness, and the first violating quadruple."""
+    g_levels = list(zip(*_level_sets(g.values, domain)))
+    worst, worst_gap, slack, first = None, 0.0, INF, None
+    for a, mask_f in zip(*_level_sets(f.values, domain)):
+        c = mu(mask_f)
+        for b, mask_g in g_levels:
+            d = mu(mask_g)
+            lhs, rhs = ref_condition_sides(ops, a, b, _grid(boxplus, c, d), c, d)
+            gap = _rel_gap(lhs, rhs)
+            cell = {"a": a, "b": b, "c": c, "d": d, "lhs": lhs, "rhs": rhs}
+            if gap > tol and first is None:
+                first = cell
+            if gap > tol and gap > worst_gap:
+                worst_gap, worst = gap, cell
+            elif math.isfinite(gap):
+                slack = min(slack, -gap)
+    if worst is not None:
+        return CheckResult(False, worst_gap, worst), first
+    return CheckResult(True, margin=slack), None
+
+
+def ref_necessity(ops, mu, n, domain, scale, tol, seed):
+    """The necessity loop: (instances, failures, sampled).  It runs the
+    indicator instance of each failing (A, a, b) cell, stops after 200, and
+    reports the stop as used when a failing cell remained."""
+    heights = [k / 8.0 for k in range(9) if scale.contains(k / 8.0)]
+    subsets = [m for m in iter_submasks(domain) if m]
+    sampled = len(subsets) > 64
+    if sampled:
+        rng = rng_for(seed, "necessity-subsets")
+        subsets = [subsets[rng.randrange(len(subsets))] for _ in range(64)]
+    checked, failures = 0, []
+    for A in subsets:
+        c = mu(A)
+        for a in heights:
+            for b in heights:
+                if (not scale.contains(_grid(ops.star, a, b))
+                        or _rel_gap(*ref_condition_sides(ops, a, b, c, c, c)) <= tol):
+                    continue
+                if checked == 200:
+                    return checked, failures, True
+                fa = Fn.indicator(n, A, a, scale)
+                gb = Fn.indicator(n, A, b, scale)
+                lhs_i, rhs_i = _mh_sides(upper_integral, ops, mu, fa, gb, domain, scale)
+                checked += 1
+                if _rel_gap(lhs_i, rhs_i) <= tol:
+                    failures.append({"a": a, "b": b, "set": A, "c": c,
+                                     "lhs": lhs_i, "rhs": rhs_i})
+    return checked, failures, sampled
+
+
+@st.composite
+def mh_cases(draw, circs=CATALOG):
+    """A three-map operator tuple from the catalog (circs from ``circs``),
+    two functions with ties, zeros and (on the extended scale) inf, a
+    measure that may hold inf and a domain that may be empty, on at most 6
+    points."""
+    n = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([UNIT, NONNEG, EXTENDED]))
+    pool = [v for v in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 2.0, INF) if scale.contains(v)]
+    f = Fn(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), scale)
+    g = Fn(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), scale)
+    if draw(st.booleans()):
+        mu = generate_measure(draw(st.integers(0, 10 ** 6)),
+                              draw(st.sampled_from(GENERATOR_FAMILIES)), n)
+    else:
+        density = st.sampled_from([0.0, 0.25, 0.5, 1.0, INF])
+        mu = MonotoneMeasure.possibility(FiniteSpace(n),
+                                         draw(st.lists(density, min_size=n, max_size=n)))
+    op = st.sampled_from(CATALOG)
+    circ = st.sampled_from(circs)
+    ops = MHOperators(draw(op), draw(op), (draw(circ), draw(circ), draw(circ)),
+                      tuple(draw(st.sampled_from(PHIS)) for _ in range(3)))
+    domain = draw(st.one_of(st.just((1 << n) - 1), st.just(0), st.integers(0, (1 << n) - 1)))
+    return ops, draw(op), mu, f, g, domain
+
+
+def _replays(ops, w, tol, c_ab=None):
+    """The witness cell, evaluated directly, violates by its own sides."""
+    with np.errstate(all="ignore"):
+        lhs, rhs = ref_condition_sides(ops, w["a"], w["b"], w["c"] if c_ab is None else c_ab,
+                                       w["c"], w.get("d", w["c"]))
+    assert _rel_gap(lhs, rhs) == _rel_gap(w["lhs"], w["rhs"]) > tol
+
+
+class TestChainConditionsMatchReference:
+    """Both chain conditions and the necessity cells against the loops they
+    replaced, on the operator catalog."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mh_cases(), tol=st.sampled_from([1e-12, 0.0]))
+    def test_upper_chain(self, case, tol):
+        ops, _, mu, f, g, domain = case
+        got = _chain_condition_upper(ops, mu, f, g, domain, tol)
+        with np.errstate(all="ignore"):
+            ref, first = ref_chain_upper(ops, mu, f, g, domain, tol)
+        assert (got.holds, repr(got.margin), got.mode) == (ref.holds, repr(ref.margin), ref.mode)
+        if not got.holds:
+            assert got.witness == first
+            _replays(ops, got.witness, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mh_cases(), tol=st.sampled_from([1e-12, 0.0]))
+    def test_lower_chain(self, case, tol):
+        ops, boxplus, mu, f, g, domain = case
+        got = _chain_condition_lower(ops, boxplus, mu, f, g, domain, tol)
+        with np.errstate(all="ignore"):
+            ref, first = ref_chain_lower(ops, boxplus, mu, f, g, domain, tol)
+        assert (got.holds, repr(got.margin), got.mode) == (ref.holds, repr(ref.margin), ref.mode)
+        if not got.holds:
+            assert got.witness == first
+            with np.errstate(all="ignore"):
+                c_ab = _grid(boxplus, got.witness["c"], got.witness["d"])
+            _replays(ops, got.witness, tol, c_ab)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mh_cases(circs=[op for op in CATALOG if "zero_left_annihilator" in op.flags]),
+           tol=st.sampled_from([1e-12, 0.0]), seed=st.integers(0, 3))
+    def test_necessity_cells(self, case, tol, seed):
+        ops, _, mu, f, _, domain = case
+        args = (ops, mu, len(f), domain, f.scale, tol, seed)
+        # the gates and the instance integrals warn on inf * 0 (marshall_olkin
+        # on the extended scale); the condition cells themselves do not
+        with np.errstate(invalid="ignore"):
+            try:     # the instance integrals need the verifier's gates
+                _gate_mh(ops, f.scale, ["nondecreasing"], _ANNIHILATING)
+            except HypothesisError:
+                assume(False)
+            got = _necessity(*args)
+            ref = ref_necessity(*args)
+        assert json.dumps(got) == json.dumps(ref)
+
+    def test_sampled_label(self):
+        # 127 nonempty subsets: the 64-subset sample is drawn
+        ops = MHOperators(PSUM, PSUM, (PROD,) * 3,
+                          (phi_power(2.0), phi_power(1.0), phi_power(2.0)))
+        zero = Fn([0.0] * 7)
+        mu = MonotoneMeasure.possibility(FiniteSpace(7), [0.25, 0.5, 0.75, 1.0, 0.5, 0.25, 1.0])
+        res = verify_upper_mh(ops, mu, zero, zero, direction="necessity")
+        assert res.mode == "sampled" and res.detail["necessity_instances"] == 200
+        args = (ops, mu, 7, (1 << 7) - 1, UNIT, 1e-12, 0)
+        assert json.dumps(_necessity(*args)) == json.dumps(ref_necessity(*args))
+        # 3 subsets: every failing cell runs, nothing is sampled
+        small = MonotoneMeasure.possibility(FiniteSpace(2), [0.25, 0.75])
+        res = verify_upper_mh(ops, small, Fn([0.0, 0.0]), Fn([0.0, 0.0]),
+                              direction="necessity")
+        assert res.mode == "exhaustive" and 0 < res.detail["necessity_instances"] < 200
