@@ -124,8 +124,9 @@ def _as_pairs(scale: ValueScale, cd_values, spacing: float) -> tuple[np.ndarray,
 
 
 def _combined(boxplus: BinaryOp, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    return np.asarray([float(boxplus.fn(c, d)) for c, d in zip(cs.tolist(), ds.tolist())],
-                      dtype=float)
+    """``c [+] d`` for each pair, through ``op.grid`` like the lower chain."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return boxplus.grid(cs, ds)
 
 
 def _in_scale(scale: ValueScale, arr) -> np.ndarray:

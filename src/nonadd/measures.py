@@ -10,8 +10,8 @@ set, nondecreasing under inclusion.  Four representations are supported:
 
 Property checkers are exhaustive and vectorized.  ``monotone`` and
 ``null_additive`` read single subsets and run up to the 24-point space cap;
-the checks that enumerate subset *pairs* (subadditive, maxitive, submodular)
-are capped at 12 points.  Margins use exact table arithmetic; a 1e-12
+the pairwise checks (subadditive, maxitive, submodular) are capped at 12
+points.  Margins use exact table arithmetic; a 1e-12
 tolerance applies only to the representations whose evaluation involves
 rounding (distortion, lambda, h-duals).
 
@@ -33,14 +33,19 @@ with it.
   set N is a subset of U and ``tab[a | N] == tab[a]`` for every a, by
   adding the points of N one at a time.  Every difference the per-null-set
   sweep would read is then 0 (inf against inf reads as 0), so the check
-  holds with margin 0.0 without it.  Any other table runs that sweep, one
-  2**n pass per null set, which also gives a failure's witness.
+  holds with margin 0.0 without it.  On an exactly monotone table (below)
+  N -> tab[a | N] - tab[a] is nondecreasing, and float subtraction is
+  monotone, so the maximal null sets hold the largest differences: if none
+  of theirs is infinite or above ``tol``, their largest is the margin.  Any
+  other table runs that sweep, one 2**n pass per null set, which also gives
+  a failure's witness.
 
-The pairwise checks share one chunked kernel (:func:`_pair_kernel`).  A
+The pairwise checks share one reduction (:func:`_reduce_blocks`).  A
 failure reports the largest violation; its witness is the pair with the
 smallest key ``(a << n) | b`` among the equal largest violations, which is
 the first one in (a, b) order.  A success reports minus the largest finite
-margin.  The kernel sweeps one of two pair sets:
+margin.  The chunked pair kernel (:func:`_pair_kernel`) sweeps one of two
+pair sets:
 
 * *disjoint pairs* (3**n): maxitivity is decided on them by definition (the
   pair of empty sets has margin 0, so they also hold the first largest
@@ -53,9 +58,17 @@ margin.  The kernel sweeps one of two pair sets:
   such a table either, so it runs only on tables that are not exactly
   monotone (possible for ``explicit(validate=False)`` tables, tables
   validated only up to 1e-12, and user distortions);
-* *all pairs* (4**n), in row chunks: subadditivity on other tables, and
-  submodularity always.  Its success margin is the largest rounding residue
-  over every pair, which no local (A, i, j) test reproduces.
+* *all pairs* (4**n), in row chunks: subadditivity on other tables.
+
+Submodularity is decided on the local cells instead (:func:`_local_cells`):
+a set function on a Boolean lattice is submodular iff
+mu(A+i) + mu(A+j) >= mu(A+i+j) + mu(A) for all i < j not in A, so the
+C(n,2) * 2**(n-2) differences ``(mu(A+i+j) - mu(A+j)) - (mu(A+i) - mu(A))``
+go through the same reduction, ``tol`` applying per cell.  The witness of
+a violating cell is the pair (A+i, A+j), whose union is A+i+j and whose
+intersection is A.  On a monotone table no difference overflows, and
+comparable pairs, which hold with equality, are never read, so a success
+margin is the least local slack rather than a rounding residue.
 
 Continuity from below is trivially true on a finite space (every increasing
 chain stabilizes), so no separate check exists for it.
@@ -288,29 +301,26 @@ def _pair_blocks(n: int, disjoint: bool):
         yield idx[i:i + step, None], idx
 
 
-def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool):
-    """Reduce ``margin(a, b)`` (nan read as 0) over the pairs of
-    :func:`_pair_blocks`; returns (ok, witness_pair, extreme).
+def _reduce_blocks(blocks, n: int, tol: float):
+    """Reduce margin blocks (nan read as 0); returns (ok, witness_pair, extreme).
 
-    A violation is ``margin > tol``.  The witness has the largest violation
-    and, among equal ones, the smallest key ``(a << n) | b``, so it does not
-    depend on the block order.  On success the extreme is minus the largest
-    finite margin, or ``INF`` when no margin is finite.
+    ``blocks`` yields (m, keys): an array of margins and a function giving
+    the pair keys ``(a << n) | b`` of flat positions of ``m``.  A violation
+    is ``margin > tol``.  The witness has the largest violation and, among
+    equal ones, the smallest key, so it does not depend on the block order.
+    On success the extreme is minus the largest finite margin, or ``INF``
+    when no margin is finite.
     """
     best, key, top = -INF, None, -INF
     with np.errstate(invalid="ignore", over="ignore"):  # overflow to inf is intended
-        for a, b in _pair_blocks(n, disjoint):
-            m = margin(a, b)
+        for m, keys in blocks:
             hi = float(m.max())
             if hi != hi:         # the max is nan exactly when some margin is
                 m[np.isnan(m)] = 0.0
                 hi = float(m.max())
             if hi > tol:
                 if hi >= best:
-                    hits = np.flatnonzero(m == hi)
-                    keys = ((np.broadcast_to(a, m.shape).ravel()[hits] << n)
-                            | np.broadcast_to(b, m.shape).ravel()[hits])
-                    k = int(keys.min())
+                    k = int(keys(np.flatnonzero(m == hi)).min())
                     if hi > best or k < key:
                         best, key = hi, k
             elif hi > top:
@@ -318,6 +328,50 @@ def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool):
     if key is not None:
         return False, (key >> n, key & ((1 << n) - 1)), best
     return True, None, INF if top == -INF else -top
+
+
+def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool):
+    """:func:`_reduce_blocks` of ``margin(a, b)`` over the pairs of
+    :func:`_pair_blocks`."""
+    def blocks():
+        for a, b in _pair_blocks(n, disjoint):
+            m = margin(a, b)
+
+            def keys(hits, a=a, b=b, shape=m.shape):
+                return ((np.broadcast_to(a, shape).ravel()[hits] << n)
+                        | np.broadcast_to(b, shape).ravel()[hits])
+
+            yield m, keys
+
+    return _reduce_blocks(blocks(), n, tol)
+
+
+def _insert_zero(x: np.ndarray, bit: int) -> np.ndarray:
+    """``x`` with a zero bit inserted at position ``bit``."""
+    return (x >> bit << (bit + 1)) | (x & ((1 << bit) - 1))
+
+
+def _local_cells(tab: np.ndarray, n: int):
+    """The submodularity differences of :func:`_reduce_blocks`, one block
+    per point pair i < j: ``d = (mu(A+i+j) - mu(A+j)) - (mu(A+i) - mu(A))``
+    over the sets A without i and j, keyed by the pair (A+i, A+j).
+
+    The bit-i differences ``mu(A+i) - mu(A)`` are taken once per i, indexed
+    by the sets without i, where point j sits at bit j - 1; each j > i then
+    subtracts their two half views for that bit.
+    """
+    for i in range(n - 1):
+        low, high = _bit_halves(tab, i)
+        di = high - low
+        for j in range(i + 1, n):
+            without_j, with_j = _bit_halves(di, j - 1)
+            d = with_j - without_j
+
+            def keys(hits, i=i, j=j):
+                a = _insert_zero(_insert_zero(hits, j - 1), i)
+                return ((a | 1 << i) << n) | a | 1 << j
+
+            yield d, keys
 
 
 def _bit_halves(tab: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,6 +402,14 @@ def _finite_min(diff: np.ndarray) -> float:
     return float(finite.min()) if finite.size else INF
 
 
+def _null_diffs(tab: np.ndarray, null_set: int) -> np.ndarray:
+    """``|tab[a | null_set] - tab[a]|`` for every set a, inf against inf read as 0."""
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(tab[np.arange(tab.shape[0], dtype=np.int64) | null_set] - tab)
+    diff[np.isnan(diff)] = 0.0
+    return diff
+
+
 def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                            tol: float | None = None,
                            _skip_empty: bool = False) -> CheckResult:
@@ -357,8 +419,10 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
     12 points; monotone and null_additive run up to the 24-point cap.
     ``monotone`` is one buffer pass per bit; ``null_additive`` first tests
     the points of the null union, which decides every table whose null sets
-    change no value, and sweeps null set by null set otherwise (see the
-    module docstring for why both give the same bytes as full sweeps).
+    change no value, then the maximal null sets of an exactly monotone
+    table, and sweeps null set by null set otherwise (see the module
+    docstring for why these give the same bytes as full sweeps).
+    ``submodular`` reads the local cells (A, i, j), not the subset pairs.
     """
     if prop not in MEASURE_PROPERTIES:
         raise DomainError(f"unknown measure property {prop!r}")
@@ -419,20 +483,32 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         if tol >= 0 and all(np.array_equal(*_bit_halves(tab, bit))
                             for bit in range(n) if union >> bit & 1):
             return CheckResult(True, margin=0.0)
-        null_sets = np.arange(size, dtype=np.int64)[tab <= tol]
-        idx = np.arange(size, dtype=np.int64)
+        null = tab <= tol
+        if _exactly_monotone(tab, n):
+            # N -> tab[a | N] - tab[a] is nondecreasing, so the maximal null
+            # sets hold the largest differences; if none of theirs is
+            # infinite or above tol, their largest is the loop's margin
+            maximal = null.copy()
+            for bit in range(n):
+                _bit_halves(maximal, bit)[0][_bit_halves(null, bit)[1]] = False
+            worst = 0.0
+            for a in np.flatnonzero(maximal):
+                diff = _null_diffs(tab, int(a))
+                if not (np.isfinite(diff).all() and (diff <= tol).all()):
+                    break        # the loop below finds the first failing null set
+                worst = max(worst, float(diff.max()))
+            else:
+                return CheckResult(True, margin=worst)
         worst = 0.0
-        for a in null_sets:
-            with np.errstate(invalid="ignore"):
-                diff = np.abs(tab[idx | int(a)] - tab[idx])
-            diff = np.where(np.isnan(diff), 0.0, diff)  # inf vs inf agrees
+        for a in np.flatnonzero(null):
+            diff = _null_diffs(tab, int(a))
             if (diff > tol).any():
-                b = int(idx[diff > tol][0])
+                b = int(np.argmax(diff > tol))
                 return CheckResult(False, float(diff.max()),
                                    {"null_set": int(a), "set": b,
                                     "value_union": float(tab[b | int(a)]),
                                     "value": float(tab[b])})
-            worst = max(worst, float(diff[np.isfinite(diff)].max()) if diff.size else 0.0)
+            worst = max(worst, float(diff[np.isfinite(diff)].max()))
         return CheckResult(True, margin=worst)
 
     if prop == "subadditive":
@@ -476,15 +552,9 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                                     "reason": "derived all-pairs form failed"})
         return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
 
-    # submodular
-    def submod(a, b):
-        m = tab.take(a | b)
-        m += tab.take(a & b)
-        m -= tab.take(a)
-        m -= tab.take(b)
-        return m
-
-    ok, pair, extreme = _pair_kernel(tab, n, submod, tol, disjoint=False)
+    # submodular: decided on the local cells (A, i, j), whose pair (A+i, A+j)
+    # has union A+i+j and intersection A
+    ok, pair, extreme = _reduce_blocks(_local_cells(tab, n), n, tol)
     if ok:
         return CheckResult(True, margin=extreme)
     a, b = pair

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nonadd.conditions import (
     CONDITIONS,
+    _combined,
     _as_values,
     _in_scale,
     _mode,
@@ -474,7 +475,7 @@ def ref_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
     f3B = p3.forward(B)
     acc = _Acc(tol)
     for c, d in cd_pairs:
-        combined = float(boxplus.fn(c, d))
+        combined = float(boxplus.grid(c, d))
         lhs = p1.inverse(c1.grid(f1, np.full_like(f1, combined)))
         rhs = combiner.grid(p2.inverse(c2.grid(f2A, np.full_like(f2A, c))),
                             p3.inverse(c3.grid(f3B, np.full_like(f3B, d))))
@@ -533,7 +534,7 @@ def ref_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
     valid = _in_scale(scale, sAB)
     acc = _Acc(tol)
     for c, d in cd_pairs:
-        combined = float(boxplus.fn(c, d))
+        combined = float(boxplus.grid(c, d))
         lhs = op_h.grid(sAB, np.full_like(sAB, combined))
         rhs = star.grid(op_h.grid(A, np.full_like(A, c)), op_h.grid(B, np.full_like(B, d)))
         acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
@@ -634,6 +635,27 @@ def condition_kwargs(draw, cond):
 
 def _fingerprint(res: CheckResult) -> tuple[str, str]:
     return json.dumps(res.to_dict()), repr(res.margin)
+
+
+class TestCombinedPairs:
+    def test_boxplus_rounds_once_through_grid(self):
+        # the scalar fn of a power-based operator rounds some pairs apart
+        # from its grid; the pair conditions read the grid, like the chain
+        op = power_prod(1.7, 0.3)
+        g = np.arange(1, 65) / 64.0
+        cs, ds = np.repeat(g, len(g)), np.tile(g, len(g))
+        scalar = np.array([op.fn(c, d) for c, d in zip(cs.tolist(), ds.tolist())])
+        got = _combined(op, cs, ds)
+        assert got.tobytes() == op.grid(cs, ds).tobytes()
+        assert (got != scalar).any()
+
+    def test_infinite_pairs_are_warning_free(self):
+        # prob_sum's grid at (inf, inf) is inf - inf; the suite turns the
+        # RuntimeWarning into an error
+        assert np.isnan(_combined(PSUM, np.array([INF]), np.array([INF]))).all()
+        res = check_condition("dual_star_split_pair", star=SUM, op_h=MIN, boxplus=PSUM,
+                              scale=EXTENDED, cd_values=[(INF, INF), (1.0, 2.0)])
+        assert res.mode == "explicit"
 
 
 class TestSweepMatchesLoopReference:

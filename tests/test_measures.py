@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nonadd import measures
 from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT, expand_masks, rng_for
 from nonadd.measures import (
     GENERATOR_FAMILIES,
@@ -216,8 +217,8 @@ def _least_slack(m):
 
 def ref_pairwise(tab, prop, tol):
     """The pairwise checks as row-by-row sweeps over all 4**n pairs: the
-    subadditive, disjoint maxitive, all-pairs maxitive and submodular forms
-    the library's pair kernel must reproduce byte for byte."""
+    subadditive, disjoint maxitive and all-pairs maxitive forms the
+    library's pair kernel must reproduce byte for byte."""
     def sweep(margin_of, reducer):
         def pred(a, idx):
             with np.errstate(invalid="ignore"):
@@ -254,16 +255,45 @@ def ref_pairwise(tab, prop, tol):
                                {"set_a": a, "set_b": b, "disjoint": False,
                                 "reason": "derived all-pairs form failed"})
         return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
-    assert prop == "submodular"
-    ok, pair, extreme = sweep(
-        lambda a, idx: tab[idx | a] + tab[idx & a] - tab[a] - tab[idx], _least_slack)
-    if ok:
-        return CheckResult(True, margin=extreme)
-    a, b = pair
-    return CheckResult(False, extreme,
-                       {"set_a": a, "set_b": b, "mu_union": float(tab[a | b]),
-                        "mu_inter": float(tab[a & b]), "mu_a": float(tab[a]),
-                        "mu_b": float(tab[b])})
+    raise ValueError(prop)
+
+
+def ref_local_submodular(tab, tol):
+    """Submodularity as a plain loop over the local cells (A, i < j) in the
+    difference form (mu(A+i+j) - mu(A+j)) - (mu(A+i) - mu(A)), nan read as
+    0: the check the library's per-pair-of-points views must reproduce byte
+    for byte.  The witness is the pair (A+i, A+j) of the largest violation
+    with the smallest key ``(a << n) | b``."""
+    tab = [float(v) for v in tab]
+    n = len(tab).bit_length() - 1
+    best, key, top = -INF, None, -INF
+    for s in range(1 << n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if s >> i & 1 or s >> j & 1:
+                    continue
+                a, b = s | 1 << i, s | 1 << j
+                d = (tab[a | b] - tab[b]) - (tab[a] - tab[s])
+                if d != d:
+                    d = 0.0
+                if d > tol:
+                    k = (a << n) | b
+                    if d > best or (d == best and k < key):
+                        best, key = d, k
+                elif d > top:
+                    top = d
+    if key is None:
+        return CheckResult(True, margin=INF if top == -INF else -top)
+    a, b = key >> n, key & ((1 << n) - 1)
+    return CheckResult(False, best,
+                       {"set_a": a, "set_b": b, "mu_union": tab[a | b],
+                        "mu_inter": tab[a & b], "mu_a": tab[a], "mu_b": tab[b]})
+
+
+def ref_check(tab, prop, tol):
+    if prop == "submodular":
+        return ref_local_submodular(tab, tol)
+    return ref_pairwise(tab, prop, tol)
 
 
 SP2 = FiniteSpace(2)
@@ -556,7 +586,7 @@ class TestPairKernel:
     def test_matches_reference_sweeps(self, mu, tol):
         for prop in ("subadditive", "maxitive", "submodular"):
             got = check_measure_property(mu, prop, tol=tol)
-            want = ref_pairwise(mu.table(), prop, mu.tolerance() if tol is None else tol)
+            want = ref_check(mu.table(), prop, mu.tolerance() if tol is None else tol)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), prop
             assert repr(got.margin) == repr(want.margin), prop
 
@@ -576,7 +606,7 @@ class TestPairKernel:
         for mu in mus:
             for prop in ("subadditive", "maxitive", "submodular"):
                 got = check_measure_property(mu, prop)
-                want = ref_pairwise(mu.table(), prop, mu.tolerance())
+                want = ref_check(mu.table(), prop, mu.tolerance())
                 assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), prop
                 assert repr(got.margin) == repr(want.margin), prop
 
@@ -623,6 +653,105 @@ class TestPairKernel:
                         for prop in MEASURE_PROPERTIES}
         assert verdicts == {"monotone": True, "subadditive": True, "maxitive": True,
                             "submodular": True, "null_additive": True, "finite": False}
+
+
+class TestLocalSubmodular:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data(),
+           tol=st.sampled_from([0.0, 1e-12, 0.3, -1e-3]))
+    # a non-monotone table with a -0.0 entry whose difference overflows to inf
+    @example(n=2, data=None, tol=0.0)
+    def test_matches_local_cell_loop(self, n, data, tol):
+        if data is None:
+            tab = [1e308, -0.0, 0.0, 1e308]
+        else:
+            values = st.sampled_from([0.0, -0.0, 0.125, 0.3, 0.5, 1.0, 3.0, 1e308, INF])
+            tab = data.draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+            if data.draw(st.booleans()):
+                for mask in range(1, 1 << n):
+                    tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
+                                                   for b in range(n) if mask >> b & 1])
+        mu = MonotoneMeasure.explicit(FiniteSpace(len(tab).bit_length() - 1), tab,
+                                      validate=False)
+        got = check_measure_property(mu, "submodular", tol=tol)
+        want = ref_local_submodular(tab, tol)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert repr(got.margin) == repr(want.margin)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_dyadic_verdict_matches_all_pairs(self, n, data):
+        # k/64 entries make every sum and difference exact, so the local
+        # cells and all 4**n pairs must agree on the verdict
+        tab = data.draw(st.lists(st.integers(0, 64), min_size=1 << n, max_size=1 << n))
+        tab = [v / 64.0 for v in tab]
+        tab[0] = 0.0
+        if data.draw(st.booleans()):
+            for mask in range(1, 1 << n):
+                tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
+                                               for b in range(n) if mask >> b & 1])
+        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        res = check_measure_property(mu, "submodular")
+        assert res.holds == brute_property(mu, "submodular")
+        if not res.holds:
+            w = res.witness
+            a, b = w["set_a"], w["set_b"]
+            assert mu(a | b) + mu(a & b) > mu(a) + mu(b)
+            assert res.margin == mu(a | b) + mu(a & b) - mu(a) - mu(b)
+            assert (w["mu_union"], w["mu_inter"], w["mu_a"], w["mu_b"]) == \
+                (mu(a | b), mu(a & b), mu(a), mu(b))
+
+    @pytest.mark.parametrize("table, margin", [
+        # the all-pairs sum overflowed: a spurious failure at (1, 1), margin inf
+        ([0, 1e308, 1e308, 1e308], 1e308),
+        # the comparable pair (1, 3) failed on a rounding residue of 5.55e-17
+        ([0, 0.1, 0.2, 0.3], 2.7755575615628914e-17),
+        ([0, INF, INF, INF], 0.0),
+    ])
+    def test_regression_tables_hold(self, table, margin):
+        res = check_measure_property(MonotoneMeasure.explicit(SP2, table), "submodular")
+        assert res.to_dict() == {"holds": True, "margin": margin, "mode": "exhaustive",
+                                 "status": "checked"}
+        assert repr(res.margin) == repr(float(margin))
+
+    def test_makes_no_pair_kernel_call(self, monkeypatch):
+        calls = []
+        real = measures._pair_kernel
+        monkeypatch.setattr(measures, "_pair_kernel",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        for mu in (generate_measure(4, "distortion_concave", 10),
+                   generate_measure(4, "monotonized_random", 6)):
+            check_measure_property(mu, "submodular")
+        assert calls == []
+        check_measure_property(generate_measure(4, "monotonized_random", 6), "subadditive")
+        assert len(calls) == 1
+
+
+class TestNullAdditiveMaximalSets:
+    @settings(max_examples=200, deadline=None)
+    @given(mu=null_additive_measures(), tol=st.sampled_from([1e-12, 0.1, 0.3, 0.5, 1.0, INF]))
+    # under an infinite tol the full set is the one maximal null set, and its
+    # infinite differences would hide the finite ones of the smaller sets
+    @example(mu=MonotoneMeasure.explicit(SP2, [0, 1, INF, INF]), tol=INF)
+    def test_matches_per_null_set_loop(self, mu, tol):
+        got = check_measure_property(mu, "null_additive", tol=tol)
+        want = ref_null_additive(mu.table(), tol)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert repr(got.margin) == repr(want.margin)
+
+    def test_possibility_at_eighteen_points_sweeps_one_maximal_set(self, monkeypatch):
+        # 256 null sets under tol 0.3, all inside one maximal null set; one
+        # full pass each took 1.3 s
+        calls = []
+        real = measures._null_diffs
+        monkeypatch.setattr(measures, "_null_diffs",
+                            lambda tab, a: calls.append(a) or real(tab, a))
+        dens = [0.125] * 8 + [(40 + i) / 64.0 for i in range(10)]
+        mu = MonotoneMeasure.possibility(FiniteSpace(18), dens)
+        res = check_measure_property(mu, "null_additive", tol=0.3)
+        assert res.to_dict() == {"holds": True, "margin": 0.125, "mode": "exhaustive",
+                                 "status": "checked"}
+        assert calls == [0xFF]
 
 
 class TestDuality:
