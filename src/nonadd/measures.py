@@ -33,12 +33,8 @@ with it.
   set N is a subset of U and ``tab[a | N] == tab[a]`` for every a, by
   adding the points of N one at a time.  Every difference the per-null-set
   sweep would read is then 0 (inf against inf reads as 0), so the check
-  holds with margin 0.0 without it.  On an exactly monotone table (below)
-  N -> tab[a | N] - tab[a] is nondecreasing, and float subtraction is
-  monotone, so the maximal null sets hold the largest differences: if none
-  of theirs is infinite or above ``tol``, their largest is the margin.  Any
-  other table runs that sweep, one 2**n pass per null set, which also gives
-  a failure's witness.
+  holds with margin 0.0 without it.  Any other table runs that sweep, one
+  2**n pass per null set, which also gives a failure's witness.
 
 The pairwise checks share one reduction (:func:`_reduce_blocks`).  A
 failure reports the largest violation; its witness is the pair with the
@@ -58,17 +54,26 @@ pair sets:
   such a table either, so it runs only on tables that are not exactly
   monotone (possible for ``explicit(validate=False)`` tables, tables
   validated only up to 1e-12, and user distortions);
-* *all pairs* (4**n), in row chunks: subadditivity on other tables.
+* *all pairs* (4**n), in row chunks: subadditivity on other tables, and
+  submodularity on the tables below that the local cells cannot decide.
 
-Submodularity is decided on the local cells instead (:func:`_local_cells`):
-a set function on a Boolean lattice is submodular iff
+Submodularity is decided on the local cells (:func:`_local_cells`): a real
+set function on a Boolean lattice is submodular iff
 mu(A+i) + mu(A+j) >= mu(A+i+j) + mu(A) for all i < j not in A, so the
 C(n,2) * 2**(n-2) differences ``(mu(A+i+j) - mu(A+j)) - (mu(A+i) - mu(A))``
 go through the same reduction, ``tol`` applying per cell.  The witness of
 a violating cell is the pair (A+i, A+j), whose union is A+i+j and whose
-intersection is A.  On a monotone table no difference overflows, and
-comparable pairs, which hold with equality, are never read, so a success
-margin is the least local slack rather than a rounding residue.
+intersection is A.  Comparable pairs, which hold with equality, are never
+read, so a success margin is the least local slack rather than a rounding
+residue.  The cells decide the property whenever no cell reads a nan
+that hides a violation: on an exactly monotone table, whose infinite
+entries form an up-set (a pair violating between finite values has only
+finite sets in its interval, and one whose union is +inf has a cell whose
+top alone is +inf), and on a finite table with entries of magnitude at
+most a quarter of the largest float, where no difference overflows.  Any
+other table, such as a non-monotone one with infinite entries, where an
+inf - inf cell read as 0 could hide a violation between finite values,
+sweeps all pairs.
 
 Continuity from below is trivially true on a finite space (every increasing
 chain stabilizes), so no separate check exists for it.
@@ -269,6 +274,7 @@ def measure_eval(mu: MonotoneMeasure, mask: int) -> float:
 # ---------------------------------------------------------------------------
 
 _LOW_BITS = 8   # the disjoint pairs of the low bits form one cached block (6,561 cells)
+_NO_OVERFLOW = float(np.finfo(float).max) / 4   # no difference of differences overflows
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,14 +408,6 @@ def _finite_min(diff: np.ndarray) -> float:
     return float(finite.min()) if finite.size else INF
 
 
-def _null_diffs(tab: np.ndarray, null_set: int) -> np.ndarray:
-    """``|tab[a | null_set] - tab[a]|`` for every set a, inf against inf read as 0."""
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(tab[np.arange(tab.shape[0], dtype=np.int64) | null_set] - tab)
-    diff[np.isnan(diff)] = 0.0
-    return diff
-
-
 def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                            tol: float | None = None,
                            _skip_empty: bool = False) -> CheckResult:
@@ -419,10 +417,10 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
     12 points; monotone and null_additive run up to the 24-point cap.
     ``monotone`` is one buffer pass per bit; ``null_additive`` first tests
     the points of the null union, which decides every table whose null sets
-    change no value, then the maximal null sets of an exactly monotone
-    table, and sweeps null set by null set otherwise (see the module
-    docstring for why these give the same bytes as full sweeps).
-    ``submodular`` reads the local cells (A, i, j), not the subset pairs.
+    change no value, and sweeps null set by null set otherwise (see the
+    module docstring for why both give the same bytes as full sweeps).
+    ``submodular`` reads the local cells (A, i, j) rather than the subset
+    pairs wherever they decide it.
     """
     if prop not in MEASURE_PROPERTIES:
         raise DomainError(f"unknown measure property {prop!r}")
@@ -483,32 +481,20 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         if tol >= 0 and all(np.array_equal(*_bit_halves(tab, bit))
                             for bit in range(n) if union >> bit & 1):
             return CheckResult(True, margin=0.0)
-        null = tab <= tol
-        if _exactly_monotone(tab, n):
-            # N -> tab[a | N] - tab[a] is nondecreasing, so the maximal null
-            # sets hold the largest differences; if none of theirs is
-            # infinite or above tol, their largest is the loop's margin
-            maximal = null.copy()
-            for bit in range(n):
-                _bit_halves(maximal, bit)[0][_bit_halves(null, bit)[1]] = False
-            worst = 0.0
-            for a in np.flatnonzero(maximal):
-                diff = _null_diffs(tab, int(a))
-                if not (np.isfinite(diff).all() and (diff <= tol).all()):
-                    break        # the loop below finds the first failing null set
-                worst = max(worst, float(diff.max()))
-            else:
-                return CheckResult(True, margin=worst)
+        null_sets = np.arange(size, dtype=np.int64)[tab <= tol]
+        idx = np.arange(size, dtype=np.int64)
         worst = 0.0
-        for a in np.flatnonzero(null):
-            diff = _null_diffs(tab, int(a))
+        for a in null_sets:
+            with np.errstate(invalid="ignore"):
+                diff = np.abs(tab[idx | int(a)] - tab[idx])
+            diff = np.where(np.isnan(diff), 0.0, diff)  # inf vs inf agrees
             if (diff > tol).any():
-                b = int(np.argmax(diff > tol))
+                b = int(idx[diff > tol][0])
                 return CheckResult(False, float(diff.max()),
                                    {"null_set": int(a), "set": b,
                                     "value_union": float(tab[b | int(a)]),
                                     "value": float(tab[b])})
-            worst = max(worst, float(diff[np.isfinite(diff)].max()))
+            worst = max(worst, float(diff[np.isfinite(diff)].max()) if diff.size else 0.0)
         return CheckResult(True, margin=worst)
 
     if prop == "subadditive":
@@ -553,8 +539,19 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
 
     # submodular: decided on the local cells (A, i, j), whose pair (A+i, A+j)
-    # has union A+i+j and intersection A
-    ok, pair, extreme = _reduce_blocks(_local_cells(tab, n), n, tol)
+    # has union A+i+j and intersection A, where they decide it (module
+    # docstring); elsewhere on all pairs
+    if float(np.abs(tab).max()) <= _NO_OVERFLOW or _exactly_monotone(tab, n):
+        ok, pair, extreme = _reduce_blocks(_local_cells(tab, n), n, tol)
+    else:
+        def submod(a, b):
+            m = tab.take(a | b)
+            m += tab.take(a & b)
+            m -= tab.take(a)
+            m -= tab.take(b)
+            return m
+
+        ok, pair, extreme = _pair_kernel(tab, n, submod, tol, disjoint=False)
     if ok:
         return CheckResult(True, margin=extreme)
     a, b = pair

@@ -4,6 +4,7 @@ the generator families."""
 import itertools
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -217,11 +218,12 @@ def _least_slack(m):
 
 def ref_pairwise(tab, prop, tol):
     """The pairwise checks as row-by-row sweeps over all 4**n pairs: the
-    subadditive, disjoint maxitive and all-pairs maxitive forms the
-    library's pair kernel must reproduce byte for byte."""
+    subadditive, disjoint maxitive, all-pairs maxitive and all-pairs
+    submodular forms the library's pair kernel must reproduce byte for
+    byte."""
     def sweep(margin_of, reducer):
         def pred(a, idx):
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):  # as the kernel
                 margin = margin_of(a, idx)
             margin = np.where(np.isnan(margin), 0.0, margin)
             return margin > tol, margin
@@ -255,7 +257,16 @@ def ref_pairwise(tab, prop, tol):
                                {"set_a": a, "set_b": b, "disjoint": False,
                                 "reason": "derived all-pairs form failed"})
         return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
-    raise ValueError(prop)
+    assert prop == "submodular"
+    ok, pair, extreme = sweep(
+        lambda a, idx: tab[idx | a] + tab[idx & a] - tab[a] - tab[idx], _least_slack)
+    if ok:
+        return CheckResult(True, margin=extreme)
+    a, b = pair
+    return CheckResult(False, extreme,
+                       {"set_a": a, "set_b": b, "mu_union": float(tab[a | b]),
+                        "mu_inter": float(tab[a & b]), "mu_a": float(tab[a]),
+                        "mu_b": float(tab[b])})
 
 
 def ref_local_submodular(tab, tol):
@@ -290,10 +301,20 @@ def ref_local_submodular(tab, tol):
                         "mu_inter": tab[a & b], "mu_a": tab[a], "mu_b": tab[b]})
 
 
+def local_cells_decide(tab):
+    """Whether submodularity is read on the local cells: an exactly monotone
+    table, or a finite one whose differences of differences cannot overflow."""
+    tab = [float(v) for v in tab]
+    n = len(tab).bit_length() - 1
+    if all(abs(v) <= sys.float_info.max / 4 for v in tab):
+        return True
+    return all(tab[m | 1 << b] >= tab[m] for m in range(1 << n) for b in range(n))
+
+
 def ref_check(tab, prop, tol):
-    if prop == "submodular":
+    if prop == "submodular" and local_cells_decide(tab):
         return ref_local_submodular(tab, tol)
-    return ref_pairwise(tab, prop, tol)
+    return ref_pairwise(np.asarray(tab, dtype=float), prop, tol)
 
 
 SP2 = FiniteSpace(2)
@@ -655,17 +676,38 @@ class TestPairKernel:
                             "submodular": True, "null_additive": True, "finite": False}
 
 
+@st.composite
+def dyadic_tables(draw):
+    """k/64 entries, sometimes inf, with 0 on the empty set; monotone or not."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, 64).map(lambda v: v / 64.0)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.just(INF))
+    tab = draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
+    tab[0] = 0.0
+    if draw(st.booleans()):
+        for mask in range(1, 1 << n):
+            tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
+                                           for b in range(n) if mask >> b & 1])
+    return tab
+
+
 class TestLocalSubmodular:
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 6), data=st.data(),
            tol=st.sampled_from([0.0, 1e-12, 0.3, -1e-3]))
     # a non-monotone table with a -0.0 entry whose difference overflows to inf
-    @example(n=2, data=None, tol=0.0)
-    def test_matches_local_cell_loop(self, n, data, tol):
-        if data is None:
-            tab = [1e308, -0.0, 0.0, 1e308]
+    @example(n=2, data=[1e308, -0.0, 0.0, 1e308], tol=0.0)
+    # non-monotone with inf entries: four cells are inf - inf, and the pair
+    # ({0}, {1, 2}) violates between finite values
+    @example(n=3, data=[0.0, 0.0, INF, INF, INF, INF, 0.0, 1.0], tol=0.0)
+    def test_matches_reference_loops(self, n, data, tol):
+        # the local-cell loop where the cells decide, all 4**n pairs elsewhere
+        if isinstance(data, list):
+            tab = data
         else:
-            values = st.sampled_from([0.0, -0.0, 0.125, 0.3, 0.5, 1.0, 3.0, 1e308, INF])
+            values = st.sampled_from([0.0, -0.0, 0.125, 0.3, 0.5, 1.0, 3.0, 4e307, 5e307,
+                                      1e308, INF])
             tab = data.draw(st.lists(values, min_size=1 << n, max_size=1 << n))
             if data.draw(st.booleans()):
                 for mask in range(1, 1 << n):
@@ -674,23 +716,19 @@ class TestLocalSubmodular:
         mu = MonotoneMeasure.explicit(FiniteSpace(len(tab).bit_length() - 1), tab,
                                       validate=False)
         got = check_measure_property(mu, "submodular", tol=tol)
-        want = ref_local_submodular(tab, tol)
+        want = ref_check(tab, "submodular", tol)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         assert repr(got.margin) == repr(want.margin)
 
-    @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 5), data=st.data())
-    def test_dyadic_verdict_matches_all_pairs(self, n, data):
-        # k/64 entries make every sum and difference exact, so the local
-        # cells and all 4**n pairs must agree on the verdict
-        tab = data.draw(st.lists(st.integers(0, 64), min_size=1 << n, max_size=1 << n))
-        tab = [v / 64.0 for v in tab]
-        tab[0] = 0.0
-        if data.draw(st.booleans()):
-            for mask in range(1, 1 << n):
-                tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
-                                               for b in range(n) if mask >> b & 1])
-        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+    @settings(max_examples=200, deadline=None)
+    @given(tab=dyadic_tables())
+    @example(tab=[0.0, 0.0, INF, INF, INF, INF, 0.0, 1.0])
+    def test_dyadic_verdict_matches_all_pairs(self, tab):
+        # k/64 entries make every finite sum and difference exact, so the
+        # submodular check and all 4**n pairs must agree on the verdict, on
+        # monotone and non-monotone tables, with or without inf entries
+        mu = MonotoneMeasure.explicit(FiniteSpace(len(tab).bit_length() - 1), tab,
+                                      validate=False)
         res = check_measure_property(mu, "submodular")
         assert res.holds == brute_property(mu, "submodular")
         if not res.holds:
@@ -714,44 +752,32 @@ class TestLocalSubmodular:
                                  "status": "checked"}
         assert repr(res.margin) == repr(float(margin))
 
-    def test_makes_no_pair_kernel_call(self, monkeypatch):
+    def test_non_monotone_table_with_inf_fails_on_finite_pair(self):
+        # read on the local cells, its four inf - inf cells would count as 0
+        # and the check would hold with margin 0.0
+        mu = MonotoneMeasure.explicit(SP3, [0, 0, INF, INF, INF, INF, 0, 1], validate=False)
+        res = check_measure_property(mu, "submodular")
+        assert res.to_dict() == {
+            "holds": False, "margin": 1.0, "mode": "exhaustive", "status": "checked",
+            "witness": {"set_a": 1, "set_b": 6, "mu_union": 1.0, "mu_inter": 0.0,
+                        "mu_a": 0.0, "mu_b": 0.0}}
+
+    def test_pair_kernel_runs_only_where_cells_cannot_decide(self, monkeypatch):
         calls = []
         real = measures._pair_kernel
         monkeypatch.setattr(measures, "_pair_kernel",
                             lambda *args, **kw: calls.append(args) or real(*args, **kw))
         for mu in (generate_measure(4, "distortion_concave", 10),
-                   generate_measure(4, "monotonized_random", 6)):
+                   generate_measure(4, "monotonized_random", 6),
+                   MonotoneMeasure.explicit(SP2, [0, 0.5, 0.25, 0.125], validate=False),
+                   MonotoneMeasure.explicit(SP2, [0, 1e308, INF, INF])):
             check_measure_property(mu, "submodular")
         assert calls == []
-        check_measure_property(generate_measure(4, "monotonized_random", 6), "subadditive")
-        assert len(calls) == 1
-
-
-class TestNullAdditiveMaximalSets:
-    @settings(max_examples=200, deadline=None)
-    @given(mu=null_additive_measures(), tol=st.sampled_from([1e-12, 0.1, 0.3, 0.5, 1.0, INF]))
-    # under an infinite tol the full set is the one maximal null set, and its
-    # infinite differences would hide the finite ones of the smaller sets
-    @example(mu=MonotoneMeasure.explicit(SP2, [0, 1, INF, INF]), tol=INF)
-    def test_matches_per_null_set_loop(self, mu, tol):
-        got = check_measure_property(mu, "null_additive", tol=tol)
-        want = ref_null_additive(mu.table(), tol)
-        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
-        assert repr(got.margin) == repr(want.margin)
-
-    def test_possibility_at_eighteen_points_sweeps_one_maximal_set(self, monkeypatch):
-        # 256 null sets under tol 0.3, all inside one maximal null set; one
-        # full pass each took 1.3 s
-        calls = []
-        real = measures._null_diffs
-        monkeypatch.setattr(measures, "_null_diffs",
-                            lambda tab, a: calls.append(a) or real(tab, a))
-        dens = [0.125] * 8 + [(40 + i) / 64.0 for i in range(10)]
-        mu = MonotoneMeasure.possibility(FiniteSpace(18), dens)
-        res = check_measure_property(mu, "null_additive", tol=0.3)
-        assert res.to_dict() == {"holds": True, "margin": 0.125, "mode": "exhaustive",
-                                 "status": "checked"}
-        assert calls == [0xFF]
+        for table in ([0, 0, INF, INF, INF, INF, 0, 1], [0, 1e308, 0, 5e307]):
+            mu = MonotoneMeasure.explicit(FiniteSpace(len(table).bit_length() - 1), table,
+                                          validate=False)
+            check_measure_property(mu, "submodular")
+        assert len(calls) == 2
 
 
 class TestDuality:
