@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import INF, ValueScale, UNIT, _CHUNK_CELLS
+from .core import INF, ValueScale, UNIT, _CHUNK_CELLS, check_cells
 from .operators import BinaryOp, PhiMap
 from .results import CheckResult, DomainError
 
@@ -63,9 +63,11 @@ def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
     returns ``(lhs, rhs, valid, coords)``, each broadcastable to
     ``(k,) + shape``; ``valid`` may be ``None`` and ``coords`` lists the
     witness coordinates in witness key order.  Chunks hold at most
-    ``_CHUNK_CELLS`` cells.  Witness and margins follow the module docstring.
+    ``_CHUNK_CELLS`` cells; the passes together, checked before the first,
+    the cell budget.  Witness and margins follow the module docstring.
     """
     ndim = len(shape)
+    check_cells(sum(len(lead) for lead, _ in passes) * math.prod(shape), "condition sweep")
     step = max(1, _CHUNK_CELLS // max(1, math.prod(shape)))
     min_slack, max_viol, witness = INF, 0.0, None
     for lead, body in passes:

@@ -14,8 +14,8 @@ Division is derived from multiplication by the reciprocal, so the corner
 cases ``0/0`` and ``inf/inf`` both evaluate to 0.  That choice is arbitrary
 but total and deterministic, which is what the rest of the library needs.
 
-Finite spaces carry subsets as bitmask integers; exhaustive subset work is
-capped at 24 points (and 12 for anything that enumerates subset pairs).
+Finite spaces carry subsets as bitmask integers; ``check_cells`` bounds every
+exhaustive check by the cells it enumerates, ``MAX_CELLS`` = 2**24 at most.
 Every table indexed by all subsets (measure tables, subset infima, mask
 expansion) comes from the one doubling pass ``_subset_fold``.  Every level
 set of a function on a domain comes from the one pass ``_level_sets``: the
@@ -48,11 +48,17 @@ def rng_for(seed, *indices) -> random.Random:
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
-MAX_POINTS = 24          # exhaustive single-subset enumeration cap
-MAX_PAIRWISE_POINTS = 12  # cap for anything enumerating subset pairs
+MAX_CELLS = 1 << 24       # cells one check may enumerate: the largest table's entries
+_MAX_BITS = MAX_CELLS.bit_length() - 1   # most points whose 2**n subsets fit the budget
 _CHUNK_CELLS = 1 << 15    # cells per evaluated chunk of a broadcast sweep
 
 _LADDER = tuple(float(2 ** k) for k in range(1, 11))  # grid tail for unbounded scales
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Refuse ``what`` when it would enumerate more than ``MAX_CELLS`` cells."""
+    if cells > MAX_CELLS:
+        raise DomainError(f"{what} enumerates {cells:,} cells, over the budget of {MAX_CELLS:,}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +224,8 @@ class FiniteSpace:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_POINTS:
-            raise DomainError(f"space size must be in [1, {MAX_POINTS}], got {self.n}")
+        if not 1 <= self.n <= _MAX_BITS:   # n, not 2**n: a huge n forms no huge integer
+            raise DomainError(f"space size must be in [1, {_MAX_BITS}] (2**n cells), got {self.n}")
 
     @property
     def full(self) -> int:
@@ -229,9 +235,6 @@ class FiniteSpace:
         if not isinstance(mask, int) or not 0 <= mask <= self.full:
             raise DomainError(f"invalid subset bitmask {mask!r} for {self.n}-point space")
         return mask
-
-    def subsets(self) -> range:
-        return range(1 << self.n)
 
 
 def iter_submasks(mask: int):
@@ -297,8 +300,8 @@ class Fn:
 
     def __init__(self, values: Sequence[float], scale: ValueScale = UNIT):
         values = tuple(map(float, values))
-        if not 1 <= len(values) <= MAX_POINTS:
-            raise DomainError(f"function length must be in [1, {MAX_POINTS}]")
+        if not 1 <= len(values) <= _MAX_BITS:
+            raise DomainError(f"function length must be in [1, {_MAX_BITS}] (2**n cells)")
         # ValueScale.contains as one chain per value (NaN fails it); the
         # per-point loop runs only to name the first value outside the scale
         upper = scale.upper

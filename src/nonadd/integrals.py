@@ -57,8 +57,6 @@ from .measures import MonotoneMeasure, dual_measure
 from .operators import BinaryOp, DualityMap, minimum, op_dual, product, join, verify_flags
 from .results import CheckResult, DomainError
 
-_ORACLE_CAP = 20
-
 _MIN = minimum()
 _PROD = product()
 _JOIN = join()
@@ -172,13 +170,11 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     it takes the level form's tail ladder.  Evaluates all 2^|D| subsets at
     once: the infima come from ``subset_infima`` and the measures from
     ``mu.subset_table``, which folds only the domain's points when the
-    measure has no cached table.  Capped at |D| <= 20.
+    measure has no cached table; the space bounds its 2^|D| cells.
     """
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
     bits = [i for i in range(len(values)) if domain >> i & 1]
-    if len(bits) > _ORACLE_CAP:
-        raise DomainError(f"oracle domain capped at {_ORACLE_CAP} points, got {len(bits)}")
 
     mu.space.validate_mask(domain)  # the table read below does not check masks
     best = -INF

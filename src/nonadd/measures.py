@@ -9,11 +9,11 @@ set, nondecreasing under inclusion.  Four representations are supported:
 * ``lambda_sugeno`` -- the multiplicative lambda family built from a density.
 
 Property checkers are exhaustive and vectorized.  ``monotone`` and
-``null_additive`` read single subsets and run up to the 24-point space cap;
-the pairwise checks (subadditive, maxitive, submodular) are capped at 12
-points.  Margins use exact table arithmetic; a 1e-12
-tolerance applies only to the representations whose evaluation involves
-rounding (distortion, lambda, h-duals).
+``null_additive`` read single subsets; the pairwise checks run while their
+cells fit ``core.MAX_CELLS`` (15 points on 3**n, 12 on 4**n, 18 on the local
+cells).  Margins use exact table arithmetic; a 1e-12 tolerance applies only
+to the representations whose evaluation involves rounding (distortion,
+lambda, h-duals).
 
 The two single-subset checks read the table through per-bit half views
 (:func:`_bit_halves`): for point i, the sets without i and the same sets
@@ -90,11 +90,11 @@ import numpy as np
 from .core import (
     INF,
     FiniteSpace,
-    MAX_PAIRWISE_POINTS,
     ValueScale,
     UNIT,
     _CHUNK_CELLS,
     _subset_fold,
+    check_cells,
     expand_masks,
     is_xreal,
     rng_for,
@@ -336,9 +336,12 @@ def _reduce_blocks(blocks, n: int, tol: float):
     return True, None, INF if top == -INF else -top
 
 
-def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool):
+def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool, what: str):
     """:func:`_reduce_blocks` of ``margin(a, b)`` over the pairs of
-    :func:`_pair_blocks`."""
+    :func:`_pair_blocks`, refused as ``what`` when they exceed the budget."""
+    check_cells((3 if disjoint else 4) ** n,
+                f"{what} over {'disjoint' if disjoint else 'all'} pairs")
+
     def blocks():
         for a, b in _pair_blocks(n, disjoint):
             m = margin(a, b)
@@ -413,8 +416,8 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                            _skip_empty: bool = False) -> CheckResult:
     """Exhaustive verdict for a measure property, with a witness on failure.
 
-    Pairwise properties (subadditive, maxitive, submodular) require at most
-    12 points; monotone and null_additive run up to the 24-point cap.
+    Pairwise properties over the cell budget are refused: before the table
+    is built for their cheapest sweep, after it for the 4**n pairs.
     ``monotone`` is one buffer pass per bit; ``null_additive`` first tests
     the points of the null union, which decides every table whose null sets
     change no value, and sweeps null set by null set otherwise (see the
@@ -424,15 +427,14 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
     """
     if prop not in MEASURE_PROPERTIES:
         raise DomainError(f"unknown measure property {prop!r}")
-    if prop in ("subadditive", "maxitive", "submodular") and mu.space.n > MAX_PAIRWISE_POINTS:
-        raise DomainError(     # before the table is built
-            f"{prop} check enumerates subset pairs; space size {mu.space.n} exceeds "
-            f"the cap of {MAX_PAIRWISE_POINTS}"
-        )
+    n = mu.space.n
+    if prop == "submodular":        # before the table is built
+        check_cells(math.comb(n, 2) << n >> 2, "submodular check over local cells")
+    elif prop in ("subadditive", "maxitive"):
+        check_cells(3 ** n, f"{prop} check over disjoint pairs")
     if tol is None:
         tol = mu.tolerance()
     tab = mu.table()
-    n = mu.space.n
     size = 1 << n
 
     if prop == "finite":
@@ -506,7 +508,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
             return m
 
         ok, pair, extreme = _pair_kernel(tab, n, subadd, tol,
-                                         disjoint=_exactly_monotone(tab, n))
+                                         _exactly_monotone(tab, n), "subadditive check")
         if ok:
             return CheckResult(True, margin=extreme)
         a, b = pair
@@ -522,7 +524,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
 
         # disjoint pairs decide the property; the all-pairs form must follow,
         # and it can only fail on a table that is not exactly monotone
-        ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, disjoint=True)
+        ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, True, "maxitive check")
         if not ok:
             a, b = pair
             return CheckResult(False, extreme,
@@ -530,10 +532,10 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                                 "mu_b": float(tab[b]), "mu_union": float(tab[a | b]),
                                 "disjoint": True})
         if not _exactly_monotone(tab, n):
-            ok_all, pair_all, extreme_all = _pair_kernel(tab, n, maxi, tol, disjoint=False)
-            if not ok_all:
-                a, b = pair_all
-                return CheckResult(False, extreme_all,
+            ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, False, "maxitive check")
+            if not ok:
+                a, b = pair
+                return CheckResult(False, extreme,
                                    {"set_a": a, "set_b": b, "disjoint": False,
                                     "reason": "derived all-pairs form failed"})
         return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
@@ -551,7 +553,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
             m -= tab.take(b)
             return m
 
-        ok, pair, extreme = _pair_kernel(tab, n, submod, tol, disjoint=False)
+        ok, pair, extreme = _pair_kernel(tab, n, submod, tol, False, "submodular check")
     if ok:
         return CheckResult(True, margin=extreme)
     a, b = pair
@@ -604,8 +606,6 @@ def generate_measure(seed: int, family: str, n: int = 6) -> MonotoneMeasure:
     """
     if family not in GENERATOR_FAMILIES:
         raise DomainError(f"unknown generator family {family!r}")
-    if n > MAX_PAIRWISE_POINTS:
-        raise DomainError(f"generator space size capped at {MAX_PAIRWISE_POINTS}")
     rng = rng_for(seed, family, n)
     space = FiniteSpace(n)
     size = 1 << n

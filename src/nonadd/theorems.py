@@ -113,18 +113,12 @@ def _apply_phi(f: Fn, phi: PhiMap) -> Fn:
     return Fn([float(phi.forward(v)) for v in f.values], f.scale)
 
 
-_REALIZED_CAP = 1 << 16   # submasks realized_measure_values enumerates at most
-
-
 def realized_measure_values(mu: MonotoneMeasure, domain: int) -> list[float]:
     """Distinct measure values over submasks of the domain (the set the
-    necessity directions quantify over)."""
-    bits = _domain_bits(mu.space.n, domain)
-    if (1 << len(bits)) > _REALIZED_CAP:
-        raise DomainError("too many submasks; restrict the domain")
-    tab = mu.table()
-    masks = expand_masks(bits)
-    return sorted(set(float(v) for v in tab[masks]))
+    necessity directions quantify over), ascending; a zero keeps the sign of
+    its first submask, as ``sorted(set(...))`` did."""
+    vals = mu.table()[expand_masks(_domain_bits(mu.space.n, domain))]
+    return vals[np.unique(vals, return_index=True)[1]].tolist()
 
 
 def _require(gate: CheckResult, message: str) -> None:
@@ -530,7 +524,7 @@ def _max_product_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None
         m -= tab.take(a) + tab.take(b)
         return m
 
-    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, disjoint=False)
+    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, False, "max-product sweep")
     if ok:
         return None
     a, b = pair
@@ -609,7 +603,7 @@ def _subadditive_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None
             m[np.isnan(m) | np.isinf(height)] = -INF
         return m
 
-    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, disjoint=False)
+    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, False, "subadditive sweep")
     if ok:
         return None
     a, b = pair

@@ -18,6 +18,7 @@ from nonadd.conditions import (
     check_condition,
     cond_mh_sugeno,
     cond_mh_upper,
+    cond_sum_split,
 )
 from nonadd.core import EXTENDED, INF, NONNEG, UNIT, ValueScale
 from nonadd.operators import (
@@ -131,6 +132,13 @@ class TestSumSplitting:
     def test_explicit_values_mode(self):
         res = check_condition("sum_split", op=MIN, scale=UNIT, c_values=[0.3, 0.9])
         assert res.holds and res.mode == "explicit"
+
+    def test_sweep_cell_budget(self):
+        # 65 x 65 grid cells per c value: 3,970 values fit 2**24 cells, 3,971 do not
+        res = cond_sum_split(PROD, UNIT, c_values=np.arange(3970) / 3970)
+        assert res.holds and res.mode == "explicit"
+        with pytest.raises(DomainError, match=f"condition sweep enumerates {3971 * 65 ** 2:,}"):
+            cond_sum_split(PROD, UNIT, c_values=np.arange(3971) / 3971)
 
 
 class TestDistributiveScaling:

@@ -12,7 +12,7 @@ from nonadd.core import (
     FiniteSpace,
     Fn,
     INF,
-    MAX_POINTS,
+    MAX_CELLS,
     NONNEG,
     SurvivalProfile,
     UNIT,
@@ -21,6 +21,7 @@ from nonadd.core import (
     combine,
     expand_masks,
     _level_sets,
+    check_cells,
     iter_submasks,
     profile_eval,
     rng_for,
@@ -28,6 +29,8 @@ from nonadd.core import (
     subset_infima,
 )
 from nonadd.results import DomainError
+
+MAX_N = MAX_CELLS.bit_length() - 1   # the most points whose 2**n subsets fit the budget
 from test_integrals import ref_level_mask_ge, ref_level_mask_gt
 
 xreals = st.one_of(
@@ -129,6 +132,15 @@ class TestSpaceAndFn:
             FiniteSpace(25)
         assert FiniteSpace(3).full == 0b111
 
+    def test_one_cell_budget(self):
+        # the space limit is the budget's: 2**24 subsets fit, 2**25 do not
+        assert MAX_N == 24 and FiniteSpace(MAX_N).n == len(Fn([0.0] * MAX_N)) == 24
+        with pytest.raises(DomainError, match=r"\[1, 24\] \(2\*\*n cells\)"):
+            Fn([0.0] * (MAX_N + 1))
+        check_cells(MAX_CELLS, "a full table")
+        with pytest.raises(DomainError, match=f"a sweep enumerates {MAX_CELLS + 1:,} cells"):
+            check_cells(MAX_CELLS + 1, "a sweep")
+
     def test_fn_validates_scale(self):
         with pytest.raises(DomainError):
             Fn([0.5, 1.5], UNIT)
@@ -148,7 +160,7 @@ class TestSpaceAndFn:
             values = [0.5, -0.0, math.nextafter(1.0, 0.0), 1.0, math.nan, -1.0]
         else:
             value = st.sampled_from(edges) | st.floats(-2.0, 2.0)
-            values = data.draw(st.lists(value, min_size=1, max_size=MAX_POINTS))
+            values = data.draw(st.lists(value, min_size=1, max_size=MAX_N))
         want = None
         for i, v in enumerate(values):
             if not scale.contains(v):
@@ -207,7 +219,7 @@ class TestSubsetInfima:
         assert math.isinf(table[0])
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(0, MAX_POINTS - 1), max_size=10, unique=True).map(sorted))
+    @given(st.lists(st.integers(0, MAX_N - 1), max_size=10, unique=True).map(sorted))
     @example([1, 3])
     def test_expand_masks(self, bits):
         orig = expand_masks(bits)

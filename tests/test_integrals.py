@@ -337,9 +337,10 @@ class TestOracle:
         assert upper_integral_subset_oracle(F2, MU2, minimum()) == 0.3
 
     def test_domain_cap(self):
-        mu = MonotoneMeasure.possibility(FiniteSpace(21), [0.5] * 21)
-        with pytest.raises(DomainError):
-            upper_integral_subset_oracle(Fn([0.25] * 21), mu, minimum())
+        # no oracle limit of its own: a 21-point domain runs (2**21 cells)
+        mu = MonotoneMeasure.possibility(FiniteSpace(21), [(i % 8 + 1) / 8 for i in range(21)])
+        f = Fn([(i * 5 % 21) / 21 for i in range(21)])
+        assert upper_integral_subset_oracle(f, mu, minimum()) == upper_integral(f, mu, minimum())
 
     def test_constant_is_single_term(self):
         f = Fn([0.4, 0.4])
@@ -429,11 +430,17 @@ class TestOracle:
             upper_integral_subset_oracle(Fn([0.5, 0.2, 0.9]), mu, minimum())
 
     def test_cap(self):
-        big = FiniteSpace(22)
-        mu = MonotoneMeasure.possibility(big, [0.5] * 22)
-        f = Fn([0.5] * 22, UNIT)
+        # the space bounds the oracle: a 21-point domain of a 24-point space
+        # runs without the full table, and no 25-point function exists
+        mu = MonotoneMeasure.possibility(FiniteSpace(24), [(i % 5 + 1) / 5 for i in range(24)])
+        f = Fn([(i * 7 % 24) / 24 for i in range(24)], UNIT)
+        domain = (1 << 21) - 1 << 3
+        for op in (minimum(), product()):
+            assert upper_integral_subset_oracle(f, mu, op, domain) == \
+                upper_integral(f, mu, op, domain)
+        assert mu._table is None
         with pytest.raises(DomainError):
-            upper_integral_subset_oracle(f, mu, minimum())
+            Fn([0.5] * 25, UNIT)
 
 
 class TestExactnessAndMonotonicity:

@@ -519,16 +519,49 @@ class TestPropertyChecks:
         assert check_measure_property(mu, "monotone").holds
 
     def test_pairwise_cap(self):
-        # the limit is checked before the 2**n table is built
-        mu = MonotoneMeasure.possibility(FiniteSpace(13), [0.5] * 13)
-        for prop in ("subadditive", "maxitive", "submodular"):
-            with pytest.raises(DomainError):
-                check_measure_property(mu, prop)
-        assert mu._table is None
+        # the cheapest sweep is checked against the cell budget before the
+        # 2**n table is built: 3**16 disjoint pairs, C(19,2) * 2**17 local cells
+        for n, props, cells in ((16, ("subadditive", "maxitive"), 3 ** 16),
+                                (19, ("submodular",), math.comb(19, 2) << 17)):
+            mu = MonotoneMeasure.possibility(FiniteSpace(n), [0.5] * n)
+            for prop in props:
+                with pytest.raises(DomainError, match=f"{cells:,} cells"):
+                    check_measure_property(mu, prop)
+            assert mu._table is None
+
+    def test_all_pairs_refused_after_the_table(self):
+        # not exactly monotone, so subadditivity needs all 4**13 pairs, which
+        # only the built table can tell
+        tab = generate_measure(0, "possibility", 13).table().copy()
+        tab[-1] = 0.0
+        mu = MonotoneMeasure.explicit(FiniteSpace(13), tab, validate=False)
+        with pytest.raises(DomainError, match=f"{4 ** 13:,} cells"):
+            check_measure_property(mu, "subadditive")
+
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_lifted_disjoint_pair_sizes(self, n):
+        poss = generate_measure(n, "possibility", n)
+        assert check_measure_property(poss, "subadditive").holds
+        assert check_measure_property(poss, "maxitive").holds
+        additive = generate_measure(n, "non_maxitive", n)
+        res = check_measure_property(additive, "maxitive")
+        w = res.witness
+        a, b = w["set_a"], w["set_b"]
+        assert not res.holds and w["disjoint"] and a & b == 0
+        assert (w["mu_a"], w["mu_b"], w["mu_union"]) == (additive(a), additive(b),
+                                                         additive(a | b))
+        assert res.margin == additive(a | b) - max(additive(a), additive(b)) > 0
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_lifted_local_cell_sizes(self, n):
+        for family in ("distortion_concave", "non_maxitive"):
+            assert check_measure_property(generate_measure(n, family, n), "submodular").holds
 
     def test_generator_cap(self):
-        with pytest.raises(DomainError):
-            generate_measure(0, "possibility", 13)
+        # no generator limit of its own: the space's 24 points bound it
+        assert generate_measure(0, "possibility", 24).space.n == 24
+        with pytest.raises(DomainError, match="space size"):
+            generate_measure(0, "possibility", 25)
 
     def test_zero_margins_are_positive_zero(self):
         # minus the largest margin 0 of the pair kernel was -0.0

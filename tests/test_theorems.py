@@ -476,9 +476,29 @@ class TestIndicatorSweeps:
 
 class TestSugenoSubadditive:
     def test_realized_values_cap(self):
-        mu = MonotoneMeasure.possibility(FiniteSpace(17), [0.5] * 17)
-        with pytest.raises(DomainError):
-            realized_measure_values(mu, (1 << 17) - 1)
+        # no limit of its own: the 2**17 submasks of a 17-point domain run
+        mu = MonotoneMeasure.possibility(FiniteSpace(17), [0.5] * 16 + [0.75])
+        assert realized_measure_values(mu, (1 << 17) - 1) == [0.0, 0.5, 0.75]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    @example(data=None, n=2)
+    @example(data=None, n=3)
+    def test_realized_values_match_the_set_line(self, data, n):
+        # the sorted(set(...)) line np.unique replaced, compared by hex so
+        # that the sign of a zero counts
+        if data is None:
+            tab = [-0.0, 0.0, INF, 0.0] if n == 2 else [0.0, -0.0, 0.5, -0.0, INF, 0, 0, 0]
+            domain = (1 << n) - 1
+        else:
+            value = st.sampled_from([-0.0, 0.0, 0.25, 0.5, INF]) | st.floats(0.0, 2.0)
+            tab = data.draw(st.lists(value, min_size=1 << n, max_size=1 << n))
+            domain = data.draw(st.integers(0, (1 << n) - 1))
+        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        bits = [i for i in range(n) if domain >> i & 1]
+        want = sorted(set(float(v) for v in mu.table()[expand_masks(bits)]))
+        got = realized_measure_values(mu, domain)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @settings(max_examples=80, deadline=None)
     @given(mu=sweep_measures(max_n=4, kinds=("family", "dual", "inf")))
