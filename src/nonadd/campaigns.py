@@ -240,7 +240,7 @@ def _upper_mh(seed: int, k: int) -> list:
     f, g = sampling.star_associated_pair(rng, n, spec["ops"].star, spec["scale"],
                                          kind=spec["pair"])
     res = verify_upper_mh(spec["ops"], mu, f, g, direction="sufficiency",
-                          condition_verified=True, seed=k)
+                          condition_verified=True)
     return _failed(k, res, tuple=spec["name"])
 
 
@@ -350,7 +350,8 @@ def _shilkret_maxitive(seed: int, k: int):
     n = 3 + k % 6
     family = "possibility" if k % 2 == 0 else "non_maxitive"
     mu = generate_measure(rng_for(seed, "maxprod-equiv", k).randrange(1 << 30), family, n)
-    res = verify_shilkret_maxitive(mu, trials=6, seed=seed + k)
+    res = verify_shilkret_maxitive(
+        mu, trials=6, seed=rng_for(seed, "shilkret_maxitive", k).randrange(1 << 30))
     margin = res.margin if res.holds and family == "non_maxitive" else INF
     return _failed(k, res, family=family), margin
 
@@ -358,11 +359,12 @@ def _shilkret_maxitive(seed: int, k: int):
 def _sugeno_subadditive(seed: int, k: int) -> list:
     """Forward on subadditive mixes and indicator recovery on every instance."""
     n = 2 + k % 7
+    sub = rng_for(seed, "sugeno_subadditive", k).randrange(1 << 30)
     if k % 4 == 3:
-        mu, _pair = sampling.non_subadditive_measure(seed + k, n)
+        mu, _pair = sampling.non_subadditive_measure(sub, n)
     else:
         mu = sampling.subadditive_measure(seed * 23 + 13, k, n)
-    return _failed(k, verify_sugeno_subadditive(mu, trials=5, seed=seed + k))
+    return _failed(k, verify_sugeno_subadditive(mu, trials=5, seed=sub))
 
 
 def _sugeno_boundary(trials: int, seed: int):
@@ -437,7 +439,7 @@ def _dual_minkowski(seed: int, k: int) -> list:
         res = verify_dual_minkowski("single", _SUM, _SUM, _HR, mu, f, g,
                                     condition_verified=True)
     else:
-        mu = _reciprocal_pair_measure(seed + k, n)
+        mu = _reciprocal_pair_measure(rng_for(seed, "dual_minkowski", k).randrange(1 << 30), n)
         f = sampling.random_fn(rng, n, EXTENDED, zero_rate=0.3)
         g = sampling.random_fn(rng, n, EXTENDED, zero_rate=0.3)
         res = verify_dual_minkowski("pair", _SUM, _MIN, _HR, mu, f, g,
@@ -461,7 +463,8 @@ def _metric_suites(trials: int, seed: int):
     for i, spec in enumerate(_METRIC_SPECS):
         n = 3 + i % 4
         mu = sampling.subadditive_measure(seed * 37 + 19, i, n)
-        res = check_metric_axioms(spec, mu, trials=per_spec, seed=seed + i)
+        res = check_metric_axioms(spec, mu, trials=per_spec,
+                                  seed=rng_for(seed, "metric_axioms", i).randrange(1 << 30))
         if not res.holds:
             failures.append({"spec": spec.describe(), "check": res.to_dict()})
     return failures, {"specs": [s.describe() for s in _METRIC_SPECS]}
@@ -508,7 +511,8 @@ def _cauchy_probe(seed: int, k: int) -> list:
     spec = MetricSpec("d_op_p", op, p)
     n = 3 + k % 5
     mu = sampling.subadditive_measure(seed * 43 + 23, k, n)
-    res = cauchy_probe(spec, mu, seed=seed + k, levels=8)
+    res = cauchy_probe(spec, mu, seed=rng_for(seed, "cauchy_probe", k).randrange(1 << 30),
+                       levels=8)
     if res.holds and res.status == "checked":
         return []
     return [{"trial": k, "check": res.to_dict()}]
@@ -519,7 +523,8 @@ def _convergence_lemmas(seed: int, k: int) -> list:
     planted on a zero-density atom."""
     rng = rng_for(seed, "conv-lemmas", k)
     n = 3 + k % 5
-    mu = sampling.measure_with_null_atoms(seed + k, n)
+    mu = sampling.measure_with_null_atoms(
+        rng_for(seed, "convergence_lemmas", k).randrange(1 << 30), n)
     null_atom = next((i for i in range(n) if mu(1 << i) == 0.0), None)
     limit = sampling.random_fn(rng, n, NONNEG, zero_rate=0.0)
     stabilize_at = 3 + k % 3

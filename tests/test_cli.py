@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nonadd import scenarios
+from nonadd import campaigns, scenarios
 from nonadd.campaigns import CAMPAIGNS, Campaign, merge_report, run_campaign, run_trials
 from nonadd.cli import main
 from nonadd.results import DomainError
@@ -417,6 +417,39 @@ class TestCampaignDriver:
         assert rep["notes"] == {"claim": "no violation in 25 trials"}
         parts = [run_trials("always_fails", 4, lo, hi) for lo, hi in ((0, 3), (3, 4), (4, 25))]
         assert json.dumps(merge_report("always_fails", 25, 4, parts)) == json.dumps(rep)
+
+    def test_sub_seeds_do_not_alias_across_seeds(self, monkeypatch):
+        # sub-seeds were seed + k, so seed 420, trial k repeated every draw of
+        # seed 0, trial k + 420; 420 keeps each trial's k-dependent choices
+        seen = []
+
+        def spy(owner, name):
+            orig = getattr(owner, name)
+
+            def recorded(*args, **kw):
+                seen.append(kw["seed"] if "seed" in kw else args[0])
+                return orig(*args, **kw)
+            monkeypatch.setattr(owner, name, recorded)
+
+        for name in ("verify_shilkret_maxitive", "verify_sugeno_subadditive",
+                     "_reciprocal_pair_measure", "check_metric_axioms", "cauchy_probe"):
+            spy(campaigns, name)
+        for name in ("non_subadditive_measure", "measure_with_null_atoms"):
+            spy(campaigns.sampling, name)
+
+        def sub_seeds(run):
+            seen.clear()
+            run()
+            assert seen
+            return list(seen)
+
+        for cid, k in (("shilkret_maxitive", 0), ("sugeno_subadditive", 3),
+                       ("dual_minkowski", 2), ("cauchy_probe", 0), ("convergence_lemmas", 0)):
+            trial = CAMPAIGNS[cid].trial
+            assert set(sub_seeds(lambda: trial(0, k + 420))).isdisjoint(
+                sub_seeds(lambda: trial(420, k))), cid
+        per_run = CAMPAIGNS["metric_axioms"].per_run
+        assert set(sub_seeds(lambda: per_run(9, 0))).isdisjoint(sub_seeds(lambda: per_run(9, 1)))
 
 
 class TestSubprocessEntry:
