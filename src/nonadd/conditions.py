@@ -63,8 +63,8 @@ def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
     returns ``(lhs, rhs, valid, coords)``, each broadcastable to
     ``(k,) + shape``; ``valid`` may be ``None`` and ``coords`` lists the
     witness coordinates in witness key order.  Chunks hold at most
-    ``_CHUNK_CELLS`` cells; the passes together, checked before the first,
-    the cell budget.  Witness and margins follow the module docstring.
+    ``_CHUNK_CELLS`` cells and the whole sweep at most ``MAX_CELLS``, checked
+    first.  Witness and margins follow the module docstring.
     """
     ndim = len(shape)
     check_cells(sum(len(lead) for lead, _ in passes) * math.prod(shape), "condition sweep")

@@ -336,7 +336,7 @@ def _reduce_blocks(blocks, n: int, tol: float):
     return True, None, INF if top == -INF else -top
 
 
-def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, disjoint: bool, what: str):
+def _pair_kernel(tab: np.ndarray, n: int, margin, tol: float, what: str, disjoint: bool):
     """:func:`_reduce_blocks` of ``margin(a, b)`` over the pairs of
     :func:`_pair_blocks`, refused as ``what`` when they exceed the budget."""
     check_cells((3 if disjoint else 4) ** n,
@@ -508,7 +508,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
             return m
 
         ok, pair, extreme = _pair_kernel(tab, n, subadd, tol,
-                                         _exactly_monotone(tab, n), "subadditive check")
+                                         "subadditive check", disjoint=_exactly_monotone(tab, n))
         if ok:
             return CheckResult(True, margin=extreme)
         a, b = pair
@@ -524,7 +524,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
 
         # disjoint pairs decide the property; the all-pairs form must follow,
         # and it can only fail on a table that is not exactly monotone
-        ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, True, "maxitive check")
+        ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=True)
         if not ok:
             a, b = pair
             return CheckResult(False, extreme,
@@ -532,7 +532,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                                 "mu_b": float(tab[b]), "mu_union": float(tab[a | b]),
                                 "disjoint": True})
         if not _exactly_monotone(tab, n):
-            ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, False, "maxitive check")
+            ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=False)
             if not ok:
                 a, b = pair
                 return CheckResult(False, extreme,
@@ -553,7 +553,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
             m -= tab.take(b)
             return m
 
-        ok, pair, extreme = _pair_kernel(tab, n, submod, tol, False, "submodular check")
+        ok, pair, extreme = _pair_kernel(tab, n, submod, tol, "submodular check", disjoint=False)
     if ok:
         return CheckResult(True, margin=extreme)
     a, b = pair

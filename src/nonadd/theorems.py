@@ -115,8 +115,8 @@ def _apply_phi(f: Fn, phi: PhiMap) -> Fn:
 
 def realized_measure_values(mu: MonotoneMeasure, domain: int) -> list[float]:
     """Distinct measure values over submasks of the domain (the set the
-    necessity directions quantify over), ascending; a zero keeps the sign of
-    its first submask, as ``sorted(set(...))`` did."""
+    necessity directions quantify over), ascending; each is the entry of
+    its first submask in compact-mask order, which fixes the sign of a zero."""
     vals = mu.table()[expand_masks(_domain_bits(mu.space.n, domain))]
     return vals[np.unique(vals, return_index=True)[1]].tolist()
 
@@ -524,7 +524,7 @@ def _max_product_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None
         m -= tab.take(a) + tab.take(b)
         return m
 
-    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, False, "max-product sweep")
+    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, "max-product sweep", disjoint=False)
     if ok:
         return None
     a, b = pair
@@ -603,7 +603,7 @@ def _subadditive_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None
             m[np.isnan(m) | np.isinf(height)] = -INF
         return m
 
-    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, False, "subadditive sweep")
+    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, "subadditive sweep", disjoint=False)
     if ok:
         return None
     a, b = pair

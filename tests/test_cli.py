@@ -419,8 +419,8 @@ class TestCampaignDriver:
         assert json.dumps(merge_report("always_fails", 25, 4, parts)) == json.dumps(rep)
 
     def test_sub_seeds_do_not_alias_across_seeds(self, monkeypatch):
-        # sub-seeds were seed + k, so seed 420, trial k repeated every draw of
-        # seed 0, trial k + 420; 420 keeps each trial's k-dependent choices
+        # seed 420, trial k must share no sub-seed with seed 0, trial k + 420,
+        # which makes every k-dependent choice alike (420 = lcm(3, ..., 7))
         seen = []
 
         def spy(owner, name):

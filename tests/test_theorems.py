@@ -485,8 +485,8 @@ class TestSugenoSubadditive:
     @example(data=None, n=2)
     @example(data=None, n=3)
     def test_realized_values_match_the_set_line(self, data, n):
-        # the sorted(set(...)) line np.unique replaced, compared by hex so
-        # that the sign of a zero counts
+        # against the set-based reference, compared by hex so that the sign
+        # of a zero counts
         if data is None:
             tab = [-0.0, 0.0, INF, 0.0] if n == 2 else [0.0, -0.0, 0.5, -0.0, INF, 0, 0, 0]
             domain = (1 << n) - 1
