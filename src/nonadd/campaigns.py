@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .conditions import check_condition
+from .conditions import cached_condition
 from .core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, rng_for
 from .integrals import (
     check_h_duality,
@@ -46,7 +46,6 @@ from .metrics import (
 from .operators import (
     BinaryOp,
     bounded_sum,
-    cached_gate,
     join,
     lukasiewicz,
     marshall_olkin,
@@ -78,7 +77,7 @@ from .theorems import (
     verify_sugeno_subadditive_boundary,
     verify_upper_mh,
 )
-from .results import CheckResult, DomainError
+from .results import DomainError
 
 _MIN = minimum()
 _PROD = product()
@@ -111,14 +110,6 @@ class Campaign:
     per_run: Callable | None = None
     per_run_first: bool = False
     min_note: str | None = None
-
-
-def _condition(anchor: BinaryOp, cond: str, **kwargs) -> CheckResult:
-    """``check_condition(cond, **kwargs)``, run once per process: cached on
-    the shared catalog operator ``anchor`` under the condition id and the
-    arguments (operators and maps by identity, numbers and scales by value)."""
-    return cached_gate(anchor, (cond, *sorted(kwargs.items())),
-                       lambda: check_condition(cond, **kwargs))
 
 
 def _failed(k: int, res, **extra) -> list:
@@ -252,7 +243,7 @@ def _upper_mh_necessity(seed: int, k: int) -> list:
     p1 = [1.5, 2.0, 3.0][k % 3]
     p2 = [0.5, 1.0][k % 2]
     p3 = [0.5, 1.0, 2.0][rng.randrange(3)]
-    cond = _condition(_PSUM, "mh_product_power", p1=p1, p2=p2, p3=p3)
+    cond = cached_condition(_PSUM, "mh_product_power", p1=p1, p2=p2, p3=p3)
     if cond.holds:
         return [{"trial": k, "reason": "condition unexpectedly holds", "p": [p1, p2, p3]}]
     w = cond.witness
@@ -292,9 +283,9 @@ def _seminorm_minkowski(seed: int, k: int) -> list:
 
 def _seminorm_refuted(trials: int, seed: int):
     """The refuted tuple: its premise holds and its power-form condition fails."""
-    refuted = _condition(_BSUM, "counterexample_premise", semicopula=_SL, star=_BSUM)
-    power = _condition(_BSUM, "mh_upper", star=_BSUM, combiner=_BSUM, circs=(_SL,) * 3,
-                       phis=(_PHI_ONE,) * 3, scale=UNIT)
+    refuted = cached_condition(_BSUM, "counterexample_premise", semicopula=_SL, star=_BSUM)
+    power = cached_condition(_BSUM, "mh_upper", star=_BSUM, combiner=_BSUM, circs=(_SL,) * 3,
+                             phis=(_PHI_ONE,) * 3, scale=UNIT)
     notes = {"premise_holds": refuted.holds, "power_condition_holds": power.holds}
     if refuted.holds and not power.holds:
         return [], notes
@@ -312,7 +303,7 @@ def _comonotone_subadditive(seed: int, k: int) -> list:
 
 def _nilpotent_sum_split(trials: int, seed: int):
     """The nilpotent Lukasiewicz t-norm must fail the sum-split condition."""
-    negative = _condition(_SL, "sum_split", op=_SL, scale=UNIT)
+    negative = cached_condition(_SL, "sum_split", op=_SL, scale=UNIT)
     failures = [{"reason": "nilpotent operator unexpectedly passes sum_split"}] \
         if negative.holds else []
     return failures, {"negative_condition_fails": not negative.holds}
@@ -648,7 +639,7 @@ def merge_report(campaign_id: str, trials: int, seed: int, parts) -> dict:
     and the per-run part run here, before the parts are read."""
     campaign = CAMPAIGNS[campaign_id]
     for anchor, cond, kwargs in campaign.gates:
-        res = _condition(anchor, cond, **kwargs)
+        res = cached_condition(anchor, cond, **kwargs)
         if not res.holds:
             raise DomainError(f"campaign {campaign_id}: gate {cond} fails on "
                               f"{anchor.name}: {res.witness}")

@@ -65,6 +65,9 @@ def _emit(report: dict, fmt: str, stream=None) -> None:
             line += f": {task['outcome']} (expected {task['expected']})"
         if "value" in task:
             line += f" value={task['value']}"
+        mode = task.get("result", {}).get("mode")
+        if mode in ("sampled", "grid"):    # not decided exactly: say so
+            line += f" mode={mode}"
         print(line, file=stream)
         if task.get("verdict") != "pass":
             wit = task.get("result", {}).get("witness") or task.get("error")

@@ -22,6 +22,9 @@ The three-map condition is written once, in :func:`_three_map_sides`:
 necessity cells of :mod:`nonadd.theorems` evaluate it on realized values
 and end in the same :func:`_sweep`.
 
+:func:`cached_condition` is the one cached condition call: the verifiers'
+and campaigns' gates run each (condition, arguments) once per process.
+
 Registry ids:
 
 ====================== =========================================================
@@ -48,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import INF, ValueScale, UNIT, _CHUNK_CELLS, check_cells
-from .operators import BinaryOp, PhiMap
+from .operators import BinaryOp, PhiMap, cached_gate
 from .results import CheckResult, DomainError
 
 _DEFAULT_SPACING = 1.0 / 64.0
@@ -419,3 +422,11 @@ def check_condition(cond: str, **kwargs) -> CheckResult:
     except KeyError:
         raise DomainError(f"unknown condition {cond!r}; known: {sorted(CONDITIONS)}") from None
     return fn(**kwargs)
+
+
+def cached_condition(anchor: BinaryOp, cond: str, **kwargs) -> CheckResult:
+    """``check_condition(cond, **kwargs)``, run once per process: cached on
+    the operator ``anchor`` under the condition id and the arguments
+    (operators and maps by identity, numbers and scales by value)."""
+    return cached_gate(anchor, (cond, *sorted(kwargs.items())),
+                       lambda: check_condition(cond, **kwargs))

@@ -237,14 +237,9 @@ class FiniteSpace:
         return mask
 
 
-def iter_submasks(mask: int):
-    """All submasks of ``mask`` including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _domain_points(domain: int) -> list[int]:
+    """The points of a domain bitmask, increasing."""
+    return [i for i in range(domain.bit_length()) if domain >> i & 1]
 
 
 # --- subset-lattice doubling ------------------------------------------------

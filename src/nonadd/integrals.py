@@ -49,6 +49,7 @@ from .core import (
     UNIT,
     ValueScale,
     _domain_mask,
+    _domain_points,
     _level_sets,
     _rel_gap,
     subset_infima,
@@ -174,7 +175,7 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     """
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
-    bits = [i for i in range(len(values)) if domain >> i & 1]
+    bits = _domain_points(domain)
 
     mu.space.validate_mask(domain)  # the table read below does not check masks
     best = -INF

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .conditions import cond_distributive_scaling, cond_unit_section_order
+from .conditions import cached_condition
 from .core import EXTENDED, Fn, INF, NONNEG, ValueScale, _level_sets, _rel_gap, rng_for
 from .integrals import (
     abs_power,
@@ -34,7 +34,7 @@ from .integrals import (
     upper_integral,
 )
 from .measures import MonotoneMeasure, check_measure_property, null_union
-from .operators import BinaryOp, cached_gate, minimum, plain_sum, power_min, verify_flags
+from .operators import BinaryOp, minimum, plain_sum, power_min, verify_flags
 from .results import CheckResult, DomainError, HypothesisError
 
 _SUM = plain_sum()
@@ -68,14 +68,12 @@ class MetricSpec:
 def _gate_metric_op(spec: MetricSpec):
     """Hypothesis gate for the operator-based metric, cached on the operator."""
     op, p = spec.op, spec.p
-    scaling, section = cached_gate(
-        op, ("metric_gate", p),
-        lambda: (cond_distributive_scaling(op, q=p, r=1.0, scale=EXTENDED),
-                 cond_unit_section_order(op, scale=EXTENDED)))
+    scaling = cached_condition(op, "distributive_scaling", op=op, q=p, r=1.0, scale=EXTENDED)
     if not scaling.holds:
         raise HypothesisError(
             f"operator {op.name!r} fails the distributive-scaling gate at p={p}",
             detail=scaling)
+    section = cached_condition(op, "unit_section_order", op=op, scale=EXTENDED)
     if not section.holds:
         raise HypothesisError(
             f"operator {op.name!r} fails the unit-section order gate",

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import Fn, _domain_mask, _level_sets
+from .core import Fn, _domain_mask, _domain_points, _level_sets
 from .measures import MonotoneMeasure
 from .operators import BinaryOp
 from .results import DomainError, RelationVerdict
@@ -32,7 +32,7 @@ def _pair_domain(f: Fn, g: Fn, domain: int | None) -> int:
 def is_comonotone(f: Fn, g: Fn, domain: int | None = None) -> RelationVerdict:
     """No point pair on which f and g move in opposite directions."""
     domain = _pair_domain(f, g, domain)
-    pts = [i for i in range(len(f)) if domain >> i & 1]
+    pts = _domain_points(domain)
     fv = np.array([f[i] for i in pts])
     gv = np.array([g[i] for i in pts])
     df = fv[:, None] - fv[None, :]
@@ -69,7 +69,7 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp, domain: int | None = None,
     subset with the smallest bitmask among all subsets.
     """
     domain = _pair_domain(f, g, domain)
-    pts = [i for i in range(len(f)) if domain >> i & 1]
+    pts = _domain_points(domain)
     if not pts:
         return RelationVerdict("star_associated", True)
     fv = np.array(f.values)[pts]

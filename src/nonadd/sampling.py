@@ -92,8 +92,8 @@ def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
     """A pair satisfying the subset-infimum factorization for ``star``.
 
     ``comonotone`` works for any nondecreasing right-continuous operator;
-    ``indicator`` and ``two_block`` are the annihilator-based constructions
-    that are star-associated without being comonotone; ``any`` draws
+    ``two_block`` is the annihilator-based construction that is
+    star-associated without being comonotone; ``any`` draws
     unconstrained pairs (valid when star is min).  Construction is
     re-verified and resampled on failure.
     """
@@ -103,12 +103,6 @@ def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
             f, g = random_fn(local, n, scale), random_fn(local, n, scale)
         elif kind == "comonotone":
             f, g = comonotone_pair(local, n, scale)
-        elif kind == "indicator":
-            # one-block second factor; needs x star 0 = 0
-            f = random_fn(local, n, scale, zero_rate=0.1)
-            b = local.randrange(1, 33) / 32.0 * (scale.upper if not math.isinf(scale.upper) else 1.0)
-            mask = local.randrange(1, (1 << n) - 1)
-            g = Fn.indicator(n, mask, b, scale)
         elif kind == "two_block":
             # two disjoint blocks plus a free remainder; needs both annihilators
             if n < 3:
@@ -134,7 +128,7 @@ def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
         else:
             raise DomainError(f"unknown construction kind {kind!r}")
         if is_star_associated(f, g, star).holds:
-            if kind in ("indicator", "two_block") and is_comonotone(f, g).holds:
+            if kind == "two_block" and is_comonotone(f, g).holds:
                 continue  # want the non-comonotone witnesses to stay interesting
             return f, g
     raise DomainError(f"could not build a star-associated pair (kind={kind!r})")

@@ -492,9 +492,8 @@ TASKS: dict[Any, Spec] = {
         lambda sc, a: check_h_duality(a.function, a.measure, a.operator, a.map),
         function=_FN, measure=_MEASURE, operator=_OP, map=_DUAL),
     ("verify", "upper_mh"): _task(
-        lambda sc, a: verify_upper_mh(a.ops, a.measure, a.f, a.g, a.domain, a.direction,
-                                      seed=a.seed),
-        _mh_bundle, **_MH, seed=_SEED,
+        lambda sc, a: verify_upper_mh(a.ops, a.measure, a.f, a.g, a.domain, a.direction),
+        _mh_bundle, **_MH,
         direction=Field(_enum(("sufficiency", "necessity", "both")), "sufficiency")),
     ("verify", "seminorm_minkowski"): _task(
         lambda sc, a: verify_seminorm_minkowski(a.semicopula, a.star, a.p, a.measure,

@@ -23,9 +23,9 @@ and on the upper chain so does any nan gap.
 Shared pieces: ``_verdict`` decides the integral inequality of every
 verifier but the two equivalences, reading gaps by ``core._rel_gap`` (0
 between two infinities); ``_mh_sides`` gives both sides of the upper and the
-lower inequality, ``_sum_split`` I(f + g) against I(f) + I(g).  The indicator
-sweeps of both equivalences run ``measures._pair_kernel`` over all pairs, so
-their witness follows the library's one pair rule: the largest violation,
+lower inequality, ``_sum_split`` I(f + g) against I(f) + I(g).  The
+max-product indicator sweep runs ``measures._pair_kernel`` over all pairs,
+so its witness follows the library's one pair rule: the largest violation,
 and among equal ones the smallest ``(a << n) | b``.
 """
 
@@ -42,6 +42,7 @@ from .conditions import (
     _in_scale,
     _sweep,
     _three_map_sides,
+    cached_condition,
     cond_counterexample_premise,
     cond_distributive_scaling,
     cond_dual_star_split,
@@ -59,9 +60,10 @@ from .core import (
     UNIT,
     ValueScale,
     _domain_mask,
+    _domain_points,
     _rel_gap,
+    check_cells,
     expand_masks,
-    iter_submasks,
     rng_for,
     subset_infima,
 )
@@ -80,7 +82,6 @@ from .operators import (
     DualityMap,
     PhiMap,
     bounded_sum,
-    cached_gate,
     check_top_absorbing,
     lukasiewicz,
     op_dual,
@@ -94,10 +95,6 @@ from .results import CheckResult, DomainError, HypothesisError
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _domain_bits(n: int, domain: int) -> list[int]:
-    return [i for i in range(n) if domain >> i & 1]
-
 
 def _star_combine(f: Fn, g: Fn, star: BinaryOp, scale: ValueScale) -> Fn:
     vals = [float(star.fn(a, b)) for a, b in zip(f.values, g.values)]
@@ -116,8 +113,9 @@ def _apply_phi(f: Fn, phi: PhiMap) -> Fn:
 def realized_measure_values(mu: MonotoneMeasure, domain: int) -> list[float]:
     """Distinct measure values over submasks of the domain (the set the
     necessity directions quantify over), ascending; each is the entry of
-    its first submask in compact-mask order, which fixes the sign of a zero."""
-    vals = mu.table()[expand_masks(_domain_bits(mu.space.n, domain))]
+    its first submask in compact-mask order, which fixes the sign of a zero.
+    Reads the domain's subsets only (``mu.subset_table``)."""
+    vals = mu.subset_table(_domain_points(domain))
     return vals[np.unique(vals, return_index=True)[1]].tolist()
 
 
@@ -219,7 +217,7 @@ def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     """The condition on every realized chain triple (inf of f on A, inf of g
     on A, mu(A)), one cell per nonempty A in the domain in compact-mask
     order."""
-    bits = _domain_bits(len(f), domain)
+    bits = _domain_points(domain)
     inf_f = subset_infima([f[i] for i in bits])[1:]
     inf_g = subset_infima([g[i] for i in bits])[1:]
     mus = mu.subset_table(bits)[1:]
@@ -244,46 +242,65 @@ def _mh_sides(integral, ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     return lhs, float(ops.combiner.fn(rf, rg))
 
 
-def _necessity(ops: MHOperators, mu: MonotoneMeasure, n: int, domain: int,
-               scale: ValueScale, tol: float, seed: int) -> tuple[int, list, bool]:
-    """The necessity direction on indicator pairs: the instances run, the
-    failures among them (the inequality survives a failing condition cell),
-    and whether the subset sample or the 200-instance stop was used.
+def _two_level_upper(op: BinaryOp, v, w, c, mu_d: float, mu_e: float, scale: ValueScale):
+    """The upper integral of h = v on A and w <= v on D minus A, where mu(A)
+    = c, mu(D) = mu_d and mu(empty) = mu_e, over arrays that broadcast: the
+    nan-ignoring max over the candidates 0, w and v (level sets D, D and A)
+    and, on a closed scale, the top (level set D, A or empty).  An open
+    scale adds no tail term when mu_e = 0 and ``op`` annihilates a right 0."""
+    out = np.fmax(np.fmax(op.grid(0.0, mu_d), op.grid(w, mu_d)), op.grid(v, c))
+    if scale.closed:
+        top = scale.upper
+        out = np.fmax(out, op.grid(top, np.where(w >= top, mu_d, np.where(v >= top, c, mu_e))))
+    return out
 
-    Condition cells are (A, a, b) for nonempty A in the domain (a seeded
-    sample of 64 above 64 subsets) and heights a, b = k/8 in the scale with
-    a star b in the scale, all decided in one broadcast; the indicator
-    instances of the failing cells run in (A, a, b) order.
+
+def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int, scale: ValueScale,
+               tol: float) -> tuple[list, list, np.ndarray, list]:
+    """The necessity direction on indicator pairs f = a 1_A, g = b 1_A for
+    nonempty A in the domain D: the distinct values c = mu(A), the heights,
+    the failing condition cells over (c, a, b), and the failures among them
+    (the integral inequality survives a failing cell) in (c, a, b) order.
+
+    Each side of the inequality integrates a function with one value on A
+    and one on D minus A, so it depends on A only through mu(A), given
+    mu(D) and mu(empty) (:func:`_two_level_upper`).  One subset per distinct
+    value, its smallest mask, stands for all; the heights are a, b = k/8 in
+    the scale with a star b in the scale.  Cells and both sides are one
+    broadcast over (c, a, b).
     """
-    heights = [k / 8.0 for k in range(9) if scale.contains(k / 8.0)]
-    subsets = [m for m in iter_submasks(domain) if m]
-    sampled = len(subsets) > 64
-    if sampled:
-        rng = rng_for(seed, "necessity-subsets")
-        subsets = [subsets[rng.randrange(len(subsets))] for _ in range(64)]
-    c = np.array([mu(A) for A in subsets])[:, None, None]
-    a, b = np.array(heights)[:, None], np.array(heights)
+    bits = _domain_points(domain)
+    mus = mu.subset_table(bits)
+    mu_d, mu_e = float(mus[-1]), float(mus[0])
+    if not scale.closed and mu_e != 0.0:
+        raise HypothesisError(f"the necessity direction on an open scale needs "
+                              f"mu(empty) = 0, got {mu_e!r}")
+    values, first = np.unique(mus[1:], return_index=True)
+    masks = expand_masks(bits)[first + 1]
+    heights = np.array([k / 8.0 for k in range(9) if scale.contains(k / 8.0)])
+    check_cells(len(values) * len(heights) ** 2, "necessity sweep")
+    c, a, b = values[:, None, None], heights[:, None], heights
+    p1, p2, p3 = ops.phis
+    c1, c2, c3 = ops.circs
     lhs, rhs = _tied_sides(ops, a, b, c, c, c)
     with np.errstate(invalid="ignore", over="ignore"):
         ab = ops.star.grid(a, b)
         failing = (ab >= 0.0) & _in_scale(scale, ab) & ~(lhs - rhs <= tol)
-    # failing cells in (A, a, b) order; a 201st one means the stop was used
-    cells = np.argwhere(failing)[:201].tolist()
-    failures = []
-    for s, i, j in cells[:200]:
-        fa = Fn.indicator(n, subsets[s], heights[i], scale)
-        gb = Fn.indicator(n, subsets[s], heights[j], scale)
-        lhs_i, rhs_i = _mh_sides(upper_integral, ops, mu, fa, gb, domain, scale)
-        if _rel_gap(lhs_i, rhs_i) <= tol:
-            failures.append({"a": heights[i], "b": heights[j], "set": subsets[s],
-                             "c": float(c[s, 0, 0]), "lhs": lhs_i, "rhs": rhs_i})
-    return min(len(cells), 200), failures, sampled or len(cells) > 200
+        w1 = p1.forward(ops.star.grid(0.0, 0.0))
+        lhs = p1.inverse(_two_level_upper(c1, p1.forward(ab), w1, c, mu_d, mu_e, scale))
+        rhs = ops.combiner.grid(
+            p2.inverse(_two_level_upper(c2, p2.forward(a), 0.0, c, mu_d, mu_e, scale)),
+            p3.inverse(_two_level_upper(c3, p3.forward(b), 0.0, c, mu_d, mu_e, scale)))
+        holds = (np.isinf(lhs) & np.isinf(rhs)) | (lhs - rhs <= tol)
+    failures = [{"a": float(heights[i]), "b": float(heights[j]), "set": int(masks[s]),
+                 "c": float(values[s]), "lhs": float(lhs[s, i, j]), "rhs": float(rhs[s, i, j])}
+                for s, i, j in np.argwhere(failing & holds).tolist()]
+    return values.tolist(), heights.tolist(), failing, failures
 
 
 def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
                     domain: int | None = None, direction: str = "sufficiency",
-                    tol: float = 1e-12, seed: int = 0,
-                    condition_verified: bool = False) -> CheckResult:
+                    tol: float = 1e-12, condition_verified: bool = False) -> CheckResult:
     """Bidirectional verifier for the upper-integral inequality.
 
     Sufficiency: when the chain condition holds on the realized triples
@@ -291,10 +308,10 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     ``condition_verified=True``), assert the integral inequality exactly.
     Necessity: on indicator pairs, a condition failure at height pair
     (a, b) and subset A must surface as a violation of the integral
-    inequality itself; any triple where the inequality survives while the
+    inequality itself; any cell where the inequality survives while the
     condition fails refutes necessity and is reported (see
-    :func:`_necessity`).  Its result is ``sampled`` when the subset sample
-    or the 200-instance stop was used.
+    :func:`_necessity`).  Every subset is decided, through its measure
+    value; the heights are the k/8 grid, so the result is ``grid``.
     """
     if direction not in ("sufficiency", "necessity", "both"):
         raise DomainError(f"unknown direction {direction!r}")
@@ -317,14 +334,15 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
         detail = result.detail        # the necessity entries extend this result
 
     if direction in ("necessity", "both"):
-        checked, failures, sampled = _necessity(ops, mu, len(f), domain, scale, tol, seed)
-        detail["necessity_instances"] = checked
-        detail["necessity_violations_confirmed"] = checked - len(failures)
-        mode = "sampled" if sampled else "exhaustive"
+        values, heights, failing, failures = _necessity(ops, mu, domain, scale, tol)
+        instances = int(failing.sum())
+        detail.update(necessity_values=len(values), necessity_heights=heights,
+                      necessity_instances=instances,
+                      necessity_violations_confirmed=instances - len(failures))
         if failures:
             return CheckResult(False, 0.0, {"necessity_failures": failures[:5]},
-                               mode=mode, detail=detail)
-        result = replace(result, mode=mode)
+                               mode="grid", detail=detail)
+        result = replace(result, mode="grid")
     return result
 
 
@@ -461,8 +479,7 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
             raise HypothesisError(f"pointwise sum {s!r} leaves the scale")
     domain = _domain_mask(len(f), domain)
 
-    grid_cond = cached_gate(op, ("sum_split_grid", scale.upper, scale.closed),
-                            lambda: cond_sum_split(op, scale))
+    grid_cond = cached_condition(op, "sum_split", op=op, scale=scale)
     realized = realized_measure_values(mu, domain)
     realized_cond = cond_sum_split(op, scale, c_values=realized)
     detail = {"condition_grid": grid_cond, "condition_realized": realized_cond}
@@ -590,48 +607,34 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8, seed: int 
 # max-min subadditivity is measure subadditivity
 # ---------------------------------------------------------------------------
 
-def _subadditive_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None:
-    """All indicator pairs at height mu(A|B): mu(A|B) <= mu(A)+mu(B).  A pair
-    of infinite height has no admissible finite level and passes."""
-    tab = mu.table()
-    finite = bool(np.isfinite(tab).all())
-
-    def excess(a, b):
-        height = tab.take(a | b)
-        m = height - (tab.take(a) + tab.take(b))
-        if not finite:      # else no height is inf and no margin nan
-            m[np.isnan(m) | np.isinf(height)] = -INF
-        return m
-
-    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, "subadditive sweep", disjoint=False)
-    if ok:
-        return None
-    a, b = pair
-    return {"set_a": a, "set_b": b, "mu_union": float(tab[a | b]), "mu_a": float(tab[a]),
-            "mu_b": float(tab[b])}
-
-
 def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8,
                               seed: int = 0) -> CheckResult:
     """Equivalence between subadditivity of the max-min integral and of the
     (finite) measure itself.
 
     Forward: on a subadditive measure, seeded random pairs must satisfy the
-    integral inequality.  Backward: for every subset pair the two-level
-    indicator instance at height mu(A|B) reduces the integral inequality to
-    mu(A|B) <= mu(A) + mu(B) exactly, so sweeping all pairs recovers the
-    subadditivity verdict.
+    integral inequality.  Backward: for a subset pair (A, B), the two-level
+    indicator instance f = h 1_A, g = h 1_B at height h = mu(A|B) reduces
+    the integral inequality to mu(A|B) <= mu(A) + mu(B) exactly, so on a
+    finite measure the subadditivity check decides every such instance.  On
+    a finite measure that is not subadditive, the instance of the check's
+    witness pair is replayed through the integral and must violate it;
+    ``indicator_recovery_matches`` records the outcome (``True`` when the
+    measure is subadditive, ``"skipped-infinite"`` on an infinite measure).
     """
     tol = mu.tolerance()
     sub = check_measure_property(mu, "subadditive")
     fin = check_measure_property(mu, "finite")
-    detail: dict = {"subadditive": sub, "finite": fin}
+    detail: dict = {"subadditive": sub, "finite": fin,
+                    "indicator_recovery_matches": fin.holds or "skipped-infinite"}
 
-    # backward sweep over all pairs via the exact two-level reduction
-    sweep_wit = _subadditive_indicator_sweep(mu, tol)
-    recovered_subadditive = sweep_wit is None
-    detail["indicator_recovery_matches"] = (recovered_subadditive == sub.holds) \
-        if fin.holds else "skipped-infinite"
+    if fin.holds and not sub.holds:
+        w = sub.witness
+        f, g = (Fn.indicator(mu.space.n, w[s], w["mu_union"], NONNEG) for s in ("set_a", "set_b"))
+        lhs, rhs = _sum_split(sugeno_integral, mu, f, g)
+        if not _rel_gap(lhs, rhs) > tol:
+            detail["indicator_recovery_matches"] = False
+            return CheckResult(False, 0.0, {**w, "lhs": lhs, "rhs": rhs}, detail=detail)
 
     if sub.holds:
         violations, _ = _random_pair_probe(sugeno_integral, mu, trials, seed,
@@ -639,11 +642,7 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8,
         if violations:
             return CheckResult(False, 0.0, {"forward_violations": violations[:3]},
                                detail=detail)
-
-    if not fin.holds or recovered_subadditive == sub.holds:
-        return CheckResult(True, detail=detail)
-    wit = sweep_wit or {"reason": "the indicator sweep found no violation"}
-    return CheckResult(False, 0.0, wit, detail=detail)
+    return CheckResult(True, detail=detail)
 
 
 def verify_sugeno_subadditive_boundary() -> CheckResult:

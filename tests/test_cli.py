@@ -42,6 +42,17 @@ class TestRun:
         code, _ = run_cli(["run", name], capsys)
         assert code == 0, name
 
+    def test_text_output_shows_inexact_modes(self, capsys):
+        code, out = run_cli(["run", "verifier_tour"], capsys)
+        doc = run_cli_json(["run", "verifier_tour"], capsys)[1]
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("[")]
+        modes = [task.get("result", {}).get("mode") for task in doc["report"]["tasks"]]
+        assert len(lines) == len(modes)
+        for line, mode in zip(lines, modes):
+            assert line.endswith(f" mode={mode}") == (mode in ("sampled", "grid"))
+        assert lines[0].endswith(": holds (expected holds) mode=grid")   # upper_mh, both
+
     def test_undefined_reference_exits_2(self, tmp_path, capsys):
         doc = builtin_scenario("two_point_integrals")
         doc["tasks"][0]["measure"] = "missing"
@@ -162,6 +173,10 @@ class TestRun:
                        "trials": "abc"}], None, "tasks[0].trials", id="trials_not_int"),
         pytest.param([{"task": "fuzz", "campaign": "sugeno_identity", "trials": 2,
                        "seed": "x"}], None, "tasks[0].seed", id="seed_not_int"),
+        pytest.param([{"task": "verify", "theorem": "upper_mh", "star": "max",
+                       "circs": ["min", "min", "min"], "measure": "mu", "f": "f", "g": "f",
+                       "direction": "necessity", "seed": 3}], None, "tasks[0].seed",
+                     id="upper_mh_reads_no_seed"),
         pytest.param([{"task": "integral", "function": "f", "measure": "mu",
                        "expect_value": 0.5, "tolerance": "x"}], None, "tasks[0].tolerance",
                      id="tolerance_not_number"),
@@ -253,7 +268,7 @@ REPORT_SHA256 = {
         "f40e39a20511e86923ed631d667471d46494be3d3d2aadab7ed4910c6720dcb7",
     "reciprocal_integral": "e9bc74f2d12c4871d271d2aacff4be230329e033d4b90adce9a73c44c6d654e6",
     "two_point_integrals": "445af2a1e3512dc89546b918890f3aa5e95ab300b391be118efc5ba5f6b00bb3",
-    "verifier_tour": "d4842d5ce7ba03c3ab85490a379297791711db53ee0ca784bc8e256417fc41e9",
+    "verifier_tour": "ba1f4cf76a810ed5e6614ab2cdd9bdfab1da173fa77e2140307e99c74d9fc2c1",
 }
 
 

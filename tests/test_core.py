@@ -20,9 +20,9 @@ from nonadd.core import (
     ValueScale,
     combine,
     expand_masks,
+    _domain_points,
     _level_sets,
     check_cells,
-    iter_submasks,
     profile_eval,
     rng_for,
     scale_contains,
@@ -200,9 +200,9 @@ class TestSpaceAndFn:
         # the >= sets, one threshold lower
         assert [domain] + above[:-1] == [ref_level_mask_ge(vals, t, domain) for t in ts]
 
-    def test_submask_iteration(self):
-        subs = sorted(iter_submasks(0b101))
-        assert subs == [0b000, 0b001, 0b100, 0b101]
+    def test_domain_points(self):
+        assert _domain_points(0b101) == [0, 2]
+        assert _domain_points(0) == []
 
 
 class TestSubsetInfima:

@@ -320,14 +320,14 @@ class TestSharedCatalog:
         assert power_min(0.25) is power_min(0.25)
 
     def test_metric_gate_sweeps_once_per_exponent(self, monkeypatch):
-        from nonadd import metrics
+        from nonadd import conditions
         from nonadd.campaigns import run_campaign
 
         for p in (0.5, 1.0, 2.0):
             power_min(p, 1.0)._verified.clear()
         sweeps = []
-        sweep = metrics.cond_distributive_scaling
-        monkeypatch.setattr(metrics, "cond_distributive_scaling",
+        sweep = conditions.CONDITIONS["distributive_scaling"]
+        monkeypatch.setitem(conditions.CONDITIONS, "distributive_scaling",
                             lambda *a, **kw: sweeps.append(kw["q"]) or sweep(*a, **kw))
         run_campaign("mean_convergence", 20, 0)
         assert sorted(sweeps) == [0.5, 1.0, 2.0]
@@ -361,6 +361,8 @@ class TestSharedCatalog:
         per_id = collections.Counter(cid for cid, _ in sweeps)
         necessity = per_id.pop("mh_product_power")
         assert 6 <= necessity <= 18  # distinct (p1, p2, p3) of 20 trials
+        # sum_split: the nilpotent gate on lukasiewicz and the verifier's grid
+        # gate on min and product
         assert per_id == {"distributive_scaling": 3, "dual_star_split": 2,
                           "dual_star_split_pair": 1, "mh_upper": 7,
-                          "counterexample_premise": 1, "sum_split": 1}
+                          "counterexample_premise": 1, "sum_split": 3}

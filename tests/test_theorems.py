@@ -20,7 +20,6 @@ from nonadd.core import (
     _level_sets,
     _rel_gap,
     expand_masks,
-    iter_submasks,
     rng_for,
     subset_infima,
 )
@@ -59,7 +58,6 @@ from nonadd.theorems import (
     _max_product_indicator_sweep,
     _mh_sides,
     _necessity,
-    _subadditive_indicator_sweep,
     _sum_split,
     realized_measure_values,
     reproduce_counterexample,
@@ -342,7 +340,8 @@ def ref_max_product_sweep(mu, tol):
 
 
 def ref_subadditive_sweep(mu, tol):
-    """The row loop of the max-min backward sweep before the pair kernel."""
+    """The row loop of the max-min backward sweep before the pair kernel:
+    the first violating row a at height mu(A|B), then that row's argmax."""
     tab = mu.table()
     idx = np.arange(tab.shape[0], dtype=np.int64)
     for a in range(tab.shape[0]):
@@ -416,7 +415,8 @@ def check_against_reference(mu, tol, got, ref, excess):
 
 
 class TestIndicatorSweeps:
-    """Both indicator sweeps against the row loops they replaced."""
+    """The max-product indicator sweep and the subadditivity check against
+    the row loops of the indicator sweeps."""
 
     TOLS = [None, 0.0, 1e-12, -1e-3]   # None: the measure's own tolerance
 
@@ -437,19 +437,21 @@ class TestIndicatorSweeps:
             assert got["rhs"] == tab[a] + tab[b]
 
     @settings(max_examples=150, deadline=None)
-    @given(mu=sweep_measures(), tol=st.sampled_from(TOLS))
+    @given(mu=sweep_measures(kinds=("family", "dual", "raw")), tol=st.sampled_from(TOLS))
     @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 1, 3], validate=False),
              tol=0.0)
     @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 0.5, 0.25], validate=False),
              tol=-1e-3)
-    def test_subadditive_sweep_matches_row_loop(self, mu, tol):
+    def test_subadditive_check_is_the_indicator_sweep(self, mu, tol):
+        # on a finite table the subadditivity check decides the two-level
+        # indicator instances of the max-min equivalence: verdict and witness
+        # are those of the all-pairs row loop at height mu(A|B)
+        assume(np.isfinite(mu.table()).all())
         tol = mu.tolerance() if tol is None else tol
-        got = _subadditive_indicator_sweep(mu, tol)
-        ref = ref_subadditive_sweep(mu, tol)
-        check_against_reference(mu, tol, got, ref, subadditive_excess)
-        if got is not None:
-            tab, a, b = mu.table(), got["set_a"], got["set_b"]
-            assert (got["mu_union"], got["mu_a"], got["mu_b"]) == (tab[a | b], tab[a], tab[b])
+        res = check_measure_property(mu, "subadditive", tol=tol)
+        got = None if res.holds else \
+            {k: res.witness[k] for k in ("set_a", "set_b", "mu_union", "mu_a", "mu_b")}
+        check_against_reference(mu, tol, got, ref_subadditive_sweep(mu, tol), subadditive_excess)
 
     def test_nan_margin_on_a_finite_table_reads_as_zero(self):
         # at (3, 3) both 2 mu({0, 1}) and mu({0, 1}) + mu({0, 1}) overflow to
@@ -501,22 +503,23 @@ class TestSugenoSubadditive:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @settings(max_examples=80, deadline=None)
-    @given(mu=sweep_measures(max_n=4, kinds=("family", "dual", "inf")))
-    def test_sweep_verdict_is_the_integral_verdict(self, mu):
+    @given(mu=sweep_measures(max_n=4, kinds=("family", "dual")))
+    def test_check_verdict_is_the_integral_verdict(self, mu):
         # the two-level reduction through the max-min integral itself, on
-        # every pair of a monotone measure: a pair of infinite height has no
-        # finite level and passes
+        # every pair of a finite monotone measure
         tab, n, tol = mu.table(), mu.space.n, mu.tolerance()
+        assume(np.isfinite(tab).all())
         violated = False
         for a_set, b_set in itertools.product(range(1 << n), repeat=2):
             height = float(tab[a_set | b_set])
-            if math.isinf(height):
-                continue
             h = height if height > 0 else 1.0
             lhs, rhs = _sum_split(sugeno_integral, mu, Fn.indicator(n, a_set, h, NONNEG),
                                   Fn.indicator(n, b_set, h, NONNEG))
             violated |= _rel_gap(lhs, rhs) > tol
-        assert (_subadditive_indicator_sweep(mu, tol) is not None) == violated
+        assert check_measure_property(mu, "subadditive").holds != violated
+        res = verify_sugeno_subadditive(mu, trials=2)
+        assert res.holds and res.detail["indicator_recovery_matches"] is True
+
     def test_forward_and_recovery_on_subadditive(self):
         for k in range(20):
             mu = sampling.subadditive_measure(47, k, 2 + k % 6)
@@ -529,6 +532,14 @@ class TestSugenoSubadditive:
         res = verify_sugeno_subadditive(mu, trials=4, seed=1)
         assert res.holds  # equivalence holds: not subadditive and recovery agrees
         assert not res.detail["subadditive"].holds
+        assert res.detail["indicator_recovery_matches"] is True
+
+    def test_thirteen_points(self):
+        # the disjoint pairs of an exactly monotone table: 3**13 cells
+        mu = generate_measure(3, "distortion_concave", 13)
+        res = verify_sugeno_subadditive(mu, trials=2)
+        assert res.holds and res.detail["indicator_recovery_matches"] is True
+        assert res.detail["subadditive"].holds
 
     def test_boundary_probe(self):
         res = verify_sugeno_subadditive_boundary()
@@ -679,34 +690,44 @@ def ref_chain_lower(ops, boxplus, mu, f, g, domain, tol):
     return CheckResult(True, margin=slack), None
 
 
-def ref_necessity(ops, mu, n, domain, scale, tol, seed):
-    """The necessity loop: (instances, failures, sampled).  It runs the
-    indicator instance of each failing (A, a, b) cell, stops after 200, and
-    reports the stop as used when a failing cell remained."""
+def ref_necessity(ops, mu, n, domain, scale, tol):
+    """The necessity loop over every nonempty subset A of the domain, with
+    the indicator instance of each failing (A, a, b) cell run through the
+    real integrals: the failing cells as (c, a, b) with c = mu(A), and the
+    failures in (c, a, b) order, each from the smallest A realizing c.  It
+    asserts that every A realizing c gives the same verdict and sides."""
     heights = [k / 8.0 for k in range(9) if scale.contains(k / 8.0)]
-    subsets = [m for m in iter_submasks(domain) if m]
-    sampled = len(subsets) > 64
-    if sampled:
-        rng = rng_for(seed, "necessity-subsets")
-        subsets = [subsets[rng.randrange(len(subsets))] for _ in range(64)]
-    checked, failures = 0, []
-    for A in subsets:
+    failing, records = set(), {}
+    for A in range(1, domain + 1):
+        if A & ~domain:
+            continue
         c = mu(A)
         for a in heights:
             for b in heights:
                 if (not scale.contains(_grid(ops.star, a, b))
                         or _rel_gap(*ref_condition_sides(ops, a, b, c, c, c)) <= tol):
                     continue
-                if checked == 200:
-                    return checked, failures, True
+                failing.add((c, a, b))
                 fa = Fn.indicator(n, A, a, scale)
                 gb = Fn.indicator(n, A, b, scale)
                 lhs_i, rhs_i = _mh_sides(upper_integral, ops, mu, fa, gb, domain, scale)
-                checked += 1
-                if _rel_gap(lhs_i, rhs_i) <= tol:
-                    failures.append({"a": a, "b": b, "set": A, "c": c,
-                                     "lhs": lhs_i, "rhs": rhs_i})
-    return checked, failures, sampled
+                rec = {"a": a, "b": b, "set": A, "c": c, "lhs": lhs_i, "rhs": rhs_i,
+                       "failed": _rel_gap(lhs_i, rhs_i) <= tol}
+                first = records.setdefault((c, a, b), rec)
+                assert (first["failed"], repr(first["lhs"]), repr(first["rhs"])) == \
+                    (rec["failed"], repr(lhs_i), repr(rhs_i))
+    failures = [{k: v for k, v in rec.items() if k != "failed"}
+                for _, rec in sorted(records.items()) if rec["failed"]]
+    return failing, failures
+
+
+def same_records(got, ref):
+    """Equal necessity failure records, the sides within rounding: the
+    closed form reads every operator through ``op.grid``, the integrals
+    through ``op.fn``, and the power-based operators round differently."""
+    assert [{**r, "lhs": 0, "rhs": 0} for r in got] == [{**r, "lhs": 0, "rhs": 0} for r in ref]
+    for r, q in zip(got, ref):
+        assert (r["lhs"], r["rhs"]) == pytest.approx((q["lhs"], q["rhs"]), rel=1e-12, abs=0)
 
 
 @st.composite
@@ -773,35 +794,81 @@ class TestChainConditionsMatchReference:
                 c_ab = _grid(boxplus, got.witness["c"], got.witness["d"])
             _replays(ops, got.witness, tol, c_ab)
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=mh_cases(circs=[op for op in CATALOG if "zero_left_annihilator" in op.flags]),
-           tol=st.sampled_from([1e-12, 0.0]), seed=st.integers(0, 3))
-    def test_necessity_cells(self, case, tol, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(case=mh_cases(circs=[op for op in CATALOG
+                                if {"zero_left_annihilator", "zero_right_annihilator"} <= op.flags]),
+           tol=st.sampled_from([1e-12, 0.0]))
+    def test_necessity_cells(self, case, tol):
         ops, _, mu, f, _, domain = case
-        args = (ops, mu, len(f), domain, f.scale, tol, seed)
-        # the gates and the instance integrals warn on inf * 0 (marshall_olkin
-        # on the extended scale); the condition cells themselves do not
+        scale = f.scale
+        # marshall_olkin's grid form is nan at (0, inf), where the scalar form
+        # the instance integrals read is not: left out on unbounded scales only
+        assume(not (math.isinf(scale.upper)
+                    and any(op.name.startswith("marshall_olkin")
+                            for op in (ops.star, ops.combiner, *ops.circs))))
         with np.errstate(invalid="ignore"):
             try:     # the instance integrals need the verifier's gates
-                _gate_mh(ops, f.scale, ["nondecreasing"], _ANNIHILATING)
+                _gate_mh(ops, scale, ["nondecreasing"], _ANNIHILATING)
             except HypothesisError:
                 assume(False)
-            got = _necessity(*args)
-            ref = ref_necessity(*args)
-        assert json.dumps(got) == json.dumps(ref)
+            values, heights, failing, failures = _necessity(ops, mu, domain, scale, tol)
+            ref_failing, ref_failures = ref_necessity(ops, mu, len(f), domain, scale, tol)
+        assert values == sorted(set(mu(a) for a in range(1, domain + 1) if not a & ~domain))
+        got = {(values[s], heights[i], heights[j]) for s, i, j in np.argwhere(failing).tolist()}
+        assert got == ref_failing
+        same_records(failures, ref_failures)
 
-    def test_sampled_label(self):
-        # 127 nonempty subsets: the 64-subset sample is drawn
+    def test_grid_label(self):
+        # 127 nonempty subsets, 4 distinct values: every failing cell is decided
         ops = MHOperators(PSUM, PSUM, (PROD,) * 3,
                           (phi_power(2.0), phi_power(1.0), phi_power(2.0)))
         zero = Fn([0.0] * 7)
         mu = MonotoneMeasure.possibility(FiniteSpace(7), [0.25, 0.5, 0.75, 1.0, 0.5, 0.25, 1.0])
         res = verify_upper_mh(ops, mu, zero, zero, direction="necessity")
-        assert res.mode == "sampled" and res.detail["necessity_instances"] == 200
-        args = (ops, mu, 7, (1 << 7) - 1, UNIT, 1e-12, 0)
-        assert json.dumps(_necessity(*args)) == json.dumps(ref_necessity(*args))
-        # 3 subsets: every failing cell runs, nothing is sampled
-        small = MonotoneMeasure.possibility(FiniteSpace(2), [0.25, 0.75])
-        res = verify_upper_mh(ops, small, Fn([0.0, 0.0]), Fn([0.0, 0.0]),
-                              direction="necessity")
-        assert res.mode == "exhaustive" and 0 < res.detail["necessity_instances"] < 200
+        values, heights, failing, failures = _necessity(ops, mu, (1 << 7) - 1, UNIT, 1e-12)
+        ref_failing, ref_failures = ref_necessity(ops, mu, 7, (1 << 7) - 1, UNIT, 1e-12)
+        assert res.holds and res.mode == "grid" and failures == ref_failures == []
+        assert res.detail["necessity_values"] == len(values) == 4
+        assert res.detail["necessity_heights"] == heights == [k / 8.0 for k in range(9)]
+        assert res.detail["necessity_instances"] == \
+            res.detail["necessity_violations_confirmed"] == len(ref_failing) > 0
+        # the sufficiency direction keeps its exhaustive label
+        mu = MonotoneMeasure.possibility(FiniteSpace(3), [0.25, 0.5, 1.0])
+        f = Fn.indicator(3, 0b011, 0.5)
+        g = Fn.indicator(3, 0b011, 0.75)
+        res = verify_upper_mh(ops, mu, f, g)
+        assert res.holds and res.mode == "exhaustive"
+
+    def test_ten_points_every_value(self):
+        ops = MHOperators(PSUM, PSUM, (PROD,) * 3,
+                          (phi_power(3.0), phi_power(0.5), phi_power(1.0)))
+        mu = generate_measure(1, "distortion_concave", 10)
+        zero = Fn([0.0] * 10)
+        res = verify_upper_mh(ops, mu, zero, zero, direction="necessity")
+        assert res.holds and res.mode == "grid"
+        assert res.detail["necessity_values"] == 116
+        assert res.detail["necessity_instances"] == 9027
+        assert res.detail["necessity_violations_confirmed"] == 9027
+
+    def test_necessity_failure_replays(self):
+        # lukasiewicz(0, mu(D) = 2) = 1 lifts both sides to 1 at every height
+        ops = MHOperators(JOIN, SL, (SL,) * 3, ID3)
+        mu = MonotoneMeasure.possibility(FiniteSpace(2), [0.5, 2.0])
+        zero = Fn([0.0, 0.0])
+        res = verify_upper_mh(ops, mu, zero, zero, direction="necessity")
+        assert not res.holds and res.mode == "grid"
+        first = res.witness["necessity_failures"][0]
+        assert first == {"a": 0.0, "b": 0.625, "set": 1, "c": 0.5, "lhs": 1.0, "rhs": 1.0}
+        fa = Fn.indicator(2, first["set"], first["a"])
+        gb = Fn.indicator(2, first["set"], first["b"])
+        assert _mh_sides(upper_integral, ops, mu, fa, gb, 0b11, UNIT) == (1.0, 1.0)
+
+    def test_necessity_open_scale_needs_null_empty_set(self):
+        ops = MHOperators(MIN, MIN, (MIN,) * 3, ID3)
+        mu = MonotoneMeasure.explicit(FiniteSpace(2), [0.25, 0.5, 0.5, 1.0],
+                                      allow_nonzero_empty=True)
+        zero = Fn([0.0, 0.0], NONNEG)
+        with pytest.raises(HypothesisError, match=r"mu\(empty\) = 0"):
+            verify_upper_mh(ops, mu, zero, zero, direction="necessity")
+        res = verify_upper_mh(ops, mu, Fn([0.0, 0.0]), Fn([0.0, 0.0]), direction="necessity")
+        assert res.holds and res.mode == "grid"
