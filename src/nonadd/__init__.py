@@ -12,7 +12,6 @@ from .core import (
     UNIT,
     UNIT_OPEN,
     ValueScale,
-    combine,
     profile_eval,
     scale_contains,
 )

@@ -126,7 +126,7 @@ _ORACLE_OPS = (_MIN, _PROD, _SL, _BSUM, _MO)
 
 def _oracle_agreement(seed: int, k: int) -> list:
     """Level form against the exhaustive subset form, across the operator
-    catalog, exact to 1e-12."""
+    catalog, bit for bit."""
     rng = rng_for(seed, "oracle", k)
     n = 3 + k % 8
     mu = sampling.monotone_measure(seed * 7 + 1, k, n)
@@ -136,7 +136,7 @@ def _oracle_agreement(seed: int, k: int) -> list:
     for op in _ORACLE_OPS:
         direct = upper_integral(f, mu, op, domain)
         oracle = upper_integral_subset_oracle(f, mu, op, domain)
-        if abs(direct - oracle) > 1e-12:
+        if direct != oracle:
             failures.append({"trial": k, "op": op.name, "direct": direct,
                              "oracle": oracle, "f": list(f.values)})
     return failures

@@ -208,9 +208,7 @@ def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
     cs = _as_values(UNIT, c_values, spacing)
     A, B = g[:, None], g[None, :]
     AB = A * B
-    # scalar powers: numpy's array power can round differently
-    w1, w2, w3 = (np.asarray([c ** (1.0 / p) for c in cs], dtype=float)
-                  for p in (p1, p2, p3))
+    w1, w2, w3 = (np.float_power(cs, 1.0 / p) for p in (p1, p2, p3))
 
     def body(i):
         W1, W2, W3 = w1[i], w2[i], w3[i]
@@ -281,9 +279,9 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
     X, Y = g[:, None], g[None, :]
     opXY = op.grid(X, Y)
     factors = np.asarray([1.5, 2.0, 4.0, 16.0, 256.0])
-    bounds = np.asarray([a ** q for a in factors.tolist()], dtype=float)
+    bounds = np.float_power(factors, q)
     with np.errstate(invalid="ignore"):
-        powered = np.power(opXY, r)
+        powered = np.float_power(opXY, r)
 
     def by_z(Z):
         s = Y + Z

@@ -7,12 +7,13 @@ marker, under conventions that keep every operation total:
     0 * inf = 0        inf + x = inf
     1 / 0   = inf      1 / inf = 0
 
-The convention ``0 * inf = 0`` is the one that makes operators with an
-annihilating zero compose with extended values without special cases.
+The convention ``0 * inf = 0`` (``xmul``, ``vmul``) is the one that makes
+operators with an annihilating zero compose with extended values without
+special cases; ``vinv`` is the reciprocal.
 
-Division is derived from multiplication by the reciprocal, so the corner
-cases ``0/0`` and ``inf/inf`` both evaluate to 0.  That choice is arbitrary
-but total and deterministic, which is what the rest of the library needs.
+One nan rule holds everywhere: a nan value, such as an operator undefined
+at a cell, never wins a sup or an inf and never violates a check; it drops
+out.  Two infinite sides of a comparison tie, at gap 0 (``_rel_gap``).
 
 Finite spaces carry subsets as bitmask integers; ``check_cells`` bounds every
 exhaustive check by the cells it enumerates, ``MAX_CELLS`` = 2**24 at most.
@@ -70,37 +71,11 @@ def is_xreal(v: float) -> bool:
     return isinstance(v, (int, float)) and not math.isnan(v) and v >= 0
 
 
-def xadd(a: float, b: float) -> float:
-    return a + b
-
-
 def xmul(a: float, b: float) -> float:
     """Product with 0 * inf = 0."""
     if a == 0.0 or b == 0.0:
         return 0.0
     return a * b
-
-
-def xinv(a: float) -> float:
-    """Reciprocal with 1/0 = inf and 1/inf = 0."""
-    if a == 0.0:
-        return INF
-    if math.isinf(a):
-        return 0.0
-    return 1.0 / a
-
-
-def xdiv(a: float, b: float) -> float:
-    """a / b via a * (1/b); hence 0/0 = inf*... = 0 and inf/inf = 0."""
-    return xmul(a, xinv(b))
-
-
-def xmin(a: float, b: float) -> float:
-    return a if a <= b else b
-
-
-def xmax(a: float, b: float) -> float:
-    return a if a >= b else b
 
 
 def _rel_gap(lhs: float, rhs: float) -> float:
@@ -109,30 +84,6 @@ def _rel_gap(lhs: float, rhs: float) -> float:
     if math.isinf(lhs) and math.isinf(rhs):
         return 0.0
     return lhs - rhs
-
-
-_COMBINERS: dict[str, Callable[[float, float], float]] = {
-    "add": xadd,
-    "mul": xmul,
-    "div": xdiv,
-    "min": xmin,
-    "max": xmax,
-}
-
-
-def combine(a: float, b: float, kind: str) -> float:
-    """Total binary combination of extended nonnegative reals.
-
-    ``kind`` is one of ``add, mul, div, min, max``.  All kinds are total and
-    deterministic; add, mul, min, and max are commutative.
-    """
-    if not is_xreal(a) or not is_xreal(b):
-        raise DomainError(f"arguments must be extended nonnegative reals, got {a!r}, {b!r}")
-    try:
-        fn = _COMBINERS[kind]
-    except KeyError:
-        raise DomainError(f"unknown combination kind {kind!r}") from None
-    return fn(float(a), float(b))
 
 
 # array-safe variants for grid sweeps

@@ -15,6 +15,8 @@ evaluation is therefore exact; this is the library's central performance
 decision.  The only inexact case is an upper integral over an *open* scale
 with an operator whose second-argument zero is not annihilating: there the
 tail sup is approximated on a geometric ladder and the result is flagged.
+A candidate at which the operator is nan never wins the sup or the inf: both
+forms and the subset oracle skip it.
 
 Both forms read one level-set pass, ``core._level_sets``: at the thresholds
 T = sorted({0} union {values on D}) it gives A[j] = D intersect {f > T[j]},
@@ -183,7 +185,7 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
         infs = subset_infima([values[i] for i in bits])[1:]
         mus = mu.subset_table(bits)[1:]
         terms = op.grid(infs, mus)
-        best = float(terms.max())
+        best = float(np.fmax.reduce(terms, initial=-INF))   # nan terms drop out
     # empty-subset term: matches the level form's behaviour above the top
     # realized value
     if scale.closed:

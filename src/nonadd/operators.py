@@ -41,8 +41,12 @@ class BinaryOp:
     """An evaluable binary operator with declared algebraic flags.
 
     ``fn`` is the scalar evaluation; ``grid_fn`` (optional) must accept
-    numpy arrays and is used by grid sweeps.  ``_verified`` caches gate
-    results (see :func:`cached_gate`).
+    numpy arrays and is used by grid sweeps.  The two are one arithmetic:
+    ``grid_fn`` equals ``fn`` bit for bit on every cell, so a catalog body
+    computes powers through ``np.float_power``, which calls the same libm
+    ``pow`` as Python's ``**`` (``np.power`` may take a SIMD route that
+    rounds apart).  ``_verified`` caches gate results (see
+    :func:`cached_gate`).
     """
 
     name: str
@@ -176,18 +180,20 @@ def plain_sum() -> BinaryOp:
 
 @_shared
 def prob_sum() -> BinaryOp:
-    """a + b - ab on the unit scale."""
+    """a + b - ab on the unit scale, evaluated as a + b(1 - a) so that a 1 on
+    either side gives exactly 1."""
     return BinaryOp(
         "prob_sum",
-        lambda a, b: a + b - a * b,
+        lambda a, b: a + b * (1.0 - a),
         _CONTINUOUS | {"commutative"},
-        grid_fn=lambda a, b: np.asarray(a) + np.asarray(b) - np.asarray(a) * np.asarray(b),
+        grid_fn=lambda a, b: np.asarray(a) + np.asarray(b) * (1.0 - np.asarray(a)),
     )
 
 
 @_shared
 def marshall_olkin(alpha: float, beta: float) -> BinaryOp:
-    """The two-parameter family min(x^(1-alpha) y, x y^(1-beta)).
+    """The two-parameter family min(x^(1-alpha) y, x y^(1-beta)), with
+    0 * inf = 0 in both products.
 
     Reduces to the product at alpha = beta = 0 and to min at alpha = beta = 1.
     """
@@ -198,12 +204,10 @@ def marshall_olkin(alpha: float, beta: float) -> BinaryOp:
         flags = flags | {"commutative"}
     return BinaryOp(
         f"marshall_olkin({alpha},{beta})",
-        lambda a, b: min(a ** (1.0 - alpha) * b, a * b ** (1.0 - beta)),
+        lambda a, b: min(xmul(a ** (1.0 - alpha), b), xmul(a, b ** (1.0 - beta))),
         flags,
-        grid_fn=lambda a, b: np.minimum(
-            np.power(a, 1.0 - alpha) * np.asarray(b, dtype=float),
-            np.asarray(a, dtype=float) * np.power(b, 1.0 - beta),
-        ),
+        grid_fn=lambda a, b: np.minimum(vmul(np.float_power(a, 1.0 - alpha), b),
+                                        vmul(a, np.float_power(b, 1.0 - beta))),
         params={"alpha": alpha, "beta": beta},
     )
 
@@ -220,7 +224,7 @@ def power_product(q: float) -> BinaryOp:
         f"power_product({q})",
         lambda a, b: xmul(a, b) ** q,
         flags,
-        grid_fn=lambda a, b: np.power(vmul(a, b), q),
+        grid_fn=lambda a, b: np.float_power(vmul(a, b), q),
         params={"q": q},
     )
 
@@ -234,7 +238,7 @@ def power_min(p: float, u: float = 1.0) -> BinaryOp:
         f"power_min({p},{u})",
         lambda a, b: min(a ** p, b ** u),
         _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator"},
-        grid_fn=lambda a, b: np.minimum(np.power(a, p), np.power(b, u)),
+        grid_fn=lambda a, b: np.minimum(np.float_power(a, p), np.float_power(b, u)),
         params={"p": p, "u": u},
     )
 
@@ -248,7 +252,7 @@ def power_prod(p: float, u: float = 1.0) -> BinaryOp:
         f"power_prod({p},{u})",
         lambda a, b: xmul(a ** p, b ** u),
         _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator"},
-        grid_fn=lambda a, b: vmul(np.power(a, p), np.power(b, u)),
+        grid_fn=lambda a, b: vmul(np.float_power(a, p), np.float_power(b, u)),
         params={"p": p, "u": u},
     )
 
@@ -329,8 +333,8 @@ def phi_power(p: float) -> PhiMap:
         raise DomainError("power map exponent must be positive")
     return PhiMap(
         f"power({p})",
-        lambda x: np.power(np.asarray(x, dtype=float), p),
-        lambda x: np.power(np.asarray(x, dtype=float), 1.0 / p),
+        lambda x: np.float_power(x, p),
+        lambda x: np.float_power(x, 1.0 / p),
         params={"p": p},
     )
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .campaigns import CAMPAIGNS, run_campaign
 from .conditions import CONDITIONS, check_condition
-from .core import FiniteSpace, Fn, INF, NONNEG, SurvivalProfile, ValueScale
+from .core import FiniteSpace, Fn, INF, NONNEG, SurvivalProfile, ValueScale, _rel_gap
 from .integrals import (
     INTEGRAL_KINDS,
     IntegralSpec,
@@ -360,9 +360,10 @@ def _task(call, bind=None, **fields) -> Spec:
 
 
 def _within(value, want, a, eps: float, witness: dict) -> CheckResult:
-    """``value`` within the task's tolerance (``eps`` when none) of ``want``."""
+    """``value`` within the task's tolerance (``eps`` when none) of ``want``,
+    two infinities at gap 0 (``core._rel_gap``)."""
     eps = a.tolerance if a.tolerance is not None else eps
-    gap = abs(value - want)
+    gap = abs(_rel_gap(value, want))
     return CheckResult(True, margin=gap) if gap <= eps else CheckResult(False, gap, witness)
 
 

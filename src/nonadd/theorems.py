@@ -17,8 +17,10 @@ one three-map formula of ``conditions._three_map_sides`` through ``op.grid``,
 and both chains end in ``conditions._sweep``: the upper chain loops over the
 realized triples, the lower chain is one slice over the f x g level grid of
 ``relations._level_grid``.  Their witness is the first violating cell and
-their failing margin the largest violation; two infinite sides read as gap 0,
-and on the upper chain so does any nan gap.
+their failing margin the largest violation; two infinite sides read as gap 0.
+A nan cell follows the library's one nan rule: it never violates and never
+sets a margin, in both chains and in the necessity cells alike, as a nan
+candidate never wins the sup or inf of an integral.
 
 Shared pieces: ``_verdict`` decides the integral inequality of every
 verifier but the two equivalences, reading gaps by ``core._rel_gap`` (0
@@ -200,15 +202,15 @@ def _gate_mh(ops: MHOperators, scale: ValueScale, combiner_flags: Sequence[str],
         p.validate_on(scale)
 
 
-def _tied_sides(ops: MHOperators, a, b, c_ab, c_a, c_b, nan_ties: bool = False):
+def _tied_sides(ops: MHOperators, a, b, c_ab, c_a, c_b):
     """Both sides of the three-map condition (``conditions._three_map_sides``)
     under ``ops``, with two infinite sides read as 0 against 0: the gap
-    between two infinities is 0 (``core._rel_gap``).  With ``nan_ties``,
-    every cell whose gap is nan reads so (the upper chain's rule)."""
+    between two infinities is 0 (``core._rel_gap``).  Any other nan gap
+    stays nan, and the cell drops out: it never violates."""
     with np.errstate(invalid="ignore", over="ignore"):
         lhs, rhs = _three_map_sides(ops.star, ops.combiner, ops.circs, ops.phis,
                                     a, b, c_ab, c_a, c_b)
-        tie = np.isnan(lhs - rhs) if nan_ties else np.isinf(lhs) & np.isinf(rhs)
+    tie = np.isinf(lhs) & np.isinf(rhs)
     return np.where(tie, 0.0, lhs), np.where(tie, 0.0, rhs)
 
 
@@ -224,7 +226,7 @@ def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
 
     def body(i):
         a, b, c = inf_f[i], inf_g[i], mus[i]
-        return (*_tied_sides(ops, a, b, c, c, c, nan_ties=True), None,
+        return (*_tied_sides(ops, a, b, c, c, c), None,
                 {"a": a, "b": b, "c": c})
 
     return _sweep((), [(np.arange(len(mus)), body)], tol, "exhaustive")
@@ -285,13 +287,13 @@ def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int, scale: ValueS
     lhs, rhs = _tied_sides(ops, a, b, c, c, c)
     with np.errstate(invalid="ignore", over="ignore"):
         ab = ops.star.grid(a, b)
-        failing = (ab >= 0.0) & _in_scale(scale, ab) & ~(lhs - rhs <= tol)
+        failing = (ab >= 0.0) & _in_scale(scale, ab) & (lhs - rhs > tol)
         w1 = p1.forward(ops.star.grid(0.0, 0.0))
         lhs = p1.inverse(_two_level_upper(c1, p1.forward(ab), w1, c, mu_d, mu_e, scale))
         rhs = ops.combiner.grid(
             p2.inverse(_two_level_upper(c2, p2.forward(a), 0.0, c, mu_d, mu_e, scale)),
             p3.inverse(_two_level_upper(c3, p3.forward(b), 0.0, c, mu_d, mu_e, scale)))
-        holds = (np.isinf(lhs) & np.isinf(rhs)) | (lhs - rhs <= tol)
+        holds = ~(lhs - rhs > tol)    # two infinite sides and a nan gap never violate
     failures = [{"a": float(heights[i]), "b": float(heights[j]), "set": int(masks[s]),
                  "c": float(values[s]), "lhs": float(lhs[s, i, j]), "rhs": float(rhs[s, i, j])}
                 for s, i, j in np.argwhere(failing & holds).tolist()]

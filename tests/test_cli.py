@@ -148,6 +148,27 @@ class TestRun:
         code, _ = run_cli(["run", str(path)], capsys)
         assert code == 0
 
+    def test_infinite_values_compare_at_gap_zero(self, tmp_path, capsys):
+        # both sides of the oracle task and the integral are inf: two
+        # infinities read as gap 0 (core._rel_gap), not as margin nan
+        doc = {
+            "version": 1,
+            "space": {"n": 3},
+            "scale": {"upper": "inf", "closed": True},
+            "measures": {"mu": {"kind": "possibility", "density": [0.5, "inf", 0.25]}},
+            "functions": {"f": [0, "inf", 0.5]},
+            "operators": {"mo": {"name": "marshall_olkin", "alpha": 0.5, "beta": 0.25}},
+            "tasks": [{"task": "oracle", "function": "f", "measure": "mu", "operator": "mo"},
+                      {"task": "integral", "kind": "upper_generalized", "function": "f",
+                       "measure": "mu", "operator": "mo", "expect_value": "inf"}],
+        }
+        path = tmp_path / "inf_gap.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli_json(["run", str(path)], capsys)
+        assert code == 0
+        oracle, integral = out["report"]["tasks"]
+        assert oracle["result"]["margin"] == integral["result"]["margin"] == 0.0
+
     @pytest.mark.parametrize("tasks, measure, named", [
         pytest.param([{"task": "verify", "theorem": "subadditive_minkowski",
                        "operator": "min", "measure": "mu", "f": "f", "g": "g", "pp": 7}],

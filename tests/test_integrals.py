@@ -44,6 +44,10 @@ from nonadd.operators import (
     minimum,
     one_minus,
     plain_sum,
+    power_min,
+    power_prod,
+    power_product,
+    prob_sum,
     product,
     reciprocal,
     verify_flags,
@@ -177,7 +181,9 @@ def ref_lower_integral_result(f, mu, op, domain=None, scale=None):
 
 _SCALES = [UNIT, UNIT_OPEN, NONNEG, EXTENDED, ValueScale(2.0, False), ValueScale(2.0, True),
            ValueScale(0.5, True), ValueScale(0.5, False)]
-_OPS = [minimum(), product(), join(), plain_sum(), bounded_sum(), lukasiewicz()]
+_OPS = [minimum(), product(), join(), plain_sum(), bounded_sum(), lukasiewicz(),
+        marshall_olkin(0.5, 0.25), power_product(0.5), power_min(1 / 3, 2.0),
+        power_prod(0.75, 0.5)]
 
 
 @st.composite
@@ -363,7 +369,7 @@ class TestOracle:
             domain = (1 << n) - 1 if k % 2 else rng.randrange(1, 1 << n)
             direct = upper_integral(f, mu, op, domain)
             oracle = upper_integral_subset_oracle(f, mu, op, domain)
-            assert abs(direct - oracle) <= 1e-12
+            assert direct == oracle
 
     @settings(max_examples=300, deadline=None)
     @given(case=integral_cases())
@@ -373,7 +379,14 @@ class TestOracle:
         f, mu, op, domain, scale = case
         direct = upper_integral(f, mu, op, domain, scale)
         oracle = upper_integral_subset_oracle(f, mu, op, domain, scale)
-        assert direct == oracle or abs(direct - oracle) <= 1e-12
+        assert repr(direct) == repr(oracle)
+
+    def test_prob_sum_is_exact_at_the_top(self):
+        # 1 + c - c rounded below 1; 1 + c(1 - 1) does not
+        mu = MonotoneMeasure.possibility(FiniteSpace(1), [0.844])
+        res = upper_integral_result(Fn([1.0]), mu, prob_sum())
+        assert res == (1.0, True, 1.0)
+        assert upper_integral_subset_oracle(Fn([1.0]), mu, prob_sum()) == 1.0
 
     def test_open_scale_tail_over_an_empty_domain(self):
         # both tails climb the ladder from 0.0, the largest in-scale level of
@@ -422,7 +435,7 @@ class TestOracle:
         for op in (minimum(), product(), lukasiewicz()):
             oracle = upper_integral_subset_oracle(f, mu, op, domain)
             assert mu._table is None
-            assert abs(oracle - upper_integral(f, mu, op, domain)) <= 1e-12
+            assert oracle == upper_integral(f, mu, op, domain)
 
     def test_rejects_function_larger_than_space(self):
         mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])

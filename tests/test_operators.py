@@ -249,6 +249,67 @@ class TestMetricFamilies:
         assert op_eval(op, 3.0, 0.5) == pytest.approx(4.5)
 
 
+class TestOneArithmetic:
+    """``op.fn`` and ``op.grid`` are one arithmetic: equal bit for bit on
+    every cell, for every catalog operator and both duality conjugates.
+    Whole arrays and short ones (1, 3, 7, 17 and 33 cells, odd lengths that
+    leave SIMD remainders) and 0-d calls all read alike, whichever loops
+    numpy dispatches to on the CPU at hand."""
+
+    OPS = [minimum(), join(), product(), lukasiewicz(), bounded_sum(), plain_sum(),
+           prob_sum(), marshall_olkin(0.5, 0.25), marshall_olkin(0.5, 0.5),
+           power_product(0.5), power_product(2.0), power_min(1 / 3, 2.0),
+           power_min(0.5, 1.0), power_prod(0.75, 0.5), power_prod(1.7, 0.3)]
+    CASES = [(op, h) for op in OPS for h in (None, "one_minus", "reciprocal")]
+
+    @staticmethod
+    def _cells(op, h):
+        """The operator under test and its cells: the scale's grid plus
+        random values, all pairs, flattened (one_minus on [0, 1], since it
+        leaves the unit scale otherwise).  A conjugate's scalar form costs
+        three numpy calls a cell, so it takes every third grid point."""
+        scale = UNIT if h == "one_minus" else EXTENDED
+        rng = np.random.default_rng(16)
+        extra = rng.uniform(0.0, min(scale.upper, 4.0), 40)
+        grid = scale.grid() if h is None else np.append(scale.grid()[::3], scale.upper)
+        values = np.concatenate([grid, extra])
+        if h is not None:
+            op = op_dual(op, {"one_minus": one_minus(), "reciprocal": reciprocal()}[h])
+        return op, values[:, None], values[None, :]
+
+    @pytest.mark.parametrize("op, h", CASES,
+                             ids=[f"{op.name}-{h or 'self'}" for op, h in CASES])
+    def test_fn_equals_grid_bit_for_bit(self, op, h):
+        with np.errstate(all="ignore"):     # nan cells of prob_sum and its conjugates
+            op, col, row = self._cells(op, h)
+            a, b = np.broadcast_arrays(col, row)
+            a, b = a.ravel(), b.ravel()
+            bits = np.array([op.fn(x, y) for x, y in zip(a.tolist(), b.tolist())]).view(np.uint64)
+            assert (op.grid(col, row).ravel().view(np.uint64) == bits).all()
+            assert (op.grid(a, b).view(np.uint64) == bits).all()
+            n = len(a)
+            for length in (1, 3, 7, 17, 33):
+                for i in range(0, 330, length):
+                    got = op.grid(a[i:i + length], b[i:i + length]).view(np.uint64)
+                    assert (got == bits[i:i + length]).all(), (length, i)
+            for i in range(0, n, max(1, n // 150)):
+                assert np.float64(op.grid(a[i], b[i])).view(np.uint64) == bits[i]
+                assert np.float64(op.grid(float(a[i]), float(b[i]))).view(np.uint64) == bits[i]
+
+    def test_marshall_olkin_reads_zero_times_infinity_as_zero(self):
+        op = marshall_olkin(0.5, 0.25)
+        assert op.fn(0.0, INF) == op.fn(INF, 0.0) == 0.0
+        assert op.grid([0.0, INF], [INF, 0.0]).tolist() == [0.0, 0.0]
+        for scale in (EXTENDED, NONNEG):
+            verify_flags(op, ["nondecreasing", "zero_left_annihilator",
+                              "zero_right_annihilator"], scale)
+
+    def test_prob_sum_is_exact_at_one(self):
+        op = prob_sum()
+        for b in (0.844, 0.1, 0.3, 1e-9, 0.999):
+            assert op.fn(1.0, b) == op.fn(b, 1.0) == 1.0
+
+
 class TestSharedCatalog:
     """Catalog factories return one operator per argument tuple, so gate
     caches are keyed by content."""
