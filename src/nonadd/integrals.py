@@ -16,7 +16,8 @@ decision.  The only inexact case is an upper integral over an *open* scale
 with an operator whose second-argument zero is not annihilating: there the
 tail sup is approximated on a geometric ladder and the result is flagged.
 A candidate at which the operator is nan never wins the sup or the inf: both
-forms and the subset oracle skip it.
+forms and the subset oracle skip it, and refuse an operator that is nan at
+every candidate with a ``DomainError``.
 
 Both forms read one level-set pass, ``core._level_sets``: at the thresholds
 T = sorted({0} union {values on D}) it gives A[j] = D intersect {f > T[j]},
@@ -105,6 +106,13 @@ def _positive_levels(ts: list[float], scale: ValueScale) -> range:
     return range(end - 1, bisect_right(ts, 0.0) - 1, -1)
 
 
+def _refuse_all_nan(op: BinaryOp, vals) -> None:
+    """Refuse an operator whose values at the candidates are all nan: no
+    candidate is left to attain the extremum."""
+    if np.isnan(vals).all():
+        raise DomainError(f"operator {op.name!r} is nan at every candidate level")
+
+
 # ---------------------------------------------------------------------------
 # upper integral
 # ---------------------------------------------------------------------------
@@ -154,6 +162,8 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
         if val > best:
             best = val
             best_level = t
+    if best == -INF:
+        _refuse_all_nan(op, [op.fn(t, c) for t, c in levels])
     return IntegralResult(best, exact, best_level)
 
 
@@ -181,20 +191,26 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
 
     mu.space.validate_mask(domain)  # the table read below does not check masks
     best = -INF
+    terms = []
     if bits:
         infs = subset_infima([values[i] for i in bits])[1:]
         mus = mu.subset_table(bits)[1:]
         terms = op.grid(infs, mus)
         best = float(np.fmax.reduce(terms, initial=-INF))   # nan terms drop out
     # empty-subset term: matches the level form's behaviour above the top
-    # realized value
+    # realized value; then the level-0 term
+    scalar_terms = []
     if scale.closed:
-        best = max(best, float(op.fn(scale.upper, mu(0))))
+        scalar_terms.append(float(op.fn(scale.upper, mu(0))))
     elif not (mu(0) == 0.0 and "zero_right_annihilator" in op.flags):
         ts = _level_sets(values, domain)[0]
-        for t in _tail_ladder(ts[bisect_left(ts, scale.upper) - 1], scale):
-            best = max(best, float(op.fn(t, mu(0))))
-    best = max(best, float(op.fn(0.0, mu(domain))))
+        scalar_terms += [float(op.fn(t, mu(0)))
+                         for t in _tail_ladder(ts[bisect_left(ts, scale.upper) - 1], scale)]
+    scalar_terms.append(float(op.fn(0.0, mu(domain))))
+    for val in scalar_terms:
+        best = max(best, val)
+    if best == -INF:
+        _refuse_all_nan(op, np.append(terms, scalar_terms))
     return best
 
 
@@ -215,13 +231,16 @@ def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     verify_flags(op, ["nondecreasing"], scale)
     mass = _level_reader(mu, domain)
     ts, above = _level_sets(values, domain)
+    candidates = [ts.index(0.0), *_positive_levels(ts, scale)]
     best = INF
     best_level = 0.0
-    for j in [ts.index(0.0), *_positive_levels(ts, scale)]:
+    for j in candidates:
         val = float(op.fn(ts[j], mass(above[j])))
         if val < best:
             best = val
             best_level = ts[j]
+    if best == INF:
+        _refuse_all_nan(op, [op.fn(ts[j], mass(above[j])) for j in candidates])
     return IntegralResult(best, True, best_level)
 
 

@@ -15,18 +15,29 @@ cells).  Margins use exact table arithmetic; a 1e-12 tolerance applies only
 to the representations whose evaluation involves rounding (distortion,
 lambda, h-duals).
 
-The two single-subset checks read the table through per-bit half views
-(:func:`_bit_halves`): for point i, the sets without i and the same sets
-with it.
+``monotone``, and the exact-monotonicity test that picks a pair sweep, read
+the table point by point: for point i, the values of the sets without i and
+of the same sets with it, entry for entry (:func:`_bit_sides`).  Up to
+``_GATHER_BITS`` = 11 points all n points come from one ``take`` per side
+through index pairs cached per n (:func:`_bit_pairs`, read-only,
+n * 2**(n-1) entries each, 0.33 MB for every n up to 11); above, from the
+two half views of each point (:func:`_bit_halves`), since at 12 points the
+gather falls out of cache and runs about twice as slow as the per-point
+passes.  ``null_additive`` reads the half views of the null union's points
+only, usually one or none, where two views cost less than two gathers.
 
-* ``monotone`` subtracts the halves of one bit at a time into one reused
-  2**(n-1) buffer and takes its min; an inf - inf difference (nan) reads as
-  0, so only a bit with a nan takes a second, nan-ignoring min.  A failure
-  reports the first difference below ``-tol`` of the first failing bit and
-  minus the largest such difference; a success reports the least finite
-  difference, floored at 0.  These are the values of a gather of each bit's
-  finite differences, which runs only where the min alone cannot decide the
-  value: a -inf difference under an infinite ``tol``.
+* ``monotone`` takes the differences of the two sides: for n <= 11 one
+  (n, 2**(n-1)) array whose row b is point b, above one reused 2**(n-1)
+  buffer refilled per point (:func:`_bit_differences`).  On the gathered
+  array one min decides first: with no nan, no -inf and nothing below
+  ``-tol`` it is the success margin.  Otherwise the rows are read in order,
+  one min each; an inf - inf difference (nan) reads as 0, so only a row
+  with a nan takes a second, nan-ignoring min.  A failure reports the first
+  difference below ``-tol`` of the first failing point and minus the
+  largest such difference; a success reports the least finite difference,
+  floored at 0.  These are the values of a gather of each point's finite
+  differences, which runs only where the min alone cannot decide the value:
+  a -inf difference under an infinite ``tol``.
 * ``null_additive`` tests the points of the null union U, the union of the
   sets with value at most ``tol`` (:func:`null_union`).  If ``tol >= 0`` and
   adding any one point of U leaves every value unchanged, then every null
@@ -136,10 +147,13 @@ class MonotoneMeasure:
                  allow_nonzero_empty: bool = False,
                  validate: bool = True,
                  rounding: bool = False) -> "MonotoneMeasure":
-        tab = np.asarray([float(v) for v in table], dtype=float)
+        try:
+            tab = np.array(table, dtype=float)      # one copy: the caller keeps its own
+        except (TypeError, ValueError, OverflowError) as exc:   # ragged, or not numbers
+            raise DomainError(f"explicit table entries must be numbers: {exc}") from None
         if tab.shape != (1 << space.n,):
             raise DomainError(
-                f"explicit table needs {1 << space.n} entries, got {tab.shape[0]}"
+                f"explicit table needs {1 << space.n} entries, got shape {tab.shape}"
             )
         if np.isnan(tab).any() or (tab < 0).any():
             raise DomainError("table entries must be extended nonnegative reals")
@@ -274,6 +288,7 @@ def measure_eval(mu: MonotoneMeasure, mask: int) -> float:
 # ---------------------------------------------------------------------------
 
 _LOW_BITS = 8   # the disjoint pairs of the low bits form one cached block (6,561 cells)
+_GATHER_BITS = 11   # up to here one gather of every point's sets beats a pass per point
 _NO_OVERFLOW = float(np.finfo(float).max) / 4   # no difference of differences overflows
 
 
@@ -390,13 +405,60 @@ def _bit_halves(tab: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[:, 0], halves[:, 1]
 
 
-def _exactly_monotone(tab: np.ndarray, n: int) -> bool:
-    """Every ``tab[a | bit] >= tab[a]``, with no tolerance."""
+@functools.lru_cache(maxsize=None)
+def _bit_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (low, high) of shape (n, 2**(n-1)): row b holds the sets
+    without point b in increasing order, and the same sets with it."""
+    sets = np.arange(1 << n >> 1, dtype=np.intp)
+    low = np.stack([_insert_zero(sets, bit) for bit in range(n)])
+    high = low | (1 << np.arange(n, dtype=np.intp))[:, None]
+    low.flags.writeable = high.flags.writeable = False   # shared by every caller
+    return low, high
+
+
+def _bit_sides(tab: np.ndarray, n: int):
+    """Pairs (low, high) of ``tab``'s values on the sets without a point and
+    on the same sets with it, entry for entry, point by point.  Up to
+    ``_GATHER_BITS`` points this is one pair of (n, 2**(n-1)) arrays, taken
+    through the cached :func:`_bit_pairs`; above, the two half views of
+    each point."""
+    if n <= _GATHER_BITS:
+        low, high = _bit_pairs(n)
+        return [(tab.take(low), tab.take(high))]
+    return (_bit_halves(tab, bit) for bit in range(n))
+
+
+def _bit_differences(tab: np.ndarray, n: int):
+    """Rows b = 0, 1, ... of the differences ``tab[A | {b}] - tab[A]`` over
+    the sets A without point b, in increasing order (inf - inf gives nan).
+    Up to ``_GATHER_BITS`` points the rows of one (n, 2**(n-1)) array from
+    the gathered sides; above, one 2**(n-1) buffer refilled per point."""
+    if n <= _GATHER_BITS:
+        [(low, high)] = _bit_sides(tab, n)
+        with np.errstate(invalid="ignore"):          # inf - inf
+            high -= low
+        return high
+    return _refilled_differences(tab, n)
+
+
+def _refilled_differences(tab: np.ndarray, n: int):
+    """The rows of :func:`_bit_differences` from one reused buffer."""
+    diff = np.empty(1 << n >> 1)
     for bit in range(n):
         low, high = _bit_halves(tab, bit)
-        if not (high >= low).all():
-            return False
-    return True
+        out = diff.reshape(low.shape)
+        # numpy steps slowly through rows two entries wide: at bit 1,
+        # subtract the two strided columns instead
+        parts = zip(low.T, high.T, out.T) if bit == 1 else [(low, high, out)]
+        with np.errstate(invalid="ignore"):          # inf - inf
+            for lo, hi, o in parts:
+                np.subtract(hi, lo, out=o)
+        yield diff
+
+
+def _exactly_monotone(tab: np.ndarray, n: int) -> bool:
+    """Every ``tab[a | bit] >= tab[a]``, with no tolerance."""
+    return all((high >= low).all() for low, high in _bit_sides(tab, n))
 
 
 def null_union(mu: MonotoneMeasure, tol: float) -> int:
@@ -418,7 +480,8 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
 
     Pairwise properties over the cell budget are refused: before the table
     is built for their cheapest sweep, after it for the 4**n pairs.
-    ``monotone`` is one buffer pass per bit; ``null_additive`` first tests
+    ``monotone`` reads one difference row per point, gathered at once up to
+    11 points (see the module docstring); ``null_additive`` first tests
     the points of the null union, which decides every table whose null sets
     change no value, and sweeps null set by null set otherwise (see the
     module docstring for why both give the same bytes as full sweeps).
@@ -447,17 +510,15 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         if not _skip_empty and tab[0] != 0.0:
             return CheckResult(False, float(tab[0]), {"set": 0, "value": float(tab[0]),
                                                       "reason": "empty set has nonzero measure"})
-        diff = np.empty(size >> 1)
+        diffs = _bit_differences(tab, n)
+        if isinstance(diffs, np.ndarray):
+            # with no nan, no -inf and no failing difference, the least one
+            # is the least of the rows' minima (a zero margin is 0.0 either way)
+            least = float(diffs.min())
+            if -tol <= least > -INF:
+                return CheckResult(True, margin=max(least, 0.0))
         slack = INF
-        for bit in range(n):
-            low, high = _bit_halves(tab, bit)
-            out = diff.reshape(low.shape)
-            # numpy steps slowly through rows two entries wide: at bit 1,
-            # subtract the two strided columns instead
-            parts = zip(low.T, high.T, out.T) if bit == 1 else [(low, high, out)]
-            with np.errstate(invalid="ignore"):          # inf - inf
-                for lo, hi, o in parts:
-                    np.subtract(hi, lo, out=o)
+        for bit, diff in enumerate(diffs):
             least = float(diff.min())
             has_nan = least != least
             if has_nan:
@@ -467,7 +528,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                     diff = np.where(np.isnan(diff), 0.0, diff)
                 bad = diff < -tol
                 j = int(np.argmax(bad))
-                a = (j >> bit << (bit + 1)) | (j & ((1 << bit) - 1))
+                a = _insert_zero(j, bit)
                 return CheckResult(False, float(-(diff[bad]).max()),
                                    {"set": a, "point": bit, "value": float(tab[a]),
                                     "value_with_point": float(tab[a | 1 << bit])})

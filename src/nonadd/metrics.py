@@ -94,12 +94,20 @@ def _abs_diff(f: Sequence[float], g: Sequence[float]) -> list[float]:
 def metric_eval(spec: MetricSpec, f: Sequence[float], g: Sequence[float],
                 mu: MonotoneMeasure) -> float:
     """Distance between two real vectors under the chosen metric kind."""
+    if spec.kind == "d_op_p":
+        _gate_metric_op(spec)
+    return _distance(spec, f, g, mu)
+
+
+def _distance(spec: MetricSpec, f: Sequence[float], g: Sequence[float],
+              mu: MonotoneMeasure) -> float:
+    """:func:`metric_eval` without the operator gate, for callers that have
+    passed it once before their loop."""
     diff = _abs_diff(f, g)
     if spec.kind == "frechet":
         return lower_integral(Fn(diff, EXTENDED), mu, _SUM, None, EXTENDED)
     if spec.kind == "kyfan":
         return upper_integral(Fn(diff, EXTENDED), mu, _MIN, None, EXTENDED)
-    _gate_metric_op(spec)
     base = upper_integral(abs_power(diff, spec.p), mu, spec.op, None, EXTENDED)
     return float(base ** (1.0 / (spec.p ** 2 + 1.0)))
 
@@ -190,8 +198,8 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         f = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
         g = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
         h = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
-        dfg = metric_eval(spec, f, g, mu)
-        dgf = metric_eval(spec, g, f, mu)
+        dfg = _distance(spec, f, g, mu)
+        dgf = _distance(spec, g, f, mu)
         if dfg != dgf:
             return CheckResult(False, abs(dfg - dgf),
                                {"axiom": "symmetry", "f": f, "g": g,
@@ -209,14 +217,14 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         # a genuinely equivalent perturbation must stay at distance zero
         if nulls and k % 7 == 0:
             g2 = [v + (1.0 if nulls >> i & 1 else 0.0) for i, v in enumerate(f)]
-            d2 = metric_eval(spec, f, g2, mu)
+            d2 = _distance(spec, f, g2, mu)
             if d2 > tol_eff:
                 return CheckResult(False, d2,
                                    {"axiom": "identity", "f": f, "g": g2,
                                     "null_set": nulls, "distance": d2},
                                    mode="sampled")
-        dfh = metric_eval(spec, f, h, mu)
-        dhg = metric_eval(spec, h, g, mu)
+        dfh = _distance(spec, f, h, mu)
+        dhg = _distance(spec, h, g, mu)
         gap = dfg - (dfh + dhg)
         if gap > tol_eff:
             return CheckResult(False, gap,
@@ -355,7 +363,7 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
     if not sub.holds:
         raise HypothesisError("requires a subadditive measure", detail=sub)
     e = 1.0 / (spec.p ** 2 + 1.0)
-    dists = [metric_eval(spec, fk, limit, mu) for fk in sequence]
+    dists = [_distance(spec, fk, limit, mu) for fk in sequence]
     if dists and dists[-1] > min(dists) + tol:
         return CheckResult(False, dists[-1] - min(dists),
                            {"reason": "distances do not settle", "distances": dists},
@@ -428,7 +436,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
         seq.append(Fn(acc, NONNEG))
         sequence = seq
 
-    dists = [metric_eval(spec, a, b, mu) for a, b in zip(sequence, sequence[1:])]
+    dists = [_distance(spec, a, b, mu) for a, b in zip(sequence, sequence[1:])]
     for k, d in enumerate(dists, start=1):
         if d ** exponent > 4.0 ** (-k * p) + tol:
             return CheckResult(False, d ** exponent - 4.0 ** (-k * p),

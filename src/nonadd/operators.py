@@ -113,11 +113,23 @@ def _shared(factory):
 _CONTINUOUS = frozenset({"nondecreasing", "right_continuous", "left_continuous_second"})
 
 
+# the scalar forms of np.minimum and np.maximum: a nan argument is the result
+# (the first one when both are nan); the a <= b test comes first, as min is
+# the hottest operator body
+
+def _min(a: float, b: float) -> float:
+    return a if a <= b or a != a else b
+
+
+def _max(a: float, b: float) -> float:
+    return a if a >= b or a != a else b
+
+
 @_shared
 def minimum() -> BinaryOp:
     return BinaryOp(
         "min",
-        lambda a, b: a if a <= b else b,
+        _min,
         _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator",
                        "neutral_one", "commutative"},
         grid_fn=np.minimum,
@@ -128,7 +140,7 @@ def minimum() -> BinaryOp:
 def join() -> BinaryOp:
     return BinaryOp(
         "max",
-        lambda a, b: a if a >= b else b,
+        _max,
         _CONTINUOUS | {"commutative"},
         grid_fn=np.maximum,
     )
@@ -204,7 +216,7 @@ def marshall_olkin(alpha: float, beta: float) -> BinaryOp:
         flags = flags | {"commutative"}
     return BinaryOp(
         f"marshall_olkin({alpha},{beta})",
-        lambda a, b: min(xmul(a ** (1.0 - alpha), b), xmul(a, b ** (1.0 - beta))),
+        lambda a, b: _min(xmul(a ** (1.0 - alpha), b), xmul(a, b ** (1.0 - beta))),
         flags,
         grid_fn=lambda a, b: np.minimum(vmul(np.float_power(a, 1.0 - alpha), b),
                                         vmul(a, np.float_power(b, 1.0 - beta))),
@@ -236,7 +248,7 @@ def power_min(p: float, u: float = 1.0) -> BinaryOp:
         raise DomainError("exponents must be positive")
     return BinaryOp(
         f"power_min({p},{u})",
-        lambda a, b: min(a ** p, b ** u),
+        lambda a, b: _min(a ** p, b ** u),
         _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator"},
         grid_fn=lambda a, b: np.minimum(np.float_power(a, p), np.float_power(b, u)),
         params={"p": p, "u": u},

@@ -38,6 +38,7 @@ from nonadd.integrals import (
 from nonadd.measures import GENERATOR_FAMILIES, MonotoneMeasure, generate_measure
 from nonadd.operators import (
     bounded_sum,
+    from_callable,
     join,
     lukasiewicz,
     marshall_olkin,
@@ -336,6 +337,29 @@ class TestWorkedExamples:
         assert upper_integral(F2, MU2, product(), domain=0) == 0.0
         # operators without an annihilating zero see the full level sweep
         assert upper_integral(F2, MU2, bounded_sum(), domain=0) == 1.0
+
+
+class TestAllNanOperator:
+    """An operator that is nan at every candidate leaves no extremum: all
+    three routes refuse it by name instead of reporting -inf or inf."""
+
+    OP = from_callable("nan", lambda a, b: math.nan, ["nondecreasing"])
+
+    @pytest.mark.parametrize("scale", [UNIT, UNIT_OPEN, EXTENDED])
+    @pytest.mark.parametrize("route", [upper_integral_result, lower_integral_result,
+                                       upper_integral_subset_oracle])
+    def test_refused_by_name(self, route, scale):
+        with pytest.raises(DomainError, match="'nan'"):
+            route([0.5, 0.25], MU2, self.OP, None, scale)
+
+    def test_a_single_value_is_enough(self):
+        # nan everywhere except at level 0: the one value is the extremum
+        op = from_callable("nan_above_zero", lambda a, b: b if a == 0.0 else math.nan,
+                           ["nondecreasing"])
+        f = Fn([0.5, 0.25])
+        assert upper_integral_result(f, MU2, op) == (0.8, True, 0.0)
+        assert lower_integral_result(f, MU2, op) == (0.8, True, 0.0)
+        assert upper_integral_subset_oracle(f, MU2, op) == 0.8
 
 
 class TestOracle:

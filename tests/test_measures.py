@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -632,6 +633,105 @@ class TestNullAdditive:
                                      "null_additive")
         assert res.holds
         assert repr(res.margin) == "0.0"
+
+
+ROUTE_TOLS = [0.0, 1e-12, 0.3, -1e-3, INF]
+route_values = st.sampled_from([0.0, -0.0, 0.125, 0.5, 1.0, 3.0, INF])
+
+
+def by_route(mu, tol, gather_bits, props):
+    """``_exactly_monotone`` and each property's ``to_dict()`` JSON and
+    ``repr(margin)``, with the point-by-point reads gathered up to
+    ``gather_bits`` points: 0 reads every table per bit, 24 gathers all."""
+    tab = mu.table()
+    with unittest.mock.patch.object(measures, "_GATHER_BITS", gather_bits):
+        out = [measures._exactly_monotone(tab, mu.space.n)]
+        for prop in props:
+            res = check_measure_property(mu, prop, tol=tol)
+            out.append((prop, json.dumps(res.to_dict()), repr(res.margin)))
+    return out
+
+
+def route_table(seed, n, kind):
+    """A table of n points: monotone with zeros of both signs, with an up-set
+    of inf entries (inf - inf differences), or either of these perturbed out
+    of monotonicity."""
+    rng = np.random.default_rng(seed)
+    tab = rng.integers(0, 9, 1 << n) / 8.0
+    for bit in range(n):
+        low, high = measures._bit_halves(tab, bit)
+        np.maximum(high, low, out=high)
+    tab[(tab == 0.0) & (rng.random(1 << n) < 0.5)] = -0.0
+    tab[0] = -0.0 if seed % 2 else 0.0
+    if kind in ("inf", "inf_broken"):
+        pin = int(rng.integers(1, 1 << n))
+        tab[[m for m in range(1 << n) if m & pin == pin]] = INF
+    if kind.endswith("broken"):
+        tab[int(rng.integers(1, 1 << n))] = 0.0
+    return tab
+
+
+class TestGatherRoute:
+    """Up to ``_GATHER_BITS`` points ``monotone`` and the exact-monotonicity
+    test gather every point's sets at once; above, they read the table per
+    point.  Both routes give the same bytes, and the same choice of pair
+    sweep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 7), data=st.data(), tol=st.sampled_from(ROUTE_TOLS))
+    # a -inf difference that does not fail, beside finite ones above 0
+    @example(n=2, data=[0.0, INF, 2.0, 3.0], tol=INF)
+    def test_small_tables_match_the_per_bit_route(self, n, data, tol):
+        if isinstance(data, list):
+            tab = data
+        else:
+            tab = data.draw(st.lists(route_values, min_size=1 << n, max_size=1 << n))
+            if data.draw(st.booleans()):
+                for mask in range(1, 1 << n):
+                    tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
+                                                   for b in range(n) if mask >> b & 1])
+        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        props = ("monotone", "null_additive", "subadditive", "maxitive", "submodular")
+        assert by_route(mu, tol, 24, props) == by_route(mu, tol, 0, props)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("kind", ["monotone", "inf", "broken", "inf_broken"])
+    def test_large_tables_match_the_per_bit_route(self, n, kind):
+        for seed in range(2):
+            mu = MonotoneMeasure.explicit(FiniteSpace(n), route_table(seed, n, kind),
+                                          validate=False)
+            # pair sweeps only where they read 3**n pairs or the local cells,
+            # not 4**n pairs
+            props = ["monotone", "null_additive"]
+            if measures._exactly_monotone(mu.table(), n):
+                props += ["subadditive", "maxitive", "submodular"]
+            elif np.isfinite(mu.table()).all():
+                props += ["submodular"]
+            for tol in ROUTE_TOLS:
+                assert by_route(mu, tol, 24, props) == by_route(mu, tol, 0, props), tol
+
+    def test_generated_measures_match_the_per_bit_route(self):
+        mus = [generate_measure(seed, family, n) for seed in range(3) for n in (2, 6, 11)
+               for family in GENERATOR_FAMILIES]
+        props = ("monotone", "null_additive", "subadditive", "maxitive", "submodular")
+        for mu in mus + [lambda_sugeno_random(seed, 11) for seed in range(3)]:
+            assert by_route(mu, None, 24, props) == by_route(mu, None, 0, props)
+
+    def test_cached_index_arrays_are_read_only(self):
+        pairs = measures._bit_pairs(5)
+        assert measures._bit_pairs(5) is pairs
+        for arr in pairs:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
+
+    def test_explicit_table_is_one_copy_and_rejects_ragged_input(self):
+        source = np.array([0.0, 0.25, 0.5, 1.0])
+        mu = MonotoneMeasure.explicit(SP2, source)
+        source[1] = 0.75
+        assert mu.table().tolist() == [0.0, 0.25, 0.5, 1.0]
+        for bad in ([0.0, [0.25, 0.5], 1.0], [[0.0, 0.25], [0.5, 1.0]], [0.0, "x", 0.5, 1.0]):
+            with pytest.raises(DomainError):
+                MonotoneMeasure.explicit(SP2, bad)
 
 
 class TestPairKernel:

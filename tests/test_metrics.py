@@ -25,7 +25,7 @@ from nonadd.metrics import (
 )
 from nonadd.operators import join, minimum, plain_sum, power_min, power_prod
 from nonadd.results import DomainError, HypothesisError
-from nonadd import sampling
+from nonadd import metrics, sampling
 from test_integrals import ref_level_mask_gt
 
 SP2 = FiniteSpace(2)
@@ -268,6 +268,33 @@ class TestMeanConvergence:
         diverging = [f, Fn([v + 3.0 for v in f.values], NONNEG)]
         res = verify_mean_convergence(spec, mu, diverging, f)
         assert res.status == "premise-failed"
+
+
+class TestGateOncePerCall:
+    """The operator metric's loops pass its gate once, before they run;
+    ``metric_eval`` on its own gates every call."""
+
+    SPEC = MetricSpec("d_op_p", power_min(1.0, 1.0), 1.0)
+
+    def test_loops_gate_once(self, monkeypatch):
+        calls = []
+        real = metrics._gate_metric_op
+        monkeypatch.setattr(metrics, "_gate_metric_op",
+                            lambda spec: calls.append(spec) or real(spec))
+        mu = sampling.subadditive_measure(31, 1, 3)
+        f = Fn([0.5, 1.0, 0.25], NONNEG)
+        assert check_metric_axioms(self.SPEC, mu, trials=20).holds
+        assert verify_mean_convergence(self.SPEC, mu, [f, f, f], f).holds
+        assert cauchy_probe(self.SPEC, mu, seed=1, levels=5).holds
+        assert len(calls) == 3
+        metric_eval(self.SPEC, [0.5, 1.0, 0.25], [0.0] * 3, mu)
+        assert len(calls) == 4
+
+    def test_metric_eval_still_gates(self):
+        spec = MetricSpec("d_op_p", power_min(1.0, 2.0), 1.0)
+        with pytest.raises(HypothesisError):
+            metric_eval(spec, [0.5, 1.0, 0.25], [0.0] * 3,
+                        sampling.subadditive_measure(17, 0, 3))
 
 
 class TestCauchyProbe:

@@ -258,6 +258,7 @@ class TestOneArithmetic:
 
     OPS = [minimum(), join(), product(), lukasiewicz(), bounded_sum(), plain_sum(),
            prob_sum(), marshall_olkin(0.5, 0.25), marshall_olkin(0.5, 0.5),
+           marshall_olkin(0.25, 1.0),
            power_product(0.5), power_product(2.0), power_min(1 / 3, 2.0),
            power_min(0.5, 1.0), power_prod(0.75, 0.5), power_prod(1.7, 0.3)]
     CASES = [(op, h) for op in OPS for h in (None, "one_minus", "reciprocal")]
@@ -265,14 +266,15 @@ class TestOneArithmetic:
     @staticmethod
     def _cells(op, h):
         """The operator under test and its cells: the scale's grid plus
-        random values, all pairs, flattened (one_minus on [0, 1], since it
-        leaves the unit scale otherwise).  A conjugate's scalar form costs
+        random values and a nan, all pairs, flattened (one_minus on [0, 1],
+        since it leaves the unit scale otherwise).  A nan reaches an
+        operator through compositions; both forms must return it.  A conjugate's scalar form costs
         three numpy calls a cell, so it takes every third grid point."""
         scale = UNIT if h == "one_minus" else EXTENDED
         rng = np.random.default_rng(16)
         extra = rng.uniform(0.0, min(scale.upper, 4.0), 40)
         grid = scale.grid() if h is None else np.append(scale.grid()[::3], scale.upper)
-        values = np.concatenate([grid, extra])
+        values = np.concatenate([grid, extra, [np.nan]])
         if h is not None:
             op = op_dual(op, {"one_minus": one_minus(), "reciprocal": reciprocal()}[h])
         return op, values[:, None], values[None, :]
