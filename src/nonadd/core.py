@@ -98,7 +98,9 @@ def vmul(a, b):
 
 
 def vinv(a):
-    """Elementwise reciprocal with 1/0 = inf and 1/inf = 0."""
+    """Elementwise reciprocal with 1/0 = inf and 1/inf = 0 (a float stays a float)."""
+    if type(a) is float:
+        return INF if a == 0.0 else 0.0 if math.isinf(a) else 1.0 / a
     a = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore"):
         r = np.where(a == 0.0, INF, 1.0 / np.where(a == 0.0, 1.0, a))
@@ -130,6 +132,10 @@ class ValueScale:
         if self.closed:
             return y <= self.upper
         return y < self.upper
+
+    def contains_all(self, ys: np.ndarray) -> np.ndarray:
+        """``contains`` elementwise on a float array: nan fails, -0.0 passes."""
+        return (ys >= 0.0) & ((ys <= self.upper) if self.closed else (ys < self.upper))
 
     def grid(self, spacing: float = 1.0 / 64.0) -> np.ndarray:
         """Standard verification grid: multiples of ``spacing`` within the
@@ -365,9 +371,8 @@ class SurvivalProfile:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
-        for v in pts:
-            if not self.scale.contains(float(v)):
-                raise DomainError(f"level {v!r} outside the scale {self.scale.describe()}")
+        for v in pts[~self.scale.contains_all(pts)][:1]:   # the first level outside
+            raise DomainError(f"level {v!r} outside the scale {self.scale.describe()}")
         if self.fn is not None:
             out = np.asarray(self.fn(pts), dtype=float)
         else:

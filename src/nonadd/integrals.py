@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +65,7 @@ from .results import CheckResult, DomainError
 _MIN = minimum()
 _PROD = product()
 _JOIN = join()
+_GATE = ("nondecreasing",)   # the flag every integral requires of its operator
 
 
 class IntegralResult(NamedTuple):
@@ -137,33 +139,36 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     """sup over t in the scale of op(t, mu(D intersect {f >= t})), with
     attained level and exactness flag."""
     values, scale, domain = _unpack(f, scale, domain)
-    verify_flags(op, ["nondecreasing"], scale)
+    verify_flags(op, _GATE, scale)
     mass = _level_reader(mu, domain)
     ts, above = _level_sets(values, domain)
-    ge = [domain] + above  # ge[j] = D intersect {f >= ts[j]}
-    top = bisect_left(ts, scale.upper)  # ge[top] = D intersect {f >= scale top}
-    levels = [(0.0, mass(domain))] + [(ts[j], mass(ge[j])) for j in _positive_levels(ts, scale)]
+    top = bisect_left(ts, scale.upper)  # above[top - 1] = D intersect {f >= scale top}
+    tail_mu = mass(above[top - 1])
     exact = True
     if scale.closed:
-        levels.append((scale.upper, mass(ge[top])))
+        tail = (scale.upper,)
+    elif tail_mu == 0.0 and "zero_right_annihilator" in op.flags:
+        tail = ()  # no mass at or above the open end: the tail piece is 0 exactly
     else:
-        # tail piece above the largest in-scale value: level mass is the
-        # measure of points at or above the open end (constant there); with
-        # an annihilating zero and no mass it contributes 0 exactly
-        tail_mu = mass(ge[top])
-        if not (tail_mu == 0.0 and "zero_right_annihilator" in op.flags):
-            levels += [(t, tail_mu) for t in _tail_ladder(ts[top - 1], scale)]
-            exact = False  # grid-bounded: the open-end sup is only approximated
-
-    best = -INF
-    best_level = 0.0
-    for t, c in levels:
-        val = float(op.fn(t, c))
+        tail = _tail_ladder(ts[top - 1], scale)
+        exact = False  # grid-bounded: the open-end sup is only approximated
+    # candidates: 0 over D, each positive level ts[j] (descending) over
+    # D intersect {f >= ts[j]} = above[j - 1], then the tail levels
+    fn = op.fn
+    levels = _positive_levels(ts, scale)
+    best, best_level = -INF, 0.0
+    for j in chain((0,), levels):
+        t, c = (ts[j], above[j - 1]) if j else (0.0, domain)
+        val = float(fn(t, mass(c)))
         if val > best:
-            best = val
-            best_level = t
+            best, best_level = val, t
+    for t in tail:
+        val = float(fn(t, tail_mu))
+        if val > best:
+            best, best_level = val, t
     if best == -INF:
-        _refuse_all_nan(op, [op.fn(t, c) for t, c in levels])
+        _refuse_all_nan(op, [fn(0.0, mass(domain)), *(fn(ts[j], mass(above[j - 1])) for j in levels),
+                             *(fn(t, tail_mu) for t in tail)])
     return IntegralResult(best, exact, best_level)
 
 
@@ -186,7 +191,7 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     measure has no cached table; the space bounds its 2^|D| cells.
     """
     values, scale, domain = _unpack(f, scale, domain)
-    verify_flags(op, ["nondecreasing"], scale)
+    verify_flags(op, _GATE, scale)
     bits = _domain_points(domain)
 
     mu.space.validate_mask(domain)  # the table read below does not check masks
@@ -228,19 +233,20 @@ def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     from 0 and then down from the largest in-scale value.
     """
     values, scale, domain = _unpack(f, scale, domain)
-    verify_flags(op, ["nondecreasing"], scale)
+    verify_flags(op, _GATE, scale)
     mass = _level_reader(mu, domain)
     ts, above = _level_sets(values, domain)
-    candidates = [ts.index(0.0), *_positive_levels(ts, scale)]
-    best = INF
-    best_level = 0.0
-    for j in candidates:
-        val = float(op.fn(ts[j], mass(above[j])))
+    # candidates: 0, then the positive levels ts[j] descending, over above[j]
+    fn = op.fn
+    zero, levels = ts.index(0.0), _positive_levels(ts, scale)
+    best, best_level = INF, 0.0
+    for j in chain((zero,), levels):
+        t = ts[j]
+        val = float(fn(t, mass(above[j])))
         if val < best:
-            best = val
-            best_level = ts[j]
+            best, best_level = val, t
     if best == INF:
-        _refuse_all_nan(op, [op.fn(ts[j], mass(above[j])) for j in candidates])
+        _refuse_all_nan(op, [fn(ts[j], mass(above[j])) for j in chain((zero,), levels)])
     return IntegralResult(best, True, best_level)
 
 
@@ -329,7 +335,7 @@ def check_h_duality(f: Fn, mu: MonotoneMeasure, op: BinaryOp, h: DualityMap,
     if not scale.closed:
         raise DomainError("duality identity needs a closed scale")
     h.validate_on(scale)
-    hf = Fn([float(h.forward(v)) for v in f.values], scale)
+    hf = Fn(h.forward(np.array(f.values)).tolist(), scale)
     left_inner = lower_integral(hf, mu, op, None, scale)
     left = float(h.inverse(left_inner))
     mu_h = dual_measure(mu, h)
@@ -361,7 +367,7 @@ def profile_integral(profile: SurvivalProfile, op: BinaryOp,
     """
     if resolution <= 0:
         raise DomainError("resolution must be positive")
-    verify_flags(op, ["nondecreasing"], profile.scale)
+    verify_flags(op, _GATE, profile.scale)
     scale = profile.scale
     truncated = False
     if math.isinf(scale.upper):

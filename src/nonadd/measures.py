@@ -655,6 +655,18 @@ def dual_measure(mu: MonotoneMeasure, h, scale: ValueScale | None = None) -> Mon
 # generators
 # ---------------------------------------------------------------------------
 
+def _grid_scores(rng, m: int) -> np.ndarray:
+    """m draws of ``rng.randrange(0, 65)``: the top 7 bits of one 32-bit word, drawn
+    again while >= 65; ``getrandbits(32 * k)`` holds the next k words little-endian."""
+    chunks, got = [], 0
+    while got < m:
+        k = min(2 * (m - got) + 16, 1 << 16)   # about m accepted; at most 256 KB a draw
+        words = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), "<u4") >> 25
+        chunks.append(words[words < 65])
+        got += len(chunks[-1])
+    return np.concatenate(chunks)[:m]
+
+
 def generate_measure(seed: int, family: str, n: int = 6) -> MonotoneMeasure:
     """Deterministic random measure from one of the generator families.
 
@@ -672,7 +684,7 @@ def generate_measure(seed: int, family: str, n: int = 6) -> MonotoneMeasure:
     size = 1 << n
 
     if family == "monotonized_random":
-        tab = np.array([0.0] + [rng.randrange(0, 65) / 64.0 for _ in range(size - 1)])
+        tab = np.concatenate(([0.0], _grid_scores(rng, size - 1) / 64.0))
         # running max over subsets: each set takes the max over its submasks
         for bit in range(n):
             low, high = _bit_halves(tab, bit)

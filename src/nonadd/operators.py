@@ -398,7 +398,8 @@ class DualityMap:
 
 @_shared
 def one_minus() -> DualityMap:
-    fn = lambda x: 1.0 - np.asarray(x, dtype=float)
+    def fn(x):   # a Python float takes the scalar route, equal bit for bit
+        return 1.0 - x if type(x) is float else 1.0 - np.asarray(x, dtype=float)
     return DualityMap("one_minus", fn, fn)
 
 

@@ -129,12 +129,18 @@ def _enum(choices, aliases: dict | None = None):
 
 
 def _listof(item, length: int | None = None):
-    """A nonempty list resolved item by item; a fixed ``length`` gives a tuple."""
+    """A nonempty list resolved item by item; a fixed ``length`` gives a tuple.
+    Item paths are formed only to name a failing item."""
     def resolve(sc, value, where: str):
         if not isinstance(value, list) or not value or length not in (None, len(value)):
             raise ScenarioError(f"{where}: expected a list of {length or 'one or more'} "
                                 f"items, got {value!r}")
-        items = [item(sc, v, f"{where}[{i}]") for i, v in enumerate(value)]
+        try:
+            items = [item(sc, v, where) for v in value]
+        except ScenarioError:   # resolved again below, with paths: the failing item raises
+            items = None
+        if items is None:
+            items = [item(sc, v, f"{where}[{i}]") for i, v in enumerate(value)]
         return items if length is None else tuple(items)
     return resolve
 

@@ -109,7 +109,7 @@ def _star_combine(f: Fn, g: Fn, star: BinaryOp, scale: ValueScale) -> Fn:
 
 
 def _apply_phi(f: Fn, phi: PhiMap) -> Fn:
-    return Fn([float(phi.forward(v)) for v in f.values], f.scale)
+    return Fn(phi.forward(np.array(f.values)).tolist(), f.scale)
 
 
 def realized_measure_values(mu: MonotoneMeasure, domain: int) -> list[float]:
@@ -756,7 +756,7 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
             return _condition_failed(cond, detail)
 
     def transform(x: Fn) -> float:
-        hx = Fn([float(h.forward(v)) for v in x.values], scale)
+        hx = Fn(h.forward(np.array(x.values)).tolist(), scale)
         return float(h.inverse(integral(hx, mu, op, None, scale)))
 
     lhs = transform(_star_combine(f, g, star, scale))

@@ -68,6 +68,42 @@ class TestRun:
         with pytest.raises(ScenarioError, match="tasks"):
             Scenario(doc)
 
+    BAD_ITEMS = {
+        "table entry": (("measures", "mu", "table"), [0, 0.3, "x", True],
+                        "measures.mu.table[2]: expected a number or \"inf\", got 'x'"),
+        "nested knot": (("profiles", "p", "knots"), [[0, 1], [0.5, 0.25], [0.75, "y"]],
+                        "profiles.p.knots[2][1]: expected a number or \"inf\", got 'y'"),
+        "knot length": (("profiles", "p", "knots"), [[0, 1], [0.5]],
+                        "profiles.p.knots[1]: expected a list of 2 items, got [0.5]"),
+        "function entry": (("functions", "f"), [0.5, None],
+                           "functions.f[1]: expected a number or \"inf\", got None"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_ITEMS))
+    def test_bad_list_item_names_its_path(self, case):
+        # list items resolve without paths; the failing one is named in full
+        path, value, message = self.BAD_ITEMS[case]
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "explicit", "table": [0, 0.3, 0.6, 0.8]}},
+               "functions": {"f": [0.5, 0.2]}, "profiles": {"p": {"knots": [[0, 1]]}},
+               "tasks": [{"task": "integral", "kind": "sugeno", "function": "f",
+                          "measure": "mu"}]}
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError) as info:
+            Scenario(doc)
+        assert str(info.value) == message
+
+    def test_bad_reference_in_a_list_names_its_path(self):
+        doc = builtin_scenario("verifier_tour")
+        task = next(i for i, t in enumerate(doc["tasks"]) if "circs" in t)
+        doc["tasks"][task]["circs"][1] = "missing"
+        with pytest.raises(ScenarioError) as info:
+            Scenario(doc)
+        assert str(info.value) == f"tasks[{task}].circs[1]: undefined operator 'missing'"
+
     def test_math_failure_exits_1(self, tmp_path, capsys):
         doc = {
             "version": 1,

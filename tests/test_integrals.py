@@ -1,7 +1,9 @@
 """Integral functionals: worked values, the subset-form oracle, exactness,
 identities, and survival-profile evaluation."""
 
+import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -18,10 +20,18 @@ from nonadd.core import (
     UNIT,
     UNIT_OPEN,
     ValueScale,
+    _level_sets,
+    _rel_gap,
     rng_for,
 )
 from nonadd.integrals import (
+    IntegralResult,
     IntegralSpec,
+    _level_reader,
+    _positive_levels,
+    _refuse_all_nan,
+    _tail_ladder,
+    _unpack,
     abs_power,
     check_h_duality,
     check_sugeno_identity,
@@ -35,7 +45,7 @@ from nonadd.integrals import (
     upper_integral_result,
     upper_integral_subset_oracle,
 )
-from nonadd.measures import GENERATOR_FAMILIES, MonotoneMeasure, generate_measure
+from nonadd.measures import GENERATOR_FAMILIES, MonotoneMeasure, dual_measure, generate_measure
 from nonadd.operators import (
     bounded_sum,
     from_callable,
@@ -44,6 +54,7 @@ from nonadd.operators import (
     marshall_olkin,
     minimum,
     one_minus,
+    op_dual,
     plain_sum,
     power_min,
     power_prod,
@@ -53,7 +64,7 @@ from nonadd.operators import (
     reciprocal,
     verify_flags,
 )
-from nonadd.results import DomainError, HypothesisError
+from nonadd.results import CheckResult, DomainError, HypothesisError
 from nonadd import sampling
 
 SP2 = FiniteSpace(2)
@@ -215,6 +226,126 @@ def integral_cases(draw, max_n=6):
 
 def _result_bytes(value, exact, level):
     return value.hex(), exact, level.hex()
+
+
+# ---------------------------------------------------------------------------
+# References: the candidate-list forms of both integrals, which build the
+# list of (level, mass) candidates first and scan it after; the integrals
+# must match them byte for byte, errors included.
+# ---------------------------------------------------------------------------
+
+def ref_candidate_upper(f, mu, op, domain=None, scale=None):
+    values, scale, domain = _unpack(f, scale, domain)
+    verify_flags(op, ["nondecreasing"], scale)
+    mass = _level_reader(mu, domain)
+    ts, above = _level_sets(values, domain)
+    ge = [domain] + above  # ge[j] = D intersect {f >= ts[j]}
+    top = bisect_left(ts, scale.upper)  # ge[top] = D intersect {f >= scale top}
+    levels = [(0.0, mass(domain))] + [(ts[j], mass(ge[j])) for j in _positive_levels(ts, scale)]
+    exact = True
+    if scale.closed:
+        levels.append((scale.upper, mass(ge[top])))
+    else:
+        tail_mu = mass(ge[top])
+        if not (tail_mu == 0.0 and "zero_right_annihilator" in op.flags):
+            levels += [(t, tail_mu) for t in _tail_ladder(ts[top - 1], scale)]
+            exact = False
+    best = -INF
+    best_level = 0.0
+    for t, c in levels:
+        val = float(op.fn(t, c))
+        if val > best:
+            best = val
+            best_level = t
+    if best == -INF:
+        _refuse_all_nan(op, [op.fn(t, c) for t, c in levels])
+    return IntegralResult(best, exact, best_level)
+
+
+def ref_candidate_lower(f, mu, op, domain=None, scale=None):
+    values, scale, domain = _unpack(f, scale, domain)
+    verify_flags(op, ["nondecreasing"], scale)
+    mass = _level_reader(mu, domain)
+    ts, above = _level_sets(values, domain)
+    candidates = [ts.index(0.0), *_positive_levels(ts, scale)]
+    best = INF
+    best_level = 0.0
+    for j in candidates:
+        val = float(op.fn(ts[j], mass(above[j])))
+        if val < best:
+            best = val
+            best_level = ts[j]
+    if best == INF:
+        _refuse_all_nan(op, [op.fn(ts[j], mass(above[j])) for j in candidates])
+    return IntegralResult(best, True, best_level)
+
+
+def _outcome(integral, *args):
+    """The result bytes of an integral, or the type and message it raises."""
+    try:
+        return _result_bytes(*integral(*args))
+    except (DomainError, HypothesisError) as e:
+        return type(e).__name__, str(e)
+
+
+_CATALOG = [minimum(), product(), join(), plain_sum(), bounded_sum(), lukasiewicz(),
+            prob_sum(), marshall_olkin(0.5, 0.25), power_product(0.5),
+            power_min(1 / 3, 2.0), power_prod(0.75, 0.5)]
+_CANDIDATE_SCALES = {None: [UNIT, UNIT_OPEN, NONNEG, EXTENDED],
+                     "one_minus": [UNIT, UNIT_OPEN],        # h maps the scale into [0, 1]
+                     "reciprocal": [UNIT, UNIT_OPEN, NONNEG, EXTENDED]}
+
+
+@st.composite
+def candidate_cases(draw):
+    """A catalog operator or its one_minus or reciprocal conjugate, on a
+    scale it maps into; values with 0.0, -0.0, the top and inf where the
+    scale holds them; a generated or possibility measure, its table cached
+    or not; a random domain."""
+    h = draw(st.sampled_from(sorted(_CANDIDATE_SCALES, key=str)))
+    op = draw(st.sampled_from(_CATALOG))
+    if h is not None:
+        with np.errstate(all="ignore"):    # the conjugate's flag probe meets inf - inf
+            op = op_dual(op, {"one_minus": one_minus(), "reciprocal": reciprocal()}[h])
+    scale = draw(st.sampled_from(_CANDIDATE_SCALES[h]))
+    n = draw(st.integers(1, 6))
+    pool = [v for v in (0.0, -0.0, 0.25, 0.5, 1.0, 3.0, INF) if scale.contains(v)]
+    value = st.one_of(st.sampled_from(pool),
+                      st.floats(0.0, min(scale.upper, 4.0)).filter(scale.contains))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        mu = generate_measure(draw(st.integers(0, 10 ** 6)),
+                              draw(st.sampled_from(GENERATOR_FAMILIES)), n)
+    else:
+        density = st.sampled_from([0.0, 0.25, 0.5, 1.0, INF])
+        mu = MonotoneMeasure.possibility(FiniteSpace(n),
+                                         draw(st.lists(density, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        mu.table()
+    domain = draw(st.one_of(st.none(), st.integers(0, (1 << n) - 1)))
+    return Fn(values, scale), mu, op, domain
+
+
+class TestOneLoopMatchesCandidateList:
+    """Both integrals against the candidate-list forms they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=candidate_cases())
+    @example(case=(Fn([-0.0, INF], EXTENDED), MonotoneMeasure.possibility(
+        FiniteSpace(2), [INF, 0.5]), op_dual(minimum(), reciprocal()), None))
+    @example(case=(Fn([0.5, -0.0], UNIT_OPEN), MonotoneMeasure.possibility(
+        FiniteSpace(2), [0.5, 0.0]), op_dual(product(), one_minus()), 0b10))
+    @example(case=(Fn([0.25, 3.0], NONNEG), MonotoneMeasure.possibility(
+        FiniteSpace(2), [0.0, INF]), marshall_olkin(0.5, 0.25), None))
+    def test_bytes_and_errors(self, case):
+        f, mu, op, domain = case
+        tableless = mu._table is None
+        with np.errstate(all="ignore"):    # the conjugates' gates meet inf - inf
+            for integral, ref in ((upper_integral_result, ref_candidate_upper),
+                                  (lower_integral_result, ref_candidate_lower)):
+                assert _outcome(integral, f, mu, op, domain) == _outcome(ref, f, mu, op, domain)
+        if tableless and mu.kind == "possibility":
+            assert mu._table is None   # read through mu(), no table built
 
 
 class TestLevelFormsMatchReference:
@@ -611,7 +742,36 @@ class TestProfileIntegral:
         assert res.value == pytest.approx(0.5, abs=1e-2)
 
 
+def ref_h_duality(f, mu, op, h, tol=1e-12):
+    """``check_h_duality`` with h applied to one point at a time."""
+    scale = f.scale
+    h.validate_on(scale)
+    hf = Fn([float(h.forward(v)) for v in f.values], scale)
+    left = float(h.inverse(lower_integral(hf, mu, op, None, scale)))
+    right = upper_integral(f, dual_measure(mu, h), op_dual(op, h), None, scale)
+    gap = abs(_rel_gap(left, right)) / max(1.0, abs(left), abs(right))
+    if gap <= tol:
+        return CheckResult(True, margin=gap)
+    return CheckResult(False, gap, {"lower_route": left, "upper_route": right,
+                                    "values": list(f.values)})
+
+
 class TestHDuality:
+    @pytest.mark.parametrize("h, scale", [(one_minus(), UNIT), (reciprocal(), EXTENDED)])
+    def test_vector_map_is_the_per_point_map(self, h, scale):
+        for k in range(40):
+            rng = rng_for(18, "dual-vector", h.name, k)
+            n = 1 + k % 6
+            mu = sampling.monotone_measure(19, k, n)
+            f = sampling.random_fn(rng, n, scale, zero_rate=0.3,
+                                   inf_rate=0.2 if scale is EXTENDED else 0.0)
+            f = Fn([-0.0 if v == 0.0 and i % 2 else v for i, v in enumerate(f.values)], scale)
+            for op in (join(), minimum(), plain_sum(), product()):
+                got = check_h_duality(f, mu, op, h)
+                want = ref_h_duality(f, mu, op, h)
+                assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+                assert repr(got.margin) == repr(want.margin)
+
     def test_one_minus_seeded(self):
         h = one_minus()
         for k in range(50):

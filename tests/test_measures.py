@@ -455,6 +455,22 @@ class TestTableBuilds:
         got = generate_measure(seed, "non_maxitive", n).table()
         assert got.tobytes() == ref_non_maxitive(seed, n).tobytes()
 
+    def test_bulk_scores_are_per_subset_randrange_draws(self):
+        """The scores come from bulk ``getrandbits`` words; they are the
+        per-subset ``randrange(0, 65)`` draws, which a change in CPython's
+        ``randrange`` would break.  The tables match the reference for
+        every n <= 12, on 60 seeds up to 8 points and 20 above."""
+        for n in range(1, 13):
+            for seed in range(60 if n <= 8 else 20):
+                got = generate_measure(seed, "monotonized_random", n).table()
+                assert got.tobytes() == ref_monotonized_random(seed, n).tobytes(), (seed, n)
+        # more scores than one bulk draw of words yields
+        for m in (1, 3, 7, 255, 4095, 40000):
+            for seed in range(40 if m < 4095 else 2):
+                want = rng_for(seed, "scores", m)
+                want = [want.randrange(0, 65) for _ in range(m)]
+                assert measures._grid_scores(rng_for(seed, "scores", m), m).tolist() == want
+
     @settings(max_examples=200, deadline=None)
     @given(raw=raw_tables(), tol=st.sampled_from([0.0, 1e-12, 0.3, -1e-3, INF]),
            skip_empty=st.booleans(), signs=st.integers(0, (1 << 128) - 1))

@@ -298,6 +298,27 @@ class TestOneArithmetic:
                 assert np.float64(op.grid(a[i], b[i])).view(np.uint64) == bits[i]
                 assert np.float64(op.grid(float(a[i]), float(b[i]))).view(np.uint64) == bits[i]
 
+    MAPS = [phi_identity(), phi_power(0.5), phi_power(2.0), phi_power(1 / 3), phi_power(1.7),
+            one_minus(), reciprocal()]
+
+    @pytest.mark.parametrize("phi", MAPS, ids=[phi.name for phi in MAPS])
+    def test_map_on_a_python_float_equals_the_array_route(self, phi):
+        """A map's ``forward`` and ``inverse`` on a Python float equal the
+        array route bit for bit, at 0.0, -0.0, inf, nan, the scale's grid
+        and random values; the two duality maps return a Python float."""
+        scale = UNIT if phi.name == "one_minus" else EXTENDED
+        rng = np.random.default_rng(18)
+        values = np.concatenate([[0.0, -0.0, INF, np.nan], scale.grid(),
+                                 rng.uniform(0.0, min(scale.upper, 4.0), 60)])
+        for route in (phi.forward, phi.inverse):
+            with np.errstate(all="ignore"):     # the power maps at nan and inf
+                bits = np.asarray(route(values), dtype=float).view(np.uint64)
+                for x, want in zip(values.tolist(), bits):
+                    got = route(x)
+                    if isinstance(phi, DualityMap):
+                        assert type(got) is float, (x, got)
+                    assert np.float64(got).view(np.uint64) == want, (x, got)
+
     def test_marshall_olkin_reads_zero_times_infinity_as_zero(self):
         op = marshall_olkin(0.5, 0.25)
         assert op.fn(0.0, INF) == op.fn(INF, 0.0) == 0.0

@@ -59,6 +59,7 @@ from nonadd.results import CheckResult, DomainError, HypothesisError
 from nonadd.theorems import (
     MHOperators,
     _ANNIHILATING,
+    _apply_phi,
     _chain_condition_lower,
     _chain_condition_upper,
     _gate_mh,
@@ -915,3 +916,23 @@ class TestOneNanRule:
         assert heights[6] == 0.75 and not failing.any() and failures == []
         res = verify_upper_mh(ops, mu, f, f, direction="both")
         assert res.holds and res.mode == "grid"
+
+
+class TestMapsPerVector:
+    """``_apply_phi`` maps a function's values in one array call; it reads
+    the same bytes as the per-point 0-d calls it replaced."""
+
+    MAPS = [phi_identity(), phi_power(0.5), phi_power(2.0), phi_power(1 / 3), phi_power(3.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi=st.sampled_from(MAPS), scale=st.sampled_from([UNIT, EXTENDED]),
+           values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0, INF]),
+                                     st.floats(0.0, 4.0)), min_size=1, max_size=8))
+    def test_apply_phi_is_the_per_point_map(self, phi, scale, values):
+        values = [v for v in values if scale.contains(v)] or [0.0]
+        f = Fn(values, scale)
+        got = _apply_phi(f, phi)
+        want = Fn([float(phi.forward(v)) for v in f.values], scale)
+        assert got.scale == want.scale
+        assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+
