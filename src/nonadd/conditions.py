@@ -17,6 +17,13 @@ reports the largest violation ``lhs - rhs`` over all violating cells, so
 ``inf`` as soon as one is infinite.  ``distributive_scaling`` sweeps ``z``
 first and the scale factors second; ``unit_section_order`` is one slice.
 
+``sum_split`` sweeps only the pairs a <= b, as one axis: per chunk of c
+values it evaluates the operator once on the section table U x c, with U
+the distinct values of the grid and of the sums a + b, and gathers both
+sides from it.  Its cell is symmetric in a and b, so the first violating
+cell of the full grid in C order has a <= b and the margins are those of
+the full grid: the witness and the report bytes do not change.
+
 The three-map condition is written once, in :func:`_three_map_sides`:
 ``mh_upper`` and ``mh_lower`` evaluate it here, and the chain conditions and
 necessity cells of :mod:`nonadd.theorems` evaluate it on realized values
@@ -45,6 +52,7 @@ unit_section_order     1 o x <= y < 1 implies x <= y
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -252,21 +260,48 @@ def cond_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
     return _sweep((len(g), len(g)), [(g, body)], tol, "grid")
 
 
+@functools.lru_cache(maxsize=32)
+def _sum_split_cells(scale: ValueScale, spacing: float) -> tuple[np.ndarray, ...]:
+    """The cells of :func:`cond_sum_split`, built once per grid: the grid,
+    then the values of a and b over the pairs a <= b of it whose sum stays
+    in the scale (in C order), the distinct values U = grid | {a + b}, and
+    the indices into U of a, b and a + b.  Read-only: shared by every call."""
+    g = scale.grid(spacing)
+    check_cells(len(g) ** 2, "condition sweep")   # one c value's cells, before the pairs
+    i, j = np.triu_indices(len(g))
+    s = g[i] + g[j]
+    keep = _in_scale(scale, s)
+    i, j = i[keep], j[keep]
+    values, index = np.unique(np.concatenate([g, s[keep]]), return_inverse=True)
+    cells = (g, g[i], g[j], values, index[i], index[j], index[len(g):])
+    for arr in cells:
+        arr.flags.writeable = False
+    return cells
+
+
 def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
                    tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    g = scale.grid(spacing)
+    """(a + b) o c <= (a o c) + (b o c) over the grid's pairs (a, b) with
+    a + b in the scale, for every c of the grid or of ``c_values``.
+
+    Each chunk of c values evaluates the operator once, on the sections
+    U x c of the distinct values U = grid | {a + b}, and gathers both sides
+    from that table for the pairs a <= b only.  The cell is symmetric in a
+    and b (``a + b`` and the sum of the two sections commute in IEEE
+    arithmetic), so a violating cell with a > b has its mirror earlier in
+    C order: the witness and both margins are those of the full grid.  The
+    cell budget counts the full grid per c value."""
     cs = _as_values(scale, c_values, spacing)
-    A, B = g[:, None], g[None, :]
-    s = A + B
-    valid = _in_scale(scale, s)
-    s = np.where(valid, s, 0.0)
+    g, A, B, values, ia, ib, isum = _sum_split_cells(scale, spacing)
+    check_cells(len(cs) * len(g) ** 2, "condition sweep")
 
     def body(C):
-        lhs = op.grid(s, C)
-        rhs = op.grid(A, C) + op.grid(B, C)
-        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
+        table = op.grid(values, C)
+        rhs = table.take(ia, axis=1)
+        rhs += table.take(ib, axis=1)
+        return table.take(isum, axis=1), rhs, None, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(g), len(g)), [(cs, body)], tol, _mode(c_values))
+    return _sweep((len(A),), [(cs, body)], tol, _mode(c_values))
 
 
 def cond_distributive_scaling(op: BinaryOp, q: float, r: float,

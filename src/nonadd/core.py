@@ -239,6 +239,21 @@ def expand_masks(domain_bits: Sequence[int]) -> np.ndarray:
 # measurable functions
 # ---------------------------------------------------------------------------
 
+def _in_scale_values(values: tuple[float, ...], scale: ValueScale) -> tuple[float, ...]:
+    """``values``, after refusing the first one outside ``scale``."""
+    # ValueScale.contains as one chain per value (NaN fails it); the
+    # per-point loop runs only to name the first value outside the scale
+    upper = scale.upper
+    if not (all(0.0 <= v <= upper for v in values) if scale.closed
+            else all(0.0 <= v < upper for v in values)):
+        for i, v in enumerate(values):
+            if not scale.contains(v):
+                raise DomainError(
+                    f"value {v!r} at point {i} lies outside the scale {scale.describe()}"
+                )
+    return values
+
+
 @dataclass(frozen=True)
 class Fn:
     """A measurable function on a finite space: one value per point.
@@ -254,17 +269,7 @@ class Fn:
         values = tuple(map(float, values))
         if not 1 <= len(values) <= _MAX_BITS:
             raise DomainError(f"function length must be in [1, {_MAX_BITS}] (2**n cells)")
-        # ValueScale.contains as one chain per value (NaN fails it); the
-        # per-point loop runs only to name the first value outside the scale
-        upper = scale.upper
-        if not (all(0.0 <= v <= upper for v in values) if scale.closed
-                else all(0.0 <= v < upper for v in values)):
-            for i, v in enumerate(values):
-                if not scale.contains(v):
-                    raise DomainError(
-                        f"value {v!r} at point {i} lies outside the scale {scale.describe()}"
-                    )
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _in_scale_values(values, scale))
         object.__setattr__(self, "scale", scale)
 
     @property

@@ -54,6 +54,7 @@ from .core import (
     ValueScale,
     _domain_mask,
     _domain_points,
+    _in_scale_values,
     _level_sets,
     _rel_gap,
     subset_infima,
@@ -88,7 +89,7 @@ def _unpack(f, scale: ValueScale | None, domain: int | None = None):
     elif scale is None:
         raise DomainError("raw value vectors need an explicit scale")
     else:
-        values = tuple(float(v) for v in f)
+        values = _in_scale_values(tuple(float(v) for v in f), scale)
     return values, scale, _domain_mask(len(values), domain)
 
 

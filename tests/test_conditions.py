@@ -15,12 +15,13 @@ from nonadd.conditions import (
     _as_values,
     _in_scale,
     _mode,
+    _sum_split_cells,
     check_condition,
     cond_mh_sugeno,
     cond_mh_upper,
     cond_sum_split,
 )
-from nonadd.core import EXTENDED, INF, NONNEG, UNIT, ValueScale
+from nonadd.core import EXTENDED, INF, NONNEG, UNIT, UNIT_OPEN, ValueScale
 from nonadd.operators import (
     BinaryOp,
     PhiMap,
@@ -689,3 +690,64 @@ class TestSweepMatchesLoopReference:
                  ("unit_section_order", dict(op=power_min(1.0, 2.0), scale=EXTENDED))]
         for cond, kw in cases:
             assert _fingerprint(CONDITIONS[cond](**kw)) == _fingerprint(REFERENCE[cond](**kw))
+
+
+def _c_values(scale: ValueScale):
+    """Ascending value lists of the kind the comonotone verifier sends:
+    up to 256 distinct values (several chunks of the sweep), with -0.0,
+    the scale's top or a value just below an open top, and inf on a
+    closed infinite scale."""
+    top = scale.upper if scale.closed else np.nextafter(scale.upper, 0.0)
+    special = st.sampled_from([-0.0, 0.0, float(top), 0.5, 1.0 / 3.0])
+    finite = st.floats(0.0, min(float(top), 4.0))
+    sizes = st.sampled_from([1, 4, 40, 100, 256])
+    return sizes.flatmap(lambda k: st.lists(special | finite, min_size=k, max_size=k)).map(sorted)
+
+
+class TestSumSplitSections:
+    """``cond_sum_split`` reads the pairs a <= b through one section table
+    per chunk of c values; ``ref_sum_split`` loops over c on the full grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_identical_result(self, data):
+        scale = data.draw(st.sampled_from([UNIT, UNIT_OPEN, NONNEG, EXTENDED]))
+        kw = dict(op=data.draw(_ops), scale=scale,
+                  c_values=data.draw(st.none() | _c_values(scale)),
+                  tol=data.draw(st.sampled_from([1e-12, 0.0, -1e-3])),
+                  spacing=data.draw(st.sampled_from([1.0 / 64.0, 0.1, 1.0 / 3.0, 0.25])))
+        with np.errstate(all="ignore"):
+            assert _fingerprint(cond_sum_split(**kw)) == _fingerprint(ref_sum_split(**kw))
+
+    def test_realized_values_with_a_failing_witness(self):
+        # 200 ascending values span several chunks; the nilpotent t-norm
+        # fails, and its first violating cell has a <= b
+        cs = np.unique(np.round(np.random.default_rng(5).random(200), 4)).tolist()
+        res = cond_sum_split(SL, UNIT, c_values=cs)
+        assert _fingerprint(res) == _fingerprint(ref_sum_split(SL, UNIT, c_values=cs))
+        w = res.witness
+        assert not res.holds and res.mode == "explicit" and w["a"] <= w["b"]
+        assert SL.fn(w["a"] + w["b"], w["c"]) > SL.fn(w["a"], w["c"]) + SL.fn(w["b"], w["c"])
+
+    def test_extended_top_and_signed_zero(self):
+        for op in (SUM, PSUM, op_dual(MIN, reciprocal())):
+            kw = dict(op=op, scale=EXTENDED, c_values=[-0.0, 0.25, 3.0, INF])
+            with np.errstate(all="ignore"):
+                assert _fingerprint(cond_sum_split(**kw)) == _fingerprint(ref_sum_split(**kw))
+
+    def test_off_grid_sums(self):
+        # on a non-dyadic spacing a + b falls off the grid: the section
+        # table holds the sums as extra values
+        for spacing in (0.1, 1.0 / 3.0):
+            g = UNIT.grid(spacing)
+            assert not np.isin((g[:, None] + g[None, :]).ravel(), g).all()
+            for op in (MIN, PROD, SL, BSUM):
+                kw = dict(op=op, scale=UNIT, c_values=[0.05, 0.3, 0.7, 1.0], spacing=spacing)
+                assert _fingerprint(cond_sum_split(**kw)) == _fingerprint(ref_sum_split(**kw))
+
+    def test_cells_are_cached_and_read_only(self):
+        cells = _sum_split_cells(UNIT, 1.0 / 64.0)
+        assert _sum_split_cells(UNIT, 1.0 / 64.0) is cells
+        g, a, b = cells[:3]
+        assert len(a) == ((g[:, None] <= g[None, :]) & (g[:, None] + g[None, :] <= 1.0)).sum()
+        assert all(not arr.flags.writeable for arr in cells)

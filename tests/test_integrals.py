@@ -408,6 +408,22 @@ class TestOneDomainCheckPerIntegral:
                                    match=r"^invalid subset bitmask 7 for 2-point space$"):
                     integral(Fn(values), mu, minimum())
 
+    def test_raw_vector_outside_its_scale_raises_like_fn(self):
+        mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
+        oracle = upper_integral_subset_oracle
+        for values, scale in (([-1.0, 0.5], UNIT), ([2.0, 0.5], UNIT), ([0.5, 1.0], UNIT_OPEN),
+                              ([0.5, math.nan], EXTENDED), ([INF, 0.5], NONNEG)):
+            with pytest.raises(DomainError) as fn_error:
+                Fn(values, scale)
+            for integral in (upper_integral_result, lower_integral_result, oracle):
+                with pytest.raises(DomainError) as raw_error:
+                    integral(values, mu, minimum(), None, scale)
+                assert str(raw_error.value) == str(fn_error.value)
+        # -0.0 and the closed top are in the scale, raw or not
+        for integral in (upper_integral_result, lower_integral_result, oracle):
+            assert integral([-0.0, 1.0], mu, minimum(), None, UNIT) == \
+                integral(Fn([-0.0, 1.0]), mu, minimum())
+
     def test_cached_table_is_read_without_calls(self, monkeypatch):
         n = 8
         rng = rng_for(9, "integral-table-reads", n)

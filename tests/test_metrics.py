@@ -1,6 +1,7 @@
 """Metric functionals, axiom suites, the max-product norm, convergence
 lemmas, the convergence-of-means bound, and the completeness probe."""
 
+import json
 import math
 
 import numpy as np
@@ -320,3 +321,61 @@ class TestCauchyProbe:
         g = Fn([3.5, 3.25, 4.0], NONNEG)
         res = cauchy_probe(spec, mu, sequence=[f, g, f, g, f])
         assert res.status == "premise-failed"
+
+
+class TestIntegrateOnce:
+    """``cauchy_probe`` and the convergence lemmas integrate each distinct
+    integrand once per call: the same result bytes as integrating every
+    term, in fewer integrals."""
+
+    @staticmethod
+    def _calls(k: int):
+        """One generated probe and the two lemmas, as the campaigns build them."""
+        p = (0.5, 1.0, 2.0)[k % 3]
+        op = power_min(p, 1.0) if k % 2 == 0 else power_prod(p, 1.0)
+        n = 3 + k % 5
+        probe_mu = sampling.subadditive_measure(23, k, n)
+        rng = rng_for(k, "integrate-once")
+        mu = sampling.measure_with_null_atoms(k, n)
+        limit = sampling.random_fn(rng, n, NONNEG, zero_rate=0.0)
+        seq = [Fn([v * min(1.0, (j + 1) / (3 + k % 3)) for v in limit.values], NONNEG)
+               for j in range(6)]
+        osc = [Fn([v * (0.5 if j % 2 else 1.0) for v in limit.values], NONNEG) for j in range(6)]
+        low = Fn([v * 0.5 for v in limit.values], NONNEG)
+        return [lambda: cauchy_probe(MetricSpec("d_op_p", op, p), probe_mu, seed=k, levels=8),
+                lambda: check_convergence_lemmas(minimum(), mu, seq, limit, "monotone"),
+                lambda: check_convergence_lemmas(minimum(), mu, osc, low, "fatou")]
+
+    def _fingerprints(self):
+        results = [call() for k in range(12) for call in self._calls(k)]
+        return [(json.dumps(res.to_dict()), repr(res.margin)) for res in results]
+
+    def _count(self, monkeypatch):
+        seen = []
+        real = metrics.upper_integral
+        monkeypatch.setattr(metrics, "upper_integral",
+                            lambda f, *args: seen.append(f.values) or real(f, *args))
+        return seen
+
+    def test_same_bytes_as_every_term(self, monkeypatch):
+        seen = self._count(monkeypatch)
+        once = self._fingerprints()
+        distinct = len(seen)
+        monkeypatch.setattr(metrics, "_integrate_once", lambda mu, op, scale:
+                            lambda fk: metrics.upper_integral(fk, mu, op, None, scale))
+        assert self._fingerprints() == once
+        assert len(seen) - distinct > distinct // 2   # the per-term form repeats
+
+    def test_each_integrand_once_per_call(self, monkeypatch):
+        seen = self._count(monkeypatch)
+        for k in range(12):
+            for call in self._calls(k):
+                del seen[:]
+                call()
+                assert seen and len(seen) == len(set(seen))
+        # a stabilized sequence and its limit: one integral in all
+        mu = sampling.measure_with_null_atoms(5, 4)
+        f = Fn([1.0, 2.0, 0.5, 1.5], NONNEG)
+        del seen[:]
+        assert check_convergence_lemmas(minimum(), mu, [f] * 5, f, "monotone").holds
+        assert seen == [f.values]
