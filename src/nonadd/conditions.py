@@ -120,9 +120,14 @@ def _as_values(scale: ValueScale, values, spacing: float) -> np.ndarray:
     if values is None:
         return scale.grid(spacing)
     arr = np.asarray([float(v) for v in values], dtype=float)
-    for v in arr:
-        if not scale.contains(float(v)):
-            raise DomainError(f"supplied value {v!r} outside {scale.describe()}")
+    if not scale.contains_all(arr).all():
+        for v in arr.tolist():                  # only to name the first value outside
+            if not scale.contains(v):
+                raise DomainError(f"supplied value {v!r} outside {scale.describe()}")
+    # realized values come distinct and ascending already; unsorted input
+    # and -0.0 beside 0.0 (not strictly increasing) go through np.unique
+    if (arr[1:] > arr[:-1]).all():
+        return arr
     return np.unique(arr)
 
 

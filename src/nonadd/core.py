@@ -377,7 +377,7 @@ class SurvivalProfile:
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
         for v in pts[~self.scale.contains_all(pts)][:1]:   # the first level outside
-            raise DomainError(f"level {v!r} outside the scale {self.scale.describe()}")
+            raise DomainError(f"level {float(v)!r} outside the scale {self.scale.describe()}")
         if self.fn is not None:
             out = np.asarray(self.fn(pts), dtype=float)
         else:

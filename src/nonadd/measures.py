@@ -212,8 +212,13 @@ class MonotoneMeasure:
         """Values on every subset of the points ``bits`` (increasing),
         indexed by compact mask.  Without a cached table, a proper subset of
         the space folds only its own points; the values are bit-identical to
-        the full table's."""
-        if self._table is None and len(bits) < self.space.n:
+        the full table's.  All the points give a read-only view of the table
+        itself, built and cached if need be."""
+        if len(bits) == self.space.n:
+            view = self.table().view()
+            view.flags.writeable = False
+            return view
+        if self._table is None:
             return self._build_table(bits)
         return self.table()[expand_masks(bits)]
 
@@ -225,16 +230,19 @@ class MonotoneMeasure:
 
         if self.kind == "possibility":
             return _subset_fold(at(self.density), np.maximum, 0.0)
+        # the fold's own array is finished in place: a fresh table-sized
+        # temporary costs more in first-touch page faults than its arithmetic
         if self.kind == "distortion":
             p = _subset_fold(at(self.probs), np.add, 0.0)
-            tab = np.asarray(self.distortion(np.clip(p, 0.0, 1.0)), dtype=float)
+            tab = np.asarray(self.distortion(np.clip(p, 0.0, 1.0, out=p)), dtype=float)
             tab[0] = 0.0
             return tab
         if self.kind == "lambda_sugeno":
             if self.lam == 0.0:
                 return _subset_fold(at(self.density), np.add, 0.0)
-            pr = _subset_fold([1.0 + self.lam * d for d in at(self.density)], np.multiply, 1.0)
-            tab = (pr - 1.0) / self.lam
+            tab = _subset_fold([1.0 + self.lam * d for d in at(self.density)], np.multiply, 1.0)
+            tab -= 1.0
+            tab /= self.lam
             tab[0] = 0.0
             np.clip(tab, 0.0, None, out=tab)
             return tab
@@ -428,32 +436,45 @@ def _bit_sides(tab: np.ndarray, n: int):
     return (_bit_halves(tab, bit) for bit in range(n))
 
 
-def _bit_differences(tab: np.ndarray, n: int):
-    """Rows b = 0, 1, ... of the differences ``tab[A | {b}] - tab[A]`` over
-    the sets A without point b, in increasing order (inf - inf gives nan).
-    Up to ``_GATHER_BITS`` points the rows of one (n, 2**(n-1)) array from
-    the gathered sides; above, one 2**(n-1) buffer refilled per point."""
-    if n <= _GATHER_BITS:
-        [(low, high)] = _bit_sides(tab, n)
-        with np.errstate(invalid="ignore"):          # inf - inf
-            high -= low
-        return high
-    return _refilled_differences(tab, n)
+def _difference_chunks(tab: np.ndarray, bit: int, buf: np.ndarray):
+    """The differences ``tab[A | {bit}] - tab[A]`` over the sets A without
+    the point, in increasing order, as consecutive chunks of at most
+    ``buf.size`` entries written into ``buf`` (each chunk is a view that
+    the next one overwrites; inf - inf gives nan).
+
+    Points 1 to 3, whose halves are rows of 2 to 8 entries through which
+    numpy steps slowly, read a C-contiguous table as complex128: one element
+    per two adjacent entries, so point b is the complex table's point b - 1,
+    whose rows of 1 to 4 elements are subtracted column by column; one
+    complex subtraction is the two float ones.
+    """
+    flat, cells = buf, buf.size
+    narrow = bit in (1, 2, 3) and tab.flags.c_contiguous
+    if narrow:
+        tab, buf, bit, cells = tab.view(np.complex128), buf.view(np.complex128), bit - 1, cells >> 1
+    low, high = _bit_halves(tab, bit)
+    rows, width = low.shape
+    step, span = max(1, cells // width), min(width, cells)   # rows per chunk, entries per row
+    for i in range(0, rows, step):
+        for j in range(0, width, span):
+            lo, hi = low[i:i + step, j:j + span], high[i:i + step, j:j + span]
+            out = buf[:lo.size].reshape(lo.shape)
+            for part in (zip(lo.T, hi.T, out.T) if narrow else [(lo, hi, out)]):
+                np.subtract(part[1], part[0], out=part[2])
+            yield flat[:out.nbytes // flat.itemsize]
 
 
-def _refilled_differences(tab: np.ndarray, n: int):
-    """The rows of :func:`_bit_differences` from one reused buffer."""
-    diff = np.empty(1 << n >> 1)
-    for bit in range(n):
-        low, high = _bit_halves(tab, bit)
-        out = diff.reshape(low.shape)
-        # numpy steps slowly through rows two entries wide: at bit 1,
-        # subtract the two strided columns instead
-        parts = zip(low.T, high.T, out.T) if bit == 1 else [(low, high, out)]
-        with np.errstate(invalid="ignore"):          # inf - inf
-            for lo, hi, o in parts:
-                np.subtract(hi, lo, out=o)
-        yield diff
+def _chunk_least(tab: np.ndarray, bit: int, buf: np.ndarray, tol: float) -> float | None:
+    """The least difference of point ``bit`` from its chunk minima when they
+    decide it, that is when none is nan, -inf or below ``-tol``; otherwise
+    None.  (Python's ``min`` would drop a nan: the test below fails on it.)"""
+    least = INF
+    for chunk in _difference_chunks(tab, bit, buf):
+        m = float(chunk.min())
+        if not -tol <= m > -INF:
+            return None
+        least = min(least, m)
+    return least
 
 
 def _exactly_monotone(tab: np.ndarray, n: int) -> bool:
@@ -471,6 +492,50 @@ def _finite_min(diff: np.ndarray) -> float:
     diff = np.where(np.isnan(diff), 0.0, diff)
     finite = diff[np.isfinite(diff)]
     return float(finite.min()) if finite.size else INF
+
+
+def _check_monotone(tab: np.ndarray, n: int, tol: float) -> CheckResult:
+    """``monotone`` past the empty set, under ``errstate(invalid="ignore")``
+    (see the module docstring)."""
+    if n <= _GATHER_BITS:
+        [(low, diffs)] = _bit_sides(tab, n)
+        diffs -= low
+        # with no nan, no -inf and no failing difference, the least one
+        # is the least of the rows' minima (a zero margin is 0.0 either way)
+        least = float(diffs.min())
+        if -tol <= least > -INF:
+            return CheckResult(True, margin=max(least, 0.0))
+    else:
+        buf = np.empty(min(_CHUNK_CELLS, 1 << n >> 1))
+    slack = INF
+    for bit in range(n):
+        if n <= _GATHER_BITS:
+            diff = diffs[bit]
+        else:
+            least = _chunk_least(tab, bit, buf, tol)
+            if least is not None:
+                slack = min(slack, least)
+                continue
+            low, high = _bit_halves(tab, bit)
+            diff = (high - low).ravel()                  # the row the chunks left open
+        least = float(diff.min())
+        has_nan = least != least
+        if has_nan:
+            least = float(np.fmin.reduce(diff))         # nan only when every entry is
+        if least < -tol or (has_nan and 0.0 < -tol):
+            if has_nan:
+                diff = np.where(np.isnan(diff), 0.0, diff)
+            bad = diff < -tol
+            a = _insert_zero(int(np.argmax(bad)), bit)
+            return CheckResult(False, float(-(diff[bad]).max()),
+                               {"set": a, "point": bit, "value": float(tab[a]),
+                                "value_with_point": float(tab[a | 1 << bit])})
+        if least == -INF:
+            least = _finite_min(diff)
+        elif has_nan and not least < 0.0:
+            least = 0.0                                  # a nan difference reads as 0
+        slack = min(slack, least)
+    return CheckResult(True, margin=max(slack, 0.0))
 
 
 def check_measure_property(mu: MonotoneMeasure, prop: str, *,
@@ -510,34 +575,8 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         if not _skip_empty and tab[0] != 0.0:
             return CheckResult(False, float(tab[0]), {"set": 0, "value": float(tab[0]),
                                                       "reason": "empty set has nonzero measure"})
-        diffs = _bit_differences(tab, n)
-        if isinstance(diffs, np.ndarray):
-            # with no nan, no -inf and no failing difference, the least one
-            # is the least of the rows' minima (a zero margin is 0.0 either way)
-            least = float(diffs.min())
-            if -tol <= least > -INF:
-                return CheckResult(True, margin=max(least, 0.0))
-        slack = INF
-        for bit, diff in enumerate(diffs):
-            least = float(diff.min())
-            has_nan = least != least
-            if has_nan:
-                least = float(np.fmin.reduce(diff))     # nan only when every entry is
-            if least < -tol or (has_nan and 0.0 < -tol):
-                if has_nan:
-                    diff = np.where(np.isnan(diff), 0.0, diff)
-                bad = diff < -tol
-                j = int(np.argmax(bad))
-                a = _insert_zero(j, bit)
-                return CheckResult(False, float(-(diff[bad]).max()),
-                                   {"set": a, "point": bit, "value": float(tab[a]),
-                                    "value_with_point": float(tab[a | 1 << bit])})
-            if least == -INF:
-                least = _finite_min(diff)
-            elif has_nan and not least < 0.0:
-                least = 0.0                              # a nan difference reads as 0
-            slack = min(slack, least)
-        return CheckResult(True, margin=max(slack, 0.0))
+        with np.errstate(invalid="ignore"):          # inf - inf
+            return _check_monotone(tab, n, tol)
 
     if prop == "null_additive":
         union = null_union(mu, tol)

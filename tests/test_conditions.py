@@ -142,6 +142,23 @@ class TestSumSplitting:
             cond_sum_split(PROD, UNIT, c_values=np.arange(3971) / 3971)
 
 
+class TestSuppliedValues:
+    def test_value_outside_scale_named_as_a_float(self):
+        with pytest.raises(DomainError) as err:
+            cond_sum_split(MIN, UNIT, c_values=[0.5, 1.5])
+        assert str(err.value) == f"supplied value 1.5 outside {UNIT.describe()}"
+        with pytest.raises(DomainError, match="supplied value nan outside"):
+            _as_values(UNIT, [0.25, float("nan")], 1 / 64)
+
+    @pytest.mark.parametrize("values", [[], [0.5], [0.0, 0.25, 1.0], [0.75, 0.25, 0.75],
+                                        [0.0, -0.0, 0.5], [-0.0, 0.0], [0.5, 0.5]])
+    def test_values_equal_their_unique_sort(self, values):
+        # strictly increasing input skips np.unique; unsorted input, repeats
+        # and zeros of both signs keep it, so the bytes are np.unique's
+        got = _as_values(UNIT, values, 1 / 64)
+        assert got.dtype == float and got.tobytes() == np.unique(np.asarray(values, dtype=float)).tobytes()
+
+
 class TestDistributiveScaling:
     @pytest.mark.parametrize("op,q,r", [(MIN, 1.0, 1.0), (PROD, 1.0, 1.0),
                                         (power_product(0.5), 0.5, 1.0),

@@ -232,6 +232,13 @@ class TestSurvivalProfile:
         with pytest.raises(DomainError):
             profile_eval(prof, 1.5)
 
+    def test_out_of_scale_level_named_as_a_float(self):
+        prof = SurvivalProfile(UNIT, knots=[(0.0, 1.0)])
+        for level, text in ((1.5, "1.5"), (math.nan, "nan"), (-1.0, "-1.0")):
+            with pytest.raises(DomainError) as err:
+                profile_eval(prof, level)
+            assert str(err.value) == f"level {text} outside the scale {UNIT.describe()}"
+
     def test_nonincreasing_on_grid(self):
         prof = SurvivalProfile(UNIT, fn=lambda t: np.maximum(1.0 - t * t, 0.0))
         ts = np.linspace(0, 1, 101)

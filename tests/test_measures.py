@@ -422,6 +422,38 @@ class TestTableBuilds:
         for mu in measures:
             assert mu.table().tobytes() == ref_build_table(mu).tobytes(), mu.kind
 
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_large_tables_match_per_bit_reference(self, n):
+        # the builds finish in the fold's own array; a distortion that
+        # returns its argument gets that array itself
+        rng = rng_for(n, "large_tables")
+        space = FiniteSpace(n)
+        weights = [rng.randrange(1, 17) for _ in range(n)]
+        probs = [w / sum(weights) for w in weights]
+        dens = [rng.randrange(0, 65) / 64.0 for _ in range(n)]
+        mus = [MonotoneMeasure.possibility(space, dens),
+               MonotoneMeasure.distortion(space, probs, lambda x: np.power(x, 0.5)),
+               MonotoneMeasure.distortion(space, probs, lambda x: x, name="identity")]
+        mus += [MonotoneMeasure.lambda_sugeno(space, lam, dens) for lam in (-0.9, 0.0, 3.0)]
+        for mu in mus:
+            assert mu.table().tobytes() == ref_build_table(mu).tobytes(), mu.kind
+
+    def test_subset_table_of_every_point_is_the_table_read_only(self):
+        mu = generate_measure(2, "distortion_concave", 6)
+        tab = mu.table()
+        want = tab.copy()
+        got = mu.subset_table(list(range(6)))
+        assert got.tobytes() == tab[expand_masks(range(6))].tobytes()
+        assert np.shares_memory(got, tab) and not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[1] = 0.5
+        assert mu._table is tab and tab.flags.writeable
+        assert tab.tobytes() == want.tobytes()
+        # with no table cached, the table is built and cached first
+        fresh = generate_measure(2, "distortion_concave", 6)
+        assert fresh.subset_table(list(range(6))).tobytes() == want.tobytes()
+        assert fresh._table is not None
+
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 12), data=st.data())
     def test_subset_table_matches_full_table_read(self, n, data):
@@ -748,6 +780,85 @@ class TestGatherRoute:
         for bad in ([0.0, [0.25, 0.5], 1.0], [[0.0, 0.25], [0.5, 1.0]], [0.0, "x", 0.5, 1.0]):
             with pytest.raises(DomainError):
                 MonotoneMeasure.explicit(SP2, bad)
+
+
+ROUTE_KINDS = ["monotone", "inf", "broken", "inf_broken"]
+
+
+def chunked_monotone(tab, tol, skip_empty, chunk_cells):
+    """``monotone``'s ``to_dict()`` JSON and ``repr(margin)`` on the chunked
+    route: no gather, chunks of ``chunk_cells`` differences."""
+    n = tab.shape[0].bit_length() - 1
+    mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+    with unittest.mock.patch.object(measures, "_GATHER_BITS", 0), \
+            unittest.mock.patch.object(measures, "_CHUNK_CELLS", chunk_cells):
+        res = check_measure_property(mu, "monotone", tol=tol, _skip_empty=skip_empty)
+    return json.dumps(res.to_dict()), repr(res.margin)
+
+
+def ref_bytes(tab, tol, skip_empty):
+    want = ref_monotone(tab, tol, skip_empty)
+    return json.dumps(want.to_dict()), repr(want.margin)
+
+
+class TestChunkedRoute:
+    """Above ``_GATHER_BITS`` points ``monotone`` takes each point's least
+    difference from chunk minima through one reused buffer, reads points 1
+    to 3 through a complex view, and rebuilds the whole row of a point the
+    minima leave open; chunks of 2, 4 and 16 cells split rows and the
+    complex-view points."""
+
+    @pytest.mark.parametrize("chunk_cells", [2, 4, 16])
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_route_tables_match_reference(self, n, chunk_cells):
+        for seed, kind in enumerate(ROUTE_KINDS):
+            base = route_table(seed, n, kind)
+            # the same table with the sign of every zero flipped
+            for tab in (base, np.where(base == 0.0, -base, base)):
+                for tol in ROUTE_TOLS:
+                    for skip_empty in (False, True):
+                        got = chunked_monotone(tab, tol, skip_empty, chunk_cells)
+                        assert got == ref_bytes(tab, tol, skip_empty), (kind, tol, skip_empty)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_tables(), tol=st.sampled_from(ROUTE_TOLS), skip_empty=st.booleans(),
+           chunk_cells=st.sampled_from([2, 4, 16, 1 << 15]),
+           signs=st.integers(0, (1 << 128) - 1))
+    def test_raw_tables_match_reference(self, raw, tol, skip_empty, chunk_cells, signs):
+        n, tab = raw
+        tab = np.array([-0.0 if v == 0.0 and signs >> i & 1 else v for i, v in enumerate(tab)])
+        assert chunked_monotone(tab, tol, skip_empty, chunk_cells) == ref_bytes(tab, tol, skip_empty)
+
+    @pytest.mark.parametrize("kind", ROUTE_KINDS)
+    def test_strided_table_takes_the_float_view(self, kind):
+        tab = route_table(1, 9, kind)
+        strided = np.empty(2 * tab.size)
+        strided[::2] = tab
+        mu = MonotoneMeasure(FiniteSpace(9), "explicit", table=strided[::2])
+        assert not mu.table().flags.c_contiguous
+        for tol in ROUTE_TOLS:
+            with unittest.mock.patch.object(measures, "_GATHER_BITS", 0), \
+                    unittest.mock.patch.object(measures, "_CHUNK_CELLS", 4):
+                res = check_measure_property(mu, "monotone", tol=tol)
+            assert (json.dumps(res.to_dict()), repr(res.margin)) == ref_bytes(tab, tol, False)
+
+    def test_one_buffer_of_chunk_size(self, monkeypatch):
+        # no table-sized temporary: every chunk is a view of one buffer of
+        # _CHUNK_CELLS entries
+        mu = generate_measure(0, "possibility", 17)
+        buffers = set()
+        chunks = measures._difference_chunks
+
+        def spy(tab, bit, buf):
+            buffers.add(id(buf))
+            assert buf.size == measures._CHUNK_CELLS
+            for chunk in chunks(tab, bit, buf):
+                assert chunk.base is buf
+                yield chunk
+
+        monkeypatch.setattr(measures, "_difference_chunks", spy)
+        assert check_measure_property(mu, "monotone").holds
+        assert len(buffers) == 1
 
 
 class TestPairKernel:
