@@ -8,6 +8,11 @@ set, nondecreasing under inclusion.  Four representations are supported:
 * ``distortion``    -- a monotone distortion of an additive probability,
 * ``lambda_sugeno`` -- the multiplicative lambda family built from a density.
 
+The parametric tables are built by one subset-lattice doubling
+(``core._subset_fold``); the distortion and lambda builds finish in the
+fold's own array, so a build makes no table-sized temporary of its own (a
+user distortion receives that array, clipped to [0, 1]).
+
 Property checkers are exhaustive and vectorized.  ``monotone`` and
 ``null_additive`` read single subsets; the pairwise checks run while their
 cells fit ``core.MAX_CELLS`` (15 points on 3**n, 12 on 4**n, 18 on the local
@@ -27,13 +32,18 @@ passes.  ``null_additive`` reads the half views of the null union's points
 only, usually one or none, where two views cost less than two gathers.
 
 * ``monotone`` takes the differences of the two sides: for n <= 11 one
-  (n, 2**(n-1)) array whose row b is point b, above one reused 2**(n-1)
-  buffer refilled per point (:func:`_bit_differences`).  On the gathered
-  array one min decides first: with no nan, no -inf and nothing below
-  ``-tol`` it is the success margin.  Otherwise the rows are read in order,
-  one min each; an inf - inf difference (nan) reads as 0, so only a row
-  with a nan takes a second, nan-ignoring min.  A failure reports the first
-  difference below ``-tol`` of the first failing point and minus the
+  (n, 2**(n-1)) array whose row b is point b, on which one min decides
+  first: with no nan, no -inf and nothing below ``-tol`` it is the success
+  margin.  Above 11 points no table-sized temporary is made: each point's
+  differences come in chunks of at most ``core._CHUNK_CELLS`` through one
+  reused buffer (:func:`_difference_chunks`), and the chunk minima decide
+  the point under the same three conditions (:func:`_chunk_least`); a zero
+  minimum's sign may then depend on the chunk order, which the margin's
+  floor at 0 and ``CheckResult`` hide.  A row the minima leave open, on
+  either route, is read whole (above 11 points it is rebuilt), in point
+  order, one min each; an inf - inf difference (nan) reads as 0, so only a
+  row with a nan takes a second, nan-ignoring min.  A failure reports the
+  first difference below ``-tol`` of the first failing point and minus the
   largest such difference; a success reports the least finite difference,
   floored at 0.  These are the values of a gather of each point's finite
   differences, which runs only where the min alone cannot decide the value:
@@ -451,7 +461,8 @@ def _difference_chunks(tab: np.ndarray, bit: int, buf: np.ndarray):
     flat, cells = buf, buf.size
     narrow = bit in (1, 2, 3) and tab.flags.c_contiguous
     if narrow:
-        tab, buf, bit, cells = tab.view(np.complex128), buf.view(np.complex128), bit - 1, cells >> 1
+        tab, buf = tab.view(np.complex128), buf.view(np.complex128)
+        bit, cells = bit - 1, cells >> 1
     low, high = _bit_halves(tab, bit)
     rows, width = low.shape
     step, span = max(1, cells // width), min(width, cells)   # rows per chunk, entries per row
@@ -459,8 +470,8 @@ def _difference_chunks(tab: np.ndarray, bit: int, buf: np.ndarray):
         for j in range(0, width, span):
             lo, hi = low[i:i + step, j:j + span], high[i:i + step, j:j + span]
             out = buf[:lo.size].reshape(lo.shape)
-            for part in (zip(lo.T, hi.T, out.T) if narrow else [(lo, hi, out)]):
-                np.subtract(part[1], part[0], out=part[2])
+            for a, b, o in (zip(lo.T, hi.T, out.T) if narrow else [(lo, hi, out)]):
+                np.subtract(b, a, out=o)
             yield flat[:out.nbytes // flat.itemsize]
 
 
@@ -546,10 +557,11 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
     Pairwise properties over the cell budget are refused: before the table
     is built for their cheapest sweep, after it for the 4**n pairs.
     ``monotone`` reads one difference row per point, gathered at once up to
-    11 points (see the module docstring); ``null_additive`` first tests
-    the points of the null union, which decides every table whose null sets
-    change no value, and sweeps null set by null set otherwise (see the
-    module docstring for why both give the same bytes as full sweeps).
+    11 points and in bounded chunks above (see the module docstring);
+    ``null_additive`` first tests the points of the null union, which
+    decides every table whose null sets change no value, and sweeps null
+    set by null set otherwise (see the module docstring for why both give
+    the same bytes as full sweeps).
     ``submodular`` reads the local cells (A, i, j) rather than the subset
     pairs wherever they decide it.
     """

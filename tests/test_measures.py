@@ -827,7 +827,8 @@ class TestChunkedRoute:
     def test_raw_tables_match_reference(self, raw, tol, skip_empty, chunk_cells, signs):
         n, tab = raw
         tab = np.array([-0.0 if v == 0.0 and signs >> i & 1 else v for i, v in enumerate(tab)])
-        assert chunked_monotone(tab, tol, skip_empty, chunk_cells) == ref_bytes(tab, tol, skip_empty)
+        want = ref_bytes(tab, tol, skip_empty)
+        assert chunked_monotone(tab, tol, skip_empty, chunk_cells) == want
 
     @pytest.mark.parametrize("kind", ROUTE_KINDS)
     def test_strided_table_takes_the_float_view(self, kind):
