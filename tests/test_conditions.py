@@ -156,7 +156,8 @@ class TestSuppliedValues:
         # strictly increasing input skips np.unique; unsorted input, repeats
         # and zeros of both signs keep it, so the bytes are np.unique's
         got = _as_values(UNIT, values, 1 / 64)
-        assert got.dtype == float and got.tobytes() == np.unique(np.asarray(values, dtype=float)).tobytes()
+        want = np.unique(np.asarray(values, dtype=float))
+        assert got.dtype == float and got.tobytes() == want.tobytes()
 
 
 class TestDistributiveScaling:

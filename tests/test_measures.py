@@ -787,9 +787,11 @@ ROUTE_KINDS = ["monotone", "inf", "broken", "inf_broken"]
 
 def chunked_monotone(tab, tol, skip_empty, chunk_cells):
     """``monotone``'s ``to_dict()`` JSON and ``repr(margin)`` on the chunked
-    route: no gather, chunks of ``chunk_cells`` differences."""
-    n = tab.shape[0].bit_length() - 1
-    mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+    route: no gather, chunks of ``chunk_cells`` differences.  ``tab`` is a
+    table, or a measure whose table is read as it is."""
+    mu = tab
+    if isinstance(tab, np.ndarray):
+        mu = MonotoneMeasure.explicit(FiniteSpace(tab.size.bit_length() - 1), tab, validate=False)
     with unittest.mock.patch.object(measures, "_GATHER_BITS", 0), \
             unittest.mock.patch.object(measures, "_CHUNK_CELLS", chunk_cells):
         res = check_measure_property(mu, "monotone", tol=tol, _skip_empty=skip_empty)
@@ -838,10 +840,7 @@ class TestChunkedRoute:
         mu = MonotoneMeasure(FiniteSpace(9), "explicit", table=strided[::2])
         assert not mu.table().flags.c_contiguous
         for tol in ROUTE_TOLS:
-            with unittest.mock.patch.object(measures, "_GATHER_BITS", 0), \
-                    unittest.mock.patch.object(measures, "_CHUNK_CELLS", 4):
-                res = check_measure_property(mu, "monotone", tol=tol)
-            assert (json.dumps(res.to_dict()), repr(res.margin)) == ref_bytes(tab, tol, False)
+            assert chunked_monotone(mu, tol, False, 4) == ref_bytes(tab, tol, False)
 
     def test_one_buffer_of_chunk_size(self, monkeypatch):
         # no table-sized temporary: every chunk is a view of one buffer of
