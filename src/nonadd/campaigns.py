@@ -44,13 +44,11 @@ from .metrics import (
     verify_mean_convergence,
 )
 from .operators import (
-    BinaryOp,
     bounded_sum,
     join,
     lukasiewicz,
     marshall_olkin,
     minimum,
-    op_dual,
     phi_identity,
     phi_power,
     plain_sum,
@@ -97,16 +95,15 @@ MAX_FAILURE_RECORDS = 10
 @dataclass(frozen=True)
 class Campaign:
     """``trial(seed, k)`` returns the failure records of instance k (with
-    ``min_note``, also a value whose minimum is that note).  ``gates`` are
-    seed-independent conditions ``(anchor, id, arguments)`` the trials rely
-    on.  ``per_run(trials, seed)`` returns failure records, placed before
-    the trial records if ``per_run_first``, and notes.  Without ``trial`` a
+    ``min_note``, also a value whose minimum is that note); the verifiers it
+    calls gate their own grid conditions, cached once per process.
+    ``per_run(trials, seed)`` returns failure records, placed before the
+    trial records if ``per_run_first``, and notes.  Without ``trial`` a
     campaign is one instance, decided by ``per_run``.
     """
 
     trial: Callable | None
     exact: bool = False
-    gates: tuple = ()
     per_run: Callable | None = None
     per_run_first: bool = False
     min_note: str | None = None
@@ -222,7 +219,7 @@ _UPPER_MH = (
 
 
 def _upper_mh(seed: int, k: int) -> list:
-    """Sufficiency fuzz over condition-verified tuples and mixed
+    """Sufficiency fuzz over tuples whose condition holds and mixed
     star-associated pair constructions: zero inequality violations."""
     spec = _UPPER_MH[k % len(_UPPER_MH)]
     rng = rng_for(seed, "upper-mh", k)
@@ -230,8 +227,7 @@ def _upper_mh(seed: int, k: int) -> list:
     mu = sampling.monotone_measure(seed * 13 + 7, k, n)
     f, g = sampling.star_associated_pair(rng, n, spec["ops"].star, spec["scale"],
                                          kind=spec["pair"])
-    res = verify_upper_mh(spec["ops"], mu, f, g, direction="sufficiency",
-                          condition_verified=True)
+    res = verify_upper_mh(spec["ops"], mu, f, g, direction="sufficiency")
     return _failed(k, res, tuple=spec["name"])
 
 
@@ -326,7 +322,7 @@ def _subadditive_minkowski(seed: int, k: int) -> list:
     f = sampling.signed_vector(rng, n)
     g = sampling.signed_vector(rng, n)
     res = verify_subadditive_minkowski(combo["op"], combo["q"], combo["r"], combo["p"],
-                                       mu, f, g, condition_verified=True)
+                                       mu, f, g)
     return _failed(k, res, op=combo["op"].name)
 
 
@@ -422,19 +418,16 @@ def _dual_minkowski(seed: int, k: int) -> list:
     if style == 0:
         mu = sampling.monotone_measure(seed * 31 + 17, k, n)
         f, g = sampling.comonotone_pair(rng, n, UNIT)
-        res = verify_dual_minkowski("single", _JOIN, _BSUM, _H1, mu, f, g,
-                                    condition_verified=True)
+        res = verify_dual_minkowski("single", _JOIN, _BSUM, _H1, mu, f, g)
     elif style == 1:
         mu = sampling.monotone_measure(seed * 31 + 18, k, n)
         f, g = sampling.comonotone_pair(rng, n, EXTENDED)
-        res = verify_dual_minkowski("single", _SUM, _SUM, _HR, mu, f, g,
-                                    condition_verified=True)
+        res = verify_dual_minkowski("single", _SUM, _SUM, _HR, mu, f, g)
     else:
         mu = _reciprocal_pair_measure(rng_for(seed, "dual_minkowski", k).randrange(1 << 30), n)
         f = sampling.random_fn(rng, n, EXTENDED, zero_rate=0.3)
         g = sampling.random_fn(rng, n, EXTENDED, zero_rate=0.3)
-        res = verify_dual_minkowski("pair", _SUM, _MIN, _HR, mu, f, g,
-                                    boxplus=_SUM, condition_verified=True)
+        res = verify_dual_minkowski("pair", _SUM, _MIN, _HR, mu, f, g, boxplus=_SUM)
     return _failed(k, res, style=style)
 
 
@@ -570,10 +563,6 @@ def _counterexample(trials: int, seed: int):
     return ([] if rep.reproduced else [{"report": rep.to_dict()}]), rep.to_dict()
 
 
-def _dual_gate(cond, star, inner, h, scale, **extra):
-    return star, cond, {"star": star, "op_h": op_dual(inner, h), "scale": scale, **extra}
-
-
 CAMPAIGNS = {
     "counterexample": Campaign(None, exact=True, per_run=_counterexample),
     "oracle_agreement": Campaign(
@@ -585,27 +574,16 @@ CAMPAIGNS = {
     "h_duality_reciprocal": Campaign(functools.partial(_h_duality, "reciprocal")),
     "upper_mh": Campaign(
         _upper_mh,
-        # the MHOperators fields are the condition's argument names
-        gates=tuple((t["ops"].star, "mh_upper", {**vars(t["ops"]), "scale": t["scale"]})
-                    for t in _UPPER_MH),
         per_run=lambda trials, seed: ([], {"tuples": [t["name"] for t in _UPPER_MH]})),
     "upper_mh_necessity": Campaign(_upper_mh_necessity),
     "seminorm_minkowski": Campaign(_seminorm_minkowski, per_run=_seminorm_refuted),
     "comonotone_subadditive": Campaign(_comonotone_subadditive, per_run=_nilpotent_sum_split),
-    "subadditive_minkowski": Campaign(
-        _subadditive_minkowski,
-        gates=tuple((c["op"], "distributive_scaling",
-                     {"op": c["op"], "q": c["q"], "r": c["r"], "scale": EXTENDED})
-                    for c in _SUBADDITIVE_COMBOS)),
+    "subadditive_minkowski": Campaign(_subadditive_minkowski),
     "shilkret_maxitive": Campaign(_shilkret_maxitive, exact=True,
                                   min_note="min_backward_margin"),
     "sugeno_subadditive": Campaign(_sugeno_subadditive, exact=True, per_run=_sugeno_boundary),
     "lower_mh": Campaign(_lower_mh),
-    "dual_minkowski": Campaign(
-        _dual_minkowski,
-        gates=(_dual_gate("dual_star_split", _JOIN, _BSUM, _H1, UNIT),
-               _dual_gate("dual_star_split", _SUM, _SUM, _HR, EXTENDED),
-               _dual_gate("dual_star_split_pair", _SUM, _MIN, _HR, EXTENDED, boxplus=_SUM))),
+    "dual_minkowski": Campaign(_dual_minkowski),
     "metric_axioms": Campaign(_kyfan_threeway, per_run=_metric_suites, per_run_first=True),
     "mean_convergence": Campaign(_mean_convergence),
     "cauchy_probe": Campaign(_cauchy_probe),
@@ -635,14 +613,9 @@ def run_trials(campaign_id: str, seed: int, lo: int, hi: int) -> dict:
 
 def merge_report(campaign_id: str, trials: int, seed: int, parts) -> dict:
     """The report of a run of ``trials`` trials from the :func:`run_trials`
-    parts of contiguous ranges covering them, in trial order.  The gates
-    and the per-run part run here, before the parts are read."""
+    parts of contiguous ranges covering them, in trial order.  The per-run
+    part runs here, before the parts are read."""
     campaign = CAMPAIGNS[campaign_id]
-    for anchor, cond, kwargs in campaign.gates:
-        res = cached_condition(anchor, cond, **kwargs)
-        if not res.holds:
-            raise DomainError(f"campaign {campaign_id}: gate {cond} fails on "
-                              f"{anchor.name}: {res.witness}")
     run_failures, run_notes = campaign.per_run(trials, seed) if campaign.per_run else ([], {})
     failures, failed, low = [], 0, INF
     for part in parts:

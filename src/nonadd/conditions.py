@@ -29,8 +29,9 @@ The three-map condition is written once, in :func:`_three_map_sides`:
 necessity cells of :mod:`nonadd.theorems` evaluate it on realized values
 and end in the same :func:`_sweep`.
 
-:func:`cached_condition` is the one cached condition call: the verifiers'
-and campaigns' gates run each (condition, arguments) once per process.
+:func:`cached_condition` is the one cached condition call: each verifier
+runs its own grid conditions through it, and so do the campaigns' per-run
+checks, so each (condition, arguments) is swept once per process.
 
 Registry ids:
 

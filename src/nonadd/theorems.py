@@ -12,7 +12,9 @@ Sufficiency directions evaluate their scalar condition on the realized
 chain triples (subset infima paired with the subset's measure), which is
 the exact value set the finite-space proof chain consumes; the dense-grid
 tuple-level checks live in :mod:`nonadd.conditions` and can be run
-independently.  Both chain conditions and the necessity cells evaluate the
+independently.  A verifier that rests on a grid condition sweeps it through
+``conditions.cached_condition``, once per process; no caller can vouch for
+one.  Both chain conditions and the necessity cells evaluate the
 one three-map formula of ``conditions._three_map_sides`` through ``op.grid``,
 and both chains end in ``conditions._sweep``: the upper chain loops over the
 realized triples, the lower chain is one slice over the f x g level grid of
@@ -33,7 +35,6 @@ and among equal ones the smallest ``(a << n) | b``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -45,11 +46,6 @@ from .conditions import (
     _sweep,
     _three_map_sides,
     cached_condition,
-    cond_counterexample_premise,
-    cond_distributive_scaling,
-    cond_dual_star_split,
-    cond_dual_star_split_pair,
-    cond_mh_upper,
     cond_sum_split,
 )
 from .core import (
@@ -84,6 +80,7 @@ from .operators import (
     DualityMap,
     PhiMap,
     bounded_sum,
+    cached_gate,
     check_top_absorbing,
     lukasiewicz,
     op_dual,
@@ -302,12 +299,12 @@ def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int, scale: ValueS
 
 def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
                     domain: int | None = None, direction: str = "sufficiency",
-                    tol: float = 1e-12, condition_verified: bool = False) -> CheckResult:
+                    tol: float = 1e-12) -> CheckResult:
     """Bidirectional verifier for the upper-integral inequality.
 
-    Sufficiency: when the chain condition holds on the realized triples
-    (or the caller vouches for a tuple-level grid check with
-    ``condition_verified=True``), assert the integral inequality exactly.
+    Sufficiency: when the chain condition holds on the realized triples,
+    assert the integral inequality exactly; when it fails, the result is
+    ``condition-failed``.
     Necessity: on indicator pairs, a condition failure at height pair
     (a, b) and subset A must surface as a violation of the integral
     inequality itself; any cell where the inequality survives while the
@@ -329,7 +326,7 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     if direction in ("sufficiency", "both"):
         cond = _chain_condition_upper(ops, mu, f, g, domain, tol)
         detail["condition_chain"] = cond
-        if not cond.holds and not condition_verified:
+        if not cond.holds:
             return _condition_failed(cond, detail)
         lhs, rhs = _mh_sides(upper_integral, ops, mu, f, g, domain, scale)
         result = _verdict(lhs, rhs, tol, detail, f=list(f.values), g=list(g.values))
@@ -448,9 +445,9 @@ def reproduce_counterexample(resolution: float = 1e-4) -> CounterexampleReport:
     lhs_grid = profile_integral(combined, S, resolution)
     rhs_each_grid = profile_integral(factor, S, resolution)
 
-    premise = cond_counterexample_premise(S, star)
-    power_condition = cond_mh_upper(star, star, (S, S, S),
-                                    (phi_power(1.0),) * 3, UNIT)
+    premise = cached_condition(star, "counterexample_premise", semicopula=S, star=star)
+    power_condition = cached_condition(star, "mh_upper", star=star, combiner=star,
+                                       circs=(S,) * 3, phis=(phi_power(1.0),) * 3, scale=UNIT)
     return CounterexampleReport(
         lhs=lhs, rhs_each=rhs_each, rhs_sum=rhs_sum,
         violated=lhs > rhs_sum,
@@ -501,8 +498,7 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
                                  mu: MonotoneMeasure,
                                  f: Sequence[float], g: Sequence[float],
                                  scale: ValueScale = EXTENDED,
-                                 tol: float = 1e-12,
-                                 condition_verified: bool = False) -> CheckResult:
+                                 tol: float = 1e-12) -> CheckResult:
     """Root-exponent triangle-type inequality for signed integrands under a
     subadditive measure.
 
@@ -515,10 +511,9 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
     if p <= 0:
         raise DomainError("exponent must be positive")
     _require(check_measure_property(mu, "subadditive"), "measure is not subadditive")
-    if not condition_verified:
-        cond = cond_distributive_scaling(op, q, r, scale)
-        if not cond.holds:
-            return _condition_failed(cond, {"condition": cond})
+    cond = cached_condition(op, "distributive_scaling", op=op, q=q, r=r, scale=scale)
+    if not cond.holds:
+        return _condition_failed(cond, {"condition": cond})
     if len(f) != len(g):
         raise DomainError("vectors must have equal length")
     s = [a + b for a, b in zip(f, g)]
@@ -712,8 +707,7 @@ def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
 def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap,
                           mu: MonotoneMeasure, f: Fn, g: Fn,
                           boxplus: BinaryOp | None = None,
-                          tol: float = 1e-12,
-                          condition_verified: bool = False) -> CheckResult:
+                          tol: float = 1e-12) -> CheckResult:
     """Order-reversing conjugation corollaries.
 
     ``single``: with a top-absorbing operator and a star-associated pair,
@@ -731,10 +725,11 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
     op_h = op_dual(op, h)
 
     if kind == "single":
-        _require(check_top_absorbing(op, scale), "operator must absorb the scale top")
+        _require(cached_gate(op, ("top_absorbing", scale), lambda: check_top_absorbing(op, scale)),
+                 "operator must absorb the scale top")
         _require(is_star_associated(f, g, star), "functions are not star-associated")
         integral = lower_integral
-        condition = functools.partial(cond_dual_star_split, star, op_h, scale)
+        cond = cached_condition(star, "dual_star_split", star=star, op_h=op_h, scale=scale)
     elif kind == "pair":
         if boxplus is None:
             raise DomainError("pair corollary needs the level combiner")
@@ -742,18 +737,14 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
         _require(is_mu_subadditive(f, g, boxplus, dual_measure(mu, h)),
                  "pair is not level-union subadditive under the conjugate measure")
         integral = upper_integral
-        condition = functools.partial(cond_dual_star_split_pair, star, op_h, boxplus,
-                                      scale)
+        cond = cached_condition(star, "dual_star_split_pair", star=star, op_h=op_h,
+                                boxplus=boxplus, scale=scale)
     else:
         raise DomainError(f"unknown duality corollary kind {kind!r}")
 
-    if condition_verified:
-        detail = {"condition": "verified-by-caller"}
-    else:
-        cond = condition()
-        detail = {"condition": cond}
-        if not cond.holds:
-            return _condition_failed(cond, detail)
+    detail = {"condition": cond}
+    if not cond.holds:
+        return _condition_failed(cond, detail)
 
     def transform(x: Fn) -> float:
         hx = Fn(h.forward(np.array(x.values)).tolist(), scale)

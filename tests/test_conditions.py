@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonadd.campaigns import _UPPER_MH
 from nonadd.conditions import (
     CONDITIONS,
     _combined,
@@ -197,6 +198,15 @@ class TestUnitSectionOrder:
         assert not res.holds
         w = res.witness
         assert min(1.0, w["x"] ** 2.0) <= w["y"] + 1e-12 and w["x"] > w["y"]
+
+
+class TestUpperMHTuples:
+    @pytest.mark.parametrize("spec", _UPPER_MH, ids=lambda spec: spec["name"])
+    def test_campaign_tuple_passes_on_its_scale(self, spec):
+        # the upper_mh campaign fuzzes these tuples as ones whose condition
+        # holds; its verifier decides only the chain condition of each trial
+        ops = spec["ops"]
+        assert cond_mh_upper(ops.star, ops.combiner, ops.circs, ops.phis, spec["scale"]).holds
 
 
 class TestSugenoForm:

@@ -416,26 +416,37 @@ class TestSharedCatalog:
         run_campaign("mean_convergence", 20, 0)
         assert sorted(sweeps) == [0.5, 1.0, 2.0]
 
-    def test_campaign_gates_sweep_once(self, monkeypatch):
-        # the seed-independent conditions of the campaigns are cached on
-        # their catalog operators, so two runs sweep each distinct one once
+    def test_verifier_conditions_sweep_once(self, monkeypatch):
+        # every verifier runs its grid conditions through cached_condition,
+        # cached on catalog operators, so two runs of the campaigns, and then
+        # of the built-in scenarios, sweep each distinct condition once
         import collections
 
-        from nonadd import conditions
+        from nonadd import conditions, theorems
         from nonadd.campaigns import run_campaign
+        from nonadd.scenarios import Scenario, builtin_scenario, run_task
 
-        ids = ("distributive_scaling", "dual_star_split", "dual_star_split_pair",
-               "mh_upper", "counterexample_premise", "sum_split", "mh_product_power")
-        for name, factory in OPERATOR_FACTORIES.items():
-            op = factory(*self.ARGS.get(name, ()))
-            for key in [k for k in op._verified if k[0] in ids]:
-                del op._verified[key]
+        anchors = [factory(*self.ARGS.get(name, ()))
+                   for name, factory in OPERATOR_FACTORIES.items()] + [power_min(1.0, 1.0)]
+
+        def clear():
+            for op in anchors:
+                for key in [k for k in op._verified
+                            if k[0] in conditions.CONDITIONS or k[0] == "top_absorbing"]:
+                    del op._verified[key]
+
         sweeps = []
-        for cid in ids:
-            def counted(*a, _cid=cid, _fn=conditions.CONDITIONS[cid], **kw):
+        for cid, fn in list(conditions.CONDITIONS.items()):
+            def counted(*a, _cid=cid, _fn=fn, **kw):
                 sweeps.append((_cid, tuple(sorted((k, repr(v)) for k, v in kw.items()))))
                 return _fn(*a, **kw)
             monkeypatch.setitem(conditions.CONDITIONS, cid, counted)
+        top = theorems.check_top_absorbing
+        monkeypatch.setattr(theorems, "check_top_absorbing",
+                            lambda op, scale: sweeps.append(("top_absorbing", op.name))
+                            or top(op, scale))
+
+        clear()
         for _ in range(2):
             for cid, trials in (("subadditive_minkowski", 5), ("dual_minkowski", 3),
                                 ("upper_mh", 6), ("seminorm_minkowski", 3),
@@ -446,7 +457,32 @@ class TestSharedCatalog:
         necessity = per_id.pop("mh_product_power")
         assert 6 <= necessity <= 18  # distinct (p1, p2, p3) of 20 trials
         # sum_split: the nilpotent gate on lukasiewicz and the verifier's grid
-        # gate on min and product
+        # gate on min and product; mh_upper: the refuted tuple alone, as the
+        # upper_mh verifier decides its chain condition on realized triples
         assert per_id == {"distributive_scaling": 3, "dual_star_split": 2,
-                          "dual_star_split_pair": 1, "mh_upper": 7,
-                          "counterexample_premise": 1, "sum_split": 3}
+                          "dual_star_split_pair": 1, "mh_upper": 1,
+                          "counterexample_premise": 1, "sum_split": 3,
+                          "top_absorbing": 2}
+        # the counterexample reads the refuted tuple's two cache entries
+        count = len(sweeps)
+        assert theorems.reproduce_counterexample().reproduced
+        assert len(sweeps) == count
+
+        clear()
+        sweeps.clear()
+        for _ in range(2):
+            for name in ("counterexample", "harmonic_duality", "reciprocal_integral",
+                         "verifier_tour"):
+                sc = Scenario(builtin_scenario(name), name)
+                for task in sc.tasks:
+                    run_task(sc, task)
+        # the check_condition task of verifier_tour is the user's own
+        # condition: it is swept on every run, outside the cache
+        asked = [s for s in sweeps if s[0] == "mh_product_power"]
+        assert len(asked) == 2 and asked[0] == asked[1]
+        sweeps = [s for s in sweeps if s[0] != "mh_product_power"]
+        assert max(collections.Counter(sweeps).values()) == 1
+        assert collections.Counter(cid for cid, _ in sweeps) == {
+            "counterexample_premise": 1, "mh_upper": 1, "dual_star_split": 1,
+            "top_absorbing": 1, "dual_star_split_pair": 1, "sum_split": 1,
+            "distributive_scaling": 2, "unit_section_order": 1}
