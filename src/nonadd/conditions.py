@@ -7,15 +7,18 @@ sweeps the scale's standard grid (spacing 1/64 for up to three free
 variables, 1/16 when four variables are free) or evaluates exactly the
 supplied values.
 
-Every check is one broadcast sweep (:func:`_sweep`).  The looped variable
-(``c`` or ``z``, the scale factors, or the index of a ``(c, d)`` pair) is the
-leading axis and the grid variables follow, so the witness is the first
-violating cell in C order: the smallest looped value, then the grid
-variables in the order of their axes.  A violation is ``lhs > rhs + tol``.
-A holding check reports the least finite slack ``rhs - lhs``; a failing one
-reports the largest violation ``lhs - rhs`` over all violating cells, so
-``inf`` as soon as one is infinite.  ``distributive_scaling`` sweeps ``z``
-first and the scale factors second; ``unit_section_order`` is one slice.
+Every check is one broadcast sweep (:func:`core._sweep`, which also
+decides the operator laws).  The looped variable (``c`` or ``z``, the scale
+factors, or the index of a ``(c, d)`` pair) is the leading axis and the grid
+variables follow, so the witness is the first violating cell in C order: the
+smallest looped value, then the grid variables in the order of their axes.
+A violation is ``lhs > rhs + tol``.  A holding check reports the least
+finite slack ``rhs - lhs``; a failing one reports the largest violation
+``lhs - rhs`` over all violating cells, so ``inf`` as soon as one is
+infinite.  ``distributive_scaling`` sweeps ``z`` first and the scale factors
+second; ``unit_section_order`` is one slice.  The seven conditions on a
+``star`` take their cells (a, b), ``a star b`` and the cells where it stays
+in the scale from :func:`_star_cells`.
 
 ``sum_split`` sweeps only the pairs a <= b, as one axis: per chunk of c
 values it evaluates the operator once on the section table U x c, with U
@@ -27,7 +30,7 @@ the full grid: the witness and the report bytes do not change.
 The three-map condition is written once, in :func:`_three_map_sides`:
 ``mh_upper`` and ``mh_lower`` evaluate it here, and the chain conditions and
 necessity cells of :mod:`nonadd.theorems` evaluate it on realized values
-and end in the same :func:`_sweep`.
+and end in the same :func:`core._sweep`.
 
 :func:`cached_condition` is the one cached condition call: each verifier
 runs its own grid conditions through it, and so do the campaigns' per-run
@@ -54,67 +57,16 @@ unit_section_order     1 o x <= y < 1 implies x <= y
 from __future__ import annotations
 
 import functools
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .core import INF, ValueScale, UNIT, _CHUNK_CELLS, check_cells
+from .core import INF, ValueScale, UNIT, _sweep, _sweep_cells, check_cells
 from .operators import BinaryOp, PhiMap, cached_gate
 from .results import CheckResult, DomainError
 
 _DEFAULT_SPACING = 1.0 / 64.0
 _PAIR_SPACING = 1.0 / 16.0
-
-
-def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
-    """Evaluate ``lhs > rhs + tol`` over every leading slice of every pass.
-
-    Each pass is ``(lead, body)``: ``lead`` is a 1-D array of looped values
-    and ``body(L)`` receives a chunk of it shaped ``(k, 1, ..., 1)`` and
-    returns ``(lhs, rhs, valid, coords)``, each broadcastable to
-    ``(k,) + shape``; ``valid`` may be ``None`` and ``coords`` lists the
-    witness coordinates in witness key order.  Chunks hold at most
-    ``_CHUNK_CELLS`` cells and the whole sweep at most ``MAX_CELLS``, checked
-    first.  Witness and margins follow the module docstring.
-    """
-    ndim = len(shape)
-    check_cells(sum(len(lead) for lead, _ in passes) * math.prod(shape), "condition sweep")
-    step = max(1, _CHUNK_CELLS // max(1, math.prod(shape)))
-    min_slack, max_viol, witness = INF, 0.0, None
-    for lead, body in passes:
-        for i in range(0, len(lead), step):
-            chunk = lead[i:i + step]
-            full = (len(chunk),) + tuple(shape)
-            lhs, rhs, valid, coords = body(chunk.reshape((-1,) + (1,) * ndim))
-            with np.errstate(invalid="ignore"):
-                slack = np.subtract(rhs, lhs, out=np.empty(full))
-                if valid is not None:
-                    slack += np.where(valid, 0.0, np.nan)  # invalid cells drop out
-                least = float(np.fmin.reduce(slack, axis=None, initial=INF))
-                # for tol >= 0, lhs > rhs + tol forces slack < 0 (never nan),
-                # so a least slack >= 0 rules out every violation of the chunk
-                if tol >= 0 and least >= 0:
-                    min_slack = min(min_slack, least)
-                    continue
-                viol = np.greater(lhs, np.add(rhs, tol), out=np.empty(full, dtype=bool))
-            if valid is not None:
-                viol &= valid
-            if least == -INF:
-                least = float(np.where(np.isfinite(slack), slack, INF).min(initial=INF))
-            min_slack = min(min_slack, least)
-            if not viol.any():
-                continue
-            max_viol = max(max_viol, -float(np.where(viol, slack, INF).min()))
-            if witness is None:
-                idx = np.unravel_index(int(viol.argmax()), full)
-                witness = {name: float(np.broadcast_to(arr, full)[idx])
-                           for name, arr in coords.items()}
-                witness["lhs"] = float(np.broadcast_to(lhs, full)[idx])
-                witness["rhs"] = float(np.broadcast_to(rhs, full)[idx])
-    if witness is None:
-        return CheckResult(True, margin=min_slack, mode=mode)
-    return CheckResult(False, margin=max_viol, witness=witness, mode=mode)
 
 
 def _as_values(scale: ValueScale, values, spacing: float) -> np.ndarray:
@@ -153,6 +105,15 @@ def _in_scale(scale: ValueScale, arr) -> np.ndarray:
     return arr <= scale.upper if scale.closed else arr < scale.upper
 
 
+def _star_cells(star: BinaryOp, scale: ValueScale, a: np.ndarray, b: np.ndarray | None = None):
+    """The cells (a, b) of a star condition, b = a when omitted: ``A`` as a
+    column, ``B`` as a row, ``A star B``, and the cells where it stays in
+    the scale."""
+    A, B = a[:, None], (a if b is None else b)[None, :]
+    sAB = star.grid(A, B)
+    return A, B, sAB, _in_scale(scale, sAB)
+
+
 def _mode(*value_lists) -> str:
     return "explicit" if any(v is not None for v in value_lists) else "grid"
 
@@ -183,8 +144,7 @@ def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
     a = _as_values(scale, a_values, spacing)
     b = _as_values(scale, b_values, spacing)
     cs = _as_values(scale, c_values, spacing)
-    A, B = a[:, None], b[None, :]
-    valid = _in_scale(scale, star.grid(A, B))
+    A, B, _, valid = _star_cells(star, scale, a, b)
 
     def body(C):
         lhs, rhs = _three_map_sides(star, combiner, circs, phis, A, B, C, C, C)
@@ -199,9 +159,7 @@ def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
     p1, p2, p3 = phis
     g = scale.grid(spacing)
     cs = _as_values(scale, c_values, spacing)
-    A, B = g[:, None], g[None, :]
-    sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(C):
         lhs = np.minimum(sAB, p1.inverse(C))
@@ -238,9 +196,7 @@ def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
                                 spacing: float = _DEFAULT_SPACING) -> CheckResult:
     S = semicopula
     g = UNIT.grid(spacing)
-    A, B = g[:, None], g[None, :]
-    sAB = star.grid(A, B)
-    valid = _in_scale(UNIT, sAB)
+    A, B, sAB, valid = _star_cells(star, UNIT, g)
 
     def body(C):
         lhs = S.grid(sAB, C)
@@ -350,8 +306,7 @@ def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
     b = _as_values(scale, b_values, spacing)
     cs, ds = _as_pairs(scale, cd_values, spacing)
     combined = _combined(boxplus, cs, ds)
-    A, B = a[:, None], b[None, :]
-    valid = _in_scale(scale, star.grid(A, B))
+    A, B, _, valid = _star_cells(star, scale, a, b)
 
     def body(i):
         C, D = cs[i], ds[i]
@@ -368,9 +323,7 @@ def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
     p1, p2, p3 = phis
     g = scale.grid(spacing)
     cs, ds = _as_pairs(scale, cd_values, spacing)
-    A, B = g[:, None], g[None, :]
-    sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(i):
         C, D = cs[i], ds[i]
@@ -386,9 +339,7 @@ def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
                          tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
     g = scale.grid(spacing)
     cs = _as_values(scale, c_values, spacing)
-    A, B = g[:, None], g[None, :]
-    sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(C):
         lhs = op_h.grid(sAB, C)
@@ -404,9 +355,7 @@ def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
     g = scale.grid(spacing)
     cs, ds = _as_pairs(scale, cd_values, spacing)
     combined = _combined(boxplus, cs, ds)
-    A, B = g[:, None], g[None, :]
-    sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(i):
         C, D = cs[i], ds[i]
@@ -428,14 +377,10 @@ def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
     yg = yg[(yg > 0.0) & (yg < 1.0)]
     X, Y = xg[:, None], yg[None, :]
     sect = op.grid(np.ones_like(X), X)
-
-    def body(_):
-        premise = sect <= Y + tol
-        lhs = np.where(premise, X, 0.0)
-        rhs = np.where(premise, Y, INF)
-        return lhs, rhs, premise, {"x": X, "y": Y, "unit_section": sect}
-
-    return _sweep((len(xg), len(yg)), [(np.zeros(1), body)], tol, "grid")
+    premise = sect <= Y + tol
+    cells = (np.where(premise, X, 0.0), np.where(premise, Y, INF), premise,
+             {"x": X, "y": Y, "unit_section": sect})
+    return _sweep_cells((len(xg), len(yg)), [cells], tol, "grid")
 
 
 CONDITIONS = {

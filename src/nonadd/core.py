@@ -14,6 +14,8 @@ special cases; ``vinv`` is the reciprocal.
 One nan rule holds everywhere: a nan value, such as an operator undefined
 at a cell, never wins a sup or an inf and never violates a check; it drops
 out.  Two infinite sides of a comparison tie, at gap 0 (``_rel_gap``).
+Every grid check (the named conditions, the chain conditions and the
+operator laws) is one broadcast sweep, ``_sweep``.
 
 Finite spaces carry subsets as bitmask integers; ``check_cells`` bounds every
 exhaustive check by the cells it enumerates, ``MAX_CELLS`` = 2**24 at most.
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .results import DomainError
+from .results import CheckResult, DomainError
 
 INF = math.inf
 
@@ -53,6 +55,7 @@ MAX_CELLS = 1 << 24       # cells one check may enumerate: the largest table's e
 _MAX_BITS = MAX_CELLS.bit_length() - 1   # most points whose 2**n subsets fit the budget
 _CHUNK_CELLS = 1 << 15    # cells per evaluated chunk of a broadcast sweep
 
+_ONE_SLICE = np.zeros(1)  # the lead of a pass with one slice
 _LADDER = tuple(float(2 ** k) for k in range(1, 11))  # grid tail for unbounded scales
 
 
@@ -105,6 +108,73 @@ def vinv(a):
     with np.errstate(divide="ignore"):
         r = np.where(a == 0.0, INF, 1.0 / np.where(a == 0.0, 1.0, a))
     return np.where(np.isinf(a), 0.0, r)
+
+
+# ---------------------------------------------------------------------------
+# broadcast sweeps
+# ---------------------------------------------------------------------------
+
+def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
+    """Evaluate ``lhs > rhs + tol`` over every leading slice of every pass.
+
+    Each pass is ``(lead, body)``: ``lead`` is a 1-D array of looped values
+    and ``body(L)`` receives a chunk of it shaped ``(k, 1, ..., 1)`` and
+    returns ``(lhs, rhs, valid, coords)``, each broadcastable to
+    ``(k,) + shape``; ``valid`` may be ``None`` and ``coords`` lists the
+    witness coordinates in witness key order.  Chunks hold at most
+    ``_CHUNK_CELLS`` cells and the whole sweep at most ``MAX_CELLS``, checked
+    first.
+
+    The witness is the first violating cell in C order over the passes in
+    turn (the leading axis, then the axes of ``shape``), with its
+    coordinates, ``lhs`` and ``rhs``.  A holding sweep reports the least
+    finite slack ``rhs - lhs``; a failing one the largest violation
+    ``lhs - rhs`` over all violating cells, so ``inf`` as soon as one is
+    infinite.  A nan or invalid cell never violates and sets no margin.
+    """
+    ndim = len(shape)
+    check_cells(sum(len(lead) for lead, _ in passes) * math.prod(shape), "condition sweep")
+    step = max(1, _CHUNK_CELLS // max(1, math.prod(shape)))
+    min_slack, max_viol, witness = INF, 0.0, None
+    for lead, body in passes:
+        for i in range(0, len(lead), step):
+            chunk = lead[i:i + step]
+            full = (len(chunk),) + tuple(shape)
+            lhs, rhs, valid, coords = body(chunk.reshape((-1,) + (1,) * ndim))
+            with np.errstate(invalid="ignore"):
+                slack = np.subtract(rhs, lhs, out=np.empty(full))
+                if valid is not None:
+                    slack += np.where(valid, 0.0, np.nan)  # invalid cells drop out
+                least = float(np.fmin.reduce(slack, axis=None, initial=INF))
+                # for tol >= 0, lhs > rhs + tol forces slack < 0 (never nan),
+                # so a least slack >= 0 rules out every violation of the chunk
+                if tol >= 0 and least >= 0:
+                    min_slack = min(min_slack, least)
+                    continue
+                viol = np.greater(lhs, np.add(rhs, tol), out=np.empty(full, dtype=bool))
+            if valid is not None:
+                viol &= valid
+            if least == -INF:
+                least = float(np.where(np.isfinite(slack), slack, INF).min(initial=INF))
+            min_slack = min(min_slack, least)
+            if not viol.any():
+                continue
+            max_viol = max(max_viol, -float(np.where(viol, slack, INF).min()))
+            if witness is None:
+                idx = np.unravel_index(int(viol.argmax()), full)
+                witness = {name: float(np.broadcast_to(arr, full)[idx])
+                           for name, arr in coords.items()}
+                witness["lhs"] = float(np.broadcast_to(lhs, full)[idx])
+                witness["rhs"] = float(np.broadcast_to(rhs, full)[idx])
+    if witness is None:
+        return CheckResult(True, margin=min_slack, mode=mode)
+    return CheckResult(False, margin=max_viol, witness=witness, mode=mode)
+
+
+def _sweep_cells(shape: tuple, cells, tol: float, mode: str) -> CheckResult:
+    """``_sweep`` over fixed cells: one slice per ``(lhs, rhs, valid,
+    coords)`` entry of ``cells``, each broadcastable to ``shape``."""
+    return _sweep(shape, [(_ONE_SLICE, lambda _, c=c: c) for c in cells], tol, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ evaluation is therefore exact; this is the library's central performance
 decision.  The only inexact case is an upper integral over an *open* scale
 with an operator whose second-argument zero is not annihilating: there the
 tail sup is approximated on a geometric ladder and the result is flagged.
+A declared zero right annihilator is gated before any route relies on it
+(``_zero_tail``).
 A candidate at which the operator is nan never wins the sup or the inf: both
 forms and the subset oracle skip it, and refuse an operator that is nan at
 every candidate with a ``DomainError``.
@@ -83,9 +85,14 @@ class ProfileIntegralResult(NamedTuple):
 
 
 def _unpack(f, scale: ValueScale | None, domain: int | None = None):
-    """The values and scale of an integrand, and its checked domain mask."""
+    """The values and scale of an integrand, checked against an explicit
+    scale unless it is the ``Fn``'s own, and its checked domain mask."""
     if isinstance(f, Fn):
-        values, scale = f.values, (scale or f.scale)
+        values = f.values
+        if scale is None or scale is f.scale:
+            scale = f.scale
+        else:
+            values = _in_scale_values(values, scale)
     elif scale is None:
         raise DomainError("raw value vectors need an explicit scale")
     else:
@@ -123,6 +130,16 @@ def _refuse_all_nan(op: BinaryOp, vals) -> None:
 _TAIL_LADDER_STEPS = 12
 
 
+def _zero_tail(op: BinaryOp, scale: ValueScale, tail_mu: float) -> bool:
+    """Whether the open-end tail of an open scale adds exactly 0: no mass at
+    or above the top and a zero right annihilator, declared and passing its
+    gate (a false declaration raises ``HypothesisError``)."""
+    if tail_mu == 0.0 and "zero_right_annihilator" in op.flags:
+        verify_flags(op, ("zero_right_annihilator",), scale)
+        return True
+    return False
+
+
 def _tail_ladder(lo: float, scale: ValueScale) -> list[float]:
     """Levels of an open scale above ``lo``, the largest in-scale domain
     value (or 0.0): doubling from max(lo, 1) on an unbounded scale, halving
@@ -148,8 +165,8 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     exact = True
     if scale.closed:
         tail = (scale.upper,)
-    elif tail_mu == 0.0 and "zero_right_annihilator" in op.flags:
-        tail = ()  # no mass at or above the open end: the tail piece is 0 exactly
+    elif _zero_tail(op, scale, tail_mu):
+        tail = ()
     else:
         tail = _tail_ladder(ts[top - 1], scale)
         exact = False  # grid-bounded: the open-end sup is only approximated
@@ -208,7 +225,7 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     scalar_terms = []
     if scale.closed:
         scalar_terms.append(float(op.fn(scale.upper, mu(0))))
-    elif not (mu(0) == 0.0 and "zero_right_annihilator" in op.flags):
+    elif not _zero_tail(op, scale, mu(0)):
         ts = _level_sets(values, domain)[0]
         scalar_terms += [float(op.fn(t, mu(0)))
                          for t in _tail_ladder(ts[bisect_left(ts, scale.upper) - 1], scale)]
@@ -402,7 +419,6 @@ def profile_integral(profile: SurvivalProfile, op: BinaryOp,
     env = op.grid(ts[1:], gs[:-1])
     envelope = float(np.max(env)) if env.size else value
     error = max(envelope - value, 0.0)
-    if truncated:
-        error = INF if not ("zero_right_annihilator" in op.flags
-                            and profile.evaluate(top) == 0.0) else error
+    if truncated and not _zero_tail(op, scale, profile.evaluate(top)):
+        error = INF
     return ProfileIntegralResult(value, error, level, truncated)

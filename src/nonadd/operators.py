@@ -7,22 +7,29 @@ element, continuity).  A declaration is only trusted after
 theorem verifiers call :func:`verify_flags` so that an operator with a
 false declaration can never support a vacuous confirmation.
 
-Continuity flags are verified along decreasing dyadic sequences only, so a
-passing continuity check is sampled evidence, not a proof; every verdict
-records its mode.
+Every law follows one rule: cells of :func:`core._sweep`, each the pair
+(a, b) at which the operator is read, a violation ``lhs > rhs + tol``.
+Monotonicity compares op(a, b) with the value one grid step on in a
+(``a_next``) or b (``b_next``); commutativity reads |op(a, b) - op(b, a)|;
+the zero annihilators, the neutral 1 and top absorption |op(a, b) - target|
+through the section point 0, 1 or the top.  A failing law names its first
+violating cell, with the operator's values there, and its largest
+violation; a holding one its least slack.  A nan cell never violates, and
+two infinities tie.  Continuity is probed on a coarse grid at one shift of
+2**-26, the gap against max(1e-7, 1e-7 |op(a, b)|): sampled evidence, not
+a proof; every verdict records its mode.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import INF, ValueScale, UNIT, vinv, vmul, xmul
+from .core import ValueScale, UNIT, _sweep_cells, vinv, vmul, xmul
 from .results import CheckResult, DomainError, HypothesisError
 
 OPERATOR_FLAGS = (
@@ -450,96 +457,63 @@ def _conjugate(op: BinaryOp, h: DualityMap) -> BinaryOp:
 # flag verification
 # ---------------------------------------------------------------------------
 
+def _dev(u, v):
+    """``|u - v|``, and 0 where both are equal, so two infinities tie."""
+    with np.errstate(invalid="ignore"):
+        return np.where(u == v, 0.0, np.abs(np.subtract(u, v)))
+
+
+def _section_law(op: BinaryOp, g: np.ndarray, x: float, target, sides: str,
+                 tol: float) -> CheckResult:
+    """``|op(a, b) - target| <= tol`` through the section point x, for y on
+    the grid g: (a, b) = (x, y) on side ``"l"``, (y, x) on side ``"r"``."""
+    X = np.full_like(g, x)
+    cells = []
+    for a, b in [(X, g) if side == "l" else (g, X) for side in sides]:
+        vals = op.grid(a, b)
+        cells.append((_dev(vals, target), 0.0, None, {"a": a, "b": b, "value": vals}))
+    return _sweep_cells(g.shape, cells, tol, "grid")
+
+
 def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT,
                             tol: float = 1e-12) -> CheckResult:
-    """Verify one algebraic flag on the scale's standard grid.
-
-    Monotonicity and the exact pointwise laws are checked on the full grid;
-    the two continuity flags are probed along decreasing dyadic sequences
-    and reported with mode ``"sampled"``.
-    """
+    """Verify one algebraic flag on the scale's standard grid by the one
+    law rule of the module docstring; continuity verdicts are ``sampled``."""
     if flag not in OPERATOR_FLAGS:
         raise DomainError(f"unknown operator flag {flag!r}")
     g = scale.grid()
-
-    if flag == "nondecreasing":
-        vals = op.grid(g[:, None], g[None, :])
-        for axis in (0, 1):
-            with np.errstate(invalid="ignore"):
-                d = np.diff(vals, axis=axis)
-            d = np.where(np.isnan(d), 0.0, d)  # inf to inf steps
-            if (d < -tol).any():
-                i, j = np.argwhere(d < -tol)[0]
-                wi = {"axis": int(axis), "a": float(g[i]), "b": float(g[j]),
-                      "step_to": float(g[i + 1]) if axis == 0 else float(g[j + 1]),
-                      "drop": float(-d[i, j])}
-                return CheckResult(False, float(-d[d < -tol].max()), wi, mode="grid")
-        return CheckResult(True, mode="grid")
-
-    if flag in ("right_continuous", "left_continuous_second"):
-        coarse = g[np.isfinite(g)]
-        coarse = coarse[:: max(1, len(coarse) // 9)]
-        worst = 0.0
-        for a in coarse:
-            for b in coarse:
-                if flag == "right_continuous":
-                    if not (scale.contains(a + 2.0 ** -8) and scale.contains(b + 2.0 ** -8)):
-                        continue
-                    base = op.fn(a, b)
-                    seq = [op.fn(a + 2.0 ** -k, b + 2.0 ** -k) for k in range(8, 27, 6)]
-                else:
-                    if b < 2.0 ** -8:
-                        continue
-                    base = op.fn(a, b)
-                    seq = [op.fn(a, b - 2.0 ** -k) for k in range(8, 27, 6)]
-                last = seq[-1]
-                if math.isinf(base) and math.isinf(last):
-                    continue
-                gap = abs(last - base)
-                lim = max(1e-7, 1e-7 * abs(base))
-                if gap > lim:
-                    return CheckResult(False, gap,
-                                       {"a": float(a), "b": float(b), "limit": float(last),
-                                        "value": float(base)},
-                                       mode="sampled")
-                worst = max(worst, gap)
-        return CheckResult(True, margin=worst, mode="sampled")
-
-    if flag in ("zero_left_annihilator", "zero_right_annihilator"):
-        vals = op.grid(np.zeros_like(g), g) if flag == "zero_left_annihilator" \
-            else op.grid(g, np.zeros_like(g))
-        bad = np.abs(vals) > tol
-        if bad.any():
-            j = int(np.argmax(np.abs(vals)))
-            return CheckResult(False, float(np.abs(vals).max()),
-                               {"other": float(g[j]), "value": float(vals[j])}, mode="grid")
-        return CheckResult(True, mode="grid")
-
+    if flag == "zero_left_annihilator":
+        return _section_law(op, g, 0.0, 0.0, "l", tol)
+    if flag == "zero_right_annihilator":
+        return _section_law(op, g, 0.0, 0.0, "r", tol)
     if flag == "neutral_one":
         if not scale.contains(1.0):
             raise DomainError("neutral_one needs 1 in the scale")
-        left = op.grid(np.ones_like(g), g)
-        right = op.grid(g, np.ones_like(g))
-        for side, vals in (("left", left), ("right", right)):
-            diff = np.abs(vals - g)
-            diff = np.where(np.isnan(diff), 0.0, diff)
-            if (diff > tol).any():
-                j = int(np.argmax(diff))
-                return CheckResult(False, float(diff.max()),
-                                   {"side": side, "y": float(g[j]), "value": float(vals[j])},
-                                   mode="grid")
-        return CheckResult(True, mode="grid")
-
-    # commutative
-    vals = op.grid(g[:, None], g[None, :])
-    diff = np.abs(vals - vals.T)
-    diff = np.where(np.isnan(diff), 0.0, diff)
-    if (diff > tol).any():
-        i, j = np.argwhere(diff > tol)[0]
-        return CheckResult(False, float(diff.max()),
-                           {"a": float(g[i]), "b": float(g[j]),
-                            "ab": float(vals[i, j]), "ba": float(vals[j, i])}, mode="grid")
-    return CheckResult(True, mode="grid")
+        return _section_law(op, g, 1.0, g, "lr", tol)
+    if flag in ("right_continuous", "left_continuous_second"):
+        c = g[np.isfinite(g)]
+        c = c[:: max(1, len(c) // 9)]
+        A, B = c[:, None], c[None, :]
+        if flag == "right_continuous":
+            ok = scale.contains_all(A + 2.0 ** -8) & scale.contains_all(B + 2.0 ** -8)
+            near = op.grid(np.where(ok, A + 2.0 ** -26, A), np.where(ok, B + 2.0 ** -26, B))
+        else:
+            ok = B >= 2.0 ** -8
+            near = op.grid(A, np.where(ok, B - 2.0 ** -26, B))
+        base = op.grid(A, B)
+        gap = (_dev(near, base), np.maximum(1e-7, 1e-7 * np.abs(base)), ok,
+               {"a": A, "b": B, "value": base, "limit": near})
+        return _sweep_cells(base.shape, [gap], 0.0, "sampled")
+    col, row = g[:, None], g[None, :]
+    vals = op.grid(col, row)
+    if flag == "commutative":
+        cells = [(_dev(vals, vals.T), 0.0, None, {"a": col, "b": row, "ab": vals, "ba": vals.T})]
+        return _sweep_cells(vals.shape, cells, tol, "grid")
+    # nondecreasing: a step of the first argument, then one of the second
+    lo, hi = col[:-1], col[1:]
+    cells = [(vals[:-1], vals[1:], None, {"a": lo, "b": row, "a_next": hi}),
+             (vals.T[:-1], vals.T[1:], None, {"a": row, "b": lo, "b_next": hi})]
+    return _sweep_cells((len(g) - 1, len(g)), cells, tol, "grid")
 
 
 def cached_gate(op, key, compute: Callable):
@@ -573,21 +547,7 @@ def verify_flags(op: BinaryOp, required, scale: ValueScale = UNIT) -> None:
 
 
 def check_top_absorbing(op: BinaryOp, scale: ValueScale, tol: float = 1e-12) -> CheckResult:
-    """Grid check of m op y = y op m = m at the scale's top element."""
+    """Grid check of m op y = y op m = m at the scale's top element m."""
     if not scale.closed:
         raise DomainError("top absorption needs a closed scale")
-    m = scale.upper
-    g = scale.grid()
-    left = op.grid(np.full_like(g, m), g)
-    right = op.grid(g, np.full_like(g, m))
-    for side, vals in (("left", left), ("right", right)):
-        if math.isinf(m):
-            bad = ~np.isinf(vals)
-        else:
-            bad = np.abs(vals - m) > tol
-        if bad.any():
-            j = int(np.argmax(bad))
-            return CheckResult(False, INF if math.isinf(m) else float(np.abs(vals - m).max()),
-                               {"side": side, "y": float(g[j]), "value": float(vals[j])},
-                               mode="grid")
-    return CheckResult(True, mode="grid")
+    return _section_law(op, scale.grid(), scale.upper, scale.upper, "lr", tol)

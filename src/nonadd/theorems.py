@@ -16,7 +16,7 @@ independently.  A verifier that rests on a grid condition sweeps it through
 ``conditions.cached_condition``, once per process; no caller can vouch for
 one.  Both chain conditions and the necessity cells evaluate the
 one three-map formula of ``conditions._three_map_sides`` through ``op.grid``,
-and both chains end in ``conditions._sweep``: the upper chain loops over the
+and both chains end in ``core._sweep``: the upper chain loops over the
 realized triples, the lower chain is one slice over the f x g level grid of
 ``relations._level_grid``.  Their witness is the first violating cell and
 their failing margin the largest violation; two infinite sides read as gap 0.
@@ -43,7 +43,6 @@ import numpy as np
 
 from .conditions import (
     _in_scale,
-    _sweep,
     _three_map_sides,
     cached_condition,
     cond_sum_split,
@@ -60,6 +59,8 @@ from .core import (
     _domain_mask,
     _domain_points,
     _rel_gap,
+    _sweep,
+    _sweep_cells,
     check_cells,
     expand_masks,
     rng_for,
@@ -672,8 +673,7 @@ def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeas
     with np.errstate(invalid="ignore", over="ignore"):
         c_ab = boxplus.grid(c, d)
     cells = (*_tied_sides(ops, a, b, c_ab, c, d), None, {"a": a, "b": b, "c": c, "d": d})
-    return _sweep((a.shape[0], b.shape[1]), [(np.zeros(1), lambda _: cells)], tol,
-                  "exhaustive")
+    return _sweep_cells((a.shape[0], b.shape[1]), [cells], tol, "exhaustive")
 
 
 def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,

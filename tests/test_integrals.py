@@ -3,6 +3,7 @@ identities, and survival-profile evaluation."""
 
 import json
 import math
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -136,6 +137,15 @@ def _ref_desc_levels(values, domain):
     return vals, masks
 
 
+def ref_zero_tail(op, scale, tail_mu):
+    """No mass at or above an open top and a zero right annihilator: the
+    tail adds 0.  The declared flag must pass its gate first."""
+    if tail_mu == 0.0 and "zero_right_annihilator" in op.flags:
+        verify_flags(op, ["zero_right_annihilator"], scale)
+        return True
+    return False
+
+
 def ref_upper_integral_result(f, mu, op, domain=None, scale=None):
     values, scale, domain = _ref_inputs(f, domain, op, scale)
     vals_desc, ge_masks = _ref_desc_levels(values, domain)
@@ -161,7 +171,7 @@ def ref_upper_integral_result(f, mu, op, domain=None, scale=None):
             if v >= scale.upper:
                 tail_mask = m
         tail_mu = mu(tail_mask)
-        if not (tail_mu == 0.0 and "zero_right_annihilator" in op.flags):
+        if not ref_zero_tail(op, scale, tail_mu):
             lo = max((v for v in vals_desc if scale.contains(v)), default=0.0)
             if math.isinf(scale.upper):
                 ladder = [max(lo, 1.0) * 2.0 ** k for k in range(1, 12)]
@@ -247,7 +257,7 @@ def ref_candidate_upper(f, mu, op, domain=None, scale=None):
         levels.append((scale.upper, mass(ge[top])))
     else:
         tail_mu = mass(ge[top])
-        if not (tail_mu == 0.0 and "zero_right_annihilator" in op.flags):
+        if not ref_zero_tail(op, scale, tail_mu):
             levels += [(t, tail_mu) for t in _tail_ladder(ts[top - 1], scale)]
             exact = False
     best = -INF
@@ -362,13 +372,13 @@ class TestLevelFormsMatchReference:
     @example(case=(Fn([0.25, 0.5], UNIT_OPEN), MonotoneMeasure.possibility(
         FiniteSpace(2), [0.5, 1.0]), join(), 0, None))
     def test_upper_and_lower_bytes(self, case):
+        # the results' bytes, or the errors (lukasiewicz fails its declared
+        # zero right annihilator on an unbounded scale)
         f, mu, op, domain, scale = case
-        got = upper_integral_result(f, mu, op, domain, scale)
-        assert _result_bytes(*got) == _result_bytes(
-            *ref_upper_integral_result(f, mu, op, domain, scale))
-        got = lower_integral_result(f, mu, op, domain, scale)
-        assert _result_bytes(*got) == _result_bytes(
-            *ref_lower_integral_result(f, mu, op, domain, scale))
+        for integral, ref in ((upper_integral_result, ref_upper_integral_result),
+                              (lower_integral_result, ref_lower_integral_result)):
+            assert _outcome(integral, f, mu, op, domain, scale) == \
+                _outcome(ref, f, mu, op, domain, scale)
 
 
 class TestOneDomainCheckPerIntegral:
@@ -386,14 +396,12 @@ class TestOneDomainCheckPerIntegral:
         elif form == "explicit":
             mu = MonotoneMeasure.explicit(mu.space, mu.table(), validate=False)
         tableless = mu._table is None
-        got_upper = upper_integral_result(f, mu, op, domain, scale)
-        got_lower = lower_integral_result(f, mu, op, domain, scale)
+        got = [_outcome(integral, f, mu, op, domain, scale)
+               for integral in (upper_integral_result, lower_integral_result)]
         if tableless and mu.kind == "possibility":
             assert mu._table is None   # read through mu(), no table built
-        assert _result_bytes(*got_upper) == _result_bytes(
-            *ref_upper_integral_result(f, mu, op, domain, scale))
-        assert _result_bytes(*got_lower) == _result_bytes(
-            *ref_lower_integral_result(f, mu, op, domain, scale))
+        assert got == [_outcome(ref, f, mu, op, domain, scale)
+                       for ref in (ref_upper_integral_result, ref_lower_integral_result)]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_function_longer_than_space_raises_the_same_error(self, cached):
@@ -423,6 +431,25 @@ class TestOneDomainCheckPerIntegral:
         for integral in (upper_integral_result, lower_integral_result, oracle):
             assert integral([-0.0, 1.0], mu, minimum(), None, UNIT) == \
                 integral(Fn([-0.0, 1.0]), mu, minimum())
+
+    def test_fn_read_on_a_scale_it_does_not_carry(self):
+        # an Fn is checked against an explicit scale other than its own, as a
+        # raw vector is; its own scale, or an equal one, reads it unchanged
+        mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
+        oracle = upper_integral_subset_oracle
+        for f, scale, message in (
+                (Fn([3.0, 0.25], NONNEG), UNIT, "value 3.0 at point 0 lies outside the scale [0,1.0]"),
+                (Fn([1.0, 0.25]), UNIT_OPEN, "value 1.0 at point 0 lies outside the scale [0,1.0)")):
+            for integral in (upper_integral_result, lower_integral_result, oracle):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    integral(f, mu, minimum(), None, scale)
+        f = Fn([0.5, 0.25])
+        for integral in (upper_integral_result, lower_integral_result, oracle):
+            want = integral(f, mu, minimum())
+            assert integral(f, mu, minimum(), None, UNIT) == want
+            assert integral(f, mu, minimum(), None, ValueScale(1.0, True)) == want
+        assert upper_integral_result(Fn([0.5, 0.25]), mu, minimum(), None, EXTENDED) == \
+            (0.5, True, 0.5)
 
     def test_cached_table_is_read_without_calls(self, monkeypatch):
         n = 8
@@ -546,11 +573,16 @@ class TestOracle:
     @given(case=integral_cases())
     def test_agreement_on_every_scale_and_domain(self, case):
         # open and closed scales, raw vectors and empty domains: the subset
-        # form's empty-set term walks the level form's tail ladder
+        # form's empty-set term walks the level form's tail ladder, and both
+        # routes refuse a zero right annihilator that fails its gate alike
         f, mu, op, domain, scale = case
-        direct = upper_integral(f, mu, op, domain, scale)
-        oracle = upper_integral_subset_oracle(f, mu, op, domain, scale)
-        assert repr(direct) == repr(oracle)
+        routes = []
+        for integral in (upper_integral, upper_integral_subset_oracle):
+            try:
+                routes.append(repr(integral(f, mu, op, domain, scale)))
+            except HypothesisError as e:
+                routes.append(str(e))
+        assert routes[0] == routes[1]
 
     def test_prob_sum_is_exact_at_the_top(self):
         # 1 + c - c rounded below 1; 1 + c(1 - 1) does not
@@ -718,6 +750,41 @@ class TestSugenoIdentity:
             mu = sampling.monotone_measure(43, k, n)
             f = sampling.random_fn(rng, n, UNIT)
             assert check_sugeno_identity(f, mu).holds
+
+
+class TestOpenTailGate:
+    """The open-end tail is skipped on a zero right annihilator only after
+    the declared flag passes its gate, on all three routes that skip it."""
+
+    def test_false_declaration_raises_on_every_route(self):
+        bad = from_callable("badmax", lambda a, b: max(a, b),
+                            ["nondecreasing", "zero_right_annihilator"], grid_fn=np.maximum)
+        mu = MonotoneMeasure.possibility(FiniteSpace(1), [0.5])
+        f = Fn([0.5], UNIT_OPEN)
+        profile = SurvivalProfile(NONNEG, knots=[(0.0, 0.5), (0.5, 0.0)])
+        match = r"^operator 'badmax' fails declared flag 'zero_right_annihilator' on \[0,"
+        for route, args in ((upper_integral_result, (f, mu, bad)),
+                            (upper_integral_subset_oracle, (f, mu, bad)),
+                            (profile_integral, (profile, bad))):
+            with pytest.raises(HypothesisError, match=match) as err:
+                route(*args)
+            assert not err.value.detail.holds
+        # undeclared, the flag is not read: the tail ladder approaches the top
+        assert upper_integral_result(f, mu, join()) == (0.999755859375, False, 0.999755859375)
+        # a gate that fails on one scale leaves the level form's others alone
+        assert upper_integral_result(Fn([0.5]), mu, bad) == (1.0, True, 1.0)
+
+    def test_catalog_results_are_unchanged(self):
+        mu = MonotoneMeasure.possibility(FiniteSpace(1), [0.5])
+        f = Fn([0.5], UNIT_OPEN)
+        for op in (minimum(), product(), lukasiewicz(), marshall_olkin(0.5, 0.25)):
+            assert upper_integral_result(f, mu, op).exact
+            assert upper_integral_subset_oracle(f, mu, op) == upper_integral(f, mu, op)
+        assert upper_integral_result(f, mu, minimum()) == (0.5, True, 0.5)
+        profile = SurvivalProfile(NONNEG, knots=[(0.0, 0.5), (0.5, 0.0)])
+        res = profile_integral(profile, minimum(), 1e-3)
+        assert res.truncated and res.error_bound < 1e-5
+        assert profile_integral(profile, join(), 1e-3).error_bound == INF
 
 
 class TestAbsPower:

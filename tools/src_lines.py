@@ -1,0 +1,77 @@
+"""Count the lines of the package source by kind.
+
+    python3 tools/src_lines.py [--markdown] [DIR]
+
+Splits every ``*.py`` file under ``DIR`` (default ``src/nonadd``) into
+lines of code, docstring, comment and blank, and prints one row per module
+and a total.  A docstring line lies within the string that opens a module,
+class or function body (found with ``ast``), blank lines inside it
+included; a comment line holds nothing but a ``#`` comment; a blank line
+holds only whitespace; every other line is code.  ``--markdown`` prints the
+table in Markdown, for a CI step summary.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KINDS = ("code", "docstring", "comment", "blank")
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """The line numbers covered by the docstrings of a parsed module."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def count(text: str) -> dict[str, int]:
+    """Lines of ``text`` (Python source) by kind."""
+    docs = docstring_lines(ast.parse(text))
+    out = dict.fromkeys(KINDS, 0)
+    for number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if number in docs:
+            out["docstring"] += 1
+        elif not stripped:
+            out["blank"] += 1
+        elif stripped.startswith("#"):
+            out["comment"] += 1
+        else:
+            out["code"] += 1
+    return out
+
+
+def main(argv: list[str]) -> int:
+    markdown = "--markdown" in argv
+    args = [a for a in argv if a != "--markdown"]
+    base = Path(args[0]) if args else ROOT / "src" / "nonadd"
+    rows = [(path.name, count(path.read_text())) for path in sorted(base.glob("*.py"))]
+    total = {k: sum(r[k] for _, r in rows) for k in KINDS}
+    rows.append(("total", total))
+    header = ("module", "lines") + KINDS
+    table = [header] + [(name, str(sum(r.values())), *(str(r[k]) for k in KINDS))
+                        for name, r in rows]
+    if markdown:
+        print("| " + " | ".join(header) + " |")
+        print("|" + "---|" * len(header))
+        for row in table[1:]:
+            print("| " + " | ".join(row) + " |")
+    else:
+        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+        for row in table:
+            print("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
+                            for i, (cell, w) in enumerate(zip(row, widths))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
