@@ -409,8 +409,7 @@ class SurvivalProfile:
     """
 
     def __init__(self, scale: ValueScale, fn: Callable | None = None,
-                 knots: Sequence[tuple[float, float]] | None = None,
-                 domain_measure: float | None = None):
+                 knots: Sequence[tuple[float, float]] | None = None):
         if (fn is None) == (knots is None):
             raise DomainError("provide exactly one of fn= or knots=")
         self.scale = scale
@@ -431,10 +430,6 @@ class SurvivalProfile:
         diffs = np.diff(sample)
         if diffs.size and diffs.max() > 1e-12:
             raise DomainError("survival profile must be nonincreasing")
-        g0 = float(self.evaluate(0.0))
-        self.domain_measure = g0 if domain_measure is None else float(domain_measure)
-        if g0 > self.domain_measure + 1e-12:
-            raise DomainError("profile at 0 exceeds the declared domain measure")
 
     def _grid_sample(self) -> np.ndarray:
         ts = self.scale.grid(1.0 / 256.0)

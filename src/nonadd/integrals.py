@@ -12,11 +12,13 @@ a step function jumping only at realized values of f, and t -> t o c is
 nondecreasing, so both extrema are attained on the candidate set {0} union
 {realized values} (plus the scale top for a closed scale).  Candidate
 evaluation is therefore exact; this is the library's central performance
-decision.  The only inexact case is an upper integral over an *open* scale
-with an operator whose second-argument zero is not annihilating: there the
-tail sup is approximated on a geometric ladder and the result is flagged.
-A declared zero right annihilator is gated before any route relies on it
-(``_zero_tail``).
+decision.  On an *open* scale the upper form's sup also runs over the levels
+between the largest value and the open end, where the level mass is the
+tail mass mu(D intersect {f >= top}); that tail is skipped only when it is
+exactly 0 (zero tail mass and a declared zero right annihilator that passes
+its gate, ``_zero_tail``).  Any other open-end tail is a limit that no
+candidate attains, and both upper routes refuse it with ``HypothesisError``
+(``_require_zero_tail``) rather than report an approximation.
 A candidate at which the operator is nan never wins the sup or the inf: both
 forms and the subset oracle skip it, and refuse an operator that is nan at
 every candidate with a ``DomainError``.
@@ -24,9 +26,9 @@ every candidate with a ``DomainError``.
 Both forms read one level-set pass, ``core._level_sets``: at the thresholds
 T = sorted({0} union {values on D}) it gives A[j] = D intersect {f > T[j]},
 the lower form's sets, and D intersect {f >= T[j]} = A[j-1] (D itself for
-j = 0), the upper form's.  One bisection of T finds the set at the scale top
-and the largest level below it, where the tail ladder (``_tail_ladder``,
-shared with the subset oracle's empty-set term) starts.
+j = 0), the upper form's.  One bisection of T finds the set at the scale top,
+whose mass is the top candidate's on a closed scale and the tail mass on an
+open one.
 
 The domain is checked against the measure's space once per call
 (``_level_reader``).  Every level set is a submask of the domain, so the
@@ -63,7 +65,7 @@ from .core import (
 )
 from .measures import MonotoneMeasure, dual_measure
 from .operators import BinaryOp, DualityMap, minimum, op_dual, product, join, verify_flags
-from .results import CheckResult, DomainError
+from .results import CheckResult, DomainError, HypothesisError
 
 _MIN = minimum()
 _PROD = product()
@@ -73,7 +75,7 @@ _GATE = ("nondecreasing",)   # the flag every integral requires of its operator
 
 class IntegralResult(NamedTuple):
     value: float
-    exact: bool
+    exact: bool            # always True: an open-end tail that is not 0 raises
     level: float           # candidate attaining the extremum
 
 
@@ -127,9 +129,6 @@ def _refuse_all_nan(op: BinaryOp, vals) -> None:
 # upper integral
 # ---------------------------------------------------------------------------
 
-_TAIL_LADDER_STEPS = 12
-
-
 def _zero_tail(op: BinaryOp, scale: ValueScale, tail_mu: float) -> bool:
     """Whether the open-end tail of an open scale adds exactly 0: no mass at
     or above the top and a zero right annihilator, declared and passing its
@@ -140,38 +139,34 @@ def _zero_tail(op: BinaryOp, scale: ValueScale, tail_mu: float) -> bool:
     return False
 
 
-def _tail_ladder(lo: float, scale: ValueScale) -> list[float]:
-    """Levels of an open scale above ``lo``, the largest in-scale domain
-    value (or 0.0): doubling from max(lo, 1) on an unbounded scale, halving
-    the distance to a finite top otherwise."""
-    if math.isinf(scale.upper):
-        ladder = [max(lo, 1.0) * 2.0 ** k for k in range(1, _TAIL_LADDER_STEPS)]
-    else:
-        ladder = [scale.upper - (scale.upper - lo) * 2.0 ** -k
-                  for k in range(1, _TAIL_LADDER_STEPS)]
-    return [t for t in ladder if scale.contains(t)]
+def _require_zero_tail(op: BinaryOp, scale: ValueScale, tail_mu: float) -> None:
+    """Refuse an open-end tail that ``_zero_tail`` does not prove 0: its sup
+    over the levels below the top is a limit that no candidate attains."""
+    if not _zero_tail(op, scale, tail_mu):
+        raise HypothesisError(
+            f"operator {op.name!r} leaves the open end of {scale.describe()} at tail mass "
+            f"{tail_mu!r}: the upper integral is exact only for tail mass 0 under a "
+            f"declared 'zero_right_annihilator'")
 
 
 def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None,
                           scale: ValueScale | None = None) -> IntegralResult:
-    """sup over t in the scale of op(t, mu(D intersect {f >= t})), with
-    attained level and exactness flag."""
+    """sup over t in the scale of op(t, mu(D intersect {f >= t})), with the
+    attained level; ``exact`` is always True.  An open scale whose tail is
+    not exactly 0 raises ``HypothesisError``."""
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, _GATE, scale)
     mass = _level_reader(mu, domain)
     ts, above = _level_sets(values, domain)
     top = bisect_left(ts, scale.upper)  # above[top - 1] = D intersect {f >= scale top}
     tail_mu = mass(above[top - 1])
-    exact = True
     if scale.closed:
         tail = (scale.upper,)
-    elif _zero_tail(op, scale, tail_mu):
-        tail = ()
     else:
-        tail = _tail_ladder(ts[top - 1], scale)
-        exact = False  # grid-bounded: the open-end sup is only approximated
+        _require_zero_tail(op, scale, tail_mu)
+        tail = ()
     # candidates: 0 over D, each positive level ts[j] (descending) over
-    # D intersect {f >= ts[j]} = above[j - 1], then the tail levels
+    # D intersect {f >= ts[j]} = above[j - 1], then the top of a closed scale
     fn = op.fn
     levels = _positive_levels(ts, scale)
     best, best_level = -INF, 0.0
@@ -187,7 +182,7 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     if best == -INF:
         _refuse_all_nan(op, [fn(0.0, mass(domain)), *(fn(ts[j], mass(above[j - 1])) for j in levels),
                              *(fn(t, tail_mu) for t in tail)])
-    return IntegralResult(best, exact, best_level)
+    return IntegralResult(best, True, best_level)
 
 
 def upper_integral(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None,
@@ -203,8 +198,10 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     The empty subset contributes with the lattice convention inf over the
     empty set = scale top, which makes the subset form agree with the level
     form also for operators without an annihilating zero; on an open scale
-    it takes the level form's tail ladder.  Evaluates all 2^|D| subsets at
-    once: the infima come from ``subset_infima`` and the measures from
+    the top is no level, and the empty set's mass mu(0), the level form's
+    tail mass, must be an exactly zero tail or the oracle raises
+    ``HypothesisError`` as the level form does.  Evaluates all 2^|D| subsets
+    at once: the infima come from ``subset_infima`` and the measures from
     ``mu.subset_table``, which folds only the domain's points when the
     measure has no cached table; the space bounds its 2^|D| cells.
     """
@@ -213,6 +210,8 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     bits = _domain_points(domain)
 
     mu.space.validate_mask(domain)  # the table read below does not check masks
+    if not scale.closed:
+        _require_zero_tail(op, scale, mu(0))
     best = -INF
     terms = []
     if bits:
@@ -220,15 +219,8 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
         mus = mu.subset_table(bits)[1:]
         terms = op.grid(infs, mus)
         best = float(np.fmax.reduce(terms, initial=-INF))   # nan terms drop out
-    # empty-subset term: matches the level form's behaviour above the top
-    # realized value; then the level-0 term
-    scalar_terms = []
-    if scale.closed:
-        scalar_terms.append(float(op.fn(scale.upper, mu(0))))
-    elif not _zero_tail(op, scale, mu(0)):
-        ts = _level_sets(values, domain)[0]
-        scalar_terms += [float(op.fn(t, mu(0)))
-                         for t in _tail_ladder(ts[bisect_left(ts, scale.upper) - 1], scale)]
+    # the empty-subset term on a closed scale, then the level-0 term
+    scalar_terms = [float(op.fn(scale.upper, mu(0)))] if scale.closed else []
     scalar_terms.append(float(op.fn(0.0, mu(domain))))
     for val in scalar_terms:
         best = max(best, val)

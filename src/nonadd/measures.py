@@ -111,8 +111,6 @@ import numpy as np
 from .core import (
     INF,
     FiniteSpace,
-    ValueScale,
-    UNIT,
     _CHUNK_CELLS,
     _subset_fold,
     check_cells,
@@ -679,18 +677,14 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
 # h-duality
 # ---------------------------------------------------------------------------
 
-def dual_measure(mu: MonotoneMeasure, h, scale: ValueScale | None = None) -> MonotoneMeasure:
+def dual_measure(mu: MonotoneMeasure, h) -> MonotoneMeasure:
     """The conjugate measure A -> h_inverse(mu(complement of A)).
 
     Monotone whenever the input is.  The empty set maps to
     h_inverse(mu(X)), which is 0 exactly when mu(X) equals h(0); the
     constructed table keeps whatever value arises so that applying an
-    involutive h twice recovers the original measure exactly.  Passing the
-    value scale additionally validates the map as a decreasing bijection on
-    the standard grid.
+    involutive h twice recovers the original measure exactly.
     """
-    if scale is not None:
-        h.validate_on(scale)
     tab = mu.table()
     full = mu.space.full
     comp = tab[full - np.arange(tab.shape[0], dtype=np.int64)]

@@ -15,9 +15,10 @@ the zero annihilators, the neutral 1 and top absorption |op(a, b) - target|
 through the section point 0, 1 or the top.  A failing law names its first
 violating cell, with the operator's values there, and its largest
 violation; a holding one its least slack.  A nan cell never violates, and
-two infinities tie.  Continuity is probed on a coarse grid at one shift of
-2**-26, the gap against max(1e-7, 1e-7 |op(a, b)|): sampled evidence, not
-a proof; every verdict records its mode.
+two infinities tie.  Continuity is probed on a coarse grid at a shift of
+2**-26, the gap against max(1e-7, 1e-7 |op(a, b)|), where a gap below half
+the one at a shift of 2**-13 is a continuous rise and reads 0: sampled
+evidence, not a proof; every verdict records its mode.
 """
 
 from __future__ import annotations
@@ -496,12 +497,17 @@ def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT,
         A, B = c[:, None], c[None, :]
         if flag == "right_continuous":
             ok = scale.contains_all(A + 2.0 ** -8) & scale.contains_all(B + 2.0 ** -8)
-            near = op.grid(np.where(ok, A + 2.0 ** -26, A), np.where(ok, B + 2.0 ** -26, B))
+            near, far = (op.grid(np.where(ok, A + d, A), np.where(ok, B + d, B))
+                         for d in (2.0 ** -26, 2.0 ** -13))
         else:
             ok = B >= 2.0 ** -8
-            near = op.grid(A, np.where(ok, B - 2.0 ** -26, B))
+            near, far = (op.grid(A, np.where(ok, B - d, B)) for d in (2.0 ** -26, 2.0 ** -13))
         base = op.grid(A, B)
-        gap = (_dev(near, base), np.maximum(1e-7, 1e-7 * np.abs(base)), ok,
+        fine = _dev(near, base)
+        # a jump keeps its gap at the coarser shift; a gap that shrinks below
+        # half of it is a continuous rise and reads 0
+        gap = (np.where(fine < _dev(far, base) / 2, 0.0, fine),
+               np.maximum(1e-7, 1e-7 * np.abs(base)), ok,
                {"a": A, "b": B, "value": base, "limit": near})
         return _sweep_cells(base.shape, [gap], 0.0, "sampled")
     col, row = g[:, None], g[None, :]

@@ -184,6 +184,45 @@ class TestRun:
         code, _ = run_cli(["run", str(path)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("lifted, integral, expect", [
+        ("max", "sum", "hypothesis-failed"), ("min", "min", "holds")])
+    def test_open_scale_upper_integral_is_exact_or_refused(self, lifted, integral, expect,
+                                                           tmp_path, capsys):
+        # on [0, 1) the sup of max is the open end 1 and on [0, inf) the sup of
+        # sum is inf: no level attains either, so each task is refused with the
+        # operator, the scale and the tail mass; min annihilates the zero tail
+        doc = {
+            "version": 1,
+            "space": {"n": 2},
+            "scale": {"upper": 1, "closed": False},
+            "measures": {"mu": {"kind": "possibility", "density": [0.5, 0.25]}},
+            "functions": {"f": [0.5, 0.25], "g1": [0.25, 0.125]},
+            "operators": {name: {"name": name} for name in (lifted, integral)},
+            "tasks": [{"task": "integral", "kind": "upper_generalized", "function": "f",
+                       "measure": "mu", "operator": lifted, "expect": expect},
+                      {"task": "oracle", "function": "f", "measure": "mu",
+                       "operator": lifted, "expect": expect},
+                      {"task": "verify", "theorem": "convergence_lemmas",
+                       "operator": integral, "measure": "mu", "sequence": ["g1", "f", "f"],
+                       "limit": "f", "expect": expect}],
+        }
+        path = tmp_path / "open_tail.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli_json(["run", str(path)], capsys)
+        assert code == 0
+        tasks = out["report"]["tasks"]
+        assert [t["outcome"] for t in tasks] == [expect] * 3
+        if expect == "hypothesis-failed":
+            tail = "the upper integral is exact only for tail mass 0 under a declared " \
+                "'zero_right_annihilator'"
+            assert [t["error"] for t in tasks] == [
+                f"operator 'max' leaves the open end of [0,1.0) at tail mass 0.0: {tail}"] * 2 + [
+                f"operator 'sum' leaves the open end of [0,inf) at tail mass 0.0: {tail}"]
+        else:
+            assert tasks[0]["value"] == 0.5
+            assert (tasks[1]["direct"], tasks[1]["oracle"]) == (0.5, 0.5)
+            assert tasks[2]["result"]["detail"]["integrals"] == [0.25, 0.5, 0.5]
+
     def test_infinite_values_compare_at_gap_zero(self, tmp_path, capsys):
         # both sides of the oracle task and the integral are inf: two
         # infinities read as gap 0 (core._rel_gap), not as margin nan

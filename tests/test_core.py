@@ -213,9 +213,8 @@ class TestSurvivalProfile:
         assert profile_eval(prof, 0.125) == 0.9375
 
     def test_value_at_zero_is_domain_measure(self):
-        prof = SurvivalProfile(UNIT, fn=lambda t: np.maximum(1.0 - t, 0.0),
-                               domain_measure=1.0)
-        assert profile_eval(prof, 0.0) == prof.domain_measure
+        prof = SurvivalProfile(UNIT, fn=lambda t: np.maximum(1.0 - t, 0.0))
+        assert profile_eval(prof, 0.0) == 1.0
 
     def test_tabulated_step_uses_left_knot(self):
         prof = SurvivalProfile(UNIT, knots=[(0.0, 1.0), (0.5, 0.25), (1.0, 0.0)])

@@ -31,8 +31,8 @@ from nonadd.integrals import (
     _level_reader,
     _positive_levels,
     _refuse_all_nan,
-    _tail_ladder,
     _unpack,
+    _zero_tail,
     abs_power,
     check_h_duality,
     check_sugeno_identity,
@@ -146,6 +146,16 @@ def ref_zero_tail(op, scale, tail_mu):
     return False
 
 
+def ref_exact_tail(op, scale, tail_mu):
+    """The open-end tail must add exactly 0, or the upper integral is
+    refused: its sup below the top is a limit that no level attains."""
+    if not ref_zero_tail(op, scale, tail_mu):
+        raise HypothesisError(
+            f"operator {op.name!r} leaves the open end of {scale.describe()} at tail mass "
+            f"{tail_mu!r}: the upper integral is exact only for tail mass 0 under a "
+            f"declared 'zero_right_annihilator'")
+
+
 def ref_upper_integral_result(f, mu, op, domain=None, scale=None):
     values, scale, domain = _ref_inputs(f, domain, op, scale)
     vals_desc, ge_masks = _ref_desc_levels(values, domain)
@@ -164,26 +174,13 @@ def ref_upper_integral_result(f, mu, op, domain=None, scale=None):
         val = float(op.fn(t, mu(mask)))
         if val > best:
             best, best_level = val, t
-    exact = True
     if not scale.closed:
         tail_mask = 0
         for v, m in zip(vals_desc, ge_masks):
             if v >= scale.upper:
                 tail_mask = m
-        tail_mu = mu(tail_mask)
-        if not ref_zero_tail(op, scale, tail_mu):
-            lo = max((v for v in vals_desc if scale.contains(v)), default=0.0)
-            if math.isinf(scale.upper):
-                ladder = [max(lo, 1.0) * 2.0 ** k for k in range(1, 12)]
-            else:
-                ladder = [scale.upper - (scale.upper - lo) * 2.0 ** -k for k in range(1, 12)]
-            for t in ladder:
-                if scale.contains(t):
-                    val = float(op.fn(t, tail_mu))
-                    if val > best:
-                        best, best_level = val, t
-            exact = False
-    return best, exact, best_level
+        ref_exact_tail(op, scale, mu(tail_mask))
+    return best, True, best_level
 
 
 def ref_lower_integral_result(f, mu, op, domain=None, scale=None):
@@ -252,14 +249,10 @@ def ref_candidate_upper(f, mu, op, domain=None, scale=None):
     ge = [domain] + above  # ge[j] = D intersect {f >= ts[j]}
     top = bisect_left(ts, scale.upper)  # ge[top] = D intersect {f >= scale top}
     levels = [(0.0, mass(domain))] + [(ts[j], mass(ge[j])) for j in _positive_levels(ts, scale)]
-    exact = True
     if scale.closed:
         levels.append((scale.upper, mass(ge[top])))
     else:
-        tail_mu = mass(ge[top])
-        if not ref_zero_tail(op, scale, tail_mu):
-            levels += [(t, tail_mu) for t in _tail_ladder(ts[top - 1], scale)]
-            exact = False
+        ref_exact_tail(op, scale, mass(ge[top]))
     best = -INF
     best_level = 0.0
     for t, c in levels:
@@ -269,7 +262,7 @@ def ref_candidate_upper(f, mu, op, domain=None, scale=None):
             best_level = t
     if best == -INF:
         _refuse_all_nan(op, [op.fn(t, c) for t, c in levels])
-    return IntegralResult(best, exact, best_level)
+    return IntegralResult(best, True, best_level)
 
 
 def ref_candidate_lower(f, mu, op, domain=None, scale=None):
@@ -517,7 +510,9 @@ class TestAllNanOperator:
     """An operator that is nan at every candidate leaves no extremum: all
     three routes refuse it by name instead of reporting -inf or inf."""
 
-    OP = from_callable("nan", lambda a, b: math.nan, ["nondecreasing"])
+    # the declared zero right annihilator passes its gate (a nan cell never
+    # violates), so the open scale's zero tail is skipped, not refused
+    OP = from_callable("nan", lambda a, b: math.nan, ["nondecreasing", "zero_right_annihilator"])
 
     @pytest.mark.parametrize("scale", [UNIT, UNIT_OPEN, EXTENDED])
     @pytest.mark.parametrize("route", [upper_integral_result, lower_integral_result,
@@ -572,9 +567,9 @@ class TestOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=integral_cases())
     def test_agreement_on_every_scale_and_domain(self, case):
-        # open and closed scales, raw vectors and empty domains: the subset
-        # form's empty-set term walks the level form's tail ladder, and both
-        # routes refuse a zero right annihilator that fails its gate alike
+        # open and closed scales, raw vectors and empty domains: both routes
+        # refuse an open-end tail that is not exactly 0, and a zero right
+        # annihilator that fails its gate, with the same message
         f, mu, op, domain, scale = case
         routes = []
         for integral in (upper_integral, upper_integral_subset_oracle):
@@ -592,15 +587,18 @@ class TestOracle:
         assert upper_integral_subset_oracle(Fn([1.0]), mu, prob_sum()) == 1.0
 
     def test_open_scale_tail_over_an_empty_domain(self):
-        # both tails climb the ladder from 0.0, the largest in-scale level of
-        # the empty domain
+        # the empty domain's tail has mass 0, but neither max nor sum
+        # annihilates it: the sup is the open end, which no level attains
         mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
-        f = Fn([0.25, 0.5], UNIT_OPEN)
-        assert upper_integral_subset_oracle(f, mu, join(), 0) == 0.99951171875
-        assert upper_integral(f, mu, join(), 0) == 0.99951171875
-        f = Fn([0.25, 0.5], ValueScale(2.0, False))
-        assert upper_integral_subset_oracle(f, mu, plain_sum(), 0) == 1.9990234375
-        assert upper_integral(f, mu, plain_sum(), 0) == 1.9990234375
+        for f, op, top in ((Fn([0.25, 0.5], UNIT_OPEN), join(), "1.0"),
+                           (Fn([0.25, 0.5], ValueScale(2.0, False)), plain_sum(), "2.0")):
+            match = (rf"^operator '{op.name}' leaves the open end of \[0,{top}\) at tail mass "
+                     r"0\.0: the upper integral is exact only for tail mass 0 under a declared "
+                     r"'zero_right_annihilator'$")
+            for route in (upper_integral, upper_integral_subset_oracle):
+                with pytest.raises(HypothesisError, match=match):
+                    route(f, mu, op, 0)
+            assert upper_integral_result(f, mu, minimum(), 0) == (0.0, True, 0.0)
 
     def test_reads_the_table_not_per_subset_calls(self, monkeypatch):
         n = 10
@@ -699,13 +697,14 @@ class TestExactnessAndMonotonicity:
         res = upper_integral_result(F2, MU2, bounded_sum())
         assert res.exact
 
-    def test_grid_bounded_flag_on_open_scale(self):
+    def test_open_scale_tail_is_exact_or_refused(self):
         mu = MonotoneMeasure.explicit(SP2, [0.0, 0.3, 0.6, 0.8], rounding=True)
         f = Fn([0.5, 0.2], UNIT_OPEN)
-        res = upper_integral_result(f, mu, bounded_sum())
-        assert not res.exact
-        res_min = upper_integral_result(f, mu, minimum())
-        assert res_min.exact  # annihilating zero keeps the tail at zero
+        for route in (upper_integral_result, upper_integral_subset_oracle):
+            with pytest.raises(HypothesisError, match="^operator 'bounded_sum' leaves the open end"):
+                route(f, mu, bounded_sum())
+        # an annihilating zero keeps the tail at exactly zero
+        assert upper_integral_result(f, mu, minimum()) == (0.3, True, 0.5)
 
     def test_rejects_undeclared_monotonicity(self):
         from nonadd.operators import from_callable
@@ -769,8 +768,10 @@ class TestOpenTailGate:
             with pytest.raises(HypothesisError, match=match) as err:
                 route(*args)
             assert not err.value.detail.holds
-        # undeclared, the flag is not read: the tail ladder approaches the top
-        assert upper_integral_result(f, mu, join()) == (0.999755859375, False, 0.999755859375)
+        # undeclared, the flag is not read: the tail is refused, not skipped
+        for route in (upper_integral_result, upper_integral_subset_oracle):
+            with pytest.raises(HypothesisError, match=r"^operator 'max' leaves the open end"):
+                route(f, mu, join())
         # a gate that fails on one scale leaves the level form's others alone
         assert upper_integral_result(Fn([0.5]), mu, bad) == (1.0, True, 1.0)
 
@@ -785,6 +786,51 @@ class TestOpenTailGate:
         res = profile_integral(profile, minimum(), 1e-3)
         assert res.truncated and res.error_bound < 1e-5
         assert profile_integral(profile, join(), 1e-3).error_bound == INF
+
+
+@st.composite
+def tail_cases(draw):
+    """``integral_cases``, in half the draws with the measure lifted to a
+    nonzero mass of the empty set (every table entry at least that mass),
+    which is the tail mass of an open scale."""
+    f, mu, op, domain, scale = draw(integral_cases())
+    if draw(st.booleans()):
+        empty = draw(st.sampled_from([0.25, 1.0, INF]))
+        mu = MonotoneMeasure.explicit(mu.space, np.maximum(mu.table(), empty),
+                                      allow_nonzero_empty=True)
+    return f, mu, op, domain, scale
+
+
+class TestOpenTailExactOrRefused:
+    """An upper integral is exact or refused: both upper routes raise
+    ``HypothesisError`` exactly when the scale is open and its tail is not
+    exactly 0, and otherwise give the reference's bytes with ``exact``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tail_cases())
+    @example(case=(Fn([0.5, 0.25], UNIT_OPEN), MonotoneMeasure.explicit(
+        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), minimum(), 0, None))
+    @example(case=(Fn([0.5, 0.25], UNIT), MonotoneMeasure.explicit(
+        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), join(), None, None))
+    @example(case=([0.5, 3.0], MonotoneMeasure.possibility(SP2, [0.0, 0.5]),
+                   lukasiewicz(), None, NONNEG))
+    def test_refused_exactly_when_the_tail_is_not_zero(self, case):
+        f, mu, op, domain, scale = case
+        own = scale or f.scale
+        try:   # on an open scale every value lies below the top: the tail set is empty
+            refused = not own.closed and not _zero_tail(op, own, mu(0))
+        except HypothesisError:   # a declared zero right annihilator failing its gate
+            refused = True
+        want = _outcome(ref_upper_integral_result, f, mu, op, domain, scale)
+        assert _outcome(upper_integral_result, f, mu, op, domain, scale) == want
+        try:
+            oracle = upper_integral_subset_oracle(f, mu, op, domain, scale).hex()
+        except HypothesisError as e:
+            oracle = type(e).__name__, str(e)
+        if refused:
+            assert want[0] == "HypothesisError" and oracle == want
+        else:
+            assert want[1] is True and oracle == want[0]
 
 
 class TestAbsPower:

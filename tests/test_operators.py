@@ -98,7 +98,10 @@ def ref_operator_property(op, flag, scale=UNIT, tol=1e-12):
     library's: at an infinite top it counts a nan cell as a violation (and
     reads -inf as the top), where the sweep's nan never violates; no case
     below tells the two apart but the planted one of
-    ``test_nan_never_violates_top_absorption``."""
+    ``test_nan_never_violates_top_absorption``.  The continuity probe
+    follows the library's current rule, a gap at the 2**-26 shift below half
+    the one at 2**-13 reading 0; the per-flag code compared the 2**-26 gap
+    with the floor alone."""
     if flag == "top_absorbing":
         if not scale.closed:
             raise DomainError("top absorption needs a closed scale")
@@ -145,16 +148,17 @@ def ref_operator_property(op, flag, scale=UNIT, tol=1e-12):
                     if not (scale.contains(a + 2.0 ** -8) and scale.contains(b + 2.0 ** -8)):
                         continue
                     base = op.fn(a, b)
-                    seq = [op.fn(a + 2.0 ** -k, b + 2.0 ** -k) for k in range(8, 27, 6)]
+                    last, far = (op.fn(a + 2.0 ** -k, b + 2.0 ** -k) for k in (26, 13))
                 else:
                     if b < 2.0 ** -8:
                         continue
                     base = op.fn(a, b)
-                    seq = [op.fn(a, b - 2.0 ** -k) for k in range(8, 27, 6)]
-                last = seq[-1]
+                    last, far = (op.fn(a, b - 2.0 ** -k) for k in (26, 13))
                 if math.isinf(base) and math.isinf(last):
                     continue
                 gap = abs(last - base)
+                if gap < abs(far - base) / 2:
+                    gap = 0.0   # shrinks with the shift: a continuous rise, not a jump
                 lim = max(1e-7, 1e-7 * abs(base))
                 if gap > lim:
                     return CheckResult(False, gap,
@@ -331,6 +335,21 @@ class TestLawsAgainstOracle:
         res = check_operator_property(minimum(), "right_continuous", UNIT)
         assert res.holds and 0.0 < res.margin <= 1e-7
         assert check_top_absorbing(plain_sum(), EXTENDED).margin == 0.0
+
+    def test_continuity_tells_a_rise_from_a_jump(self):
+        # steep continuous catalog operators (power_product(0.5) at 0, product
+        # at 256) pass both probes on every scale; a staircase with a 0.1 step
+        # at every multiple of 1/64, and so at every probe point, fails both
+        for op in CATALOG + [power_min(1 / 3, 2.0)]:
+            for scale in SCALES:
+                for flag in ("right_continuous", "left_continuous_second"):
+                    assert check_operator_property(op, flag, scale).holds, (op.name, flag, scale)
+        stair = from_callable("stair", lambda a, b: min(a, b)
+                              + 0.1 * (math.ceil(64 * a) + math.floor(64 * b)))
+        for scale in SCALES:
+            for flag in ("right_continuous", "left_continuous_second"):
+                res = agree(stair, flag, scale)
+                assert not res.holds and res.witness["lhs"] > 0.09, (flag, scale)
 
     def test_nan_never_violates_top_absorption(self):
         # at an infinite top the per-flag code counted a nan cell as a violation
