@@ -12,15 +12,12 @@ from .core import (
     UNIT,
     UNIT_OPEN,
     ValueScale,
-    profile_eval,
-    scale_contains,
 )
 from .measures import (
     MonotoneMeasure,
     check_measure_property,
     dual_measure,
     generate_measure,
-    measure_eval,
 )
 from .operators import (
     BinaryOp,
@@ -35,7 +32,6 @@ from .operators import (
     minimum,
     one_minus,
     op_dual,
-    op_eval,
     phi_identity,
     phi_power,
     plain_sum,
@@ -49,14 +45,13 @@ from .operators import (
 )
 from .conditions import CONDITIONS, check_condition
 from .integrals import (
-    IntegralSpec,
     abs_power,
     check_h_duality,
     check_sugeno_identity,
-    integral_eval,
     lower_integral,
     lower_integral_result,
     profile_integral,
+    seminormed_integral,
     shilkret_integral,
     sugeno_integral,
     upper_integral,

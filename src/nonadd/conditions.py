@@ -100,18 +100,13 @@ def _combined(boxplus: BinaryOp, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
         return boxplus.grid(cs, ds)
 
 
-def _in_scale(scale: ValueScale, arr) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    return arr <= scale.upper if scale.closed else arr < scale.upper
-
-
 def _star_cells(star: BinaryOp, scale: ValueScale, a: np.ndarray, b: np.ndarray | None = None):
     """The cells (a, b) of a star condition, b = a when omitted: ``A`` as a
     column, ``B`` as a row, ``A star B``, and the cells where it stays in
     the scale."""
     A, B = a[:, None], (a if b is None else b)[None, :]
     sAB = star.grid(A, B)
-    return A, B, sAB, _in_scale(scale, sAB)
+    return A, B, sAB, scale.contains_all(sAB)
 
 
 def _mode(*value_lists) -> str:
@@ -232,7 +227,7 @@ def _sum_split_cells(scale: ValueScale, spacing: float) -> tuple[np.ndarray, ...
     check_cells(len(g) ** 2, "condition sweep")   # one c value's cells, before the pairs
     i, j = np.triu_indices(len(g))
     s = g[i] + g[j]
-    keep = _in_scale(scale, s)
+    keep = scale.contains_all(s)
     i, j = i[keep], j[keep]
     values, index = np.unique(np.concatenate([g, s[keep]]), return_inverse=True)
     cells = (g, g[i], g[j], values, index[i], index[j], index[len(g):])
@@ -282,14 +277,14 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
 
     def by_z(Z):
         s = Y + Z
-        valid = _in_scale(scale, s)
+        valid = scale.contains_all(s)
         lhs = op.grid(X, np.where(valid, s, 0.0))
         rhs = opXY + op.grid(X, Z)
         return lhs, rhs, valid, {"x": X, "y": Y, "z": Z}
 
     def by_factor(i):
         s = factors[i] * X
-        valid = _in_scale(scale, s)
+        valid = scale.contains_all(s)
         lhs = op.grid(np.where(valid, s, 0.0), Y)
         return lhs, bounds[i] * powered, valid, {"scale_factor": factors[i], "x": X, "y": Y}
 

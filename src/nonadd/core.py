@@ -235,11 +235,6 @@ NONNEG = ValueScale(INF, False)        # [0, inf)
 EXTENDED = ValueScale(INF, True)       # [0, inf]
 
 
-def scale_contains(scale: ValueScale, y: float) -> bool:
-    """Membership test for a value in a scale."""
-    return scale.contains(y)
-
-
 # ---------------------------------------------------------------------------
 # finite spaces and bitmask subsets
 # ---------------------------------------------------------------------------
@@ -341,14 +336,6 @@ class Fn:
             raise DomainError(f"function length must be in [1, {_MAX_BITS}] (2**n cells)")
         object.__setattr__(self, "values", _in_scale_values(values, scale))
         object.__setattr__(self, "scale", scale)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def space(self) -> FiniteSpace:
-        return FiniteSpace(len(self.values))
 
     @classmethod
     def indicator(cls, n: int, mask: int, height: float = 1.0,
@@ -452,8 +439,3 @@ class SurvivalProfile:
                 raise DomainError("profile evaluated below the first knot")
             out = self._knot_g[idx]
         return float(out[0]) if scalar else out
-
-
-def profile_eval(profile: SurvivalProfile, t: float) -> float:
-    """Evaluate a survival profile at a single level."""
-    return float(profile.evaluate(float(t)))

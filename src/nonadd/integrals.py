@@ -31,9 +31,10 @@ whose mass is the top candidate's on a closed scale and the tail mass on an
 open one.
 
 The domain is checked against the measure's space once per call
-(``_level_reader``).  Every level set is a submask of the domain, so the
-level masses are then read unchecked from the measure's cached table, or
-through ``mu()`` when the measure has none (no table is built to be read).
+(``MonotoneMeasure.mass_reader``).  Every level set is a submask of the
+domain, so the level masses are then read unchecked from the measure's
+cached table, or through ``mu()`` when the measure has none (no table is
+built to be read).
 
 ``min`` as the operator gives the classical max-min integral, ``product``
 the max-product integral; a semicopula gives the seminormed form.
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -102,15 +102,6 @@ def _unpack(f, scale: ValueScale | None, domain: int | None = None):
     return values, scale, _domain_mask(len(values), domain)
 
 
-def _level_reader(mu: MonotoneMeasure, domain: int):
-    """Check ``domain`` against the measure's space once and return a
-    reader of the masses of its submasks: the cached table's ``item``, or
-    ``mu`` itself when no table is cached."""
-    mu.space.validate_mask(domain)
-    tab = mu._table
-    return mu if tab is None else tab.item
-
-
 def _positive_levels(ts: list[float], scale: ValueScale) -> range:
     """Indices of the thresholds in the scale above 0, descending: the
     candidates after 0, in the order both integrals evaluate them."""
@@ -156,7 +147,7 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     not exactly 0 raises ``HypothesisError``."""
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, _GATE, scale)
-    mass = _level_reader(mu, domain)
+    mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
     top = bisect_left(ts, scale.upper)  # above[top - 1] = D intersect {f >= scale top}
     tail_mu = mass(above[top - 1])
@@ -244,7 +235,7 @@ def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     """
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, _GATE, scale)
-    mass = _level_reader(mu, domain)
+    mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
     # candidates: 0, then the positive levels ts[j] descending, over above[j]
     fn = op.fn
@@ -266,40 +257,8 @@ def lower_integral(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# named integral kinds
+# named integrals
 # ---------------------------------------------------------------------------
-
-INTEGRAL_KINDS = ("upper_generalized", "lower_generalized", "sugeno", "shilkret", "seminormed")
-
-
-@dataclass(frozen=True)
-class IntegralSpec:
-    """A named integral: kind, operator (for the generalized kinds), domain."""
-
-    kind: str                      # one of INTEGRAL_KINDS
-    op: BinaryOp | None = None
-    domain: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in INTEGRAL_KINDS:
-            raise DomainError(f"unknown integral kind {self.kind!r}")
-        if self.kind in ("upper_generalized", "lower_generalized", "seminormed") and self.op is None:
-            raise DomainError(f"{self.kind} integral needs an operator")
-
-
-def integral_eval(spec: IntegralSpec, f, mu: MonotoneMeasure,
-                  scale: ValueScale | None = None) -> float:
-    if spec.kind == "sugeno":
-        return upper_integral(f, mu, _MIN, spec.domain, scale)
-    if spec.kind == "shilkret":
-        return upper_integral(f, mu, _PROD, spec.domain, scale)
-    if spec.kind == "seminormed":
-        verify_flags(spec.op, ["nondecreasing", "neutral_one"], UNIT)
-        return upper_integral(f, mu, spec.op, spec.domain, scale)
-    if spec.kind == "upper_generalized":
-        return upper_integral(f, mu, spec.op, spec.domain, scale)
-    return lower_integral(f, mu, spec.op, spec.domain, scale)
-
 
 def sugeno_integral(f, mu: MonotoneMeasure, domain: int | None = None,
                     scale: ValueScale | None = None) -> float:
@@ -309,6 +268,14 @@ def sugeno_integral(f, mu: MonotoneMeasure, domain: int | None = None,
 def shilkret_integral(f, mu: MonotoneMeasure, domain: int | None = None,
                       scale: ValueScale | None = None) -> float:
     return upper_integral(f, mu, _PROD, domain, scale)
+
+
+def seminormed_integral(f, mu: MonotoneMeasure, semicopula: BinaryOp,
+                        domain: int | None = None, scale: ValueScale | None = None) -> float:
+    """The upper integral under a semicopula: an operator that passes its
+    ``nondecreasing`` and ``neutral_one`` gates on [0, 1]."""
+    verify_flags(semicopula, ("nondecreasing", "neutral_one"), UNIT)
+    return upper_integral(f, mu, semicopula, domain, scale)
 
 
 def abs_power(values: Sequence[float], p: float, scale: ValueScale = EXTENDED) -> Fn:

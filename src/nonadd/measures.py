@@ -270,33 +270,27 @@ class MonotoneMeasure:
             return best
         return float(self.table()[mask])
 
+    def mass_reader(self, domain: int):
+        """Check ``domain`` against the space once and return a reader of
+        the masses of its submasks, unchecked: the cached table's ``item``,
+        or the measure itself when no table is cached (no table is built to
+        be read)."""
+        self.space.validate_mask(domain)
+        return self if self._table is None else self._table.item
+
+    def masses(self, masks: np.ndarray) -> np.ndarray:
+        """The masses of an integer array of masks, in its shape: a gather
+        from the cached table, unchecked, or else ``mu()`` at each mask."""
+        if self._table is not None:
+            return self._table[masks]
+        return np.array([self(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
+
     @property
     def total(self) -> float:
         return self(self.space.full)
 
     def tolerance(self) -> float:
         return 1e-12 if self.rounding else 0.0
-
-    def describe(self) -> dict:
-        """Scenario-format description: parametric families by name and
-        parameters, explicit measures by their bitmask-indexed table."""
-        out = {"kind": self.kind, "n": self.space.n}
-        if self.kind == "possibility":
-            out["density"] = list(self.density)
-        elif self.kind == "distortion":
-            out["distortion"] = self.distortion_name
-            out["probs"] = list(self.probs)
-        elif self.kind == "lambda_sugeno":
-            out["lambda"] = self.lam
-            out["density"] = list(self.density)
-        elif self.kind == "explicit":
-            out["table"] = [float(v) for v in self.table()]
-        return out
-
-
-def measure_eval(mu: MonotoneMeasure, mask: int) -> float:
-    """Value of the set function on a subset."""
-    return mu(mask)
 
 
 # ---------------------------------------------------------------------------

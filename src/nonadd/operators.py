@@ -77,15 +77,6 @@ class BinaryOp:
         return out
 
 
-def op_eval(op: BinaryOp, a: float, b: float, scale: ValueScale | None = None) -> float:
-    """Evaluate an operator on two scalars, optionally checking membership."""
-    if scale is not None:
-        for v in (a, b):
-            if not scale.contains(v):
-                raise DomainError(f"argument {v!r} outside the scale {scale.describe()}")
-    return float(op.fn(float(a), float(b)))
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -311,7 +302,6 @@ class PhiMap:
     name: str
     forward: Callable
     inverse: Callable
-    params: dict = field(default_factory=dict)
     _verified: dict = field(default_factory=dict, repr=False)
 
     def validate_on(self, scale: ValueScale, tol: float = 1e-12) -> None:
@@ -335,11 +325,6 @@ class PhiMap:
             raise DomainError(f"{self.name}: must map 0 to 0")
         return True
 
-    def describe(self) -> dict:
-        out = {"name": self.name}
-        out.update(self.params)
-        return out
-
 
 @_shared
 def phi_identity() -> PhiMap:
@@ -355,7 +340,6 @@ def phi_power(p: float) -> PhiMap:
         f"power({p})",
         lambda x: np.float_power(x, p),
         lambda x: np.float_power(x, 1.0 / p),
-        params={"p": p},
     )
 
 
@@ -399,9 +383,6 @@ class DualityMap:
         if err.size and err.max() > tol:
             raise DomainError(f"{self.name}: inverse round trip drifts by {err.max():.3e}")
         return True
-
-    def describe(self) -> dict:
-        return {"name": self.name}
 
 
 @_shared

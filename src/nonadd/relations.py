@@ -95,21 +95,13 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp, domain: int | None = None,
 
 def _level_grid(f: Fn, g: Fn, mu: MonotoneMeasure, domain: int):
     """f's thresholds and strict level masks on the domain as the rows of a
-    grid, g's as its columns (``core._level_sets``), and a reader of the
-    masses of any array of their submasks.  The domain is checked against the measure's space once;
-    the reader takes the masses from the cached table, or else through
-    ``mu()``."""
+    grid, g's as its columns (``core._level_sets``), after checking the
+    domain against the measure's space once: ``mu.masses`` then reads any
+    array of their submasks unchecked."""
     (tf, mf), (tg, mg) = _level_sets(f.values, domain), _level_sets(g.values, domain)
     mu.space.validate_mask(domain)
-
-    def mass(masks: np.ndarray) -> np.ndarray:
-        tab = mu._table
-        if tab is not None:
-            return tab[masks]
-        return np.array([mu(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
-
     return (np.array(tf)[:, None], np.array(mf, dtype=np.int64)[:, None],
-            np.array(tg)[None, :], np.array(mg, dtype=np.int64)[None, :], mass)
+            np.array(tg)[None, :], np.array(mg, dtype=np.int64)[None, :])
 
 
 def _first(bad: np.ndarray) -> tuple[int, int] | None:
@@ -127,10 +119,10 @@ def is_mu_subadditive(f: Fn, g: Fn, boxplus: BinaryOp, mu: MonotoneMeasure,
     decides the relation exactly.  The witness is the first violating pair,
     f's threshold first.
     """
-    a, mf, b, mg, mass = _level_grid(f, g, mu, _pair_domain(f, g, domain))
-    union = mass(mf | mg)
+    a, mf, b, mg = _level_grid(f, g, mu, _pair_domain(f, g, domain))
+    union = mu.masses(mf | mg)
     with np.errstate(invalid="ignore"):
-        bound = np.broadcast_to(boxplus.grid(mass(mf), mass(mg)), union.shape)
+        bound = np.broadcast_to(boxplus.grid(mu.masses(mf), mu.masses(mg)), union.shape)
         cell = _first(union > bound + tol)
     if cell is not None:
         i, j = cell
@@ -146,10 +138,10 @@ def is_pqd(f: Fn, g: Fn, mu: MonotoneMeasure, tol: float = 1e-12) -> RelationVer
     witness is the first failing pair, f's threshold first."""
     if len(f) != len(g):
         raise DomainError("functions must live on the same space")
-    t, mf, s, mg, mass = _level_grid(f, g, mu, (1 << len(f)) - 1)
-    joint = mass(mf & mg)
+    t, mf, s, mg = _level_grid(f, g, mu, (1 << len(f)) - 1)
+    joint = mu.masses(mf & mg)
     with np.errstate(invalid="ignore"):          # 0 * inf
-        prod = mass(mf) * mass(mg)
+        prod = mu.masses(mf) * mu.masses(mg)
         cell = _first(joint < prod - tol)
     if cell is not None:
         i, j = cell

@@ -42,12 +42,14 @@ from .campaigns import CAMPAIGNS, run_campaign
 from .conditions import CONDITIONS, check_condition
 from .core import FiniteSpace, Fn, INF, NONNEG, SurvivalProfile, ValueScale, _rel_gap
 from .integrals import (
-    INTEGRAL_KINDS,
-    IntegralSpec,
     check_h_duality,
     check_sugeno_identity,
-    integral_eval,
+    lower_integral,
     profile_integral,
+    seminormed_integral,
+    shilkret_integral,
+    sugeno_integral,
+    upper_integral,
     upper_integral_subset_oracle,
 )
 from .measures import MonotoneMeasure, check_measure_property, MEASURE_PROPERTIES
@@ -380,12 +382,22 @@ def _valued(value, a, eps: float, margin: float = 0.0, **extra):
     return res, {"value": value, **extra}
 
 
-def _integral_spec(a, where: str) -> None:
+# the integral task's kinds, each one library function
+_INTEGRALS = {"sugeno": sugeno_integral, "shilkret": shilkret_integral,
+              "upper_generalized": upper_integral, "lower_generalized": lower_integral,
+              "seminormed": seminormed_integral}
+
+
+def _integral_operator(a, where: str) -> None:
     if (a.operator is None) != (a.kind in ("sugeno", "shilkret")):
         raise ScenarioError(f"{where}.operator: "
                             f"{'required' if a.operator is None else 'not read'} by the "
                             f"{a.kind!r} integral")
-    a.spec = IntegralSpec(a.kind, a.operator, a.domain)
+
+
+def _integral(sc, a):
+    ops = () if a.operator is None else (a.operator,)
+    return _valued(_INTEGRALS[a.kind](a.function, a.measure, *ops, domain=a.domain), a, 1e-12)
 
 
 def _metric_spec(a, where: str) -> None:
@@ -426,8 +438,7 @@ def _profile_integral(sc, a):
 
 
 def _oracle(sc, a):
-    direct = integral_eval(IntegralSpec("upper_generalized", a.operator, a.domain),
-                           a.function, a.measure)
+    direct = upper_integral(a.function, a.measure, a.operator, a.domain)
     both = {"direct": direct,
             "oracle": upper_integral_subset_oracle(a.function, a.measure, a.operator,
                                                    a.domain)}
@@ -472,9 +483,8 @@ SELECTORS = {"verify": "theorem", "check_relation": "relation",
 TASKS: dict[Any, Spec] = {
     "counterexample": _task(_counterexample, resolution=Field(_number, 1e-4)),
     "integral": _task(
-        lambda sc, a: _valued(integral_eval(a.spec, a.function, a.measure), a, 1e-12),
-        _integral_spec, kind=Field(_enum(INTEGRAL_KINDS), "sugeno"), operator=Field(_OP),
-        domain=_DOMAIN, function=_FN, measure=_MEASURE, **_VALUE),
+        _integral, _integral_operator, kind=Field(_enum(_INTEGRALS), "sugeno"),
+        operator=Field(_OP), domain=_DOMAIN, function=_FN, measure=_MEASURE, **_VALUE),
     "profile_integral": _task(_profile_integral, profile=_PROFILE, operator=_OP,
                               resolution=Field(_number, 1e-4), **_VALUE),
     "oracle": _task(_oracle, function=_FN, measure=_MEASURE, operator=_OP, domain=_DOMAIN,

@@ -42,7 +42,6 @@ from typing import Sequence
 import numpy as np
 
 from .conditions import (
-    _in_scale,
     _three_map_sides,
     cached_condition,
     cond_sum_split,
@@ -285,7 +284,7 @@ def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int, scale: ValueS
     lhs, rhs = _tied_sides(ops, a, b, c, c, c)
     with np.errstate(invalid="ignore", over="ignore"):
         ab = ops.star.grid(a, b)
-        failing = (ab >= 0.0) & _in_scale(scale, ab) & (lhs - rhs > tol)
+        failing = scale.contains_all(ab) & (lhs - rhs > tol)
         w1 = p1.forward(ops.star.grid(0.0, 0.0))
         lhs = p1.inverse(_two_level_upper(c1, p1.forward(ab), w1, c, mu_d, mu_e, scale))
         rhs = ops.combiner.grid(
@@ -668,8 +667,8 @@ def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeas
     """The four-variable condition on the realized chain quadruples
     (a, b, mu(D & {f > a}), mu(D & {g > b})), one cell per threshold pair:
     f's thresholds as rows, g's as columns."""
-    a, mask_f, b, mask_g, mass = _level_grid(f, g, mu, domain)
-    c, d = mass(mask_f), mass(mask_g)
+    a, mask_f, b, mask_g = _level_grid(f, g, mu, domain)
+    c, d = mu.masses(mask_f), mu.masses(mask_g)
     with np.errstate(invalid="ignore", over="ignore"):
         c_ab = boxplus.grid(c, d)
     cells = (*_tied_sides(ops, a, b, c_ab, c, d), None, {"a": a, "b": b, "c": c, "d": d})

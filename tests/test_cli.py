@@ -184,6 +184,32 @@ class TestRun:
         code, _ = run_cli(["run", str(path)], capsys)
         assert code == 0
 
+    def test_integral_kinds_are_the_named_integrals(self, tmp_path, capsys):
+        # each kind of the integral task is one library function, read on
+        # the task's domain (point 0 only)
+        import nonadd
+        mu = nonadd.MonotoneMeasure.explicit(nonadd.FiniteSpace(2), [0, 0.3, 0.6, 0.8])
+        f, luk, join = nonadd.Fn([0.2, 0.5]), nonadd.lukasiewicz(), nonadd.join()
+        want = {"sugeno": nonadd.sugeno_integral(f, mu, 1),
+                "shilkret": nonadd.shilkret_integral(f, mu, 1),
+                "upper_generalized": nonadd.upper_integral(f, mu, luk, 1),
+                "lower_generalized": nonadd.lower_integral(f, mu, join, 1),
+                "seminormed": nonadd.seminormed_integral(f, mu, luk, 1)}
+        ops = {"upper_generalized": "luk", "lower_generalized": "max", "seminormed": "luk"}
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "explicit", "table": [0, 0.3, 0.6, 0.8]}},
+               "functions": {"f": [0.2, 0.5]},
+               "operators": {"luk": {"name": "lukasiewicz"}, "max": {"name": "max"}},
+               "tasks": [{"task": "integral", "kind": kind, "function": "f", "measure": "mu",
+                          "domain": 1, **({"operator": ops[kind]} if kind in ops else {})}
+                         for kind in want]}
+        path = tmp_path / "kinds.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli_json(["run", str(path)], capsys)
+        assert code == 0
+        assert [t["value"] for t in out["report"]["tasks"]] == list(want.values())
+        assert want["sugeno"] != nonadd.sugeno_integral(f, mu)   # the domain is read
+
     @pytest.mark.parametrize("lifted, integral, expect", [
         ("max", "sum", "hypothesis-failed"), ("min", "min", "holds")])
     def test_open_scale_upper_integral_is_exact_or_refused(self, lifted, integral, expect,
@@ -276,6 +302,12 @@ class TestRun:
         pytest.param([{"task": "integral", "function": "f", "measure": "mu",
                        "expect_value": 0.5, "tolerance": "x"}], None, "tasks[0].tolerance",
                      id="tolerance_not_number"),
+        pytest.param([{"task": "integral", "kind": "seminormed", "function": "f",
+                       "measure": "mu"}], None, "tasks[0].operator",
+                     id="integral_operator_required"),
+        pytest.param([{"task": "integral", "kind": "sugeno", "function": "f",
+                       "measure": "mu", "operator": "min"}], None, "tasks[0].operator",
+                     id="integral_operator_not_read"),
         pytest.param([{"task": "check_condition", "condition": "mh_product_power",
                        "p1": 1, "p2": 2, "p3": 2, "operator": "min"}], None,
                      "tasks[0].operator", id="operator_not_a_parameter"),

@@ -14,7 +14,6 @@ from nonadd.conditions import (
     CONDITIONS,
     _combined,
     _as_values,
-    _in_scale,
     _mode,
     _sum_split_cells,
     check_condition,
@@ -27,6 +26,7 @@ from nonadd.operators import (
     BinaryOp,
     PhiMap,
     bounded_sum,
+    from_callable,
     join,
     lukasiewicz,
     marshall_olkin,
@@ -276,6 +276,12 @@ class TestDualitySplits:
         assert res.margin == INF
         assert res.witness == {"a": 0.015625, "b": 128.0, "c": 0.0, "lhs": 1.0, "rhs": 0.0}
 
+    def test_negative_star_cells_are_out_of_scale(self):
+        # a - b leaves [0, 1] below 0 wherever a < b, so those cells are not
+        # swept; read, the cell a = 0, b = 1 would give lhs 0 > rhs -c
+        diff = from_callable("diff", lambda a, b: a - b, grid_fn=np.subtract)
+        assert check_condition("dual_star_split", star=diff, op_h=SL, scale=UNIT).holds
+
     def test_pair_form_with_join_conjugate(self):
         oph = op_dual(MIN, reciprocal())  # conjugate of min is join
         res = check_condition("dual_star_split_pair", star=SUM, op_h=oph,
@@ -362,6 +368,11 @@ class _Acc:
         return CheckResult(False, margin=self.max_viol, witness=self.witness, mode=mode)
 
 
+def ref_in_scale(scale: ValueScale, arr) -> np.ndarray:
+    """``ValueScale.contains`` at every cell: nan and negative values are out."""
+    return np.vectorize(scale.contains, otypes=[bool])(arr)
+
+
 def ref_mh_upper(star: BinaryOp, combiner: BinaryOp,
                  circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                  scale: ValueScale = UNIT, c_values=None,
@@ -374,7 +385,7 @@ def ref_mh_upper(star: BinaryOp, combiner: BinaryOp,
     cs = _as_values(scale, c_values, spacing)
     A, B = a[:, None], b[None, :]
     sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    valid = ref_in_scale(scale, sAB)
     f1 = p1.forward(sAB)
     f2A = p2.forward(A)
     f3B = p3.forward(B)
@@ -395,7 +406,7 @@ def ref_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
     cs = _as_values(scale, c_values, spacing)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    valid = ref_in_scale(scale, sAB)
     acc = _Acc(tol)
     for c in cs:
         lhs = np.minimum(sAB, float(p1.inverse(c)))
@@ -426,7 +437,7 @@ def ref_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
     g = UNIT.grid(spacing)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
-    valid = _in_scale(UNIT, sAB)
+    valid = ref_in_scale(UNIT, sAB)
     acc = _Acc(tol)
     for c in g:
         cc = np.full_like(sAB, c)
@@ -458,7 +469,7 @@ def ref_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
     cs = _as_values(scale, c_values, spacing)
     A, B = g[:, None], g[None, :]
     s = A + B
-    valid = _in_scale(scale, s)
+    valid = ref_in_scale(scale, s)
     acc = _Acc(tol)
     for c in cs:
         lhs = op.grid(np.where(valid, s, 0.0), np.full_like(s, c))
@@ -476,13 +487,13 @@ def ref_distributive_scaling(op: BinaryOp, q: float, r: float,
     acc = _Acc(tol)
     for z in g:
         s = Y + z
-        valid = _in_scale(scale, s)
+        valid = ref_in_scale(scale, s)
         lhs = op.grid(X, np.where(valid, s, 0.0))
         rhs = opXY + op.grid(X, np.full_like(X, z))
         acc.add(lhs, rhs, {"x": X, "y": Y, "z": z}, valid)
     for a in (1.5, 2.0, 4.0, 16.0, 256.0):
         s = a * X
-        valid = _in_scale(scale, s)
+        valid = ref_in_scale(scale, s)
         lhs = op.grid(np.where(valid, s, 0.0), Y)
         with np.errstate(invalid="ignore"):
             rhs = (a ** q) * np.float_power(opXY, r)
@@ -506,7 +517,7 @@ def ref_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
         cd_pairs = [(float(c), float(d)) for c, d in cd_values]
     A, B = a[:, None], b[None, :]
     sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    valid = ref_in_scale(scale, sAB)
     f1 = p1.forward(sAB)
     f2A = p2.forward(A)
     f3B = p3.forward(B)
@@ -531,7 +542,7 @@ def ref_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
         cd_pairs = [(float(c), float(d)) for c, d in cd_values]
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    valid = ref_in_scale(scale, sAB)
     acc = _Acc(tol)
     for c, d in cd_pairs:
         lhs = np.maximum(sAB, max(float(p1.inverse(c)), float(p1.inverse(d))))
@@ -548,7 +559,7 @@ def ref_dual_star_split(star: BinaryOp, op_h: BinaryOp,
     cs = _as_values(scale, c_values, spacing)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    valid = ref_in_scale(scale, sAB)
     acc = _Acc(tol)
     for c in cs:
         cc = np.full_like(sAB, c)
@@ -568,7 +579,7 @@ def ref_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
         cd_pairs = [(float(c), float(d)) for c, d in cd_values]
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
-    valid = _in_scale(scale, sAB)
+    valid = ref_in_scale(scale, sAB)
     acc = _Acc(tol)
     for c, d in cd_pairs:
         combined = float(boxplus.grid(c, d))

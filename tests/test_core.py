@@ -22,9 +22,7 @@ from nonadd.core import (
     _domain_points,
     _level_sets,
     check_cells,
-    profile_eval,
     rng_for,
-    scale_contains,
     subset_infima,
     vinv,
     vmul,
@@ -60,14 +58,14 @@ class TestExtendedArithmetic:
 
 class TestValueScale:
     def test_closed_boundary_belongs(self):
-        assert scale_contains(UNIT, 1.0)
+        assert UNIT.contains(1.0)
 
     def test_open_infinite_end_excluded(self):
-        assert not scale_contains(NONNEG, INF)
-        assert scale_contains(EXTENDED, INF)
+        assert not NONNEG.contains(INF)
+        assert EXTENDED.contains(INF)
 
     def test_above_bound_excluded(self):
-        assert not scale_contains(UNIT, 1.5)
+        assert not UNIT.contains(1.5)
 
     @given(y=st.floats(min_value=0, max_value=2, allow_nan=False),
            z=st.floats(min_value=0, max_value=2, allow_nan=False))
@@ -210,17 +208,17 @@ class TestSurvivalProfile:
     def test_counterexample_profile_pointwise(self):
         # 1 - 4 t^2 at t = 1/8 evaluates to 1 - 4/64 by hand
         prof = SurvivalProfile(UNIT, fn=lambda t: np.maximum(1.0 - 4.0 * t * t, 0.0))
-        assert profile_eval(prof, 0.125) == 0.9375
+        assert prof.evaluate(0.125) == 0.9375
 
     def test_value_at_zero_is_domain_measure(self):
         prof = SurvivalProfile(UNIT, fn=lambda t: np.maximum(1.0 - t, 0.0))
-        assert profile_eval(prof, 0.0) == 1.0
+        assert prof.evaluate(0.0) == 1.0
 
     def test_tabulated_step_uses_left_knot(self):
         prof = SurvivalProfile(UNIT, knots=[(0.0, 1.0), (0.5, 0.25), (1.0, 0.0)])
-        assert profile_eval(prof, 0.3) == 1.0
-        assert profile_eval(prof, 0.5) == 0.25
-        assert profile_eval(prof, 0.7) == 0.25
+        assert prof.evaluate(0.3) == 1.0
+        assert prof.evaluate(0.5) == 0.25
+        assert prof.evaluate(0.7) == 0.25
 
     def test_rejects_increasing_profile(self):
         with pytest.raises(DomainError):
@@ -229,13 +227,13 @@ class TestSurvivalProfile:
     def test_rejects_out_of_scale_level(self):
         prof = SurvivalProfile(UNIT, knots=[(0.0, 1.0)])
         with pytest.raises(DomainError):
-            profile_eval(prof, 1.5)
+            prof.evaluate(1.5)
 
     def test_out_of_scale_level_named_as_a_float(self):
         prof = SurvivalProfile(UNIT, knots=[(0.0, 1.0)])
         for level, text in ((1.5, "1.5"), (math.nan, "nan"), (-1.0, "-1.0")):
             with pytest.raises(DomainError) as err:
-                profile_eval(prof, level)
+                prof.evaluate(level)
             assert str(err.value) == f"level {text} outside the scale {UNIT.describe()}"
 
     def test_nonincreasing_on_grid(self):

@@ -27,8 +27,6 @@ from nonadd.core import (
 )
 from nonadd.integrals import (
     IntegralResult,
-    IntegralSpec,
-    _level_reader,
     _positive_levels,
     _refuse_all_nan,
     _unpack,
@@ -36,10 +34,10 @@ from nonadd.integrals import (
     abs_power,
     check_h_duality,
     check_sugeno_identity,
-    integral_eval,
     lower_integral,
     lower_integral_result,
     profile_integral,
+    seminormed_integral,
     shilkret_integral,
     sugeno_integral,
     upper_integral,
@@ -244,7 +242,7 @@ def _result_bytes(value, exact, level):
 def ref_candidate_upper(f, mu, op, domain=None, scale=None):
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
-    mass = _level_reader(mu, domain)
+    mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
     ge = [domain] + above  # ge[j] = D intersect {f >= ts[j]}
     top = bisect_left(ts, scale.upper)  # ge[top] = D intersect {f >= scale top}
@@ -268,7 +266,7 @@ def ref_candidate_upper(f, mu, op, domain=None, scale=None):
 def ref_candidate_lower(f, mu, op, domain=None, scale=None):
     values, scale, domain = _unpack(f, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
-    mass = _level_reader(mu, domain)
+    mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
     candidates = [ts.index(0.0), *_positive_levels(ts, scale)]
     best = INF
@@ -713,24 +711,16 @@ class TestExactnessAndMonotonicity:
             upper_integral(F2, MU2, bad)
 
 
-class TestIntegralSpec:
-    def test_named_kinds_match_direct_calls(self):
-        assert integral_eval(IntegralSpec("sugeno"), F2, MU2) == \
-            sugeno_integral(F2, MU2)
-        assert integral_eval(IntegralSpec("shilkret"), F2, MU2) == \
-            shilkret_integral(F2, MU2)
-        assert integral_eval(IntegralSpec("seminormed", lukasiewicz()), F2, MU2) == \
+class TestNamedIntegrals:
+    def test_named_integrals_match_the_upper_integral(self):
+        assert sugeno_integral(F2, MU2) == upper_integral(F2, MU2, minimum())
+        assert shilkret_integral(F2, MU2) == upper_integral(F2, MU2, product())
+        assert seminormed_integral(F2, MU2, lukasiewicz()) == \
             upper_integral(F2, MU2, lukasiewicz())
-        assert integral_eval(IntegralSpec("lower_generalized", join()), F2, MU2) == \
-            lower_integral(F2, MU2, join())
 
     def test_seminormed_requires_semicopula(self):
         with pytest.raises(HypothesisError):
-            integral_eval(IntegralSpec("seminormed", bounded_sum()), F2, MU2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            IntegralSpec("choquet")
+            seminormed_integral(F2, MU2, bounded_sum())
 
 
 class TestSugenoIdentity:

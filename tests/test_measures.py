@@ -24,7 +24,6 @@ from nonadd.measures import (
     dual_measure,
     generate_measure,
     lambda_sugeno_random,
-    measure_eval,
 )
 from nonadd.operators import one_minus, reciprocal
 from nonadd.results import CheckResult, DomainError
@@ -325,19 +324,19 @@ SP3 = FiniteSpace(3)
 class TestEvaluation:
     def test_possibility_is_max_of_density(self):
         mu = MonotoneMeasure.possibility(SP2, [0.2, 0.9])
-        assert measure_eval(mu, 0b11) == 0.9
-        assert measure_eval(mu, 0b01) == 0.2
+        assert mu(0b11) == 0.9
+        assert mu(0b01) == 0.2
 
     def test_empty_set_is_zero(self):
         for mu in (MonotoneMeasure.possibility(SP2, [0.2, 0.9]),
                    MonotoneMeasure.explicit(SP2, [0, 0.1, 0.3, 0.7]),
                    lambda_sugeno_random(3, 4)):
-            assert measure_eval(mu, 0) == 0.0
+            assert mu(0) == 0.0
 
     def test_distortion_square_root(self):
         mu = MonotoneMeasure.distortion(SP2, [0.25, 0.75], lambda x: np.sqrt(x),
                                         name="sqrt")
-        assert measure_eval(mu, 0b01) == 0.5
+        assert mu(0b01) == 0.5
 
     def test_lambda_family_multiplicative_composition(self):
         lam = -0.5
@@ -345,8 +344,8 @@ class TestEvaluation:
         mu = MonotoneMeasure.lambda_sugeno(SP2, lam, dens)
         # mu(A) = (prod(1 + lam d_i) - 1) / lam computed by hand
         expect_full = ((1 + lam * 0.4) * (1 + lam * 0.8) - 1) / lam
-        assert measure_eval(mu, 0b11) == pytest.approx(expect_full, abs=1e-15)
-        assert measure_eval(mu, 0b01) == pytest.approx(0.4, abs=1e-15)
+        assert mu(0b11) == pytest.approx(expect_full, abs=1e-15)
+        assert mu(0b01) == pytest.approx(0.4, abs=1e-15)
 
     def test_invalid_mask_rejected(self):
         mu = MonotoneMeasure.possibility(SP2, [0.2, 0.9])

@@ -24,7 +24,6 @@ from nonadd.operators import (
     minimum,
     one_minus,
     op_dual,
-    op_eval,
     phi_identity,
     phi_power,
     plain_sum,
@@ -41,29 +40,25 @@ from nonadd.results import CheckResult, DomainError, HypothesisError
 
 class TestCatalogValues:
     def test_lukasiewicz(self):
-        assert op_eval(lukasiewicz(), 0.9, 0.3) == pytest.approx(0.2)
-        assert op_eval(lukasiewicz(), 0.3, 0.3) == 0.0
+        assert lukasiewicz().fn(0.9, 0.3) == pytest.approx(0.2)
+        assert lukasiewicz().fn(0.3, 0.3) == 0.0
 
     def test_product_annihilates_zero(self):
         S = product()
         for t in (0.0, 0.5, 1.0, INF):
-            assert op_eval(S, t, 0.0) == 0.0
-            assert op_eval(S, 0.0, t) == 0.0
+            assert S.fn(t, 0.0) == 0.0
+            assert S.fn(0.0, t) == 0.0
 
     def test_marshall_olkin_reduces_to_product_and_min(self):
         mo0 = marshall_olkin(0.0, 0.0)
         mo1 = marshall_olkin(1.0, 1.0)
         for x in (0.0, 0.25, 0.75, 1.0):
             for y in (0.0, 0.5, 1.0):
-                assert op_eval(mo0, x, y) == pytest.approx(x * y)
-                assert op_eval(mo1, x, y) == pytest.approx(min(x, y))
+                assert mo0.fn(x, y) == pytest.approx(x * y)
+                assert mo1.fn(x, y) == pytest.approx(min(x, y))
 
     def test_power_product(self):
-        assert op_eval(power_product(0.5), 0.25, 0.25) == pytest.approx(0.25)
-
-    def test_scale_validation(self):
-        with pytest.raises(DomainError):
-            op_eval(minimum(), 1.5, 0.2, scale=UNIT)
+        assert power_product(0.5).fn(0.25, 0.25) == pytest.approx(0.25)
 
 
 SEMICOPULAS = [minimum(), product(), lukasiewicz(), marshall_olkin(0.5, 0.5),
@@ -484,9 +479,9 @@ class TestOpDual:
     def test_sum_under_reciprocal_is_harmonic(self):
         harm = op_dual(plain_sum(), reciprocal())
         # 1/(1/2 + 1/2) = 1 and 1/(1/1 + 1/0) = 0 under the conventions
-        assert op_eval(harm, 2.0, 2.0) == pytest.approx(1.0)
-        assert op_eval(harm, 1.0, 0.0) == 0.0
-        assert op_eval(harm, INF, 3.0) == pytest.approx(3.0)
+        assert harm.fn(2.0, 2.0) == pytest.approx(1.0)
+        assert harm.fn(1.0, 0.0) == 0.0
+        assert harm.fn(INF, 3.0) == pytest.approx(3.0)
 
     def test_join_under_one_minus_is_min(self):
         dual = op_dual(join(), one_minus())
@@ -512,14 +507,14 @@ class TestOpDual:
 class TestMetricFamilies:
     def test_power_min_values(self):
         op = power_min(2.0, 1.0)
-        assert op_eval(op, 0.5, 0.1) == pytest.approx(0.1)
-        assert op_eval(op, 0.5, 0.5) == pytest.approx(0.25)
-        assert op_eval(op, INF, 2.0) == 2.0
+        assert op.fn(0.5, 0.1) == pytest.approx(0.1)
+        assert op.fn(0.5, 0.5) == pytest.approx(0.25)
+        assert op.fn(INF, 2.0) == 2.0
 
     def test_power_prod_conventions(self):
         op = power_prod(2.0, 1.0)
-        assert op_eval(op, 0.0, INF) == 0.0
-        assert op_eval(op, 3.0, 0.5) == pytest.approx(4.5)
+        assert op.fn(0.0, INF) == 0.0
+        assert op.fn(3.0, 0.5) == pytest.approx(4.5)
 
 
 class TestOneArithmetic:
