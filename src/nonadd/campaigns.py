@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .conditions import cached_condition
-from .core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, rng_for
+from .core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, _TOL, rng_for
 from .integrals import (
     check_h_duality,
     check_sugeno_identity,
@@ -148,7 +148,7 @@ def _sugeno_identity(seed: int, k: int) -> list:
     f = sampling.random_fn(rng, n, UNIT)
     res = check_sugeno_identity(f, mu)
     classical = kyfan_classical(list(f.values), [0.0] * n, mu)
-    agree = abs(classical - sugeno_integral(f, mu)) <= max(1e-12, mu.tolerance())
+    agree = abs(classical - sugeno_integral(f, mu)) <= _TOL
     if res.holds and agree:
         return []
     return [{"trial": k, "check": res.to_dict(), "classical": classical}]
@@ -468,8 +468,7 @@ def _kyfan_threeway(seed: int, k: int) -> list:
     diff = [abs(a - b) for a, b in zip(f, g)]
     d2 = lower_integral(Fn(diff, EXTENDED), mu, _JOIN, None, EXTENDED)
     d3 = kyfan_classical(f, g, mu)
-    tol = max(1e-12, mu.tolerance())
-    if abs(d1 - d2) > tol or abs(d1 - d3) > tol:
+    if abs(d1 - d2) > _TOL or abs(d1 - d3) > _TOL:
         return [{"trial": k, "threeway": [d1, d2, d3]}]
     return []
 

@@ -46,18 +46,16 @@ def _load_scenario(ref: str) -> Scenario:
     return Scenario(doc, name=ref)
 
 
-def _emit(report: dict, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        json.dump(report, stream, sort_keys=True, indent=2)
-        stream.write("\n")
+        print(json.dumps(report, sort_keys=True, indent=2))
         return
     body = report.get("report", report)
     if "campaign" in body:
-        print(f"campaign: {body['campaign']['id']}", file=stream)
+        print(f"campaign: {body['campaign']['id']}")
     else:
-        print(f"scenario: {body.get('scenario', '?')}", file=stream)
-    print(f"seed: {body.get('seed')}", file=stream)
+        print(f"scenario: {body.get('scenario', '?')}")
+    print(f"seed: {body.get('seed')}")
     for i, task in enumerate(body.get("tasks", [])):
         mark = "pass" if task.get("verdict") == "pass" else "FAIL"
         line = f"[{mark}] task {i + 1} {task.get('task')}"
@@ -68,23 +66,22 @@ def _emit(report: dict, fmt: str, stream=None) -> None:
         mode = task.get("result", {}).get("mode")
         if mode in ("sampled", "grid"):    # not decided exactly: say so
             line += f" mode={mode}"
-        print(line, file=stream)
+        print(line)
         if task.get("verdict") != "pass":
             wit = task.get("result", {}).get("witness") or task.get("error")
             if wit:
-                print(f"       witness: {json.dumps(wit, sort_keys=True)}", file=stream)
+                print(f"       witness: {json.dumps(wit, sort_keys=True)}")
     if "campaign" in body:
         c = body["campaign"]
-        print(f"campaign {c['id']}: {c['passed']}/{c['trials']} passed", file=stream)
+        print(f"campaign {c['id']}: {c['passed']}/{c['trials']} passed")
         for failure in c.get("failures", []):
-            print(f"       failure: {json.dumps(failure, sort_keys=True)[:400]}",
-                  file=stream)
+            print(f"       failure: {json.dumps(failure, sort_keys=True)[:400]}")
     summary = body.get("summary", {})
     print(f"summary: {summary.get('passed', 0)} passed, "
-          f"{summary.get('failed', 0)} failed", file=stream)
+          f"{summary.get('failed', 0)} failed")
     timing = report.get("timing", {})
     if timing:
-        print(f"timing: {timing.get('total_ms', 0):.0f} ms", file=stream)
+        print(f"timing: {timing.get('total_ms', 0):.0f} ms")
 
 
 def _cmd_run(args) -> int:

@@ -12,7 +12,7 @@ decides the operator laws).  The looped variable (``c`` or ``z``, the scale
 factors, or the index of a ``(c, d)`` pair) is the leading axis and the grid
 variables follow, so the witness is the first violating cell in C order: the
 smallest looped value, then the grid variables in the order of their axes.
-A violation is ``lhs > rhs + tol``.  A holding check reports the least
+A violation is ``lhs > rhs + core._TOL``.  A holding check reports the least
 finite slack ``rhs - lhs``; a failing one reports the largest violation
 ``lhs - rhs`` over all violating cells, so ``inf`` as soon as one is
 infinite.  ``distributive_scaling`` sweeps ``z`` first and the scale factors
@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import INF, ValueScale, UNIT, _sweep, _sweep_cells, check_cells
+from .core import INF, ValueScale, UNIT, _TOL, _sweep, _sweep_cells, check_cells
 from .operators import BinaryOp, PhiMap, cached_gate
 from .results import CheckResult, DomainError
 
@@ -135,7 +135,7 @@ def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
                   circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                   scale: ValueScale = UNIT, c_values=None,
                   a_values=None, b_values=None,
-                  tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                  spacing: float = _DEFAULT_SPACING) -> CheckResult:
     a = _as_values(scale, a_values, spacing)
     b = _as_values(scale, b_values, spacing)
     cs = _as_values(scale, c_values, spacing)
@@ -145,12 +145,12 @@ def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
         lhs, rhs = _three_map_sides(star, combiner, circs, phis, A, B, C, C, C)
         return lhs, rhs, valid, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(a), len(b)), [(cs, body)], tol, _mode(c_values, a_values, b_values))
+    return _sweep((len(a), len(b)), [(cs, body)], _TOL, _mode(c_values, a_values, b_values))
 
 
 def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
                    scale: ValueScale = UNIT, c_values=None,
-                   tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                   spacing: float = _DEFAULT_SPACING) -> CheckResult:
     p1, p2, p3 = phis
     g = scale.grid(spacing)
     cs = _as_values(scale, c_values, spacing)
@@ -161,11 +161,10 @@ def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
         rhs = star.grid(np.minimum(A, p2.inverse(C)), np.minimum(B, p3.inverse(C)))
         return lhs, rhs, valid, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(g), len(g)), [(cs, body)], tol, _mode(c_values))
+    return _sweep((len(g), len(g)), [(cs, body)], _TOL, _mode(c_values))
 
 
 def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
-                          tol: float = 1e-12,
                           spacing: float = _DEFAULT_SPACING) -> CheckResult:
     """Power-map family on the unit scale; holds iff p1 <= p2 and p1 <= p3."""
     for p in (p1, p2, p3):
@@ -183,11 +182,10 @@ def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
         expr += AB * (W1 - W2 * W3)
         return np.negative(expr, out=expr), 0.0, None, {"a": A, "b": B, "c": cs[i]}
 
-    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], tol, _mode(c_values))
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(c_values))
 
 
 def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
-                                tol: float = 1e-12,
                                 spacing: float = _DEFAULT_SPACING) -> CheckResult:
     S = semicopula
     g = UNIT.grid(spacing)
@@ -198,10 +196,10 @@ def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
         rhs = np.minimum(star.grid(S.grid(A, C), B), star.grid(A, S.grid(B, C)))
         return lhs, rhs, valid, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(g), len(g)), [(g, body)], tol, "grid")
+    return _sweep((len(g), len(g)), [(g, body)], _TOL, "grid")
 
 
-def cond_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
+def cond_semicopula_sum_split(semicopula: BinaryOp,
                               spacing: float = _DEFAULT_SPACING) -> CheckResult:
     S = semicopula
     g = UNIT.grid(spacing)
@@ -214,7 +212,7 @@ def cond_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
         rhs = S.grid(A, C) + S.grid(B, C)
         return lhs, rhs, valid, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(g), len(g)), [(g, body)], tol, "grid")
+    return _sweep((len(g), len(g)), [(g, body)], _TOL, "grid")
 
 
 @functools.lru_cache(maxsize=32)
@@ -237,7 +235,7 @@ def _sum_split_cells(scale: ValueScale, spacing: float) -> tuple[np.ndarray, ...
 
 
 def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
-                   tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                   spacing: float = _DEFAULT_SPACING) -> CheckResult:
     """(a + b) o c <= (a o c) + (b o c) over the grid's pairs (a, b) with
     a + b in the scale, for every c of the grid or of ``c_values``.
 
@@ -258,11 +256,11 @@ def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
         rhs += table.take(ib, axis=1)
         return table.take(isum, axis=1), rhs, None, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(A),), [(cs, body)], tol, _mode(c_values))
+    return _sweep((len(A),), [(cs, body)], _TOL, _mode(c_values))
 
 
 def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
-                              scale: ValueScale = UNIT, tol: float = 1e-12,
+                              scale: ValueScale = UNIT,
                               spacing: float = _DEFAULT_SPACING) -> CheckResult:
     """Subadditive second sections plus the power-scaling bound."""
     if q <= 0 or r <= 0:
@@ -289,14 +287,14 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
         return lhs, bounds[i] * powered, valid, {"scale_factor": factors[i], "x": X, "y": Y}
 
     return _sweep((len(g), len(g)), [(g, by_z), (np.arange(len(factors)), by_factor)],
-                  tol, "grid")
+                  _TOL, "grid")
 
 
 def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
                   circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                   scale: ValueScale = UNIT, cd_values=None,
                   a_values=None, b_values=None,
-                  tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+                  spacing: float = _PAIR_SPACING) -> CheckResult:
     a = _as_values(scale, a_values, spacing)
     b = _as_values(scale, b_values, spacing)
     cs, ds = _as_pairs(scale, cd_values, spacing)
@@ -308,13 +306,13 @@ def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
         lhs, rhs = _three_map_sides(star, combiner, circs, phis, A, B, combined[i], C, D)
         return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
 
-    return _sweep((len(a), len(b)), [(np.arange(len(cs)), body)], tol,
+    return _sweep((len(a), len(b)), [(np.arange(len(cs)), body)], _TOL,
                   _mode(cd_values, a_values, b_values))
 
 
 def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
                        scale: ValueScale = UNIT, cd_values=None,
-                       tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+                       spacing: float = _PAIR_SPACING) -> CheckResult:
     p1, p2, p3 = phis
     g = scale.grid(spacing)
     cs, ds = _as_pairs(scale, cd_values, spacing)
@@ -326,12 +324,12 @@ def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
         rhs = star.grid(np.maximum(A, p2.inverse(C)), np.maximum(B, p3.inverse(D)))
         return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
 
-    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], tol, _mode(cd_values))
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(cd_values))
 
 
 def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
                          scale: ValueScale = UNIT, c_values=None,
-                         tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                         spacing: float = _DEFAULT_SPACING) -> CheckResult:
     g = scale.grid(spacing)
     cs = _as_values(scale, c_values, spacing)
     A, B, sAB, valid = _star_cells(star, scale, g)
@@ -341,12 +339,12 @@ def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
         rhs = star.grid(op_h.grid(A, C), op_h.grid(B, C))
         return lhs, rhs, valid, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(g), len(g)), [(cs, body)], tol, _mode(c_values))
+    return _sweep((len(g), len(g)), [(cs, body)], _TOL, _mode(c_values))
 
 
 def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
                               scale: ValueScale = UNIT, cd_values=None,
-                              tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+                              spacing: float = _PAIR_SPACING) -> CheckResult:
     g = scale.grid(spacing)
     cs, ds = _as_pairs(scale, cd_values, spacing)
     combined = _combined(boxplus, cs, ds)
@@ -358,11 +356,10 @@ def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
         rhs = star.grid(op_h.grid(A, C), op_h.grid(B, D))
         return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
 
-    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], tol, _mode(cd_values))
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(cd_values))
 
 
 def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
-                            tol: float = 1e-12,
                             spacing: float = _DEFAULT_SPACING) -> CheckResult:
     """1 o x <= y for y in (0, 1) must force x <= y."""
     if not scale.contains(1.0):
@@ -372,10 +369,10 @@ def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
     yg = yg[(yg > 0.0) & (yg < 1.0)]
     X, Y = xg[:, None], yg[None, :]
     sect = op.grid(np.ones_like(X), X)
-    premise = sect <= Y + tol
+    premise = sect <= Y + _TOL
     cells = (np.where(premise, X, 0.0), np.where(premise, Y, INF), premise,
              {"x": X, "y": Y, "unit_section": sect})
-    return _sweep_cells((len(xg), len(yg)), [cells], tol, "grid")
+    return _sweep_cells((len(xg), len(yg)), [cells], _TOL, "grid")
 
 
 CONDITIONS = {

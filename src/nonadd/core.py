@@ -39,6 +39,7 @@ import numpy as np
 from .results import CheckResult, DomainError
 
 INF = math.inf
+_TOL = 1e-12   # the comparison tolerance of every check but a measure's own tolerance()
 
 
 def rng_for(seed, *indices) -> random.Random:
@@ -115,7 +116,8 @@ def vinv(a):
 # ---------------------------------------------------------------------------
 
 def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
-    """Evaluate ``lhs > rhs + tol`` over every leading slice of every pass.
+    """Evaluate ``lhs > rhs + tol`` over every leading slice of every pass,
+    for ``tol`` = ``_TOL`` (0 for the continuity probe).
 
     Each pass is ``(lead, body)``: ``lead`` is a 1-D array of looped values
     and ``body(L)`` receives a chunk of it shaped ``(k, 1, ..., 1)`` and
@@ -146,17 +148,15 @@ def _sweep(shape: tuple, passes, tol: float, mode: str) -> CheckResult:
                 if valid is not None:
                     slack += np.where(valid, 0.0, np.nan)  # invalid cells drop out
                 least = float(np.fmin.reduce(slack, axis=None, initial=INF))
-                # for tol >= 0, lhs > rhs + tol forces slack < 0 (never nan),
-                # so a least slack >= 0 rules out every violation of the chunk
-                if tol >= 0 and least >= 0:
+                # lhs > rhs + tol forces slack < 0 (never nan), so a least
+                # slack >= 0 rules out every violation of the chunk
+                if least >= 0:
                     min_slack = min(min_slack, least)
                     continue
                 viol = np.greater(lhs, np.add(rhs, tol), out=np.empty(full, dtype=bool))
             if valid is not None:
                 viol &= valid
-            if least == -INF:
-                least = float(np.where(np.isfinite(slack), slack, INF).min(initial=INF))
-            min_slack = min(min_slack, least)
+            min_slack = min(min_slack, least)       # -inf only beside a violation
             if not viol.any():
                 continue
             max_viol = max(max_viol, -float(np.where(viol, slack, INF).min()))
@@ -257,6 +257,12 @@ class FiniteSpace:
         if not isinstance(mask, int) or not 0 <= mask <= self.full:
             raise DomainError(f"invalid subset bitmask {mask!r} for {self.n}-point space")
         return mask
+
+
+def _check_length(values, space: FiniteSpace) -> None:
+    """Refuse a function whose length is not the number of points of ``space``."""
+    if len(values) != space.n:
+        raise DomainError(f"function of length {len(values)} on a {space.n}-point space")
 
 
 def _domain_points(domain: int) -> list[int]:
@@ -392,7 +398,7 @@ class SurvivalProfile:
     sorted knot table evaluated with right-continuous step interpolation,
     matching how level-set measures behave on finite spaces.  Construction
     samples the profile on a grid and rejects descriptors that increase by
-    more than 1e-12.
+    more than ``_TOL``.
     """
 
     def __init__(self, scale: ValueScale, fn: Callable | None = None,
@@ -415,7 +421,7 @@ class SurvivalProfile:
             self._knot_g = None
         sample = self._grid_sample()
         diffs = np.diff(sample)
-        if diffs.size and diffs.max() > 1e-12:
+        if diffs.size and diffs.max() > _TOL:
             raise DomainError("survival profile must be nonincreasing")
 
     def _grid_sample(self) -> np.ndarray:

@@ -30,11 +30,11 @@ j = 0), the upper form's.  One bisection of T finds the set at the scale top,
 whose mass is the top candidate's on a closed scale and the tail mass on an
 open one.
 
-The domain is checked against the measure's space once per call
-(``MonotoneMeasure.mass_reader``).  Every level set is a submask of the
-domain, so the level masses are then read unchecked from the measure's
-cached table, or through ``mu()`` when the measure has none (no table is
-built to be read).
+A function of another length than the space is refused, and the domain is
+checked against the space once per call (``MonotoneMeasure.mass_reader``).
+Every level set is a submask of the domain, so the level masses are then
+read unchecked from the measure's cached table, or through ``mu()`` when
+the measure has none (no table is built to be read).
 
 ``min`` as the operator gives the classical max-min integral, ``product``
 the max-product integral; a semicopula gives the seminormed form.
@@ -56,6 +56,8 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
+    _TOL,
+    _check_length,
     _domain_mask,
     _domain_points,
     _in_scale_values,
@@ -86,9 +88,10 @@ class ProfileIntegralResult(NamedTuple):
     truncated: bool
 
 
-def _unpack(f, scale: ValueScale | None, domain: int | None = None):
+def _unpack(f, mu: MonotoneMeasure, scale: ValueScale | None, domain: int | None = None):
     """The values and scale of an integrand, checked against an explicit
-    scale unless it is the ``Fn``'s own, and its checked domain mask."""
+    scale unless it is the ``Fn``'s own and against the length of ``mu``'s
+    space, and its checked domain mask."""
     if isinstance(f, Fn):
         values = f.values
         if scale is None or scale is f.scale:
@@ -99,6 +102,7 @@ def _unpack(f, scale: ValueScale | None, domain: int | None = None):
         raise DomainError("raw value vectors need an explicit scale")
     else:
         values = _in_scale_values(tuple(float(v) for v in f), scale)
+    _check_length(values, mu.space)
     return values, scale, _domain_mask(len(values), domain)
 
 
@@ -145,7 +149,7 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     """sup over t in the scale of op(t, mu(D intersect {f >= t})), with the
     attained level; ``exact`` is always True.  An open scale whose tail is
     not exactly 0 raises ``HypothesisError``."""
-    values, scale, domain = _unpack(f, scale, domain)
+    values, scale, domain = _unpack(f, mu, scale, domain)
     verify_flags(op, _GATE, scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -196,7 +200,7 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     ``mu.subset_table``, which folds only the domain's points when the
     measure has no cached table; the space bounds its 2^|D| cells.
     """
-    values, scale, domain = _unpack(f, scale, domain)
+    values, scale, domain = _unpack(f, mu, scale, domain)
     verify_flags(op, _GATE, scale)
     bits = _domain_points(domain)
 
@@ -233,7 +237,7 @@ def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     left end of a piece: always exact on finite spaces.  Candidates run
     from 0 and then down from the largest in-scale value.
     """
-    values, scale, domain = _unpack(f, scale, domain)
+    values, scale, domain = _unpack(f, mu, scale, domain)
     verify_flags(op, _GATE, scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -290,24 +294,22 @@ def abs_power(values: Sequence[float], p: float, scale: ValueScale = EXTENDED) -
 # ---------------------------------------------------------------------------
 
 def check_sugeno_identity(f, mu: MonotoneMeasure, domain: int | None = None,
-                          scale: ValueScale | None = None,
-                          tol: float | None = None) -> CheckResult:
-    """The lower integral with join equals the upper integral with min."""
-    if tol is None:
-        tol = mu.tolerance()
+                          scale: ValueScale | None = None) -> CheckResult:
+    """The lower integral with join equals the upper integral with min,
+    within the measure's ``tolerance()``."""
     lo = lower_integral_result(f, mu, _JOIN, domain, scale)
     hi = upper_integral_result(f, mu, _MIN, domain, scale)
     gap = abs(_rel_gap(lo.value, hi.value))
-    if gap <= tol:
+    if gap <= mu.tolerance():
         return CheckResult(True, margin=gap)
     return CheckResult(False, gap, {"lower_join": lo.value, "upper_min": hi.value,
-                                    "values": list(_unpack(f, scale)[0])})
+                                    "values": list(_unpack(f, mu, scale)[0])})
 
 
-def check_h_duality(f: Fn, mu: MonotoneMeasure, op: BinaryOp, h: DualityMap,
-                    tol: float = 1e-12) -> CheckResult:
+def check_h_duality(f: Fn, mu: MonotoneMeasure, op: BinaryOp, h: DualityMap) -> CheckResult:
     """h-conjugation identity: h^-1 of the lower integral of h(f) under mu
-    equals the upper integral of f under the conjugate operator and measure."""
+    equals the upper integral of f under the conjugate operator and measure,
+    within ``core._TOL`` relative to the larger side."""
     scale = f.scale
     if not scale.closed:
         raise DomainError("duality identity needs a closed scale")
@@ -319,7 +321,7 @@ def check_h_duality(f: Fn, mu: MonotoneMeasure, op: BinaryOp, h: DualityMap,
     op_h = op_dual(op, h)
     right = upper_integral(f, mu_h, op_h, None, scale)
     gap = abs(_rel_gap(left, right)) / max(1.0, abs(left), abs(right))
-    if gap <= tol:
+    if gap <= _TOL:
         return CheckResult(True, margin=gap)
     return CheckResult(False, gap, {"lower_route": left, "upper_route": right,
                                     "values": list(f.values)})

@@ -16,9 +16,9 @@ user distortion receives that array, clipped to [0, 1]).
 Property checkers are exhaustive and vectorized.  ``monotone`` and
 ``null_additive`` read single subsets; the pairwise checks run while their
 cells fit ``core.MAX_CELLS`` (15 points on 3**n, 12 on 4**n, 18 on the local
-cells).  Margins use exact table arithmetic; a 1e-12 tolerance applies only
-to the representations whose evaluation involves rounding (distortion,
-lambda, h-duals).
+cells).  Margins use exact table arithmetic; every check compares within
+``tol = mu.tolerance()``, ``core._TOL`` for the representations whose
+evaluation involves rounding (distortion, lambda, h-duals), else 0.
 
 ``monotone``, and the exact-monotonicity test that picks a pair sweep, read
 the table point by point: for point i, the values of the sets without i and
@@ -33,28 +33,26 @@ only, usually one or none, where two views cost less than two gathers.
 
 * ``monotone`` takes the differences of the two sides: for n <= 11 one
   (n, 2**(n-1)) array whose row b is point b, on which one min decides
-  first: with no nan, no -inf and nothing below ``-tol`` it is the success
-  margin.  Above 11 points no table-sized temporary is made: each point's
+  first: with no nan and nothing below ``-tol`` it is the success margin.
+  Above 11 points no table-sized temporary is made: each point's
   differences come in chunks of at most ``core._CHUNK_CELLS`` through one
   reused buffer (:func:`_difference_chunks`), and the chunk minima decide
-  the point under the same three conditions (:func:`_chunk_least`); a zero
+  the point under the same two conditions (:func:`_chunk_least`); a zero
   minimum's sign may then depend on the chunk order, which the margin's
   floor at 0 and ``CheckResult`` hide.  A row the minima leave open, on
   either route, is read whole (above 11 points it is rebuilt), in point
   order, one min each; an inf - inf difference (nan) reads as 0, so only a
   row with a nan takes a second, nan-ignoring min.  A failure reports the
   first difference below ``-tol`` of the first failing point and minus the
-  largest such difference; a success reports the least finite difference,
-  floored at 0.  These are the values of a gather of each point's finite
-  differences, which runs only where the min alone cannot decide the value:
-  a -inf difference under an infinite ``tol``.
+  largest such difference; a success reports the least difference, floored
+  at 0.
 * ``null_additive`` tests the points of the null union U, the union of the
-  sets with value at most ``tol`` (:func:`null_union`).  If ``tol >= 0`` and
-  adding any one point of U leaves every value unchanged, then every null
-  set N is a subset of U and ``tab[a | N] == tab[a]`` for every a, by
-  adding the points of N one at a time.  Every difference the per-null-set
-  sweep would read is then 0 (inf against inf reads as 0), so the check
-  holds with margin 0.0 without it.  Any other table runs that sweep, one
+  sets with value at most ``tol`` (:func:`null_union`).  If adding any one
+  point of U leaves every value unchanged, then every null set N is a
+  subset of U and ``tab[a | N] == tab[a]`` for every a, by adding the
+  points of N one at a time.  Every difference the per-null-set sweep
+  would read is then 0 (inf against inf reads as 0), so the check holds
+  with margin 0.0 without it.  Any other table runs that sweep, one
   2**n pass per null set, which also gives a failure's witness.
 
 The pairwise checks share one reduction (:func:`_reduce_blocks`).  A
@@ -64,17 +62,16 @@ the first one in (a, b) order.  A success reports minus the largest finite
 margin.  The chunked pair kernel (:func:`_pair_kernel`) sweeps one of two
 pair sets:
 
-* *disjoint pairs* (3**n): maxitivity is decided on them by definition (the
-  pair of empty sets has margin 0, so they also hold the first largest
-  violation for a negative ``tol``).  Subadditivity is decided on them when
-  the table is *exactly monotone* (every ``tab[a | bit] >= tab[a]``, no
-  tolerance): then mu(B - A) <= mu(B), and float rounding is monotone, so
-  (A, B - A) has a margin at least as large as (A, B) and a smaller key.
-  Largest violation, witness and success margin are therefore those of all
-  pairs, bit for bit.  The derived all-pairs maxitive form cannot fail on
-  such a table either, so it runs only on tables that are not exactly
-  monotone (possible for ``explicit(validate=False)`` tables, tables
-  validated only up to 1e-12, and user distortions);
+* *disjoint pairs* (3**n): maxitivity is decided on them by definition.
+  Subadditivity is decided on them when the table is *exactly monotone*
+  (every ``tab[a | bit] >= tab[a]``, no tolerance): then mu(B - A) <=
+  mu(B), and float rounding is monotone, so (A, B - A) has a margin at least
+  as large as (A, B) and a smaller key.  Largest violation, witness and
+  success margin are therefore those of all pairs, bit for bit.  The
+  derived all-pairs maxitive form cannot fail on such a table either, so it
+  runs only on tables that are not exactly monotone (possible for
+  ``explicit(validate=False)`` tables, tables validated only up to
+  ``core._TOL``, and user distortions);
 * *all pairs* (4**n), in row chunks: subadditivity on other tables, and
   submodularity on the tables below that the local cells cannot decide.
 
@@ -112,6 +109,7 @@ from .core import (
     INF,
     FiniteSpace,
     _CHUNK_CELLS,
+    _TOL,
     _subset_fold,
     check_cells,
     expand_masks,
@@ -191,7 +189,7 @@ class MonotoneMeasure:
             raise DomainError("probability vector length must equal the space size")
         if any(v < 0 for v in p) or abs(sum(p) - 1.0) > 1e-9:
             raise DomainError("probabilities must be nonnegative and sum to 1")
-        if abs(float(g(0.0))) > 1e-12:
+        if abs(float(g(0.0))) > _TOL:
             raise DomainError("distortion must map 0 to 0")
         return cls(space, "distortion", probs=p, distortion=g,
                    distortion_name=name, rounding=True)
@@ -290,7 +288,7 @@ class MonotoneMeasure:
         return self(self.space.full)
 
     def tolerance(self) -> float:
-        return 1e-12 if self.rounding else 0.0
+        return _TOL if self.rounding else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +467,12 @@ def _difference_chunks(tab: np.ndarray, bit: int, buf: np.ndarray):
 
 def _chunk_least(tab: np.ndarray, bit: int, buf: np.ndarray, tol: float) -> float | None:
     """The least difference of point ``bit`` from its chunk minima when they
-    decide it, that is when none is nan, -inf or below ``-tol``; otherwise
-    None.  (Python's ``min`` would drop a nan: the test below fails on it.)"""
+    decide it, that is when none is nan or below ``-tol``; otherwise None.
+    (Python's ``min`` would drop a nan: the test below fails on it.)"""
     least = INF
     for chunk in _difference_chunks(tab, bit, buf):
         m = float(chunk.min())
-        if not -tol <= m > -INF:
+        if not m >= -tol:
             return None
         least = min(least, m)
     return least
@@ -490,23 +488,16 @@ def null_union(mu: MonotoneMeasure, tol: float) -> int:
     return int(np.bitwise_or.reduce(np.flatnonzero(mu.table() <= tol)))
 
 
-def _finite_min(diff: np.ndarray) -> float:
-    """Least finite entry, nan read as 0 (``INF`` when none is finite)."""
-    diff = np.where(np.isnan(diff), 0.0, diff)
-    finite = diff[np.isfinite(diff)]
-    return float(finite.min()) if finite.size else INF
-
-
 def _check_monotone(tab: np.ndarray, n: int, tol: float) -> CheckResult:
     """``monotone`` past the empty set, under ``errstate(invalid="ignore")``
     (see the module docstring)."""
     if n <= _GATHER_BITS:
         [(low, diffs)] = _bit_sides(tab, n)
         diffs -= low
-        # with no nan, no -inf and no failing difference, the least one
-        # is the least of the rows' minima (a zero margin is 0.0 either way)
+        # with no nan and no failing difference, the least one is the
+        # least of the rows' minima (a zero margin is 0.0 either way)
         least = float(diffs.min())
-        if -tol <= least > -INF:
+        if least >= -tol:
             return CheckResult(True, margin=max(least, 0.0))
     else:
         buf = np.empty(min(_CHUNK_CELLS, 1 << n >> 1))
@@ -525,26 +516,22 @@ def _check_monotone(tab: np.ndarray, n: int, tol: float) -> CheckResult:
         has_nan = least != least
         if has_nan:
             least = float(np.fmin.reduce(diff))         # nan only when every entry is
-        if least < -tol or (has_nan and 0.0 < -tol):
-            if has_nan:
-                diff = np.where(np.isnan(diff), 0.0, diff)
-            bad = diff < -tol
+        if least < -tol:
+            bad = diff < -tol                            # a nan difference is never below
             a = _insert_zero(int(np.argmax(bad)), bit)
             return CheckResult(False, float(-(diff[bad]).max()),
                                {"set": a, "point": bit, "value": float(tab[a]),
                                 "value_with_point": float(tab[a | 1 << bit])})
-        if least == -INF:
-            least = _finite_min(diff)
-        elif has_nan and not least < 0.0:
+        if has_nan and not least < 0.0:
             least = 0.0                                  # a nan difference reads as 0
         slack = min(slack, least)
     return CheckResult(True, margin=max(slack, 0.0))
 
 
 def check_measure_property(mu: MonotoneMeasure, prop: str, *,
-                           tol: float | None = None,
                            _skip_empty: bool = False) -> CheckResult:
-    """Exhaustive verdict for a measure property, with a witness on failure.
+    """Exhaustive verdict for a measure property, with a witness on failure,
+    within the measure's ``tolerance()``.
 
     Pairwise properties over the cell budget are refused: before the table
     is built for their cheapest sweep, after it for the 4**n pairs.
@@ -564,8 +551,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         check_cells(math.comb(n, 2) << n >> 2, "submodular check over local cells")
     elif prop in ("subadditive", "maxitive"):
         check_cells(3 ** n, f"{prop} check over disjoint pairs")
-    if tol is None:
-        tol = mu.tolerance()
+    tol = mu.tolerance()
     tab = mu.table()
     size = 1 << n
 
@@ -584,8 +570,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
 
     if prop == "null_additive":
         union = null_union(mu, tol)
-        if tol >= 0 and all(np.array_equal(*_bit_halves(tab, bit))
-                            for bit in range(n) if union >> bit & 1):
+        if all(np.array_equal(*_bit_halves(tab, bit)) for bit in range(n) if union >> bit & 1):
             return CheckResult(True, margin=0.0)
         null_sets = np.arange(size, dtype=np.int64)[tab <= tol]
         idx = np.arange(size, dtype=np.int64)
@@ -600,7 +585,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                                    {"null_set": int(a), "set": b,
                                     "value_union": float(tab[b | int(a)]),
                                     "value": float(tab[b])})
-            worst = max(worst, float(diff[np.isfinite(diff)].max()) if diff.size else 0.0)
+            worst = max(worst, float(diff.max()))      # every entry is at most tol
         return CheckResult(True, margin=worst)
 
     if prop == "subadditive":

@@ -15,7 +15,7 @@ The three metric kinds:
 
 Identity of indiscernibles is tested as the equivalence-class statement
 (the support of |f-g| is null), matching the quotient construction rather
-than pointwise equality.
+than pointwise equality.  Every check compares within ``core._TOL``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import cached_condition
-from .core import EXTENDED, Fn, INF, NONNEG, ValueScale, _level_sets, _rel_gap, rng_for
+from .core import (EXTENDED, Fn, INF, NONNEG, ValueScale, _TOL, _check_length, _level_sets,
+                   _rel_gap, rng_for)
 from .integrals import (
     abs_power,
     lower_integral,
@@ -139,14 +140,15 @@ def kyfan_classical(f: Sequence[float], g: Sequence[float], mu: MonotoneMeasure)
     independent route for agreement tests.
     """
     diff = Fn(_abs_diff(f, g), EXTENDED).values   # metric_eval's scale check
+    _check_length(diff, mu.space)
     best = INF
     for eps, mask in zip(*_level_sets(diff, (1 << len(diff)) - 1)):
         best = min(best, max(eps, mu(mask)))
     return best
 
 
-def find_triangle_violation(mu: MonotoneMeasure, kinds: Sequence[str] = METRIC_KINDS,
-                            tol: float = 1e-12) -> CheckResult:
+def find_triangle_violation(mu: MonotoneMeasure,
+                            kinds: Sequence[str] = METRIC_KINDS) -> CheckResult:
     """Search for a concrete triangle-inequality breakdown on a measure that
     fails subadditivity.
 
@@ -180,7 +182,7 @@ def find_triangle_violation(mu: MonotoneMeasure, kinds: Sequence[str] = METRIC_K
             d_total = metric_eval(spec, f, zero, mu)
             d1 = metric_eval(spec, f, mid, mu)
             d2 = metric_eval(spec, mid, zero, mu)
-            if d_total > d1 + d2 + tol:
+            if d_total > d1 + d2 + _TOL:
                 return CheckResult(True, d_total - (d1 + d2),
                                    detail={"metric": spec.describe(),
                                            "witness": {"set_a": a_set, "set_b": b_set,
@@ -191,7 +193,7 @@ def find_triangle_violation(mu: MonotoneMeasure, kinds: Sequence[str] = METRIC_K
 
 
 def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200,
-                        seed: int = 0, tol: float = 1e-12) -> CheckResult:
+                        seed: int = 0) -> CheckResult:
     """Seeded axiom suite: symmetry (exact), identity up to the null-support
     equivalence (both directions), and the triangle inequality.
 
@@ -210,8 +212,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         _gate_metric_op(spec)
     n = mu.space.n
     full = (1 << n) - 1
-    tol_eff = max(tol, mu.tolerance())
-    nulls = null_union(mu, tol_eff)
+    nulls = null_union(mu, _TOL)
     min_slack = INF
     for k in range(trials):
         rng = rng_for(seed, "metric-triple", k)
@@ -227,8 +228,8 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         # identity of indiscernibles, as the null-support equivalence
         diff = _abs_diff(f, g)
         support = _level_sets(diff, full)[1][0]  # the points where diff > 0
-        equivalent = mu(support) <= tol_eff
-        dist_zero = dfg <= tol_eff
+        equivalent = mu(support) <= _TOL
+        dist_zero = dfg <= _TOL
         if equivalent != dist_zero:
             return CheckResult(False, dfg,
                                {"axiom": "identity", "f": f, "g": g,
@@ -238,7 +239,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         if nulls and k % 7 == 0:
             g2 = [v + (1.0 if nulls >> i & 1 else 0.0) for i, v in enumerate(f)]
             d2 = _distance(spec, f, g2, mu)
-            if d2 > tol_eff:
+            if d2 > _TOL:
                 return CheckResult(False, d2,
                                    {"axiom": "identity", "f": f, "g": g2,
                                     "null_set": nulls, "distance": d2},
@@ -246,7 +247,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         dfh = _distance(spec, f, h, mu)
         dhg = _distance(spec, h, g, mu)
         gap = dfg - (dfh + dhg)
-        if gap > tol_eff:
+        if gap > _TOL:
             return CheckResult(False, gap,
                                {"axiom": "triangle", "f": f, "g": g, "h": h,
                                 "d_fg": dfg, "d_fh": dfh, "d_hg": dhg},
@@ -276,8 +277,7 @@ def _norm(f: Sequence[float], mu: MonotoneMeasure) -> float:
                              None, EXTENDED)
 
 
-def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0,
-                        tol: float = 1e-12) -> CheckResult:
+def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0) -> CheckResult:
     """Norm axioms: exact absolute homogeneity (power-of-two factors scale
     candidate-by-candidate), tolerance-level homogeneity for general
     factors, subadditivity, and vanishing at zero.  Maxitivity is gated once,
@@ -299,12 +299,12 @@ def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0,
                                     "norm": base, "scaled": scaled}, mode="sampled")
         c = rng.randrange(1, 65) / 16.0
         scaled = _norm([c * v for v in f], mu)
-        if abs(scaled - c * base) > tol * max(1.0, base):
+        if abs(scaled - c * base) > _TOL * max(1.0, base):
             return CheckResult(False, abs(scaled - c * base),
                                {"axiom": "homogeneity", "c": c, "f": f}, mode="sampled")
         s = _norm([a + b for a, b in zip(f, g)], mu)
         gap = s - (base + _norm(g, mu))
-        if gap > tol:
+        if gap > _TOL:
             return CheckResult(False, gap,
                                {"axiom": "subadditivity", "f": f, "g": g}, mode="sampled")
         if math.isfinite(gap):
@@ -317,13 +317,12 @@ def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
-                             sequence: Sequence[Fn], limit: Fn, kind: str,
-                             tol: float = 1e-12) -> CheckResult:
+                             sequence: Sequence[Fn], limit: Fn, kind: str) -> CheckResult:
     """Monotone-limit and lower-bound lemmas for the upper integral.
 
     ``monotone``: the sequence must be nondecreasing off a null set; the
     integral sequence must be nondecreasing and end at the integral of the
-    limit (within ``tol``, exactly for stabilized sequences).  ``fatou``:
+    limit (within ``core._TOL``, exactly for stabilized sequences).  ``fatou``:
     the integral of the pointwise limit is at most the smallest integral in
     the stabilized tail.  Requires a null-additive measure and an operator
     declared and verified left-continuous in its second argument.
@@ -337,12 +336,12 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
         raise HypothesisError("lemmas need a null-additive measure", detail=nulls)
     verify_flags(op, ["nondecreasing", "left_continuous_second"], limit.scale)
 
-    exempt = null_union(mu, max(tol, mu.tolerance()))
+    exempt = null_union(mu, _TOL)
     n = len(limit)
     live = [i for i in range(n) if not exempt >> i & 1]
     if kind == "monotone":
         for a, b in zip(sequence, sequence[1:]):
-            if any(b[i] < a[i] - tol for i in live):
+            if any(b[i] < a[i] - _TOL for i in live):
                 raise DomainError("sequence is not nondecreasing off the null set")
 
     integral = _integrate_once(mu, op, limit.scale)   # stabilized terms repeat
@@ -353,12 +352,12 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
 
     if kind == "monotone":
         for a, b in zip(integrals, integrals[1:]):
-            if b < a - tol:
+            if b < a - _TOL:
                 return CheckResult(False, a - b,
                                    {"reason": "integral sequence decreased",
                                     "values": integrals}, detail=detail)
         gap = abs(_rel_gap(integrals[-1], i_limit))
-        if gap > tol:
+        if gap > _TOL:
             return CheckResult(False, gap,
                                {"terminal": integrals[-1], "limit": i_limit},
                                detail=detail)
@@ -367,7 +366,7 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
     tail = integrals[len(integrals) // 2:]
     bound = min(tail)
     gap = _rel_gap(i_limit, bound)
-    if gap > tol:
+    if gap > _TOL:
         return CheckResult(False, gap, {"limit_integral": i_limit,
                                         "tail_minimum": bound}, detail=detail)
     return CheckResult(True, margin=-gap if math.isfinite(gap) else INF, detail=detail)
@@ -378,8 +377,7 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
 # ---------------------------------------------------------------------------
 
 def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
-                            sequence: Sequence[Fn], limit: Fn,
-                            tol: float = 1e-12) -> CheckResult:
+                            sequence: Sequence[Fn], limit: Fn) -> CheckResult:
     """Reverse-triangle bound: the gap between the root-exponent means of
     consecutive terms and of the limit never exceeds the metric distance."""
     if spec.kind != "d_op_p":
@@ -390,7 +388,7 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
         raise HypothesisError("requires a subadditive measure", detail=sub)
     e = 1.0 / (spec.p ** 2 + 1.0)
     dists = [_distance(spec, fk, limit, mu) for fk in sequence]
-    if dists and dists[-1] > min(dists) + tol:
+    if dists and dists[-1] > min(dists) + _TOL:
         return CheckResult(False, dists[-1] - min(dists),
                            {"reason": "distances do not settle", "distances": dists},
                            status="premise-failed")
@@ -401,7 +399,7 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
         i_k = upper_integral(abs_power(fk.values, spec.p), mu, spec.op,
                              None, EXTENDED) ** e
         gap = abs(i_k - i_limit) - dists[k]
-        if gap > tol:
+        if gap > _TOL:
             return CheckResult(False, gap,
                                {"index": k, "mean_gap": abs(i_k - i_limit),
                                 "distance": dists[k]})
@@ -417,8 +415,7 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
 # ---------------------------------------------------------------------------
 
 def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
-                 levels: int = 8, sequence: Sequence[Fn] | None = None,
-                 tol: float = 1e-12) -> CheckResult:
+                 levels: int = 8, sequence: Sequence[Fn] | None = None) -> CheckResult:
     """Desk-scale reproduction of the completeness argument's bound chain.
 
     Generates (or takes) a sequence whose consecutive distances decay like
@@ -466,7 +463,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
 
     dists = [_distance(spec, a, b, mu, integral) for a, b in zip(sequence, sequence[1:])]
     for k, d in enumerate(dists, start=1):
-        if d ** exponent > 4.0 ** (-k * p) + tol:
+        if d ** exponent > 4.0 ** (-k * p) + _TOL:
             return CheckResult(False, d ** exponent - 4.0 ** (-k * p),
                                {"index": k, "distance": d},
                                status="premise-failed",
@@ -485,17 +482,17 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
         jump_masks.append(mask)
         mu_k = mu(mask)
         b1 = float(spec.op.fn(2.0 ** -k, mu_k))
-        if b1 > 4.0 ** (-k * p) + tol:
+        if b1 > 4.0 ** (-k * p) + _TOL:
             return CheckResult(False, b1 - 4.0 ** (-k * p),
                                {"stage": "definitional", "k": k, "mu": mu_k})
         b2 = float(spec.op.fn(1.0, mu_k))
-        if b2 > (2.0 ** (p * k)) * b1 + tol:
+        if b2 > (2.0 ** (p * k)) * b1 + _TOL:
             return CheckResult(False, b2 - (2.0 ** (p * k)) * b1,
                                {"stage": "scaling", "k": k, "mu": mu_k})
-        if b2 > 2.0 ** (-k * p) + tol:
+        if b2 > 2.0 ** (-k * p) + _TOL:
             return CheckResult(False, b2 - 2.0 ** (-k * p),
                                {"stage": "chain", "k": k, "mu": mu_k})
-        if 2.0 ** (-k * p) < 1.0 and mu_k > 2.0 ** (-k * p) + tol:
+        if 2.0 ** (-k * p) < 1.0 and mu_k > 2.0 ** (-k * p) + _TOL:
             return CheckResult(False, mu_k - 2.0 ** (-k * p),
                                {"stage": "unit-section", "k": k, "mu": mu_k})
         min_slack = min(min_slack, 2.0 ** (-k * p) - mu_k)
@@ -504,7 +501,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
     for m in jump_masks:
         union |= m
     geo = sum(2.0 ** (-k * p) for k in range(1, len(sequence)))
-    if mu(union) > geo + tol:
+    if mu(union) > geo + _TOL:
         return CheckResult(False, mu(union) - geo,
                            {"stage": "tail-union", "mu_union": mu(union), "bound": geo})
 
@@ -517,7 +514,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
             bound = (2.0 ** (-k / p)) * factor
             spread = max(abs(sequence[r][i] - sequence[k][i])
                          for r in range(k, len(sequence)))
-            if spread > bound + tol:
+            if spread > bound + _TOL:
                 return CheckResult(False, spread - bound,
                                    {"stage": "pointwise", "point": i, "k": k,
                                     "spread": spread, "bound": bound})

@@ -8,7 +8,7 @@ theorem verifiers call :func:`verify_flags` so that an operator with a
 false declaration can never support a vacuous confirmation.
 
 Every law follows one rule: cells of :func:`core._sweep`, each the pair
-(a, b) at which the operator is read, a violation ``lhs > rhs + tol``.
+(a, b) at which the operator is read, a violation ``lhs > rhs + core._TOL``.
 Monotonicity compares op(a, b) with the value one grid step on in a
 (``a_next``) or b (``b_next``); commutativity reads |op(a, b) - op(b, a)|;
 the zero annihilators, the neutral 1 and top absorption |op(a, b) - target|
@@ -16,9 +16,9 @@ through the section point 0, 1 or the top.  A failing law names its first
 violating cell, with the operator's values there, and its largest
 violation; a holding one its least slack.  A nan cell never violates, and
 two infinities tie.  Continuity is probed on a coarse grid at a shift of
-2**-26, the gap against max(1e-7, 1e-7 |op(a, b)|), where a gap below half
-the one at a shift of 2**-13 is a continuous rise and reads 0: sampled
-evidence, not a proof; every verdict records its mode.
+2**-26, the gap against max(1e-7, 1e-7 |op(a, b)|) with no tolerance,
+where a gap below half the one at a shift of 2**-13 is a continuous rise
+and reads 0: sampled evidence, not a proof; every verdict records its mode.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ValueScale, UNIT, _sweep_cells, vinv, vmul, xmul
+from .core import ValueScale, UNIT, _TOL, _sweep_cells, vinv, vmul, xmul
 from .results import CheckResult, DomainError, HypothesisError
 
 OPERATOR_FLAGS = (
@@ -268,8 +268,8 @@ def power_prod(p: float, u: float = 1.0) -> BinaryOp:
     )
 
 
-def from_callable(name: str, fn: Callable, flags=(), grid_fn=None, params=None) -> BinaryOp:
-    return BinaryOp(name, fn, frozenset(flags), grid_fn=grid_fn, params=params or {})
+def from_callable(name: str, fn: Callable, flags=(), grid_fn=None) -> BinaryOp:
+    return BinaryOp(name, fn, frozenset(flags), grid_fn=grid_fn)
 
 
 OPERATOR_FACTORIES: dict[str, Callable[..., BinaryOp]] = {
@@ -295,8 +295,9 @@ OPERATOR_FACTORIES: dict[str, Callable[..., BinaryOp]] = {
 class PhiMap:
     """An increasing bijection of the scale onto itself (array-safe).
 
-    ``validate_on`` passes are cached per ``(scale, tol)`` (see
-    :func:`cached_gate`); a failing map raises on every call.
+    ``validate_on`` passes are cached per scale (see :func:`cached_gate`);
+    a failing map raises on every call.  The round trip and h(0) compare
+    within ``core._TOL``.
     """
 
     name: str
@@ -304,24 +305,24 @@ class PhiMap:
     inverse: Callable
     _verified: dict = field(default_factory=dict, repr=False)
 
-    def validate_on(self, scale: ValueScale, tol: float = 1e-12) -> None:
-        cached_gate(self, (scale, tol), lambda: self._validate(scale, tol))
+    def validate_on(self, scale: ValueScale) -> None:
+        cached_gate(self, scale, lambda: self._validate(scale))
 
-    def _validate(self, scale: ValueScale, tol: float) -> bool:
+    def _validate(self, scale: ValueScale) -> bool:
         g = scale.grid()
         fwd = np.asarray(self.forward(g), dtype=float)
         back = np.asarray(self.inverse(fwd), dtype=float)
         finite = np.isfinite(g)
         err = np.abs(back[finite] - g[finite])
         rel = err / np.maximum(1.0, np.abs(g[finite]))
-        if rel.size and rel.max() > tol:
+        if rel.size and rel.max() > _TOL:
             raise DomainError(f"{self.name}: inverse(forward) drifts by {rel.max():.3e}")
         if (np.isinf(g) != np.isinf(fwd)).any() or (np.isinf(g) != np.isinf(back)).any():
             raise DomainError(f"{self.name}: must fix the infinite endpoint")
         d = np.diff(fwd[finite])
         if d.size and d.min() <= 0:
             raise DomainError(f"{self.name}: forward map is not strictly increasing")
-        if abs(float(self.forward(0.0))) > tol:
+        if abs(float(self.forward(0.0))) > _TOL:
             raise DomainError(f"{self.name}: must map 0 to 0")
         return True
 
@@ -350,8 +351,8 @@ PHI_FACTORIES = {"identity": phi_identity, "power": phi_power}
 class DualityMap:
     """A decreasing bijection h of a closed scale with h(0) > 0 and h(m) = 0.
 
-    ``validate_on`` passes are cached per ``(scale, tol)``, as for
-    :class:`PhiMap`.
+    ``validate_on`` passes are cached per scale, as for :class:`PhiMap`;
+    the round trip compares within ``core._TOL``.
     """
 
     name: str
@@ -359,10 +360,10 @@ class DualityMap:
     inverse: Callable
     _verified: dict = field(default_factory=dict, repr=False)
 
-    def validate_on(self, scale: ValueScale, tol: float = 1e-12) -> None:
-        cached_gate(self, (scale, tol), lambda: self._validate(scale, tol))
+    def validate_on(self, scale: ValueScale) -> None:
+        cached_gate(self, scale, lambda: self._validate(scale))
 
-    def _validate(self, scale: ValueScale, tol: float) -> bool:
+    def _validate(self, scale: ValueScale) -> bool:
         if not scale.closed:
             raise DomainError("duality maps need a closed scale")
         g = scale.grid()
@@ -380,7 +381,7 @@ class DualityMap:
             raise DomainError(f"{self.name}: h(upper) must be 0")
         both = np.isfinite(g) & np.isfinite(back)
         err = np.abs(back[both] - g[both]) / np.maximum(1.0, np.abs(g[both]))
-        if err.size and err.max() > tol:
+        if err.size and err.max() > _TOL:
             raise DomainError(f"{self.name}: inverse round trip drifts by {err.max():.3e}")
         return True
 
@@ -423,13 +424,13 @@ def _conjugate(op: BinaryOp, h: DualityMap) -> BinaryOp:
     flags = {"nondecreasing"} if "nondecreasing" in op.flags else set()
     probe = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     vals = grid_fn(probe[:, None], probe[None, :])
-    if np.allclose(vals[0, :], 0.0, atol=1e-12):
+    if np.allclose(vals[0, :], 0.0, atol=_TOL):
         flags.add("zero_left_annihilator")
-    if np.allclose(vals[:, 0], 0.0, atol=1e-12):
+    if np.allclose(vals[:, 0], 0.0, atol=_TOL):
         flags.add("zero_right_annihilator")
-    if np.allclose(vals[4, :], probe, atol=1e-12) and np.allclose(vals[:, 4], probe, atol=1e-12):
+    if np.allclose(vals[4, :], probe, atol=_TOL) and np.allclose(vals[:, 4], probe, atol=_TOL):
         flags.add("neutral_one")
-    if np.allclose(vals, vals.T, atol=1e-12, equal_nan=True):
+    if np.allclose(vals, vals.T, atol=_TOL, equal_nan=True):
         flags.add("commutative")
     return BinaryOp(f"{op.name}_dual_{h.name}", fn, frozenset(flags), grid_fn=grid_fn,
                     params={"base": op.name, "h": h.name})
@@ -445,33 +446,31 @@ def _dev(u, v):
         return np.where(u == v, 0.0, np.abs(np.subtract(u, v)))
 
 
-def _section_law(op: BinaryOp, g: np.ndarray, x: float, target, sides: str,
-                 tol: float) -> CheckResult:
-    """``|op(a, b) - target| <= tol`` through the section point x, for y on
-    the grid g: (a, b) = (x, y) on side ``"l"``, (y, x) on side ``"r"``."""
+def _section_law(op: BinaryOp, g: np.ndarray, x: float, target, sides: str) -> CheckResult:
+    """``|op(a, b) - target| <= core._TOL`` through the section point x, for
+    y on the grid g: (a, b) = (x, y) on side ``"l"``, (y, x) on side ``"r"``."""
     X = np.full_like(g, x)
     cells = []
     for a, b in [(X, g) if side == "l" else (g, X) for side in sides]:
         vals = op.grid(a, b)
         cells.append((_dev(vals, target), 0.0, None, {"a": a, "b": b, "value": vals}))
-    return _sweep_cells(g.shape, cells, tol, "grid")
+    return _sweep_cells(g.shape, cells, _TOL, "grid")
 
 
-def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT,
-                            tol: float = 1e-12) -> CheckResult:
+def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT) -> CheckResult:
     """Verify one algebraic flag on the scale's standard grid by the one
     law rule of the module docstring; continuity verdicts are ``sampled``."""
     if flag not in OPERATOR_FLAGS:
         raise DomainError(f"unknown operator flag {flag!r}")
     g = scale.grid()
     if flag == "zero_left_annihilator":
-        return _section_law(op, g, 0.0, 0.0, "l", tol)
+        return _section_law(op, g, 0.0, 0.0, "l")
     if flag == "zero_right_annihilator":
-        return _section_law(op, g, 0.0, 0.0, "r", tol)
+        return _section_law(op, g, 0.0, 0.0, "r")
     if flag == "neutral_one":
         if not scale.contains(1.0):
             raise DomainError("neutral_one needs 1 in the scale")
-        return _section_law(op, g, 1.0, g, "lr", tol)
+        return _section_law(op, g, 1.0, g, "lr")
     if flag in ("right_continuous", "left_continuous_second"):
         c = g[np.isfinite(g)]
         c = c[:: max(1, len(c) // 9)]
@@ -495,12 +494,12 @@ def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT,
     vals = op.grid(col, row)
     if flag == "commutative":
         cells = [(_dev(vals, vals.T), 0.0, None, {"a": col, "b": row, "ab": vals, "ba": vals.T})]
-        return _sweep_cells(vals.shape, cells, tol, "grid")
+        return _sweep_cells(vals.shape, cells, _TOL, "grid")
     # nondecreasing: a step of the first argument, then one of the second
     lo, hi = col[:-1], col[1:]
     cells = [(vals[:-1], vals[1:], None, {"a": lo, "b": row, "a_next": hi}),
              (vals.T[:-1], vals.T[1:], None, {"a": row, "b": lo, "b_next": hi})]
-    return _sweep_cells((len(g) - 1, len(g)), cells, tol, "grid")
+    return _sweep_cells((len(g) - 1, len(g)), cells, _TOL, "grid")
 
 
 def cached_gate(op, key, compute: Callable):
@@ -533,8 +532,8 @@ def verify_flags(op: BinaryOp, required, scale: ValueScale = UNIT) -> None:
             )
 
 
-def check_top_absorbing(op: BinaryOp, scale: ValueScale, tol: float = 1e-12) -> CheckResult:
+def check_top_absorbing(op: BinaryOp, scale: ValueScale) -> CheckResult:
     """Grid check of m op y = y op m = m at the scale's top element m."""
     if not scale.closed:
         raise DomainError("top absorption needs a closed scale")
-    return _section_law(op, scale.grid(), scale.upper, scale.upper, "lr", tol)
+    return _section_law(op, scale.grid(), scale.upper, scale.upper, "lr")

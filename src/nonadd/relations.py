@@ -7,7 +7,8 @@ relations sweep the realized threshold grid in one broadcast over
 first failing pair in that order).  Star-association quantifies
 over all nonempty subsets, but subsets of at most three points already
 decide it (see ``is_star_associated``), so it checks C(k+2, 3) index
-triples on k points, at most 2,600 at 24 points.
+triples on k points, at most 2,600 at 24 points.  Values compare within
+``core._TOL``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import Fn, _domain_mask, _domain_points, _level_sets
+from .core import Fn, _TOL, _check_length, _domain_mask, _domain_points, _level_sets
 from .measures import MonotoneMeasure
 from .operators import BinaryOp
 from .results import DomainError, RelationVerdict
@@ -57,8 +58,8 @@ def _triples(k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, masks
 
 
-def is_star_associated(f: Fn, g: Fn, star: BinaryOp, domain: int | None = None,
-                       *, tol: float = 1e-12) -> RelationVerdict:
+def is_star_associated(f: Fn, g: Fn, star: BinaryOp,
+                       domain: int | None = None) -> RelationVerdict:
     """Subset infima of the pointwise star-combination must factor through
     the star of the two subset infima, for every nonempty subset.
 
@@ -79,8 +80,8 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp, domain: int | None = None,
     idx, masks = _triples(len(pts))
     inf_s = sv[idx].min(axis=1)
     combined = star.grid(fv[idx].min(axis=1), gv[idx].min(axis=1))
-    with np.errstate(invalid="ignore"):  # both infinite: NaN, never above tol
-        bad = np.flatnonzero(np.abs(combined - inf_s) > tol)
+    with np.errstate(invalid="ignore"):  # both infinite: NaN, never above the tolerance
+        bad = np.flatnonzero(np.abs(combined - inf_s) > _TOL)
     if bad.size:
         j = int(bad[masks[bad].argmin()])
         orig = 0
@@ -95,9 +96,10 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp, domain: int | None = None,
 
 def _level_grid(f: Fn, g: Fn, mu: MonotoneMeasure, domain: int):
     """f's thresholds and strict level masks on the domain as the rows of a
-    grid, g's as its columns (``core._level_sets``), after checking the
-    domain against the measure's space once: ``mu.masses`` then reads any
-    array of their submasks unchecked."""
+    grid, g's as its columns (``core._level_sets``), after checking f's
+    length and the domain against the measure's space once: ``mu.masses``
+    then reads any array of their submasks unchecked."""
+    _check_length(f.values, mu.space)
     (tf, mf), (tg, mg) = _level_sets(f.values, domain), _level_sets(g.values, domain)
     mu.space.validate_mask(domain)
     return (np.array(tf)[:, None], np.array(mf, dtype=np.int64)[:, None],
@@ -110,7 +112,7 @@ def _first(bad: np.ndarray) -> tuple[int, int] | None:
 
 
 def is_mu_subadditive(f: Fn, g: Fn, boxplus: BinaryOp, mu: MonotoneMeasure,
-                      domain: int | None = None, tol: float = 1e-12) -> RelationVerdict:
+                      domain: int | None = None) -> RelationVerdict:
     """Union level-set measure dominated by the boxplus-combination (through
     ``boxplus.grid``) of the individual level-set measures, at every
     threshold pair.
@@ -123,7 +125,7 @@ def is_mu_subadditive(f: Fn, g: Fn, boxplus: BinaryOp, mu: MonotoneMeasure,
     union = mu.masses(mf | mg)
     with np.errstate(invalid="ignore"):
         bound = np.broadcast_to(boxplus.grid(mu.masses(mf), mu.masses(mg)), union.shape)
-        cell = _first(union > bound + tol)
+        cell = _first(union > bound + _TOL)
     if cell is not None:
         i, j = cell
         return RelationVerdict("mu_subadditive", False,
@@ -132,17 +134,15 @@ def is_mu_subadditive(f: Fn, g: Fn, boxplus: BinaryOp, mu: MonotoneMeasure,
     return RelationVerdict("mu_subadditive", True)
 
 
-def is_pqd(f: Fn, g: Fn, mu: MonotoneMeasure, tol: float = 1e-12) -> RelationVerdict:
+def is_pqd(f: Fn, g: Fn, mu: MonotoneMeasure) -> RelationVerdict:
     """Positive quadrant dependence: joint strict level sets dominate the
     product of the marginal ones on the realized threshold grid.  The
     witness is the first failing pair, f's threshold first."""
-    if len(f) != len(g):
-        raise DomainError("functions must live on the same space")
-    t, mf, s, mg = _level_grid(f, g, mu, (1 << len(f)) - 1)
+    t, mf, s, mg = _level_grid(f, g, mu, _pair_domain(f, g, None))
     joint = mu.masses(mf & mg)
     with np.errstate(invalid="ignore"):          # 0 * inf
         prod = mu.masses(mf) * mu.masses(mg)
-        cell = _first(joint < prod - tol)
+        cell = _first(joint < prod - _TOL)
     if cell is not None:
         i, j = cell
         return RelationVerdict("pqd", False,

@@ -11,26 +11,21 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable
 
 import numpy as np
 
-from .core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, ValueScale, rng_for
-from .measures import (
-    MonotoneMeasure,
-    generate_measure,
-    lambda_sugeno_random,
-)
+from .core import FiniteSpace, Fn, INF, UNIT, ValueScale, rng_for
+from .measures import MonotoneMeasure, generate_measure, lambda_sugeno_random
 from .operators import BinaryOp
 from .relations import is_comonotone, is_star_associated
 from .results import DomainError
 
 
 def random_values(rng: random.Random, n: int, scale: ValueScale = UNIT, *,
-                  grid: int = 64, zero_rate: float = 0.15,
-                  inf_rate: float = 0.0, span: float = 4.0) -> list[float]:
-    """Dyadic-grid values inside the scale, with optional planted zeros and
-    (on a closed infinite scale) infinities."""
+                  zero_rate: float = 0.15, inf_rate: float = 0.0,
+                  span: float = 4.0) -> list[float]:
+    """Values on the 1/64 grid inside the scale, with optional planted zeros
+    and (on a closed infinite scale) infinities."""
     out = []
     top = scale.upper
     for _ in range(n):
@@ -40,12 +35,11 @@ def random_values(rng: random.Random, n: int, scale: ValueScale = UNIT, *,
         elif inf_rate and math.isinf(top) and scale.closed and u < zero_rate + inf_rate:
             out.append(INF)
         elif math.isinf(top):
-            out.append(rng.randrange(0, int(span * grid) + 1) / grid)
+            out.append(rng.randrange(0, int(span * 64) + 1) / 64)
         else:
-            k = rng.randrange(0, grid + 1)
-            v = top * k / grid
+            v = top * rng.randrange(0, 65) / 64
             if not scale.closed and v >= top:
-                v = top * (grid - 1) / grid
+                v = top * 63 / 64
             out.append(v)
     return out
 
@@ -55,17 +49,17 @@ def random_fn(rng: random.Random, n: int, scale: ValueScale = UNIT, **kw) -> Fn:
 
 
 def comonotone_pair(rng: random.Random, n: int, scale: ValueScale = UNIT, *,
-                    max_sum: float | None = None, levels: int = 6) -> tuple[Fn, Fn]:
-    """Two nondecreasing reparametrizations of one rank vector (ties kept).
+                    max_sum: float | None = None) -> tuple[Fn, Fn]:
+    """Two nondecreasing reparametrizations of one six-level rank vector (ties kept).
 
     With ``max_sum`` the two level ladders are scaled so every pointwise sum
     stays at or below it.
     """
-    ranks = [rng.randrange(0, levels) for _ in range(n)]
+    ranks = [rng.randrange(0, 6) for _ in range(n)]
     top = scale.upper if not math.isinf(scale.upper) else 4.0
 
     def ladder() -> list[float]:
-        incs = [rng.randrange(0, 9) for _ in range(levels)]
+        incs = [rng.randrange(0, 9) for _ in range(6)]
         tot = sum(incs) or 1
         cap = top if max_sum is None else max_sum / 2.0
         acc, out = 0.0, []
@@ -87,17 +81,16 @@ def anti_monotone_pair(rng: random.Random, n: int, scale: ValueScale = UNIT) -> 
 
 
 def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
-                         scale: ValueScale = UNIT, kind: str = "comonotone",
-                         retries: int = 40) -> tuple[Fn, Fn]:
+                         scale: ValueScale = UNIT, kind: str = "comonotone") -> tuple[Fn, Fn]:
     """A pair satisfying the subset-infimum factorization for ``star``.
 
     ``comonotone`` works for any nondecreasing right-continuous operator;
     ``two_block`` is the annihilator-based construction that is
     star-associated without being comonotone; ``any`` draws
     unconstrained pairs (valid when star is min).  Construction is
-    re-verified and resampled on failure.
+    re-verified and resampled on failure, 40 times at most.
     """
-    for attempt in range(retries):
+    for attempt in range(40):
         local = random.Random(rng.randrange(1 << 62) + attempt)
         if kind == "any":
             f, g = random_fn(local, n, scale), random_fn(local, n, scale)
@@ -188,16 +181,17 @@ def non_subadditive_measure(seed: int, n: int) -> tuple[MonotoneMeasure, tuple[i
     return mu, (a_mask, b_mask)
 
 
-def measure_with_null_atoms(seed: int, n: int, null_count: int = 1) -> MonotoneMeasure:
-    """Subadditive possibility measure with some zero-density points."""
+def measure_with_null_atoms(seed: int, n: int) -> MonotoneMeasure:
+    """Subadditive possibility measure with one zero-density point if n > 1."""
     rng = rng_for(seed, "null-atoms", n)
     dens = [rng.randrange(1, 65) / 64.0 for _ in range(n)]
     pts = list(range(n))
     rng.shuffle(pts)
-    for i in pts[:min(null_count, n - 1)]:
-        dens[i] = 0.0
+    if n > 1:
+        dens[pts[0]] = 0.0
     return MonotoneMeasure.possibility(FiniteSpace(n), dens)
 
 
-def signed_vector(rng: random.Random, n: int, span: float = 4.0, grid: int = 8) -> list[float]:
-    return [rng.randrange(-int(span * grid), int(span * grid) + 1) / grid for _ in range(n)]
+def signed_vector(rng: random.Random, n: int, span: float = 4.0) -> list[float]:
+    """Values on the 1/8 grid in [-span, span]."""
+    return [rng.randrange(-int(span * 8), int(span * 8) + 1) / 8 for _ in range(n)]

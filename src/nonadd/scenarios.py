@@ -40,7 +40,7 @@ import numpy as np
 
 from .campaigns import CAMPAIGNS, run_campaign
 from .conditions import CONDITIONS, check_condition
-from .core import FiniteSpace, Fn, INF, NONNEG, SurvivalProfile, ValueScale, _rel_gap
+from .core import FiniteSpace, Fn, INF, NONNEG, SurvivalProfile, ValueScale, _TOL, _rel_gap
 from .integrals import (
     check_h_duality,
     check_sugeno_identity,
@@ -397,7 +397,7 @@ def _integral_operator(a, where: str) -> None:
 
 def _integral(sc, a):
     ops = () if a.operator is None else (a.operator,)
-    return _valued(_INTEGRALS[a.kind](a.function, a.measure, *ops, domain=a.domain), a, 1e-12)
+    return _valued(_INTEGRALS[a.kind](a.function, a.measure, *ops, domain=a.domain), a, _TOL)
 
 
 def _metric_spec(a, where: str) -> None:
@@ -442,7 +442,7 @@ def _oracle(sc, a):
     both = {"direct": direct,
             "oracle": upper_integral_subset_oracle(a.function, a.measure, a.operator,
                                                    a.domain)}
-    return _within(direct, both["oracle"], a, 1e-12, both), both
+    return _within(direct, both["oracle"], a, _TOL, both), both
 
 
 def _fuzz(sc, a):
@@ -453,7 +453,7 @@ def _fuzz(sc, a):
 
 
 # check_condition fields come from each condition's signature; the scenario
-# reaches only these parameters (tol, spacing and the extra grids stay out)
+# reaches only these parameters (spacing and the extra grids stay out)
 _CONDITION_PARAMS = {
     **dict.fromkeys(("p1", "p2", "p3", "q", "r"), _number),
     **dict.fromkeys(("op", "semicopula", "star", "combiner", "boxplus", "op_h"), _OP),
@@ -562,7 +562,7 @@ TASKS: dict[Any, Spec] = {
         lambda sc, a: find_triangle_violation(a.measure, kinds=a.kinds),
         measure=_MEASURE, kinds=Field(_listof(_enum(METRIC_KINDS)), METRIC_KINDS)),
     "metric": _task(
-        lambda sc, a: _valued(metric_eval(a.spec, a.f, a.g, a.measure), a, 1e-12),
+        lambda sc, a: _valued(metric_eval(a.spec, a.f, a.g, a.measure), a, _TOL),
         _metric_spec, **_METRIC, f=_VECTOR, g=_VECTOR, **_VALUE),
     "fuzz": _task(_fuzz, campaign=_enum(CAMPAIGNS), trials=Field(_int, 100), seed=_SEED),
 }
@@ -812,11 +812,11 @@ def _builtin_boundary() -> dict:
     }
 
 
-def _builtin_smoke(campaign: str, trials: int = 25) -> dict:
+def _builtin_smoke(campaign: str) -> dict:
     return {
         "version": 1,
         "space": {"n": 2},
-        "tasks": [{"task": "fuzz", "campaign": campaign, "trials": trials, "seed": 7}],
+        "tasks": [{"task": "fuzz", "campaign": campaign, "trials": 25, "seed": 7}],
     }
 
 

@@ -55,6 +55,8 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
+    _TOL,
+    _check_length,
     _domain_mask,
     _domain_points,
     _rel_gap,
@@ -128,15 +130,16 @@ def _condition_failed(cond: CheckResult, detail: dict) -> CheckResult:
                        detail=detail)
 
 
-def _verdict(lhs: float, rhs: float, tol: float, detail: dict | None, *,
+def _verdict(lhs: float, rhs: float, detail: dict | None, *,
              relative: bool = False, **witness) -> CheckResult:
-    """``lhs <= rhs`` within ``tol`` (times ``max(1, |rhs|)`` when ``relative``
-    and rhs is finite): a failure has the gap and witness ``{lhs, rhs,
-    **witness}``, a success minus the gap (``INF`` if not finite).  ``detail``
-    gains both sides; ``None`` leaves a failure without detail."""
+    """``lhs <= rhs`` within ``core._TOL`` (times ``max(1, |rhs|)`` when
+    ``relative`` and rhs is finite): a failure has the gap and witness
+    ``{lhs, rhs, **witness}``, a success minus the gap (``INF`` if not
+    finite).  ``detail`` gains both sides; ``None`` leaves a failure without
+    detail."""
     sides = {"lhs": lhs, "rhs": rhs}
     gap = _rel_gap(lhs, rhs)
-    limit = tol * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0) if relative else tol
+    limit = _TOL * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0) if relative else _TOL
     if gap > limit:
         return CheckResult(False, gap, {**sides, **witness},
                            detail={} if detail is None else {**detail, **sides})
@@ -212,7 +215,7 @@ def _tied_sides(ops: MHOperators, a, b, c_ab, c_a, c_b):
 
 
 def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
-                           domain: int, tol: float) -> CheckResult:
+                           domain: int) -> CheckResult:
     """The condition on every realized chain triple (inf of f on A, inf of g
     on A, mu(A)), one cell per nonempty A in the domain in compact-mask
     order."""
@@ -226,7 +229,7 @@ def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
         return (*_tied_sides(ops, a, b, c, c, c), None,
                 {"a": a, "b": b, "c": c})
 
-    return _sweep((), [(np.arange(len(mus)), body)], tol, "exhaustive")
+    return _sweep((), [(np.arange(len(mus)), body)], _TOL, "exhaustive")
 
 
 def _mh_sides(integral, ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
@@ -254,8 +257,8 @@ def _two_level_upper(op: BinaryOp, v, w, c, mu_d: float, mu_e: float, scale: Val
     return out
 
 
-def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int, scale: ValueScale,
-               tol: float) -> tuple[list, list, np.ndarray, list]:
+def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int,
+               scale: ValueScale) -> tuple[list, list, np.ndarray, list]:
     """The necessity direction on indicator pairs f = a 1_A, g = b 1_A for
     nonempty A in the domain D: the distinct values c = mu(A), the heights,
     the failing condition cells over (c, a, b), and the failures among them
@@ -284,13 +287,13 @@ def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int, scale: ValueS
     lhs, rhs = _tied_sides(ops, a, b, c, c, c)
     with np.errstate(invalid="ignore", over="ignore"):
         ab = ops.star.grid(a, b)
-        failing = scale.contains_all(ab) & (lhs - rhs > tol)
+        failing = scale.contains_all(ab) & (lhs - rhs > _TOL)
         w1 = p1.forward(ops.star.grid(0.0, 0.0))
         lhs = p1.inverse(_two_level_upper(c1, p1.forward(ab), w1, c, mu_d, mu_e, scale))
         rhs = ops.combiner.grid(
             p2.inverse(_two_level_upper(c2, p2.forward(a), 0.0, c, mu_d, mu_e, scale)),
             p3.inverse(_two_level_upper(c3, p3.forward(b), 0.0, c, mu_d, mu_e, scale)))
-        holds = ~(lhs - rhs > tol)    # two infinite sides and a nan gap never violate
+        holds = ~(lhs - rhs > _TOL)    # two infinite sides and a nan gap never violate
     failures = [{"a": float(heights[i]), "b": float(heights[j]), "set": int(masks[s]),
                  "c": float(values[s]), "lhs": float(lhs[s, i, j]), "rhs": float(rhs[s, i, j])}
                 for s, i, j in np.argwhere(failing & holds).tolist()]
@@ -298,8 +301,7 @@ def _necessity(ops: MHOperators, mu: MonotoneMeasure, domain: int, scale: ValueS
 
 
 def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
-                    domain: int | None = None, direction: str = "sufficiency",
-                    tol: float = 1e-12) -> CheckResult:
+                    domain: int | None = None, direction: str = "sufficiency") -> CheckResult:
     """Bidirectional verifier for the upper-integral inequality.
 
     Sufficiency: when the chain condition holds on the realized triples,
@@ -316,6 +318,7 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
         raise DomainError(f"unknown direction {direction!r}")
     scale = f.scale
     _gate_mh(ops, scale, ["nondecreasing"], _ANNIHILATING)
+    _check_length(f.values, mu.space)
     domain = _domain_mask(len(f), domain)
     assoc = is_star_associated(f, g, ops.star, domain)
     _require(assoc, "functions are not star-associated on the domain")
@@ -324,16 +327,16 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     result = CheckResult(True, margin=INF, detail=detail)
 
     if direction in ("sufficiency", "both"):
-        cond = _chain_condition_upper(ops, mu, f, g, domain, tol)
+        cond = _chain_condition_upper(ops, mu, f, g, domain)
         detail["condition_chain"] = cond
         if not cond.holds:
             return _condition_failed(cond, detail)
         lhs, rhs = _mh_sides(upper_integral, ops, mu, f, g, domain, scale)
-        result = _verdict(lhs, rhs, tol, detail, f=list(f.values), g=list(g.values))
+        result = _verdict(lhs, rhs, detail, f=list(f.values), g=list(g.values))
         detail = result.detail        # the necessity entries extend this result
 
     if direction in ("necessity", "both"):
-        values, heights, failing, failures = _necessity(ops, mu, domain, scale, tol)
+        values, heights, failing, failures = _necessity(ops, mu, domain, scale)
         instances = int(failing.sum())
         detail.update(necessity_values=len(values), necessity_heights=heights,
                       necessity_instances=instances,
@@ -352,8 +355,7 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
 def verify_seminorm_minkowski(semicopula: BinaryOp, star: BinaryOp, p: float,
                               mu: MonotoneMeasure, f: Fn, g: Fn,
                               domain: int | None = None,
-                              normalization: str = "total_one",
-                              tol: float = 1e-12) -> CheckResult:
+                              normalization: str = "total_one") -> CheckResult:
     """Power-map form of the inequality for seminormed integrals.
 
     ``normalization`` selects the reading of the measure restriction:
@@ -374,7 +376,7 @@ def verify_seminorm_minkowski(semicopula: BinaryOp, star: BinaryOp, p: float,
         raise DomainError(f"unknown normalization reading {normalization!r}")
     phi = phi_power(p)
     ops = MHOperators(star, star, (semicopula,) * 3, (phi,) * 3)
-    return verify_upper_mh(ops, mu, f, g, domain, "sufficiency", tol)
+    return verify_upper_mh(ops, mu, f, g, domain, "sufficiency")
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +463,7 @@ def reproduce_counterexample(resolution: float = 1e-4) -> CounterexampleReport:
 # ---------------------------------------------------------------------------
 
 def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: Fn,
-                                  domain: int | None = None,
-                                  tol: float = 1e-12) -> CheckResult:
+                                  domain: int | None = None) -> CheckResult:
     """Sum-splitting condition implies subadditivity on comonotone pairs.
 
     The condition is reported both over the scale grid and over the realized
@@ -476,6 +477,7 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
     for s in sums:
         if not scale.contains(s):
             raise HypothesisError(f"pointwise sum {s!r} leaves the scale")
+    _check_length(f.values, mu.space)
     domain = _domain_mask(len(f), domain)
 
     grid_cond = cached_condition(op, "sum_split", op=op, scale=scale)
@@ -487,7 +489,7 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
 
     lhs = upper_integral(Fn(sums, scale), mu, op, domain, scale)
     rhs = upper_integral(f, mu, op, domain, scale) + upper_integral(g, mu, op, domain, scale)
-    return _verdict(lhs, rhs, tol, detail, f=list(f.values), g=list(g.values))
+    return _verdict(lhs, rhs, detail, f=list(f.values), g=list(g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +498,9 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
 
 def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
                                  mu: MonotoneMeasure,
-                                 f: Sequence[float], g: Sequence[float],
-                                 scale: ValueScale = EXTENDED,
-                                 tol: float = 1e-12) -> CheckResult:
+                                 f: Sequence[float], g: Sequence[float]) -> CheckResult:
     """Root-exponent triangle-type inequality for signed integrands under a
-    subadditive measure.
+    subadditive measure, on the extended scale [0, inf].
 
     Hypotheses: the operator passes the distributive-scaling condition with
     exponents (q, r) on the grid, and the measure passes the exhaustive
@@ -511,17 +511,17 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
     if p <= 0:
         raise DomainError("exponent must be positive")
     _require(check_measure_property(mu, "subadditive"), "measure is not subadditive")
-    cond = cached_condition(op, "distributive_scaling", op=op, q=q, r=r, scale=scale)
+    cond = cached_condition(op, "distributive_scaling", op=op, q=q, r=r, scale=EXTENDED)
     if not cond.holds:
         return _condition_failed(cond, {"condition": cond})
     if len(f) != len(g):
         raise DomainError("vectors must have equal length")
     s = [a + b for a, b in zip(f, g)]
     e = 1.0 / (p * q + 1.0)
-    i_sum = upper_integral(abs_power(s, p, scale), mu, op, None, scale)
-    i_f = upper_integral(abs_power(f, p, scale), mu, op, None, scale)
-    i_g = upper_integral(abs_power(g, p, scale), mu, op, None, scale)
-    return _verdict(i_sum ** e, i_f ** (r * e) + i_g ** (r * e), tol, None, relative=True,
+    i_sum = upper_integral(abs_power(s, p), mu, op, None, EXTENDED)
+    i_f = upper_integral(abs_power(f, p), mu, op, None, EXTENDED)
+    i_g = upper_integral(abs_power(g, p), mu, op, None, EXTENDED)
+    return _verdict(i_sum ** e, i_f ** (r * e) + i_g ** (r * e), None, relative=True,
                     f=list(f), g=list(g), integrals=[i_sum, i_f, i_g])
 
 
@@ -529,8 +529,8 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
 # max-product subadditivity is maxitivity
 # ---------------------------------------------------------------------------
 
-def _max_product_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None:
-    """All indicator pairs: max(mu(A|B), 2*mu(A&B)) <= mu(A)+mu(B)."""
+def _max_product_indicator_sweep(mu: MonotoneMeasure) -> dict | None:
+    """All indicator pairs: max(mu(A|B), 2*mu(A&B)) <= mu(A)+mu(B) within ``core._TOL``."""
     tab = mu.table()
 
     def excess(a, b):
@@ -538,7 +538,7 @@ def _max_product_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None
         m -= tab.take(a) + tab.take(b)
         return m
 
-    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, tol, "max-product sweep", disjoint=False)
+    ok, pair, _ = _pair_kernel(tab, mu.space.n, excess, _TOL, "max-product sweep", disjoint=False)
     if ok:
         return None
     a, b = pair
@@ -546,8 +546,8 @@ def _max_product_indicator_sweep(mu: MonotoneMeasure, tol: float) -> dict | None
             "rhs": float(tab[a] + tab[b])}
 
 
-def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8, seed: int = 0,
-                             tol: float = 1e-12) -> CheckResult:
+def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8,
+                             seed: int = 0) -> CheckResult:
     """Equivalence: the max-product integral is subadditive for all
     nonnegative functions iff the measure is maxitive.
 
@@ -562,12 +562,12 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8, seed: int 
     detail: dict = {"maxitive": maxres}
 
     if maxres.holds:
-        wit = _max_product_indicator_sweep(mu, tol)
+        wit = _max_product_indicator_sweep(mu)
         if wit is not None:
             return CheckResult(False, 0.0, wit,
                                detail={**detail, "stage": "indicator sweep"})
         violations, min_slack = _random_pair_probe(shilkret_integral, mu, trials, seed,
-                                                   "shilkret-pairs", tol)
+                                                   "shilkret-pairs", _TOL)
         if violations:
             return CheckResult(False, 0.0, {"random_pair_violations": violations[:3]},
                                detail=detail)
@@ -663,7 +663,7 @@ def verify_sugeno_subadditive_boundary() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
-                           f: Fn, g: Fn, domain: int, tol: float) -> CheckResult:
+                           f: Fn, g: Fn, domain: int) -> CheckResult:
     """The four-variable condition on the realized chain quadruples
     (a, b, mu(D & {f > a}), mu(D & {g > b})), one cell per threshold pair:
     f's thresholds as rows, g's as columns."""
@@ -672,12 +672,11 @@ def _chain_condition_lower(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeas
     with np.errstate(invalid="ignore", over="ignore"):
         c_ab = boxplus.grid(c, d)
     cells = (*_tied_sides(ops, a, b, c_ab, c, d), None, {"a": a, "b": b, "c": c, "d": d})
-    return _sweep_cells((a.shape[0], b.shape[1]), [cells], tol, "exhaustive")
+    return _sweep_cells((a.shape[0], b.shape[1]), [cells], _TOL, "exhaustive")
 
 
 def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
-                    f: Fn, g: Fn, domain: int | None = None,
-                    tol: float = 1e-12) -> CheckResult:
+                    f: Fn, g: Fn, domain: int | None = None) -> CheckResult:
     """Lower-integral inequality for level-union-subadditive pairs.
 
     Gates: monotone operators (the combiner also right-continuous), valid
@@ -691,12 +690,12 @@ def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
     _require(is_mu_subadditive(f, g, boxplus, mu, domain),
              "pair is not level-union subadditive for the combiner")
 
-    cond = _chain_condition_lower(ops, boxplus, mu, f, g, domain, tol)
+    cond = _chain_condition_lower(ops, boxplus, mu, f, g, domain)
     detail = {"condition_chain": cond}
     if not cond.holds:
         return _condition_failed(cond, detail)
     lhs, rhs = _mh_sides(lower_integral, ops, mu, f, g, domain, scale)
-    return _verdict(lhs, rhs, tol, detail, f=list(f.values), g=list(g.values))
+    return _verdict(lhs, rhs, detail, f=list(f.values), g=list(g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +704,7 @@ def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
 
 def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap,
                           mu: MonotoneMeasure, f: Fn, g: Fn,
-                          boxplus: BinaryOp | None = None,
-                          tol: float = 1e-12) -> CheckResult:
+                          boxplus: BinaryOp | None = None) -> CheckResult:
     """Order-reversing conjugation corollaries.
 
     ``single``: with a top-absorbing operator and a star-associated pair,
@@ -751,4 +749,4 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
 
     lhs = transform(_star_combine(f, g, star, scale))
     rhs = float(star.fn(transform(f), transform(g)))
-    return _verdict(lhs, rhs, tol, detail, relative=True, f=list(f.values), g=list(g.values))
+    return _verdict(lhs, rhs, detail, relative=True, f=list(f.values), g=list(g.values))

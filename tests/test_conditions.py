@@ -633,8 +633,8 @@ _triples = lambda s: st.tuples(s, s, s)
 @st.composite
 def condition_kwargs(draw, cond):
     """Keyword arguments for one condition: UNIT, NONNEG or EXTENDED scale
-    (so non-finite slacks occur), grid mode or explicit values (one value,
-    duplicates), and a tolerance that may be zero or negative."""
+    (so non-finite slacks occur), and grid mode or explicit values (one
+    value, duplicates)."""
     scale = draw(st.sampled_from([UNIT, NONNEG, EXTENDED]))
     if cond == "mh_product_power":
         scale = UNIT
@@ -642,8 +642,7 @@ def condition_kwargs(draw, cond):
     values = st.none() | st.lists(points, min_size=1, max_size=4)
     pairs = st.none() | st.lists(st.tuples(points, points), min_size=1, max_size=4)
     pair_form = cond in ("mh_lower", "mh_lower_join", "dual_star_split_pair")
-    kw = {"tol": draw(st.sampled_from([1e-12, 1e-12, 0.0, -1e-3])),
-          "spacing": draw(st.sampled_from([0.5, 0.25] if pair_form else [0.25, 0.125]))}
+    kw = {"spacing": draw(st.sampled_from([0.5, 0.25] if pair_form else [0.25, 0.125]))}
     if cond == "mh_upper":
         kw.update(star=draw(_ops), combiner=draw(_ops), circs=draw(_triples(_ops)),
                   phis=draw(_triples(st.sampled_from(ORACLE_PHIS))), scale=scale,
@@ -753,7 +752,6 @@ class TestSumSplitSections:
         scale = data.draw(st.sampled_from([UNIT, UNIT_OPEN, NONNEG, EXTENDED]))
         kw = dict(op=data.draw(_ops), scale=scale,
                   c_values=data.draw(st.none() | _c_values(scale)),
-                  tol=data.draw(st.sampled_from([1e-12, 0.0, -1e-3])),
                   spacing=data.draw(st.sampled_from([1.0 / 64.0, 0.1, 1.0 / 3.0, 0.25])))
         with np.errstate(all="ignore"):
             assert _fingerprint(cond_sum_split(**kw)) == _fingerprint(ref_sum_split(**kw))

@@ -1,6 +1,10 @@
-"""Extended-real kernel, scales, subset machinery, and survival profiles."""
+"""Extended-real kernel, scales, subset machinery, survival profiles, and
+the one tolerance of the public API."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from nonadd.core import (
     vmul,
     xmul,
 )
+import nonadd
 from nonadd.results import DomainError
 
 MAX_N = MAX_CELLS.bit_length() - 1   # the most points whose 2**n subsets fit the budget
@@ -241,3 +246,29 @@ class TestSurvivalProfile:
         ts = np.linspace(0, 1, 101)
         gs = prof.evaluate(ts)
         assert (np.diff(gs) <= 1e-12).all()
+
+
+class TestOneTolerance:
+    def test_no_public_callable_takes_a_tolerance(self):
+        # every check compares within the measure's tolerance() or core._TOL:
+        # no public function or method of a public class lets a caller
+        # loosen or tighten it
+        found = []
+        for info in pkgutil.iter_modules(nonadd.__path__):
+            if info.name.startswith("_"):
+                continue            # __main__ runs the command line on import
+            module = importlib.import_module(f"nonadd.{info.name}")
+            for name, obj in vars(module).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                members = {name: obj} if inspect.isfunction(obj) else {}
+                if inspect.isclass(obj):
+                    members = {f"{name}.{m}": getattr(f, "__func__", f)
+                               for m, f in vars(obj).items() if not m.startswith("_")}
+                for qualname, fn in members.items():
+                    if not inspect.isfunction(fn):
+                        continue
+                    tol = inspect.signature(fn).parameters.get("tol")
+                    if tol is not None and tol.default is not inspect.Parameter.empty:
+                        found.append(f"{module.__name__}.{qualname}")
+        assert found == []

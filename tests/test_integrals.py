@@ -240,7 +240,7 @@ def _result_bytes(value, exact, level):
 # ---------------------------------------------------------------------------
 
 def ref_candidate_upper(f, mu, op, domain=None, scale=None):
-    values, scale, domain = _unpack(f, scale, domain)
+    values, scale, domain = _unpack(f, mu, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -264,7 +264,7 @@ def ref_candidate_upper(f, mu, op, domain=None, scale=None):
 
 
 def ref_candidate_lower(f, mu, op, domain=None, scale=None):
-    values, scale, domain = _unpack(f, scale, domain)
+    values, scale, domain = _unpack(f, mu, scale, domain)
     verify_flags(op, ["nondecreasing"], scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -402,10 +402,25 @@ class TestOneDomainCheckPerIntegral:
         # the lower form reads no level set holding the third point of the
         # second function, and is rejected all the same
         for values in ([0.5, 0.2, 0.9], [0.5, 0.2, 0.0]):
-            for integral in (upper_integral_result, lower_integral_result):
+            for integral in (upper_integral_result, lower_integral_result,
+                             upper_integral_subset_oracle):
                 with pytest.raises(DomainError,
-                                   match=r"^invalid subset bitmask 7 for 2-point space$"):
+                                   match=r"^function of length 3 on a 2-point space$"):
                     integral(Fn(values), mu, minimum())
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_function_shorter_than_space_is_refused(self, cached):
+        # one value on a 3-point space was read as a function on point 0
+        # alone: the upper integral gave 0.25; the domain keyword restricts
+        mu = MonotoneMeasure.possibility(FiniteSpace(3), [0.25, 0.5, 1.0])
+        if cached:
+            mu.table()
+        for integral in (upper_integral, lower_integral, upper_integral_subset_oracle):
+            with pytest.raises(DomainError, match=r"^function of length 1 on a 3-point space$"):
+                integral(Fn([0.9]), mu, minimum())
+        with pytest.raises(DomainError, match=r"^function of length 2 on a 3-point space$"):
+            check_sugeno_identity(Fn([0.9, 0.5]), mu)
+        assert upper_integral(Fn([0.9, 0.0, 0.0]), mu, minimum(), domain=0b001) == 0.25
 
     def test_raw_vector_outside_its_scale_raises_like_fn(self):
         mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])

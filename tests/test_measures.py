@@ -385,7 +385,8 @@ def pairwise_measures(draw):
     kind = draw(st.sampled_from(["raw", "inf", "family", "lambda", "dual"]))
     if kind == "raw":
         n, tab = draw(raw_tables())
-        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False,
+                                        rounding=draw(st.booleans()))
     n = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 10 ** 6))
     if kind == "inf":
@@ -503,21 +504,21 @@ class TestTableBuilds:
                 assert measures._grid_scores(rng_for(seed, "scores", m), m).tolist() == want
 
     @settings(max_examples=200, deadline=None)
-    @given(raw=raw_tables(), tol=st.sampled_from([0.0, 1e-12, 0.3, -1e-3, INF]),
+    @given(raw=raw_tables(), rounding=st.booleans(),
            skip_empty=st.booleans(), signs=st.integers(0, (1 << 128) - 1))
-    # a zero minimum whose sign the gather gives; inf - inf read as 0 below
-    # -tol; a -inf difference that does not fail
-    @example(raw=(2, [INF, INF, 0.0, 0.0]), tol=INF, skip_empty=True, signs=0b1000)
-    @example(raw=(2, [0.0, INF, INF, INF]), tol=-1e-3, skip_empty=False, signs=0)
-    @example(raw=(2, [0.0, INF, 2.0, 3.0]), tol=INF, skip_empty=False, signs=0)
-    def test_monotone_check_matches_reference(self, raw, tol, skip_empty, signs):
+    # a zero minimum whose sign the gather gives; inf - inf read as 0; a
+    # -inf difference, which fails by inf
+    @example(raw=(2, [0.0, 0.0, 0.0, 0.0]), rounding=False, skip_empty=False, signs=0b0010)
+    @example(raw=(2, [0.0, INF, INF, INF]), rounding=False, skip_empty=False, signs=0)
+    @example(raw=(2, [0.0, INF, 2.0, 3.0]), rounding=True, skip_empty=False, signs=0)
+    def test_monotone_check_matches_reference(self, raw, rounding, skip_empty, signs):
         n, tab = raw
         # zeros whose bit is set in signs become -0.0, whose sign a holding
         # check's margin may carry
         tab = [-0.0 if v == 0.0 and signs >> i & 1 else v for i, v in enumerate(tab)]
-        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
-        got = check_measure_property(mu, "monotone", tol=tol, _skip_empty=skip_empty)
-        want = ref_monotone(np.asarray(tab, dtype=float), tol, skip_empty)
+        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False, rounding=rounding)
+        got = check_measure_property(mu, "monotone", _skip_empty=skip_empty)
+        want = ref_monotone(np.asarray(tab, dtype=float), mu.tolerance(), skip_empty)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         assert repr(got.margin) == repr(want.margin)
 
@@ -636,7 +637,8 @@ def null_additive_measures(draw):
     kind = draw(st.sampled_from(["raw", "possibility", "lambda", "distortion"]))
     if kind == "raw":
         n, tab = draw(raw_tables())
-        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False,
+                                        rounding=draw(st.booleans()))
     n = draw(st.integers(1, 10))
     space = FiniteSpace(n)
     zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -657,21 +659,21 @@ def null_additive_measures(draw):
 
 class TestNullAdditive:
     @settings(max_examples=300, deadline=None)
-    @given(mu=null_additive_measures(), tol=st.sampled_from([None, 0.0, 1e-12, 0.3]))
-    def test_matches_per_null_set_reference(self, mu, tol):
-        got = check_measure_property(mu, "null_additive", tol=tol)
-        want = ref_null_additive(mu.table(), mu.tolerance() if tol is None else tol)
+    @given(mu=null_additive_measures())
+    def test_matches_per_null_set_reference(self, mu):
+        got = check_measure_property(mu, "null_additive")
+        want = ref_null_additive(mu.table(), mu.tolerance())
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         assert repr(got.margin) == repr(want.margin)
 
-    def test_negative_tol_keeps_the_per_null_set_sweep(self):
-        # the null union's point leaves every value unchanged, but under a
-        # negative tol even a zero difference fails
-        tab = np.array([-0.5, -0.5, 0.25, 0.25])
-        mu = MonotoneMeasure(SP2, "explicit", table=tab)
-        got = check_measure_property(mu, "null_additive", tol=-0.25)
-        assert not got.holds
-        assert got.to_dict() == ref_null_additive(tab, -0.25).to_dict()
+    def test_rounding_table_whose_null_point_moves_a_value(self):
+        # point 0 is null within 1e-12 and moves mu({1}) by 1e-13: the
+        # per-null-set sweep runs, and holds with that margin
+        tab = [0.0, 1e-13, 0.5, 0.5 + 1e-13]
+        mu = MonotoneMeasure.explicit(SP2, tab, rounding=True)
+        got = check_measure_property(mu, "null_additive")
+        assert got.holds and 0.0 < got.margin < 1e-12
+        assert got.to_dict() == ref_null_additive(np.array(tab), 1e-12).to_dict()
 
     def test_possibility_with_ten_null_atoms_at_twenty_points(self):
         # 2**10 null sets; one full pass each took 26 s
@@ -682,11 +684,20 @@ class TestNullAdditive:
         assert repr(res.margin) == "0.0"
 
 
-ROUTE_TOLS = [0.0, 1e-12, 0.3, -1e-3, INF]
+ROUTE_TOLS = [0.0, 1e-12]   # a measure's two tolerances: exact, and rounding
 route_values = st.sampled_from([0.0, -0.0, 0.125, 0.5, 1.0, 3.0, INF])
 
 
-def by_route(mu, tol, gather_bits, props):
+def with_tolerance(tab, tol):
+    """``tab`` as an unvalidated explicit measure whose ``tolerance()`` is
+    ``tol``, one of ``ROUTE_TOLS``."""
+    mu = MonotoneMeasure.explicit(FiniteSpace(len(tab).bit_length() - 1), tab,
+                                  validate=False, rounding=tol > 0)
+    assert mu.tolerance() == tol
+    return mu
+
+
+def by_route(mu, gather_bits, props):
     """``_exactly_monotone`` and each property's ``to_dict()`` JSON and
     ``repr(margin)``, with the point-by-point reads gathered up to
     ``gather_bits`` points: 0 reads every table per bit, 24 gathers all."""
@@ -694,7 +705,7 @@ def by_route(mu, tol, gather_bits, props):
     with unittest.mock.patch.object(measures, "_GATHER_BITS", gather_bits):
         out = [measures._exactly_monotone(tab, mu.space.n)]
         for prop in props:
-            res = check_measure_property(mu, prop, tol=tol)
+            res = check_measure_property(mu, prop)
             out.append((prop, json.dumps(res.to_dict()), repr(res.margin)))
     return out
 
@@ -726,8 +737,8 @@ class TestGatherRoute:
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 7), data=st.data(), tol=st.sampled_from(ROUTE_TOLS))
-    # a -inf difference that does not fail, beside finite ones above 0
-    @example(n=2, data=[0.0, INF, 2.0, 3.0], tol=INF)
+    # a -inf difference, beside finite ones above 0
+    @example(n=2, data=[0.0, INF, 2.0, 3.0], tol=1e-12)
     def test_small_tables_match_the_per_bit_route(self, n, data, tol):
         if isinstance(data, list):
             tab = data
@@ -737,32 +748,32 @@ class TestGatherRoute:
                 for mask in range(1, 1 << n):
                     tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
                                                    for b in range(n) if mask >> b & 1])
-        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        mu = with_tolerance(tab, tol)
         props = ("monotone", "null_additive", "subadditive", "maxitive", "submodular")
-        assert by_route(mu, tol, 24, props) == by_route(mu, tol, 0, props)
+        assert by_route(mu, 24, props) == by_route(mu, 0, props)
 
     @pytest.mark.parametrize("n", [11, 12])
     @pytest.mark.parametrize("kind", ["monotone", "inf", "broken", "inf_broken"])
     def test_large_tables_match_the_per_bit_route(self, n, kind):
         for seed in range(2):
-            mu = MonotoneMeasure.explicit(FiniteSpace(n), route_table(seed, n, kind),
-                                          validate=False)
+            tab = route_table(seed, n, kind)
             # pair sweeps only where they read 3**n pairs or the local cells,
             # not 4**n pairs
             props = ["monotone", "null_additive"]
-            if measures._exactly_monotone(mu.table(), n):
+            if measures._exactly_monotone(tab, n):
                 props += ["subadditive", "maxitive", "submodular"]
-            elif np.isfinite(mu.table()).all():
+            elif np.isfinite(tab).all():
                 props += ["submodular"]
             for tol in ROUTE_TOLS:
-                assert by_route(mu, tol, 24, props) == by_route(mu, tol, 0, props), tol
+                mu = with_tolerance(tab, tol)
+                assert by_route(mu, 24, props) == by_route(mu, 0, props), tol
 
     def test_generated_measures_match_the_per_bit_route(self):
         mus = [generate_measure(seed, family, n) for seed in range(3) for n in (2, 6, 11)
                for family in GENERATOR_FAMILIES]
         props = ("monotone", "null_additive", "subadditive", "maxitive", "submodular")
         for mu in mus + [lambda_sugeno_random(seed, 11) for seed in range(3)]:
-            assert by_route(mu, None, 24, props) == by_route(mu, None, 0, props)
+            assert by_route(mu, 24, props) == by_route(mu, 0, props)
 
     def test_cached_index_arrays_are_read_only(self):
         pairs = measures._bit_pairs(5)
@@ -787,13 +798,12 @@ ROUTE_KINDS = ["monotone", "inf", "broken", "inf_broken"]
 def chunked_monotone(tab, tol, skip_empty, chunk_cells):
     """``monotone``'s ``to_dict()`` JSON and ``repr(margin)`` on the chunked
     route: no gather, chunks of ``chunk_cells`` differences.  ``tab`` is a
-    table, or a measure whose table is read as it is."""
-    mu = tab
-    if isinstance(tab, np.ndarray):
-        mu = MonotoneMeasure.explicit(FiniteSpace(tab.size.bit_length() - 1), tab, validate=False)
+    table, read with tolerance ``tol``, or a measure whose table is read as
+    it is."""
+    mu = with_tolerance(tab, tol) if isinstance(tab, np.ndarray) else tab
     with unittest.mock.patch.object(measures, "_GATHER_BITS", 0), \
             unittest.mock.patch.object(measures, "_CHUNK_CELLS", chunk_cells):
-        res = check_measure_property(mu, "monotone", tol=tol, _skip_empty=skip_empty)
+        res = check_measure_property(mu, "monotone", _skip_empty=skip_empty)
     return json.dumps(res.to_dict()), repr(res.margin)
 
 
@@ -836,9 +846,10 @@ class TestChunkedRoute:
         tab = route_table(1, 9, kind)
         strided = np.empty(2 * tab.size)
         strided[::2] = tab
-        mu = MonotoneMeasure(FiniteSpace(9), "explicit", table=strided[::2])
-        assert not mu.table().flags.c_contiguous
         for tol in ROUTE_TOLS:
+            mu = MonotoneMeasure(FiniteSpace(9), "explicit", table=strided[::2],
+                                 rounding=tol > 0)
+            assert not mu.table().flags.c_contiguous
             assert chunked_monotone(mu, tol, False, 4) == ref_bytes(tab, tol, False)
 
     def test_one_buffer_of_chunk_size(self, monkeypatch):
@@ -862,11 +873,11 @@ class TestChunkedRoute:
 
 class TestPairKernel:
     @settings(max_examples=300, deadline=None)
-    @given(mu=pairwise_measures(), tol=st.sampled_from([None, 0.0, 1e-12, 0.3, -1e-3]))
-    def test_matches_reference_sweeps(self, mu, tol):
+    @given(mu=pairwise_measures())
+    def test_matches_reference_sweeps(self, mu):
         for prop in ("subadditive", "maxitive", "submodular"):
-            got = check_measure_property(mu, prop, tol=tol)
-            want = ref_check(mu.table(), prop, mu.tolerance() if tol is None else tol)
+            got = check_measure_property(mu, prop)
+            want = ref_check(mu.table(), prop, mu.tolerance())
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), prop
             assert repr(got.margin) == repr(want.margin), prop
 
@@ -915,16 +926,6 @@ class TestPairKernel:
         assert res.to_dict() == ref_pairwise(np.asarray(tab, dtype=float),
                                              "maxitive", 0.0).to_dict()
 
-    @pytest.mark.parametrize("mu", [
-        MonotoneMeasure.possibility(SP3, [0.25, 0.5, 1.0]),
-        generate_measure(3, "non_maxitive", 5),
-        MonotoneMeasure.explicit(SP3, [0, 1, 0.5, 0.3, 1, 0.5, 0.3, 1], validate=False),
-    ])
-    def test_maxitive_negative_tol_matches_reference(self, mu):
-        got = check_measure_property(mu, "maxitive", tol=-1e-3)
-        want = ref_pairwise(mu.table(), "maxitive", -1e-3)
-        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
-
     def test_every_property_is_warning_free_on_inf_table(self):
         mu = MonotoneMeasure.explicit(SP2, [0, INF, INF, INF])
         with warnings.catch_warnings():
@@ -953,8 +954,7 @@ def dyadic_tables(draw):
 
 class TestLocalSubmodular:
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 6), data=st.data(),
-           tol=st.sampled_from([0.0, 1e-12, 0.3, -1e-3]))
+    @given(n=st.integers(1, 6), data=st.data(), tol=st.sampled_from(ROUTE_TOLS))
     # a non-monotone table with a -0.0 entry whose difference overflows to inf
     @example(n=2, data=[1e308, -0.0, 0.0, 1e308], tol=0.0)
     # non-monotone with inf entries: four cells are inf - inf, and the pair
@@ -972,9 +972,7 @@ class TestLocalSubmodular:
                 for mask in range(1, 1 << n):
                     tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
                                                    for b in range(n) if mask >> b & 1])
-        mu = MonotoneMeasure.explicit(FiniteSpace(len(tab).bit_length() - 1), tab,
-                                      validate=False)
-        got = check_measure_property(mu, "submodular", tol=tol)
+        got = check_measure_property(with_tolerance(tab, tol), "submodular")
         want = ref_check(tab, "submodular", tol)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         assert repr(got.margin) == repr(want.margin)

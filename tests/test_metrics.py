@@ -115,12 +115,21 @@ class TestMetricEval:
             f = sampling.signed_vector(rng, n)
             g = sampling.signed_vector(rng, n)
             diff = [abs(a - b) for a, b in zip(f, g)]
-            tol = max(1e-12, mu.tolerance())
+            tol = 1e-12
             d_upper = metric_eval(MetricSpec("kyfan"), f, g, mu)
             d_lower = lower_integral(Fn(diff, EXTENDED), mu, join(), None, EXTENDED)
             d_classical = kyfan_classical(f, g, mu)
             assert abs(d_upper - d_lower) <= tol
             assert abs(d_upper - d_classical) <= tol
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_vectors_shorter_than_the_space_are_refused(self, spec):
+        # |f - g| on point 0 alone was read as a function on the whole space
+        mu = MonotoneMeasure.possibility(FiniteSpace(3), [0.25, 0.5, 1.0])
+        with pytest.raises(DomainError, match=r"^function of length 1 on a 3-point space$"):
+            metric_eval(spec, [0.9], [0.0], mu)
+        with pytest.raises(DomainError, match=r"^function of length 1 on a 3-point space$"):
+            kyfan_classical([0.9], [0.0], mu)
 
 
 class TestMetricAxioms:
@@ -203,13 +212,14 @@ class TestConvergenceLemmas:
         return sampling.measure_with_null_atoms(5, 4)
 
     def test_scaling_sequence_converges(self):
+        # scaled terms that reach their limit: the integrals rise and end on
+        # the limit's integral exactly
         mu = self._measure()
         f = Fn([2.0, 1.0, 3.0, 0.5], NONNEG)
         seq = [Fn([v * (1 - 1 / (k + 1)) for v in f.values], NONNEG)
-               for k in range(1, 40)]
-        res = check_convergence_lemmas(minimum(), mu, seq, f, "monotone",
-                                       tol=max(f.values) / 40 + 1e-12)
-        assert res.holds
+               for k in range(1, 40)] + [f] * 3
+        res = check_convergence_lemmas(minimum(), mu, seq, f, "monotone")
+        assert res.holds and res.margin == 0.0
 
     def test_null_set_disagreement_invisible(self):
         mu = self._measure()

@@ -428,8 +428,8 @@ class TestDualityMaps:
 
 
 class TestMapGates:
-    """Map validation runs once per (scale, tol) on a passing map and on
-    every call on a failing one."""
+    """Map validation runs once per scale on a passing map and on every call
+    on a failing one."""
 
     def test_catalog_maps_are_shared(self):
         assert phi_power(2.0) is phi_power(2.0)
@@ -437,7 +437,7 @@ class TestMapGates:
         assert phi_power(2) is not phi_power(2.0)
         assert phi_identity() is phi_identity()
 
-    def test_passing_map_runs_forward_on_its_grid_once_per_scale_and_tol(self):
+    def test_passing_map_runs_forward_on_its_grid_once_per_scale(self):
         grids = []
 
         def forward(x):
@@ -455,10 +455,9 @@ class TestMapGates:
             grids.clear()
             for _ in range(3):
                 m.validate_on(UNIT)
-                m.validate_on(UNIT, 1e-9)
-            assert grids == [UNIT.grid().size] * 2, m.name
+            assert grids == [UNIT.grid().size], m.name
             m.validate_on(ValueScale(1.0, True))   # an equal scale shares the entry
-            assert len(grids) == 2
+            assert len(grids) == 1
 
     def test_failing_maps_raise_on_every_call(self):
         squash = PhiMap("squash", lambda x: np.minimum(np.asarray(x, float), 0.5),

@@ -1,4 +1,5 @@
-"""``tools/src_lines.py``: the line counts by kind that ROADMAP tracks."""
+"""``tools/src_lines.py``: the line counts by kind and the keyword count
+that ROADMAP tracks."""
 
 import importlib.util
 from pathlib import Path
@@ -26,8 +27,46 @@ class C:
 '''
 
 
+KEYWORD_SOURCE = '''
+def public(a, b=1, *args, c, d=2, **kw):
+    pass
+
+
+def _private(a=1):
+    pass
+
+
+class Public:
+    def __init__(self, a=1):
+        pass
+
+    def method(self, a, b=2, *, c=3):
+        def inner(x=1):
+            pass
+
+    def _helper(self, a=1):
+        pass
+
+    @classmethod
+    def build(cls, a=1):
+        pass
+
+
+class _Private:
+    def method(self, a=1):
+        pass
+'''
+
+
 def test_count_splits_code_docstring_comment_and_blank():
     assert src_lines.count(SOURCE) == {"code": 4, "docstring": 6, "comment": 1, "blank": 4}
+
+
+def test_keywords_count_the_defaults_of_the_public_api():
+    # public's b and d, Public.method's b and c, Public.build's a: no dunder,
+    # private, nested or private-class function counts
+    assert src_lines.keywords(KEYWORD_SOURCE) == 5
+    assert src_lines.keywords(SOURCE) == 0
 
 
 def test_module_rows_sum_to_the_newline_count(capsys):
@@ -35,8 +74,9 @@ def test_module_rows_sum_to_the_newline_count(capsys):
     files = sorted((ROOT / "src" / "nonadd").glob("*.py"))
     newlines = sum(path.read_bytes().count(b"\n") for path in files)
     assert src_lines.main([]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "lines", "code", "docstring", "comment", "blank", "keywords"]
     assert [r[0] for r in rows] == [p.name for p in files] + ["total"]
     *modules, total = [[int(v) for v in r[1:]] for r in rows]
     assert [sum(col) for col in zip(*modules)] == total
-    assert total[0] == newlines == sum(total[1:])
+    assert total[0] == newlines == sum(total[1:5])

@@ -426,17 +426,14 @@ class TestIndicatorSweeps:
     """The max-product indicator sweep and the subadditivity check against
     the row loops of the indicator sweeps."""
 
-    TOLS = [None, 0.0, 1e-12, -1e-3]   # None: the measure's own tolerance
-
     @settings(max_examples=150, deadline=None)
-    @given(mu=sweep_measures(), tol=st.sampled_from(TOLS))
+    @given(mu=sweep_measures())
     @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 0.5, 0.25, 0.5 - 1e-13],
-                                         rounding=True), tol=0.0)
-    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 3, 2], validate=False),
-             tol=None)
-    def test_max_product_sweep_matches_row_loop(self, mu, tol):
-        tol = mu.tolerance() if tol is None else tol
-        got = _max_product_indicator_sweep(mu, tol)
+                                         rounding=True))
+    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 3, 2], validate=False))
+    def test_max_product_sweep_matches_row_loop(self, mu):
+        tol = 1e-12
+        got = _max_product_indicator_sweep(mu)
         ref = ref_max_product_sweep(mu, tol)
         check_against_reference(mu, tol, got, ref, max_product_excess)
         if got is not None:
@@ -445,18 +442,17 @@ class TestIndicatorSweeps:
             assert got["rhs"] == tab[a] + tab[b]
 
     @settings(max_examples=150, deadline=None)
-    @given(mu=sweep_measures(kinds=("family", "dual", "raw")), tol=st.sampled_from(TOLS))
-    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 1, 3], validate=False),
-             tol=0.0)
-    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 0.5, 0.25], validate=False),
-             tol=-1e-3)
-    def test_subadditive_check_is_the_indicator_sweep(self, mu, tol):
+    @given(mu=sweep_measures(kinds=("family", "dual", "raw")))
+    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 1, 3], validate=False))
+    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 0.5, 0.25], validate=False,
+                                         rounding=True))
+    def test_subadditive_check_is_the_indicator_sweep(self, mu):
         # on a finite table the subadditivity check decides the two-level
         # indicator instances of the max-min equivalence: verdict and witness
         # are those of the all-pairs row loop at height mu(A|B)
         assume(np.isfinite(mu.table()).all())
-        tol = mu.tolerance() if tol is None else tol
-        res = check_measure_property(mu, "subadditive", tol=tol)
+        tol = mu.tolerance()
+        res = check_measure_property(mu, "subadditive")
         got = None if res.holds else \
             {k: res.witness[k] for k in ("set_a", "set_b", "mu_union", "mu_a", "mu_b")}
         check_against_reference(mu, tol, got, ref_subadditive_sweep(mu, tol), subadditive_excess)
@@ -468,17 +464,16 @@ class TestIndicatorSweeps:
         # RuntimeWarning, which the suite would turn into an error
         mu = MonotoneMeasure.explicit(FiniteSpace(2), [0.0, 1.0, 1.0, 1e308],
                                       validate=False)
-        got = _max_product_indicator_sweep(mu, 1e-12)
+        got = _max_product_indicator_sweep(mu)
         assert (got["set_a"], got["set_b"]) == (1, 2)
         with np.errstate(over="ignore"):
             assert got == ref_max_product_sweep(mu, 1e-12)
 
     def test_maxitive_measure_failing_the_sweep(self):
-        # maxitive within the rounding tolerance, but (A, B) = ({0}, {0, 1})
-        # gives max(mu(A|B), 2 mu(A&B)) = 1 > mu(A) + mu(B) = 1 - 1e-13
-        mu = MonotoneMeasure.explicit(FiniteSpace(2), [0, 0.5, 0.25, 0.5 - 1e-13],
-                                      rounding=True)
-        res = verify_shilkret_maxitive(mu, tol=0.0)
+        # maxitive, but not monotone: (A, B) = ({0}, {0, 1}) gives
+        # max(mu(A|B), 2 mu(A&B)) = 2 > mu(A) + mu(B) = 1, the largest excess
+        mu = MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 0.5, 0], validate=False)
+        res = verify_shilkret_maxitive(mu)
         assert res.detail["maxitive"].holds
         assert not res.holds and res.detail["stage"] == "indicator sweep"
         assert (res.witness["set_a"], res.witness["set_b"]) == (1, 3)
@@ -762,10 +757,11 @@ class TestChainConditionsMatchReference:
     replaced, on the operator catalog."""
 
     @settings(max_examples=200, deadline=None)
-    @given(case=mh_cases(), tol=st.sampled_from([1e-12, 0.0]))
-    def test_upper_chain(self, case, tol):
+    @given(case=mh_cases())
+    def test_upper_chain(self, case):
         ops, _, mu, f, g, domain = case
-        got = _chain_condition_upper(ops, mu, f, g, domain, tol)
+        tol = 1e-12
+        got = _chain_condition_upper(ops, mu, f, g, domain)
         with np.errstate(all="ignore"):
             ref, first = ref_chain_upper(ops, mu, f, g, domain, tol)
         assert (got.holds, repr(got.margin), got.mode) == (ref.holds, repr(ref.margin), ref.mode)
@@ -774,10 +770,11 @@ class TestChainConditionsMatchReference:
             _replays(ops, got.witness, tol)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=mh_cases(), tol=st.sampled_from([1e-12, 0.0]))
-    def test_lower_chain(self, case, tol):
+    @given(case=mh_cases())
+    def test_lower_chain(self, case):
         ops, boxplus, mu, f, g, domain = case
-        got = _chain_condition_lower(ops, boxplus, mu, f, g, domain, tol)
+        tol = 1e-12
+        got = _chain_condition_lower(ops, boxplus, mu, f, g, domain)
         with np.errstate(all="ignore"):
             ref, first = ref_chain_lower(ops, boxplus, mu, f, g, domain, tol)
         assert (got.holds, repr(got.margin), got.mode) == (ref.holds, repr(ref.margin), ref.mode)
@@ -789,9 +786,8 @@ class TestChainConditionsMatchReference:
 
     @settings(max_examples=60, deadline=None)
     @given(case=mh_cases(circs=[op for op in CATALOG
-                                if {"zero_left_annihilator", "zero_right_annihilator"} <= op.flags]),
-           tol=st.sampled_from([1e-12, 0.0]))
-    def test_necessity_cells(self, case, tol):
+                                if {"zero_left_annihilator", "zero_right_annihilator"} <= op.flags]))
+    def test_necessity_cells(self, case):
         ops, _, mu, f, _, domain = case
         scale = f.scale
         with np.errstate(invalid="ignore"):
@@ -799,8 +795,8 @@ class TestChainConditionsMatchReference:
                 _gate_mh(ops, scale, ["nondecreasing"], _ANNIHILATING)
             except HypothesisError:
                 assume(False)
-            values, heights, failing, failures = _necessity(ops, mu, domain, scale, tol)
-            ref_failing, ref_failures = ref_necessity(ops, mu, len(f), domain, scale, tol)
+            values, heights, failing, failures = _necessity(ops, mu, domain, scale)
+            ref_failing, ref_failures = ref_necessity(ops, mu, len(f), domain, scale, 1e-12)
         assert values == sorted(set(mu(a) for a in range(1, domain + 1) if not a & ~domain))
         got = {(values[s], heights[i], heights[j]) for s, i, j in np.argwhere(failing).tolist()}
         assert got == ref_failing
@@ -813,7 +809,7 @@ class TestChainConditionsMatchReference:
         zero = Fn([0.0] * 7)
         mu = MonotoneMeasure.possibility(FiniteSpace(7), [0.25, 0.5, 0.75, 1.0, 0.5, 0.25, 1.0])
         res = verify_upper_mh(ops, mu, zero, zero, direction="necessity")
-        values, heights, failing, failures = _necessity(ops, mu, (1 << 7) - 1, UNIT, 1e-12)
+        values, heights, failing, failures = _necessity(ops, mu, (1 << 7) - 1, UNIT)
         ref_failing, ref_failures = ref_necessity(ops, mu, 7, (1 << 7) - 1, UNIT, 1e-12)
         assert res.holds and res.mode == "grid" and failures == ref_failures == []
         assert res.detail["necessity_values"] == len(values) == 4
@@ -867,7 +863,7 @@ class TestChainConditionsMatchReference:
         ops = MHOperators(marshall_olkin(0.5, 0.25), lukasiewicz(),
                           (MIN, BSUM, MIN), (phi_power(2.0), phi_power(0.5), phi_identity()))
         mu = MonotoneMeasure.possibility(FiniteSpace(1), [0.25])
-        _, _, _, failures = _necessity(ops, mu, 1, UNIT, 1e-12)
+        _, _, _, failures = _necessity(ops, mu, 1, UNIT)
         assert len(failures) == 23
         for r in failures:
             f = Fn.indicator(1, r["set"], r["a"])
@@ -906,13 +902,13 @@ class TestOneNanRule:
         ops = MHOperators(MIN, MIN, (_hole(MIN, 0.75), MIN, MIN), (phi_identity(),) * 3)
         mu = MonotoneMeasure.possibility(FiniteSpace(1), [0.5])
         f = Fn([0.75])
-        upper = _chain_condition_upper(ops, mu, f, f, 1, 1e-12)
+        upper = _chain_condition_upper(ops, mu, f, f, 1)
         assert upper.holds and upper.margin == INF
-        lower = _chain_condition_lower(ops, MIN, mu, f, f, 1, 1e-12)
+        lower = _chain_condition_lower(ops, MIN, mu, f, f, 1)
         assert lower.holds and lower.margin == 0.0
         # without the hole every cell holds with equality; the hole cells
         # (min(a, b) = 0.75) neither fail nor count as failing
-        _, heights, failing, failures = _necessity(ops, mu, 1, UNIT, 1e-12)
+        _, heights, failing, failures = _necessity(ops, mu, 1, UNIT)
         assert heights[6] == 0.75 and not failing.any() and failures == []
         res = verify_upper_mh(ops, mu, f, f, direction="both")
         assert res.holds and res.mode == "grid"

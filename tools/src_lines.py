@@ -1,4 +1,4 @@
-"""Count the lines of the package source by kind.
+"""Count the lines of the package source by kind, and its keywords.
 
     python3 tools/src_lines.py [--markdown] [DIR]
 
@@ -7,7 +7,10 @@ lines of code, docstring, comment and blank, and prints one row per module
 and a total.  A docstring line lies within the string that opens a module,
 class or function body (found with ``ast``), blank lines inside it
 included; a comment line holds nothing but a ``#`` comment; a blank line
-holds only whitespace; every other line is code.  ``--markdown`` prints the
+holds only whitespace; every other line is code.  The ``keywords`` column
+counts the parameters with a default of the public module-level functions
+and of the public methods of public classes (a public name does not start
+with ``_``): the options the public API offers.  ``--markdown`` prints the
 table in Markdown, for a CI step summary.
 """
 
@@ -19,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("code", "docstring", "comment", "blank")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -50,16 +54,32 @@ def count(text: str) -> dict[str, int]:
     return out
 
 
+def keywords(text: str) -> int:
+    """Defaulted parameters of the public functions and of the public
+    methods of public classes of ``text`` (Python source)."""
+    def public(nodes, kind):
+        return [n for n in nodes if isinstance(n, kind) and not n.name.startswith("_")]
+
+    body = ast.parse(text).body
+    functions = public(body, FUNCTIONS)
+    for cls in public(body, ast.ClassDef):
+        functions += public(cls.body, FUNCTIONS)
+    return sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+               for f in functions)
+
+
 def main(argv: list[str]) -> int:
     markdown = "--markdown" in argv
     args = [a for a in argv if a != "--markdown"]
     base = Path(args[0]) if args else ROOT / "src" / "nonadd"
-    rows = [(path.name, count(path.read_text())) for path in sorted(base.glob("*.py"))]
-    total = {k: sum(r[k] for _, r in rows) for k in KINDS}
-    rows.append(("total", total))
-    header = ("module", "lines") + KINDS
-    table = [header] + [(name, str(sum(r.values())), *(str(r[k]) for k in KINDS))
-                        for name, r in rows]
+    rows = []
+    for path in sorted(base.glob("*.py")):
+        text = path.read_text()
+        kinds = count(text)
+        rows.append([path.name, sum(kinds.values()), *kinds.values(), keywords(text)])
+    rows.append(["total", *(sum(col) for col in list(zip(*rows))[1:])])
+    header = ("module", "lines") + KINDS + ("keywords",)
+    table = [header] + [tuple(map(str, row)) for row in rows]
     if markdown:
         print("| " + " | ".join(header) + " |")
         print("|" + "---|" * len(header))
