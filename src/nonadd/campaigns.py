@@ -168,7 +168,7 @@ def _plus_assoc_comonotone(seed: int, k: int) -> list:
         f, g = sampling.anti_monotone_pair(rng, n, UNIT)
     assoc = is_star_associated(f, g, _SUM)
     como = is_comonotone(f, g)
-    if assoc.mode == "exhaustive" and assoc.holds == como.holds:
+    if assoc.holds == como.holds:
         return []
     return [{"trial": k, "assoc": assoc.to_dict(), "comonotone": como.to_dict()}]
 
@@ -466,7 +466,7 @@ def _kyfan_threeway(seed: int, k: int) -> list:
     g = sampling.signed_vector(rng, n)
     d1 = metric_eval(MetricSpec("kyfan"), f, g, mu)
     diff = [abs(a - b) for a, b in zip(f, g)]
-    d2 = lower_integral(Fn(diff, EXTENDED), mu, _JOIN, None, EXTENDED)
+    d2 = lower_integral(Fn(diff, EXTENDED), mu, _JOIN)
     d3 = kyfan_classical(f, g, mu)
     if abs(d1 - d2) > _TOL or abs(d1 - d3) > _TOL:
         return [{"trial": k, "threeway": [d1, d2, d3]}]

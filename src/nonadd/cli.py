@@ -95,8 +95,7 @@ def _cmd_run(args) -> int:
     try:
         for task in sc.tasks:
             start = time.perf_counter()
-            tasks.append(run_task(sc, task, default_seed=args.seed,
-                                  default_tolerance=args.tolerance))
+            tasks.append(run_task(sc, task, default_seed=args.seed))
             task_ms.append((time.perf_counter() - start) * 1000.0)
     except (ScenarioError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -172,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="path to a scenario JSON or a built-in name")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--tolerance", type=float, default=None)
 
     fuzz_p = sub.add_parser("fuzz", help="run a seeded fuzz campaign")
     fuzz_p.add_argument("campaign")

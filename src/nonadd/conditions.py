@@ -69,9 +69,10 @@ _DEFAULT_SPACING = 1.0 / 64.0
 _PAIR_SPACING = 1.0 / 16.0
 
 
-def _as_values(scale: ValueScale, values, spacing: float) -> np.ndarray:
+def _as_values(scale: ValueScale, values, grid: np.ndarray) -> np.ndarray:
+    """The supplied values, checked against the scale, or else the grid."""
     if values is None:
-        return scale.grid(spacing)
+        return grid
     arr = np.asarray([float(v) for v in values], dtype=float)
     if not scale.contains_all(arr).all():
         for v in arr.tolist():                  # only to name the first value outside
@@ -84,12 +85,11 @@ def _as_values(scale: ValueScale, values, spacing: float) -> np.ndarray:
     return np.unique(arr)
 
 
-def _as_pairs(scale: ValueScale, cd_values, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _as_pairs(cd_values, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (c, d) pairs as two arrays: the grid's pairs with c outer, or the
     supplied pairs in their order."""
     if cd_values is None:
-        g = scale.grid(spacing)
-        return np.repeat(g, len(g)), np.tile(g, len(g))
+        return np.repeat(grid, len(grid)), np.tile(grid, len(grid))
     pairs = np.asarray([(float(c), float(d)) for c, d in cd_values], dtype=float).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1]
 
@@ -134,11 +134,11 @@ def _three_map_sides(star: BinaryOp, combiner: BinaryOp, circs: Sequence[BinaryO
 def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
                   circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                   scale: ValueScale = UNIT, c_values=None,
-                  a_values=None, b_values=None,
-                  spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    a = _as_values(scale, a_values, spacing)
-    b = _as_values(scale, b_values, spacing)
-    cs = _as_values(scale, c_values, spacing)
+                  a_values=None, b_values=None) -> CheckResult:
+    g = scale.grid(_DEFAULT_SPACING)
+    a = _as_values(scale, a_values, g)
+    b = _as_values(scale, b_values, g)
+    cs = _as_values(scale, c_values, g)
     A, B, _, valid = _star_cells(star, scale, a, b)
 
     def body(C):
@@ -149,11 +149,10 @@ def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
 
 
 def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
-                   scale: ValueScale = UNIT, c_values=None,
-                   spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                   scale: ValueScale = UNIT, c_values=None) -> CheckResult:
     p1, p2, p3 = phis
-    g = scale.grid(spacing)
-    cs = _as_values(scale, c_values, spacing)
+    g = scale.grid(_DEFAULT_SPACING)
+    cs = _as_values(scale, c_values, g)
     A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(C):
@@ -164,14 +163,13 @@ def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
     return _sweep((len(g), len(g)), [(cs, body)], _TOL, _mode(c_values))
 
 
-def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
-                          spacing: float = _DEFAULT_SPACING) -> CheckResult:
+def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None) -> CheckResult:
     """Power-map family on the unit scale; holds iff p1 <= p2 and p1 <= p3."""
     for p in (p1, p2, p3):
         if p <= 0:
             raise DomainError("exponents must be positive")
-    g = UNIT.grid(spacing)
-    cs = _as_values(UNIT, c_values, spacing)
+    g = UNIT.grid(_DEFAULT_SPACING)
+    cs = _as_values(UNIT, c_values, g)
     A, B = g[:, None], g[None, :]
     AB = A * B
     w1, w2, w3 = (np.float_power(cs, 1.0 / p) for p in (p1, p2, p3))
@@ -185,10 +183,9 @@ def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
     return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(c_values))
 
 
-def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
-                                spacing: float = _DEFAULT_SPACING) -> CheckResult:
+def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp) -> CheckResult:
     S = semicopula
-    g = UNIT.grid(spacing)
+    g = UNIT.grid(_DEFAULT_SPACING)
     A, B, sAB, valid = _star_cells(star, UNIT, g)
 
     def body(C):
@@ -199,12 +196,11 @@ def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
     return _sweep((len(g), len(g)), [(g, body)], _TOL, "grid")
 
 
-def cond_semicopula_sum_split(semicopula: BinaryOp,
-                              spacing: float = _DEFAULT_SPACING) -> CheckResult:
+def cond_semicopula_sum_split(semicopula: BinaryOp) -> CheckResult:
     S = semicopula
-    g = UNIT.grid(spacing)
+    g = UNIT.grid(_DEFAULT_SPACING)
     A, B = g[:, None], g[None, :]
-    valid = A + B <= 1.0 + 1e-15
+    valid = UNIT.contains_all(A + B)          # sums of k/64 values are exact
     capped = np.minimum(A + B, 1.0)
 
     def body(C):
@@ -216,12 +212,12 @@ def cond_semicopula_sum_split(semicopula: BinaryOp,
 
 
 @functools.lru_cache(maxsize=32)
-def _sum_split_cells(scale: ValueScale, spacing: float) -> tuple[np.ndarray, ...]:
-    """The cells of :func:`cond_sum_split`, built once per grid: the grid,
+def _sum_split_cells(scale: ValueScale) -> tuple[np.ndarray, ...]:
+    """The cells of :func:`cond_sum_split`, built once per scale: the grid,
     then the values of a and b over the pairs a <= b of it whose sum stays
     in the scale (in C order), the distinct values U = grid | {a + b}, and
     the indices into U of a, b and a + b.  Read-only: shared by every call."""
-    g = scale.grid(spacing)
+    g = scale.grid(_DEFAULT_SPACING)
     check_cells(len(g) ** 2, "condition sweep")   # one c value's cells, before the pairs
     i, j = np.triu_indices(len(g))
     s = g[i] + g[j]
@@ -234,8 +230,7 @@ def _sum_split_cells(scale: ValueScale, spacing: float) -> tuple[np.ndarray, ...
     return cells
 
 
-def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
-                   spacing: float = _DEFAULT_SPACING) -> CheckResult:
+def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None) -> CheckResult:
     """(a + b) o c <= (a o c) + (b o c) over the grid's pairs (a, b) with
     a + b in the scale, for every c of the grid or of ``c_values``.
 
@@ -246,8 +241,8 @@ def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
     arithmetic), so a violating cell with a > b has its mirror earlier in
     C order: the witness and both margins are those of the full grid.  The
     cell budget counts the full grid per c value."""
-    cs = _as_values(scale, c_values, spacing)
-    g, A, B, values, ia, ib, isum = _sum_split_cells(scale, spacing)
+    g, A, B, values, ia, ib, isum = _sum_split_cells(scale)
+    cs = _as_values(scale, c_values, g)
     check_cells(len(cs) * len(g) ** 2, "condition sweep")
 
     def body(C):
@@ -260,12 +255,11 @@ def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
 
 
 def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
-                              scale: ValueScale = UNIT,
-                              spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                              scale: ValueScale = UNIT) -> CheckResult:
     """Subadditive second sections plus the power-scaling bound."""
     if q <= 0 or r <= 0:
         raise DomainError("scaling exponents must be positive")
-    g = scale.grid(spacing)
+    g = scale.grid(_DEFAULT_SPACING)
     X, Y = g[:, None], g[None, :]
     opXY = op.grid(X, Y)
     factors = np.asarray([1.5, 2.0, 4.0, 16.0, 256.0])
@@ -293,11 +287,11 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
 def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
                   circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                   scale: ValueScale = UNIT, cd_values=None,
-                  a_values=None, b_values=None,
-                  spacing: float = _PAIR_SPACING) -> CheckResult:
-    a = _as_values(scale, a_values, spacing)
-    b = _as_values(scale, b_values, spacing)
-    cs, ds = _as_pairs(scale, cd_values, spacing)
+                  a_values=None, b_values=None) -> CheckResult:
+    g = scale.grid(_PAIR_SPACING)
+    a = _as_values(scale, a_values, g)
+    b = _as_values(scale, b_values, g)
+    cs, ds = _as_pairs(cd_values, g)
     combined = _combined(boxplus, cs, ds)
     A, B, _, valid = _star_cells(star, scale, a, b)
 
@@ -311,11 +305,10 @@ def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
 
 
 def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
-                       scale: ValueScale = UNIT, cd_values=None,
-                       spacing: float = _PAIR_SPACING) -> CheckResult:
+                       scale: ValueScale = UNIT, cd_values=None) -> CheckResult:
     p1, p2, p3 = phis
-    g = scale.grid(spacing)
-    cs, ds = _as_pairs(scale, cd_values, spacing)
+    g = scale.grid(_PAIR_SPACING)
+    cs, ds = _as_pairs(cd_values, g)
     A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(i):
@@ -328,10 +321,9 @@ def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
 
 
 def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
-                         scale: ValueScale = UNIT, c_values=None,
-                         spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    g = scale.grid(spacing)
-    cs = _as_values(scale, c_values, spacing)
+                         scale: ValueScale = UNIT, c_values=None) -> CheckResult:
+    g = scale.grid(_DEFAULT_SPACING)
+    cs = _as_values(scale, c_values, g)
     A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(C):
@@ -343,10 +335,9 @@ def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
 
 
 def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
-                              scale: ValueScale = UNIT, cd_values=None,
-                              spacing: float = _PAIR_SPACING) -> CheckResult:
-    g = scale.grid(spacing)
-    cs, ds = _as_pairs(scale, cd_values, spacing)
+                              scale: ValueScale = UNIT, cd_values=None) -> CheckResult:
+    g = scale.grid(_PAIR_SPACING)
+    cs, ds = _as_pairs(cd_values, g)
     combined = _combined(boxplus, cs, ds)
     A, B, sAB, valid = _star_cells(star, scale, g)
 
@@ -359,13 +350,12 @@ def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
     return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(cd_values))
 
 
-def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
-                            spacing: float = _DEFAULT_SPACING) -> CheckResult:
+def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT) -> CheckResult:
     """1 o x <= y for y in (0, 1) must force x <= y."""
     if not scale.contains(1.0):
         raise DomainError("unit section condition needs 1 in the scale")
-    xg = scale.grid(spacing)
-    yg = UNIT.grid(spacing)
+    xg = scale.grid(_DEFAULT_SPACING)
+    yg = UNIT.grid(_DEFAULT_SPACING)
     yg = yg[(yg > 0.0) & (yg < 1.0)]
     X, Y = xg[:, None], yg[None, :]
     sect = op.grid(np.ones_like(X), X)

@@ -355,6 +355,18 @@ class Fn:
         return self.values[i]
 
 
+def _one_scale(*fns: Fn) -> ValueScale:
+    """The one scale of ``fns``, refusing functions on two: each integral
+    reads its integrand on the ``Fn``'s own scale, and the sides of one
+    statement must read one."""
+    scale = fns[0].scale
+    for f in fns[1:]:
+        if f.scale != scale:
+            raise DomainError(f"functions on two scales: {scale.describe()} and "
+                              f"{f.scale.describe()}")
+    return scale
+
+
 def _domain_mask(n: int, domain: int | None) -> int:
     """The domain bitmask over n points: every point for ``None``."""
     full = (1 << n) - 1

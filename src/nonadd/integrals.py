@@ -30,7 +30,8 @@ j = 0), the upper form's.  One bisection of T finds the set at the scale top,
 whose mass is the top candidate's on a closed scale and the tail mass on an
 open one.
 
-A function of another length than the space is refused, and the domain is
+Every integrand is an ``Fn``, read on its own scale; anything else, or a
+function of another length than the space, is refused, and the domain is
 checked against the space once per call (``MonotoneMeasure.mass_reader``).
 Every level set is a submask of the domain, so the level masses are then
 read unchecked from the measure's cached table, or through ``mu()`` when
@@ -60,7 +61,6 @@ from .core import (
     _check_length,
     _domain_mask,
     _domain_points,
-    _in_scale_values,
     _level_sets,
     _rel_gap,
     subset_infima,
@@ -88,22 +88,14 @@ class ProfileIntegralResult(NamedTuple):
     truncated: bool
 
 
-def _unpack(f, mu: MonotoneMeasure, scale: ValueScale | None, domain: int | None = None):
-    """The values and scale of an integrand, checked against an explicit
-    scale unless it is the ``Fn``'s own and against the length of ``mu``'s
-    space, and its checked domain mask."""
-    if isinstance(f, Fn):
-        values = f.values
-        if scale is None or scale is f.scale:
-            scale = f.scale
-        else:
-            values = _in_scale_values(values, scale)
-    elif scale is None:
-        raise DomainError("raw value vectors need an explicit scale")
-    else:
-        values = _in_scale_values(tuple(float(v) for v in f), scale)
-    _check_length(values, mu.space)
-    return values, scale, _domain_mask(len(values), domain)
+def _unpack(f: Fn, mu: MonotoneMeasure, domain: int | None = None):
+    """The values and scale of an integrand, which must be an ``Fn`` of the
+    length of ``mu``'s space, and its checked domain mask."""
+    if not isinstance(f, Fn):
+        raise DomainError(f"an integrand is an Fn, which carries its scale; got "
+                          f"{type(f).__name__}")
+    _check_length(f.values, mu.space)
+    return f.values, f.scale, _domain_mask(len(f.values), domain)
 
 
 def _positive_levels(ts: list[float], scale: ValueScale) -> range:
@@ -144,12 +136,12 @@ def _require_zero_tail(op: BinaryOp, scale: ValueScale, tail_mu: float) -> None:
             f"declared 'zero_right_annihilator'")
 
 
-def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None,
-                          scale: ValueScale | None = None) -> IntegralResult:
-    """sup over t in the scale of op(t, mu(D intersect {f >= t})), with the
+def upper_integral_result(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
+                          domain: int | None = None) -> IntegralResult:
+    """sup over t in f's scale of op(t, mu(D intersect {f >= t})), with the
     attained level; ``exact`` is always True.  An open scale whose tail is
     not exactly 0 raises ``HypothesisError``."""
-    values, scale, domain = _unpack(f, mu, scale, domain)
+    values, scale, domain = _unpack(f, mu, domain)
     verify_flags(op, _GATE, scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -180,14 +172,12 @@ def upper_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     return IntegralResult(best, True, best_level)
 
 
-def upper_integral(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None,
-                   scale: ValueScale | None = None) -> float:
-    return upper_integral_result(f, mu, op, domain, scale).value
+def upper_integral(f: Fn, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None) -> float:
+    return upper_integral_result(f, mu, op, domain).value
 
 
-def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
-                                 domain: int | None = None,
-                                 scale: ValueScale | None = None) -> float:
+def upper_integral_subset_oracle(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
+                                 domain: int | None = None) -> float:
     """Independent route: sup over subsets A of D of op(inf of f on A, mu(A)).
 
     The empty subset contributes with the lattice convention inf over the
@@ -200,7 +190,7 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
     ``mu.subset_table``, which folds only the domain's points when the
     measure has no cached table; the space bounds its 2^|D| cells.
     """
-    values, scale, domain = _unpack(f, mu, scale, domain)
+    values, scale, domain = _unpack(f, mu, domain)
     verify_flags(op, _GATE, scale)
     bits = _domain_points(domain)
 
@@ -228,16 +218,16 @@ def upper_integral_subset_oracle(f, mu: MonotoneMeasure, op: BinaryOp,
 # lower integral
 # ---------------------------------------------------------------------------
 
-def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None,
-                          scale: ValueScale | None = None) -> IntegralResult:
-    """inf over t in the scale of op(t, mu(D intersect {f > t})).
+def lower_integral_result(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
+                          domain: int | None = None) -> IntegralResult:
+    """inf over t in f's scale of op(t, mu(D intersect {f > t})).
 
     The strict level measure is constant on [v_k, v_{k+1}) between realized
     values and t -> op(t, c) is nondecreasing, so the infimum sits at the
     left end of a piece: always exact on finite spaces.  Candidates run
     from 0 and then down from the largest in-scale value.
     """
-    values, scale, domain = _unpack(f, mu, scale, domain)
+    values, scale, domain = _unpack(f, mu, domain)
     verify_flags(op, _GATE, scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -255,55 +245,52 @@ def lower_integral_result(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | No
     return IntegralResult(best, True, best_level)
 
 
-def lower_integral(f, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None,
-                   scale: ValueScale | None = None) -> float:
-    return lower_integral_result(f, mu, op, domain, scale).value
+def lower_integral(f: Fn, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None) -> float:
+    return lower_integral_result(f, mu, op, domain).value
 
 
 # ---------------------------------------------------------------------------
 # named integrals
 # ---------------------------------------------------------------------------
 
-def sugeno_integral(f, mu: MonotoneMeasure, domain: int | None = None,
-                    scale: ValueScale | None = None) -> float:
-    return upper_integral(f, mu, _MIN, domain, scale)
+def sugeno_integral(f: Fn, mu: MonotoneMeasure, domain: int | None = None) -> float:
+    return upper_integral(f, mu, _MIN, domain)
 
 
-def shilkret_integral(f, mu: MonotoneMeasure, domain: int | None = None,
-                      scale: ValueScale | None = None) -> float:
-    return upper_integral(f, mu, _PROD, domain, scale)
+def shilkret_integral(f: Fn, mu: MonotoneMeasure, domain: int | None = None) -> float:
+    return upper_integral(f, mu, _PROD, domain)
 
 
-def seminormed_integral(f, mu: MonotoneMeasure, semicopula: BinaryOp,
-                        domain: int | None = None, scale: ValueScale | None = None) -> float:
+def seminormed_integral(f: Fn, mu: MonotoneMeasure, semicopula: BinaryOp,
+                        domain: int | None = None) -> float:
     """The upper integral under a semicopula: an operator that passes its
     ``nondecreasing`` and ``neutral_one`` gates on [0, 1]."""
     verify_flags(semicopula, ("nondecreasing", "neutral_one"), UNIT)
-    return upper_integral(f, mu, semicopula, domain, scale)
+    return upper_integral(f, mu, semicopula, domain)
 
 
-def abs_power(values: Sequence[float], p: float, scale: ValueScale = EXTENDED) -> Fn:
-    """Adapter from a signed real vector to the nonnegative integrand |v|^p."""
+def abs_power(values: Sequence[float], p: float) -> Fn:
+    """Adapter from a signed real vector to the nonnegative integrand |v|^p,
+    on the extended scale [0, inf]."""
     if p <= 0:
         raise DomainError("exponent must be positive")
-    return Fn([abs(float(v)) ** p for v in values], scale)
+    return Fn([abs(float(v)) ** p for v in values], EXTENDED)
 
 
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
 
-def check_sugeno_identity(f, mu: MonotoneMeasure, domain: int | None = None,
-                          scale: ValueScale | None = None) -> CheckResult:
+def check_sugeno_identity(f: Fn, mu: MonotoneMeasure, domain: int | None = None) -> CheckResult:
     """The lower integral with join equals the upper integral with min,
     within the measure's ``tolerance()``."""
-    lo = lower_integral_result(f, mu, _JOIN, domain, scale)
-    hi = upper_integral_result(f, mu, _MIN, domain, scale)
+    lo = lower_integral_result(f, mu, _JOIN, domain)
+    hi = upper_integral_result(f, mu, _MIN, domain)
     gap = abs(_rel_gap(lo.value, hi.value))
     if gap <= mu.tolerance():
         return CheckResult(True, margin=gap)
     return CheckResult(False, gap, {"lower_join": lo.value, "upper_min": hi.value,
-                                    "values": list(_unpack(f, mu, scale)[0])})
+                                    "values": list(f.values)})
 
 
 def check_h_duality(f: Fn, mu: MonotoneMeasure, op: BinaryOp, h: DualityMap) -> CheckResult:
@@ -315,11 +302,11 @@ def check_h_duality(f: Fn, mu: MonotoneMeasure, op: BinaryOp, h: DualityMap) -> 
         raise DomainError("duality identity needs a closed scale")
     h.validate_on(scale)
     hf = Fn(h.forward(np.array(f.values)).tolist(), scale)
-    left_inner = lower_integral(hf, mu, op, None, scale)
+    left_inner = lower_integral(hf, mu, op)
     left = float(h.inverse(left_inner))
     mu_h = dual_measure(mu, h)
     op_h = op_dual(op, h)
-    right = upper_integral(f, mu_h, op_h, None, scale)
+    right = upper_integral(f, mu_h, op_h)
     gap = abs(_rel_gap(left, right)) / max(1.0, abs(left), abs(right))
     if gap <= _TOL:
         return CheckResult(True, margin=gap)

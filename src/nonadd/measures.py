@@ -52,8 +52,14 @@ only, usually one or none, where two views cost less than two gathers.
   subset of U and ``tab[a | N] == tab[a]`` for every a, by adding the
   points of N one at a time.  Every difference the per-null-set sweep
   would read is then 0 (inf against inf reads as 0), so the check holds
-  with margin 0.0 without it.  Any other table runs that sweep, one
-  2**n pass per null set, which also gives a failure's witness.
+  with margin 0.0 without it.  Otherwise let u be the lowest point of U
+  that moves a value.  A null set below {u} holds only points below u, which
+  move nothing, so on an exact table (``tol`` = 0) whose {u} is null, as on
+  every monotone one, the sweep's first failing null set is {u}, and its
+  one pass gives the sweep's witness and margin.  Any other table (a
+  rounding one, or {u} not null) runs the whole sweep, one 2**n pass per
+  null set, refused up front when its null sets times 2**n pass the cell
+  budget.
 
 The pairwise checks share one reduction (:func:`_reduce_blocks`).  A
 failure reports the largest violation; its witness is the pair with the
@@ -187,7 +193,7 @@ class MonotoneMeasure:
         p = tuple(float(v) for v in probs)
         if len(p) != space.n:
             raise DomainError("probability vector length must equal the space size")
-        if any(v < 0 for v in p) or abs(sum(p) - 1.0) > 1e-9:
+        if any(v < 0 for v in p) or abs(sum(p) - 1.0) > _TOL:
             raise DomainError("probabilities must be nonnegative and sum to 1")
         if abs(float(g(0.0))) > _TOL:
             raise DomainError("distortion must map 0 to 0")
@@ -539,8 +545,9 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
     11 points and in bounded chunks above (see the module docstring);
     ``null_additive`` first tests the points of the null union, which
     decides every table whose null sets change no value, and sweeps null
-    set by null set otherwise (see the module docstring for why both give
-    the same bytes as full sweeps).
+    set by null set otherwise: on an exact table from the singleton of the
+    lowest point that moves a value alone (see the module docstring for why
+    these give the same bytes as full sweeps).
     ``submodular`` reads the local cells (A, i, j) rather than the subset
     pairs wherever they decide it.
     """
@@ -570,9 +577,16 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
 
     if prop == "null_additive":
         union = null_union(mu, tol)
-        if all(np.array_equal(*_bit_halves(tab, bit)) for bit in range(n) if union >> bit & 1):
+        moving = (bit for bit in range(n)
+                  if union >> bit & 1 and not np.array_equal(*_bit_halves(tab, bit)))
+        u = next(moving, None)
+        if u is None:
             return CheckResult(True, margin=0.0)
-        null_sets = np.arange(size, dtype=np.int64)[tab <= tol]
+        if tol == 0.0 and tab[1 << u] <= tol:
+            null_sets = [1 << u]      # the sweep's first failing null set
+        else:
+            null_sets = np.arange(size, dtype=np.int64)[tab <= tol]
+            check_cells(len(null_sets) << n, "null-additive sweep over null sets")
         idx = np.arange(size, dtype=np.int64)
         worst = 0.0
         for a in null_sets:
@@ -669,7 +683,7 @@ def dual_measure(mu: MonotoneMeasure, h) -> MonotoneMeasure:
     comp = tab[full - np.arange(tab.shape[0], dtype=np.int64)]
     dual_tab = np.asarray(h.inverse(comp), dtype=float)
     # rounding in h can push an exact 0 a few ulps below zero
-    dual_tab = np.where((dual_tab < 0.0) & (dual_tab > -1e-9), 0.0, dual_tab)
+    dual_tab = np.where((dual_tab < 0.0) & (dual_tab > -_TOL), 0.0, dual_tab)
     out = MonotoneMeasure.explicit(mu.space, dual_tab, allow_nonzero_empty=True,
                                    rounding=True)
     return out

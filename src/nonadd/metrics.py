@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import cached_condition
-from .core import (EXTENDED, Fn, INF, NONNEG, ValueScale, _TOL, _check_length, _level_sets,
-                   _rel_gap, rng_for)
+from .core import (EXTENDED, Fn, INF, NONNEG, _TOL, _check_length, _level_sets,
+                   _one_scale, _rel_gap, rng_for)
 from .integrals import (
     abs_power,
     lower_integral,
@@ -106,28 +106,28 @@ def _distance(spec: MetricSpec, f: Sequence[float], g: Sequence[float],
     caller's :func:`_integrate_once` for ``d_op_p``'s upper integral."""
     diff = _abs_diff(f, g)
     if spec.kind == "frechet":
-        return lower_integral(Fn(diff, EXTENDED), mu, _SUM, None, EXTENDED)
+        return lower_integral(Fn(diff, EXTENDED), mu, _SUM)
     if spec.kind == "kyfan":
-        return upper_integral(Fn(diff, EXTENDED), mu, _MIN, None, EXTENDED)
+        return upper_integral(Fn(diff, EXTENDED), mu, _MIN)
     integrand = abs_power(diff, spec.p)
     base = (integral(integrand) if integral is not None
-            else upper_integral(integrand, mu, spec.op, None, EXTENDED))
+            else upper_integral(integrand, mu, spec.op))
     return float(base ** (1.0 / (spec.p ** 2 + 1.0)))
 
 
-def _integrate_once(mu: MonotoneMeasure, op: BinaryOp, scale: ValueScale):
-    """``fk -> upper_integral(fk, mu, op, None, scale)`` for one call's
-    loops, integrating each distinct integrand once.  The memo is keyed by
-    the values alone: the integral reads them through ``_level_sets``,
-    which compares them by value (so -0.0 and 0.0 are one level), and lives
-    only as long as the caller keeps the returned function."""
-    memo: dict[tuple[float, ...], float] = {}
+def _integrate_once(mu: MonotoneMeasure, op: BinaryOp):
+    """``fk -> upper_integral(fk, mu, op)`` for one call's loops,
+    integrating each distinct integrand once.  The memo is keyed by the
+    ``Fn`` itself, values and scale: the integral reads the values through
+    ``_level_sets``, which compares them by value (so -0.0 and 0.0, equal
+    and of one hash, are one level), and the memo lives only as long as the
+    caller keeps the returned function."""
+    memo: dict[Fn, float] = {}
 
-    def integral(fk) -> float:
-        key = fk.values if isinstance(fk, Fn) else tuple(map(float, fk))
-        value = memo.get(key)
+    def integral(fk: Fn) -> float:
+        value = memo.get(fk)
         if value is None:
-            value = memo[key] = upper_integral(fk, mu, op, None, scale)
+            value = memo[fk] = upper_integral(fk, mu, op)
         return value
 
     return integral
@@ -273,8 +273,7 @@ def shilkret_norm(f: Sequence[float], mu: MonotoneMeasure) -> float:
 def _norm(f: Sequence[float], mu: MonotoneMeasure) -> float:
     """:func:`shilkret_norm` without its maxitivity gate."""
     fv = f.values if isinstance(f, Fn) else f
-    return shilkret_integral(Fn([abs(float(v)) for v in fv], EXTENDED), mu,
-                             None, EXTENDED)
+    return shilkret_integral(Fn([abs(float(v)) for v in fv], EXTENDED), mu)
 
 
 def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0) -> CheckResult:
@@ -325,7 +324,8 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
     limit (within ``core._TOL``, exactly for stabilized sequences).  ``fatou``:
     the integral of the pointwise limit is at most the smallest integral in
     the stabilized tail.  Requires a null-additive measure and an operator
-    declared and verified left-continuous in its second argument.
+    declared and verified left-continuous in its second argument, and terms
+    on the limit's scale.
     """
     if kind not in ("monotone", "fatou"):
         raise DomainError(f"unknown lemma kind {kind!r}")
@@ -334,7 +334,7 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
     nulls = check_measure_property(mu, "null_additive")
     if not nulls.holds:
         raise HypothesisError("lemmas need a null-additive measure", detail=nulls)
-    verify_flags(op, ["nondecreasing", "left_continuous_second"], limit.scale)
+    verify_flags(op, ["nondecreasing", "left_continuous_second"], _one_scale(limit, *sequence))
 
     exempt = null_union(mu, _TOL)
     n = len(limit)
@@ -344,7 +344,7 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
             if any(b[i] < a[i] - _TOL for i in live):
                 raise DomainError("sequence is not nondecreasing off the null set")
 
-    integral = _integrate_once(mu, op, limit.scale)   # stabilized terms repeat
+    integral = _integrate_once(mu, op)   # stabilized terms repeat
     integrals = [integral(fk) for fk in sequence]
     i_limit = integral(limit)
     detail = {"integrals": integrals, "limit_integral": i_limit,
@@ -392,12 +392,10 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
         return CheckResult(False, dists[-1] - min(dists),
                            {"reason": "distances do not settle", "distances": dists},
                            status="premise-failed")
-    i_limit = upper_integral(abs_power(limit.values, spec.p), mu, spec.op,
-                             None, EXTENDED) ** e
+    i_limit = upper_integral(abs_power(limit.values, spec.p), mu, spec.op) ** e
     worst = -INF
     for k, fk in enumerate(sequence):
-        i_k = upper_integral(abs_power(fk.values, spec.p), mu, spec.op,
-                             None, EXTENDED) ** e
+        i_k = upper_integral(abs_power(fk.values, spec.p), mu, spec.op) ** e
         gap = abs(i_k - i_limit) - dists[k]
         if gap > _TOL:
             return CheckResult(False, gap,
@@ -438,7 +436,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
     exponent = p * p + 1.0
 
     # the distances below integrate the eps loop's accepted integrands again
-    integral = _integrate_once(mu, spec.op, EXTENDED)
+    integral = _integrate_once(mu, spec.op)
     if sequence is None:
         rng = rng_for(seed, "cauchy", n)
         base = [rng.randrange(0, 17) / 8.0 for _ in range(n)]

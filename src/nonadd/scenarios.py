@@ -358,7 +358,7 @@ _EXPECT = Field(_enum(("holds", "fails", "condition-failed", "premise-failed",
                        "hypothesis-failed"),
                       {"violated": "fails", "pass": "holds", "fail": "fails"}), "holds")
 _SEED = Field(_int)              # None: the run's seed
-_TOLERANCE = Field(_number)      # None: the run's tolerance, else the task's own
+_TOLERANCE = Field(_number)      # None: the check's own epsilon, else the task's own
 _DOMAIN = Field(_domain)
 _VALUE = {"expect_value": Field(_number), "tolerance": _TOLERANCE}
 
@@ -447,13 +447,13 @@ def _oracle(sc, a):
 
 def _fuzz(sc, a):
     rep = run_campaign(a.campaign, a.trials, a.seed)
-    res = CheckResult(True, margin=0.0) if rep["failed"] == 0 else \
-        CheckResult(False, float(rep["failed"]), {"failures": rep["failures"]})
+    res = CheckResult(True, margin=0.0, mode="sampled") if rep["failed"] == 0 else \
+        CheckResult(False, float(rep["failed"]), {"failures": rep["failures"]}, mode="sampled")
     return res, {"campaign": rep}
 
 
 # check_condition fields come from each condition's signature; the scenario
-# reaches only these parameters (spacing and the extra grids stay out)
+# reaches only these parameters (the extra grids stay out)
 _CONDITION_PARAMS = {
     **dict.fromkeys(("p1", "p2", "p3", "q", "r"), _number),
     **dict.fromkeys(("op", "semicopula", "star", "combiner", "boxplus", "op_h"), _OP),
@@ -587,8 +587,7 @@ def _resolve_task(sc: Scenario, task, where: str):
 # task execution
 # ---------------------------------------------------------------------------
 
-def run_task(sc: Scenario, task: dict, default_seed: int = 0,
-             default_tolerance: float | None = None) -> dict:
+def run_task(sc: Scenario, task: dict, default_seed: int = 0) -> dict:
     """Execute a single task; returns a JSON-safe record with a verdict.
 
     A task of ``sc.tasks`` was resolved when the scenario was parsed; any
@@ -597,8 +596,6 @@ def run_task(sc: Scenario, task: dict, default_seed: int = 0,
     a = SimpleNamespace(**vars(resolved))
     if hasattr(a, "seed") and a.seed is None:
         a.seed = default_seed
-    if hasattr(a, "tolerance") and a.tolerance is None:
-        a.tolerance = default_tolerance
     record: dict[str, Any] = {"task": kind, "expected": a.expect}
     try:
         out = spec.call(sc, a)

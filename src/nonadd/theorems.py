@@ -27,10 +27,12 @@ candidate never wins the sup or inf of an integral.
 Shared pieces: ``_verdict`` decides the integral inequality of every
 verifier but the two equivalences, reading gaps by ``core._rel_gap`` (0
 between two infinities); ``_mh_sides`` gives both sides of the upper and the
-lower inequality, ``_sum_split`` I(f + g) against I(f) + I(g).  The
-max-product indicator sweep runs ``measures._pair_kernel`` over all pairs,
-so its witness follows the library's one pair rule: the largest violation,
-and among equal ones the smallest ``(a << n) | b``.
+lower inequality, ``_sum_split`` I(f + g) against I(f) + I(g).  Every
+integral reads its integrand on the ``Fn``'s own scale, so the verifiers of
+a pair (f, g) refuse two scales (``core._one_scale``).  The max-product
+indicator sweep runs ``measures._pair_kernel`` over all pairs, so its
+witness follows the library's one pair rule: the largest violation, and
+among equal ones the smallest ``(a << n) | b``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .core import (
     _check_length,
     _domain_mask,
     _domain_points,
+    _one_scale,
     _rel_gap,
     _sweep,
     _sweep_cells,
@@ -238,9 +241,9 @@ def _mh_sides(integral, ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     p1, p2, p3 = ops.phis
     c1, c2, c3 = ops.circs
     fg = _star_combine(f, g, ops.star, scale)
-    lhs = float(p1.inverse(integral(_apply_phi(fg, p1), mu, c1, domain, scale)))
-    rf = float(p2.inverse(integral(_apply_phi(f, p2), mu, c2, domain, scale)))
-    rg = float(p3.inverse(integral(_apply_phi(g, p3), mu, c3, domain, scale)))
+    lhs = float(p1.inverse(integral(_apply_phi(fg, p1), mu, c1, domain)))
+    rf = float(p2.inverse(integral(_apply_phi(f, p2), mu, c2, domain)))
+    rg = float(p3.inverse(integral(_apply_phi(g, p3), mu, c3, domain)))
     return lhs, float(ops.combiner.fn(rf, rg))
 
 
@@ -316,7 +319,7 @@ def verify_upper_mh(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
     """
     if direction not in ("sufficiency", "necessity", "both"):
         raise DomainError(f"unknown direction {direction!r}")
-    scale = f.scale
+    scale = _one_scale(f, g)
     _gate_mh(ops, scale, ["nondecreasing"], _ANNIHILATING)
     _check_length(f.values, mu.space)
     domain = _domain_mask(len(f), domain)
@@ -367,10 +370,10 @@ def verify_seminorm_minkowski(semicopula: BinaryOp, star: BinaryOp, p: float,
     verify_flags(semicopula, ["nondecreasing", "neutral_one"], UNIT)
     total = mu.total
     if normalization == "total_one":
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _TOL:
             raise HypothesisError(f"measure total must be 1, got {total}")
     elif normalization == "values_unit":
-        if total > 1.0 + 1e-9:
+        if total > 1.0 + _TOL:
             raise HypothesisError(f"measure values must stay within [0, 1], top is {total}")
     else:
         raise DomainError(f"unknown normalization reading {normalization!r}")
@@ -470,7 +473,7 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
     measure values (two readings of the range the scalar variable runs
     over); the integral inequality is asserted when the grid form holds.
     """
-    scale = f.scale
+    scale = _one_scale(f, g)
     verify_flags(op, _ANNIHILATING, scale)
     _require(is_comonotone(f, g, domain), "functions are not comonotone")
     sums = [a + b for a, b in zip(f.values, g.values)]
@@ -487,8 +490,8 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
     if not grid_cond.holds:
         return _condition_failed(grid_cond, detail)
 
-    lhs = upper_integral(Fn(sums, scale), mu, op, domain, scale)
-    rhs = upper_integral(f, mu, op, domain, scale) + upper_integral(g, mu, op, domain, scale)
+    lhs = upper_integral(Fn(sums, scale), mu, op, domain)
+    rhs = upper_integral(f, mu, op, domain) + upper_integral(g, mu, op, domain)
     return _verdict(lhs, rhs, detail, f=list(f.values), g=list(g.values))
 
 
@@ -518,9 +521,9 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
         raise DomainError("vectors must have equal length")
     s = [a + b for a, b in zip(f, g)]
     e = 1.0 / (p * q + 1.0)
-    i_sum = upper_integral(abs_power(s, p), mu, op, None, EXTENDED)
-    i_f = upper_integral(abs_power(f, p), mu, op, None, EXTENDED)
-    i_g = upper_integral(abs_power(g, p), mu, op, None, EXTENDED)
+    i_sum = upper_integral(abs_power(s, p), mu, op)
+    i_f = upper_integral(abs_power(f, p), mu, op)
+    i_g = upper_integral(abs_power(g, p), mu, op)
     return _verdict(i_sum ** e, i_f ** (r * e) + i_g ** (r * e), None, relative=True,
                     f=list(f), g=list(g), integrals=[i_sum, i_f, i_g])
 
@@ -552,8 +555,9 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8,
     nonnegative functions iff the measure is maxitive.
 
     Forward evidence on a maxitive measure: no violation over all indicator
-    pairs plus seeded random pairs.  Backward on a non-maxitive measure: the
-    proof's two-level witness pair built from a violating disjoint pair must
+    pairs plus seeded random pairs, so the result is ``sampled`` unless the
+    indicator sweep fails.  Backward on a non-maxitive measure: the proof's
+    two-level witness pair built from a violating disjoint pair must
     violate subadditivity with strictly positive margin.  The result also
     records three-way consistency with the exhaustive maxitivity checker.
     """
@@ -568,11 +572,13 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8,
                                detail={**detail, "stage": "indicator sweep"})
         violations, min_slack = _random_pair_probe(shilkret_integral, mu, trials, seed,
                                                    "shilkret-pairs", _TOL)
+        detail["evidence"] = {"exhaustive": ["maxitivity check", "indicator pair sweep"],
+                              "sampled": {"pairs": trials, "seed": seed}}
         if violations:
             return CheckResult(False, 0.0, {"random_pair_violations": violations[:3]},
-                               detail=detail)
+                               mode="sampled", detail=detail)
         detail["consistency"] = "maxitive and no violation found"
-        return CheckResult(True, margin=min_slack, detail=detail)
+        return CheckResult(True, margin=min_slack, mode="sampled", detail=detail)
 
     # backward: build the strict witness from the violating disjoint pair
     w = maxres.witness
@@ -610,10 +616,11 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8,
     (finite) measure itself.
 
     Forward: on a subadditive measure, seeded random pairs must satisfy the
-    integral inequality.  Backward: for a subset pair (A, B), the two-level
-    indicator instance f = h 1_A, g = h 1_B at height h = mu(A|B) reduces
-    the integral inequality to mu(A|B) <= mu(A) + mu(B) exactly, so on a
-    finite measure the subadditivity check decides every such instance.  On
+    integral inequality, and the result is ``sampled``.  Backward: for a
+    subset pair (A, B), the two-level indicator instance f = h 1_A,
+    g = h 1_B at height h = mu(A|B) reduces the integral inequality to
+    mu(A|B) <= mu(A) + mu(B) exactly, so on a finite measure the
+    subadditivity check decides every such instance.  On
     a finite measure that is not subadditive, the instance of the check's
     witness pair is replayed through the integral and must violate it;
     ``indicator_recovery_matches`` records the outcome (``True`` when the
@@ -633,13 +640,15 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8,
             detail["indicator_recovery_matches"] = False
             return CheckResult(False, 0.0, {**w, "lhs": lhs, "rhs": rhs}, detail=detail)
 
-    if sub.holds:
-        violations, _ = _random_pair_probe(sugeno_integral, mu, trials, seed,
-                                           "sugeno-pairs", tol)
-        if violations:
-            return CheckResult(False, 0.0, {"forward_violations": violations[:3]},
-                               detail=detail)
-    return CheckResult(True, detail=detail)
+    if not sub.holds:
+        return CheckResult(True, detail=detail)
+    violations, _ = _random_pair_probe(sugeno_integral, mu, trials, seed, "sugeno-pairs", tol)
+    detail["evidence"] = {"exhaustive": ["subadditivity check", "finiteness check"],
+                          "sampled": {"pairs": trials, "seed": seed}}
+    if violations:
+        return CheckResult(False, 0.0, {"forward_violations": violations[:3]},
+                           mode="sampled", detail=detail)
+    return CheckResult(True, mode="sampled", detail=detail)
 
 
 def verify_sugeno_subadditive_boundary() -> CheckResult:
@@ -684,7 +693,7 @@ def verify_lower_mh(ops: MHOperators, boxplus: BinaryOp, mu: MonotoneMeasure,
     evaluated on the realized quadruples; when it holds the three-integral
     inequality is asserted exactly.
     """
-    scale = f.scale
+    scale = _one_scale(f, g)
     _gate_mh(ops, scale, ["nondecreasing", "right_continuous"], ["nondecreasing"], boxplus)
     domain = _domain_mask(len(f), domain)
     _require(is_mu_subadditive(f, g, boxplus, mu, domain),
@@ -713,7 +722,7 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
     pair under the conjugate measure, the paired split condition implies
     the conjugated upper-integral inequality.
     """
-    scale = f.scale
+    scale = _one_scale(f, g)
     if not scale.closed:
         raise DomainError("duality corollaries need a closed scale")
     h.validate_on(scale)
@@ -745,7 +754,7 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
 
     def transform(x: Fn) -> float:
         hx = Fn(h.forward(np.array(x.values)).tolist(), scale)
-        return float(h.inverse(integral(hx, mu, op, None, scale)))
+        return float(h.inverse(integral(hx, mu, op)))
 
     lhs = transform(_star_combine(f, g, star, scale))
     rhs = float(star.fn(transform(f), transform(g)))

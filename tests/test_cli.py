@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,32 @@ class TestRun:
         assert f"{named}:" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_builtin_modes_follow_the_readme_table(self):
+        # every task kind has a row, and every result of every built-in
+        # reports a mode of its row
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Verdict modes"):]
+        table = {}
+        for line in section.split("\n\n")[2].splitlines()[2:]:
+            task, modes = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:3])
+            kind, selectors = task[0], task[1:] or [None]
+            table.update({(kind, s): set(modes) for s in selectors})
+
+        def modes(kind, task):
+            selector = task.get(scenarios.SELECTORS.get(kind))
+            return table.get((kind, selector)) or table[(kind, None)]
+
+        for key in scenarios.TASKS:
+            kind, selector = key if isinstance(key, tuple) else (key, None)
+            assert modes(kind, {scenarios.SELECTORS.get(kind): selector}), key
+        for name in sorted(BUILTIN_SCENARIOS):
+            doc = builtin_scenario(name)
+            sc = Scenario(doc)
+            for task in sc.tasks:
+                record = scenarios.run_task(sc, task)
+                if "result" in record:
+                    assert record["result"]["mode"] in modes(task["task"], task), (name, task)
+
     def test_readme_scenario_example_runs(self, tmp_path, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         section = readme[readme.index("### Scenario format (version 1)"):]
@@ -396,7 +423,7 @@ REPORT_SHA256 = {
         "f40e39a20511e86923ed631d667471d46494be3d3d2aadab7ed4910c6720dcb7",
     "reciprocal_integral": "e9bc74f2d12c4871d271d2aacff4be230329e033d4b90adce9a73c44c6d654e6",
     "two_point_integrals": "445af2a1e3512dc89546b918890f3aa5e95ab300b391be118efc5ba5f6b00bb3",
-    "verifier_tour": "ba1f4cf76a810ed5e6614ab2cdd9bdfab1da173fa77e2140307e99c74d9fc2c1",
+    "verifier_tour": "9a3943fb381a597a73df8ca9f1e4a3c1b3da43a0f0a82fc8181e4df7a2bbf7fe",
 }
 
 

@@ -85,10 +85,8 @@ class TestProductPowerFamily:
         # power maps must match the closed-form family verdict
         for (p1, p2, p3) in [(1, 2, 2), (2, 1, 2), (1, 1, 1), (3, 1, 1)]:
             general = cond_mh_upper(PSUM, PSUM, (PROD,) * 3,
-                                    (phi_power(p1), phi_power(p2), phi_power(p3)),
-                                    UNIT, spacing=1.0 / 16.0)
-            family = check_condition("mh_product_power", p1=p1, p2=p2, p3=p3,
-                                     spacing=1.0 / 16.0)
+                                    (phi_power(p1), phi_power(p2), phi_power(p3)), UNIT)
+            family = check_condition("mh_product_power", p1=p1, p2=p2, p3=p3)
             assert general.holds == family.holds, (p1, p2, p3)
 
 
@@ -149,14 +147,14 @@ class TestSuppliedValues:
             cond_sum_split(MIN, UNIT, c_values=[0.5, 1.5])
         assert str(err.value) == f"supplied value 1.5 outside {UNIT.describe()}"
         with pytest.raises(DomainError, match="supplied value nan outside"):
-            _as_values(UNIT, [0.25, float("nan")], 1 / 64)
+            _as_values(UNIT, [0.25, float("nan")], UNIT.grid())
 
     @pytest.mark.parametrize("values", [[], [0.5], [0.0, 0.25, 1.0], [0.75, 0.25, 0.75],
                                         [0.0, -0.0, 0.5], [-0.0, 0.0], [0.5, 0.5]])
     def test_values_equal_their_unique_sort(self, values):
         # strictly increasing input skips np.unique; unsorted input, repeats
         # and zeros of both signs keep it, so the bytes are np.unique's
-        got = _as_values(UNIT, values, 1 / 64)
+        got = _as_values(UNIT, values, UNIT.grid())
         want = np.unique(np.asarray(values, dtype=float))
         assert got.dtype == float and got.tobytes() == want.tobytes()
 
@@ -225,9 +223,8 @@ class TestSugenoForm:
 
     def test_matches_general_form(self):
         phis = (phi_power(1.0), phi_power(2.0), phi_power(2.0))
-        special = cond_mh_sugeno(JOIN, phis, UNIT, spacing=1.0 / 16.0)
-        general = cond_mh_upper(JOIN, JOIN, (MIN,) * 3, phis, UNIT,
-                                spacing=1.0 / 16.0)
+        special = cond_mh_sugeno(JOIN, phis, UNIT)
+        general = cond_mh_upper(JOIN, JOIN, (MIN,) * 3, phis, UNIT)
         assert special.holds == general.holds
 
 
@@ -377,12 +374,12 @@ def ref_mh_upper(star: BinaryOp, combiner: BinaryOp,
                  circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                  scale: ValueScale = UNIT, c_values=None,
                  a_values=None, b_values=None,
-                 tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                 tol: float = 1e-12) -> CheckResult:
     c1, c2, c3 = circs
     p1, p2, p3 = phis
-    a = _as_values(scale, a_values, spacing)
-    b = _as_values(scale, b_values, spacing)
-    cs = _as_values(scale, c_values, spacing)
+    a = _as_values(scale, a_values, scale.grid(_DEFAULT_SPACING))
+    b = _as_values(scale, b_values, scale.grid(_DEFAULT_SPACING))
+    cs = _as_values(scale, c_values, scale.grid(_DEFAULT_SPACING))
     A, B = a[:, None], b[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(scale, sAB)
@@ -400,10 +397,10 @@ def ref_mh_upper(star: BinaryOp, combiner: BinaryOp,
 
 def ref_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
                   scale: ValueScale = UNIT, c_values=None,
-                  tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                  tol: float = 1e-12) -> CheckResult:
     p1, p2, p3 = phis
-    g = scale.grid(spacing)
-    cs = _as_values(scale, c_values, spacing)
+    g = scale.grid(_DEFAULT_SPACING)
+    cs = _as_values(scale, c_values, g)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(scale, sAB)
@@ -417,10 +414,9 @@ def ref_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
 
 
 def ref_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
-                         tol: float = 1e-12,
-                         spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    g = UNIT.grid(spacing)
-    cs = _as_values(UNIT, c_values, spacing)
+                         tol: float = 1e-12) -> CheckResult:
+    g = UNIT.grid(_DEFAULT_SPACING)
+    cs = _as_values(UNIT, c_values, g)
     A, B = g[:, None], g[None, :]
     acc = _Acc(tol)
     for c in cs:
@@ -431,10 +427,9 @@ def ref_mh_product_power(p1: float, p2: float, p3: float, c_values=None,
 
 
 def ref_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
-                               tol: float = 1e-12,
-                               spacing: float = _DEFAULT_SPACING) -> CheckResult:
+                               tol: float = 1e-12) -> CheckResult:
     S = semicopula
-    g = UNIT.grid(spacing)
+    g = UNIT.grid(_DEFAULT_SPACING)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(UNIT, sAB)
@@ -448,10 +443,9 @@ def ref_counterexample_premise(semicopula: BinaryOp, star: BinaryOp,
     return acc.result("grid")
 
 
-def ref_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
-                             spacing: float = _DEFAULT_SPACING) -> CheckResult:
+def ref_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12) -> CheckResult:
     S = semicopula
-    g = UNIT.grid(spacing)
+    g = UNIT.grid(_DEFAULT_SPACING)
     A, B = g[:, None], g[None, :]
     valid = A + B <= 1.0 + 1e-15
     acc = _Acc(tol)
@@ -464,9 +458,9 @@ def ref_semicopula_sum_split(semicopula: BinaryOp, tol: float = 1e-12,
 
 
 def ref_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
-                  tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    g = scale.grid(spacing)
-    cs = _as_values(scale, c_values, spacing)
+                  tol: float = 1e-12) -> CheckResult:
+    g = scale.grid(_DEFAULT_SPACING)
+    cs = _as_values(scale, c_values, g)
     A, B = g[:, None], g[None, :]
     s = A + B
     valid = ref_in_scale(scale, s)
@@ -479,9 +473,8 @@ def ref_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None,
 
 
 def ref_distributive_scaling(op: BinaryOp, q: float, r: float,
-                             scale: ValueScale = UNIT, tol: float = 1e-12,
-                             spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    g = scale.grid(spacing)
+                             scale: ValueScale = UNIT, tol: float = 1e-12) -> CheckResult:
+    g = scale.grid(_DEFAULT_SPACING)
     X, Y = g[:, None], g[None, :]
     opXY = op.grid(X, Y)
     acc = _Acc(tol)
@@ -505,13 +498,13 @@ def ref_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
                  circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                  scale: ValueScale = UNIT, cd_values=None,
                  a_values=None, b_values=None,
-                 tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+                 tol: float = 1e-12) -> CheckResult:
     c1, c2, c3 = circs
     p1, p2, p3 = phis
-    a = _as_values(scale, a_values, spacing)
-    b = _as_values(scale, b_values, spacing)
+    a = _as_values(scale, a_values, scale.grid(_PAIR_SPACING))
+    b = _as_values(scale, b_values, scale.grid(_PAIR_SPACING))
     if cd_values is None:
-        cg = scale.grid(spacing)
+        cg = scale.grid(_PAIR_SPACING)
         cd_pairs = [(float(c), float(d)) for c in cg for d in cg]
     else:
         cd_pairs = [(float(c), float(d)) for c, d in cd_values]
@@ -533,9 +526,9 @@ def ref_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
 
 def ref_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
                       scale: ValueScale = UNIT, cd_values=None,
-                      tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
+                      tol: float = 1e-12) -> CheckResult:
     p1, p2, p3 = phis
-    g = scale.grid(spacing)
+    g = scale.grid(_PAIR_SPACING)
     if cd_values is None:
         cd_pairs = [(float(c), float(d)) for c in g for d in g]
     else:
@@ -554,9 +547,9 @@ def ref_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
 
 def ref_dual_star_split(star: BinaryOp, op_h: BinaryOp,
                         scale: ValueScale = UNIT, c_values=None,
-                        tol: float = 1e-12, spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    g = scale.grid(spacing)
-    cs = _as_values(scale, c_values, spacing)
+                        tol: float = 1e-12) -> CheckResult:
+    g = scale.grid(_DEFAULT_SPACING)
+    cs = _as_values(scale, c_values, g)
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(scale, sAB)
@@ -571,8 +564,8 @@ def ref_dual_star_split(star: BinaryOp, op_h: BinaryOp,
 
 def ref_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
                              scale: ValueScale = UNIT, cd_values=None,
-                             tol: float = 1e-12, spacing: float = _PAIR_SPACING) -> CheckResult:
-    g = scale.grid(spacing)
+                             tol: float = 1e-12) -> CheckResult:
+    g = scale.grid(_PAIR_SPACING)
     if cd_values is None:
         cd_pairs = [(float(c), float(d)) for c in g for d in g]
     else:
@@ -590,10 +583,9 @@ def ref_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
 
 
 def ref_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
-                           tol: float = 1e-12,
-                           spacing: float = _DEFAULT_SPACING) -> CheckResult:
-    xg = scale.grid(spacing)
-    yg = UNIT.grid(spacing)
+                           tol: float = 1e-12) -> CheckResult:
+    xg = scale.grid(_DEFAULT_SPACING)
+    yg = UNIT.grid(_DEFAULT_SPACING)
     yg = yg[(yg > 0.0) & (yg < 1.0)]
     X, Y = xg[:, None], yg[None, :]
     sect = op.grid(np.ones_like(X), X)
@@ -641,8 +633,7 @@ def condition_kwargs(draw, cond):
     points = st.sampled_from([v for v in ORACLE_POINTS if scale.contains(v)])
     values = st.none() | st.lists(points, min_size=1, max_size=4)
     pairs = st.none() | st.lists(st.tuples(points, points), min_size=1, max_size=4)
-    pair_form = cond in ("mh_lower", "mh_lower_join", "dual_star_split_pair")
-    kw = {"spacing": draw(st.sampled_from([0.5, 0.25] if pair_form else [0.25, 0.125]))}
+    kw = {}
     if cond == "mh_upper":
         kw.update(star=draw(_ops), combiner=draw(_ops), circs=draw(_triples(_ops)),
                   phis=draw(_triples(st.sampled_from(ORACLE_PHIS))), scale=scale,
@@ -751,8 +742,7 @@ class TestSumSplitSections:
     def test_identical_result(self, data):
         scale = data.draw(st.sampled_from([UNIT, UNIT_OPEN, NONNEG, EXTENDED]))
         kw = dict(op=data.draw(_ops), scale=scale,
-                  c_values=data.draw(st.none() | _c_values(scale)),
-                  spacing=data.draw(st.sampled_from([1.0 / 64.0, 0.1, 1.0 / 3.0, 0.25])))
+                  c_values=data.draw(st.none() | _c_values(scale)))
         with np.errstate(all="ignore"):
             assert _fingerprint(cond_sum_split(**kw)) == _fingerprint(ref_sum_split(**kw))
 
@@ -773,18 +763,18 @@ class TestSumSplitSections:
                 assert _fingerprint(cond_sum_split(**kw)) == _fingerprint(ref_sum_split(**kw))
 
     def test_off_grid_sums(self):
-        # on a non-dyadic spacing a + b falls off the grid: the section
-        # table holds the sums as extra values
-        for spacing in (0.1, 1.0 / 3.0):
-            g = UNIT.grid(spacing)
-            assert not np.isin((g[:, None] + g[None, :]).ravel(), g).all()
-            for op in (MIN, PROD, SL, BSUM):
-                kw = dict(op=op, scale=UNIT, c_values=[0.05, 0.3, 0.7, 1.0], spacing=spacing)
+        # on [0, inf) the ladder's sums, such as 1 + 2, fall off the grid:
+        # the section table holds them as extra values
+        g = NONNEG.grid()
+        assert not np.isin((g[:, None] + g[None, :]).ravel(), g).all()
+        for op in (MIN, PROD, SL, BSUM, SUM):
+            kw = dict(op=op, scale=NONNEG, c_values=[0.05, 0.3, 0.7, 1.0, 3.0])
+            with np.errstate(all="ignore"):
                 assert _fingerprint(cond_sum_split(**kw)) == _fingerprint(ref_sum_split(**kw))
 
     def test_cells_are_cached_and_read_only(self):
-        cells = _sum_split_cells(UNIT, 1.0 / 64.0)
-        assert _sum_split_cells(UNIT, 1.0 / 64.0) is cells
+        cells = _sum_split_cells(UNIT)
+        assert _sum_split_cells(UNIT) is cells
         g, a, b = cells[:3]
         assert len(a) == ((g[:, None] <= g[None, :]) & (g[:, None] + g[None, :] <= 1.0)).sum()
         assert all(not arr.flags.writeable for arr in cells)

@@ -272,3 +272,27 @@ class TestOneTolerance:
                     if tol is not None and tol.default is not inspect.Parameter.empty:
                         found.append(f"{module.__name__}.{qualname}")
         assert found == []
+
+    def test_no_integral_takes_a_scale(self):
+        # every integrand is an Fn, read on the scale it carries
+        from nonadd import integrals
+        found = [name for name, fn in vars(integrals).items()
+                 if inspect.isfunction(fn) and not name.startswith("_")
+                 and fn.__module__ == integrals.__name__
+                 and "scale" in inspect.signature(fn).parameters]
+        assert found == []
+
+    def test_no_condition_takes_a_spacing(self):
+        # each condition sweeps its own fixed grid
+        from nonadd.conditions import CONDITIONS
+        found = [cid for cid, fn in CONDITIONS.items()
+                 if "spacing" in inspect.signature(fn).parameters]
+        assert found == []
+
+    def test_run_takes_no_tolerance(self, capsys):
+        # a task's own tolerance field, or else its check's epsilon, applies
+        from nonadd.cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "two_point_integrals", "--tolerance", "1e-3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tolerance 1e-3" in capsys.readouterr().err

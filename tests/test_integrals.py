@@ -107,11 +107,8 @@ def ref_level_mask_gt(values, t, domain):
     return m
 
 
-def _ref_inputs(f, domain, op, scale):
-    if isinstance(f, Fn):
-        values, scale = f.values, scale or f.scale
-    else:
-        values = tuple(float(v) for v in f)
+def _ref_inputs(f, domain, op):
+    values, scale = f.values, f.scale
     full = (1 << len(values)) - 1
     if domain is None:
         domain = full
@@ -154,8 +151,8 @@ def ref_exact_tail(op, scale, tail_mu):
             f"declared 'zero_right_annihilator'")
 
 
-def ref_upper_integral_result(f, mu, op, domain=None, scale=None):
-    values, scale, domain = _ref_inputs(f, domain, op, scale)
+def ref_upper_integral_result(f, mu, op, domain=None):
+    values, scale, domain = _ref_inputs(f, domain, op)
     vals_desc, ge_masks = _ref_desc_levels(values, domain)
     candidates = [(0.0, domain)]
     for v, m in zip(vals_desc, ge_masks):
@@ -181,8 +178,8 @@ def ref_upper_integral_result(f, mu, op, domain=None, scale=None):
     return best, True, best_level
 
 
-def ref_lower_integral_result(f, mu, op, domain=None, scale=None):
-    values, scale, domain = _ref_inputs(f, domain, op, scale)
+def ref_lower_integral_result(f, mu, op, domain=None):
+    values, scale, domain = _ref_inputs(f, domain, op)
     vals_desc, ge_masks = _ref_desc_levels(values, domain)
     best, best_level = INF, 0.0
     for t in [0.0] + [v for v in vals_desc if scale.contains(v)]:
@@ -205,10 +202,9 @@ _OPS = [minimum(), product(), join(), plain_sum(), bounded_sum(), lukasiewicz(),
 
 @st.composite
 def integral_cases(draw, max_n=6):
-    """An integrand with zeros, ties, the scale top and inf where the scale
-    holds them, as an ``Fn`` or a raw vector with an explicit scale; a
-    generated measure or a possibility measure with infinite mass; and a
-    domain that may be empty."""
+    """An integrand ``Fn`` with zeros, ties, the scale top and inf where its
+    scale holds them; a generated measure or a possibility measure with
+    infinite mass; and a domain that may be empty."""
     n = draw(st.integers(1, max_n))
     scale = draw(st.sampled_from(_SCALES))
     pool = [v for v in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0, scale.upper) if scale.contains(v)]
@@ -224,9 +220,7 @@ def integral_cases(draw, max_n=6):
                                          draw(st.lists(density, min_size=n, max_size=n)))
     op = draw(st.sampled_from(_OPS))
     domain = draw(st.one_of(st.none(), st.just(0), st.integers(0, (1 << n) - 1)))
-    if draw(st.booleans()):
-        return list(values), mu, op, domain, scale
-    return Fn(values, scale), mu, op, domain, None
+    return Fn(values, scale), mu, op, domain
 
 
 def _result_bytes(value, exact, level):
@@ -239,8 +233,8 @@ def _result_bytes(value, exact, level):
 # must match them byte for byte, errors included.
 # ---------------------------------------------------------------------------
 
-def ref_candidate_upper(f, mu, op, domain=None, scale=None):
-    values, scale, domain = _unpack(f, mu, scale, domain)
+def ref_candidate_upper(f, mu, op, domain=None):
+    values, scale, domain = _unpack(f, mu, domain)
     verify_flags(op, ["nondecreasing"], scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -263,8 +257,8 @@ def ref_candidate_upper(f, mu, op, domain=None, scale=None):
     return IntegralResult(best, True, best_level)
 
 
-def ref_candidate_lower(f, mu, op, domain=None, scale=None):
-    values, scale, domain = _unpack(f, mu, scale, domain)
+def ref_candidate_lower(f, mu, op, domain=None):
+    values, scale, domain = _unpack(f, mu, domain)
     verify_flags(op, ["nondecreasing"], scale)
     mass = mu.mass_reader(domain)
     ts, above = _level_sets(values, domain)
@@ -355,21 +349,19 @@ class TestLevelFormsMatchReference:
     @settings(max_examples=400, deadline=None)
     @given(case=integral_cases())
     @example(case=(Fn([0.5, 0.5, 0.0]), MonotoneMeasure.possibility(
-        FiniteSpace(3), [0.5, 1.0, 0.25]), bounded_sum(), None, None))
+        FiniteSpace(3), [0.5, 1.0, 0.25]), bounded_sum(), None))
     @example(case=(Fn([1.0, 0.5, 1.0]), MonotoneMeasure.possibility(
-        FiniteSpace(3), [0.25, 1.0, 0.5]), join(), 0b011, None))
-    @example(case=([0.25, INF], MonotoneMeasure.possibility(FiniteSpace(2), [INF, 0.5]),
-                   plain_sum(), 0b10, EXTENDED))
+        FiniteSpace(3), [0.25, 1.0, 0.5]), join(), 0b011))
+    @example(case=(Fn([0.25, INF], EXTENDED), MonotoneMeasure.possibility(
+        FiniteSpace(2), [INF, 0.5]), plain_sum(), 0b10))
     @example(case=(Fn([0.25, 0.5], UNIT_OPEN), MonotoneMeasure.possibility(
-        FiniteSpace(2), [0.5, 1.0]), join(), 0, None))
+        FiniteSpace(2), [0.5, 1.0]), join(), 0))
     def test_upper_and_lower_bytes(self, case):
         # the results' bytes, or the errors (lukasiewicz fails its declared
         # zero right annihilator on an unbounded scale)
-        f, mu, op, domain, scale = case
         for integral, ref in ((upper_integral_result, ref_upper_integral_result),
                               (lower_integral_result, ref_lower_integral_result)):
-            assert _outcome(integral, f, mu, op, domain, scale) == \
-                _outcome(ref, f, mu, op, domain, scale)
+            assert _outcome(integral, *case) == _outcome(ref, *case)
 
 
 class TestOneDomainCheckPerIntegral:
@@ -379,19 +371,19 @@ class TestOneDomainCheckPerIntegral:
     @settings(max_examples=300, deadline=None)
     @given(case=integral_cases(), form=st.sampled_from(["as_drawn", "cached", "explicit"]))
     @example(case=(Fn([0.5, INF, 0.25], EXTENDED), MonotoneMeasure.possibility(
-        FiniteSpace(3), [0.5, INF, 0.25]), product(), None, None), form="as_drawn")
+        FiniteSpace(3), [0.5, INF, 0.25]), product(), None), form="as_drawn")
     def test_against_reference_on_every_table_form(self, case, form):
-        f, mu, op, domain, scale = case
+        f, mu, op, domain = case
         if form == "cached":
             mu.table()
         elif form == "explicit":
             mu = MonotoneMeasure.explicit(mu.space, mu.table(), validate=False)
         tableless = mu._table is None
-        got = [_outcome(integral, f, mu, op, domain, scale)
+        got = [_outcome(integral, f, mu, op, domain)
                for integral in (upper_integral_result, lower_integral_result)]
         if tableless and mu.kind == "possibility":
             assert mu._table is None   # read through mu(), no table built
-        assert got == [_outcome(ref, f, mu, op, domain, scale)
+        assert got == [_outcome(ref, f, mu, op, domain)
                        for ref in (ref_upper_integral_result, ref_lower_integral_result)]
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -422,40 +414,43 @@ class TestOneDomainCheckPerIntegral:
             check_sugeno_identity(Fn([0.9, 0.5]), mu)
         assert upper_integral(Fn([0.9, 0.0, 0.0]), mu, minimum(), domain=0b001) == 0.25
 
-    def test_raw_vector_outside_its_scale_raises_like_fn(self):
+    def test_raw_vector_is_refused(self):
+        # an integrand is an Fn: its scale, which a raw vector lacks, is
+        # where its values were checked
         mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
-        oracle = upper_integral_subset_oracle
+        routes = (upper_integral_result, lower_integral_result, upper_integral_subset_oracle,
+                  upper_integral, lower_integral)
+        for values in ([0.5, 0.25], (0.5, 0.25), np.array([0.5, 0.25])):
+            for integral in routes:
+                with pytest.raises(DomainError, match=r"^an integrand is an Fn, which carries "
+                                                      r"its scale; got \w+$"):
+                    integral(values, mu, minimum())
+            for named in (sugeno_integral, shilkret_integral, check_sugeno_identity):
+                with pytest.raises(DomainError, match="^an integrand is an Fn"):
+                    named(values, mu)
+        # the values are checked where the Fn is built, on its scale
         for values, scale in (([-1.0, 0.5], UNIT), ([2.0, 0.5], UNIT), ([0.5, 1.0], UNIT_OPEN),
                               ([0.5, math.nan], EXTENDED), ([INF, 0.5], NONNEG)):
-            with pytest.raises(DomainError) as fn_error:
+            with pytest.raises(DomainError, match="lies outside the scale"):
                 Fn(values, scale)
-            for integral in (upper_integral_result, lower_integral_result, oracle):
-                with pytest.raises(DomainError) as raw_error:
-                    integral(values, mu, minimum(), None, scale)
-                assert str(raw_error.value) == str(fn_error.value)
-        # -0.0 and the closed top are in the scale, raw or not
-        for integral in (upper_integral_result, lower_integral_result, oracle):
-            assert integral([-0.0, 1.0], mu, minimum(), None, UNIT) == \
-                integral(Fn([-0.0, 1.0]), mu, minimum())
 
-    def test_fn_read_on_a_scale_it_does_not_carry(self):
-        # an Fn is checked against an explicit scale other than its own, as a
-        # raw vector is; its own scale, or an equal one, reads it unchanged
+    def test_fn_is_read_on_its_own_scale(self):
+        # the same values under plain_sum: the closed top 1 adds the
+        # candidate 1 + 0, the closed top inf gives inf, and the open end
+        # of [0, inf), under an operator with no zero right annihilator,
+        # is refused; an equal scale reads the values unchanged
         mu = MonotoneMeasure.possibility(SP2, [0.5, 1.0])
-        oracle = upper_integral_subset_oracle
-        for f, scale, message in (
-                (Fn([3.0, 0.25], NONNEG), UNIT, "value 3.0 at point 0 lies outside the scale [0,1.0]"),
-                (Fn([1.0, 0.25]), UNIT_OPEN, "value 1.0 at point 0 lies outside the scale [0,1.0)")):
-            for integral in (upper_integral_result, lower_integral_result, oracle):
-                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-                    integral(f, mu, minimum(), None, scale)
-        f = Fn([0.5, 0.25])
-        for integral in (upper_integral_result, lower_integral_result, oracle):
-            want = integral(f, mu, minimum())
-            assert integral(f, mu, minimum(), None, UNIT) == want
-            assert integral(f, mu, minimum(), None, ValueScale(1.0, True)) == want
-        assert upper_integral_result(Fn([0.5, 0.25]), mu, minimum(), None, EXTENDED) == \
-            (0.5, True, 0.5)
+        routes = (upper_integral, upper_integral_subset_oracle)
+
+        def on(scale):
+            return [integral(Fn([0.5, 0.25], scale), mu, plain_sum()) for integral in routes]
+
+        assert on(UNIT) == on(ValueScale(1.0, True)) == [1.25, 1.25]
+        assert on(EXTENDED) == [INF, INF]
+        for integral in routes:
+            with pytest.raises(HypothesisError, match="leaves the open end"):
+                integral(Fn([0.5, 0.25], NONNEG), mu, plain_sum())
+        assert upper_integral_result(Fn([0.5, 0.25], EXTENDED), mu, minimum()) == (0.5, True, 0.5)
 
     def test_cached_table_is_read_without_calls(self, monkeypatch):
         n = 8
@@ -532,7 +527,7 @@ class TestAllNanOperator:
                                        upper_integral_subset_oracle])
     def test_refused_by_name(self, route, scale):
         with pytest.raises(DomainError, match="'nan'"):
-            route([0.5, 0.25], MU2, self.OP, None, scale)
+            route(Fn([0.5, 0.25], scale), MU2, self.OP)
 
     def test_a_single_value_is_enough(self):
         # nan everywhere except at level 0: the one value is the extremum
@@ -580,14 +575,13 @@ class TestOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=integral_cases())
     def test_agreement_on_every_scale_and_domain(self, case):
-        # open and closed scales, raw vectors and empty domains: both routes
-        # refuse an open-end tail that is not exactly 0, and a zero right
-        # annihilator that fails its gate, with the same message
-        f, mu, op, domain, scale = case
+        # open and closed scales and empty domains: both routes refuse an
+        # open-end tail that is not exactly 0, and a zero right annihilator
+        # that fails its gate, with the same message
         routes = []
         for integral in (upper_integral, upper_integral_subset_oracle):
             try:
-                routes.append(repr(integral(f, mu, op, domain, scale)))
+                routes.append(repr(integral(*case)))
             except HypothesisError as e:
                 routes.append(str(e))
         assert routes[0] == routes[1]
@@ -798,12 +792,12 @@ def tail_cases(draw):
     """``integral_cases``, in half the draws with the measure lifted to a
     nonzero mass of the empty set (every table entry at least that mass),
     which is the tail mass of an open scale."""
-    f, mu, op, domain, scale = draw(integral_cases())
+    f, mu, op, domain = draw(integral_cases())
     if draw(st.booleans()):
         empty = draw(st.sampled_from([0.25, 1.0, INF]))
         mu = MonotoneMeasure.explicit(mu.space, np.maximum(mu.table(), empty),
                                       allow_nonzero_empty=True)
-    return f, mu, op, domain, scale
+    return f, mu, op, domain
 
 
 class TestOpenTailExactOrRefused:
@@ -814,22 +808,21 @@ class TestOpenTailExactOrRefused:
     @settings(max_examples=300, deadline=None)
     @given(case=tail_cases())
     @example(case=(Fn([0.5, 0.25], UNIT_OPEN), MonotoneMeasure.explicit(
-        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), minimum(), 0, None))
+        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), minimum(), 0))
     @example(case=(Fn([0.5, 0.25], UNIT), MonotoneMeasure.explicit(
-        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), join(), None, None))
-    @example(case=([0.5, 3.0], MonotoneMeasure.possibility(SP2, [0.0, 0.5]),
-                   lukasiewicz(), None, NONNEG))
+        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), join(), None))
+    @example(case=(Fn([0.5, 3.0], NONNEG), MonotoneMeasure.possibility(SP2, [0.0, 0.5]),
+                   lukasiewicz(), None))
     def test_refused_exactly_when_the_tail_is_not_zero(self, case):
-        f, mu, op, domain, scale = case
-        own = scale or f.scale
+        f, mu, op, domain = case
         try:   # on an open scale every value lies below the top: the tail set is empty
-            refused = not own.closed and not _zero_tail(op, own, mu(0))
+            refused = not f.scale.closed and not _zero_tail(op, f.scale, mu(0))
         except HypothesisError:   # a declared zero right annihilator failing its gate
             refused = True
-        want = _outcome(ref_upper_integral_result, f, mu, op, domain, scale)
-        assert _outcome(upper_integral_result, f, mu, op, domain, scale) == want
+        want = _outcome(ref_upper_integral_result, *case)
+        assert _outcome(upper_integral_result, *case) == want
         try:
-            oracle = upper_integral_subset_oracle(f, mu, op, domain, scale).hex()
+            oracle = upper_integral_subset_oracle(*case).hex()
         except HypothesisError as e:
             oracle = type(e).__name__, str(e)
         if refused:
@@ -881,8 +874,8 @@ def ref_h_duality(f, mu, op, h, tol=1e-12):
     scale = f.scale
     h.validate_on(scale)
     hf = Fn([float(h.forward(v)) for v in f.values], scale)
-    left = float(h.inverse(lower_integral(hf, mu, op, None, scale)))
-    right = upper_integral(f, dual_measure(mu, h), op_dual(op, h), None, scale)
+    left = float(h.inverse(lower_integral(hf, mu, op)))
+    right = upper_integral(f, dual_measure(mu, h), op_dual(op, h))
     gap = abs(_rel_gap(left, right)) / max(1.0, abs(left), abs(right))
     if gap <= tol:
         return CheckResult(True, margin=gap)

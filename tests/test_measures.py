@@ -657,7 +657,63 @@ def null_additive_measures(draw):
                                       lambda x: np.power(x, gamma))
 
 
+@st.composite
+def exact_null_tables(draw):
+    """Exact monotone tables (``tolerance()`` 0) whose sets within a drawn
+    set Z of points are 0, so that Z's points are null and usually move a
+    value: a monotonized table of grid values, inf included, then 0 on the
+    subsets of Z."""
+    n = draw(st.integers(1, 8))
+    tab = np.array(draw(st.lists(grid_values, min_size=1 << n, max_size=1 << n)))
+    for bit in range(n):
+        halves = tab.reshape(-1, 2, 1 << bit)
+        np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    zero = draw(st.integers(0, (1 << n) - 1))
+    tab[(np.arange(1 << n) & ~zero) == 0] = 0.0
+    return MonotoneMeasure.explicit(FiniteSpace(n), tab)
+
+
+def moving_null_table(n: int, k: int) -> np.ndarray:
+    """Points 0 to k - 1 null; only point k - 1 moves a value, by 1/64, on
+    every set that meets the n - k other points."""
+    idx = np.arange(1 << n)
+    high = idx >> k << k
+    count = sum((high >> b) & 1 for b in range(k, n))
+    return count / (n - k) + np.where((high != 0) & (idx >> (k - 1) & 1 == 1), 1 / 64, 0.0)
+
+
 class TestNullAdditive:
+    @settings(max_examples=300, deadline=None)
+    @given(mu=exact_null_tables())
+    def test_null_point_route_matches_the_sweep_on_exact_tables(self, mu):
+        # the first failing null set of the sweep is the singleton of the
+        # lowest null point that moves a value
+        got = check_measure_property(mu, "null_additive")
+        want = ref_null_additive(mu.table(), 0.0)
+        assert mu.tolerance() == 0.0
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert repr(got.margin) == repr(want.margin)
+
+    def test_exact_table_decided_by_its_null_points(self):
+        # 1,024 null sets: the sweep made 512 passes of 2**18 entries
+        mu = MonotoneMeasure.explicit(FiniteSpace(18), moving_null_table(18, 10))
+        res = check_measure_property(mu, "null_additive")
+        assert not res.holds and res.margin == 1 / 64
+        assert res.witness == {"null_set": 512, "set": 1024,
+                               "value_union": 0.125 + 1 / 64, "value": 0.125}
+
+    def test_rounding_sweep_within_the_cell_budget(self):
+        # 2**8 null sets times 2**16 cells fit the budget; 2**9 do not
+        fits = MonotoneMeasure.explicit(FiniteSpace(16), moving_null_table(16, 8),
+                                        rounding=True)
+        res = check_measure_property(fits, "null_additive")
+        assert res.to_dict() == ref_null_additive(fits.table(), 1e-12).to_dict()
+        assert res.witness["null_set"] == 128
+        over = MonotoneMeasure.explicit(FiniteSpace(16), moving_null_table(16, 9),
+                                        rounding=True)
+        with pytest.raises(DomainError, match="enumerates 33,554,432 cells"):
+            check_measure_property(over, "null_additive")
+
     @settings(max_examples=300, deadline=None)
     @given(mu=null_additive_measures())
     def test_matches_per_null_set_reference(self, mu):

@@ -117,7 +117,7 @@ class TestMetricEval:
             diff = [abs(a - b) for a, b in zip(f, g)]
             tol = 1e-12
             d_upper = metric_eval(MetricSpec("kyfan"), f, g, mu)
-            d_lower = lower_integral(Fn(diff, EXTENDED), mu, join(), None, EXTENDED)
+            d_lower = lower_integral(Fn(diff, EXTENDED), mu, join())
             d_classical = kyfan_classical(f, g, mu)
             assert abs(d_upper - d_lower) <= tol
             assert abs(d_upper - d_classical) <= tol
@@ -247,6 +247,16 @@ class TestConvergenceLemmas:
         res = check_convergence_lemmas(minimum(), mu, osc, low, "fatou")
         assert res.holds
 
+    def test_terms_on_another_scale_are_refused(self):
+        # each term is integrated on its own scale: a term on [0, inf] beside
+        # a limit on [0, inf) was read on the limit's scale
+        mu = self._measure()
+        f = Fn([1.0, 2.0, 0.5, 1.5], NONNEG)
+        for kind in ("monotone", "fatou"):
+            with pytest.raises(DomainError, match=r"^functions on two scales: \[0,inf\) "
+                                                  r"and \[0,inf\]$"):
+                check_convergence_lemmas(minimum(), mu, [f, Fn(f.values, EXTENDED)], f, kind)
+
     def test_requires_null_additive(self):
         # a planted violation of null-additivity blocks the lemma
         tab = [0.0, 0.0, 0.5, 0.9]
@@ -371,8 +381,8 @@ class TestIntegrateOnce:
         seen = self._count(monkeypatch)
         once = self._fingerprints()
         distinct = len(seen)
-        monkeypatch.setattr(metrics, "_integrate_once", lambda mu, op, scale:
-                            lambda fk: metrics.upper_integral(fk, mu, op, None, scale))
+        monkeypatch.setattr(metrics, "_integrate_once", lambda mu, op:
+                            lambda fk: metrics.upper_integral(fk, mu, op))
         assert self._fingerprints() == once
         assert len(seen) - distinct > distinct // 2   # the per-term form repeats
 

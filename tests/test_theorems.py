@@ -17,6 +17,8 @@ from nonadd.core import (
     INF,
     NONNEG,
     UNIT,
+    UNIT_OPEN,
+    ValueScale,
     _level_sets,
     _rel_gap,
     expand_masks,
@@ -619,6 +621,33 @@ class TestDualMinkowski:
         res = verify_dual_minkowski("pair", SUM, MIN, reciprocal(), mu, f, g,
                                     boxplus=SUM)
         assert res.holds
+
+
+class TestOneScalePerPair:
+    """Each integral reads its integrand on the ``Fn``'s own scale, so a
+    verifier of a pair (f, g) refuses two scales: g was integrated on f's."""
+
+    MU = MonotoneMeasure.possibility(FiniteSpace(2), [0.5, 1.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda f, g, mu: verify_upper_mh(MHOperators(MIN, MIN, (MIN,) * 3, ID3), mu, f, g),
+        lambda f, g, mu: verify_upper_mh(MHOperators(MIN, MIN, (MIN,) * 3, ID3), mu, f, g,
+                                         direction="necessity"),
+        lambda f, g, mu: verify_seminorm_minkowski(MIN, MIN, 1.0, mu, f, g),
+        lambda f, g, mu: verify_lower_mh(MHOperators(JOIN, JOIN, (JOIN,) * 3, ID3), JOIN,
+                                         mu, f, g),
+        lambda f, g, mu: verify_comonotone_subadditive(MIN, mu, f, g),
+        lambda f, g, mu: verify_dual_minkowski("single", JOIN, BSUM, one_minus(), mu, f, g),
+    ], ids=["upper_mh", "upper_mh_necessity", "seminorm_minkowski", "lower_mh",
+            "comonotone_subadditive", "dual_minkowski"])
+    def test_two_scales_are_refused(self, call):
+        f = Fn([0.5, 0.25])
+        for g in (Fn([0.5, 0.25], UNIT_OPEN), Fn([0.5, 0.25], ValueScale(2.0, True))):
+            with pytest.raises(DomainError, match=r"^functions on two scales: \[0,1\.0\] "):
+                call(f, g, self.MU)
+            with pytest.raises(DomainError, match="two scales"):
+                call(g, f, self.MU)
+        call(f, Fn([0.5, 0.25], ValueScale(1.0, True)), self.MU)   # an equal scale is one
 
 
 # ---------------------------------------------------------------------------
