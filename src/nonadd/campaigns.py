@@ -64,6 +64,7 @@ from .relations import is_comonotone, is_star_associated
 from . import sampling
 from .theorems import (
     MHOperators,
+    _refuted_conditions,
     reproduce_counterexample,
     verify_comonotone_subadditive,
     verify_dual_minkowski,
@@ -262,7 +263,6 @@ def _upper_mh_necessity(seed: int, k: int) -> list:
 _SEMINORM = ({"S": _MIN, "star": _JOIN, "p": 1.0},
              {"S": _MIN, "star": _JOIN, "p": 2.0},
              {"S": _MO, "star": _JOIN, "p": 1.0})
-_PHI_ONE = phi_power(1.0)
 
 
 def _seminorm_minkowski(seed: int, k: int) -> list:
@@ -279,9 +279,7 @@ def _seminorm_minkowski(seed: int, k: int) -> list:
 
 def _seminorm_refuted(trials: int, seed: int):
     """The refuted tuple: its premise holds and its power-form condition fails."""
-    refuted = cached_condition(_BSUM, "counterexample_premise", semicopula=_SL, star=_BSUM)
-    power = cached_condition(_BSUM, "mh_upper", star=_BSUM, combiner=_BSUM, circs=(_SL,) * 3,
-                             phis=(_PHI_ONE,) * 3, scale=UNIT)
+    refuted, power = _refuted_conditions()
     notes = {"premise_holds": refuted.holds, "power_condition_holds": power.holds}
     if refuted.holds and not power.holds:
         return [], notes

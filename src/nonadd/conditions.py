@@ -16,9 +16,9 @@ A violation is ``lhs > rhs + core._TOL``.  A holding check reports the least
 finite slack ``rhs - lhs``; a failing one reports the largest violation
 ``lhs - rhs`` over all violating cells, so ``inf`` as soon as one is
 infinite.  ``distributive_scaling`` sweeps ``z`` first and the scale factors
-second; ``unit_section_order`` is one slice.  The seven conditions on a
-``star`` take their cells (a, b), ``a star b`` and the cells where it stays
-in the scale from :func:`_star_cells`.
+second; ``unit_section_order`` is one slice.  The five conditions on a
+``star`` with a body of their own take their cells (a, b), ``a star b`` and
+the cells where it stays in the scale from :func:`_star_cells`.
 
 ``sum_split`` sweeps only the pairs a <= b, as one axis: per chunk of c
 values it evaluates the operator once on the section table U x c, with U
@@ -30,7 +30,14 @@ the full grid: the witness and the report bytes do not change.
 The three-map condition is written once, in :func:`_three_map_sides`:
 ``mh_upper`` and ``mh_lower`` evaluate it here, and the chain conditions and
 necessity cells of :mod:`nonadd.theorems` evaluate it on realized values
-and end in the same :func:`core._sweep`.
+and end in the same :func:`core._sweep`.  Three ids restate a general form
+and are one call to it: ``dual_star_split`` is ``mh_upper`` and
+``dual_star_split_pair`` is ``mh_lower``, each with the star as combiner,
+the conjugate ``op_h`` as every circ and identity maps, and
+``semicopula_sum_split`` is ``sum_split`` on [0, 1].
+
+Supplied values and pairs must be nonempty and lie in the scale
+(``DomainError`` otherwise); pairs keep their order and duplicates.
 
 :func:`cached_condition` is the one cached condition call: each verifier
 runs its own grid conditions through it, and so do the campaigns' per-run
@@ -43,13 +50,13 @@ mh_upper               three-map condition for the upper-integral inequality
 mh_sugeno              its min-based specialization with rescaling maps
 mh_product_power       product-operator power-map family (params p1, p2, p3)
 counterexample_premise the premise satisfied by the refuting counterexample
-semicopula_sum_split   S(a+b, c) <= S(a, c) + S(b, c)
+semicopula_sum_split   S(a+b, c) <= S(a, c) + S(b, c): sum_split on [0, 1]
 sum_split              (a+b) o c <= (a o c) + (b o c)
 distributive_scaling   x o (y+z) <= x o y + x o z and (ax) o y <= a^q (x o y)^r
 mh_lower               four-variable condition for the lower-integral inequality
 mh_lower_join          its join-based specialization
-dual_star_split        (a * b) o_h c <= (a o_h c) * (b o_h c)
-dual_star_split_pair   (a * b) o_h (c [+] d) <= (a o_h c) * (b o_h d)
+dual_star_split        (a * b) o_h c <= (a o_h c) * (b o_h c): mh_upper
+dual_star_split_pair   (a * b) o_h (c [+] d) <= (a o_h c) * (b o_h d): mh_lower
 unit_section_order     1 o x <= y < 1 implies x <= y
 ====================== =========================================================
 """
@@ -62,22 +69,31 @@ from typing import Sequence
 import numpy as np
 
 from .core import INF, ValueScale, UNIT, _TOL, _sweep, _sweep_cells, check_cells
-from .operators import BinaryOp, PhiMap, cached_gate
+from .operators import BinaryOp, PhiMap, cached_gate, phi_identity
 from .results import CheckResult, DomainError
 
 _DEFAULT_SPACING = 1.0 / 64.0
 _PAIR_SPACING = 1.0 / 16.0
 
 
+def _supplied(scale: ValueScale, values: list) -> np.ndarray:
+    """Supplied values (or pairs) as an array, refused when there are none
+    or one lies outside the scale."""
+    if not values:
+        raise DomainError("supplied values must not be empty")
+    arr = np.asarray(values, dtype=float)
+    if not scale.contains_all(arr).all():
+        for v in arr.ravel().tolist():          # only to name the first value outside
+            if not scale.contains(v):
+                raise DomainError(f"supplied value {v!r} outside {scale.describe()}")
+    return arr
+
+
 def _as_values(scale: ValueScale, values, grid: np.ndarray) -> np.ndarray:
     """The supplied values, checked against the scale, or else the grid."""
     if values is None:
         return grid
-    arr = np.asarray([float(v) for v in values], dtype=float)
-    if not scale.contains_all(arr).all():
-        for v in arr.tolist():                  # only to name the first value outside
-            if not scale.contains(v):
-                raise DomainError(f"supplied value {v!r} outside {scale.describe()}")
+    arr = _supplied(scale, [float(v) for v in values])
     # realized values come distinct and ascending already; unsorted input
     # and -0.0 beside 0.0 (not strictly increasing) go through np.unique
     if (arr[1:] > arr[:-1]).all():
@@ -85,19 +101,14 @@ def _as_values(scale: ValueScale, values, grid: np.ndarray) -> np.ndarray:
     return np.unique(arr)
 
 
-def _as_pairs(cd_values, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _as_pairs(scale: ValueScale, cd_values, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (c, d) pairs as two arrays: the grid's pairs with c outer, or the
-    supplied pairs in their order."""
+    supplied pairs in their order, duplicates kept, checked against the
+    scale."""
     if cd_values is None:
         return np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-    pairs = np.asarray([(float(c), float(d)) for c, d in cd_values], dtype=float).reshape(-1, 2)
+    pairs = _supplied(scale, [(float(c), float(d)) for c, d in cd_values])
     return pairs[:, 0], pairs[:, 1]
-
-
-def _combined(boxplus: BinaryOp, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """``c [+] d`` for each pair, through ``op.grid`` like the lower chain."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return boxplus.grid(cs, ds)
 
 
 def _star_cells(star: BinaryOp, scale: ValueScale, a: np.ndarray, b: np.ndarray | None = None):
@@ -166,7 +177,7 @@ def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
 def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None) -> CheckResult:
     """Power-map family on the unit scale; holds iff p1 <= p2 and p1 <= p3."""
     for p in (p1, p2, p3):
-        if p <= 0:
+        if not p > 0:
             raise DomainError("exponents must be positive")
     g = UNIT.grid(_DEFAULT_SPACING)
     cs = _as_values(UNIT, c_values, g)
@@ -197,18 +208,8 @@ def cond_counterexample_premise(semicopula: BinaryOp, star: BinaryOp) -> CheckRe
 
 
 def cond_semicopula_sum_split(semicopula: BinaryOp) -> CheckResult:
-    S = semicopula
-    g = UNIT.grid(_DEFAULT_SPACING)
-    A, B = g[:, None], g[None, :]
-    valid = UNIT.contains_all(A + B)          # sums of k/64 values are exact
-    capped = np.minimum(A + B, 1.0)
-
-    def body(C):
-        lhs = S.grid(capped, C)
-        rhs = S.grid(A, C) + S.grid(B, C)
-        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
-
-    return _sweep((len(g), len(g)), [(g, body)], _TOL, "grid")
+    """:func:`cond_sum_split` on [0, 1]."""
+    return cond_sum_split(semicopula, UNIT)
 
 
 @functools.lru_cache(maxsize=32)
@@ -257,7 +258,7 @@ def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None) -> Che
 def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
                               scale: ValueScale = UNIT) -> CheckResult:
     """Subadditive second sections plus the power-scaling bound."""
-    if q <= 0 or r <= 0:
+    if not (q > 0 and r > 0):
         raise DomainError("scaling exponents must be positive")
     g = scale.grid(_DEFAULT_SPACING)
     X, Y = g[:, None], g[None, :]
@@ -291,8 +292,9 @@ def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
     g = scale.grid(_PAIR_SPACING)
     a = _as_values(scale, a_values, g)
     b = _as_values(scale, b_values, g)
-    cs, ds = _as_pairs(cd_values, g)
-    combined = _combined(boxplus, cs, ds)
+    cs, ds = _as_pairs(scale, cd_values, g)
+    with np.errstate(invalid="ignore", over="ignore"):   # c [+] d through op.grid, like the chain
+        combined = boxplus.grid(cs, ds)
     A, B, _, valid = _star_cells(star, scale, a, b)
 
     def body(i):
@@ -308,7 +310,7 @@ def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
                        scale: ValueScale = UNIT, cd_values=None) -> CheckResult:
     p1, p2, p3 = phis
     g = scale.grid(_PAIR_SPACING)
-    cs, ds = _as_pairs(cd_values, g)
+    cs, ds = _as_pairs(scale, cd_values, g)
     A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(i):
@@ -322,32 +324,17 @@ def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
 
 def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
                          scale: ValueScale = UNIT, c_values=None) -> CheckResult:
-    g = scale.grid(_DEFAULT_SPACING)
-    cs = _as_values(scale, c_values, g)
-    A, B, sAB, valid = _star_cells(star, scale, g)
-
-    def body(C):
-        lhs = op_h.grid(sAB, C)
-        rhs = star.grid(op_h.grid(A, C), op_h.grid(B, C))
-        return lhs, rhs, valid, {"a": A, "b": B, "c": C}
-
-    return _sweep((len(g), len(g)), [(cs, body)], _TOL, _mode(c_values))
+    """:func:`cond_mh_upper` with the star as combiner, ``op_h`` as every
+    circ and identity maps."""
+    return cond_mh_upper(star, star, (op_h,) * 3, (phi_identity(),) * 3, scale, c_values)
 
 
 def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
                               scale: ValueScale = UNIT, cd_values=None) -> CheckResult:
-    g = scale.grid(_PAIR_SPACING)
-    cs, ds = _as_pairs(cd_values, g)
-    combined = _combined(boxplus, cs, ds)
-    A, B, sAB, valid = _star_cells(star, scale, g)
-
-    def body(i):
-        C, D = cs[i], ds[i]
-        lhs = op_h.grid(sAB, combined[i])
-        rhs = star.grid(op_h.grid(A, C), op_h.grid(B, D))
-        return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
-
-    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(cd_values))
+    """:func:`cond_mh_lower` with the star as combiner, ``op_h`` as every
+    circ and identity maps."""
+    return cond_mh_lower(star, star, boxplus, (op_h,) * 3, (phi_identity(),) * 3,
+                         scale, cd_values)
 
 
 def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT) -> CheckResult:

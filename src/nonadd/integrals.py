@@ -272,7 +272,7 @@ def seminormed_integral(f: Fn, mu: MonotoneMeasure, semicopula: BinaryOp,
 def abs_power(values: Sequence[float], p: float) -> Fn:
     """Adapter from a signed real vector to the nonnegative integrand |v|^p,
     on the extended scale [0, inf]."""
-    if p <= 0:
+    if not p > 0:
         raise DomainError("exponent must be positive")
     return Fn([abs(float(v)) ** p for v in values], EXTENDED)
 
@@ -331,7 +331,7 @@ def profile_integral(profile: SurvivalProfile, op: BinaryOp,
     rigorous rather than heuristic.  Unbounded scales are truncated at
     2^10 and flagged.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise DomainError("resolution must be positive")
     verify_flags(op, _GATE, profile.scale)
     scale = profile.scale

@@ -193,7 +193,7 @@ class MonotoneMeasure:
         p = tuple(float(v) for v in probs)
         if len(p) != space.n:
             raise DomainError("probability vector length must equal the space size")
-        if any(v < 0 for v in p) or abs(sum(p) - 1.0) > _TOL:
+        if not (all(v >= 0 for v in p) and abs(sum(p) - 1.0) <= _TOL):
             raise DomainError("probabilities must be nonnegative and sum to 1")
         if abs(float(g(0.0))) > _TOL:
             raise DomainError("distortion must map 0 to 0")
@@ -206,9 +206,9 @@ class MonotoneMeasure:
         dens = tuple(float(v) for v in density)
         if len(dens) != space.n:
             raise DomainError("density length must equal the space size")
-        if any(v < 0 or math.isinf(v) for v in dens):
+        if not all(0.0 <= v < math.inf for v in dens):
             raise DomainError("lambda family needs finite nonnegative densities")
-        if any(1.0 + lam * v <= 0.0 for v in dens):
+        if math.isnan(lam) or any(1.0 + lam * v <= 0.0 for v in dens):
             raise DomainError("1 + lambda*density must stay positive")
         return cls(space, "lambda_sugeno", density=dens, lam=float(lam), rounding=True)
 

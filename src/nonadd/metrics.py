@@ -53,7 +53,7 @@ class MetricSpec:
         if self.kind not in METRIC_KINDS:
             raise DomainError(f"unknown metric kind {self.kind!r}")
         if self.kind == "d_op_p":
-            if self.op is None or self.p is None or self.p <= 0:
+            if self.op is None or self.p is None or not self.p > 0:
                 raise DomainError("d_op_p needs an operator and a positive exponent")
 
     def describe(self) -> dict:

@@ -226,7 +226,7 @@ def marshall_olkin(alpha: float, beta: float) -> BinaryOp:
 @_shared
 def power_product(q: float) -> BinaryOp:
     """(ab)^q; for 0 < q < 1 a modified product with subadditive sections."""
-    if q <= 0:
+    if not q > 0:
         raise DomainError("power_product exponent must be positive")
     flags = _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator", "commutative"}
     if q == 1.0:
@@ -243,7 +243,7 @@ def power_product(q: float) -> BinaryOp:
 @_shared
 def power_min(p: float, u: float = 1.0) -> BinaryOp:
     """min(a^p, b^u); the min-type metric combiner family."""
-    if p <= 0 or u <= 0:
+    if not (p > 0 and u > 0):
         raise DomainError("exponents must be positive")
     return BinaryOp(
         f"power_min({p},{u})",
@@ -257,7 +257,7 @@ def power_min(p: float, u: float = 1.0) -> BinaryOp:
 @_shared
 def power_prod(p: float, u: float = 1.0) -> BinaryOp:
     """a^p * b^u; the product-type metric combiner family."""
-    if p <= 0 or u <= 0:
+    if not (p > 0 and u > 0):
         raise DomainError("exponents must be positive")
     return BinaryOp(
         f"power_prod({p},{u})",
@@ -335,7 +335,7 @@ def phi_identity() -> PhiMap:
 
 @_shared
 def phi_power(p: float) -> PhiMap:
-    if p <= 0:
+    if not p > 0:
         raise DomainError("power map exponent must be positive")
     return PhiMap(
         f"power({p})",

@@ -2,7 +2,7 @@
 functions, operators, maps, and a task list, plus the built-in scenarios.
 
 A scenario is a JSON object (the token ``"inf"`` is accepted wherever a
-number is expected):
+number is expected, ``NaN`` nowhere):
 
     {
       "version": 1,
@@ -33,6 +33,8 @@ violation.
 from __future__ import annotations
 
 import inspect
+import math
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -93,7 +95,7 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _number(sc, value, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value):
         return float(value)
     if value == "inf":
         return INF
@@ -425,16 +427,18 @@ _MH = {"star": _OP, "combiner": Field(_OP), "circs": _OPS3, "phis": Field(_PHIS3
        "measure": _MEASURE, "f": _FN, "g": _FN, "domain": _DOMAIN}
 
 
+# both rest on grid suprema (``profile_integral``) or grid conditions
 def _counterexample(sc, a):
     rep = reproduce_counterexample(a.resolution)
     res = CheckResult(True, margin=rep.lhs - rep.rhs_sum) if rep.reproduced else \
         CheckResult(False, 0.0, {"report": rep.to_dict()})
-    return res, {"report": rep.to_dict()}
+    return replace(res, mode="grid"), {"report": rep.to_dict()}
 
 
 def _profile_integral(sc, a):
     res = profile_integral(a.profile, a.operator, a.resolution)
-    return _valued(res.value, a, 1e-3, res.error_bound, error_bound=res.error_bound)
+    checked, value = _valued(res.value, a, 1e-3, res.error_bound, error_bound=res.error_bound)
+    return replace(checked, mode="grid"), value
 
 
 def _oracle(sc, a):

@@ -27,7 +27,8 @@ candidate never wins the sup or inf of an integral.
 Shared pieces: ``_verdict`` decides the integral inequality of every
 verifier but the two equivalences, reading gaps by ``core._rel_gap`` (0
 between two infinities); ``_mh_sides`` gives both sides of the upper and the
-lower inequality, ``_sum_split`` I(f + g) against I(f) + I(g).  Every
+lower inequality and of the duality corollaries (h as all three maps),
+``_sum_split`` I(f + g) against I(f) + I(g).  Every
 integral reads its integrand on the ``Fn``'s own scale, so the verifiers of
 a pair (f, g) refuse two scales (``core._one_scale``).  The max-product
 indicator sweep runs ``measures._pair_kernel`` over all pairs, so its
@@ -181,7 +182,9 @@ def _random_pair_probe(integral, mu: MonotoneMeasure, trials: int, seed: int, ke
 
 @dataclass(frozen=True)
 class MHOperators:
-    """Operator bundle for the three-integral inequalities."""
+    """Operator bundle for the three-integral inequalities.  The maps may
+    be one ``DualityMap`` three times: the duality corollaries read their
+    sides through :func:`_mh_sides` so."""
 
     star: BinaryOp
     combiner: BinaryOp
@@ -236,7 +239,7 @@ def _chain_condition_upper(ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
 
 
 def _mh_sides(integral, ops: MHOperators, mu: MonotoneMeasure, f: Fn, g: Fn,
-              domain: int, scale: ValueScale) -> tuple[float, float]:
+              domain: int | None, scale: ValueScale) -> tuple[float, float]:
     """Both sides of the three-integral inequality under ``integral``."""
     p1, p2, p3 = ops.phis
     c1, c2, c3 = ops.circs
@@ -365,7 +368,7 @@ def verify_seminorm_minkowski(semicopula: BinaryOp, star: BinaryOp, p: float,
     ``total_one`` requires the full-set value to equal 1, ``values_unit``
     only requires it to stay below 1.
     """
-    if p <= 0:
+    if not p > 0:
         raise DomainError("exponent must be positive")
     verify_flags(semicopula, ["nondecreasing", "neutral_one"], UNIT)
     total = mu.total
@@ -426,6 +429,17 @@ def _quadratic_peak(k: float) -> float:
         return 1.0 / (4.0 * k)
     return 1.0 - k
 
+
+def _refuted_conditions() -> tuple[CheckResult, CheckResult]:
+    """The refuted tuple's two conditions: the premise of the Lukasiewicz
+    t-norm under the bounded sum, which holds, and its power-form
+    condition (every map ``phi_power(1)``), which fails."""
+    S, star = lukasiewicz(), bounded_sum()
+    return (cached_condition(star, "counterexample_premise", semicopula=S, star=star),
+            cached_condition(star, "mh_upper", star=star, combiner=star, circs=(S,) * 3,
+                             phis=(phi_power(1.0),) * 3, scale=UNIT))
+
+
 def reproduce_counterexample(resolution: float = 1e-4) -> CounterexampleReport:
     """The refutation instance: two identical concave-root factors on the
     unit interval under the length measure, combined with the bounded sum
@@ -450,9 +464,7 @@ def reproduce_counterexample(resolution: float = 1e-4) -> CounterexampleReport:
     lhs_grid = profile_integral(combined, S, resolution)
     rhs_each_grid = profile_integral(factor, S, resolution)
 
-    premise = cached_condition(star, "counterexample_premise", semicopula=S, star=star)
-    power_condition = cached_condition(star, "mh_upper", star=star, combiner=star,
-                                       circs=(S,) * 3, phis=(phi_power(1.0),) * 3, scale=UNIT)
+    premise, power_condition = _refuted_conditions()
     return CounterexampleReport(
         lhs=lhs, rhs_each=rhs_each, rhs_sum=rhs_sum,
         violated=lhs > rhs_sum,
@@ -511,7 +523,7 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
     absolute-power adapter, so the integral layer only ever sees scale
     values.
     """
-    if p <= 0:
+    if not p > 0:
         raise DomainError("exponent must be positive")
     _require(check_measure_property(mu, "subadditive"), "measure is not subadditive")
     cond = cached_condition(op, "distributive_scaling", op=op, q=q, r=r, scale=EXTENDED)
@@ -752,10 +764,6 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
     if not cond.holds:
         return _condition_failed(cond, detail)
 
-    def transform(x: Fn) -> float:
-        hx = Fn(h.forward(np.array(x.values)).tolist(), scale)
-        return float(h.inverse(integral(hx, mu, op)))
-
-    lhs = transform(_star_combine(f, g, star, scale))
-    rhs = float(star.fn(transform(f), transform(g)))
+    lhs, rhs = _mh_sides(integral, MHOperators(star, star, (op,) * 3, (h,) * 3),
+                         mu, f, g, None, scale)
     return _verdict(lhs, rhs, detail, relative=True, f=list(f.values), g=list(g.values))

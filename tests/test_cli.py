@@ -373,6 +373,31 @@ class TestRun:
         assert f"{named}:" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("operators, task, named", [
+        pytest.param({}, {"task": "check_condition", "condition": "mh_product_power",
+                          "p1": float("nan"), "p2": 1, "p3": 1}, "tasks[0].p1",
+                     id="condition_exponent"),
+        pytest.param({"pm": {"name": "power_min", "p": float("nan")}},
+                     {"task": "integral", "kind": "upper_generalized", "function": "f",
+                      "measure": "mu", "operator": "pm"}, "operators.pm.p",
+                     id="operator_parameter"),
+    ])
+    def test_nan_number_exits_2_naming_the_field(self, operators, task, named, tmp_path,
+                                                 capsys):
+        # Python's json reads NaN, and `p <= 0` is false for NaN: a NaN
+        # exponent would hold the condition vacuously and pass power_min's gates
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "possibility", "density": [0.5, 1.0]}},
+               "functions": {"f": [0.5, 0.25]}, "operators": operators, "tasks": [task]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{named}: expected a number" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_builtin_modes_follow_the_readme_table(self):
         # every task kind has a row, and every result of every built-in
         # reports a mode of its row
@@ -414,7 +439,7 @@ class TestRun:
 # built-in report byte-identical; a change that alters one on purpose
 # records the new digest here and says why in CHANGES.md.
 REPORT_SHA256 = {
-    "counterexample": "932c192983f1d3a406f8a5d467cccc54634400975f12cb99107ff4c94b2f2bd4",
+    "counterexample": "8e783536410a467398e4d38717e273098861d69fd7cb8ee98c743742c2d4c850",
     "harmonic_duality": "b6a8965829f6464821aa942aa6761731604d3d0017131c164df7a94669646a49",
     "infinite_total_boundary":
         "b636c378066aa6376cc16e47e2fcdab4b2fb5d57225ac7f191a7160502f4dcb5",

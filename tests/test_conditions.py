@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from nonadd.campaigns import _UPPER_MH
 from nonadd.conditions import (
     CONDITIONS,
-    _combined,
+    _as_pairs,
     _as_values,
     _mode,
     _sum_split_cells,
     check_condition,
+    cond_mh_lower,
+    cond_mh_lower_join,
     cond_mh_sugeno,
     cond_mh_upper,
     cond_sum_split,
@@ -31,6 +33,7 @@ from nonadd.operators import (
     lukasiewicz,
     marshall_olkin,
     minimum,
+    one_minus,
     op_dual,
     phi_identity,
     phi_power,
@@ -149,7 +152,7 @@ class TestSuppliedValues:
         with pytest.raises(DomainError, match="supplied value nan outside"):
             _as_values(UNIT, [0.25, float("nan")], UNIT.grid())
 
-    @pytest.mark.parametrize("values", [[], [0.5], [0.0, 0.25, 1.0], [0.75, 0.25, 0.75],
+    @pytest.mark.parametrize("values", [[0.5], [0.0, 0.25, 1.0], [0.75, 0.25, 0.75],
                                         [0.0, -0.0, 0.5], [-0.0, 0.0], [0.5, 0.5]])
     def test_values_equal_their_unique_sort(self, values):
         # strictly increasing input skips np.unique; unsorted input, repeats
@@ -157,6 +160,37 @@ class TestSuppliedValues:
         got = _as_values(UNIT, values, UNIT.grid())
         want = np.unique(np.asarray(values, dtype=float))
         assert got.dtype == float and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda: cond_sum_split(SL, UNIT, c_values=[]),
+        lambda: cond_mh_upper(MIN, MIN, (MIN,) * 3, (phi_identity(),) * 3, UNIT, a_values=[]),
+        lambda: check_condition("dual_star_split", star=MIN, op_h=MIN, c_values=[]),
+        lambda: cond_mh_lower(MIN, MIN, JOIN, (MIN,) * 3, (phi_identity(),) * 3, UNIT,
+                              cd_values=[]),
+        lambda: cond_mh_lower_join(MIN, (phi_identity(),) * 3, UNIT, cd_values=[]),
+        lambda: check_condition("dual_star_split_pair", star=MIN, op_h=MIN, boxplus=JOIN,
+                                cd_values=[]),
+    ])
+    def test_empty_values_refused(self, call):
+        # an empty list would sweep no cell and hold with margin inf, where
+        # the grid fails (sum_split of the Lukasiewicz t-norm)
+        with pytest.raises(DomainError, match="must not be empty"):
+            call()
+
+    @pytest.mark.parametrize("pair, named", [((2.0, 0.5), "2.0"), ((float("nan"), 0.5), "nan"),
+                                             ((0.5, -0.25), "-0.25"), ((0.5, INF), "inf")])
+    @pytest.mark.parametrize("cond", ["mh_lower", "mh_lower_join", "dual_star_split_pair"])
+    def test_pairs_outside_the_scale_refused(self, cond, pair, named):
+        kw = {"mh_lower": dict(star=MIN, combiner=MIN, boxplus=JOIN, circs=(MIN,) * 3,
+                               phis=(phi_identity(),) * 3),
+              "mh_lower_join": dict(star=MIN, phis=(phi_identity(),) * 3),
+              "dual_star_split_pair": dict(star=MIN, op_h=MIN, boxplus=JOIN)}[cond]
+        with pytest.raises(DomainError, match=f"supplied value {named} outside"):
+            check_condition(cond, **kw, scale=UNIT, cd_values=[(0.25, 0.5), pair])
+
+    def test_pairs_keep_their_order_and_duplicates(self):
+        cs, ds = _as_pairs(UNIT, [(0.5, 0.25), (0.5, 0.25), (0.0, 1.0)], UNIT.grid())
+        assert cs.tolist() == [0.5, 0.5, 0.0] and ds.tolist() == [0.25, 0.25, 1.0]
 
 
 class TestDistributiveScaling:
@@ -675,6 +709,45 @@ def _fingerprint(res: CheckResult) -> tuple[str, str]:
     return json.dumps(res.to_dict()), repr(res.margin)
 
 
+DUALITIES = [(one_minus(), UNIT), (reciprocal(), EXTENDED)]
+
+
+class TestRestatedConditions:
+    """The three ids that restate a general form are that form, byte for
+    byte, and both agree with the id's own loop reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(star=_ops, op=_ops, boxplus=_ops, duality=st.sampled_from(DUALITIES),
+           data=st.data())
+    def test_dual_splits_are_mh_upper_and_mh_lower(self, star, op, boxplus, duality, data):
+        h, scale = duality
+        op_h = op_dual(op, h)
+        points = st.sampled_from([v for v in ORACLE_POINTS if scale.contains(v)])
+        c_values = data.draw(st.none() | st.lists(points, min_size=1, max_size=4))
+        cd_values = data.draw(st.none() | st.lists(st.tuples(points, points),
+                                                   min_size=1, max_size=4))
+        maps = (phi_identity(),) * 3
+        with np.errstate(all="ignore"):
+            single = check_condition("dual_star_split", star=star, op_h=op_h, scale=scale,
+                                     c_values=c_values)
+            general = cond_mh_upper(star, star, (op_h,) * 3, maps, scale, c_values)
+            loop = ref_dual_star_split(star, op_h, scale, c_values)
+            assert _fingerprint(single) == _fingerprint(general) == _fingerprint(loop)
+            pair = check_condition("dual_star_split_pair", star=star, op_h=op_h,
+                                   boxplus=boxplus, scale=scale, cd_values=cd_values)
+            general = cond_mh_lower(star, star, boxplus, (op_h,) * 3, maps, scale, cd_values)
+            loop = ref_dual_star_split_pair(star, op_h, boxplus, scale, cd_values)
+            assert _fingerprint(pair) == _fingerprint(general) == _fingerprint(loop)
+
+    @settings(max_examples=20, deadline=None)
+    @given(semicopula=_ops)
+    def test_semicopula_sum_split_is_sum_split_on_the_unit_scale(self, semicopula):
+        with np.errstate(all="ignore"):
+            got = check_condition("semicopula_sum_split", semicopula=semicopula)
+            assert (_fingerprint(got) == _fingerprint(cond_sum_split(semicopula, UNIT))
+                    == _fingerprint(ref_semicopula_sum_split(semicopula)))
+
+
 class TestCombinedPairs:
     def test_boxplus_rounds_once_through_grid(self):
         # the pair conditions read the grid, like the chain, and the grid of
@@ -683,13 +756,13 @@ class TestCombinedPairs:
         g = np.arange(1, 65) / 64.0
         cs, ds = np.repeat(g, len(g)), np.tile(g, len(g))
         scalar = np.array([op.fn(c, d) for c, d in zip(cs.tolist(), ds.tolist())])
-        got = _combined(op, cs, ds)
-        assert got.tobytes() == op.grid(cs, ds).tobytes() == scalar.tobytes()
+        assert op.grid(cs, ds).tobytes() == scalar.tobytes()
 
     def test_infinite_pairs_are_warning_free(self):
         # prob_sum's grid at (inf, inf) is inf - inf; the suite turns the
-        # RuntimeWarning into an error
-        assert np.isnan(_combined(PSUM, np.array([INF]), np.array([INF]))).all()
+        # RuntimeWarning into an error, so the pair sweep must silence it
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(PSUM.grid(np.array([INF]), np.array([INF]))).all()
         res = check_condition("dual_star_split_pair", star=SUM, op_h=MIN, boxplus=PSUM,
                               scale=EXTENDED, cd_values=[(INF, INF), (1.0, 2.0)])
         assert res.mode == "explicit"

@@ -296,3 +296,56 @@ class TestOneTolerance:
             main(["run", "two_point_integrals", "--tolerance", "1e-3"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --tolerance 1e-3" in capsys.readouterr().err
+
+
+NAN = float("nan")
+
+
+def _nan_calls():
+    """Each factory or check given NaN where a positive (or any) number is
+    expected: ``p <= 0`` is false for NaN, so each must test ``not p > 0``."""
+    from nonadd.conditions import cond_distributive_scaling, cond_mh_product_power
+    from nonadd.core import FiniteSpace, Fn, SurvivalProfile, UNIT
+    from nonadd.integrals import abs_power, profile_integral
+    from nonadd.measures import MonotoneMeasure
+    from nonadd.metrics import MetricSpec
+    from nonadd.operators import (bounded_sum, lukasiewicz, minimum, phi_power, power_min,
+                                  power_prod, power_product)
+    from nonadd.theorems import verify_seminorm_minkowski, verify_subadditive_minkowski
+    space = FiniteSpace(2)
+    mu = MonotoneMeasure.possibility(space, [0.5, 1.0])
+    f = Fn([0.5, 0.25], UNIT)
+    profile = SurvivalProfile(UNIT, fn=lambda t: np.maximum(1.0 - t, 0.0))
+    return {
+        "mh_product_power.p1": lambda: cond_mh_product_power(NAN, 1.0, 1.0),
+        "mh_product_power.p3": lambda: cond_mh_product_power(1.0, 1.0, NAN),
+        "distributive_scaling.q": lambda: cond_distributive_scaling(minimum(), NAN, 1.0),
+        "distributive_scaling.r": lambda: cond_distributive_scaling(minimum(), 1.0, NAN),
+        "abs_power": lambda: abs_power([1.0, 0.5], NAN),
+        "profile_integral": lambda: profile_integral(profile, minimum(), NAN),
+        "MetricSpec": lambda: MetricSpec("d_op_p", minimum(), NAN),
+        "power_product": lambda: power_product(NAN),
+        "power_min.p": lambda: power_min(NAN),
+        "power_min.u": lambda: power_min(1.0, NAN),
+        "power_prod.p": lambda: power_prod(NAN),
+        "power_prod.u": lambda: power_prod(1.0, NAN),
+        "phi_power": lambda: phi_power(NAN),
+        "verify_seminorm_minkowski": lambda: verify_seminorm_minkowski(
+            lukasiewicz(), bounded_sum(), NAN, mu, f, f),
+        "verify_subadditive_minkowski": lambda: verify_subadditive_minkowski(
+            minimum(), 1.0, 1.0, NAN, mu, [0.5, 0.25], [0.5, 0.25]),
+        "lambda_sugeno.lam": lambda: MonotoneMeasure.lambda_sugeno(space, NAN, [0.5, 0.5]),
+        "lambda_sugeno.density": lambda: MonotoneMeasure.lambda_sugeno(space, 0.5,
+                                                                       [0.5, NAN]),
+        "distortion.probs": lambda: MonotoneMeasure.distortion(space, [NAN, 1.0],
+                                                               lambda x: x),
+        "distortion.sum": lambda: MonotoneMeasure.distortion(space, [0.5, NAN],
+                                                             lambda x: x),
+    }
+
+
+class TestNanRefused:
+    @pytest.mark.parametrize("name", sorted(_nan_calls()))
+    def test_nan_parameter_raises(self, name):
+        with pytest.raises(DomainError, match="positive|nonnegative"):
+            _nan_calls()[name]()
