@@ -34,8 +34,9 @@ Every integrand is an ``Fn``, read on its own scale; anything else, or a
 function of another length than the space, is refused, and the domain is
 checked against the space once per call (``MonotoneMeasure.mass_reader``).
 Every level set is a submask of the domain, so the level masses are then
-read unchecked from the measure's cached table, or through ``mu()`` when
-the measure has none (no table is built to be read).
+read unchecked from the measure's cached table, from a table-less
+possibility measure's per-block max folds, or through ``mu()`` otherwise
+(no table is built to be read).
 
 ``min`` as the operator gives the classical max-min integral, ``product``
 the max-product integral; a semicopula gives the seminormed form.

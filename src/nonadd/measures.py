@@ -11,7 +11,12 @@ set, nondecreasing under inclusion.  Four representations are supported:
 The parametric tables are built by one subset-lattice doubling
 (``core._subset_fold``); the distortion and lambda builds finish in the
 fold's own array, so a build makes no table-sized temporary of its own (a
-user distortion receives that array, clipped to [0, 1]).
+user distortion receives that array, clipped to [0, 1]).  A possibility
+measure without a cached table reads a mass as the max over blocks of
+``_FOLD_BITS`` = 8 points of each block's max fold at the mask's bits in
+it (built once, at most 3 * 256 floats): max over nonnegative floats is
+exact and order-free, and a -0.0 density reads as 0.0, so these reads,
+the bit loop they replace and the full table give the same bits.
 
 Property checkers are exhaustive and vectorized.  ``monotone`` and
 ``null_additive`` read single subsets; the pairwise checks run while their
@@ -68,7 +73,12 @@ the first one in (a, b) order.  A success reports minus the largest finite
 margin.  The chunked pair kernel (:func:`_pair_kernel`) sweeps one of two
 pair sets:
 
-* *disjoint pairs* (3**n): maxitivity is decided on them by definition.
+* *disjoint pairs* (3**n): maxitivity is decided on them by definition,
+  unless the table is exactly monotone (below) and every nonempty entry is
+  at most the max of its singletons (their ``_subset_fold``): then for
+  disjoint A, B, mu(A | B) <= max of the singletons of A | B <=
+  max(mu(A), mu(B)), so no pair fails (an inf - inf margin reads 0) and
+  the check holds with the margin 0.0 the sweep reports on success.
   Subadditivity is decided on them when the table is *exactly monotone*
   (every ``tab[a | bit] >= tab[a]``, no tolerance): then mu(B - A) <=
   mu(B), and float rounding is monotone, so (A, B - A) has a margin at least
@@ -151,6 +161,7 @@ class MonotoneMeasure:
         self.lam = lam
         self.rounding = rounding          # True when evaluation involves float rounding
         self._table = table
+        self._fold_read = None            # a table-less possibility's mass reader
 
     # -- constructors -------------------------------------------------------
 
@@ -180,7 +191,8 @@ class MonotoneMeasure:
 
     @classmethod
     def possibility(cls, space: FiniteSpace, density: Sequence[float]) -> "MonotoneMeasure":
-        dens = tuple(float(v) for v in density)
+        # + 0.0 reads -0.0 as 0.0: np.maximum(0.0, -0.0) is -0.0, Python's max 0.0
+        dens = tuple(float(v) + 0.0 for v in density)
         if len(dens) != space.n:
             raise DomainError("density length must equal the space size")
         if any(not is_xreal(v) for v in dens):
@@ -265,22 +277,38 @@ class MonotoneMeasure:
         if self._table is not None:
             return float(self._table[mask])
         if self.kind == "possibility":
-            best = 0.0
-            m = mask
-            while m:
-                low = m & -m
-                best = max(best, self.density[low.bit_length() - 1])
-                m ^= low
-            return best
+            return self._fold_reader()(mask)
         return float(self.table()[mask])
+
+    def _fold_reader(self):
+        """The unchecked mass reader of a table-less possibility measure,
+        built once: the max over the per-block max folds (module docstring)."""
+        if self._fold_read is None:
+            folds = [_subset_fold(self.density[i:i + _FOLD_BITS], np.maximum, 0.0).tolist()
+                     for i in range(0, self.space.n, _FOLD_BITS)]
+            low = (1 << _FOLD_BITS) - 1
+
+            def read(mask: int) -> float:
+                best = 0.0
+                for fold in folds:
+                    v = fold[mask & low]
+                    if v > best:
+                        best = v
+                    mask >>= _FOLD_BITS
+                return best
+
+            self._fold_read = read
+        return self._fold_read
 
     def mass_reader(self, domain: int):
         """Check ``domain`` against the space once and return a reader of
         the masses of its submasks, unchecked: the cached table's ``item``,
-        or the measure itself when no table is cached (no table is built to
-        be read)."""
+        a table-less possibility measure's fold reader, or else the measure
+        itself (no table is built to be read)."""
         self.space.validate_mask(domain)
-        return self if self._table is None else self._table.item
+        if self._table is not None:
+            return self._table.item
+        return self._fold_reader() if self.kind == "possibility" else self
 
     def masses(self, masks: np.ndarray) -> np.ndarray:
         """The masses of an integer array of masks, in its shape: a gather
@@ -301,6 +329,7 @@ class MonotoneMeasure:
 # exhaustive property checks
 # ---------------------------------------------------------------------------
 
+_FOLD_BITS = 8   # a table-less possibility measure reads one max fold per block of 8 points
 _LOW_BITS = 8   # the disjoint pairs of the low bits form one cached block (6,561 cells)
 _GATHER_BITS = 11   # up to here one gather of every point's sets beats a pass per point
 _NO_OVERFLOW = float(np.finfo(float).max) / 4   # no difference of differences overflows
@@ -625,6 +654,14 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
             m -= np.maximum(tab.take(a), tab.take(b))
             return m
 
+        # on an exactly monotone table bounded by the max of its singletons,
+        # mu(A | B) <= max over the points of A | B <= max(mu(A), mu(B)):
+        # no disjoint pair can fail, and neither can the all-pairs form
+        mono = _exactly_monotone(tab, n)
+        if mono:
+            singles = _subset_fold(tab[1 << np.arange(n)], np.maximum, 0.0)
+            if (tab[1:] <= singles[1:]).all():
+                return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
         # disjoint pairs decide the property; the all-pairs form must follow,
         # and it can only fail on a table that is not exactly monotone
         ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=True)
@@ -634,7 +671,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
                                {"set_a": a, "set_b": b, "mu_a": float(tab[a]),
                                 "mu_b": float(tab[b]), "mu_union": float(tab[a | b]),
                                 "disjoint": True})
-        if not _exactly_monotone(tab, n):
+        if not mono:
             ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=False)
             if not ok:
                 a, b = pair

@@ -412,6 +412,18 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
 # completeness-argument probe
 # ---------------------------------------------------------------------------
 
+def _suffix_spreads(xs: Sequence[float]) -> list[float]:
+    """``max(|x_r - x_k| for r >= k)`` for each k, from the suffix max hi and
+    min lo as ``max(hi - x_k, x_k - lo)``: rounding is monotone, so this is
+    the same float, and an infinite x_k gives nan first here as well."""
+    spreads, hi, lo = [], -INF, INF
+    for x in reversed(xs):
+        hi, lo = max(hi, x), min(lo, x)
+        spreads.append(max(hi - x, x - lo))
+    spreads.reverse()
+    return spreads
+
+
 def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
                  levels: int = 8, sequence: Sequence[Fn] | None = None) -> CheckResult:
     """Desk-scale reproduction of the completeness argument's bound chain.
@@ -508,10 +520,9 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
     for i in range(n):
         if union >> i & 1:
             continue
-        for k in range(1, len(sequence)):
+        spreads = _suffix_spreads([s.values[i] for s in sequence[1:]])
+        for k, spread in enumerate(spreads, start=1):
             bound = (2.0 ** (-k / p)) * factor
-            spread = max(abs(sequence[r][i] - sequence[k][i])
-                         for r in range(k, len(sequence)))
             if spread > bound + _TOL:
                 return CheckResult(False, spread - bound,
                                    {"stage": "pointwise", "point": i, "k": k,

@@ -423,7 +423,8 @@ def _conjugate(op: BinaryOp, h: DualityMap) -> BinaryOp:
 
     flags = {"nondecreasing"} if "nondecreasing" in op.flags else set()
     probe = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    vals = grid_fn(probe[:, None], probe[None, :])
+    with np.errstate(invalid="ignore", over="ignore"):   # e.g. inf * (1 - inf) under reciprocal
+        vals = grid_fn(probe[:, None], probe[None, :])
     if np.allclose(vals[0, :], 0.0, atol=_TOL):
         flags.add("zero_left_annihilator")
     if np.allclose(vals[:, 0], 0.0, atol=_TOL):

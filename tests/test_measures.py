@@ -992,6 +992,156 @@ class TestPairKernel:
                             "submodular": True, "null_additive": True, "finite": False}
 
 
+def ref_possibility_mass(density, mask):
+    """A possibility mass by the bit loop that read table-less measures
+    before the per-block folds: Python's max over the mask's points, from
+    0.0 (which keeps 0.0 against a -0.0 density)."""
+    best = 0.0
+    while mask:
+        low = mask & -mask
+        best = max(best, density[low.bit_length() - 1])
+        mask ^= low
+    return best
+
+
+@st.composite
+def possibility_reads(draw):
+    """A density on n <= 24 points over few distinct values (0.0, -0.0, inf
+    and repeats among them), and masks to read, edge masks included."""
+    n = draw(st.integers(1, 24))
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0, INF, 0.25, 0.5, 1.0, 3.0])
+                         | st.integers(1, 64).map(lambda v: v / 64.0), min_size=1, max_size=4))
+    dens = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    return dens, [0, (1 << n) - 1, *(1 << b for b in range(n)), *masks]
+
+
+class TestPossibilityFolds:
+    """A possibility measure without a cached table reads its masses from
+    per-block max folds; they must give the bit loop's and the table's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=possibility_reads())
+    def test_fold_reads_match_bit_loop_and_table(self, case):
+        dens, masks = case
+        space = FiniteSpace(len(dens))
+        mu = MonotoneMeasure.possibility(space, dens)
+        read = mu.mass_reader(space.full)
+        want = [ref_possibility_mass(dens, m).hex() for m in masks]
+        assert [mu(m).hex() for m in masks] == want
+        assert [read(m).hex() for m in masks] == want
+        assert mu._table is None
+        if len(dens) <= 16:
+            mu.table()
+            assert [mu(m).hex() for m in masks] == want
+            assert [mu.mass_reader(space.full)(m).hex() for m in masks] == want
+
+    def test_full_table_at_24_points(self):
+        rng = rng_for(7, "folds", 24)
+        dens = [rng.choice([0.0, -0.0, INF, 0.5, 0.5, 0.75]) for _ in range(24)]
+        masks = [rng.randrange(1 << 24) for _ in range(2000)] + [0, (1 << 24) - 1]
+        mu = MonotoneMeasure.possibility(FiniteSpace(24), dens)
+        before = [mu(m).hex() for m in masks]
+        tab = MonotoneMeasure.possibility(FiniteSpace(24), dens).table()
+        assert before == [ref_possibility_mass(dens, m).hex() for m in masks]
+        assert before == [float(tab[m]).hex() for m in masks]
+
+    def test_negative_zero_density_reads_as_zero(self):
+        mu = MonotoneMeasure.possibility(SP2, [-0.0, 0.0])
+        assert mu.density == (0.0, 0.0)
+        assert math.copysign(1.0, mu(1)) == 1.0
+        mu.table()
+        assert math.copysign(1.0, mu(1)) == 1.0
+        assert [math.copysign(1.0, v) for v in mu.table()] == [1.0] * 4
+
+    def test_reader_is_unchecked_and_built_once(self):
+        mu = MonotoneMeasure.possibility(FiniteSpace(20), [(i % 7) / 8 for i in range(20)])
+        read = mu.mass_reader(0b1011)
+        assert read is mu.mass_reader(mu.space.full) and read is not mu
+        assert read(0b1011) == mu(0b1011) == 0.375
+        with pytest.raises(DomainError):
+            mu.mass_reader(1 << 20)
+
+
+def ref_maxitive(mu):
+    """``maxitive`` by the pair kernel alone, as decided before the singleton
+    fold: the disjoint pairs, then all pairs on a table that is not exactly
+    monotone."""
+    tab, n, tol = mu.table(), mu.space.n, mu.tolerance()
+
+    def maxi(a, b):
+        m = tab.take(a | b)
+        m -= np.maximum(tab.take(a), tab.take(b))
+        return m
+
+    ok, pair, extreme = measures._pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=True)
+    if not ok:
+        a, b = pair
+        return CheckResult(False, extreme,
+                           {"set_a": a, "set_b": b, "mu_a": float(tab[a]),
+                            "mu_b": float(tab[b]), "mu_union": float(tab[a | b]),
+                            "disjoint": True})
+    if not measures._exactly_monotone(tab, n):
+        ok, pair, extreme = measures._pair_kernel(tab, n, maxi, tol, "maxitive check",
+                                                  disjoint=False)
+        if not ok:
+            a, b = pair
+            return CheckResult(False, extreme,
+                               {"set_a": a, "set_b": b, "disjoint": False,
+                                "reason": "derived all-pairs form failed"})
+    return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
+
+
+@st.composite
+def maxitive_cases(draw):
+    """Measures on n <= 8 points for the maxitive branch: maxitive tables
+    (folds of a density, inf allowed), the same raised or lowered at some
+    sets (monotone again or not), the same nudged by 1e-13 (within a
+    rounding table's tolerance or not), and tables with a nonzero empty set."""
+    n = draw(st.integers(1, 8))
+    dens = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, INF]), min_size=n, max_size=n))
+    tab = [ref_possibility_mass(dens, m) for m in range(1 << n)]
+    kind = draw(st.sampled_from(["maxitive", "raised", "raw", "nudged", "empty"]))
+    moved = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
+    if kind in ("raised", "raw"):
+        for m in moved:
+            tab[m] = draw(st.sampled_from([0.0, 0.125, 0.75, 2.0, INF]))
+        if kind == "raised":          # monotone again: each set the max over its subsets
+            for m in range(1, 1 << n):
+                tab[m] = max([tab[m]] + [tab[m & ~(1 << b)] for b in range(n) if m >> b & 1])
+    if kind == "nudged":
+        for m in moved:
+            if 0.0 < tab[m] < INF:
+                tab[m] += draw(st.sampled_from([-1e-13, 1e-13]))
+    if kind == "empty":
+        tab[0] = draw(st.sampled_from([0.0, 0.125, 0.5, INF]))
+    return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False,
+                                    allow_nonzero_empty=kind == "empty",
+                                    rounding=draw(st.booleans()))
+
+
+class TestMaxitiveBySingletons:
+    """A holding maxitive check is decided by the fold of the singletons on
+    an exactly monotone table; every verdict keeps the kernel's bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mu=maxitive_cases())
+    def test_matches_kernel_branch(self, mu):
+        got, want = check_measure_property(mu, "maxitive"), ref_maxitive(mu)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert repr(got.margin) == repr(want.margin)
+
+    def test_holding_table_skips_the_kernel(self):
+        with unittest.mock.patch.object(measures, "_pair_kernel",
+                                        wraps=measures._pair_kernel) as spy:
+            assert check_measure_property(generate_measure(0, "possibility", 12),
+                                          "maxitive").holds
+            assert spy.call_count == 0
+            res = check_measure_property(generate_measure(0, "non_maxitive", 12), "maxitive")
+            assert not res.holds and res.witness["disjoint"]
+            assert spy.call_count == 1
+
+
 @st.composite
 def dyadic_tables(draw):
     """k/64 entries, sometimes inf, with 0 on the empty set; monotone or not."""

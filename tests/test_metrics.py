@@ -343,6 +343,45 @@ class TestCauchyProbe:
         assert res.status == "premise-failed"
 
 
+def ref_suffix_spreads(xs):
+    """The pointwise bound's spreads as the probe read them before the
+    suffix extrema: ``max(|x_r - x_k| for r >= k)`` for every k."""
+    return [max(abs(xs[r] - xs[k]) for r in range(k, len(xs))) for k in range(len(xs))]
+
+
+class TestSuffixSpreads:
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.one_of(st.floats(0.0, 1e6), st.integers(0, 64).map(lambda v: v / 8.0),
+                                 st.just(INF)), min_size=1, max_size=12))
+    def test_matches_direct_loop(self, xs):
+        got, want = metrics._suffix_spreads(xs), ref_suffix_spreads(xs)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    def test_probe_reads_the_same_spreads(self, monkeypatch):
+        # every point off the jump union reads, for k = 1, 2, ..., the spread
+        # the former (i, k) loop computed from sequence[k:]
+        seen = []
+        real = metrics._suffix_spreads
+        monkeypatch.setattr(metrics, "_suffix_spreads",
+                            lambda xs: seen.append(real(xs)) or seen[-1])
+        for k in range(6):
+            p = (0.5, 1.0, 2.0)[k % 3]
+            spec = MetricSpec("d_op_p", power_min(p, 1.0), p)
+            mu = sampling.subadditive_measure(37, k, 4)
+            rng = rng_for(5, "spreads", k)
+            vals, seq = [rng.randrange(0, 17) / 8.0 for _ in range(4)], []
+            for j in range(8):
+                seq.append(Fn(list(vals), NONNEG))
+                vals = [v + rng.randrange(0, 9) / 8.0 * 16.0 ** -(j + 1) for v in vals]
+            seen.clear()
+            res = cauchy_probe(spec, mu, sequence=seq)
+            assert res.holds and res.status == "checked"
+            want = [[max(abs(seq[r][i] - seq[j][i]) for r in range(j, len(seq)))
+                     for j in range(1, len(seq))]
+                    for i in range(4)]
+            assert seen and all(spreads in want for spreads in seen)
+
+
 class TestIntegrateOnce:
     """``cauchy_probe`` and the convergence lemmas integrate each distinct
     integrand once per call: the same result bytes as integrating every

@@ -1,6 +1,7 @@
 """Operator catalog, algebraic-law verification, rescaling and duality maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from nonadd.operators import (
     reciprocal,
     verify_flags,
 )
+from nonadd import operators
 from nonadd.results import CheckResult, DomainError, HypothesisError
 
 
@@ -207,12 +209,11 @@ CATALOG = [minimum(), join(), product(), lukasiewicz(), bounded_sum(), plain_sum
            power_product(1.0), power_min(2.0, 1.0), power_min(0.5, 0.5), power_prod(0.75, 0.5),
            power_prod(1.0, 1.0)]
 # each conjugate with the scales its map is valid on (prob_sum is nan at
-# (inf, b) for b > 0, which the reciprocal's probe reaches)
-with np.errstate(invalid="ignore"):
-    CONJUGATES = [(op_dual(join(), one_minus()), (UNIT, UNIT_OPEN)),
-                  (op_dual(prob_sum(), one_minus()), (UNIT, UNIT_OPEN)),
-                  (op_dual(plain_sum(), reciprocal()), SCALES),
-                  (op_dual(prob_sum(), reciprocal()), SCALES)]
+# (inf, b) for b > 0, which the reciprocal's flag probe reaches)
+CONJUGATES = [(op_dual(join(), one_minus()), (UNIT, UNIT_OPEN)),
+              (op_dual(prob_sum(), one_minus()), (UNIT, UNIT_OPEN)),
+              (op_dual(plain_sum(), reciprocal()), SCALES),
+              (op_dual(prob_sum(), reciprocal()), SCALES)]
 
 
 def law(op, name, scale):
@@ -495,6 +496,46 @@ class TestOpDual:
             assert np.allclose(dd.grid(g[:, None], g[None, :]),
                                op.grid(g[:, None], g[None, :]), atol=1e-12)
 
+    # the flags besides nondecreasing that the five-point probe declares for
+    # the conjugates under (one_minus, reciprocal); prob_sum's reciprocal
+    # conjugate reads nan cells at inf, which the probe now allows silently
+    ALL4 = "commutative neutral_one zero_left_annihilator zero_right_annihilator"
+    ZEROS = "zero_left_annihilator zero_right_annihilator"
+    CONJUGATE_FLAGS = {
+        "min": ("commutative", "commutative"),
+        "max": (ALL4, ALL4),
+        "product": ("commutative", ALL4),
+        "lukasiewicz": ("commutative", ALL4),
+        "bounded_sum": (ALL4, "commutative"),
+        "sum": ("commutative neutral_one", "commutative " + ZEROS),
+        "prob_sum": (ALL4, ""),
+        "marshall_olkin(0.5,0.25)": ("", ZEROS),
+        "marshall_olkin(1.0,1.0)": ("commutative", "commutative"),
+        "power_product(0.5)": ("commutative", "commutative " + ZEROS),
+        "power_product(1.0)": ("commutative", ALL4),
+        "power_min(2.0,1.0)": ("", ""),
+        "power_min(0.5,0.5)": ("commutative", "commutative"),
+        "power_prod(0.75,0.5)": ("", ZEROS),
+        "power_prod(1.0,1.0)": ("commutative", ALL4),
+    }
+
+    def test_catalog_conjugates_build_warning_free(self):
+        # _conjugate itself: op_dual serves a conjugate cached on the shared
+        # catalog instance, possibly built before the warning rule was set
+        ops = [minimum(), join(), product(), lukasiewicz(), bounded_sum(), plain_sum(),
+                 prob_sum(), marshall_olkin(0.5, 0.25), marshall_olkin(1.0, 1.0),
+                 power_product(0.5), power_product(1.0), power_min(2.0, 1.0),
+                 power_min(0.5, 0.5), power_prod(0.75, 0.5), power_prod(1.0, 1.0)]
+        assert [op.name for op in ops] == list(self.CONJUGATE_FLAGS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            duals = [[operators._conjugate(op, h) for h in (one_minus(), reciprocal())]
+                     for op in ops]
+        for op, pair in zip(ops, duals):
+            assert all("nondecreasing" in d.flags for d in pair), op.name
+            assert tuple(" ".join(sorted(d.flags - {"nondecreasing"})) for d in pair) \
+                == self.CONJUGATE_FLAGS[op.name], op.name
+
     def test_dual_inherits_monotonicity_flag(self):
         d = op_dual(plain_sum(), reciprocal())
         assert "nondecreasing" in d.flags
@@ -642,7 +683,6 @@ class TestSharedCatalog:
     def test_duality_flag_gates_run_once(self, monkeypatch):
         # conjugates are cached on their base operator, so their flag gates
         # run once per (operator, map, flag, scale) however many trials use them
-        from nonadd import operators
         from nonadd.campaigns import run_campaign
 
         for op in (join(), minimum(), bounded_sum(), prob_sum(), plain_sum()):
