@@ -64,6 +64,7 @@ from .relations import is_comonotone, is_star_associated
 from . import sampling
 from .theorems import (
     MHOperators,
+    _mh_sides,
     _refuted_conditions,
     reproduce_counterexample,
     verify_comonotone_subadditive,
@@ -248,13 +249,8 @@ def _upper_mh_necessity(seed: int, k: int) -> list:
     # realize the witness scalar as a one-point measure and check the
     # inequality itself breaks on the indicator pair
     mu = MonotoneMeasure.possibility(FiniteSpace(1), [c])
-
-    def side(p, v):  # phi_p^-1 of the upper integral of phi_p(v)
-        phi = phi_power(p)
-        return float(phi.inverse(upper_integral(Fn([float(phi.forward(v))], UNIT), mu, _PROD)))
-
-    lhs = side(p1, float(_PSUM.fn(a, b)))
-    rhs = float(_PSUM.fn(side(p2, a), side(p3, b)))
+    ops = MHOperators(_PSUM, _PSUM, (_PROD,) * 3, tuple(phi_power(q) for q in (p1, p2, p3)))
+    lhs, rhs = _mh_sides(upper_integral, ops, mu, Fn([a], UNIT), Fn([b], UNIT), None, UNIT)
     if lhs > rhs:
         return []
     return [{"trial": k, "p": [p1, p2, p3], "witness": w, "lhs": lhs, "rhs": rhs}]

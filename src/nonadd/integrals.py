@@ -34,9 +34,8 @@ Every integrand is an ``Fn``, read on its own scale; anything else, or a
 function of another length than the space, is refused, and the domain is
 checked against the space once per call (``MonotoneMeasure.mass_reader``).
 Every level set is a submask of the domain, so the level masses are then
-read unchecked from the measure's cached table, from a table-less
-possibility measure's per-block max folds, or through ``mu()`` otherwise
-(no table is built to be read).
+read unchecked: from a table-less possibility measure's per-block max
+folds, and from the measure's table, built if need be, otherwise.
 
 ``min`` as the operator gives the classical max-min integral, ``product``
 the max-product integral; a semicopula gives the seminormed form.
@@ -194,8 +193,6 @@ def upper_integral_subset_oracle(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
     values, scale, domain = _unpack(f, mu, domain)
     verify_flags(op, _GATE, scale)
     bits = _domain_points(domain)
-
-    mu.space.validate_mask(domain)  # the table read below does not check masks
     if not scale.closed:
         _require_zero_tail(op, scale, mu(0))
     best = -INF
@@ -227,6 +224,11 @@ def lower_integral_result(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
     values and t -> op(t, c) is nondecreasing, so the infimum sits at the
     left end of a piece: always exact on finite spaces.  Candidates run
     from 0 and then down from the largest in-scale value.
+
+    The candidate 0 reads op(0, mu(D intersect {f > 0})), so under an
+    operator with op(0, c) = 0 for every c (``min``, ``product``,
+    ``lukasiewicz``, every semicopula) the lower integral is 0 for every
+    function and measure.
     """
     values, scale, domain = _unpack(f, mu, domain)
     verify_flags(op, _GATE, scale)

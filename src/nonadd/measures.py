@@ -184,7 +184,7 @@ class MonotoneMeasure:
         if validate:
             if not allow_nonzero_empty and tab[0] != 0.0:
                 raise DomainError("measure of the empty set must be 0")
-            res = check_measure_property(mu, "monotone", _skip_empty=allow_nonzero_empty)
+            res = _check_monotone(tab, space.n, mu.tolerance())
             if not res.holds:
                 raise DomainError(f"table is not monotone: {res.witness}")
         return mu
@@ -302,20 +302,21 @@ class MonotoneMeasure:
 
     def mass_reader(self, domain: int):
         """Check ``domain`` against the space once and return a reader of
-        the masses of its submasks, unchecked: the cached table's ``item``,
-        a table-less possibility measure's fold reader, or else the measure
-        itself (no table is built to be read)."""
+        the masses of its submasks, unchecked: a table-less possibility
+        measure's fold reader, else the ``item`` of ``table()``."""
         self.space.validate_mask(domain)
         if self._table is not None:
             return self._table.item
-        return self._fold_reader() if self.kind == "possibility" else self
+        return self._fold_reader() if self.kind == "possibility" else self.table().item
 
     def masses(self, masks: np.ndarray) -> np.ndarray:
-        """The masses of an integer array of masks, in its shape: a gather
-        from the cached table, unchecked, or else ``mu()`` at each mask."""
-        if self._table is not None:
-            return self._table[masks]
-        return np.array([self(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
+        """The masses of an integer array of masks, in its shape, unchecked:
+        a table-less possibility measure's fold reads, else a gather from
+        ``table()``."""
+        if self._table is None and self.kind == "possibility":
+            read = self._fold_reader()
+            return np.array([read(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
+        return self.table()[masks]
 
     @property
     def total(self) -> float:
@@ -523,9 +524,9 @@ def null_union(mu: MonotoneMeasure, tol: float) -> int:
     return int(np.bitwise_or.reduce(np.flatnonzero(mu.table() <= tol)))
 
 
+@np.errstate(invalid="ignore")          # inf - inf
 def _check_monotone(tab: np.ndarray, n: int, tol: float) -> CheckResult:
-    """``monotone`` past the empty set, under ``errstate(invalid="ignore")``
-    (see the module docstring)."""
+    """``monotone`` past the empty set (see the module docstring)."""
     if n <= _GATHER_BITS:
         [(low, diffs)] = _bit_sides(tab, n)
         diffs -= low
@@ -563,8 +564,7 @@ def _check_monotone(tab: np.ndarray, n: int, tol: float) -> CheckResult:
     return CheckResult(True, margin=max(slack, 0.0))
 
 
-def check_measure_property(mu: MonotoneMeasure, prop: str, *,
-                           _skip_empty: bool = False) -> CheckResult:
+def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
     """Exhaustive verdict for a measure property, with a witness on failure,
     within the measure's ``tolerance()``.
 
@@ -598,11 +598,10 @@ def check_measure_property(mu: MonotoneMeasure, prop: str, *,
         return CheckResult(True, margin=total)
 
     if prop == "monotone":
-        if not _skip_empty and tab[0] != 0.0:
+        if tab[0] != 0.0:
             return CheckResult(False, float(tab[0]), {"set": 0, "value": float(tab[0]),
                                                       "reason": "empty set has nonzero measure"})
-        with np.errstate(invalid="ignore"):          # inf - inf
-            return _check_monotone(tab, n, tol)
+        return _check_monotone(tab, n, tol)
 
     if prop == "null_additive":
         union = null_union(mu, tol)
@@ -742,7 +741,7 @@ def _grid_scores(rng, m: int) -> np.ndarray:
     return np.concatenate(chunks)[:m]
 
 
-def generate_measure(seed: int, family: str, n: int = 6) -> MonotoneMeasure:
+def generate_measure(seed: int, family: str, n: int) -> MonotoneMeasure:
     """Deterministic random measure from one of the generator families.
 
     ``monotonized_random`` draws raw subset scores on the 1/64 grid and takes
@@ -789,7 +788,7 @@ def generate_measure(seed: int, family: str, n: int = 6) -> MonotoneMeasure:
     return MonotoneMeasure.explicit(space, tab, rounding=True)
 
 
-def lambda_sugeno_random(seed: int, n: int = 6) -> MonotoneMeasure:
+def lambda_sugeno_random(seed: int, n: int) -> MonotoneMeasure:
     """Random lambda-family measure normalized to total mass 1.
 
     The parameter is drawn from the strictly negative range where the family

@@ -194,8 +194,11 @@ def find_triangle_violation(mu: MonotoneMeasure,
 
 def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200,
                         seed: int = 0) -> CheckResult:
-    """Seeded axiom suite: symmetry (exact), identity up to the null-support
-    equivalence (both directions), and the triangle inequality.
+    """Seeded axiom suite: identity up to the null-support equivalence
+    (both directions) and the triangle inequality.  Symmetry holds by
+    construction: ``_abs_diff`` is symmetric bit for bit (``a == b`` is, and
+    IEEE gives ``abs(a - b) == abs(b - a)``), so d(g, f) integrates the very
+    integrand of d(f, g) and is not integrated again.
 
     Requires a subadditive measure (checked; on failure the raised gate
     error carries a concrete triangle breakdown when one exists); the
@@ -220,11 +223,6 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         g = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
         h = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
         dfg = _distance(spec, f, g, mu)
-        dgf = _distance(spec, g, f, mu)
-        if dfg != dgf:
-            return CheckResult(False, abs(dfg - dgf),
-                               {"axiom": "symmetry", "f": f, "g": g,
-                                "d_fg": dfg, "d_gf": dgf}, mode="sampled")
         # identity of indiscernibles, as the null-support equivalence
         diff = _abs_diff(f, g)
         support = _level_sets(diff, full)[1][0]  # the points where diff > 0
@@ -412,18 +410,6 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
 # completeness-argument probe
 # ---------------------------------------------------------------------------
 
-def _suffix_spreads(xs: Sequence[float]) -> list[float]:
-    """``max(|x_r - x_k| for r >= k)`` for each k, from the suffix max hi and
-    min lo as ``max(hi - x_k, x_k - lo)``: rounding is monotone, so this is
-    the same float, and an infinite x_k gives nan first here as well."""
-    spreads, hi, lo = [], -INF, INF
-    for x in reversed(xs):
-        hi, lo = max(hi, x), min(lo, x)
-        spreads.append(max(hi - x, x - lo))
-    spreads.reverse()
-    return spreads
-
-
 def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
                  levels: int = 8, sequence: Sequence[Fn] | None = None) -> CheckResult:
     """Desk-scale reproduction of the completeness argument's bound chain.
@@ -432,10 +418,15 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
     4^(-k/(p^2+1)) in metric terms, then verifies, per level k: the
     definitional bound op(2^-k, mu(A_k)) <= 4^(-kp) on the jump sets, the
     scaling step up to op(1, mu(A_k)) <= 2^(-kp), the unit-section
-    conclusion mu(A_k) <= 2^(-kp), the subadditive tail bound on the union
-    of the jump sets, and the pointwise geometric bound off that union.  A
-    supplied sequence that fails the decay premise reports
-    ``premise-failed`` rather than a chain failure.
+    conclusion mu(A_k) <= 2^(-kp), and the subadditive tail bound on the
+    union of the jump sets.  A supplied sequence that fails the decay
+    premise reports ``premise-failed`` rather than a chain failure.
+
+    The pointwise geometric bound off that union is not read: it holds for
+    every sequence.  Off the jump sets each step at level j is below
+    2^(-j/p), so the spread after level k is below the sum over j > k,
+    2^(-k/p) r / (1 - r) with r = 2^(-1/p), which is under the bound
+    2^(-k/p) / (1 - r) by 2^(-k/p), far more than rounding.
     """
     if spec.kind != "d_op_p":
         raise DomainError("the probe is stated for the operator metric")
@@ -479,8 +470,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
                                status="premise-failed",
                                detail={"distances": dists})
 
-    full = (1 << n) - 1
-    jump_masks = []
+    union = 0
     min_slack = INF
     for k in range(1, len(sequence)):
         prev, cur = sequence[k - 1], sequence[k]
@@ -489,7 +479,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
         for i, v in enumerate(jump):
             if v >= 2.0 ** -k:
                 mask |= 1 << i
-        jump_masks.append(mask)
+        union |= mask
         mu_k = mu(mask)
         b1 = float(spec.op.fn(2.0 ** -k, mu_k))
         if b1 > 4.0 ** (-k * p) + _TOL:
@@ -507,26 +497,10 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
                                {"stage": "unit-section", "k": k, "mu": mu_k})
         min_slack = min(min_slack, 2.0 ** (-k * p) - mu_k)
 
-    union = 0
-    for m in jump_masks:
-        union |= m
     geo = sum(2.0 ** (-k * p) for k in range(1, len(sequence)))
     if mu(union) > geo + _TOL:
         return CheckResult(False, mu(union) - geo,
                            {"stage": "tail-union", "mu_union": mu(union), "bound": geo})
-
-    # pointwise geometric bound off the union of jump sets
-    factor = 1.0 / (1.0 - 2.0 ** (-1.0 / p))
-    for i in range(n):
-        if union >> i & 1:
-            continue
-        spreads = _suffix_spreads([s.values[i] for s in sequence[1:]])
-        for k, spread in enumerate(spreads, start=1):
-            bound = (2.0 ** (-k / p)) * factor
-            if spread > bound + _TOL:
-                return CheckResult(False, spread - bound,
-                                   {"stage": "pointwise", "point": i, "k": k,
-                                    "spread": spread, "bound": bound})
     return CheckResult(True, margin=min_slack,
                        detail={"levels": len(sequence) - 1,
                                "union_measure": mu(union),

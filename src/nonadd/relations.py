@@ -97,11 +97,11 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp,
 def _level_grid(f: Fn, g: Fn, mu: MonotoneMeasure, domain: int):
     """f's thresholds and strict level masks on the domain as the rows of a
     grid, g's as its columns (``core._level_sets``), after checking f's
-    length and the domain against the measure's space once: ``mu.masses``
-    then reads any array of their submasks unchecked."""
+    length against the measure's space: the domain, which the caller has
+    checked against f's length, then lies in the space, and ``mu.masses``
+    reads any array of its submasks unchecked."""
     _check_length(f.values, mu.space)
     (tf, mf), (tg, mg) = _level_sets(f.values, domain), _level_sets(g.values, domain)
-    mu.space.validate_mask(domain)
     return (np.array(tf)[:, None], np.array(mf, dtype=np.int64)[:, None],
             np.array(tg)[None, :], np.array(mg, dtype=np.int64)[None, :])
 

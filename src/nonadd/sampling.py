@@ -22,10 +22,10 @@ from .results import DomainError
 
 
 def random_values(rng: random.Random, n: int, scale: ValueScale = UNIT, *,
-                  zero_rate: float = 0.15, inf_rate: float = 0.0,
-                  span: float = 4.0) -> list[float]:
-    """Values on the 1/64 grid inside the scale, with optional planted zeros
-    and (on a closed infinite scale) infinities."""
+                  zero_rate: float = 0.15, inf_rate: float = 0.0) -> list[float]:
+    """Values on the 1/64 grid inside the scale (up to 4 on an infinite
+    one), with optional planted zeros and (on a closed infinite scale)
+    infinities."""
     out = []
     top = scale.upper
     for _ in range(n):
@@ -35,7 +35,7 @@ def random_values(rng: random.Random, n: int, scale: ValueScale = UNIT, *,
         elif inf_rate and math.isinf(top) and scale.closed and u < zero_rate + inf_rate:
             out.append(INF)
         elif math.isinf(top):
-            out.append(rng.randrange(0, int(span * 64) + 1) / 64)
+            out.append(rng.randrange(0, 4 * 64 + 1) / 64)
         else:
             v = top * rng.randrange(0, 65) / 64
             if not scale.closed and v >= top:
@@ -166,11 +166,11 @@ def non_subadditive_measure(seed: int, n: int) -> tuple[MonotoneMeasure, tuple[i
         raise DomainError("need at least two points")
     pts = list(range(n))
     rng.shuffle(pts)
-    cut = 1 + rng.randrange(max(n - 1, 1))
-    a_mask = sum(1 << i for i in pts[:cut]) or 1
-    b_mask = sum(1 << i for i in pts[cut:]) or (1 << pts[-1])
-    if a_mask & b_mask:
-        b_mask = ((1 << n) - 1) ^ a_mask or 1 << pts[-1]
+    # cut lies in [1, n - 1]: both masks are nonempty, and disjoint as pts
+    # is a permutation
+    cut = 1 + rng.randrange(n - 1)
+    a_mask = sum(1 << i for i in pts[:cut])
+    b_mask = sum(1 << i for i in pts[cut:])
     base = generate_measure(rng.randrange(1 << 30), "monotonized_random", n)
     tab = base.table() * 0.3
     union = a_mask | b_mask

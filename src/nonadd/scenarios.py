@@ -102,6 +102,13 @@ def _number(sc, value, where: str) -> float:
     raise ScenarioError(f"{where}: expected a number or \"inf\", got {value!r}")
 
 
+def _nonnegative(sc, value, where: str) -> float:
+    number = _number(sc, value, where)
+    if number < 0:
+        raise ScenarioError(f"{where}: expected a nonnegative number, got {value!r}")
+    return number
+
+
 def _int(sc, value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where}: expected an integer, got {value!r}")
@@ -265,7 +272,7 @@ MEASURE_KINDS = {
     "distortion": _spec(lambda sc, a: MonotoneMeasure.distortion(
                             sc.space, a.probs, lambda x: x ** a.exponent,
                             name=f"power({a.exponent})"),
-                        exponent=Field(_number, 0.5), probs=_NUMBERS),
+                        exponent=Field(_nonnegative, 0.5), probs=_NUMBERS),
     "lambda_sugeno": _spec(lambda sc, a: MonotoneMeasure.lambda_sugeno(
                                sc.space, getattr(a, "lambda"), a.density),
                            **{"lambda": _number}, density=_NUMBERS),

@@ -91,6 +91,7 @@ from .operators import (
     lukasiewicz,
     op_dual,
     phi_power,
+    plain_sum,
     verify_flags,
 )
 from .relations import _level_grid, is_comonotone, is_mu_subadditive, is_star_associated
@@ -192,6 +193,7 @@ class MHOperators:
     phis: tuple[PhiMap, PhiMap, PhiMap]
 
 
+_SUM = plain_sum()
 _ANNIHILATING = ("nondecreasing", "zero_left_annihilator", "zero_right_annihilator")
 
 
@@ -423,11 +425,10 @@ class CounterexampleReport:
 
 
 def _quadratic_peak(k: float) -> float:
-    """Exact supremum of (t - k t^2)_+ over [0, 1]: the vertex value 1/(4k)
-    for k >= 1/2, else the endpoint value 1 - k."""
-    if k >= 0.5:
-        return 1.0 / (4.0 * k)
-    return 1.0 - k
+    """Exact supremum of (t - k t^2)_+ over [0, 1] for k >= 1/2 (the
+    callers pass 1 and 4): the vertex value 1/(4k), as the vertex 1/(2k)
+    lies in the interval."""
+    return 1.0 / (4.0 * k)
 
 
 def _refuted_conditions() -> tuple[CheckResult, CheckResult]:
@@ -488,10 +489,7 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
     scale = _one_scale(f, g)
     verify_flags(op, _ANNIHILATING, scale)
     _require(is_comonotone(f, g, domain), "functions are not comonotone")
-    sums = [a + b for a, b in zip(f.values, g.values)]
-    for s in sums:
-        if not scale.contains(s):
-            raise HypothesisError(f"pointwise sum {s!r} leaves the scale")
+    fg = _star_combine(f, g, _SUM, scale)
     _check_length(f.values, mu.space)
     domain = _domain_mask(len(f), domain)
 
@@ -502,7 +500,7 @@ def verify_comonotone_subadditive(op: BinaryOp, mu: MonotoneMeasure, f: Fn, g: F
     if not grid_cond.holds:
         return _condition_failed(grid_cond, detail)
 
-    lhs = upper_integral(Fn(sums, scale), mu, op, domain)
+    lhs = upper_integral(fg, mu, op, domain)
     rhs = upper_integral(f, mu, op, domain) + upper_integral(g, mu, op, domain)
     return _verdict(lhs, rhs, detail, f=list(f.values), g=list(g.values))
 
@@ -570,7 +568,9 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8,
     pairs plus seeded random pairs, so the result is ``sampled`` unless the
     indicator sweep fails.  Backward on a non-maxitive measure: the proof's
     two-level witness pair built from a violating disjoint pair must
-    violate subadditivity with strictly positive margin.  The result also
+    violate subadditivity with strictly positive margin; a measure with no
+    such pair, which fails only the derived all-pairs form, raises
+    ``HypothesisError`` carrying the maxitivity result.  The result also
     records three-way consistency with the exhaustive maxitivity checker.
     """
     maxres = check_measure_property(mu, "maxitive")
@@ -596,7 +596,11 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8,
     w = maxres.witness
     A, B = int(w["set_a"]), int(w["set_b"])
     if A & B:
-        raise DomainError("maxitivity witness pair must be disjoint")
+        # no disjoint pair violates: only the derived all-pairs form fails,
+        # which it can only do on a table that is not exactly monotone
+        raise HypothesisError("the backward construction needs a disjoint pair that "
+                              "violates maxitivity; the measure fails only the "
+                              "derived all-pairs form", detail=maxres)
     mu_union = mu(A | B)
     peak = max(mu(A), mu(B))
     if math.isinf(mu_union):

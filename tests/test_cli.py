@@ -12,6 +12,7 @@ import pytest
 from nonadd import campaigns, scenarios
 from nonadd.campaigns import CAMPAIGNS, Campaign, merge_report, run_campaign, run_trials
 from nonadd.cli import main
+from nonadd.conditions import cond_sum_split
 from nonadd.results import DomainError
 from nonadd.scenarios import BUILTIN_SCENARIOS, Scenario, ScenarioError, builtin_scenario
 
@@ -397,6 +398,39 @@ class TestRun:
         assert code == 2
         assert f"{named}: expected a number" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_negative_distortion_exponent_exits_2_naming_the_field(self, tmp_path, capsys):
+        # x ** -1 has no value at 0: the distortion's g(0) check would raise
+        # ZeroDivisionError, which exits 1 with a traceback
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"dist": {"kind": "distortion", "exponent": -1,
+                                     "probs": [0.25, 0.75]}},
+               "tasks": [{"task": "check_measure", "measure": "dist", "property": "monotone"}]}
+        path = tmp_path / "negative_exponent.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "measures.dist.exponent: expected a nonnegative number" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("scale", [{"upper": 1, "closed": True},
+                                       {"upper": "inf", "closed": True}],
+                             ids=["unit", "extended"])
+    @pytest.mark.parametrize("operator", ["product", "lukasiewicz"])
+    @pytest.mark.parametrize("c_values", [None, [0.0, 0.25, 0.5, 1.0]],
+                             ids=["grid", "c_values"])
+    def test_condition_task_reads_the_scenario_scale(self, scale, operator, c_values):
+        # sum_split takes a scale, which the task passes from the scenario
+        task = {"task": "check_condition", "condition": "sum_split", "operator": "op"}
+        if c_values is not None:
+            task["c_values"] = c_values
+        sc = Scenario({"version": 1, "space": {"n": 2}, "scale": scale,
+                       "operators": {"op": {"name": operator}}, "tasks": [task]})
+        record = scenarios.run_task(sc, sc.tasks[0])
+        op = sc.operators["op"]
+        want = cond_sum_split(op, sc.scale, c_values).to_dict()
+        assert json.dumps(record["result"]) == json.dumps(want)
 
     def test_builtin_modes_follow_the_readme_table(self):
         # every task kind has a row, and every result of every built-in

@@ -162,6 +162,15 @@ def ref_monotone(tab, tol, skip_empty=False):
     return CheckResult(True, margin=max(slack, 0.0))
 
 
+def read_monotone(mu, skip_empty=False):
+    """``monotone`` as ``check_measure_property`` reads it, or past the
+    empty set, as ``MonotoneMeasure.explicit`` reads it when it allows a
+    nonzero empty entry."""
+    if skip_empty:
+        return measures._check_monotone(mu.table(), mu.space.n, mu.tolerance())
+    return check_measure_property(mu, "monotone")
+
+
 def ref_null_additive(tab, tol):
     """One full pass per null set: the check the library replaced by a test
     of the null union's points, kept as an oracle that must agree byte for
@@ -358,6 +367,37 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             MonotoneMeasure.explicit(SP2, [0.0, 0.5, 0.3, 0.4])  # not monotone
 
+    def test_explicit_allowing_a_nonzero_empty_entry_checks_monotone_past_it(self):
+        mu = MonotoneMeasure.explicit(SP2, [0.5, 0.5, 0.75, 1.0], allow_nonzero_empty=True)
+        assert mu(0) == 0.5
+        with pytest.raises(DomainError, match="not monotone"):
+            MonotoneMeasure.explicit(SP2, [0.5, 0.25, 0.75, 1.0], allow_nonzero_empty=True)
+
+    @pytest.mark.parametrize("route", ["call", "mass_reader", "masses"])
+    def test_table_less_reads_give_the_table_bits(self, route):
+        # a table-less possibility measure reads its folds, every other one
+        # table(): each route gives the entries of a separately built table
+        for n in (1, 3, 6, 9):
+            for seed in range(4):
+                for make in (lambda: generate_measure(seed, "distortion_concave", n),
+                             lambda: lambda_sugeno_random(seed, n),
+                             lambda: MonotoneMeasure.lambda_sugeno(
+                                 FiniteSpace(n), 0.0, [(k + 1) / (4 * n) for k in range(n)]),
+                             lambda: generate_measure(seed, "possibility", n)):
+                    want = make().table()
+                    mu = make()
+                    masks = np.arange(1 << n, dtype=np.int64)
+                    if route == "call":
+                        got = np.array([mu(m) for m in masks.tolist()])
+                    elif route == "mass_reader":
+                        read = mu.mass_reader(mu.space.full)
+                        got = np.array([read(m) for m in masks.tolist()])
+                    else:
+                        shaped = mu.masses(masks.reshape(-1, 1))
+                        assert shaped.shape == (1 << n, 1)
+                        got = shaped.ravel()
+                    assert got.tobytes() == want.tobytes(), (route, n, seed, mu.kind)
+
 
 grid_values = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 3.0, INF])
 
@@ -517,7 +557,7 @@ class TestTableBuilds:
         # check's margin may carry
         tab = [-0.0 if v == 0.0 and signs >> i & 1 else v for i, v in enumerate(tab)]
         mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False, rounding=rounding)
-        got = check_measure_property(mu, "monotone", _skip_empty=skip_empty)
+        got = read_monotone(mu, skip_empty)
         want = ref_monotone(np.asarray(tab, dtype=float), mu.tolerance(), skip_empty)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         assert repr(got.margin) == repr(want.margin)
@@ -859,7 +899,7 @@ def chunked_monotone(tab, tol, skip_empty, chunk_cells):
     mu = with_tolerance(tab, tol) if isinstance(tab, np.ndarray) else tab
     with unittest.mock.patch.object(measures, "_GATHER_BITS", 0), \
             unittest.mock.patch.object(measures, "_CHUNK_CELLS", chunk_cells):
-        res = check_measure_property(mu, "monotone", _skip_empty=skip_empty)
+        res = read_monotone(mu, skip_empty)
     return json.dumps(res.to_dict()), repr(res.margin)
 
 
@@ -1265,7 +1305,7 @@ class TestDuality:
         for seed in range(10):
             mu = generate_measure(seed, "monotonized_random", 4)
             d = dual_measure(mu, one_minus())
-            assert check_measure_property(d, "monotone", _skip_empty=True).holds
+            assert read_monotone(d, skip_empty=True).holds
 
 
 class TestGenerators:

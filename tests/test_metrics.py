@@ -343,27 +343,76 @@ class TestCauchyProbe:
         assert res.status == "premise-failed"
 
 
-def ref_suffix_spreads(xs):
-    """The pointwise bound's spreads as the probe read them before the
-    suffix extrema: ``max(|x_r - x_k| for r >= k)`` for every k."""
-    return [max(abs(xs[r] - xs[k]) for r in range(k, len(xs))) for k in range(len(xs))]
+def deleted_suffix_spreads(xs):
+    """The spreads the probe's pointwise stage read, ``max(|x_r - x_k| for
+    r >= k)`` for each k, from the suffix max hi and min lo."""
+    spreads, hi, lo = [], -INF, INF
+    for x in reversed(xs):
+        hi, lo = max(hi, x), min(lo, x)
+        spreads.append(max(hi - x, x - lo))
+    spreads.reverse()
+    return spreads
 
 
-class TestSuffixSpreads:
-    @settings(max_examples=300, deadline=None)
-    @given(xs=st.lists(st.one_of(st.floats(0.0, 1e6), st.integers(0, 64).map(lambda v: v / 8.0),
-                                 st.just(INF)), min_size=1, max_size=12))
-    def test_matches_direct_loop(self, xs):
-        got, want = metrics._suffix_spreads(xs), ref_suffix_spreads(xs)
-        assert [repr(v) for v in got] == [repr(v) for v in want]
+def jump_union(seq, p):
+    """The union of the probe's jump sets: the points whose step at level k
+    has p-th power at least 2^-k."""
+    union = 0
+    for k in range(1, len(seq)):
+        for i, (a, b) in enumerate(zip(seq[k], seq[k - 1])):
+            if abs(a - b) ** p >= 2.0 ** -k:
+                union |= 1 << i
+    return union
 
-    def test_probe_reads_the_same_spreads(self, monkeypatch):
-        # every point off the jump union reads, for k = 1, 2, ..., the spread
-        # the former (i, k) loop computed from sequence[k:]
-        seen = []
-        real = metrics._suffix_spreads
-        monkeypatch.setattr(metrics, "_suffix_spreads",
-                            lambda xs: seen.append(real(xs)) or seen[-1])
+
+@st.composite
+def nonneg_sequences(draw):
+    """NONNEG sequences of 2 to 12 terms on 1 to 4 points: a base value,
+    then at level k steps of up to 1.5 times 2^(-k/p) either way, clamped
+    at 0, or an arbitrary jump (a large value or inf)."""
+    p = draw(st.floats(0.25, 8.0))
+    n = draw(st.integers(1, 4))
+    base = st.one_of(st.floats(0.0, 1e6), st.integers(0, 64).map(lambda v: v / 8.0),
+                     st.just(INF))
+    seq = [draw(st.lists(base, min_size=n, max_size=n))]
+    for k in range(1, draw(st.integers(2, 12))):
+        term = []
+        for v in seq[-1]:
+            if draw(st.integers(0, 9)) == 0:
+                term.append(draw(base))
+            else:
+                step = draw(st.floats(-1.0, 1.0) | st.floats(-1.5, 1.5)) * 2.0 ** (-k / p)
+                term.append(max(v + step, 0.0))
+        seq.append(term)
+    return p, seq
+
+
+class TestPointwiseBoundHolds:
+    """The probe's deleted pointwise stage: off the union of the jump sets
+    each step at level j is below 2^(-j/p), so the spread after level k is
+    below 2^(-k/p) r / (1 - r), r = 2^(-1/p), which is under the bound
+    2^(-k/p) / (1 - r) by 2^(-k/p).  The stage could not fail."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=nonneg_sequences())
+    # steps just under the threshold, all one way: the spread's worst case
+    @example(case=(8.0, [[sum(0.999 * 2.0 ** (-j / 8.0) for j in range(1, m))]
+                         for m in range(1, 13)]))
+    @example(case=(0.25, [[INF, 1.0], [INF, 1.0 + 0.99 / 16], [INF, 1.0]]))
+    def test_spread_off_the_jump_union_stays_within_the_bound(self, case):
+        p, seq = case
+        union = jump_union(seq, p)
+        factor = 1.0 / (1.0 - 2.0 ** (-1.0 / p))
+        for i in range(len(seq[0])):
+            if union >> i & 1:
+                continue
+            spreads = deleted_suffix_spreads([s[i] for s in seq[1:]])
+            for k, spread in enumerate(spreads, start=1):
+                bound = (2.0 ** (-k / p)) * factor
+                assert not spread > bound + metrics._TOL, (i, k, spread, bound)
+
+    def test_probe_passes_the_same_sequences(self):
+        # supplied sequences whose steps sit just under the jump threshold
         for k in range(6):
             p = (0.5, 1.0, 2.0)[k % 3]
             spec = MetricSpec("d_op_p", power_min(p, 1.0), p)
@@ -373,13 +422,34 @@ class TestSuffixSpreads:
             for j in range(8):
                 seq.append(Fn(list(vals), NONNEG))
                 vals = [v + rng.randrange(0, 9) / 8.0 * 16.0 ** -(j + 1) for v in vals]
-            seen.clear()
             res = cauchy_probe(spec, mu, sequence=seq)
             assert res.holds and res.status == "checked"
-            want = [[max(abs(seq[r][i] - seq[j][i]) for r in range(j, len(seq)))
-                     for j in range(1, len(seq))]
-                    for i in range(4)]
-            assert seen and all(spreads in want for spreads in seen)
+
+
+signed = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, INF, -INF]))
+
+
+class TestSymmetryByConstruction:
+    """``check_metric_axioms`` integrates d(f, g) only: ``_abs_diff`` is
+    symmetric bit for bit, so d(g, f) integrates the same ``Fn``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(signed, signed), min_size=1, max_size=8))
+    @example(pairs=[(0.0, -0.0), (-0.0, 0.0), (INF, INF), (-INF, -INF), (INF, -INF),
+                    (-INF, 1.5), (0.1, 0.3), (-2.5, 4.0)])
+    def test_abs_diff_is_symmetric_bit_for_bit(self, pairs):
+        f, g = [a for a, _ in pairs], [b for _, b in pairs]
+        fg, gf = metrics._abs_diff(f, g), metrics._abs_diff(g, f)
+        assert [v.hex() for v in fg] == [v.hex() for v in gf]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: str(s.describe()))
+    def test_distances_are_symmetric_bit_for_bit(self, spec):
+        mu = sampling.subadditive_measure(13, 1, 4)
+        for k in range(40):
+            rng = rng_for(3, "symmetry", k)
+            f = [rng.randrange(-32, 33) / 8.0 for _ in range(4)]
+            g = [rng.randrange(-32, 33) / 8.0 for _ in range(4)]
+            assert metric_eval(spec, f, g, mu).hex() == metric_eval(spec, g, f, mu).hex()
 
 
 class TestIntegrateOnce:

@@ -57,6 +57,7 @@ from nonadd.operators import (
     product,
     reciprocal,
 )
+from nonadd.conditions import check_condition
 from nonadd.results import CheckResult, DomainError, HypothesisError
 from nonadd.theorems import (
     MHOperators,
@@ -330,6 +331,20 @@ class TestShilkretMaxitive:
                                       rounding=True)
         res = verify_shilkret_maxitive(mu, trials=4, seed=0)
         assert res.holds and not res.detail["maxitive"].holds
+
+    def test_failure_on_the_all_pairs_form_only_is_a_hypothesis_error(self):
+        # no disjoint pair violates maxitivity on this table, which is not
+        # monotone: only the derived all-pairs form fails, and the backward
+        # construction has no disjoint violating pair to start from
+        mu = MonotoneMeasure.explicit(FiniteSpace(3), [0, 1, .1, .1, 1, 1, .1, 1],
+                                      validate=False)
+        maxres = check_measure_property(mu, "maxitive")
+        assert not maxres.holds
+        assert (maxres.witness["set_a"], maxres.witness["set_b"]) == (3, 6)
+        assert maxres.witness["disjoint"] is False
+        with pytest.raises(HypothesisError, match="disjoint pair") as err:
+            verify_shilkret_maxitive(mu)
+        assert err.value.detail.to_dict() == maxres.to_dict()
 
 
 def ref_max_product_sweep(mu, tol):
@@ -899,6 +914,49 @@ class TestChainConditionsMatchReference:
             g = Fn.indicator(1, r["set"], r["b"])
             sides = _mh_sides(upper_integral, ops, mu, f, g, 1, UNIT)
             assert repr(sides) == repr((r["lhs"], r["rhs"]))
+
+
+def deleted_necessity_sides(p1, p2, p3, a, b, c):
+    """The ``upper_mh_necessity`` campaign's own two sides before it read
+    ``_mh_sides``: phi_p^-1 of the max-product integral of phi_p(v) on the
+    one-point measure of mass c, combined by the probabilistic sum."""
+    mu = MonotoneMeasure.possibility(FiniteSpace(1), [c])
+
+    def side(p, v):
+        phi = phi_power(p)
+        return float(phi.inverse(upper_integral(Fn([float(phi.forward(v))], UNIT), mu, PROD)))
+
+    return side(p1, float(PSUM.fn(a, b))), float(PSUM.fn(side(p2, a), side(p3, b)))
+
+
+class TestNecessityCampaignSides:
+    """``upper_mh_necessity`` reads its two sides through ``_mh_sides``, the
+    route its own formula restated: the same floats, by ``float.hex``."""
+
+    # every exponent triple the campaign draws; its witness depends on them alone
+    TRIPLES = list(itertools.product((1.5, 2.0, 3.0), (0.5, 1.0), (0.5, 1.0, 2.0)))
+
+    @staticmethod
+    def _sides(p, a, b, c):
+        ops = MHOperators(PSUM, PSUM, (PROD,) * 3, tuple(phi_power(q) for q in p))
+        mu = MonotoneMeasure.possibility(FiniteSpace(1), [c])
+        got = _mh_sides(upper_integral, ops, mu, Fn([a], UNIT), Fn([b], UNIT), None, UNIT)
+        return [v.hex() for v in got], [v.hex() for v in deleted_necessity_sides(*p, a, b, c)]
+
+    def test_campaign_witnesses(self):
+        for p in self.TRIPLES:
+            cond = check_condition("mh_product_power", p1=p[0], p2=p[1], p3=p[2])
+            assert not cond.holds, p
+            w = cond.witness
+            got, want = self._sides(p, w["a"], w["b"], w["c"])
+            assert got == want, (p, w)
+
+    def test_quarter_grid(self):
+        values = [k / 4 for k in range(5)]
+        for p in self.TRIPLES:
+            for a, b, c in itertools.product(values, repeat=3):
+                got, want = self._sides(p, a, b, c)
+                assert got == want, (p, a, b, c)
 
 
 def _hole(base, at: float):
