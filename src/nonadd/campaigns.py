@@ -2,10 +2,10 @@
 command line and the acceptance suite.
 
 Each campaign is a :class:`Campaign` in ``CAMPAIGNS``: its per-trial
-function builds instance k from ``(seed, k)`` alone (rejection sampling
-with a capped resample budget) and runs the checker.  The driver alone
-loops over trials, in contiguous ranges (:func:`run_trials`) merged in
-trial order (:func:`merge_report`), and builds the report
+function builds instance k from ``(seed, k)`` alone and runs the
+checker.  The driver alone loops over trials, in contiguous ranges
+(:func:`run_trials`) merged in trial order (:func:`merge_report`), and
+builds the report
 
     {"id", "trials", "passed", "failed", "failures": [...], "notes": {...}}
 
@@ -196,27 +196,27 @@ def _h_duality(which: str, seed: int, k: int) -> list:
 # upper-integral inequality campaigns
 # ---------------------------------------------------------------------------
 
-# operator tuples whose scalar condition holds, with the pair construction
-# each star supports
+# operator tuples whose scalar condition holds on the unit scale, with the pair
+# construction each star supports
 _UPPER_MH = (
     {"name": "max_min", "ops": MHOperators(_MIN, _MIN, (_MIN,) * 3, (_ID,) * 3),
-     "pair": "any", "scale": UNIT},
+     "pair": "any"},
     {"name": "join_product", "ops": MHOperators(_JOIN, _JOIN, (_PROD,) * 3, (_ID,) * 3),
-     "pair": "comonotone", "scale": UNIT},
+     "pair": "comonotone"},
     {"name": "prob_sum_powers", "ops": MHOperators(
         _PSUM, _PSUM, (_PROD,) * 3,
         (phi_power(1.0), phi_power(2.0), phi_power(2.0))),
-     "pair": "comonotone", "scale": UNIT},
+     "pair": "comonotone"},
     {"name": "join_min_powers", "ops": MHOperators(
         _JOIN, _JOIN, (_MIN,) * 3,
         (phi_power(0.5), phi_power(1.0), phi_power(2.0))),
-     "pair": "comonotone", "scale": UNIT},
+     "pair": "comonotone"},
     {"name": "min_marshall_olkin", "ops": MHOperators(
         _MIN, _MIN, (_MO,) * 3, (phi_power(2.0),) * 3),
-     "pair": "any", "scale": UNIT},
+     "pair": "any"},
     {"name": "min_product_twoblock", "ops": MHOperators(
         _PROD, _MIN, (_MIN,) * 3, (_ID,) * 3),
-     "pair": "two_block", "scale": UNIT},
+     "pair": "two_block"},
 )
 
 
@@ -227,8 +227,7 @@ def _upper_mh(seed: int, k: int) -> list:
     rng = rng_for(seed, "upper-mh", k)
     n = 3 + k % 6
     mu = sampling.monotone_measure(seed * 13 + 7, k, n)
-    f, g = sampling.star_associated_pair(rng, n, spec["ops"].star, spec["scale"],
-                                         kind=spec["pair"])
+    f, g = sampling.star_associated_pair(rng, n, spec["ops"].star, UNIT, kind=spec["pair"])
     res = verify_upper_mh(spec["ops"], mu, f, g, direction="sufficiency")
     return _failed(k, res, tuple=spec["name"])
 
@@ -256,9 +255,7 @@ def _upper_mh_necessity(seed: int, k: int) -> list:
     return [{"trial": k, "p": [p1, p2, p3], "witness": w, "lhs": lhs, "rhs": rhs}]
 
 
-_SEMINORM = ({"S": _MIN, "star": _JOIN, "p": 1.0},
-             {"S": _MIN, "star": _JOIN, "p": 2.0},
-             {"S": _MO, "star": _JOIN, "p": 1.0})
+_SEMINORM = ({"S": _MIN, "p": 1.0}, {"S": _MIN, "p": 2.0}, {"S": _MO, "p": 1.0})
 
 
 def _seminorm_minkowski(seed: int, k: int) -> list:
@@ -270,7 +267,7 @@ def _seminorm_minkowski(seed: int, k: int) -> list:
     dens[rng.randrange(n)] = 1.0  # pin the total to 1
     mu = MonotoneMeasure.possibility(FiniteSpace(n), dens)
     f, g = sampling.comonotone_pair(rng, n, UNIT)
-    return _failed(k, verify_seminorm_minkowski(spec["S"], spec["star"], spec["p"], mu, f, g))
+    return _failed(k, verify_seminorm_minkowski(spec["S"], _JOIN, spec["p"], mu, f, g))
 
 
 def _seminorm_refuted(trials: int, seed: int):
@@ -300,11 +297,11 @@ def _nilpotent_sum_split(trials: int, seed: int):
 
 
 _SUBADDITIVE_COMBOS = (
-    {"op": _MIN, "q": 1.0, "r": 1.0, "p": 1.0},
-    {"op": _MIN, "q": 1.0, "r": 1.0, "p": 2.0},
-    {"op": _PROD, "q": 1.0, "r": 1.0, "p": 1.0},
-    {"op": _PROD, "q": 1.0, "r": 1.0, "p": 2.0},
-    {"op": power_product(0.5), "q": 0.5, "r": 1.0, "p": 2.0},
+    {"op": _MIN, "q": 1.0, "p": 1.0},
+    {"op": _MIN, "q": 1.0, "p": 2.0},
+    {"op": _PROD, "q": 1.0, "p": 1.0},
+    {"op": _PROD, "q": 1.0, "p": 2.0},
+    {"op": power_product(0.5), "q": 0.5, "p": 2.0},
 )
 
 
@@ -315,8 +312,7 @@ def _subadditive_minkowski(seed: int, k: int) -> list:
     mu = sampling.subadditive_measure(seed * 19 + 11, k, n)
     f = sampling.signed_vector(rng, n)
     g = sampling.signed_vector(rng, n)
-    res = verify_subadditive_minkowski(combo["op"], combo["q"], combo["r"], combo["p"],
-                                       mu, f, g)
+    res = verify_subadditive_minkowski(combo["op"], combo["q"], 1.0, combo["p"], mu, f, g)
     return _failed(k, res, op=combo["op"].name)
 
 

@@ -121,8 +121,8 @@ def _cmd_fuzz(args) -> int:
     try:
         rep = run_campaign(args.campaign, args.trials, args.seed, jobs=args.jobs)
     except DomainError as e:
-        # an unknown campaign, a count below 1, or instance generation
-        # exhausted its resample budget
+        # an unknown campaign, a count below 1, or an instance refused
+        # while it was built
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = {
@@ -178,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--seed", type=int, default=0)
     fuzz_p.add_argument("--format", choices=("text", "json"), default="text")
     fuzz_p.add_argument("--jobs", type=int, default=1)
-
-    sub.add_parser("list", help="same as --list")
     return parser
 
 
@@ -192,7 +190,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.list or args.command == "list":
+    if args.list:
         return _cmd_list(args)
     if args.command == "run":
         return _cmd_run(args)

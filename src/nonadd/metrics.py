@@ -36,6 +36,7 @@ from .integrals import (
 from .measures import MonotoneMeasure, check_measure_property, null_union
 from .operators import BinaryOp, minimum, plain_sum, power_min, verify_flags
 from .results import CheckResult, DomainError, HypothesisError
+from .sampling import signed_vector
 
 _SUM = plain_sum()
 _MIN = minimum()
@@ -219,9 +220,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
     min_slack = INF
     for k in range(trials):
         rng = rng_for(seed, "metric-triple", k)
-        f = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
-        g = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
-        h = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
+        f, g, h = (signed_vector(rng, n) for _ in range(3))
         dfg = _distance(spec, f, g, mu)
         # identity of indiscernibles, as the null-support equivalence
         diff = _abs_diff(f, g)
@@ -285,8 +284,7 @@ def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0) -
     min_slack = INF
     for k in range(trials):
         rng = rng_for(seed, "norm", k)
-        f = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
-        g = [rng.randrange(-32, 33) / 8.0 for _ in range(n)]
+        f, g = signed_vector(rng, n), signed_vector(rng, n)
         base = _norm(f, mu)
         for c in (2.0, 0.5, 4.0, -2.0):
             scaled = _norm([c * v for v in f], mu)

@@ -129,10 +129,8 @@ def _domain(sc, value, where: str) -> int:
     return value
 
 
-def _enum(choices, aliases: dict | None = None):
+def _enum(choices):
     def resolve(sc, value, where: str) -> str:
-        if isinstance(value, str):
-            value = (aliases or {}).get(value, value)
         if not isinstance(value, str) or value not in choices:
             raise ScenarioError(f"{where}: expected one of {sorted(choices)}, got {value!r}")
         return value
@@ -364,8 +362,7 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 _EXPECT = Field(_enum(("holds", "fails", "condition-failed", "premise-failed",
-                       "hypothesis-failed"),
-                      {"violated": "fails", "pass": "holds", "fail": "fails"}), "holds")
+                       "hypothesis-failed")), "holds")
 _SEED = Field(_int)              # None: the run's seed
 _TOLERANCE = Field(_number)      # None: the check's own epsilon, else the task's own
 _DOMAIN = Field(_domain)
@@ -820,14 +817,6 @@ def _builtin_boundary() -> dict:
     }
 
 
-def _builtin_smoke(campaign: str) -> dict:
-    return {
-        "version": 1,
-        "space": {"n": 2},
-        "tasks": [{"task": "fuzz", "campaign": campaign, "trials": 25, "seed": 7}],
-    }
-
-
 BUILTIN_SCENARIOS: dict[str, Any] = {
     "counterexample": _builtin_counterexample,
     "two_point_integrals": _builtin_two_point,
@@ -838,9 +827,6 @@ BUILTIN_SCENARIOS: dict[str, Any] = {
     "infinite_total_boundary": _builtin_boundary,
     "verifier_tour": _builtin_verifier_tour,
 }
-for _cid in ("oracle_agreement", "sugeno_identity", "upper_mh", "shilkret_maxitive",
-             "sugeno_subadditive", "metric_axioms", "lower_mh", "dual_minkowski"):
-    BUILTIN_SCENARIOS[f"smoke_{_cid}"] = (lambda c: (lambda: _builtin_smoke(c)))(_cid)
 
 
 def builtin_scenario(name: str) -> dict:

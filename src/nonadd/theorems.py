@@ -755,7 +755,7 @@ def verify_dual_minkowski(kind: str, star: BinaryOp, op: BinaryOp, h: DualityMap
     elif kind == "pair":
         if boxplus is None:
             raise DomainError("pair corollary needs the level combiner")
-        verify_flags(star, ["nondecreasing", "right_continuous"], scale)
+        verify_flags(star, ["right_continuous"], scale)
         _require(is_mu_subadditive(f, g, boxplus, dual_measure(mu, h)),
                  "pair is not level-union subadditive under the conjugate measure")
         integral = upper_integral

@@ -5,14 +5,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite stays well under two minutes end to end.
 """
 
-import json
 import time
 
-import pytest
-
 from nonadd.campaigns import run_campaign
-from nonadd.core import FiniteSpace, Fn, NONNEG, UNIT
-from nonadd.measures import MonotoneMeasure
 from nonadd.metrics import MetricSpec, check_metric_axioms
 from nonadd.operators import power_min, power_prod
 from nonadd.scenarios import Scenario, builtin_scenario, run_task

@@ -121,6 +121,42 @@ class TestRun:
         assert code == 1
         assert doc_out["report"]["summary"]["failed"] == 1
 
+    def test_failing_task_prints_its_witness(self, tmp_path, capsys):
+        # the additive table fails maxitivity on the pair of singletons
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "explicit", "table": [0, 0.5, 0.5, 1]}},
+               "tasks": [{"task": "check_measure", "measure": "mu", "property": "maxitive",
+                          "expect": "holds"}]}
+        path = tmp_path / "fails.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["run", str(path)], capsys)
+        witness = run_cli_json(["run", str(path)], capsys)[1]["report"]["tasks"][0][
+            "result"]["witness"]
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[2] == "[FAIL] task 1 check_measure: fails (expected holds)"
+        assert lines[3] == f"       witness: {json.dumps(witness, sort_keys=True)}"
+        assert lines[4] == "summary: 0 passed, 1 failed"
+
+    @pytest.mark.parametrize("knots, message", [
+        pytest.param([[0.5, 1], [0.25, 0]], "knots must be sorted by t", id="unsorted"),
+        pytest.param([[0, 1], [2, 0]], "knot abscissae must lie in the scale",
+                     id="outside_the_scale"),
+        pytest.param([[0.25, 1], [0.5, 0]], "profile evaluated below the first knot",
+                     id="first_knot_above_zero"),
+    ])
+    def test_bad_knots_exit_2_naming_the_profile(self, knots, message, tmp_path, capsys):
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "possibility", "density": [0.5, 1.0]}},
+               "profiles": {"p": {"knots": knots}},
+               "tasks": [{"task": "check_measure", "measure": "mu", "property": "monotone"}]}
+        path = tmp_path / "knots.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: profiles.p: {message}\n"
+
     def test_non_subadditive_metric_task_reports_triangle_witness(self, tmp_path,
                                                                   capsys):
         # measure with a planted union above the sum of its parts
@@ -323,6 +359,14 @@ class TestRun:
                       {"task": "check_measure", "measure": "mu", "property": "maxitive",
                        "expect": "hold"}], None, "tasks[1].expect",
                      id="late_bad_expect"),
+        pytest.param([{"task": "verify", "theorem": "sugeno_subadditive_boundary",
+                       "expect": "pass"}], None, "tasks[0].expect", id="expect_alias_pass"),
+        pytest.param([{"task": "check_measure", "measure": "mu", "property": "maxitive"},
+                      {"task": "check_measure", "measure": "mu", "property": "maxitive",
+                       "expect": "fail"}], None, "tasks[1].expect", id="expect_alias_fail"),
+        pytest.param([{"task": "check_measure", "measure": "mu", "property": "subadditive",
+                       "expect": "violated"}], None, "tasks[0].expect",
+                     id="expect_alias_violated"),
         pytest.param([{"task": "fuzz", "campaign": "sugeno_identity", "trials": 300},
                       {"task": "verify", "theorem": "mean_convergence", "measure": "mu",
                        "sequence": ["f", "g"], "limit": "f"}], None, "tasks[1].operator",
@@ -525,8 +569,8 @@ FUZZ_REPORT_SHA256 = {
 
 class TestDeterminism:
     def test_pinned_names_are_the_non_smoke_builtins(self):
-        assert sorted(REPORT_SHA256) == sorted(
-            n for n in BUILTIN_SCENARIOS if not n.startswith("smoke_"))
+        # every built-in has a pinned report; a fuzz campaign is run by name
+        assert sorted(REPORT_SHA256) == sorted(BUILTIN_SCENARIOS)
 
     @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
     def test_builtin_report_bytes_pinned(self, name, capsys):
@@ -626,6 +670,26 @@ class TestFuzzCommand:
             lines["verify subadditive_minkowski"])
         assert lines["check_condition mh_upper"][:4] == ["star", "combiner", "circs", "phis"]
         assert len([k for k in lines if k.startswith("verify ")]) == 14
+
+    def test_list_is_an_option_only(self, capsys):
+        # `nonadd --list` is the one spelling; `list` is no command
+        with pytest.raises(SystemExit) as info:
+            main(["list"])
+        assert info.value.code == 2
+        assert "invalid choice: 'list'" in capsys.readouterr().err
+
+    def test_text_output_prints_the_failures(self, monkeypatch, capsys):
+        monkeypatch.setitem(CAMPAIGNS, "odd_trials_fail",
+                            Campaign(lambda seed, k: [{"trial": k, "why": "odd"}] if k % 2
+                                     else []))
+        code, out = run_cli(["fuzz", "odd_trials_fail", "--trials", "4", "--seed", "1"], capsys)
+        assert code == 1
+        assert out.splitlines()[2:6] == [
+            "campaign odd_trials_fail: 2/4 passed",
+            '       failure: {"trial": 1, "why": "odd"}',
+            '       failure: {"trial": 3, "why": "odd"}',
+            "summary: 2 passed, 2 failed",
+        ]
 
 
 class TestCampaignDriver:

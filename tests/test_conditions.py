@@ -238,7 +238,7 @@ class TestUpperMHTuples:
         # the upper_mh campaign fuzzes these tuples as ones whose condition
         # holds; its verifier decides only the chain condition of each trial
         ops = spec["ops"]
-        assert cond_mh_upper(ops.star, ops.combiner, ops.circs, ops.phis, spec["scale"]).holds
+        assert cond_mh_upper(ops.star, ops.combiner, ops.circs, ops.phis, UNIT).holds
 
 
 class TestSugenoForm:

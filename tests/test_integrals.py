@@ -3,7 +3,6 @@ identities, and survival-profile evaluation."""
 
 import json
 import math
-import re
 from bisect import bisect_left
 
 import numpy as np

@@ -1,7 +1,6 @@
 """Monotone measures: evaluation, exhaustive property checks, duality, and
 the generator families."""
 
-import itertools
 import json
 import math
 import sys
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonadd import measures
-from nonadd.core import EXTENDED, FiniteSpace, INF, UNIT, expand_masks, rng_for
+from nonadd.core import FiniteSpace, INF, expand_masks, rng_for
 from nonadd.measures import (
     GENERATOR_FAMILIES,
     MEASURE_PROPERTIES,

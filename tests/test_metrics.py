@@ -3,15 +3,16 @@ lemmas, the convergence-of-means bound, and the completeness probe."""
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonadd.core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, rng_for
-from nonadd.integrals import lower_integral, sugeno_integral
-from nonadd.measures import MonotoneMeasure, check_measure_property, generate_measure
+from nonadd.core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, rng_for
+from nonadd.integrals import lower_integral
+from nonadd.measures import MonotoneMeasure, generate_measure
 from nonadd.metrics import (
     MetricSpec,
     cauchy_probe,
@@ -24,7 +25,7 @@ from nonadd.metrics import (
     shilkret_norm,
     verify_mean_convergence,
 )
-from nonadd.operators import join, minimum, plain_sum, power_min, power_prod
+from nonadd.operators import join, minimum, power_min, power_prod
 from nonadd.results import DomainError, HypothesisError
 from nonadd import metrics, sampling
 from test_integrals import ref_level_mask_gt
@@ -182,6 +183,19 @@ class TestMetricAxioms:
         mu = sampling.subadditive_measure(23, 2, 4)
         res = find_triangle_violation(mu)
         assert res.status == "premise-failed"
+
+
+class TestSignedDraw:
+    @given(seed=st.integers(0, 1 << 32), n=st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_signed_vector_is_the_axiom_suites_draw(self, seed, n):
+        # check_metric_axioms and check_shilkret_norm draw through
+        # signed_vector, whose floats and generator state are this draw's
+        rng, inline = random.Random(seed), random.Random(seed)
+        got = sampling.signed_vector(rng, n)
+        want = [inline.randrange(-32, 33) / 8.0 for _ in range(n)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert rng.getstate() == inline.getstate()
 
 
 class TestShilkretNorm:

@@ -12,7 +12,6 @@ from nonadd.core import EXTENDED, INF, NONNEG, UNIT, UNIT_OPEN, ValueScale
 from nonadd.operators import (
     OPERATOR_FACTORIES,
     OPERATOR_FLAGS,
-    BinaryOp,
     DualityMap,
     PhiMap,
     bounded_sum,

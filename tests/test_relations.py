@@ -2,6 +2,7 @@
 subadditivity, and positive quadrant dependence."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from nonadd.core import (
     rng_for,
     subset_infima,
 )
+from nonadd.campaigns import _UPPER_MH
 from nonadd.measures import GENERATOR_FAMILIES, MonotoneMeasure, generate_measure
 from nonadd.operators import (
+    OPERATOR_FACTORIES,
     bounded_sum,
     join,
     lukasiewicz,
@@ -192,6 +195,81 @@ class TestStarAssociatedOracle:
         got = json.dumps(is_star_associated(f, g, star, domain).to_dict(), sort_keys=True)
         want = json.dumps(_star_reference(f, g, star, domain).to_dict(), sort_keys=True)
         assert got == want
+
+
+def _attempt_zero(rng, n, kind):
+    """The first construction ``star_associated_pair`` drew when it resampled
+    up to 40 times: one sub-seed, then the kind's draws on the unit scale."""
+    local = random.Random(rng.randrange(1 << 62) + 0)
+    if kind == "any":
+        return sampling.random_fn(local, n, UNIT), sampling.random_fn(local, n, UNIT)
+    if kind == "comonotone":
+        return sampling.comonotone_pair(local, n, UNIT)
+    pts = list(range(n))
+    local.shuffle(pts)
+    cut1 = 1 + local.randrange(n - 2)
+    cut2 = cut1 + 1 + local.randrange(n - cut1 - 1)
+    b, c = local.randrange(1, 33) / 32.0, local.randrange(1, 33) / 32.0
+    f, g = [0.0] * n, [0.0] * n
+    for i in pts[:cut1]:
+        f[i] = g[i] = b
+    for i in pts[cut1:cut2]:
+        f[i] = c
+    for i in pts[cut2:]:
+        g[i] = c
+    return Fn(f, UNIT), Fn(g, UNIT)
+
+
+# the catalog at sample parameters; star_associated_pair admits min for
+# "any", every nondecreasing star for "comonotone", and every star with both
+# zero annihilators for "two_block"
+_PARAMS = {"marshall_olkin": (0.5, 0.25), "power_product": (0.5,), "power_min": (0.5, 2.0),
+           "power_prod": (2.0, 0.5)}
+_CATALOG = [factory(*_PARAMS.get(name, ())) for name, factory in OPERATOR_FACTORIES.items()]
+_ADMITTED = [("any", minimum())] \
+    + [("comonotone", op) for op in _CATALOG if "nondecreasing" in op.flags] \
+    + [("two_block", op) for op in _CATALOG
+       if {"zero_left_annihilator", "zero_right_annihilator"} <= op.flags]
+
+
+class TestStarAssociatedPair:
+    """One construction, checked once: every kind is star-associated under
+    every star it admits, so the 40-attempt resample loop never ran a second
+    attempt and the pair is the first one it drew."""
+
+    def check(self, seed, n, star, kind):
+        f, g = sampling.star_associated_pair(random.Random(seed), n, star, UNIT, kind=kind)
+        assert is_star_associated(f, g, star).holds
+        if kind == "two_block":
+            assert not is_comonotone(f, g).holds
+        want = _attempt_zero(random.Random(seed), n, kind)
+        assert [v.values for v in (f, g)] == [v.values for v in want]
+
+    @pytest.mark.parametrize("kind, star", _ADMITTED,
+                             ids=[f"{kind}-{star.name}" for kind, star in _ADMITTED])
+    @given(seed=st.integers(0, 1 << 32), n=st.integers(3, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_catalog_star(self, kind, star, seed, n):
+        self.check(seed, n, star, kind)
+
+    @pytest.mark.parametrize("spec", _UPPER_MH, ids=lambda spec: spec["name"])
+    @given(seed=st.integers(0, 1 << 32), n=st.integers(3, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_upper_mh_spec(self, spec, seed, n):
+        self.check(seed, n, spec["ops"].star, spec["pair"])
+
+    def test_a_star_the_kind_does_not_admit_raises(self):
+        # sum is star-associated only on comonotone pairs: some unconstrained
+        # draws are refused, naming the kind and the star
+        outcomes = set()
+        for seed in range(20):
+            try:
+                sampling.star_associated_pair(random.Random(seed), 4, plain_sum(), kind="any")
+                outcomes.add("pair")
+            except DomainError as e:
+                assert str(e) == "the 'any' construction is not star-associated under 'sum'"
+                outcomes.add("refused")
+        assert outcomes == {"pair", "refused"}
 
 
 class TestMuSubadditive:

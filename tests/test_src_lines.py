@@ -4,6 +4,8 @@ that ROADMAP tracks."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
 src_lines = importlib.util.module_from_spec(_spec)
@@ -80,3 +82,25 @@ def test_module_rows_sum_to_the_newline_count(capsys):
     *modules, total = [[int(v) for v in r[1:]] for r in rows]
     assert [sum(col) for col in zip(*modules)] == total
     assert total[0] == newlines == sum(total[1:5])
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--help"], "unexpected '--help'"),
+    (["--markdown", "-x"], "unexpected '-x'"),
+    (["src", "tests"], "unexpected 'src tests'"),
+])
+def test_unknown_option_prints_usage_and_exits_2(argv, reason, capsys):
+    assert src_lines.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage: python3 tools/src_lines.py [--markdown] [DIR] ({reason})\n"
+
+
+@pytest.mark.parametrize("markdown", [[], ["--markdown"]])
+def test_dir_without_python_files_prints_usage_and_exits_2(markdown, tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no modules here\n")
+    assert src_lines.main([*markdown, str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage: python3 tools/src_lines.py [--markdown] [DIR] " \
+        f"(no *.py in {str(tmp_path)!r})\n"

@@ -2,7 +2,6 @@
 and the exact counterexample reproduction."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonadd.core import (
+    _TOL,
     EXTENDED,
     FiniteSpace,
     Fn,
@@ -70,6 +70,7 @@ from nonadd.theorems import (
     _mh_sides,
     _necessity,
     _sum_split,
+    _verdict,
     realized_measure_values,
     reproduce_counterexample,
     verify_comonotone_subadditive,
@@ -284,8 +285,8 @@ class TestSubadditiveMinkowski:
             rng = rng_for(41, "minksub-q", k)
             n = 2 + k % 4
             mu = sampling.subadditive_measure(43, k, n)
-            f = sampling.signed_vector(rng, n, span=1.0)
-            g = sampling.signed_vector(rng, n, span=1.0)
+            f = [rng.randrange(-8, 9) / 8 for _ in range(n)]   # the 1/8 grid in [-1, 1]
+            g = [rng.randrange(-8, 9) / 8 for _ in range(n)]
             res = verify_subadditive_minkowski(op, q, 1.0, p, mu, f, g)
             assert res.holds
 
@@ -1019,3 +1020,40 @@ class TestMapsPerVector:
         assert got.scale == want.scale
         assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
 
+
+
+class TestVerdict:
+    """``_verdict``: lhs <= rhs within ``_TOL``, scaled by ``max(1, |rhs|)``
+    when relative; a failure carries the gap, both sides and the witness."""
+
+    def test_failure_carries_the_gap_the_sides_and_the_witness(self):
+        res = _verdict(1.5, 1.0, {"condition": "c"}, f=[0.5])
+        assert not res.holds and res.margin == 0.5
+        assert res.witness == {"lhs": 1.5, "rhs": 1.0, "f": [0.5]}
+        assert res.detail == {"condition": "c", "lhs": 1.5, "rhs": 1.0}
+
+    def test_failure_without_detail_has_an_empty_detail(self):
+        res = _verdict(1.5, 1.0, None)
+        assert not res.holds and res.detail == {}
+        assert res.witness == {"lhs": 1.5, "rhs": 1.0}
+
+    def test_success_has_minus_the_gap(self):
+        res = _verdict(0.75, 1.0, None)
+        assert res.holds and res.margin == 0.25
+        assert res.detail == {"lhs": 0.75, "rhs": 1.0}
+
+    def test_relative_scales_the_tolerance_by_the_right_side(self):
+        # a gap of 4 * _TOL fails absolutely and holds within 8 * _TOL,
+        # relative to rhs 8; a gap of 16 * _TOL fails either way
+        assert not _verdict(8.0 + 4 * _TOL, 8.0, None).holds
+        assert _verdict(8.0 + 4 * _TOL, 8.0, None, relative=True).holds
+        assert not _verdict(8.0 + 16 * _TOL, 8.0, None, relative=True).holds
+        # below 1 the tolerance is _TOL itself
+        assert not _verdict(0.5 + 2 * _TOL, 0.5, None, relative=True).holds
+        # an infinite rhs reads the tolerance at 1
+        assert _verdict(INF, INF, None, relative=True).holds
+
+    def test_two_infinite_sides_tie_and_hold(self):
+        res = _verdict(INF, INF, {})
+        assert res.holds and res.margin == 0.0
+        assert res.detail == {"lhs": INF, "rhs": INF}

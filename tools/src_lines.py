@@ -11,7 +11,8 @@ holds only whitespace; every other line is code.  The ``keywords`` column
 counts the parameters with a default of the public module-level functions
 and of the public methods of public classes (a public name does not start
 with ``_``): the options the public API offers.  ``--markdown`` prints the
-table in Markdown, for a CI step summary.
+table in Markdown, for a CI step summary.  Any other option, a second
+``DIR`` or a ``DIR`` with no ``*.py`` prints a one-line usage and exits 2.
 """
 
 from __future__ import annotations
@@ -68,12 +69,22 @@ def keywords(text: str) -> int:
                for f in functions)
 
 
+def usage(reason: str) -> int:
+    print(f"usage: python3 tools/src_lines.py [--markdown] [DIR] ({reason})", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str]) -> int:
     markdown = "--markdown" in argv
     args = [a for a in argv if a != "--markdown"]
+    if any(a.startswith("-") for a in args) or len(args) > 1:
+        return usage(f"unexpected {' '.join(args)!r}")
     base = Path(args[0]) if args else ROOT / "src" / "nonadd"
+    paths = sorted(base.glob("*.py"))
+    if not paths:
+        return usage(f"no *.py in {str(base)!r}")
     rows = []
-    for path in sorted(base.glob("*.py")):
+    for path in paths:
         text = path.read_text()
         kinds = count(text)
         rows.append([path.name, sum(kinds.values()), *kinds.values(), keywords(text)])
