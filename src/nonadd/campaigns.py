@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .conditions import cached_condition
-from .core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, _TOL, rng_for
+from .core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, UNIT, _TOL, _at_least_one, rng_for
 from .integrals import (
     check_h_duality,
     check_sugeno_identity,
@@ -227,7 +227,7 @@ def _upper_mh(seed: int, k: int) -> list:
     rng = rng_for(seed, "upper-mh", k)
     n = 3 + k % 6
     mu = sampling.monotone_measure(seed * 13 + 7, k, n)
-    f, g = sampling.star_associated_pair(rng, n, spec["ops"].star, UNIT, kind=spec["pair"])
+    f, g = sampling.star_associated_pair(rng, n, spec["ops"].star, kind=spec["pair"])
     res = verify_upper_mh(spec["ops"], mu, f, g, direction="sufficiency")
     return _failed(k, res, tuple=spec["name"])
 
@@ -642,10 +642,8 @@ def run_campaign(campaign_id: str, trials: int, seed: int, jobs: int = 1) -> dic
     if campaign_id not in CAMPAIGNS:
         raise DomainError(f"unknown campaign {campaign_id!r}; known: {sorted(CAMPAIGNS)}")
     campaign = CAMPAIGNS[campaign_id]
-    if trials < 1:
-        raise DomainError(f"trials must be at least 1, got {trials}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    _at_least_one("trials", trials)
+    _at_least_one("jobs", jobs)
     n = trials if campaign.trial else 0
     count = min(jobs, n)
     ranges = [(n * i // count, n * (i + 1) // count) for i in range(count)]

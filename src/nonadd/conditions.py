@@ -1,11 +1,12 @@
 """Named operator-level inequality conditions, checked on grids or on
-explicitly supplied value tuples.
+explicitly supplied values of c.
 
 Each condition is the scalar inequality that is equivalent to (or sufficient
 for) one of the integral inequalities in :mod:`nonadd.theorems`.  A check
 sweeps the scale's standard grid (spacing 1/64 for up to three free
-variables, 1/16 when four variables are free) or evaluates exactly the
-supplied values.
+variables, 1/16 when four variables are free); a condition with a
+``c_values`` keyword evaluates exactly the supplied values of c instead of
+the grid's.
 
 Every check is one broadcast sweep (:func:`core._sweep`, which also
 decides the operator laws).  The looped variable (``c`` or ``z``, the scale
@@ -36,8 +37,8 @@ and are one call to it: ``dual_star_split`` is ``mh_upper`` and
 the conjugate ``op_h`` as every circ and identity maps, and
 ``semicopula_sum_split`` is ``sum_split`` on [0, 1].
 
-Supplied values and pairs must be nonempty and lie in the scale
-(``DomainError`` otherwise); pairs keep their order and duplicates.
+Supplied values must be nonempty and lie in the scale (``DomainError``
+otherwise).
 
 :func:`cached_condition` is the one cached condition call: each verifier
 runs its own grid conditions through it, and so do the campaigns' per-run
@@ -76,24 +77,18 @@ _DEFAULT_SPACING = 1.0 / 64.0
 _PAIR_SPACING = 1.0 / 16.0
 
 
-def _supplied(scale: ValueScale, values: list) -> np.ndarray:
-    """Supplied values (or pairs) as an array, refused when there are none
-    or one lies outside the scale."""
-    if not values:
-        raise DomainError("supplied values must not be empty")
-    arr = np.asarray(values, dtype=float)
-    if not scale.contains_all(arr).all():
-        for v in arr.ravel().tolist():          # only to name the first value outside
-            if not scale.contains(v):
-                raise DomainError(f"supplied value {v!r} outside {scale.describe()}")
-    return arr
-
-
 def _as_values(scale: ValueScale, values, grid: np.ndarray) -> np.ndarray:
-    """The supplied values, checked against the scale, or else the grid."""
+    """The supplied values, refused when there are none or one lies outside
+    the scale, or else the grid."""
     if values is None:
         return grid
-    arr = _supplied(scale, [float(v) for v in values])
+    arr = np.asarray([float(v) for v in values], dtype=float)
+    if not arr.size:
+        raise DomainError("supplied values must not be empty")
+    if not scale.contains_all(arr).all():
+        for v in arr.tolist():          # only to name the first value outside
+            if not scale.contains(v):
+                raise DomainError(f"supplied value {v!r} outside {scale.describe()}")
     # realized values come distinct and ascending already; unsorted input
     # and -0.0 beside 0.0 (not strictly increasing) go through np.unique
     if (arr[1:] > arr[:-1]).all():
@@ -101,27 +96,22 @@ def _as_values(scale: ValueScale, values, grid: np.ndarray) -> np.ndarray:
     return np.unique(arr)
 
 
-def _as_pairs(scale: ValueScale, cd_values, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (c, d) pairs as two arrays: the grid's pairs with c outer, or the
-    supplied pairs in their order, duplicates kept, checked against the
-    scale."""
-    if cd_values is None:
-        return np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-    pairs = _supplied(scale, [(float(c), float(d)) for c, d in cd_values])
-    return pairs[:, 0], pairs[:, 1]
+def _grid_pairs(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's (c, d) pairs as two arrays, c outer."""
+    return np.repeat(grid, len(grid)), np.tile(grid, len(grid))
 
 
-def _star_cells(star: BinaryOp, scale: ValueScale, a: np.ndarray, b: np.ndarray | None = None):
-    """The cells (a, b) of a star condition, b = a when omitted: ``A`` as a
+def _star_cells(star: BinaryOp, scale: ValueScale, a: np.ndarray):
+    """The cells (a, b) of a star condition, both on ``a``: ``A`` as a
     column, ``B`` as a row, ``A star B``, and the cells where it stays in
     the scale."""
-    A, B = a[:, None], (a if b is None else b)[None, :]
+    A, B = a[:, None], a[None, :]
     sAB = star.grid(A, B)
     return A, B, sAB, scale.contains_all(sAB)
 
 
-def _mode(*value_lists) -> str:
-    return "explicit" if any(v is not None for v in value_lists) else "grid"
+def _mode(c_values) -> str:
+    return "grid" if c_values is None else "explicit"
 
 
 def _three_map_sides(star: BinaryOp, combiner: BinaryOp, circs: Sequence[BinaryOp],
@@ -144,19 +134,16 @@ def _three_map_sides(star: BinaryOp, combiner: BinaryOp, circs: Sequence[BinaryO
 
 def cond_mh_upper(star: BinaryOp, combiner: BinaryOp,
                   circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
-                  scale: ValueScale = UNIT, c_values=None,
-                  a_values=None, b_values=None) -> CheckResult:
+                  scale: ValueScale = UNIT, c_values=None) -> CheckResult:
     g = scale.grid(_DEFAULT_SPACING)
-    a = _as_values(scale, a_values, g)
-    b = _as_values(scale, b_values, g)
     cs = _as_values(scale, c_values, g)
-    A, B, _, valid = _star_cells(star, scale, a, b)
+    A, B, _, valid = _star_cells(star, scale, g)
 
     def body(C):
         lhs, rhs = _three_map_sides(star, combiner, circs, phis, A, B, C, C, C)
         return lhs, rhs, valid, {"a": A, "b": B, "c": C}
 
-    return _sweep((len(a), len(b)), [(cs, body)], _TOL, _mode(c_values, a_values, b_values))
+    return _sweep((len(g), len(g)), [(cs, body)], _TOL, _mode(c_values))
 
 
 def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
@@ -287,30 +274,26 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
 
 def cond_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
                   circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
-                  scale: ValueScale = UNIT, cd_values=None,
-                  a_values=None, b_values=None) -> CheckResult:
+                  scale: ValueScale = UNIT) -> CheckResult:
     g = scale.grid(_PAIR_SPACING)
-    a = _as_values(scale, a_values, g)
-    b = _as_values(scale, b_values, g)
-    cs, ds = _as_pairs(scale, cd_values, g)
+    cs, ds = _grid_pairs(g)
     with np.errstate(invalid="ignore", over="ignore"):   # c [+] d through op.grid, like the chain
         combined = boxplus.grid(cs, ds)
-    A, B, _, valid = _star_cells(star, scale, a, b)
+    A, B, _, valid = _star_cells(star, scale, g)
 
     def body(i):
         C, D = cs[i], ds[i]
         lhs, rhs = _three_map_sides(star, combiner, circs, phis, A, B, combined[i], C, D)
         return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
 
-    return _sweep((len(a), len(b)), [(np.arange(len(cs)), body)], _TOL,
-                  _mode(cd_values, a_values, b_values))
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, "grid")
 
 
 def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
-                       scale: ValueScale = UNIT, cd_values=None) -> CheckResult:
+                       scale: ValueScale = UNIT) -> CheckResult:
     p1, p2, p3 = phis
     g = scale.grid(_PAIR_SPACING)
-    cs, ds = _as_pairs(scale, cd_values, g)
+    cs, ds = _grid_pairs(g)
     A, B, sAB, valid = _star_cells(star, scale, g)
 
     def body(i):
@@ -319,7 +302,7 @@ def cond_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
         rhs = star.grid(np.maximum(A, p2.inverse(C)), np.maximum(B, p3.inverse(D)))
         return lhs, rhs, valid, {"a": A, "b": B, "c": C, "d": D}
 
-    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(cd_values))
+    return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, "grid")
 
 
 def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
@@ -330,11 +313,10 @@ def cond_dual_star_split(star: BinaryOp, op_h: BinaryOp,
 
 
 def cond_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
-                              scale: ValueScale = UNIT, cd_values=None) -> CheckResult:
+                              scale: ValueScale = UNIT) -> CheckResult:
     """:func:`cond_mh_lower` with the star as combiner, ``op_h`` as every
     circ and identity maps."""
-    return cond_mh_lower(star, star, boxplus, (op_h,) * 3, (phi_identity(),) * 3,
-                         scale, cd_values)
+    return cond_mh_lower(star, star, boxplus, (op_h,) * 3, (phi_identity(),) * 3, scale)
 
 
 def cond_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT) -> CheckResult:

@@ -66,6 +66,13 @@ def check_cells(cells: int, what: str) -> None:
         raise DomainError(f"{what} enumerates {cells:,} cells, over the budget of {MAX_CELLS:,}")
 
 
+def _at_least_one(name: str, count: int) -> None:
+    """Refuse a count of draws, levels or workers below 1: a check over none
+    of them would hold having checked nothing."""
+    if count < 1:
+        raise DomainError(f"{name} must be at least 1, got {count}")
+
+
 # ---------------------------------------------------------------------------
 # extended-real arithmetic
 # ---------------------------------------------------------------------------

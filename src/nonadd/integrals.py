@@ -63,6 +63,7 @@ from .core import (
     _domain_points,
     _level_sets,
     _rel_gap,
+    check_cells,
     subset_infima,
 )
 from .measures import MonotoneMeasure, dual_measure
@@ -332,7 +333,8 @@ def profile_integral(profile: SurvivalProfile, op: BinaryOp,
     Because op is nondecreasing and G nonincreasing, op(t_right, G(t_left))
     bounds the supremum over each grid cell, so the reported uncertainty is
     rigorous rather than heuristic.  Unbounded scales are truncated at
-    2^10 and flagged.
+    2^10 and flagged.  A grid of more than ``core.MAX_CELLS`` points is
+    refused before it is built.
     """
     if not resolution > 0:
         raise DomainError("resolution must be positive")
@@ -344,6 +346,8 @@ def profile_integral(profile: SurvivalProfile, op: BinaryOp,
         truncated = True
     else:
         top = scale.upper
+    # np.arange's points, then the top; the cap keeps an infinite ratio an int
+    check_cells(math.ceil(min(top / resolution, 2.0 ** 62)) + 1, "profile grid")
     ts = np.arange(0.0, top, resolution)
     if scale.closed or truncated:
         ts = np.append(ts, top)

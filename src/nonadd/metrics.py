@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import cached_condition
-from .core import (EXTENDED, Fn, INF, NONNEG, _TOL, _check_length, _level_sets,
+from .core import (EXTENDED, Fn, INF, NONNEG, _TOL, _at_least_one, _check_length, _level_sets,
                    _one_scale, _rel_gap, rng_for)
 from .integrals import (
     abs_power,
@@ -206,6 +206,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
     operator metric additionally passes its hypothesis gates before
     anything is sampled.
     """
+    _at_least_one("trials", trials)
     sub = check_measure_property(mu, "subadditive")
     if not sub.holds:
         search = find_triangle_violation(mu, kinds=(spec.kind,))
@@ -278,6 +279,7 @@ def check_shilkret_norm(mu: MonotoneMeasure, trials: int = 100, seed: int = 0) -
     candidate-by-candidate), tolerance-level homogeneity for general
     factors, subadditivity, and vanishing at zero.  Maxitivity is gated once,
     by the first call."""
+    _at_least_one("trials", trials)
     n = mu.space.n
     if shilkret_norm([0.0] * n, mu) != 0.0:
         return CheckResult(False, 0.0, {"axiom": "zero"})
@@ -376,6 +378,8 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
                             sequence: Sequence[Fn], limit: Fn) -> CheckResult:
     """Reverse-triangle bound: the gap between the root-exponent means of
     consecutive terms and of the limit never exceeds the metric distance."""
+    if not sequence:
+        raise DomainError("empty sequence")
     if spec.kind != "d_op_p":
         raise DomainError("mean convergence is stated for the operator metric")
     _gate_metric_op(spec)
@@ -426,6 +430,10 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
     2^(-k/p) r / (1 - r) with r = 2^(-1/p), which is under the bound
     2^(-k/p) / (1 - r) by 2^(-k/p), far more than rounding.
     """
+    if sequence is None:
+        _at_least_one("levels", levels)
+    elif len(sequence) < 2:
+        raise DomainError("the probe needs a sequence of at least two terms")
     if spec.kind != "d_op_p":
         raise DomainError("the probe is stated for the operator metric")
     _gate_metric_op(spec)

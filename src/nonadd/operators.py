@@ -10,15 +10,15 @@ false declaration can never support a vacuous confirmation.
 Every law follows one rule: cells of :func:`core._sweep`, each the pair
 (a, b) at which the operator is read, a violation ``lhs > rhs + core._TOL``.
 Monotonicity compares op(a, b) with the value one grid step on in a
-(``a_next``) or b (``b_next``); commutativity reads |op(a, b) - op(b, a)|;
-the zero annihilators, the neutral 1 and top absorption |op(a, b) - target|
-through the section point 0, 1 or the top.  A failing law names its first
-violating cell, with the operator's values there, and its largest
-violation; a holding one its least slack.  A nan cell never violates, and
-two infinities tie.  Continuity is probed on a coarse grid at a shift of
-2**-26, the gap against max(1e-7, 1e-7 |op(a, b)|) with no tolerance,
-where a gap below half the one at a shift of 2**-13 is a continuous rise
-and reads 0: sampled evidence, not a proof; every verdict records its mode.
+(``a_next``) or b (``b_next``); the zero annihilators, the neutral 1 and
+top absorption read |op(a, b) - target| through the section point 0, 1 or
+the top.  A failing law names its first violating cell, with the
+operator's values there, and its largest violation; a holding one its
+least slack.  A nan cell never violates, and two infinities tie.
+Continuity is probed on a coarse grid at a shift of 2**-26, the gap
+against max(1e-7, 1e-7 |op(a, b)|) with no tolerance, where a gap below
+half the one at a shift of 2**-13 is a continuous rise and reads 0:
+sampled evidence, not a proof; every verdict records its mode.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ OPERATOR_FLAGS = (
     "zero_left_annihilator",
     "zero_right_annihilator",
     "neutral_one",
-    "commutative",
 )
 
 
@@ -129,8 +128,7 @@ def minimum() -> BinaryOp:
     return BinaryOp(
         "min",
         _min,
-        _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator",
-                       "neutral_one", "commutative"},
+        _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator", "neutral_one"},
         grid_fn=np.minimum,
     )
 
@@ -140,7 +138,7 @@ def join() -> BinaryOp:
     return BinaryOp(
         "max",
         _max,
-        _CONTINUOUS | {"commutative"},
+        _CONTINUOUS,
         grid_fn=np.maximum,
     )
 
@@ -150,8 +148,7 @@ def product() -> BinaryOp:
     return BinaryOp(
         "product",
         xmul,
-        _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator",
-                       "neutral_one", "commutative"},
+        _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator", "neutral_one"},
         grid_fn=vmul,
     )
 
@@ -162,8 +159,7 @@ def lukasiewicz() -> BinaryOp:
     return BinaryOp(
         "lukasiewicz",
         lambda a, b: max(a + b - 1.0, 0.0),
-        _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator",
-                       "neutral_one", "commutative"},
+        _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator", "neutral_one"},
         grid_fn=lambda a, b: np.maximum(np.asarray(a) + np.asarray(b) - 1.0, 0.0),
     )
 
@@ -174,7 +170,7 @@ def bounded_sum() -> BinaryOp:
     return BinaryOp(
         "bounded_sum",
         lambda a, b: min(a + b, 1.0),
-        _CONTINUOUS | {"commutative"},
+        _CONTINUOUS,
         grid_fn=lambda a, b: np.minimum(np.asarray(a) + np.asarray(b), 1.0),
     )
 
@@ -184,7 +180,7 @@ def plain_sum() -> BinaryOp:
     return BinaryOp(
         "sum",
         lambda a, b: a + b,
-        _CONTINUOUS | {"commutative"},
+        _CONTINUOUS,
         grid_fn=lambda a, b: np.asarray(a, dtype=float) + np.asarray(b, dtype=float),
     )
 
@@ -196,7 +192,7 @@ def prob_sum() -> BinaryOp:
     return BinaryOp(
         "prob_sum",
         lambda a, b: a + b * (1.0 - a),
-        _CONTINUOUS | {"commutative"},
+        _CONTINUOUS,
         grid_fn=lambda a, b: np.asarray(a) + np.asarray(b) * (1.0 - np.asarray(a)),
     )
 
@@ -210,13 +206,10 @@ def marshall_olkin(alpha: float, beta: float) -> BinaryOp:
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise DomainError("marshall_olkin parameters must lie in [0, 1]")
-    flags = _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator", "neutral_one"}
-    if alpha == beta:
-        flags = flags | {"commutative"}
     return BinaryOp(
         f"marshall_olkin({alpha},{beta})",
         lambda a, b: _min(xmul(a ** (1.0 - alpha), b), xmul(a, b ** (1.0 - beta))),
-        flags,
+        _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator", "neutral_one"},
         grid_fn=lambda a, b: np.minimum(vmul(np.float_power(a, 1.0 - alpha), b),
                                         vmul(a, np.float_power(b, 1.0 - beta))),
         params={"alpha": alpha, "beta": beta},
@@ -228,7 +221,7 @@ def power_product(q: float) -> BinaryOp:
     """(ab)^q; for 0 < q < 1 a modified product with subadditive sections."""
     if not q > 0:
         raise DomainError("power_product exponent must be positive")
-    flags = _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator", "commutative"}
+    flags = _CONTINUOUS | {"zero_left_annihilator", "zero_right_annihilator"}
     if q == 1.0:
         flags = flags | {"neutral_one"}
     return BinaryOp(
@@ -404,9 +397,9 @@ DUALITY_FACTORIES = {"one_minus": one_minus, "reciprocal": reciprocal}
 def op_dual(op: BinaryOp, h: DualityMap) -> BinaryOp:
     """The conjugate operator a, b -> h_inverse(h(a) op h(b)).
 
-    Monotonicity survives conjugation by a decreasing bijection; cheap exact
-    flags (annihilators, neutral element, commutativity) are probed on a
-    coarse grid and declared only when they hold there.  Applying an
+    Monotonicity survives conjugation by a decreasing bijection; the cheap
+    exact flags (annihilators, neutral element) are probed on a coarse grid
+    and declared only when they hold there.  Applying an
     involutive h twice yields an operator grid-equal to the original.  The
     conjugate is built once per (op, h) and cached on ``op``, so its flag
     gates also run once per process.
@@ -431,8 +424,6 @@ def _conjugate(op: BinaryOp, h: DualityMap) -> BinaryOp:
         flags.add("zero_right_annihilator")
     if np.allclose(vals[4, :], probe, atol=_TOL) and np.allclose(vals[:, 4], probe, atol=_TOL):
         flags.add("neutral_one")
-    if np.allclose(vals, vals.T, atol=_TOL, equal_nan=True):
-        flags.add("commutative")
     return BinaryOp(f"{op.name}_dual_{h.name}", fn, frozenset(flags), grid_fn=grid_fn,
                     params={"base": op.name, "h": h.name})
 
@@ -493,9 +484,6 @@ def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT) -
         return _sweep_cells(base.shape, [gap], 0.0, "sampled")
     col, row = g[:, None], g[None, :]
     vals = op.grid(col, row)
-    if flag == "commutative":
-        cells = [(_dev(vals, vals.T), 0.0, None, {"a": col, "b": row, "ab": vals, "ba": vals.T})]
-        return _sweep_cells(vals.shape, cells, _TOL, "grid")
     # nondecreasing: a step of the first argument, then one of the second
     lo, hi = col[:-1], col[1:]
     cells = [(vals[:-1], vals[1:], None, {"a": lo, "b": row, "a_next": hi}),

@@ -81,8 +81,9 @@ def anti_monotone_pair(rng: random.Random, n: int, scale: ValueScale = UNIT) -> 
 
 
 def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
-                         scale: ValueScale = UNIT, kind: str = "comonotone") -> tuple[Fn, Fn]:
-    """A pair satisfying the subset-infimum factorization for ``star``.
+                         kind: str = "comonotone") -> tuple[Fn, Fn]:
+    """A pair on [0, 1] satisfying the subset-infimum factorization for
+    ``star``.
 
     ``comonotone`` works for any nondecreasing operator: on every subset
     some point minimises both f and g, so both sides read the star at one
@@ -94,9 +95,9 @@ def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
     """
     local = random.Random(rng.randrange(1 << 62))
     if kind == "any":
-        f, g = random_fn(local, n, scale), random_fn(local, n, scale)
+        f, g = random_fn(local, n), random_fn(local, n)
     elif kind == "comonotone":
-        f, g = comonotone_pair(local, n, scale)
+        f, g = comonotone_pair(local, n)
     elif kind == "two_block":
         # two disjoint blocks plus a free remainder, none of them empty
         if n < 3:
@@ -106,9 +107,8 @@ def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
         cut1 = 1 + local.randrange(n - 2)
         cut2 = cut1 + 1 + local.randrange(n - cut1 - 1)
         B, C = pts[:cut1], pts[cut1:cut2]
-        top = scale.upper if not math.isinf(scale.upper) else 2.0
-        b = local.randrange(1, 33) / 32.0 * top
-        c = local.randrange(1, 33) / 32.0 * top
+        b = local.randrange(1, 33) / 32.0
+        c = local.randrange(1, 33) / 32.0
         fv = [0.0] * n
         gv = [0.0] * n
         for i in B:
@@ -118,7 +118,7 @@ def star_associated_pair(rng: random.Random, n: int, star: BinaryOp,
             fv[i] = c
         for i in pts[cut2:]:
             gv[i] = c
-        f, g = Fn(fv, scale), Fn(gv, scale)
+        f, g = Fn(fv, UNIT), Fn(gv, UNIT)
     else:
         raise DomainError(f"unknown construction kind {kind!r}")
     if not is_star_associated(f, g, star).holds:

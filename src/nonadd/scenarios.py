@@ -115,6 +115,13 @@ def _int(sc, value, where: str) -> int:
     return value
 
 
+def _count(sc, value, where: str) -> int:
+    """A number of draws or levels: a task over none would check nothing."""
+    if _int(sc, value, where) < 1:
+        raise ScenarioError(f"{where}: expected an integer >= 1, got {value!r}")
+    return value
+
+
 def _bool(sc, value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ScenarioError(f"{where}: expected true or false, got {value!r}")
@@ -460,8 +467,8 @@ def _fuzz(sc, a):
     return res, {"campaign": rep}
 
 
-# check_condition fields come from each condition's signature; the scenario
-# reaches only these parameters (the extra grids stay out)
+# check_condition fields come from each condition's signature: every
+# parameter of a condition but its scale, which is the scenario's
 _CONDITION_PARAMS = {
     **dict.fromkeys(("p1", "p2", "p3", "q", "r"), _number),
     **dict.fromkeys(("op", "semicopula", "star", "combiner", "boxplus", "op_h"), _OP),
@@ -535,10 +542,10 @@ TASKS: dict[Any, Spec] = {
         measure=_MEASURE, f=_VECTOR, g=_VECTOR),
     ("verify", "shilkret_maxitive"): _task(
         lambda sc, a: verify_shilkret_maxitive(a.measure, trials=a.trials, seed=a.seed),
-        measure=_MEASURE, trials=Field(_int, 8), seed=_SEED),
+        measure=_MEASURE, trials=Field(_count, 8), seed=_SEED),
     ("verify", "sugeno_subadditive"): _task(
         lambda sc, a: verify_sugeno_subadditive(a.measure, trials=a.trials, seed=a.seed),
-        measure=_MEASURE, trials=Field(_int, 8), seed=_SEED),
+        measure=_MEASURE, trials=Field(_count, 8), seed=_SEED),
     ("verify", "sugeno_subadditive_boundary"): _task(
         lambda sc, a: verify_sugeno_subadditive_boundary()),
     ("verify", "lower_mh"): _task(
@@ -554,7 +561,7 @@ TASKS: dict[Any, Spec] = {
         _metric_spec, **_OP_METRIC, sequence=_listof(_FN_NONNEG), limit=_FN_NONNEG),
     ("verify", "cauchy_probe"): _task(
         lambda sc, a: cauchy_probe(a.spec, a.measure, seed=a.seed, levels=a.levels),
-        _metric_spec, **_METRIC, seed=_SEED, levels=Field(_int, 8)),
+        _metric_spec, **_METRIC, seed=_SEED, levels=Field(_count, 8)),
     ("verify", "convergence_lemmas"): _task(
         lambda sc, a: check_convergence_lemmas(a.operator, a.measure, a.sequence,
                                                a.limit, a.kind),
@@ -562,17 +569,17 @@ TASKS: dict[Any, Spec] = {
         kind=Field(_enum(("monotone", "fatou")), "monotone")),
     ("verify", "shilkret_norm"): _task(
         lambda sc, a: check_shilkret_norm(a.measure, trials=a.trials, seed=a.seed),
-        measure=_MEASURE, trials=Field(_int, 50), seed=_SEED),
+        measure=_MEASURE, trials=Field(_count, 50), seed=_SEED),
     "metric_axioms": _task(
         lambda sc, a: check_metric_axioms(a.spec, a.measure, trials=a.trials, seed=a.seed),
-        _metric_spec, **_METRIC, trials=Field(_int, 200), seed=_SEED),
+        _metric_spec, **_METRIC, trials=Field(_count, 200), seed=_SEED),
     "triangle_search": _task(
         lambda sc, a: find_triangle_violation(a.measure, kinds=a.kinds),
         measure=_MEASURE, kinds=Field(_listof(_enum(METRIC_KINDS)), METRIC_KINDS)),
     "metric": _task(
         lambda sc, a: _valued(metric_eval(a.spec, a.f, a.g, a.measure), a, _TOL),
         _metric_spec, **_METRIC, f=_VECTOR, g=_VECTOR, **_VALUE),
-    "fuzz": _task(_fuzz, campaign=_enum(CAMPAIGNS), trials=Field(_int, 100), seed=_SEED),
+    "fuzz": _task(_fuzz, campaign=_enum(CAMPAIGNS), trials=Field(_count, 100), seed=_SEED),
 }
 
 

@@ -59,6 +59,7 @@ from .core import (
     UNIT,
     ValueScale,
     _TOL,
+    _at_least_one,
     _check_length,
     _domain_mask,
     _domain_points,
@@ -573,6 +574,7 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8,
     ``HypothesisError`` carrying the maxitivity result.  The result also
     records three-way consistency with the exhaustive maxitivity checker.
     """
+    _at_least_one("trials", trials)
     maxres = check_measure_property(mu, "maxitive")
     n = mu.space.n
     detail: dict = {"maxitive": maxres}
@@ -642,6 +644,7 @@ def verify_sugeno_subadditive(mu: MonotoneMeasure, *, trials: int = 8,
     ``indicator_recovery_matches`` records the outcome (``True`` when the
     measure is subadditive, ``"skipped-infinite"`` on an infinite measure).
     """
+    _at_least_one("trials", trials)
     tol = mu.tolerance()
     sub = check_measure_property(mu, "subadditive")
     fin = check_measure_property(mu, "finite")

@@ -106,6 +106,29 @@ class TestRun:
             Scenario(doc)
         assert str(info.value) == f"tasks[{task}].circs[1]: undefined operator 'missing'"
 
+    COUNTS = [("shilkret_maxitive", "trials", 0), ("sugeno_subadditive", "trials", 0),
+              ("shilkret_norm", "trials", 0), ("metric_axioms", "trials", 0),
+              ("metric_axioms", "trials", -3), ("cauchy_probe", "levels", 0),
+              ("fuzz", "trials", 0)]
+
+    @pytest.mark.parametrize("kind, field, value", COUNTS)
+    def test_count_below_one_refused_before_any_task(self, kind, field, value, tmp_path,
+                                                     capsys):
+        # a task over no draws or levels would hold having checked nothing
+        doc = builtin_scenario("verifier_tour")
+        doc["tasks"].append({"task": "metric_axioms", "kind": "d_op_p", "operator": "pmin",
+                             "p": 1, "measure": "dist"})
+        i = next(i for i, t in enumerate(doc["tasks"]) if kind in (t["task"], t.get("theorem")))
+        doc["tasks"][i][field] = value
+        with pytest.raises(ScenarioError) as info:
+            Scenario(doc)
+        assert str(info.value) == f"tasks[{i}].{field}: expected an integer >= 1, got {value}"
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and f"tasks[{i}].{field}" in err
+
     def test_math_failure_exits_1(self, tmp_path, capsys):
         doc = {
             "version": 1,

@@ -1,6 +1,7 @@
 """Named inequality conditions: grid verdicts, witnesses, and
 self-consistency between the general and specialized checkers."""
 
+import inspect
 import json
 from typing import Sequence
 
@@ -12,13 +13,11 @@ from hypothesis import strategies as st
 from nonadd.campaigns import _UPPER_MH
 from nonadd.conditions import (
     CONDITIONS,
-    _as_pairs,
     _as_values,
     _mode,
     _sum_split_cells,
     check_condition,
     cond_mh_lower,
-    cond_mh_lower_join,
     cond_mh_sugeno,
     cond_mh_upper,
     cond_sum_split,
@@ -46,6 +45,7 @@ from nonadd.operators import (
     reciprocal,
 )
 from nonadd.results import CheckResult, DomainError
+from nonadd.scenarios import _CONDITION_PARAMS
 
 MIN = minimum()
 PROD = product()
@@ -163,13 +163,7 @@ class TestSuppliedValues:
 
     @pytest.mark.parametrize("call", [
         lambda: cond_sum_split(SL, UNIT, c_values=[]),
-        lambda: cond_mh_upper(MIN, MIN, (MIN,) * 3, (phi_identity(),) * 3, UNIT, a_values=[]),
         lambda: check_condition("dual_star_split", star=MIN, op_h=MIN, c_values=[]),
-        lambda: cond_mh_lower(MIN, MIN, JOIN, (MIN,) * 3, (phi_identity(),) * 3, UNIT,
-                              cd_values=[]),
-        lambda: cond_mh_lower_join(MIN, (phi_identity(),) * 3, UNIT, cd_values=[]),
-        lambda: check_condition("dual_star_split_pair", star=MIN, op_h=MIN, boxplus=JOIN,
-                                cd_values=[]),
     ])
     def test_empty_values_refused(self, call):
         # an empty list would sweep no cell and hold with margin inf, where
@@ -177,20 +171,6 @@ class TestSuppliedValues:
         with pytest.raises(DomainError, match="must not be empty"):
             call()
 
-    @pytest.mark.parametrize("pair, named", [((2.0, 0.5), "2.0"), ((float("nan"), 0.5), "nan"),
-                                             ((0.5, -0.25), "-0.25"), ((0.5, INF), "inf")])
-    @pytest.mark.parametrize("cond", ["mh_lower", "mh_lower_join", "dual_star_split_pair"])
-    def test_pairs_outside_the_scale_refused(self, cond, pair, named):
-        kw = {"mh_lower": dict(star=MIN, combiner=MIN, boxplus=JOIN, circs=(MIN,) * 3,
-                               phis=(phi_identity(),) * 3),
-              "mh_lower_join": dict(star=MIN, phis=(phi_identity(),) * 3),
-              "dual_star_split_pair": dict(star=MIN, op_h=MIN, boxplus=JOIN)}[cond]
-        with pytest.raises(DomainError, match=f"supplied value {named} outside"):
-            check_condition(cond, **kw, scale=UNIT, cd_values=[(0.25, 0.5), pair])
-
-    def test_pairs_keep_their_order_and_duplicates(self):
-        cs, ds = _as_pairs(UNIT, [(0.5, 0.25), (0.5, 0.25), (0.0, 1.0)], UNIT.grid())
-        assert cs.tolist() == [0.5, 0.5, 0.0] and ds.tolist() == [0.25, 0.25, 1.0]
 
 
 class TestDistributiveScaling:
@@ -407,14 +387,12 @@ def ref_in_scale(scale: ValueScale, arr) -> np.ndarray:
 def ref_mh_upper(star: BinaryOp, combiner: BinaryOp,
                  circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
                  scale: ValueScale = UNIT, c_values=None,
-                 a_values=None, b_values=None,
                  tol: float = 1e-12) -> CheckResult:
     c1, c2, c3 = circs
     p1, p2, p3 = phis
-    a = _as_values(scale, a_values, scale.grid(_DEFAULT_SPACING))
-    b = _as_values(scale, b_values, scale.grid(_DEFAULT_SPACING))
-    cs = _as_values(scale, c_values, scale.grid(_DEFAULT_SPACING))
-    A, B = a[:, None], b[None, :]
+    g = scale.grid(_DEFAULT_SPACING)
+    cs = _as_values(scale, c_values, g)
+    A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(scale, sAB)
     f1 = p1.forward(sAB)
@@ -426,7 +404,7 @@ def ref_mh_upper(star: BinaryOp, combiner: BinaryOp,
         rhs = combiner.grid(p2.inverse(c2.grid(f2A, np.full_like(f2A, c))),
                             p3.inverse(c3.grid(f3B, np.full_like(f3B, c))))
         acc.add(lhs, rhs, {"a": A, "b": B, "c": c}, valid)
-    return acc.result(_mode(c_values, a_values, b_values))
+    return acc.result(_mode(c_values))
 
 
 def ref_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
@@ -530,19 +508,12 @@ def ref_distributive_scaling(op: BinaryOp, q: float, r: float,
 
 def ref_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
                  circs: Sequence[BinaryOp], phis: Sequence[PhiMap],
-                 scale: ValueScale = UNIT, cd_values=None,
-                 a_values=None, b_values=None,
-                 tol: float = 1e-12) -> CheckResult:
+                 scale: ValueScale = UNIT, tol: float = 1e-12) -> CheckResult:
     c1, c2, c3 = circs
     p1, p2, p3 = phis
-    a = _as_values(scale, a_values, scale.grid(_PAIR_SPACING))
-    b = _as_values(scale, b_values, scale.grid(_PAIR_SPACING))
-    if cd_values is None:
-        cg = scale.grid(_PAIR_SPACING)
-        cd_pairs = [(float(c), float(d)) for c in cg for d in cg]
-    else:
-        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
-    A, B = a[:, None], b[None, :]
+    g = scale.grid(_PAIR_SPACING)
+    cd_pairs = [(float(c), float(d)) for c in g for d in g]
+    A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(scale, sAB)
     f1 = p1.forward(sAB)
@@ -555,18 +526,14 @@ def ref_mh_lower(star: BinaryOp, combiner: BinaryOp, boxplus: BinaryOp,
         rhs = combiner.grid(p2.inverse(c2.grid(f2A, np.full_like(f2A, c))),
                             p3.inverse(c3.grid(f3B, np.full_like(f3B, d))))
         acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
-    return acc.result(_mode(cd_values, a_values, b_values))
+    return acc.result("grid")
 
 
 def ref_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
-                      scale: ValueScale = UNIT, cd_values=None,
-                      tol: float = 1e-12) -> CheckResult:
+                      scale: ValueScale = UNIT, tol: float = 1e-12) -> CheckResult:
     p1, p2, p3 = phis
     g = scale.grid(_PAIR_SPACING)
-    if cd_values is None:
-        cd_pairs = [(float(c), float(d)) for c in g for d in g]
-    else:
-        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    cd_pairs = [(float(c), float(d)) for c in g for d in g]
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(scale, sAB)
@@ -576,7 +543,7 @@ def ref_mh_lower_join(star: BinaryOp, phis: Sequence[PhiMap],
         rhs = star.grid(np.maximum(A, float(p2.inverse(c))),
                         np.maximum(B, float(p3.inverse(d))))
         acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
-    return acc.result(_mode(cd_values))
+    return acc.result("grid")
 
 
 def ref_dual_star_split(star: BinaryOp, op_h: BinaryOp,
@@ -597,13 +564,9 @@ def ref_dual_star_split(star: BinaryOp, op_h: BinaryOp,
 
 
 def ref_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
-                             scale: ValueScale = UNIT, cd_values=None,
-                             tol: float = 1e-12) -> CheckResult:
+                             scale: ValueScale = UNIT, tol: float = 1e-12) -> CheckResult:
     g = scale.grid(_PAIR_SPACING)
-    if cd_values is None:
-        cd_pairs = [(float(c), float(d)) for c in g for d in g]
-    else:
-        cd_pairs = [(float(c), float(d)) for c, d in cd_values]
+    cd_pairs = [(float(c), float(d)) for c in g for d in g]
     A, B = g[:, None], g[None, :]
     sAB = star.grid(A, B)
     valid = ref_in_scale(scale, sAB)
@@ -613,7 +576,7 @@ def ref_dual_star_split_pair(star: BinaryOp, op_h: BinaryOp, boxplus: BinaryOp,
         lhs = op_h.grid(sAB, np.full_like(sAB, combined))
         rhs = star.grid(op_h.grid(A, np.full_like(A, c)), op_h.grid(B, np.full_like(B, d)))
         acc.add(lhs, rhs, {"a": A, "b": B, "c": c, "d": d}, valid)
-    return acc.result(_mode(cd_values))
+    return acc.result("grid")
 
 
 def ref_unit_section_order(op: BinaryOp, scale: ValueScale = UNIT,
@@ -660,18 +623,17 @@ _triples = lambda s: st.tuples(s, s, s)
 def condition_kwargs(draw, cond):
     """Keyword arguments for one condition: UNIT, NONNEG or EXTENDED scale
     (so non-finite slacks occur), and grid mode or explicit values (one
-    value, duplicates)."""
+    value, duplicates) of c where the condition takes them."""
     scale = draw(st.sampled_from([UNIT, NONNEG, EXTENDED]))
     if cond == "mh_product_power":
         scale = UNIT
     points = st.sampled_from([v for v in ORACLE_POINTS if scale.contains(v)])
     values = st.none() | st.lists(points, min_size=1, max_size=4)
-    pairs = st.none() | st.lists(st.tuples(points, points), min_size=1, max_size=4)
     kw = {}
     if cond == "mh_upper":
         kw.update(star=draw(_ops), combiner=draw(_ops), circs=draw(_triples(_ops)),
                   phis=draw(_triples(st.sampled_from(ORACLE_PHIS))), scale=scale,
-                  c_values=draw(values), a_values=draw(values), b_values=draw(values))
+                  c_values=draw(values))
     elif cond == "mh_sugeno":
         kw.update(star=draw(_ops), phis=draw(_triples(st.sampled_from(ORACLE_PHIS))),
                   scale=scale, c_values=draw(values))
@@ -690,16 +652,14 @@ def condition_kwargs(draw, cond):
     elif cond == "mh_lower":
         kw.update(star=draw(_ops), combiner=draw(_ops), boxplus=draw(_ops),
                   circs=draw(_triples(_ops)),
-                  phis=draw(_triples(st.sampled_from(ORACLE_PHIS))), scale=scale,
-                  cd_values=draw(pairs), a_values=draw(values), b_values=draw(values))
+                  phis=draw(_triples(st.sampled_from(ORACLE_PHIS))), scale=scale)
     elif cond == "mh_lower_join":
         kw.update(star=draw(_ops), phis=draw(_triples(st.sampled_from(ORACLE_PHIS))),
-                  scale=scale, cd_values=draw(pairs))
+                  scale=scale)
     elif cond == "dual_star_split":
         kw.update(star=draw(_ops), op_h=draw(_ops), scale=scale, c_values=draw(values))
     elif cond == "dual_star_split_pair":
-        kw.update(star=draw(_ops), op_h=draw(_ops), boxplus=draw(_ops), scale=scale,
-                  cd_values=draw(pairs))
+        kw.update(star=draw(_ops), op_h=draw(_ops), boxplus=draw(_ops), scale=scale)
     else:
         kw.update(op=draw(_ops), scale=scale)
     return kw
@@ -724,8 +684,6 @@ class TestRestatedConditions:
         op_h = op_dual(op, h)
         points = st.sampled_from([v for v in ORACLE_POINTS if scale.contains(v)])
         c_values = data.draw(st.none() | st.lists(points, min_size=1, max_size=4))
-        cd_values = data.draw(st.none() | st.lists(st.tuples(points, points),
-                                                   min_size=1, max_size=4))
         maps = (phi_identity(),) * 3
         with np.errstate(all="ignore"):
             single = check_condition("dual_star_split", star=star, op_h=op_h, scale=scale,
@@ -734,9 +692,9 @@ class TestRestatedConditions:
             loop = ref_dual_star_split(star, op_h, scale, c_values)
             assert _fingerprint(single) == _fingerprint(general) == _fingerprint(loop)
             pair = check_condition("dual_star_split_pair", star=star, op_h=op_h,
-                                   boxplus=boxplus, scale=scale, cd_values=cd_values)
-            general = cond_mh_lower(star, star, boxplus, (op_h,) * 3, maps, scale, cd_values)
-            loop = ref_dual_star_split_pair(star, op_h, boxplus, scale, cd_values)
+                                   boxplus=boxplus, scale=scale)
+            general = cond_mh_lower(star, star, boxplus, (op_h,) * 3, maps, scale)
+            loop = ref_dual_star_split_pair(star, op_h, boxplus, scale)
             assert _fingerprint(pair) == _fingerprint(general) == _fingerprint(loop)
 
     @settings(max_examples=20, deadline=None)
@@ -763,14 +721,23 @@ class TestCombinedPairs:
         # RuntimeWarning into an error, so the pair sweep must silence it
         with np.errstate(invalid="ignore"):
             assert np.isnan(PSUM.grid(np.array([INF]), np.array([INF]))).all()
+        # the pairs of the extended grid include (inf, inf)
         res = check_condition("dual_star_split_pair", star=SUM, op_h=MIN, boxplus=PSUM,
-                              scale=EXTENDED, cd_values=[(INF, INF), (1.0, 2.0)])
-        assert res.mode == "explicit"
+                              scale=EXTENDED)
+        assert res.mode == "grid"
 
 
 class TestSweepMatchesLoopReference:
     def test_every_condition_has_a_reference(self):
         assert sorted(REFERENCE) == sorted(CONDITIONS)
+
+    def test_every_option_is_a_scenario_field(self):
+        # a defaulted parameter that no scenario can set and no library
+        # caller passes is an option nobody reaches; scale is the scenario's
+        options = {name for fn in CONDITIONS.values()
+                   for name, p in inspect.signature(fn).parameters.items()
+                   if p.default is not inspect.Parameter.empty}
+        assert options - {"scale"} <= set(_CONDITION_PARAMS)
 
     @pytest.mark.parametrize("cond", sorted(CONDITIONS))
     @settings(max_examples=40, deadline=None)

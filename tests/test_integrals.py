@@ -749,6 +749,30 @@ class TestSugenoIdentity:
             assert check_sugeno_identity(f, mu).holds
 
 
+class TestProfileGridBudget:
+    """The profile grid is refused before it is built when its points
+    exceed ``core.MAX_CELLS``; the counterexample's grid too."""
+
+    def test_refused_over_the_budget(self, monkeypatch):
+        from nonadd import core
+        from nonadd.theorems import reproduce_counterexample
+
+        profile = SurvivalProfile(UNIT, knots=[(0.0, 1.0), (1.0, 0.0)])
+        # 1e-4 on [0, 1]: np.arange's 10,000 points and the top
+        monkeypatch.setattr(core, "MAX_CELLS", 10_001)
+        assert profile_integral(profile, minimum()).error_bound < 1e-5
+        monkeypatch.setattr(core, "MAX_CELLS", 10_000)
+        with pytest.raises(DomainError, match="profile grid enumerates 10,001 cells"):
+            profile_integral(profile, minimum())
+        with pytest.raises(DomainError, match="profile grid enumerates 10,001 cells"):
+            reproduce_counterexample()
+
+    def test_infinite_ratio_is_refused(self):
+        profile = SurvivalProfile(EXTENDED, knots=[(0.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(DomainError, match="profile grid enumerates"):
+            profile_integral(profile, minimum(), 5e-324)
+
+
 class TestOpenTailGate:
     """The open-end tail is skipped on a zero right annihilator only after
     the declared flag passes its gate, on all three routes that skip it."""

@@ -305,6 +305,33 @@ class TestMeanConvergence:
         assert res.status == "premise-failed"
 
 
+class TestNothingToCheck:
+    """A check over no draws, levels or terms would hold with margin inf
+    having checked nothing: each is refused before its gates run."""
+
+    SPEC = MetricSpec("d_op_p", power_min(1.0, 1.0), 1.0)
+    F = Fn([0.5, 1.0, 0.25], NONNEG)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda mu: check_metric_axioms(TestNothingToCheck.SPEC, mu, trials=0),
+         "trials must be at least 1, got 0"),
+        (lambda mu: check_metric_axioms(TestNothingToCheck.SPEC, mu, trials=-3),
+         "trials must be at least 1, got -3"),
+        (lambda mu: check_shilkret_norm(mu, trials=0), "trials must be at least 1, got 0"),
+        (lambda mu: cauchy_probe(TestNothingToCheck.SPEC, mu, levels=0),
+         "levels must be at least 1, got 0"),
+        (lambda mu: cauchy_probe(TestNothingToCheck.SPEC, mu, sequence=[TestNothingToCheck.F]),
+         "at least two terms"),
+        (lambda mu: verify_mean_convergence(TestNothingToCheck.SPEC, mu, [],
+                                            TestNothingToCheck.F), "empty sequence"),
+    ])
+    def test_refused(self, call, message):
+        # the additive measure is subadditive but not maxitive: the refusal
+        # comes before the norm's maxitivity gate
+        with pytest.raises(DomainError, match=message):
+            call(generate_measure(3, "non_maxitive", 3))
+
+
 class TestGateOncePerCall:
     """The operator metric's loops pass its gate once, before they run;
     ``metric_eval`` on its own gates every call."""

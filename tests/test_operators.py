@@ -189,17 +189,6 @@ def ref_operator_property(op, flag, scale=UNIT, tol=1e-12):
                                    mode="grid")
         return CheckResult(True, mode="grid")
 
-    # commutative
-    vals = op.grid(g[:, None], g[None, :])
-    diff = np.abs(vals - vals.T)
-    diff = np.where(np.isnan(diff), 0.0, diff)
-    if (diff > tol).any():
-        i, j = np.argwhere(diff > tol)[0]
-        return CheckResult(False, float(diff.max()),
-                           {"a": float(g[i]), "b": float(g[j]),
-                            "ab": float(vals[i, j]), "ba": float(vals[j, i])}, mode="grid")
-    return CheckResult(True, mode="grid")
-
 
 LAWS = OPERATOR_FLAGS + ("top_absorbing",)
 SCALES = (UNIT, UNIT_OPEN, NONNEG, EXTENDED)
@@ -242,8 +231,8 @@ def replay(op, name, res):
     w = res.witness
     a, b = w["a"], w["b"]
     with np.errstate(all="ignore"):
-        reads = {"nondecreasing": [("lhs", a, b), ("rhs", w.get("a_next", a), w.get("b_next", b))],
-                 "commutative": [("ab", a, b), ("ba", b, a)]}.get(name, [("value", a, b)])
+        reads = [("lhs", a, b), ("rhs", w.get("a_next", a), w.get("b_next", b))] \
+            if name == "nondecreasing" else [("value", a, b)]
         if name == "right_continuous":
             reads.append(("limit", a + 2.0 ** -26, b + 2.0 ** -26))
         elif name == "left_continuous_second":
@@ -315,7 +304,7 @@ class TestLawsAgainstOracle:
         res = agree(from_callable("dip_b", lambda a, b: a * (1.0 - b)), "nondecreasing", UNIT)
         assert (res.witness["a"], res.witness["b"], res.witness["b_next"]) == (1 / 64, 0.0, 1 / 64)
         nan_cell = planted("nan", minimum(), 0.5, 0.25, 0.0)
-        for name in ("nondecreasing", "commutative", "neutral_one"):
+        for name in ("nondecreasing", "neutral_one"):
             assert agree(nan_cell, name, UNIT).holds
 
     def test_witness_and_margin_form(self):
@@ -323,8 +312,6 @@ class TestLawsAgainstOracle:
         res = check_operator_property(join(), "zero_right_annihilator", UNIT_OPEN)
         assert res.witness == {"a": 1 / 64, "b": 0.0, "value": 1 / 64, "lhs": 1 / 64, "rhs": 0.0}
         assert res.margin == 0.9921875
-        res = check_operator_property(power_min(2.0, 1.0), "commutative", UNIT)
-        assert (res.witness["a"], res.witness["b"]) == (1 / 64, 2 / 64)
         # a holding law reports its least slack, not inf
         assert check_operator_property(minimum(), "nondecreasing", UNIT).margin == 0.0
         res = check_operator_property(minimum(), "right_continuous", UNIT)
@@ -385,9 +372,30 @@ class TestFlagChecks:
         assert not res.holds
         assert res.mode == "sampled"
 
-    def test_commutativity(self):
-        assert check_operator_property(product(), "commutative", UNIT).holds
-        assert not check_operator_property(power_min(2.0, 1.0), "commutative", UNIT).holds
+    def test_campaigns_request_every_flag(self, monkeypatch):
+        # each flag is asked for by some verifier: a flag no gate requests
+        # would be declared and checked for nothing
+        import sys
+
+        from nonadd.campaigns import CAMPAIGNS, run_campaign
+
+        requested = set()
+
+        def counted(op, required, scale=UNIT):
+            requested.update(required)
+            return verify_flags(op, required, scale)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("nonadd")]:
+            if getattr(module, "verify_flags", None) is verify_flags:
+                monkeypatch.setattr(module, "verify_flags", counted)
+        for cid in CAMPAIGNS:
+            run_campaign(cid, 3, 0)
+        assert requested == set(OPERATOR_FLAGS)
+
+    def test_commutativity_is_no_flag(self):
+        # no verifier asks for it, so no operator declares it or checks it
+        with pytest.raises(DomainError, match="unknown operator flag 'commutative'"):
+            check_operator_property(product(), "commutative", UNIT)
 
     def test_top_absorption(self):
         assert check_top_absorbing(bounded_sum(), UNIT).holds
@@ -498,24 +506,24 @@ class TestOpDual:
     # the flags besides nondecreasing that the five-point probe declares for
     # the conjugates under (one_minus, reciprocal); prob_sum's reciprocal
     # conjugate reads nan cells at inf, which the probe now allows silently
-    ALL4 = "commutative neutral_one zero_left_annihilator zero_right_annihilator"
+    ALL3 = "neutral_one zero_left_annihilator zero_right_annihilator"
     ZEROS = "zero_left_annihilator zero_right_annihilator"
     CONJUGATE_FLAGS = {
-        "min": ("commutative", "commutative"),
-        "max": (ALL4, ALL4),
-        "product": ("commutative", ALL4),
-        "lukasiewicz": ("commutative", ALL4),
-        "bounded_sum": (ALL4, "commutative"),
-        "sum": ("commutative neutral_one", "commutative " + ZEROS),
-        "prob_sum": (ALL4, ""),
+        "min": ("", ""),
+        "max": (ALL3, ALL3),
+        "product": ("", ALL3),
+        "lukasiewicz": ("", ALL3),
+        "bounded_sum": (ALL3, ""),
+        "sum": ("neutral_one", ZEROS),
+        "prob_sum": (ALL3, ""),
         "marshall_olkin(0.5,0.25)": ("", ZEROS),
-        "marshall_olkin(1.0,1.0)": ("commutative", "commutative"),
-        "power_product(0.5)": ("commutative", "commutative " + ZEROS),
-        "power_product(1.0)": ("commutative", ALL4),
+        "marshall_olkin(1.0,1.0)": ("", ""),
+        "power_product(0.5)": ("", ZEROS),
+        "power_product(1.0)": ("", ALL3),
         "power_min(2.0,1.0)": ("", ""),
-        "power_min(0.5,0.5)": ("commutative", "commutative"),
+        "power_min(0.5,0.5)": ("", ""),
         "power_prod(0.75,0.5)": ("", ZEROS),
-        "power_prod(1.0,1.0)": ("commutative", ALL4),
+        "power_prod(1.0,1.0)": ("", ALL3),
     }
 
     def test_catalog_conjugates_build_warning_free(self):

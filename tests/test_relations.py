@@ -238,7 +238,7 @@ class TestStarAssociatedPair:
     attempt and the pair is the first one it drew."""
 
     def check(self, seed, n, star, kind):
-        f, g = sampling.star_associated_pair(random.Random(seed), n, star, UNIT, kind=kind)
+        f, g = sampling.star_associated_pair(random.Random(seed), n, star, kind=kind)
         assert is_star_associated(f, g, star).holds
         if kind == "two_block":
             assert not is_comonotone(f, g).holds

@@ -302,6 +302,14 @@ class TestSubadditiveMinkowski:
         assert res.status == "condition-failed"
 
 
+@pytest.mark.parametrize("verify", [verify_shilkret_maxitive, verify_sugeno_subadditive])
+def test_no_pairs_refused(verify):
+    # forward evidence over no random pair would hold having sampled nothing
+    mu = generate_measure(0, "possibility", 3)
+    with pytest.raises(DomainError, match="trials must be at least 1, got 0"):
+        verify(mu, trials=0)
+
+
 class TestShilkretMaxitive:
     def test_possibility_forward(self):
         for seed in range(20):
