@@ -92,14 +92,14 @@ def _cmd_run(args) -> int:
         return EXIT_INPUT_ERROR
     t0 = time.perf_counter()
     tasks, task_ms = [], []
-    try:
-        for task in sc.tasks:
-            start = time.perf_counter()
+    for i, task in enumerate(sc.tasks):
+        start = time.perf_counter()
+        try:
             tasks.append(run_task(sc, task, default_seed=args.seed))
-            task_ms.append((time.perf_counter() - start) * 1000.0)
-    except (ScenarioError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        except (ScenarioError, DomainError) as e:
+            print(f"error: tasks[{i}]: {e}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        task_ms.append((time.perf_counter() - start) * 1000.0)
     failed = sum(1 for rec in tasks if rec["verdict"] != "pass")
     report = {
         "report": _jsonify({

@@ -180,6 +180,24 @@ class TestRun:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: profiles.p: {message}\n"
 
+    def test_refusal_while_a_task_runs_names_the_task(self, tmp_path, capsys):
+        # the profile grid is refused when the second task runs, not at parse time
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "possibility", "density": [0.5, 1.0]}},
+               "profiles": {"p": {"knots": [[0, 1], [1, 0]]}},
+               "operators": {"min": {"name": "min"}},
+               "tasks": [{"task": "check_measure", "measure": "mu", "property": "monotone"},
+                         {"task": "profile_integral", "profile": "p", "operator": "min",
+                          "resolution": 2.0 ** -25}]}
+        Scenario(doc)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: tasks[1]: profile grid enumerates 33,554,433 cells, "
+                                "over the budget of 16,777,216\n")
+
     def test_non_subadditive_metric_task_reports_triangle_witness(self, tmp_path,
                                                                   capsys):
         # measure with a planted union above the sum of its parts

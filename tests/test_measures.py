@@ -4,6 +4,7 @@ the generator families."""
 import json
 import math
 import sys
+import tracemalloc
 import unittest.mock
 import warnings
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonadd import measures
-from nonadd.core import FiniteSpace, INF, expand_masks, rng_for
+from nonadd.core import FiniteSpace, INF, _subset_fold, expand_masks, rng_for
 from nonadd.measures import (
     GENERATOR_FAMILIES,
     MEASURE_PROPERTIES,
@@ -949,8 +950,9 @@ class TestChunkedRoute:
 
     def test_one_buffer_of_chunk_size(self, monkeypatch):
         # no table-sized temporary: every chunk is a view of one buffer of
-        # _CHUNK_CELLS entries
-        mu = generate_measure(0, "possibility", 17)
+        # _CHUNK_CELLS entries (a lambda table is no max fold, so it takes
+        # the per-point route)
+        mu = lambda_sugeno_random(0, 17)
         buffers = set()
         chunks = measures._difference_chunks
 
@@ -1131,16 +1133,27 @@ def ref_maxitive(mu):
     return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
 
 
+FOLD_DENSITY = [0.0, -0.0, 5e-324, 2.5e-308, 0.25, 0.5, 1.0, INF]   # subnormals among them
+
+
 @st.composite
 def maxitive_cases(draw):
-    """Measures on n <= 8 points for the maxitive branch: maxitive tables
-    (folds of a density, inf allowed), the same raised or lowered at some
-    sets (monotone again or not), the same nudged by 1e-13 (within a
-    rounding table's tolerance or not), and tables with a nonzero empty set."""
+    """Measures on n <= 8 points around max folds: possibility measures and
+    explicit max-fold tables (densities with 0, -0.0, subnormals and inf;
+    the np.maximum fold keeps a -0.0 entry), exact or rounding, and copies
+    of the explicit ones raised or lowered at some sets (monotone again or
+    not), nudged by 1e-13 (within a rounding table's tolerance or not), or
+    with a nonzero empty set."""
     n = draw(st.integers(1, 8))
-    dens = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, INF]), min_size=n, max_size=n))
-    tab = [ref_possibility_mass(dens, m) for m in range(1 << n)]
-    kind = draw(st.sampled_from(["maxitive", "raised", "raw", "nudged", "empty"]))
+    dens = draw(st.lists(st.sampled_from(FOLD_DENSITY), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["possibility", "maxitive", "raised", "lowered", "raw",
+                                 "nudged", "empty"]))
+    if kind == "possibility":
+        return MonotoneMeasure.possibility(FiniteSpace(n), dens)
+    if draw(st.booleans()):
+        tab = _subset_fold(dens, np.maximum, 0.0).tolist()
+    else:
+        tab = [ref_possibility_mass(dens, m) for m in range(1 << n)]
     moved = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
     if kind in ("raised", "raw"):
         for m in moved:
@@ -1148,20 +1161,40 @@ def maxitive_cases(draw):
         if kind == "raised":          # monotone again: each set the max over its subsets
             for m in range(1, 1 << n):
                 tab[m] = max([tab[m]] + [tab[m & ~(1 << b)] for b in range(n) if m >> b & 1])
+    if kind == "lowered":
+        for m in moved:
+            below = [v for v in (0.0, 0.125, float(np.nextafter(tab[m], 0.0)), 2.0) if v < tab[m]]
+            if below:
+                tab[m] = draw(st.sampled_from(below))
     if kind == "nudged":
         for m in moved:
-            if 0.0 < tab[m] < INF:
+            if 0.25 <= tab[m] < INF:          # a subnormal would turn negative
                 tab[m] += draw(st.sampled_from([-1e-13, 1e-13]))
     if kind == "empty":
-        tab[0] = draw(st.sampled_from([0.0, 0.125, 0.5, INF]))
+        tab[0] = draw(st.sampled_from([0.0, -0.0, 0.125, 0.5, INF]))
     return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False,
                                     allow_nonzero_empty=kind == "empty",
                                     rounding=draw(st.booleans()))
 
 
+def ref_max_fold(tab):
+    """The max-fold test as a plain loop: ``tab[h + x] == max(tab[x],
+    tab[h])`` for every point, h = 2**b and x < h."""
+    tab = [float(v) for v in tab]
+    n = len(tab).bit_length() - 1
+    return all(tab[h + x] == max(tab[x], tab[h])
+               for h in (1 << b for b in range(n)) for x in range(h))
+
+
+def result_bytes(res):
+    return json.dumps(res.to_dict()), repr(res.margin)
+
+
 class TestMaxitiveBySingletons:
-    """A holding maxitive check is decided by the fold of the singletons on
-    an exactly monotone table; every verdict keeps the kernel's bytes."""
+    """A table that is the max fold of its own singletons holds ``monotone``
+    (n >= 2), ``subadditive`` (empty set 0), ``submodular`` (n >= 3) and
+    ``maxitive`` with margin 0.0, decided by one fold test; every verdict
+    keeps the sweeps' bytes."""
 
     @settings(max_examples=400, deadline=None)
     @given(mu=maxitive_cases())
@@ -1169,6 +1202,34 @@ class TestMaxitiveBySingletons:
         got, want = check_measure_property(mu, "maxitive"), ref_maxitive(mu)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         assert repr(got.margin) == repr(want.margin)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=maxitive_cases())
+    def test_fold_decisions_match_sweep_references(self, mu):
+        tab, tol = mu.table(), mu.tolerance()
+        assert result_bytes(check_measure_property(mu, "monotone")) == \
+            result_bytes(ref_monotone(tab, tol))
+        assert result_bytes(read_monotone(mu, skip_empty=True)) == \
+            result_bytes(ref_monotone(tab, tol, skip_empty=True))
+        for prop in ("subadditive", "submodular"):
+            assert result_bytes(check_measure_property(mu, prop)) == \
+                result_bytes(ref_check(tab, prop, tol)), prop
+        got = result_bytes(check_measure_property(mu, "maxitive"))
+        assert got == result_bytes(ref_pairwise(np.asarray(tab), "maxitive", tol))
+        assert got == result_bytes(ref_maxitive(mu))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mu=maxitive_cases(), chunk_cells=st.sampled_from([2, 4, 16, 1 << 15]))
+    def test_fold_test_matches_loop_and_singleton_bound(self, mu, chunk_cells):
+        # chunks of 2 to 16 cells split the halves of the upper points; the
+        # test is the old one: exactly monotone and at most the singletons' fold
+        tab, n = mu.table(), mu.space.n
+        with unittest.mock.patch.object(measures, "_CHUNK_CELLS", chunk_cells):
+            folded = measures._is_max_fold(tab, n)
+        assert folded == ref_max_fold(tab)
+        singles = _subset_fold(tab[1 << np.arange(n)], np.maximum, 0.0)
+        assert folded == (measures._exactly_monotone(tab, n)
+                          and bool((tab[1:] <= singles[1:]).all()))
 
     def test_holding_table_skips_the_kernel(self):
         with unittest.mock.patch.object(measures, "_pair_kernel",
@@ -1179,6 +1240,37 @@ class TestMaxitiveBySingletons:
             res = check_measure_property(generate_measure(0, "non_maxitive", 12), "maxitive")
             assert not res.holds and res.witness["disjoint"]
             assert spy.call_count == 1
+
+    def test_large_possibility_monotone_skips_the_per_point_pass(self):
+        mu = MonotoneMeasure.possibility(FiniteSpace(20),
+                                         [(k % 7) / 8 for k in range(19)] + [INF])
+        with unittest.mock.patch.object(measures, "_chunk_least",
+                                        wraps=measures._chunk_least) as spy:
+            res = check_measure_property(mu, "monotone")
+            assert res.to_dict() == {"holds": True, "margin": 0.0, "mode": "exhaustive",
+                                     "status": "checked"}
+            assert spy.call_count == 0
+            # one entry lowered below a subset's value: the per-point sweep fails
+            tab = mu.table().copy()
+            tab[0b1011_0110_0000_1010_0110] = 0.0625
+            lowered = MonotoneMeasure.explicit(mu.space, tab, validate=False)
+            res = check_measure_property(lowered, "monotone")
+            assert spy.call_count > 0
+        assert not res.holds
+        assert result_bytes(res) == result_bytes(ref_monotone(tab, 0.0))
+        with pytest.raises(DomainError, match="table is not monotone"):
+            MonotoneMeasure.explicit(mu.space, tab)
+
+    def test_fold_test_scratch_is_one_chunk(self):
+        # one buffer of _CHUNK_CELLS floats, whatever the table's size
+        tab = generate_measure(0, "possibility", 20).table()
+        tracemalloc.start()
+        try:
+            assert measures._is_max_fold(tab, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * measures._CHUNK_CELLS + 4096
 
 
 @st.composite
