@@ -25,35 +25,28 @@ cells).  Margins use exact table arithmetic; every check compares within
 ``tol = mu.tolerance()``, ``core._TOL`` for the representations whose
 evaluation involves rounding (distortion, lambda, h-duals), else 0.
 
-One test decides the holding ``monotone``, ``subadditive``, ``submodular``
-and ``maxitive`` checks on the tables of possibility measures: whether the
-table is the max fold of its own singletons (:func:`_is_max_fold`),
-``tab[h + x] == max(tab[x], tab[h])`` for every point b, h = 2**b and
-x < h.  Then each nonempty set holds the max of its singletons, and each
-singleton is at least ``tab[0]``; no nan passes.  Equivalently, the table
-is exactly monotone (below) and every nonempty entry is at most the max of
-its singletons: monotonicity puts each entry at or above each of its
-singletons, so that bound is an equality.  A scalar test of ``tab[3]``
-turns most other tables away with a read or two; the halves are then
-compared point by point through one scratch buffer of at most
-``core._CHUNK_CELLS`` floats, up to the first chunk that differs.  On a
-table that passes, each of the four checks holds with margin 0.0, the
-bytes of its sweep: every margin the sweep reads is at most 0 (an
-inf - inf margin reads 0) and one of them reads 0.  With a = tab[A] and x,
-y the values of the singletons {i}, {j}:
+A possibility measure's table is the max fold of its density by
+construction: ``tab[0] == 0.0`` and ``tab[h + x] == max(tab[x], tab[h])``
+for every point b, h = 2**b and x < h (a -0.0 density reads 0.0, and no
+density is nan).  So its holding ``monotone``, ``subadditive``,
+``submodular`` and ``maxitive`` checks are decided by its kind, without a
+read: each holds with margin 0.0, the bytes of its sweep, since every
+margin the sweep reads is at most 0 (an inf - inf margin reads 0) and one
+of them reads 0.  With a = tab[A] and x, y the values of the singletons
+{i}, {j}:
 
 * ``monotone`` (n >= 2): tab[A + i] - tab[A] = max(a, x) - a >= 0, and 0
   where A is one largest point and i another point;
-* ``subadditive`` (tab[0] == 0): a disjoint pair (A, B) reads
-  max(a, tab[B]) - (a + tab[B]) <= 0, since the sum rounds to at least
-  the max, and a pair with an empty side reads 0;
+* ``subadditive``: a disjoint pair (A, B) reads max(a, tab[B]) -
+  (a + tab[B]) <= 0, since the sum rounds to at least the max, and a pair
+  with an empty side reads 0;
 * ``submodular`` (n >= 3): a local cell reads (max(a, x, y) - max(a, y)) -
   (max(a, x) - a).  It is 0 where a >= x, y, as where A holds a largest
   point; where y is largest it is 0 minus a difference >= 0; where x is,
   x - max(a, y) rounds to at most x - a;
 * ``maxitive``: mu(A | B) = max(mu(A), mu(B)) for all A, B, empty or not.
 
-Every other table takes the sweeps below.  ``monotone``, and the
+Every other measure takes the sweeps below.  ``monotone``, and the
 exact-monotonicity test that picks a pair sweep, read the table point by
 point: for point i, the values of the sets without i and
 of the same sets with it, entry for entry (:func:`_bit_sides`).  Up to
@@ -102,7 +95,12 @@ the first one in (a, b) order.  A success reports minus the largest finite
 margin.  The chunked pair kernel (:func:`_pair_kernel`) sweeps one of two
 pair sets:
 
-* *disjoint pairs* (3**n): maxitivity is decided on them by definition.
+* *disjoint pairs* (3**n): maxitivity is decided on them by definition,
+  unless the table is exactly monotone (below) and every nonempty entry is
+  at most the max of its singletons (their ``_subset_fold``): then for
+  disjoint A, B, mu(A | B) <= max of the singletons of A | B <=
+  max(mu(A), mu(B)), so no pair fails (an inf - inf margin reads 0) and
+  the check holds with the margin 0.0 the sweep reports on success.
   Subadditivity is decided on them when the table is *exactly monotone*
   (every ``tab[a | bit] >= tab[a]``, no tolerance): then mu(B - A) <=
   mu(B), and float rounding is monotone, so (A, B - A) has a margin at least
@@ -358,6 +356,8 @@ _FOLD_BITS = 8   # a table-less possibility measure reads one max fold per block
 _LOW_BITS = 8   # the disjoint pairs of the low bits form one cached block (6,561 cells)
 _GATHER_BITS = 11   # up to here one gather of every point's sets beats a pass per point
 _NO_OVERFLOW = float(np.finfo(float).max) / 4   # no difference of differences overflows
+# the least n from which a possibility measure holds each property by its kind
+_FOLD_HOLDS = {"monotone": 2, "subadditive": 1, "submodular": 3, "maxitive": 1}
 
 
 @functools.lru_cache(maxsize=None)
@@ -543,29 +543,6 @@ def _exactly_monotone(tab: np.ndarray, n: int) -> bool:
     return all((high >= low).all() for low, high in _bit_sides(tab, n))
 
 
-def _is_max_fold(tab: np.ndarray, n: int) -> bool:
-    """Whether ``tab`` is the max fold of its own singletons:
-    ``tab[h + x] == max(tab[x], tab[h])`` for every point b, h = 2**b and
-    x < h (no nan can pass).  After a scalar test of ``tab[3]``, the halves
-    are compared point by point in chunks through one scratch buffer of at
-    most ``_CHUNK_CELLS`` floats, whose first half holds the maxima and
-    whose second half the comparison; the test stops at the first chunk
-    that differs."""
-    if n >= 2 and not tab[3] == max(tab[1], tab[2]):
-        return False
-    scratch = np.empty(min(_CHUNK_CELLS, 1 << n))
-    cells = scratch.size >> 1
-    folded, same = scratch[:cells], scratch[cells:].view(np.bool_)
-    for b in range(n):
-        h = 1 << b
-        for i in range(0, h, cells):
-            j = min(h, i + cells)
-            np.maximum(tab[i:j], tab[h], out=folded[:j - i])
-            if not np.equal(tab[h + i:h + j], folded[:j - i], out=same[:j - i]).all():
-                return False
-    return True
-
-
 def null_union(mu: MonotoneMeasure, tol: float) -> int:
     """Bitmask union of the null sets of ``mu`` (value at most ``tol``)."""
     return int(np.bitwise_or.reduce(np.flatnonzero(mu.table() <= tol)))
@@ -574,8 +551,6 @@ def null_union(mu: MonotoneMeasure, tol: float) -> int:
 @np.errstate(invalid="ignore")          # inf - inf
 def _check_monotone(tab: np.ndarray, n: int, tol: float) -> CheckResult:
     """``monotone`` past the empty set (see the module docstring)."""
-    if n >= 2 and _is_max_fold(tab, n):   # holds with margin 0, whatever tab[0]
-        return CheckResult(True, margin=0.0)
     if n <= _GATHER_BITS:
         [(low, diffs)] = _bit_sides(tab, n)
         diffs -= low
@@ -619,11 +594,11 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
 
     Pairwise properties over the cell budget are refused: before the table
     is built for their cheapest sweep, after it for the 4**n pairs.
-    A table that is the max fold of its singletons decides the holding
-    ``monotone``, ``subadditive``, ``submodular`` and ``maxitive`` checks
-    by one test (see the module docstring).  Otherwise
+    A possibility measure holds ``monotone`` (n >= 2), ``subadditive``,
+    ``submodular`` (n >= 3) and ``maxitive`` by its kind, with margin 0.0
+    (see the module docstring).  Otherwise
     ``monotone`` reads one difference row per point, gathered at once up to
-    11 points and in bounded chunks above;
+    11 points and in bounded chunks above (see the module docstring);
     ``null_additive`` first tests the points of the null union, which
     decides every table whose null sets change no value, and sweeps null
     set by null set otherwise: on an exact table from the singleton of the
@@ -642,6 +617,9 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
     tol = mu.tolerance()
     tab = mu.table()
     size = 1 << n
+    if mu.kind == "possibility" and n >= _FOLD_HOLDS.get(prop, n + 1):
+        return CheckResult(True, margin=0.0,
+                           detail={"all_pairs_asserted": True} if prop == "maxitive" else {})
 
     if prop == "finite":
         total = float(tab[-1])
@@ -683,8 +661,6 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
         return CheckResult(True, margin=worst)
 
     if prop == "subadditive":
-        if tab[0] == 0.0 and _is_max_fold(tab, n):   # every margin <= 0, (0, 0) reads 0
-            return CheckResult(True, margin=0.0)
         # on an exactly monotone table, (A, B - A) violates at least as much
         # as (A, B) and comes first, so the disjoint pairs decide everything
         def subadd(a, b):
@@ -702,14 +678,19 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
                             "mu_b": float(tab[b]), "mu_union": float(tab[a | b])})
 
     if prop == "maxitive":
-        if _is_max_fold(tab, n):      # mu(A | B) = max(mu(A), mu(B)) for every pair
-            return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
-
         def maxi(a, b):
             m = tab.take(a | b)
             m -= np.maximum(tab.take(a), tab.take(b))
             return m
 
+        # on an exactly monotone table bounded by the max of its singletons,
+        # mu(A | B) <= max over the points of A | B <= max(mu(A), mu(B)):
+        # no disjoint pair can fail, and neither can the all-pairs form
+        mono = _exactly_monotone(tab, n)
+        if mono:
+            singles = _subset_fold(tab[1 << np.arange(n)], np.maximum, 0.0)
+            if (tab[1:] <= singles[1:]).all():
+                return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
         # disjoint pairs decide the property; the all-pairs form must follow,
         # and it can only fail on a table that is not exactly monotone
         ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=True)
@@ -719,7 +700,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
                                {"set_a": a, "set_b": b, "mu_a": float(tab[a]),
                                 "mu_b": float(tab[b]), "mu_union": float(tab[a | b]),
                                 "disjoint": True})
-        if not _exactly_monotone(tab, n):
+        if not mono:
             ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=False)
             if not ok:
                 a, b = pair
@@ -728,12 +709,9 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
                                     "reason": "derived all-pairs form failed"})
         return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
 
-    # submodular: holding on a max fold of at least three points; else
-    # decided on the local cells (A, i, j), whose pair (A+i, A+j) has union
-    # A+i+j and intersection A, where they decide it (module docstring);
-    # elsewhere on all pairs
-    if n >= 3 and _is_max_fold(tab, n):
-        return CheckResult(True, margin=0.0)
+    # submodular: decided on the local cells (A, i, j), whose pair (A+i, A+j)
+    # has union A+i+j and intersection A, where they decide it (module
+    # docstring); elsewhere on all pairs
     if float(np.abs(tab).max()) <= _NO_OVERFLOW or _exactly_monotone(tab, n):
         ok, pair, extreme = _reduce_blocks(_local_cells(tab, n), n, tol)
     else:

@@ -1177,24 +1177,15 @@ def maxitive_cases(draw):
                                     rounding=draw(st.booleans()))
 
 
-def ref_max_fold(tab):
-    """The max-fold test as a plain loop: ``tab[h + x] == max(tab[x],
-    tab[h])`` for every point, h = 2**b and x < h."""
-    tab = [float(v) for v in tab]
-    n = len(tab).bit_length() - 1
-    return all(tab[h + x] == max(tab[x], tab[h])
-               for h in (1 << b for b in range(n)) for x in range(h))
-
-
 def result_bytes(res):
     return json.dumps(res.to_dict()), repr(res.margin)
 
 
 class TestMaxitiveBySingletons:
-    """A table that is the max fold of its own singletons holds ``monotone``
-    (n >= 2), ``subadditive`` (empty set 0), ``submodular`` (n >= 3) and
-    ``maxitive`` with margin 0.0, decided by one fold test; every verdict
-    keeps the sweeps' bytes."""
+    """A possibility measure holds ``monotone`` (n >= 2), ``subadditive``,
+    ``submodular`` (n >= 3) and ``maxitive`` with margin 0.0 by its kind,
+    and an explicit table is maxitive by the fold of its singletons; every
+    verdict keeps the sweeps' bytes."""
 
     @settings(max_examples=400, deadline=None)
     @given(mu=maxitive_cases())
@@ -1217,19 +1208,11 @@ class TestMaxitiveBySingletons:
         got = result_bytes(check_measure_property(mu, "maxitive"))
         assert got == result_bytes(ref_pairwise(np.asarray(tab), "maxitive", tol))
         assert got == result_bytes(ref_maxitive(mu))
-
-    @settings(max_examples=300, deadline=None)
-    @given(mu=maxitive_cases(), chunk_cells=st.sampled_from([2, 4, 16, 1 << 15]))
-    def test_fold_test_matches_loop_and_singleton_bound(self, mu, chunk_cells):
-        # chunks of 2 to 16 cells split the halves of the upper points; the
-        # test is the old one: exactly monotone and at most the singletons' fold
-        tab, n = mu.table(), mu.space.n
-        with unittest.mock.patch.object(measures, "_CHUNK_CELLS", chunk_cells):
-            folded = measures._is_max_fold(tab, n)
-        assert folded == ref_max_fold(tab)
-        singles = _subset_fold(tab[1 << np.arange(n)], np.maximum, 0.0)
-        assert folded == (measures._exactly_monotone(tab, n)
-                          and bool((tab[1:] <= singles[1:]).all()))
+        if mu.kind == "possibility":     # the kind decides what the sweeps read
+            swept = MonotoneMeasure.explicit(mu.space, tab, validate=False)
+            for prop in ("monotone", "subadditive", "submodular", "maxitive"):
+                assert result_bytes(check_measure_property(mu, prop)) == \
+                    result_bytes(check_measure_property(swept, prop)), prop
 
     def test_holding_table_skips_the_kernel(self):
         with unittest.mock.patch.object(measures, "_pair_kernel",
@@ -1261,16 +1244,17 @@ class TestMaxitiveBySingletons:
         with pytest.raises(DomainError, match="table is not monotone"):
             MonotoneMeasure.explicit(mu.space, tab)
 
-    def test_fold_test_scratch_is_one_chunk(self):
-        # one buffer of _CHUNK_CELLS floats, whatever the table's size
-        tab = generate_measure(0, "possibility", 20).table()
+    def test_kind_decision_allocates_nothing(self):
+        # past the table build, no scratch: peak_rss_mb cannot move
+        mu = generate_measure(0, "possibility", 20)
+        mu.table()
         tracemalloc.start()
         try:
-            assert measures._is_max_fold(tab, 20)
+            assert check_measure_property(mu, "monotone").holds
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * measures._CHUNK_CELLS + 4096
+        assert peak <= 4096
 
 
 @st.composite
