@@ -37,6 +37,21 @@ Every level set is a submask of the domain, so the level masses are then
 read unchecked: from a table-less possibility measure's per-block max
 folds, and from the measure's table, built if need be, otherwise.
 
+Loops that integrate many integrands against one measure, operator and
+domain take the batch route, ``_upper_rows``: an (m, n) array of values on
+one scale, read in chunks of at most ``core._CHUNK_CELLS`` candidates.  Per
+row one stable descending argsort and one ``bitwise_or.accumulate`` give the
+level sets, one ``mu.masses`` gather their masses and one ``op.grid`` call
+the candidates, which ``test_fn_equals_grid_bit_for_bit`` holds equal to
+``op.fn``.  The columns run in the scalar candidate order: 0 over D, one per
+domain point in descending value order, then the top of a closed scale.
+The columns of a run of equal values all read the set at its end, and a
+zero run the set D, so each repeats one scalar candidate exactly; the first
+maximum of the row, nan skipped, then has the scalar route's value and
+level (a strict ``>`` keeps the first of equal maxima).  The gates run once
+per call, and a row that is nan at every candidate is refused when it is
+reached.  Single integrals keep the scalar loop, the batch's reference.
+
 ``min`` as the operator gives the classical max-min integral, ``product``
 the max-product integral; a semicopula gives the seminormed form.
 """
@@ -57,10 +72,12 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
+    _CHUNK_CELLS,
     _TOL,
     _check_length,
     _domain_mask,
     _domain_points,
+    _in_scale_values,
     _level_sets,
     _rel_gap,
     check_cells,
@@ -175,6 +192,69 @@ def upper_integral_result(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
 
 def upper_integral(f: Fn, mu: MonotoneMeasure, op: BinaryOp, domain: int | None = None) -> float:
     return upper_integral_result(f, mu, op, domain).value
+
+
+def _upper_rows(rows: np.ndarray, scale: ValueScale, mu: MonotoneMeasure, op: BinaryOp,
+                domain: int | None = None):
+    """Yield ``upper_integral_result(Fn(row, scale), mu, op, domain)`` for
+    each row of the (m, n) float array ``rows``, in order and bit for bit
+    (the batch route of the module docstring).
+
+    On the first row it refuses what the scalar route refuses on the first
+    call: the first entry outside ``scale``, in row order, with ``Fn``'s
+    message, then a length, domain, gate or open-tail refusal.  A row whose
+    candidates are all nan raises when it is reached, after the rows before
+    it were yielded."""
+    m, n = rows.shape
+    if not m:
+        return
+    inside = scale.contains_all(rows).all(axis=1)
+    if not inside.all():
+        _in_scale_values(tuple(rows[int(np.argmin(inside))].tolist()), scale)
+    _check_length(rows[0], mu.space)
+    domain = _domain_mask(n, domain)
+    verify_flags(op, _GATE, scale)
+    mass = mu.mass_reader(domain)
+    closed, upper = scale.closed, scale.upper
+    if not closed:
+        _require_zero_tail(op, scale, mass(0))    # every value is below the open top
+    bits = _domain_points(domain)
+    weights = np.array([1 << b for b in bits], dtype=np.int64)
+    k = len(bits)
+    cols = k + 1 + closed          # 0, one column per domain point, the closed top
+    step = max(1, _CHUNK_CELLS // cols)
+    for start in range(0, m, step):
+        x = rows[start:start + step, bits]
+        order = np.argsort(-x, axis=1, kind="stable")
+        v = np.take_along_axis(x, order, axis=1)
+        sets = np.bitwise_or.accumulate(weights[order], axis=1)
+        # a run of equal values takes the set at its end, {f >= v}: the
+        # run's other columns repeat its candidate, and a zero run repeats
+        # the candidate (0, D)
+        last = np.ones(v.shape, dtype=bool)
+        np.not_equal(v[:, :-1], v[:, 1:], out=last[:, :-1])
+        ends = np.where(last, np.arange(k), k)
+        ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        ts = np.empty((len(x), cols))
+        masks = np.empty((len(x), cols), dtype=np.int64)
+        ts[:, 0], masks[:, 0] = 0.0, domain
+        np.add(v, 0.0, out=ts[:, 1:k + 1])            # a -0.0 value is the level 0.0
+        masks[:, 1:k + 1] = np.take_along_axis(sets, ends, axis=1)
+        if closed:                                     # mass at the top: the top run's set
+            ts[:, -1] = upper
+            masks[:, -1] = np.where(v[:, 0] >= upper, masks[:, 1], 0) if k else 0
+        vals = op.grid(ts, mu.masses(masks))
+        nan = np.isnan(vals)
+        # a nan candidate never wins; with no candidate above -inf the first
+        # one, (0, D), stands, as the scalar route keeps its level 0.0
+        picked = np.where(nan, -INF, vals).argmax(axis=1)[:, None]
+        values = np.take_along_axis(vals, picked, axis=1).ravel().tolist()
+        levels = np.take_along_axis(ts, picked, axis=1).ravel().tolist()
+        for i, (value, level) in enumerate(zip(values, levels)):
+            if value != value:            # a nan first maximum: -inf or nan everywhere
+                _refuse_all_nan(op, vals[i])
+                value = -INF
+            yield IntegralResult(value, True, level)
 
 
 def upper_integral_subset_oracle(f: Fn, mu: MonotoneMeasure, op: BinaryOp,

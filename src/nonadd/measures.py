@@ -29,11 +29,11 @@ A possibility measure's table is the max fold of its density by
 construction: ``tab[0] == 0.0`` and ``tab[h + x] == max(tab[x], tab[h])``
 for every point b, h = 2**b and x < h (a -0.0 density reads 0.0, and no
 density is nan).  So its holding ``monotone``, ``subadditive``,
-``submodular`` and ``maxitive`` checks are decided by its kind, without a
-read: each holds with margin 0.0, the bytes of its sweep, since every
-margin the sweep reads is at most 0 (an inf - inf margin reads 0) and one
-of them reads 0.  With a = tab[A] and x, y the values of the singletons
-{i}, {j}:
+``submodular``, ``maxitive`` and ``null_additive`` checks are decided by
+its kind, first, with no budget refusal and no table: each holds with
+margin 0.0, the bytes of its sweep, since every margin the sweep reads is
+at most 0 (an inf - inf margin reads 0) and one of them reads 0.  With
+a = tab[A] and x, y the values of the singletons {i}, {j}:
 
 * ``monotone`` (n >= 2): tab[A + i] - tab[A] = max(a, x) - a >= 0, and 0
   where A is one largest point and i another point;
@@ -44,7 +44,10 @@ of them reads 0.  With a = tab[A] and x, y the values of the singletons
   (max(a, x) - a).  It is 0 where a >= x, y, as where A holds a largest
   point; where y is largest it is 0 minus a difference >= 0; where x is,
   x - max(a, y) rounds to at most x - a;
-* ``maxitive``: mu(A | B) = max(mu(A), mu(B)) for all A, B, empty or not.
+* ``maxitive``: mu(A | B) = max(mu(A), mu(B)) for all A, B, empty or not;
+* ``null_additive`` (n >= 1): the null points are those of density 0, and
+  adding one leaves every value max(a, 0.0) = a, so the null-union test
+  below holds with margin 0.0 on every possibility table.
 
 Every other measure takes the sweeps below.  ``monotone``, and the
 exact-monotonicity test that picks a pair sweep, read the table point by
@@ -183,7 +186,8 @@ class MonotoneMeasure:
         self.lam = lam
         self.rounding = rounding          # True when evaluation involves float rounding
         self._table = table
-        self._fold_read = None            # a table-less possibility's mass reader
+        self._folds = None                # a table-less possibility's block folds
+        self._fold_read = None            # and its mass reader over them
 
     # -- constructors -------------------------------------------------------
 
@@ -302,12 +306,19 @@ class MonotoneMeasure:
             return self._fold_reader()(mask)
         return float(self.table()[mask])
 
+    def _fold_tables(self) -> list[np.ndarray]:
+        """A table-less possibility measure's per-block max folds (module
+        docstring), built once."""
+        if self._folds is None:
+            self._folds = [_subset_fold(self.density[i:i + _FOLD_BITS], np.maximum, 0.0)
+                           for i in range(0, self.space.n, _FOLD_BITS)]
+        return self._folds
+
     def _fold_reader(self):
         """The unchecked mass reader of a table-less possibility measure,
         built once: the max over the per-block max folds (module docstring)."""
         if self._fold_read is None:
-            folds = [_subset_fold(self.density[i:i + _FOLD_BITS], np.maximum, 0.0).tolist()
-                     for i in range(0, self.space.n, _FOLD_BITS)]
+            folds = [fold.tolist() for fold in self._fold_tables()]
             low = (1 << _FOLD_BITS) - 1
 
             def read(mask: int) -> float:
@@ -333,11 +344,16 @@ class MonotoneMeasure:
 
     def masses(self, masks: np.ndarray) -> np.ndarray:
         """The masses of an integer array of masks, in its shape, unchecked:
-        a table-less possibility measure's fold reads, else a gather from
+        for a table-less possibility measure the max over its block folds,
+        one gather per block (the fold reads' bits), else a gather from
         ``table()``."""
         if self._table is None and self.kind == "possibility":
-            read = self._fold_reader()
-            return np.array([read(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
+            low = (1 << _FOLD_BITS) - 1
+            first, *rest = self._fold_tables()
+            out = first[masks & low]
+            for block, fold in enumerate(rest, 1):
+                np.maximum(out, fold[masks >> block * _FOLD_BITS & low], out=out)
+            return out
         return self.table()[masks]
 
     @property
@@ -357,7 +373,8 @@ _LOW_BITS = 8   # the disjoint pairs of the low bits form one cached block (6,56
 _GATHER_BITS = 11   # up to here one gather of every point's sets beats a pass per point
 _NO_OVERFLOW = float(np.finfo(float).max) / 4   # no difference of differences overflows
 # the least n from which a possibility measure holds each property by its kind
-_FOLD_HOLDS = {"monotone": 2, "subadditive": 1, "submodular": 3, "maxitive": 1}
+_FOLD_HOLDS = {"monotone": 2, "subadditive": 1, "submodular": 3, "maxitive": 1,
+               "null_additive": 1}
 
 
 @functools.lru_cache(maxsize=None)
@@ -592,11 +609,12 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
     """Exhaustive verdict for a measure property, with a witness on failure,
     within the measure's ``tolerance()``.
 
-    Pairwise properties over the cell budget are refused: before the table
-    is built for their cheapest sweep, after it for the 4**n pairs.
     A possibility measure holds ``monotone`` (n >= 2), ``subadditive``,
-    ``submodular`` (n >= 3) and ``maxitive`` by its kind, with margin 0.0
-    (see the module docstring).  Otherwise
+    ``submodular`` (n >= 3), ``maxitive`` and ``null_additive`` by its kind,
+    with margin 0.0, before any budget refusal and without its table (see
+    the module docstring).  Otherwise pairwise properties over the cell
+    budget are refused: before the table is built for their cheapest sweep,
+    after it for the 4**n pairs.
     ``monotone`` reads one difference row per point, gathered at once up to
     11 points and in bounded chunks above (see the module docstring);
     ``null_additive`` first tests the points of the null union, which
@@ -610,6 +628,9 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
     if prop not in MEASURE_PROPERTIES:
         raise DomainError(f"unknown measure property {prop!r}")
     n = mu.space.n
+    if mu.kind == "possibility" and n >= _FOLD_HOLDS.get(prop, n + 1):
+        return CheckResult(True, margin=0.0,
+                           detail={"all_pairs_asserted": True} if prop == "maxitive" else {})
     if prop == "submodular":        # before the table is built
         check_cells(math.comb(n, 2) << n >> 2, "submodular check over local cells")
     elif prop in ("subadditive", "maxitive"):
@@ -617,9 +638,6 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
     tol = mu.tolerance()
     tab = mu.table()
     size = 1 << n
-    if mu.kind == "possibility" and n >= _FOLD_HOLDS.get(prop, n + 1):
-        return CheckResult(True, margin=0.0,
-                           detail={"all_pairs_asserted": True} if prop == "maxitive" else {})
 
     if prop == "finite":
         total = float(tab[-1])

@@ -24,10 +24,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .conditions import cached_condition
-from .core import (EXTENDED, Fn, INF, NONNEG, _TOL, _at_least_one, _check_length, _level_sets,
-                   _one_scale, _rel_gap, rng_for)
+from .core import (EXTENDED, Fn, INF, NONNEG, _CHUNK_CELLS, _TOL, _at_least_one, _check_length,
+                   _level_sets, _one_scale, _rel_gap, rng_for)
 from .integrals import (
+    _upper_rows,
     abs_power,
     lower_integral,
     shilkret_integral,
@@ -134,6 +137,40 @@ def _integrate_once(mu: MonotoneMeasure, op: BinaryOp):
     return integral
 
 
+def _power_integrals(rows: np.ndarray, p: float, mu: MonotoneMeasure, op: BinaryOp):
+    """Yield ``upper_integral(abs_power(row, p), mu, op)`` for each row of
+    ``rows``, bit for bit, in one batch (``integrals._upper_rows``):
+    ``np.float_power`` calls the libm ``pow`` of Python's ``**``.  A row
+    whose ``**`` overflows raises ``abs_power``'s ``OverflowError`` when
+    it is reached, as the scalar loop would."""
+    with np.errstate(over="ignore"):
+        powered = np.float_power(np.abs(rows), p)
+    overflows = (np.isinf(powered) & np.isfinite(rows)).any(axis=1).tolist()
+    results = _upper_rows(powered, EXTENDED, mu, op)
+    for row, overflow in zip(rows, overflows):
+        if overflow:
+            abs_power(row.tolist(), p)
+        yield next(results).value
+
+
+def _distances(spec: MetricSpec, fs: np.ndarray, gs: np.ndarray, mu: MonotoneMeasure):
+    """Yield ``_distance(spec, f, g, mu)`` for each row pair of the (m, n)
+    arrays ``fs`` and ``gs``, bit for bit, lazily: the upper-integral kinds
+    integrate every row in one batch, ``frechet`` row by row."""
+    with np.errstate(invalid="ignore"):          # inf - inf, where the values are equal
+        diffs = np.where(fs == gs, 0.0, np.abs(fs - gs))
+    if spec.kind == "frechet":
+        for diff in diffs.tolist():
+            yield lower_integral(Fn(diff, EXTENDED), mu, _SUM)
+    elif spec.kind == "kyfan":
+        for res in _upper_rows(diffs, EXTENDED, mu, _MIN):
+            yield res.value
+    else:
+        e = 1.0 / (spec.p ** 2 + 1.0)
+        for base in _power_integrals(diffs, spec.p, mu, spec.op):
+            yield float(base ** e)
+
+
 def kyfan_classical(f: Sequence[float], g: Sequence[float], mu: MonotoneMeasure) -> float:
     """The classical threshold form: least eps with mu(|f-g| > eps) <= eps.
 
@@ -219,39 +256,52 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
     full = (1 << n) - 1
     nulls = null_union(mu, _TOL)
     min_slack = INF
-    for k in range(trials):
-        rng = rng_for(seed, "metric-triple", k)
-        f, g, h = (signed_vector(rng, n) for _ in range(3))
-        dfg = _distance(spec, f, g, mu)
-        # identity of indiscernibles, as the null-support equivalence
-        diff = _abs_diff(f, g)
-        support = _level_sets(diff, full)[1][0]  # the points where diff > 0
-        equivalent = mu(support) <= _TOL
-        dist_zero = dfg <= _TOL
-        if equivalent != dist_zero:
-            return CheckResult(False, dfg,
-                               {"axiom": "identity", "f": f, "g": g,
-                                "support_measure": mu(support), "distance": dfg},
-                               mode="sampled")
-        # a genuinely equivalent perturbation must stay at distance zero
-        if nulls and k % 7 == 0:
-            g2 = [v + (1.0 if nulls >> i & 1 else 0.0) for i, v in enumerate(f)]
-            d2 = _distance(spec, f, g2, mu)
-            if d2 > _TOL:
-                return CheckResult(False, d2,
-                                   {"axiom": "identity", "f": f, "g": g2,
-                                    "null_set": nulls, "distance": d2},
+    step = max(1, _CHUNK_CELLS // (4 * (n + 2)))    # up to four distances a trial
+    for start in range(0, trials, step):
+        # draw a chunk of trials, then read their distances from one batch
+        # in the order the checks below take them
+        trial = []
+        for k in range(start, min(start + step, trials)):
+            rng = rng_for(seed, "metric-triple", k)
+            f, g, h = (signed_vector(rng, n) for _ in range(3))
+            # a genuinely equivalent perturbation must stay at distance zero
+            g2 = ([v + (1.0 if nulls >> i & 1 else 0.0) for i, v in enumerate(f)]
+                  if nulls and k % 7 == 0 else None)
+            trial.append((f, g, h, g2))
+        pairs = []
+        for f, g, h, g2 in trial:
+            pairs += [(f, g)] + ([(f, g2)] if g2 else []) + [(f, h), (h, g)]
+        dist = _distances(spec, np.array([a for a, _ in pairs]),
+                          np.array([b for _, b in pairs]), mu)
+        for f, g, h, g2 in trial:
+            dfg = next(dist)
+            # identity of indiscernibles, as the null-support equivalence
+            diff = _abs_diff(f, g)
+            support = _level_sets(diff, full)[1][0]  # the points where diff > 0
+            equivalent = mu(support) <= _TOL
+            dist_zero = dfg <= _TOL
+            if equivalent != dist_zero:
+                return CheckResult(False, dfg,
+                                   {"axiom": "identity", "f": f, "g": g,
+                                    "support_measure": mu(support), "distance": dfg},
                                    mode="sampled")
-        dfh = _distance(spec, f, h, mu)
-        dhg = _distance(spec, h, g, mu)
-        gap = dfg - (dfh + dhg)
-        if gap > _TOL:
-            return CheckResult(False, gap,
-                               {"axiom": "triangle", "f": f, "g": g, "h": h,
-                                "d_fg": dfg, "d_fh": dfh, "d_hg": dhg},
-                               mode="sampled")
-        if math.isfinite(gap):
-            min_slack = min(min_slack, -gap)
+            if g2:
+                d2 = next(dist)
+                if d2 > _TOL:
+                    return CheckResult(False, d2,
+                                       {"axiom": "identity", "f": f, "g": g2,
+                                        "null_set": nulls, "distance": d2},
+                                       mode="sampled")
+            dfh = next(dist)
+            dhg = next(dist)
+            gap = dfg - (dfh + dhg)
+            if gap > _TOL:
+                return CheckResult(False, gap,
+                                   {"axiom": "triangle", "f": f, "g": g, "h": h,
+                                    "d_fg": dfg, "d_fh": dfh, "d_hg": dhg},
+                                   mode="sampled")
+            if math.isfinite(gap):
+                min_slack = min(min_slack, -gap)
     return CheckResult(True, margin=min_slack, mode="sampled",
                        detail={"trials": trials})
 
@@ -342,9 +392,10 @@ def check_convergence_lemmas(op: BinaryOp, mu: MonotoneMeasure,
             if any(b[i] < a[i] - _TOL for i in live):
                 raise DomainError("sequence is not nondecreasing off the null set")
 
-    integral = _integrate_once(mu, op)   # stabilized terms repeat
-    integrals = [integral(fk) for fk in sequence]
-    i_limit = integral(limit)
+    for fk in (*sequence, limit):
+        _check_length(fk.values, mu.space)
+    *integrals, i_limit = (res.value for res in _upper_rows(
+        np.array([fk.values for fk in (*sequence, limit)]), limit.scale, mu, op))
     detail = {"integrals": integrals, "limit_integral": i_limit,
               "null_set": exempt}
 
@@ -387,15 +438,19 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
     if not sub.holds:
         raise HypothesisError("requires a subadditive measure", detail=sub)
     e = 1.0 / (spec.p ** 2 + 1.0)
-    dists = [_distance(spec, fk, limit, mu) for fk in sequence]
+    if any(len(fk.values) != len(limit.values) for fk in sequence):
+        raise DomainError("vectors must have equal length")
+    terms = np.array([fk.values for fk in sequence])
+    dists = list(_distances(spec, terms, np.array(limit.values), mu))
     if dists and dists[-1] > min(dists) + _TOL:
         return CheckResult(False, dists[-1] - min(dists),
                            {"reason": "distances do not settle", "distances": dists},
                            status="premise-failed")
-    i_limit = upper_integral(abs_power(limit.values, spec.p), mu, spec.op) ** e
+    means = _power_integrals(np.vstack([limit.values, terms]), spec.p, mu, spec.op)
+    i_limit = next(means) ** e
     worst = -INF
-    for k, fk in enumerate(sequence):
-        i_k = upper_integral(abs_power(fk.values, spec.p), mu, spec.op) ** e
+    for k, i_k in enumerate(means):
+        i_k **= e
         gap = abs(i_k - i_limit) - dists[k]
         if gap > _TOL:
             return CheckResult(False, gap,

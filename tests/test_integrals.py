@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nonadd.core import (
     EXTENDED,
+    _CHUNK_CELLS,
     FiniteSpace,
     Fn,
     INF,
@@ -28,6 +29,7 @@ from nonadd.integrals import (
     IntegralResult,
     _positive_levels,
     _refuse_all_nan,
+    _upper_rows,
     _unpack,
     _zero_tail,
     abs_power,
@@ -852,6 +854,119 @@ class TestOpenTailExactOrRefused:
             assert want[0] == "HypothesisError" and oracle == want
         else:
             assert want[1] is True and oracle == want[0]
+
+
+# ---------------------------------------------------------------------------
+# The batch route: each row as the scalar route integrates it, in order
+# ---------------------------------------------------------------------------
+
+# nan on some cells: at the level 1/2, or everywhere but the level 1/4, so
+# that a row is refused exactly when 1/4 is none of its values on D (a nan
+# cell never fails the nondecreasing gate)
+_NAN_OPS = [from_callable("nan_at_half", lambda a, b: math.nan if a == 0.5 else min(a, b),
+                          ["nondecreasing", "zero_right_annihilator"]),
+            from_callable("only_quarter", lambda a, b: min(a, b) if a == 0.25 else math.nan,
+                          ["nondecreasing", "zero_right_annihilator"])]
+
+
+@st.composite
+def batch_cases(draw):
+    """Rows on one scale (UNIT, UNIT_OPEN, NONNEG or EXTENDED) with ties,
+    0.0, -0.0, the top and inf where the scale holds them; a generated or
+    possibility measure, its table cached or not, in some draws lifted to a
+    nonzero empty set (an open scale's tail mass); a catalog operator or one
+    that is nan on some cells; a random domain."""
+    scale = draw(st.sampled_from([UNIT, UNIT_OPEN, NONNEG, EXTENDED]))
+    n = draw(st.integers(1, 6))
+    pool = [v for v in (0.0, -0.0, 0.25, 0.5, 1.0, 3.0, INF) if scale.contains(v)]
+    value = st.one_of(st.sampled_from(pool),
+                      st.floats(0.0, min(scale.upper, 4.0)).filter(scale.contains))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        mu = generate_measure(draw(st.integers(0, 10 ** 6)),
+                              draw(st.sampled_from(GENERATOR_FAMILIES)), n)
+    else:
+        density = st.sampled_from([0.0, 0.25, 0.5, 1.0, INF])
+        mu = MonotoneMeasure.possibility(FiniteSpace(n),
+                                         draw(st.lists(density, min_size=n, max_size=n)))
+    if draw(st.integers(0, 4)) == 0:
+        mu = MonotoneMeasure.explicit(mu.space, np.maximum(mu.table(), 0.25),
+                                      allow_nonzero_empty=True)
+    elif draw(st.booleans()):
+        mu.table()
+    # prob_sum left out: its own gate and grid meet inf * (1 - inf), which warns
+    op = draw(st.sampled_from([op for op in _CATALOG if op.name != "prob_sum"] + _NAN_OPS))
+    domain = draw(st.one_of(st.none(), st.integers(0, (1 << n) - 1)))
+    return rows, scale, mu, op, domain
+
+
+def scalar_rows(rows, scale, mu, op, domain):
+    """The scalar route over the rows, up to and including its first refusal."""
+    out = []
+    for row in rows:
+        out.append(_outcome(upper_integral_result, Fn(row, scale), mu, op, domain))
+        if len(out[-1]) == 2:
+            break
+    return out
+
+
+def batch_rows(rows, scale, mu, op, domain):
+    """The batch route's rows, up to and including its refusal."""
+    out = []
+    try:
+        for res in _upper_rows(np.array(rows, dtype=float), scale, mu, op, domain):
+            out.append(_result_bytes(*res))
+    except (DomainError, HypothesisError) as e:
+        out.append((type(e).__name__, str(e)))
+    return out
+
+
+class TestBatchMatchesScalar:
+    """``_upper_rows`` gives each row the scalar route's value, ``exact`` and
+    level bytes, and raises the open-tail and all-nan refusals at the row
+    where the scalar loop raises them."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=batch_cases())
+    @example(case=([[-0.0, 0.5, 0.0], [0.5, 0.5, -0.0]], UNIT,
+                   MonotoneMeasure.possibility(FiniteSpace(3), [0.5, 0.5, 0.0]), minimum(), None))
+    @example(case=([[0.5, 0.75], [0.25, 0.5], [0.5, 0.5]], UNIT, MU2, _NAN_OPS[1], None))
+    @example(case=([[INF, 1.0, INF], [0.0, 0.0, 0.0]], EXTENDED,
+                   MonotoneMeasure.possibility(FiniteSpace(3), [INF, 0.0, 0.5]), product(), 0b101))
+    @example(case=([[0.5, 0.25]], UNIT_OPEN, MonotoneMeasure.explicit(
+        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), minimum(), 0))
+    def test_rows_and_refusals(self, case):
+        tableless = case[2]._table is None
+        assert batch_rows(*case) == scalar_rows(*case)
+        if tableless and case[2].kind == "possibility":
+            assert case[2]._table is None      # read from the block folds
+
+    def test_a_row_is_refused_when_it_is_reached(self):
+        rows = np.array([[0.25, 0.5], [0.5, 0.75], [0.25, 0.0]])
+        results = _upper_rows(rows, UNIT, MU2, _NAN_OPS[1])
+        assert next(results) == upper_integral_result(Fn(rows[0]), MU2, _NAN_OPS[1])
+        with pytest.raises(DomainError, match="'only_quarter' is nan at every candidate"):
+            next(results)
+
+    def test_first_entry_outside_the_scale_is_named(self):
+        rows = np.array([[0.5, 0.25], [0.5, 1.5], [2.0, 0.5]])
+        with pytest.raises(DomainError) as err:
+            next(_upper_rows(rows, UNIT, MU2, minimum()))
+        with pytest.raises(DomainError) as want:
+            Fn([0.5, 1.5], UNIT)
+        assert str(err.value) == str(want.value)
+
+    def test_rows_are_read_in_bounded_chunks(self):
+        # 5,000 rows of 6 points, 8 candidates each: 40,000 cells in two chunks
+        seen = []
+        op = from_callable("counted_min", min, ["nondecreasing"],
+                           grid_fn=lambda a, b: seen.append(a.size) or np.minimum(a, b))
+        rows = np.random.default_rng(5).integers(0, 9, (5000, 6)) / 8.0
+        mu = generate_measure(5, "distortion_concave", 6)
+        got = [r.value for r in _upper_rows(rows, UNIT, mu, op)]
+        # after the nondecreasing gate's own grid call
+        assert seen[1:] == [_CHUNK_CELLS // 8 * 8, 40000 - _CHUNK_CELLS // 8 * 8]
+        assert got == [upper_integral(Fn(row), mu, op) for row in rows.tolist()]
 
 
 class TestAbsPower:

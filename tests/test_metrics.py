@@ -494,27 +494,18 @@ class TestSymmetryByConstruction:
 
 
 class TestIntegrateOnce:
-    """``cauchy_probe`` and the convergence lemmas integrate each distinct
-    integrand once per call: the same result bytes as integrating every
-    term, in fewer integrals."""
+    """``cauchy_probe`` integrates each distinct integrand once per call:
+    the same result bytes as integrating every term, in fewer integrals.
+    The convergence lemmas read their sequence and limit in one batch."""
 
     @staticmethod
     def _calls(k: int):
-        """One generated probe and the two lemmas, as the campaigns build them."""
+        """One generated probe, as the campaigns build it."""
         p = (0.5, 1.0, 2.0)[k % 3]
         op = power_min(p, 1.0) if k % 2 == 0 else power_prod(p, 1.0)
         n = 3 + k % 5
         probe_mu = sampling.subadditive_measure(23, k, n)
-        rng = rng_for(k, "integrate-once")
-        mu = sampling.measure_with_null_atoms(k, n)
-        limit = sampling.random_fn(rng, n, NONNEG, zero_rate=0.0)
-        seq = [Fn([v * min(1.0, (j + 1) / (3 + k % 3)) for v in limit.values], NONNEG)
-               for j in range(6)]
-        osc = [Fn([v * (0.5 if j % 2 else 1.0) for v in limit.values], NONNEG) for j in range(6)]
-        low = Fn([v * 0.5 for v in limit.values], NONNEG)
-        return [lambda: cauchy_probe(MetricSpec("d_op_p", op, p), probe_mu, seed=k, levels=8),
-                lambda: check_convergence_lemmas(minimum(), mu, seq, limit, "monotone"),
-                lambda: check_convergence_lemmas(minimum(), mu, osc, low, "fatou")]
+        return [lambda: cauchy_probe(MetricSpec("d_op_p", op, p), probe_mu, seed=k, levels=8)]
 
     def _fingerprints(self):
         results = [call() for k in range(12) for call in self._calls(k)]
@@ -543,9 +534,240 @@ class TestIntegrateOnce:
                 del seen[:]
                 call()
                 assert seen and len(seen) == len(set(seen))
-        # a stabilized sequence and its limit: one integral in all
+        # a stabilized sequence and its limit: one batch, no scalar integral
+        batches = []
+        real = metrics._upper_rows
+        monkeypatch.setattr(metrics, "_upper_rows",
+                            lambda rows, *args: batches.append(rows.tolist()) or real(rows, *args))
         mu = sampling.measure_with_null_atoms(5, 4)
         f = Fn([1.0, 2.0, 0.5, 1.5], NONNEG)
         del seen[:]
         assert check_convergence_lemmas(minimum(), mu, [f] * 5, f, "monotone").holds
-        assert seen == [f.values]
+        assert seen == [] and batches == [[list(f.values)] * 6]
+
+
+# ---------------------------------------------------------------------------
+# The batched loops against the per-integrand loops they replaced
+# ---------------------------------------------------------------------------
+
+def ref_check_metric_axioms(spec, mu, trials=200, seed=0):
+    """``check_metric_axioms`` as it read each distance by one scalar
+    integral, trial by trial."""
+    metrics._at_least_one("trials", trials)
+    sub = metrics.check_measure_property(mu, "subadditive")
+    if not sub.holds:
+        search = find_triangle_violation(mu, kinds=(spec.kind,))
+        raise HypothesisError("metric axioms need a subadditive measure",
+                              detail={"subadditive": sub, "triangle_violation": search})
+    if spec.kind == "d_op_p":
+        metrics._gate_metric_op(spec)
+    n = mu.space.n
+    full = (1 << n) - 1
+    nulls = metrics.null_union(mu, metrics._TOL)
+    min_slack = INF
+    for k in range(trials):
+        rng = rng_for(seed, "metric-triple", k)
+        f, g, h = (sampling.signed_vector(rng, n) for _ in range(3))
+        dfg = metrics._distance(spec, f, g, mu)
+        diff = metrics._abs_diff(f, g)
+        support = metrics._level_sets(diff, full)[1][0]
+        equivalent = mu(support) <= metrics._TOL
+        dist_zero = dfg <= metrics._TOL
+        if equivalent != dist_zero:
+            return metrics.CheckResult(False, dfg, {"axiom": "identity", "f": f, "g": g,
+                                                    "support_measure": mu(support),
+                                                    "distance": dfg}, mode="sampled")
+        if nulls and k % 7 == 0:
+            g2 = [v + (1.0 if nulls >> i & 1 else 0.0) for i, v in enumerate(f)]
+            d2 = metrics._distance(spec, f, g2, mu)
+            if d2 > metrics._TOL:
+                return metrics.CheckResult(False, d2, {"axiom": "identity", "f": f, "g": g2,
+                                                       "null_set": nulls, "distance": d2},
+                                           mode="sampled")
+        dfh = metrics._distance(spec, f, h, mu)
+        dhg = metrics._distance(spec, h, g, mu)
+        gap = dfg - (dfh + dhg)
+        if gap > metrics._TOL:
+            return metrics.CheckResult(False, gap, {"axiom": "triangle", "f": f, "g": g, "h": h,
+                                                    "d_fg": dfg, "d_fh": dfh, "d_hg": dhg},
+                                       mode="sampled")
+        if math.isfinite(gap):
+            min_slack = min(min_slack, -gap)
+    return metrics.CheckResult(True, margin=min_slack, mode="sampled", detail={"trials": trials})
+
+
+def ref_verify_mean_convergence(spec, mu, sequence, limit):
+    """``verify_mean_convergence`` as it integrated each distance and mean
+    by one scalar call."""
+    if not sequence:
+        raise DomainError("empty sequence")
+    if spec.kind != "d_op_p":
+        raise DomainError("mean convergence is stated for the operator metric")
+    metrics._gate_metric_op(spec)
+    sub = metrics.check_measure_property(mu, "subadditive")
+    if not sub.holds:
+        raise HypothesisError("requires a subadditive measure", detail=sub)
+    e = 1.0 / (spec.p ** 2 + 1.0)
+    dists = [metrics._distance(spec, fk, limit, mu) for fk in sequence]
+    if dists and dists[-1] > min(dists) + metrics._TOL:
+        return metrics.CheckResult(False, dists[-1] - min(dists),
+                                   {"reason": "distances do not settle", "distances": dists},
+                                   status="premise-failed")
+    i_limit = metrics.upper_integral(metrics.abs_power(limit.values, spec.p), mu, spec.op) ** e
+    worst = -INF
+    for k, fk in enumerate(sequence):
+        i_k = metrics.upper_integral(metrics.abs_power(fk.values, spec.p), mu, spec.op) ** e
+        gap = abs(i_k - i_limit) - dists[k]
+        if gap > metrics._TOL:
+            return metrics.CheckResult(False, gap, {"index": k, "mean_gap": abs(i_k - i_limit),
+                                                    "distance": dists[k]})
+        worst = max(worst, gap)
+    return metrics.CheckResult(True, margin=-worst if math.isfinite(worst) else INF,
+                               detail={"distances": dists,
+                                       "scope": "finite-space probe; continuity classes of "
+                                                "the measure are not distinguishable here"})
+
+
+def ref_check_convergence_lemmas(op, mu, sequence, limit, kind):
+    """``check_convergence_lemmas`` as it integrated each term by one
+    scalar call (its memo changed only how many)."""
+    if kind not in ("monotone", "fatou"):
+        raise DomainError(f"unknown lemma kind {kind!r}")
+    if not sequence:
+        raise DomainError("empty sequence")
+    nulls = metrics.check_measure_property(mu, "null_additive")
+    if not nulls.holds:
+        raise HypothesisError("lemmas need a null-additive measure", detail=nulls)
+    metrics.verify_flags(op, ["nondecreasing", "left_continuous_second"],
+                         metrics._one_scale(limit, *sequence))
+    exempt = metrics.null_union(mu, metrics._TOL)
+    live = [i for i in range(len(limit)) if not exempt >> i & 1]
+    if kind == "monotone":
+        for a, b in zip(sequence, sequence[1:]):
+            if any(b[i] < a[i] - metrics._TOL for i in live):
+                raise DomainError("sequence is not nondecreasing off the null set")
+    integrals = [metrics.upper_integral(fk, mu, op) for fk in sequence]
+    i_limit = metrics.upper_integral(limit, mu, op)
+    detail = {"integrals": integrals, "limit_integral": i_limit, "null_set": exempt}
+    if kind == "monotone":
+        for a, b in zip(integrals, integrals[1:]):
+            if b < a - metrics._TOL:
+                return metrics.CheckResult(False, a - b, {"reason": "integral sequence decreased",
+                                                          "values": integrals}, detail=detail)
+        gap = abs(metrics._rel_gap(integrals[-1], i_limit))
+        if gap > metrics._TOL:
+            return metrics.CheckResult(False, gap, {"terminal": integrals[-1], "limit": i_limit},
+                                       detail=detail)
+        return metrics.CheckResult(True, margin=gap, detail=detail)
+    bound = min(integrals[len(integrals) // 2:])
+    gap = metrics._rel_gap(i_limit, bound)
+    if gap > metrics._TOL:
+        return metrics.CheckResult(False, gap, {"limit_integral": i_limit, "tail_minimum": bound},
+                                   detail=detail)
+    return metrics.CheckResult(True, margin=-gap if math.isfinite(gap) else INF, detail=detail)
+
+
+def loop_outcome(check, *args, **kwargs):
+    """A check's result JSON and margin repr, or the type and message it raises."""
+    try:
+        res = check(*args, **kwargs)
+    except (DomainError, HypothesisError, OverflowError) as e:
+        return type(e).__name__, str(e)
+    return json.dumps(res.to_dict()), repr(res.margin)
+
+
+_LOOP_OPS = [(power_min, 0.5), (power_min, 1.0), (power_min, 2.0), (power_prod, 0.5),
+             (power_prod, 1.0), (power_prod, 2.0)]
+
+
+@st.composite
+def loop_measures(draw, n):
+    """A subadditive measure, one with null atoms, or one that fails
+    subadditivity, on n points."""
+    seed = draw(st.integers(0, 10 ** 6))
+    family = draw(st.sampled_from(["subadditive", "null_atoms", "non_subadditive",
+                                   "possibility"]))
+    if family == "subadditive":
+        return sampling.subadditive_measure(seed, draw(st.integers(0, 50)), n)
+    if family == "null_atoms":
+        return sampling.measure_with_null_atoms(seed, n)
+    if family == "non_subadditive" and n >= 2:
+        return sampling.non_subadditive_measure(seed, n)[0]
+    return generate_measure(seed, "possibility", n)
+
+
+@st.composite
+def nonneg_terms(draw, n, count):
+    """``count`` functions on NONNEG: eighths up to 4, with zeros and ties."""
+    value = st.integers(0, 32).map(lambda k: k / 8.0)
+    return [Fn(draw(st.lists(value, min_size=n, max_size=n)), NONNEG) for _ in range(count)]
+
+
+class TestBatchedLoopsMatchTheirLoops:
+    """The metric checks that read their upper integrals in batches give the
+    per-integrand loops' result bytes, refusals included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_metric_axioms(self, data):
+        n = data.draw(st.integers(1, 6))
+        mu = data.draw(loop_measures(n))
+        kind = data.draw(st.sampled_from(["frechet", "kyfan", "d_op_p"]))
+        if kind == "d_op_p":
+            factory, p = data.draw(st.sampled_from(_LOOP_OPS))
+            spec = MetricSpec(kind, factory(p, 1.0), p)
+        else:
+            spec = MetricSpec(kind)
+        trials, seed = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 10 ** 6))
+        assert loop_outcome(check_metric_axioms, spec, mu, trials, seed) == \
+            loop_outcome(ref_check_metric_axioms, spec, mu, trials, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mean_convergence(self, data):
+        n = data.draw(st.integers(1, 6))
+        mu = data.draw(loop_measures(n))
+        factory, p = data.draw(st.sampled_from(_LOOP_OPS))
+        spec = MetricSpec("d_op_p", factory(p, 1.0), p)
+        limit, *seq = data.draw(nonneg_terms(n, data.draw(st.integers(2, 8))))
+        if data.draw(st.booleans()):    # settling toward the limit, as the campaign builds it
+            seq = [Fn([v + 4.0 ** (-j / p) * (i % 3) / 2 for i, v in enumerate(limit.values)],
+                      NONNEG) for j in range(1, len(seq) + 1)]
+        assert loop_outcome(verify_mean_convergence, spec, mu, seq, limit) == \
+            loop_outcome(ref_verify_mean_convergence, spec, mu, seq, limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_convergence_lemmas(self, data):
+        n = data.draw(st.integers(1, 6))
+        mu = data.draw(loop_measures(n))
+        op = data.draw(st.sampled_from([minimum(), power_min(0.5, 1.0), power_prod(2.0, 1.0)]))
+        limit, *seq = data.draw(nonneg_terms(n, data.draw(st.integers(2, 8))))
+        if data.draw(st.booleans()):    # nondecreasing and stabilizing at the limit
+            seq = [Fn([v * min(1.0, (j + 1) / 3) for v in limit.values], NONNEG)
+                   for j in range(len(seq))]
+        for kind in ("monotone", "fatou"):
+            assert loop_outcome(check_convergence_lemmas, op, mu, seq, limit, kind) == \
+                loop_outcome(ref_check_convergence_lemmas, op, mu, seq, limit, kind)
+
+    def test_an_overflowing_power_raises_where_the_loop_does(self):
+        mu = sampling.subadditive_measure(3, 1, 2)
+        spec = MetricSpec("d_op_p", power_min(1.0, 1.0), 400.0)
+        with np.errstate(all="ignore"):          # the gate's own grid overflows at q = 400
+            metrics._gate_metric_op(spec)
+        # 8.0 ** 400 overflows: Python's ** raises, and the batch raises the
+        # same error when it reaches that row, after the rows before it
+        with pytest.raises(OverflowError) as want:
+            metrics.metric_eval(spec, [8.0, 0.5], [0.0, 0.0], mu)
+        dists = metrics._distances(spec, np.array([[1.0, 0.5], [8.0, 0.5]]), np.zeros(2), mu)
+        assert next(dists) == metrics.metric_eval(spec, [1.0, 0.5], [0.0, 0.0], mu)
+        with pytest.raises(OverflowError) as got:
+            next(dists)
+        assert str(got.value) == str(want.value)
+        # no distance overflows (5.5 ** 400 does not), the second term's mean
+        # (6.5 ** 400) does, after the first term's mean gap was read
+        limit = Fn([1.0, 0.5], NONNEG)
+        seq = [Fn([1.0, 0.5], NONNEG), Fn([6.5, 0.5], NONNEG), Fn([1.0, 0.5], NONNEG)]
+        want = loop_outcome(ref_verify_mean_convergence, spec, mu, seq, limit)
+        assert want[0] == "OverflowError"
+        assert loop_outcome(verify_mean_convergence, spec, mu, seq, limit) == want

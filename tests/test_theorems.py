@@ -3,6 +3,7 @@ and the exact counterexample reproduction."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonadd.core import (
+    _CHUNK_CELLS,
     _TOL,
     EXTENDED,
     FiniteSpace,
@@ -69,6 +71,7 @@ from nonadd.theorems import (
     _max_product_indicator_sweep,
     _mh_sides,
     _necessity,
+    _random_pair_probe,
     _sum_split,
     _verdict,
     realized_measure_values,
@@ -574,6 +577,54 @@ class TestSugenoSubadditive:
         res = verify_sugeno_subadditive_boundary()
         assert res.holds
         assert res.detail["lhs"] > res.detail["rhs"]
+
+
+def ref_random_pair_probe(integral, mu, trials, seed, key, tol):
+    """``theorems._random_pair_probe`` as it integrated f + g, f and g by
+    three scalar calls a pair."""
+    n = mu.space.n
+    violations, slack = [], INF
+    for k in range(trials):
+        rng = rng_for(seed, key, k)
+        fv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
+        gv = [rng.randrange(0, 33) / 8.0 for _ in range(n)]
+        lhs, rhs = _sum_split(integral, mu, Fn(fv, NONNEG), Fn(gv, NONNEG))
+        gap = _rel_gap(lhs, rhs)
+        if gap > tol:
+            violations.append({"f": fv, "g": gv, "lhs": lhs, "rhs": rhs})
+        elif math.isfinite(gap):
+            slack = min(slack, -gap)
+    return violations, slack
+
+
+class TestRandomPairProbe:
+    """The pair probe reads each chunk of pairs in one batch: the per-pair
+    loop's violations and slack, bit for bit, in bounded memory."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 8), family=st.sampled_from(GENERATOR_FAMILIES),
+           seed=st.integers(0, 10 ** 6), trials=st.integers(1, 40), sugeno=st.booleans())
+    def test_matches_the_per_pair_loop(self, n, family, seed, trials, sugeno):
+        mu = generate_measure(seed, family, n)
+        op, integral = (MIN, sugeno_integral) if sugeno else (PROD, shilkret_integral)
+        for tol in (0.0, _TOL):
+            got = _random_pair_probe(op, mu, trials, seed, "pairs", tol)
+            want = ref_random_pair_probe(integral, mu, trials, seed, "pairs", tol)
+            assert repr(got) == repr(want)
+
+    def test_peak_is_bounded_by_the_chunk(self):
+        # 22,000 pairs on 16 points: their f + g, f and g rows alone would
+        # take 3 * 22,000 * 16 * 8 B = 8.4 MB unchunked
+        mu = sampling.subadditive_measure(7, 0, 16)
+        verify_sugeno_subadditive(mu, trials=1)       # the table and gates, once
+        tracemalloc.start()
+        try:
+            res = verify_sugeno_subadditive(mu, trials=22000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.holds and res.mode == "sampled"
+        assert peak < 24 * _CHUNK_CELLS * 8 < 3 * 22000 * 16 * 8
 
 
 class TestLowerMH:
