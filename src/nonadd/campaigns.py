@@ -17,9 +17,7 @@ verdicts because both sides are decidable on finite spaces.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -650,6 +648,10 @@ def run_campaign(campaign_id: str, trials: int, seed: int, jobs: int = 1) -> dic
     if count < 2:
         return merge_report(campaign_id, trials, seed,
                             (run_trials(campaign_id, seed, lo, hi) for lo, hi in ranges))
+    # imported here: only a parallel run pays for the pool's modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(count, os.cpu_count() or 1),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = [pool.submit(run_trials, campaign_id, seed, lo, hi) for lo, hi in ranges]

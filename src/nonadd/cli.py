@@ -2,6 +2,8 @@
 
 Exit codes: 0 when every task verdict is a pass, 1 on any mathematical
 failure (the report carries witnesses), 2 on input or validation errors.
+A task refused while it runs ends the run with 2; the report keeps the
+records of the tasks before it and names the refusal under ``error``.
 Reports are deterministic per (scenario, seed) except for the timing
 section, which is kept separate so the rest of the document is
 byte-for-byte reproducible.
@@ -71,6 +73,8 @@ def _emit(report: dict, fmt: str) -> None:
             wit = task.get("result", {}).get("witness") or task.get("error")
             if wit:
                 print(f"       witness: {json.dumps(wit, sort_keys=True)}")
+    if "error" in body:
+        print(f"[ERROR] task {body['error']['task'] + 1}: {body['error']['message']}")
     if "campaign" in body:
         c = body["campaign"]
         print(f"campaign {c['id']}: {c['passed']}/{c['trials']} passed")
@@ -91,14 +95,16 @@ def _cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     t0 = time.perf_counter()
-    tasks, task_ms = [], []
+    tasks, task_ms, error = [], [], {}
     for i, task in enumerate(sc.tasks):
         start = time.perf_counter()
         try:
             tasks.append(run_task(sc, task, default_seed=args.seed))
         except (ScenarioError, DomainError) as e:
+            # refused while it ran: the tasks before it keep their records
             print(f"error: tasks[{i}]: {e}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            error = {"error": {"task": i, "message": str(e)}}
+            break
         task_ms.append((time.perf_counter() - start) * 1000.0)
     failed = sum(1 for rec in tasks if rec["verdict"] != "pass")
     report = {
@@ -108,11 +114,14 @@ def _cmd_run(args) -> int:
             "seed": args.seed,
             "tasks": tasks,
             "summary": {"passed": len(tasks) - failed, "failed": failed},
+            **error,
         }),
         "timing": {"total_ms": (time.perf_counter() - t0) * 1000.0,
                    "tasks_ms": task_ms},
     }
     _emit(report, args.format)
+    if error:
+        return EXIT_INPUT_ERROR
     return EXIT_OK if failed == 0 else EXIT_MATH_FAILURE
 
 

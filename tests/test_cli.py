@@ -192,11 +192,22 @@ class TestRun:
         Scenario(doc)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(doc))
+        message = "profile grid enumerates 33,554,433 cells, over the budget of 16,777,216"
         code = main(["run", str(path)])
         captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: tasks[1]: profile grid enumerates 33,554,433 cells, "
-                                "over the budget of 16,777,216\n")
+        assert code == 2
+        assert captured.err == f"error: tasks[1]: {message}\n"
+        # the first task's record stays on stdout, the refusal after it
+        lines = captured.out.splitlines()
+        assert lines[2:5] == ["[pass] task 1 check_measure: holds (expected holds)",
+                              f"[ERROR] task 2: {message}", "summary: 1 passed, 0 failed"]
+        code = main(["run", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)["report"]
+        assert code == 2 and captured.err == f"error: tasks[1]: {message}\n"
+        assert [t["task"] for t in report["tasks"]] == ["check_measure"]
+        assert report["summary"] == {"passed": 1, "failed": 0}
+        assert report["error"] == {"task": 1, "message": message}
 
     def test_non_subadditive_metric_task_reports_triangle_witness(self, tmp_path,
                                                                   capsys):
@@ -810,3 +821,11 @@ class TestSubprocessEntry:
                 assert par.returncode == 0, par.stderr
                 got = json.dumps(json.loads(par.stdout)["report"], sort_keys=True, indent=2)
                 assert got == want, (cid, jobs)
+
+    def test_the_process_pool_is_imported_only_by_a_parallel_run(self):
+        probe = ("import sys, nonadd.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -609,14 +609,17 @@ class TestPropertyChecks:
 
     def test_pairwise_cap(self):
         # the cheapest sweep is checked against the cell budget before the
-        # 2**n table is built: 3**16 disjoint pairs, C(19,2) * 2**17 local cells
+        # 2**n table is built: 3**16 disjoint pairs, C(19,2) * 2**17 local
+        # cells; a possibility measure of the same size holds by its kind
         for n, props, cells in ((16, ("subadditive", "maxitive"), 3 ** 16),
                                 (19, ("submodular",), math.comb(19, 2) << 17)):
-            mu = MonotoneMeasure.possibility(FiniteSpace(n), [0.5] * n)
+            mu = MonotoneMeasure.lambda_sugeno(FiniteSpace(n), -0.5, [0.5] * n)
+            poss = MonotoneMeasure.possibility(FiniteSpace(n), [0.5] * n)
             for prop in props:
                 with pytest.raises(DomainError, match=f"{cells:,} cells"):
                     check_measure_property(mu, prop)
-            assert mu._table is None
+                assert check_measure_property(poss, prop).margin == 0.0
+            assert mu._table is None and poss._table is None
 
     def test_all_pairs_refused_after_the_table(self):
         # not exactly monotone, so subadditivity needs all 4**13 pairs, which
@@ -1183,7 +1186,8 @@ def result_bytes(res):
 
 class TestMaxitiveBySingletons:
     """A possibility measure holds ``monotone`` (n >= 2), ``subadditive``,
-    ``submodular`` (n >= 3) and ``maxitive`` with margin 0.0 by its kind,
+    ``submodular`` (n >= 3), ``maxitive`` and ``null_additive`` with margin
+    0.0 by its kind,
     and an explicit table is maxitive by the fold of its singletons; every
     verdict keeps the sweeps' bytes."""
 
@@ -1208,9 +1212,11 @@ class TestMaxitiveBySingletons:
         got = result_bytes(check_measure_property(mu, "maxitive"))
         assert got == result_bytes(ref_pairwise(np.asarray(tab), "maxitive", tol))
         assert got == result_bytes(ref_maxitive(mu))
+        assert result_bytes(check_measure_property(mu, "null_additive")) == \
+            result_bytes(ref_null_additive(tab, tol))
         if mu.kind == "possibility":     # the kind decides what the sweeps read
             swept = MonotoneMeasure.explicit(mu.space, tab, validate=False)
-            for prop in ("monotone", "subadditive", "submodular", "maxitive"):
+            for prop in ("monotone", "subadditive", "submodular", "maxitive", "null_additive"):
                 assert result_bytes(check_measure_property(mu, prop)) == \
                     result_bytes(check_measure_property(swept, prop)), prop
 
