@@ -208,14 +208,15 @@ def _upper_rows(rows: np.ndarray, scale: ValueScale, mu: MonotoneMeasure, op: Bi
     m, n = rows.shape
     if not m:
         return
-    inside = scale.contains_all(rows).all(axis=1)
-    if not inside.all():
+    closed, upper = scale.closed, scale.upper
+    low, high = rows.min(), rows.max()                  # nan reads outside the scale
+    if not (low >= 0.0 and (high <= upper if closed else high < upper)):
+        inside = scale.contains_all(rows).all(axis=1)
         _in_scale_values(tuple(rows[int(np.argmin(inside))].tolist()), scale)
     _check_length(rows[0], mu.space)
     domain = _domain_mask(n, domain)
     verify_flags(op, _GATE, scale)
     mass = mu.mass_reader(domain)
-    closed, upper = scale.closed, scale.upper
     if not closed:
         _require_zero_tail(op, scale, mass(0))    # every value is below the open top
     bits = _domain_points(domain)
@@ -224,37 +225,37 @@ def _upper_rows(rows: np.ndarray, scale: ValueScale, mu: MonotoneMeasure, op: Bi
     cols = k + 1 + closed          # 0, one column per domain point, the closed top
     step = max(1, _CHUNK_CELLS // cols)
     for start in range(0, m, step):
-        x = rows[start:start + step, bits]
-        order = np.argsort(-x, axis=1, kind="stable")
-        v = np.take_along_axis(x, order, axis=1)
-        sets = np.bitwise_or.accumulate(weights[order], axis=1)
-        # a run of equal values takes the set at its end, {f >= v}: the
-        # run's other columns repeat its candidate, and a zero run repeats
-        # the candidate (0, D)
-        last = np.ones(v.shape, dtype=bool)
-        np.not_equal(v[:, :-1], v[:, 1:], out=last[:, :-1])
-        ends = np.where(last, np.arange(k), k)
-        ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        x = rows[start:start + step] if k == n else rows[start:start + step, bits]
         ts = np.empty((len(x), cols))
         masks = np.empty((len(x), cols), dtype=np.int64)
-        ts[:, 0], masks[:, 0] = 0.0, domain
-        np.add(v, 0.0, out=ts[:, 1:k + 1])            # a -0.0 value is the level 0.0
-        masks[:, 1:k + 1] = np.take_along_axis(sets, ends, axis=1)
-        if closed:                                     # mass at the top: the top run's set
+        ts[:, 0] = 0.0
+        masks[:, 0] = domain
+        if closed:
             ts[:, -1] = upper
-            masks[:, -1] = np.where(v[:, 0] >= upper, masks[:, 1], 0) if k else 0
+            masks[:, -1] = 0
+        if k:
+            neg = -x                                    # ascending -x: descending x
+            order = neg.argsort(axis=1, kind="stable")
+            neg.sort(axis=1)
+            sets = np.bitwise_or.accumulate(weights.take(order), axis=1)
+            # a run of equal values takes the set at its end, {f >= t}, the
+            # least set of the run ends after it: the run's other columns
+            # repeat its candidate, and a zero run repeats (0, D)
+            np.copyto(sets[:, :-1], 1 << 62, where=neg[:, :-1] == neg[:, 1:])
+            np.minimum.accumulate(sets[:, ::-1], axis=1, out=masks[:, k:0:-1])
+            np.subtract(0.0, neg, out=ts[:, 1:k + 1])   # a -0.0 value is the level 0.0
+            if closed:                                  # the top run's set holds the top
+                masks[:, -1] = np.where(neg[:, 0] <= -upper, masks[:, 1], 0)
         vals = op.grid(ts, mu.masses(masks))
-        nan = np.isnan(vals)
-        # a nan candidate never wins; with no candidate above -inf the first
-        # one, (0, D), stands, as the scalar route keeps its level 0.0
-        picked = np.where(nan, -INF, vals).argmax(axis=1)[:, None]
-        values = np.take_along_axis(vals, picked, axis=1).ravel().tolist()
-        levels = np.take_along_axis(ts, picked, axis=1).ravel().tolist()
-        for i, (value, level) in enumerate(zip(values, levels)):
+        # nan never wins (fmax reads it as -inf); the first maximum is the
+        # scalar route's, and with none above -inf it is (0, D) at level 0.0
+        picks = np.fmax(vals, -INF).argmax(axis=1).tolist()
+        for row, levels, pick in zip(vals.tolist(), ts.tolist(), picks):
+            value = row[pick]
             if value != value:            # a nan first maximum: -inf or nan everywhere
-                _refuse_all_nan(op, vals[i])
+                _refuse_all_nan(op, row)
                 value = -INF
-            yield IntegralResult(value, True, level)
+            yield IntegralResult(value, True, levels[pick])
 
 
 def upper_integral_subset_oracle(f: Fn, mu: MonotoneMeasure, op: BinaryOp,

@@ -153,12 +153,17 @@ def _power_integrals(rows: np.ndarray, p: float, mu: MonotoneMeasure, op: Binary
         yield next(results).value
 
 
+def _abs_diffs(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """:func:`_abs_diff` of each row pair of two arrays, bit for bit."""
+    with np.errstate(invalid="ignore"):          # inf - inf, where the values are equal
+        return np.where(fs == gs, 0.0, np.abs(fs - gs))
+
+
 def _distances(spec: MetricSpec, fs: np.ndarray, gs: np.ndarray, mu: MonotoneMeasure):
     """Yield ``_distance(spec, f, g, mu)`` for each row pair of the (m, n)
     arrays ``fs`` and ``gs``, bit for bit, lazily: the upper-integral kinds
     integrate every row in one batch, ``frechet`` row by row."""
-    with np.errstate(invalid="ignore"):          # inf - inf, where the values are equal
-        diffs = np.where(fs == gs, 0.0, np.abs(fs - gs))
+    diffs = _abs_diffs(fs, gs)
     if spec.kind == "frechet":
         for diff in diffs.tolist():
             yield lower_integral(Fn(diff, EXTENDED), mu, _SUM)
@@ -440,16 +445,19 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
     e = 1.0 / (spec.p ** 2 + 1.0)
     if any(len(fk.values) != len(limit.values) for fk in sequence):
         raise DomainError("vectors must have equal length")
-    terms = np.array([fk.values for fk in sequence])
-    dists = list(_distances(spec, terms, np.array(limit.values), mu))
-    if dists and dists[-1] > min(dists) + _TOL:
+    terms, last = np.array([fk.values for fk in sequence]), np.array(limit.values)
+    # one batch: the distances' |fk - limit|**p, then the means' |limit|**p
+    # and |fk|**p, read in the order the checks below take them
+    integrals = _power_integrals(np.vstack([_abs_diffs(terms, last), last, terms]),
+                                 spec.p, mu, spec.op)
+    dists = [float(next(integrals) ** e) for _ in sequence]
+    if dists[-1] > min(dists) + _TOL:
         return CheckResult(False, dists[-1] - min(dists),
                            {"reason": "distances do not settle", "distances": dists},
                            status="premise-failed")
-    means = _power_integrals(np.vstack([limit.values, terms]), spec.p, mu, spec.op)
-    i_limit = next(means) ** e
+    i_limit = next(integrals) ** e
     worst = -INF
-    for k, i_k in enumerate(means):
+    for k, i_k in enumerate(integrals):
         i_k **= e
         gap = abs(i_k - i_limit) - dists[k]
         if gap > _TOL:
