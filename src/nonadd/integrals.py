@@ -249,13 +249,12 @@ def _upper_rows(rows: np.ndarray, scale: ValueScale, mu: MonotoneMeasure, op: Bi
         vals = op.grid(ts, mu.masses(masks))
         # nan never wins (fmax reads it as -inf); the first maximum is the
         # scalar route's, and with none above -inf it is (0, D) at level 0.0
-        picks = np.fmax(vals, -INF).argmax(axis=1).tolist()
-        for row, levels, pick in zip(vals.tolist(), ts.tolist(), picks):
-            value = row[pick]
+        at = np.fmax(vals, -INF).argmax(axis=1) + np.arange(0, vals.size, cols)
+        for i, (value, level) in enumerate(zip(vals.take(at).tolist(), ts.take(at).tolist())):
             if value != value:            # a nan first maximum: -inf or nan everywhere
-                _refuse_all_nan(op, row)
+                _refuse_all_nan(op, vals[i])
                 value = -INF
-            yield IntegralResult(value, True, levels[pick])
+            yield IntegralResult(value, True, level)
 
 
 def upper_integral_subset_oracle(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
