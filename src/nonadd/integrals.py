@@ -37,18 +37,19 @@ Every level set is a submask of the domain, so the level masses are then
 read unchecked: from a table-less possibility measure's per-block max
 folds, and from the measure's table, built if need be, otherwise.
 
-Loops that integrate many integrands against one measure, operator and
-domain take the batch route, ``_upper_rows``: an (m, n) array of values on
-one scale, read in chunks of at most ``core._CHUNK_CELLS`` candidates.  Per
+Loops that integrate many integrands against one measure and operator over
+the whole space take the batch route, ``_upper_rows``: an (m, n) array of
+values on one scale, read in chunks of at most ``core._CHUNK_CELLS``
+candidates (``_chunk_rows`` rows), which also sizes the callers' draws.  Per
 row one stable descending argsort and one ``bitwise_or.accumulate`` give the
 level sets, one ``mu.masses`` gather their masses and one ``op.grid`` call
 the candidates, which ``test_fn_equals_grid_bit_for_bit`` holds equal to
-``op.fn``.  The columns run in the scalar candidate order: 0 over D, one per
-domain point in descending value order, then the top of a closed scale.
-The columns of a run of equal values all read the set at its end, and a
-zero run the set D, so each repeats one scalar candidate exactly; the first
-maximum of the row, nan skipped, then has the scalar route's value and
-level (a strict ``>`` keeps the first of equal maxima).  The gates run once
+``op.fn``.  The columns run in the scalar candidate order: 0 over the
+space, one per point in descending value order, then the top of a closed
+scale.  The columns of a run of equal values all read the set at its end,
+and a zero run the whole space, so each repeats one scalar candidate
+exactly; the first maximum of the row, nan skipped, then has the scalar
+route's value and level (a strict ``>`` keeps the first of equal maxima).  The gates run once
 per call, and a row that is nan at every candidate is refused when it is
 reached.  Single integrals keep the scalar loop, the batch's reference.
 
@@ -194,15 +195,21 @@ def upper_integral(f: Fn, mu: MonotoneMeasure, op: BinaryOp, domain: int | None 
     return upper_integral_result(f, mu, op, domain).value
 
 
-def _upper_rows(rows: np.ndarray, scale: ValueScale, mu: MonotoneMeasure, op: BinaryOp,
-                domain: int | None = None):
-    """Yield ``upper_integral_result(Fn(row, scale), mu, op, domain)`` for
-    each row of the (m, n) float array ``rows``, in order and bit for bit
-    (the batch route of the module docstring).
+def _chunk_rows(n: int, scale: ValueScale) -> int:
+    """Rows of n points on ``scale`` in one chunk of the batch route: at
+    most ``core._CHUNK_CELLS`` candidates of n + 1, or n + 2 on a closed
+    scale."""
+    return max(1, _CHUNK_CELLS // (n + 1 + scale.closed))
+
+
+def _upper_rows(rows: np.ndarray, scale: ValueScale, mu: MonotoneMeasure, op: BinaryOp):
+    """Yield ``upper_integral_result(Fn(row, scale), mu, op)`` for each row
+    of the (m, n) float array ``rows``, in order and bit for bit (the batch
+    route of the module docstring).
 
     On the first row it refuses what the scalar route refuses on the first
     call: the first entry outside ``scale``, in row order, with ``Fn``'s
-    message, then a length, domain, gate or open-tail refusal.  A row whose
+    message, then a length, gate or open-tail refusal.  A row whose
     candidates are all nan raises when it is reached, after the rows before
     it were yielded."""
     m, n = rows.shape
@@ -214,41 +221,34 @@ def _upper_rows(rows: np.ndarray, scale: ValueScale, mu: MonotoneMeasure, op: Bi
         inside = scale.contains_all(rows).all(axis=1)
         _in_scale_values(tuple(rows[int(np.argmin(inside))].tolist()), scale)
     _check_length(rows[0], mu.space)
-    domain = _domain_mask(n, domain)
     verify_flags(op, _GATE, scale)
-    mass = mu.mass_reader(domain)
     if not closed:
-        _require_zero_tail(op, scale, mass(0))    # every value is below the open top
-    bits = _domain_points(domain)
-    weights = np.array([1 << b for b in bits], dtype=np.int64)
-    k = len(bits)
-    cols = k + 1 + closed          # 0, one column per domain point, the closed top
-    step = max(1, _CHUNK_CELLS // cols)
+        _require_zero_tail(op, scale, mu(0))      # every value is below the open top
+    full = mu.space.full
+    weights = 1 << np.arange(n, dtype=np.int64)
+    cols = n + 1 + closed          # 0, one column per point, the closed top
+    step = _chunk_rows(n, scale)
     for start in range(0, m, step):
-        x = rows[start:start + step] if k == n else rows[start:start + step, bits]
-        ts = np.empty((len(x), cols))
-        masks = np.empty((len(x), cols), dtype=np.int64)
+        neg = -rows[start:start + step]                 # ascending -x: descending x
+        ts = np.empty((len(neg), cols))
+        masks = np.empty((len(neg), cols), dtype=np.int64)
         ts[:, 0] = 0.0
-        masks[:, 0] = domain
-        if closed:
+        masks[:, 0] = full
+        order = neg.argsort(axis=1, kind="stable")
+        neg.sort(axis=1)
+        sets = np.bitwise_or.accumulate(weights.take(order), axis=1)
+        # a run of equal values takes the set at its end, {f >= t}, the
+        # least set of the run ends after it: the run's other columns
+        # repeat its candidate, and a zero run repeats (0, full set)
+        np.copyto(sets[:, :-1], 1 << 62, where=neg[:, :-1] == neg[:, 1:])
+        np.minimum.accumulate(sets[:, ::-1], axis=1, out=masks[:, n:0:-1])
+        np.subtract(0.0, neg, out=ts[:, 1:n + 1])       # a -0.0 value is the level 0.0
+        if closed:                                      # the top run's set holds the top
             ts[:, -1] = upper
-            masks[:, -1] = 0
-        if k:
-            neg = -x                                    # ascending -x: descending x
-            order = neg.argsort(axis=1, kind="stable")
-            neg.sort(axis=1)
-            sets = np.bitwise_or.accumulate(weights.take(order), axis=1)
-            # a run of equal values takes the set at its end, {f >= t}, the
-            # least set of the run ends after it: the run's other columns
-            # repeat its candidate, and a zero run repeats (0, D)
-            np.copyto(sets[:, :-1], 1 << 62, where=neg[:, :-1] == neg[:, 1:])
-            np.minimum.accumulate(sets[:, ::-1], axis=1, out=masks[:, k:0:-1])
-            np.subtract(0.0, neg, out=ts[:, 1:k + 1])   # a -0.0 value is the level 0.0
-            if closed:                                  # the top run's set holds the top
-                masks[:, -1] = np.where(neg[:, 0] <= -upper, masks[:, 1], 0)
+            masks[:, -1] = np.where(neg[:, 0] <= -upper, masks[:, 1], 0)
         vals = op.grid(ts, mu.masses(masks))
         # nan never wins (fmax reads it as -inf); the first maximum is the
-        # scalar route's, and with none above -inf it is (0, D) at level 0.0
+        # scalar route's, and with none above -inf it is (0, full set) at level 0.0
         at = np.fmax(vals, -INF).argmax(axis=1) + np.arange(0, vals.size, cols)
         for i, (value, level) in enumerate(zip(vals.take(at).tolist(), ts.take(at).tolist())):
             if value != value:            # a nan first maximum: -inf or nan everywhere

@@ -319,9 +319,6 @@ class MonotoneMeasure:
         built once: the max over the per-block max folds (module docstring)."""
         if self._fold_read is None:
             folds = [fold.tolist() for fold in self._fold_tables()]
-            if len(folds) == 1:                 # up to 8 points one fold is the table
-                self._fold_read = folds[0].__getitem__
-                return self._fold_read
             low = (1 << _FOLD_BITS) - 1
 
             def read(mask: int) -> float:

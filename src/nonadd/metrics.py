@@ -27,9 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .conditions import cached_condition
-from .core import (EXTENDED, Fn, INF, NONNEG, _CHUNK_CELLS, _TOL, _at_least_one, _check_length,
+from .core import (EXTENDED, Fn, INF, NONNEG, _TOL, _at_least_one, _check_length,
                    _level_sets, _one_scale, _rel_gap, rng_for)
 from .integrals import (
+    _chunk_rows,
     _upper_rows,
     abs_power,
     lower_integral,
@@ -261,7 +262,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
     full = (1 << n) - 1
     nulls = null_union(mu, _TOL)
     min_slack = INF
-    step = max(1, _CHUNK_CELLS // (4 * (n + 2)))    # up to four distances a trial
+    step = max(1, _chunk_rows(n, EXTENDED) // 4)    # up to four distances a trial
     for start in range(0, trials, step):
         # draw a chunk of trials, then read their distances from one batch
         # in the order the checks below take them

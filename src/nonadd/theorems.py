@@ -58,7 +58,6 @@ from .core import (
     SurvivalProfile,
     UNIT,
     ValueScale,
-    _CHUNK_CELLS,
     _TOL,
     _at_least_one,
     _check_length,
@@ -77,6 +76,7 @@ from .integrals import (
     _MIN,
     _PROD,
     ProfileIntegralResult,
+    _chunk_rows,
     _upper_rows,
     abs_power,
     lower_integral,
@@ -172,7 +172,7 @@ def _random_pair_probe(op: BinaryOp, mu: MonotoneMeasure, trials: int, seed: int
     batch (``integrals._upper_rows``)."""
     n = mu.space.n
     violations, slack = [], INF
-    step = max(1, _CHUNK_CELLS // (3 * (n + 2)))     # one kernel chunk per batch
+    step = max(1, _chunk_rows(n, NONNEG) // 3)     # one kernel chunk per batch
     for start in range(0, trials, step):
         pairs = []
         for k in range(start, min(start + step, trials)):

@@ -875,7 +875,7 @@ def batch_cases(draw):
     0.0, -0.0, the top and inf where the scale holds them; a generated or
     possibility measure, its table cached or not, in some draws lifted to a
     nonzero empty set (an open scale's tail mass); a catalog operator or one
-    that is nan on some cells; a random domain."""
+    that is nan on some cells."""
     scale = draw(st.sampled_from([UNIT, UNIT_OPEN, NONNEG, EXTENDED]))
     n = draw(st.integers(1, 6))
     pool = [v for v in (0.0, -0.0, 0.25, 0.5, 1.0, 3.0, INF) if scale.contains(v)]
@@ -896,25 +896,24 @@ def batch_cases(draw):
         mu.table()
     # prob_sum left out: its own gate and grid meet inf * (1 - inf), which warns
     op = draw(st.sampled_from([op for op in _CATALOG if op.name != "prob_sum"] + _NAN_OPS))
-    domain = draw(st.one_of(st.none(), st.integers(0, (1 << n) - 1)))
-    return rows, scale, mu, op, domain
+    return rows, scale, mu, op
 
 
-def scalar_rows(rows, scale, mu, op, domain):
+def scalar_rows(rows, scale, mu, op):
     """The scalar route over the rows, up to and including its first refusal."""
     out = []
     for row in rows:
-        out.append(_outcome(upper_integral_result, Fn(row, scale), mu, op, domain))
+        out.append(_outcome(upper_integral_result, Fn(row, scale), mu, op))
         if len(out[-1]) == 2:
             break
     return out
 
 
-def batch_rows(rows, scale, mu, op, domain):
+def batch_rows(rows, scale, mu, op):
     """The batch route's rows, up to and including its refusal."""
     out = []
     try:
-        for res in _upper_rows(np.array(rows, dtype=float), scale, mu, op, domain):
+        for res in _upper_rows(np.array(rows, dtype=float), scale, mu, op):
             out.append(_result_bytes(*res))
     except (DomainError, HypothesisError) as e:
         out.append((type(e).__name__, str(e)))
@@ -929,12 +928,12 @@ class TestBatchMatchesScalar:
     @settings(max_examples=500, deadline=None)
     @given(case=batch_cases())
     @example(case=([[-0.0, 0.5, 0.0], [0.5, 0.5, -0.0]], UNIT,
-                   MonotoneMeasure.possibility(FiniteSpace(3), [0.5, 0.5, 0.0]), minimum(), None))
-    @example(case=([[0.5, 0.75], [0.25, 0.5], [0.5, 0.5]], UNIT, MU2, _NAN_OPS[1], None))
+                   MonotoneMeasure.possibility(FiniteSpace(3), [0.5, 0.5, 0.0]), minimum()))
+    @example(case=([[0.5, 0.75], [0.25, 0.5], [0.5, 0.5]], UNIT, MU2, _NAN_OPS[1]))
     @example(case=([[INF, 1.0, INF], [0.0, 0.0, 0.0]], EXTENDED,
-                   MonotoneMeasure.possibility(FiniteSpace(3), [INF, 0.0, 0.5]), product(), 0b101))
+                   MonotoneMeasure.possibility(FiniteSpace(3), [INF, 0.0, 0.5]), product()))
     @example(case=([[0.5, 0.25]], UNIT_OPEN, MonotoneMeasure.explicit(
-        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), minimum(), 0))
+        SP2, [0.25, 0.5, 0.5, 0.5], allow_nonzero_empty=True), minimum()))
     def test_rows_and_refusals(self, case):
         tableless = case[2]._table is None
         assert batch_rows(*case) == scalar_rows(*case)
