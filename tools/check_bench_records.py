@@ -6,7 +6,9 @@ Loads every ``BENCH_*.json`` at the repository root and fails if one does not
 parse, or if it names a workload or an end-to-end metric that
 ``BENCHMARK.json`` does not declare: a ``workloads`` key, a metric in a
 workload's ``summary`` or in one side of a run, or the ``claim``'s workload
-and metric.  Exit code 0 when every record is consistent, 1 otherwise.
+and metric.  A claim that names its ``round`` must be read from that round:
+every run under ``workloads`` carries it.  Exit code 0 when every record is
+consistent, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ def problems(record: dict, workloads: set, metrics: set) -> list[str]:
             if metric not in metrics:
                 out.append(f"{name}: summary names undeclared metric {metric!r}")
         for run in body.get("runs", []):
+            if "round" in claim and run.get("round") != claim["round"]:
+                out.append(f"{name}: pair {run.get('pair')} is round {run.get('round')!r}, "
+                           f"the claim's is {claim['round']!r}")
             for side in ("parent", "change"):
                 for metric in set(run.get(side, {})) - RUN_FIELDS - metrics:
                     out.append(f"{name}: pair {run.get('pair')} {side} names "
