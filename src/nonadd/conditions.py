@@ -251,8 +251,8 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
     X, Y = g[:, None], g[None, :]
     opXY = op.grid(X, Y)
     factors = np.asarray([1.5, 2.0, 4.0, 16.0, 256.0])
-    bounds = np.float_power(factors, q)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # a large q gives inf bounds
+        bounds = np.float_power(factors, q)
         powered = np.float_power(opXY, r)
 
     def by_z(Z):
@@ -266,7 +266,9 @@ def cond_distributive_scaling(op: BinaryOp, q: float, r: float,
         s = factors[i] * X
         valid = scale.contains_all(s)
         lhs = op.grid(np.where(valid, s, 0.0), Y)
-        return lhs, bounds[i] * powered, valid, {"scale_factor": factors[i], "x": X, "y": Y}
+        with np.errstate(invalid="ignore"):              # an inf bound times 0 is nan
+            rhs = bounds[i] * powered
+        return lhs, rhs, valid, {"scale_factor": factors[i], "x": X, "y": Y}
 
     return _sweep((len(g), len(g)), [(g, by_z), (np.arange(len(factors)), by_factor)],
                   _TOL, "grid")

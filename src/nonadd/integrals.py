@@ -355,10 +355,17 @@ def seminormed_integral(f: Fn, mu: MonotoneMeasure, semicopula: BinaryOp,
 
 def abs_power(values: Sequence[float], p: float) -> Fn:
     """Adapter from a signed real vector to the nonnegative integrand |v|^p,
-    on the extended scale [0, inf]."""
+    on the extended scale [0, inf].  A finite |v|^p above the largest float
+    is refused."""
     if not p > 0:
         raise DomainError("exponent must be positive")
-    return Fn([abs(float(v)) ** p for v in values], EXTENDED)
+    powered = []
+    for v in map(float, values):
+        try:
+            powered.append(abs(v) ** p)
+        except OverflowError:
+            raise DomainError(f"|v|^p overflows a float at v={v!r}, p={p!r}") from None
+    return Fn(powered, EXTENDED)
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ pair sets:
   as large as (A, B) and a smaller key.  Largest violation, witness and
   success margin are therefore those of all pairs, bit for bit.  The
   derived all-pairs maxitive form cannot fail on such a table either, so it
-  runs only on tables that are not exactly monotone (possible for
-  ``explicit(validate=False)`` tables, tables validated only up to
+  runs only on tables that are not exactly monotone (possible for tables
+  handed to the constructor unchecked, tables validated only up to
   ``core._TOL``, and user distortions);
 * *all pairs* (4**n), in row chunks: subadditivity on other tables, and
   submodularity on the tables below that the local cells cannot decide.
@@ -194,7 +194,6 @@ class MonotoneMeasure:
     @classmethod
     def explicit(cls, space: FiniteSpace, table: Sequence[float], *,
                  allow_nonzero_empty: bool = False,
-                 validate: bool = True,
                  rounding: bool = False) -> "MonotoneMeasure":
         try:
             tab = np.array(table, dtype=float)      # one copy: the caller keeps its own
@@ -207,12 +206,11 @@ class MonotoneMeasure:
         if np.isnan(tab).any() or (tab < 0).any():
             raise DomainError("table entries must be extended nonnegative reals")
         mu = cls(space, "explicit", table=tab, rounding=rounding)
-        if validate:
-            if not allow_nonzero_empty and tab[0] != 0.0:
-                raise DomainError("measure of the empty set must be 0")
-            res = _check_monotone(tab, space.n, mu.tolerance())
-            if not res.holds:
-                raise DomainError(f"table is not monotone: {res.witness}")
+        if not allow_nonzero_empty and tab[0] != 0.0:
+            raise DomainError("measure of the empty set must be 0")
+        res = _check_monotone(tab, space.n, mu.tolerance())
+        if not res.holds:
+            raise DomainError(f"table is not monotone: {res.witness}")
         return mu
 
     @classmethod

@@ -101,49 +101,21 @@ def metric_eval(spec: MetricSpec, f: Sequence[float], g: Sequence[float],
     """Distance between two real vectors under the chosen metric kind."""
     if spec.kind == "d_op_p":
         _gate_metric_op(spec)
-    return _distance(spec, f, g, mu)
-
-
-def _distance(spec: MetricSpec, f: Sequence[float], g: Sequence[float],
-              mu: MonotoneMeasure, integral=None) -> float:
-    """:func:`metric_eval` without the operator gate, for callers that have
-    passed it once before their loop.  ``integral``, when given, is the
-    caller's :func:`_integrate_once` for ``d_op_p``'s upper integral."""
     diff = _abs_diff(f, g)
     if spec.kind == "frechet":
         return lower_integral(Fn(diff, EXTENDED), mu, _SUM)
     if spec.kind == "kyfan":
         return upper_integral(Fn(diff, EXTENDED), mu, _MIN)
-    integrand = abs_power(diff, spec.p)
-    base = (integral(integrand) if integral is not None
-            else upper_integral(integrand, mu, spec.op))
+    base = upper_integral(abs_power(diff, spec.p), mu, spec.op)
     return float(base ** (1.0 / (spec.p ** 2 + 1.0)))
-
-
-def _integrate_once(mu: MonotoneMeasure, op: BinaryOp):
-    """``fk -> upper_integral(fk, mu, op)`` for one call's loops,
-    integrating each distinct integrand once.  The memo is keyed by the
-    ``Fn`` itself, values and scale: the integral reads the values through
-    ``_level_sets``, which compares them by value (so -0.0 and 0.0, equal
-    and of one hash, are one level), and the memo lives only as long as the
-    caller keeps the returned function."""
-    memo: dict[Fn, float] = {}
-
-    def integral(fk: Fn) -> float:
-        value = memo.get(fk)
-        if value is None:
-            value = memo[fk] = upper_integral(fk, mu, op)
-        return value
-
-    return integral
 
 
 def _power_integrals(rows: np.ndarray, p: float, mu: MonotoneMeasure, op: BinaryOp):
     """Yield ``upper_integral(abs_power(row, p), mu, op)`` for each row of
     ``rows``, bit for bit, in one batch (``integrals._upper_rows``):
     ``np.float_power`` calls the libm ``pow`` of Python's ``**``.  A row
-    whose ``**`` overflows raises ``abs_power``'s ``OverflowError`` when
-    it is reached, as the scalar loop would."""
+    whose ``**`` overflows is refused by ``abs_power`` when it is reached,
+    as the scalar loop would be."""
     with np.errstate(over="ignore"):
         powered = np.float_power(np.abs(rows), p)
     overflows = (np.isinf(powered) & np.isfinite(rows)).any(axis=1).tolist()
@@ -160,11 +132,11 @@ def _abs_diffs(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
         return np.where(fs == gs, 0.0, np.abs(fs - gs))
 
 
-def _distances(spec: MetricSpec, fs: np.ndarray, gs: np.ndarray, mu: MonotoneMeasure):
-    """Yield ``_distance(spec, f, g, mu)`` for each row pair of the (m, n)
-    arrays ``fs`` and ``gs``, bit for bit, lazily: the upper-integral kinds
-    integrate every row in one batch, ``frechet`` row by row."""
-    diffs = _abs_diffs(fs, gs)
+def _distances(spec: MetricSpec, diffs: np.ndarray, mu: MonotoneMeasure):
+    """Yield ``metric_eval(spec, f, g, mu)``, without its gate, for each
+    row ``_abs_diffs(fs, gs)`` of the (m, n) array ``diffs``, bit for bit,
+    lazily: the upper-integral kinds integrate every row in one batch,
+    ``frechet`` row by row."""
     if spec.kind == "frechet":
         for diff in diffs.tolist():
             yield lower_integral(Fn(diff, EXTENDED), mu, _SUM)
@@ -259,13 +231,14 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
     if spec.kind == "d_op_p":
         _gate_metric_op(spec)
     n = mu.space.n
-    full = (1 << n) - 1
+    weights = 1 << np.arange(n, dtype=np.int64)
     nulls = null_union(mu, _TOL)
     min_slack = INF
     step = max(1, _chunk_rows(n, EXTENDED) // 4)    # up to four distances a trial
     for start in range(0, trials, step):
-        # draw a chunk of trials, then read their distances from one batch
-        # in the order the checks below take them
+        # draw a chunk of trials, then read their distances and the supports
+        # of their |f - g| (the points where it is > 0) from one batch of
+        # rows, in the order the checks below take them
         trial = []
         for k in range(start, min(start + step, trials)):
             rng = rng_for(seed, "metric-triple", k)
@@ -277,13 +250,11 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         pairs = []
         for f, g, h, g2 in trial:
             pairs += [(f, g)] + ([(f, g2)] if g2 else []) + [(f, h), (h, g)]
-        dist = _distances(spec, np.array([a for a, _ in pairs]),
-                          np.array([b for _, b in pairs]), mu)
+        diffs = _abs_diffs(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+        rows = zip(_distances(spec, diffs, mu), (diffs > 0.0).dot(weights).tolist())
         for f, g, h, g2 in trial:
-            dfg = next(dist)
+            dfg, support = next(rows)
             # identity of indiscernibles, as the null-support equivalence
-            diff = _abs_diff(f, g)
-            support = _level_sets(diff, full)[1][0]  # the points where diff > 0
             equivalent = mu(support) <= _TOL
             dist_zero = dfg <= _TOL
             if equivalent != dist_zero:
@@ -292,14 +263,13 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
                                     "support_measure": mu(support), "distance": dfg},
                                    mode="sampled")
             if g2:
-                d2 = next(dist)
+                d2, _ = next(rows)
                 if d2 > _TOL:
                     return CheckResult(False, d2,
                                        {"axiom": "identity", "f": f, "g": g2,
                                         "null_set": nulls, "distance": d2},
                                        mode="sampled")
-            dfh = next(dist)
-            dhg = next(dist)
+            (dfh, _), (dhg, _) = next(rows), next(rows)
             gap = dfg - (dfh + dhg)
             if gap > _TOL:
                 return CheckResult(False, gap,
@@ -508,31 +478,37 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
     n = mu.space.n
     exponent = p * p + 1.0
 
-    # the distances below integrate the eps loop's accepted integrands again
-    integral = _integrate_once(mu, spec.op)
     if sequence is None:
         rng = rng_for(seed, "cauchy", n)
         base = [rng.randrange(0, 17) / 8.0 for _ in range(n)]
-        deltas = []
-        for k in range(1, levels + 1):
+        # the eps loop draws nothing, so every level's u is drawn first; its
+        # first eps step is read in one batch, and a step too long halves
+        # eps and is read again, up to 60 reads a level
+        us = [[rng.randrange(0, 9) / 8.0 for _ in range(n)] for _ in range(levels)]
+        firsts = _power_integrals(
+            np.array([[4.0 ** (-k / p) * v for v in u] for k, u in enumerate(us, start=1)]),
+            p, mu, spec.op)
+        acc, sequence = base, [Fn(base, NONNEG)]
+        for k, (u, d) in enumerate(zip(us, firsts), start=1):
             eps = 4.0 ** (-k / p)
-            u = [rng.randrange(0, 9) / 8.0 for _ in range(n)]
-            for _ in range(60):
-                trial = [eps * v for v in u]
-                d = integral(abs_power(trial, p))
+            for read in range(60):
+                if read:
+                    d = upper_integral(abs_power([eps * v for v in u], p), mu, spec.op)
                 if d <= 4.0 ** (-k * p):
                     break
                 eps /= 2.0
-            deltas.append([eps * v for v in u])
-        seq = []
-        acc = list(base)
-        for delta in deltas:
-            seq.append(Fn(list(acc), NONNEG))
-            acc = [a + d for a, d in zip(acc, delta)]
-        seq.append(Fn(acc, NONNEG))
-        sequence = seq
+            acc = [a + eps * v for a, v in zip(acc, u)]
+            sequence.append(Fn(acc, NONNEG))
 
-    dists = [_distance(spec, a, b, mu, integral) for a, b in zip(sequence, sequence[1:])]
+    # the consecutive distances in one batch, up to a pair of unequal
+    # lengths, which is refused once the pairs before it were read
+    values = [fk.values for fk in sequence]
+    same = next((k for k in range(1, len(values)) if len(values[k]) != len(values[k - 1])),
+                len(values))
+    rows = np.array(values[:same])
+    dists = list(_distances(spec, _abs_diffs(rows[:-1], rows[1:]), mu))
+    if same < len(values):
+        _abs_diff(values[same - 1], values[same])
     for k, d in enumerate(dists, start=1):
         if d ** exponent > 4.0 ** (-k * p) + _TOL:
             return CheckResult(False, d ** exponent - 4.0 ** (-k * p),

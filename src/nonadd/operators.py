@@ -193,8 +193,14 @@ def prob_sum() -> BinaryOp:
         "prob_sum",
         lambda a, b: a + b * (1.0 - a),
         _CONTINUOUS,
-        grid_fn=lambda a, b: np.asarray(a) + np.asarray(b) * (1.0 - np.asarray(a)),
+        grid_fn=_prob_sum_grid,
     )
+
+
+def _prob_sum_grid(a, b):
+    a = np.asarray(a)
+    with np.errstate(invalid="ignore"):     # inf - inf and 0 * inf: nan, silently as in fn
+        return a + np.asarray(b) * (1.0 - a)
 
 
 @_shared

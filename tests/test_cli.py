@@ -209,6 +209,27 @@ class TestRun:
         assert report["summary"] == {"passed": 1, "failed": 0}
         assert report["error"] == {"task": 1, "message": message}
 
+    def test_an_overflowing_power_is_refused_with_its_task(self, tmp_path, capsys):
+        # 8 ** 400 is above the largest float: the d_op_p distance's |f - g|^p
+        # is refused while the second task runs, as an input error
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "possibility", "density": [0.5, 1.0]}},
+               "functions": {"f": [8, 0.5], "g": [0, 0]},
+               "operators": {"pmin": {"name": "power_min", "p": 1, "u": 1}},
+               "tasks": [{"task": "metric", "kind": "kyfan", "measure": "mu",
+                          "f": "f", "g": "g"},
+                         {"task": "metric", "kind": "d_op_p", "operator": "pmin", "p": 400,
+                          "measure": "mu", "f": "f", "g": "g"}]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        message = "|v|^p overflows a float at v=8.0, p=400.0"
+        code = main(["run", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)["report"]
+        assert code == 2 and captured.err == f"error: tasks[1]: {message}\n"
+        assert [(t["task"], t["verdict"]) for t in report["tasks"]] == [("metric", "pass")]
+        assert report["error"] == {"task": 1, "message": message}
+
     def test_non_subadditive_metric_task_reports_triangle_witness(self, tmp_path,
                                                                   capsys):
         # measure with a planted union above the sum of its parts

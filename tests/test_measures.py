@@ -29,6 +29,14 @@ from nonadd.operators import one_minus, reciprocal
 from nonadd.results import CheckResult, DomainError
 
 
+def unchecked(space, table, rounding=False):
+    """An explicit measure on ``table``, built without ``explicit``'s
+    monotone and empty-set checks, for the routes that must also read
+    tables failing them."""
+    return MonotoneMeasure(space, "explicit", table=np.array(table, dtype=float),
+                           rounding=rounding)
+
+
 def brute_property(mu, prop):
     """Independent oracle: plain double loops over subset pairs."""
     n = mu.space.n
@@ -404,7 +412,7 @@ grid_values = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 3.0, INF])
 
 @st.composite
 def raw_tables(draw):
-    """Tables for ``explicit(validate=False)``: often non-monotone, sometimes
+    """Tables for :func:`unchecked`: often non-monotone, sometimes
     with inf entries or a nonzero empty set, and half of them made monotone."""
     n = draw(st.integers(1, 7))
     tab = draw(st.lists(grid_values, min_size=1 << n, max_size=1 << n))
@@ -425,8 +433,7 @@ def pairwise_measures(draw):
     kind = draw(st.sampled_from(["raw", "inf", "family", "lambda", "dual"]))
     if kind == "raw":
         n, tab = draw(raw_tables())
-        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False,
-                                        rounding=draw(st.booleans()))
+        return unchecked(FiniteSpace(n), tab, rounding=draw(st.booleans()))
     n = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 10 ** 6))
     if kind == "inf":
@@ -556,7 +563,7 @@ class TestTableBuilds:
         # zeros whose bit is set in signs become -0.0, whose sign a holding
         # check's margin may carry
         tab = [-0.0 if v == 0.0 and signs >> i & 1 else v for i, v in enumerate(tab)]
-        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False, rounding=rounding)
+        mu = unchecked(FiniteSpace(n), tab, rounding=rounding)
         got = read_monotone(mu, skip_empty)
         want = ref_monotone(np.asarray(tab, dtype=float), mu.tolerance(), skip_empty)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
@@ -626,7 +633,7 @@ class TestPropertyChecks:
         # only the built table can tell
         tab = generate_measure(0, "possibility", 13).table().copy()
         tab[-1] = 0.0
-        mu = MonotoneMeasure.explicit(FiniteSpace(13), tab, validate=False)
+        mu = unchecked(FiniteSpace(13), tab)
         with pytest.raises(DomainError, match=f"{4 ** 13:,} cells"):
             check_measure_property(mu, "subadditive")
 
@@ -680,8 +687,7 @@ def null_additive_measures(draw):
     kind = draw(st.sampled_from(["raw", "possibility", "lambda", "distortion"]))
     if kind == "raw":
         n, tab = draw(raw_tables())
-        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False,
-                                        rounding=draw(st.booleans()))
+        return unchecked(FiniteSpace(n), tab, rounding=draw(st.booleans()))
     n = draw(st.integers(1, 10))
     space = FiniteSpace(n)
     zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -790,8 +796,7 @@ route_values = st.sampled_from([0.0, -0.0, 0.125, 0.5, 1.0, 3.0, INF])
 def with_tolerance(tab, tol):
     """``tab`` as an unvalidated explicit measure whose ``tolerance()`` is
     ``tol``, one of ``ROUTE_TOLS``."""
-    mu = MonotoneMeasure.explicit(FiniteSpace(len(tab).bit_length() - 1), tab,
-                                  validate=False, rounding=tol > 0)
+    mu = unchecked(FiniteSpace(len(tab).bit_length() - 1), tab, rounding=tol > 0)
     assert mu.tolerance() == tol
     return mu
 
@@ -1004,7 +1009,7 @@ class TestPairKernel:
     def test_overlapping_only_violation_on_non_monotone_table(self):
         # every disjoint pair holds; only ({0,1}, {1,2}) breaks subadditivity
         tab = [0, 1, 0.5, 0.3, 1, 0.5, 0.3, 1]
-        mu = MonotoneMeasure.explicit(SP3, tab, validate=False)
+        mu = unchecked(SP3, tab)
         assert all(tab[a | b] <= tab[a] + tab[b]
                    for a in range(8) for b in range(8) if a & b == 0)
         res = check_measure_property(mu, "subadditive")
@@ -1017,7 +1022,7 @@ class TestPairKernel:
     def test_overlapping_only_maxitive_violation_on_non_monotone_table(self):
         # every disjoint pair holds; ({0,1}, {0,2}) breaks the all-pairs form
         tab = [0, 0, 0.5, 0, 0.5, 0, 0.5, 0.5]
-        mu = MonotoneMeasure.explicit(SP3, tab, validate=False)
+        mu = unchecked(SP3, tab)
         res = check_measure_property(mu, "maxitive")
         assert res.to_dict() == {"holds": False, "margin": 0.5, "mode": "exhaustive",
                                  "status": "checked",
@@ -1175,9 +1180,7 @@ def maxitive_cases(draw):
                 tab[m] += draw(st.sampled_from([-1e-13, 1e-13]))
     if kind == "empty":
         tab[0] = draw(st.sampled_from([0.0, -0.0, 0.125, 0.5, INF]))
-    return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False,
-                                    allow_nonzero_empty=kind == "empty",
-                                    rounding=draw(st.booleans()))
+    return unchecked(FiniteSpace(n), tab, rounding=draw(st.booleans()))
 
 
 def result_bytes(res):
@@ -1215,7 +1218,7 @@ class TestMaxitiveBySingletons:
         assert result_bytes(check_measure_property(mu, "null_additive")) == \
             result_bytes(ref_null_additive(tab, tol))
         if mu.kind == "possibility":     # the kind decides what the sweeps read
-            swept = MonotoneMeasure.explicit(mu.space, tab, validate=False)
+            swept = unchecked(mu.space, tab)
             for prop in ("monotone", "subadditive", "submodular", "maxitive", "null_additive"):
                 assert result_bytes(check_measure_property(mu, prop)) == \
                     result_bytes(check_measure_property(swept, prop)), prop
@@ -1242,7 +1245,7 @@ class TestMaxitiveBySingletons:
             # one entry lowered below a subset's value: the per-point sweep fails
             tab = mu.table().copy()
             tab[0b1011_0110_0000_1010_0110] = 0.0625
-            lowered = MonotoneMeasure.explicit(mu.space, tab, validate=False)
+            lowered = unchecked(mu.space, tab)
             res = check_measure_property(lowered, "monotone")
             assert spy.call_count > 0
         assert not res.holds
@@ -1311,8 +1314,7 @@ class TestLocalSubmodular:
         # k/64 entries make every finite sum and difference exact, so the
         # submodular check and all 4**n pairs must agree on the verdict, on
         # monotone and non-monotone tables, with or without inf entries
-        mu = MonotoneMeasure.explicit(FiniteSpace(len(tab).bit_length() - 1), tab,
-                                      validate=False)
+        mu = unchecked(FiniteSpace(len(tab).bit_length() - 1), tab)
         res = check_measure_property(mu, "submodular")
         assert res.holds == brute_property(mu, "submodular")
         if not res.holds:
@@ -1339,7 +1341,7 @@ class TestLocalSubmodular:
     def test_non_monotone_table_with_inf_fails_on_finite_pair(self):
         # read on the local cells, its four inf - inf cells would count as 0
         # and the check would hold with margin 0.0
-        mu = MonotoneMeasure.explicit(SP3, [0, 0, INF, INF, INF, INF, 0, 1], validate=False)
+        mu = unchecked(SP3, [0, 0, INF, INF, INF, INF, 0, 1])
         res = check_measure_property(mu, "submodular")
         assert res.to_dict() == {
             "holds": False, "margin": 1.0, "mode": "exhaustive", "status": "checked",
@@ -1353,13 +1355,12 @@ class TestLocalSubmodular:
                             lambda *args, **kw: calls.append(args) or real(*args, **kw))
         for mu in (generate_measure(4, "distortion_concave", 10),
                    generate_measure(4, "monotonized_random", 6),
-                   MonotoneMeasure.explicit(SP2, [0, 0.5, 0.25, 0.125], validate=False),
+                   unchecked(SP2, [0, 0.5, 0.25, 0.125]),
                    MonotoneMeasure.explicit(SP2, [0, 1e308, INF, INF])):
             check_measure_property(mu, "submodular")
         assert calls == []
         for table in ([0, 0, INF, INF, INF, INF, 0, 1], [0, 1e308, 0, 5e307]):
-            mu = MonotoneMeasure.explicit(FiniteSpace(len(table).bit_length() - 1), table,
-                                          validate=False)
+            mu = unchecked(FiniteSpace(len(table).bit_length() - 1), table)
             check_measure_property(mu, "submodular")
         assert len(calls) == 2
 

@@ -4,6 +4,7 @@ lemmas, the convergence-of-means bound, and the completeness probe."""
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonadd.core import EXTENDED, FiniteSpace, Fn, INF, NONNEG, rng_for
-from nonadd.integrals import lower_integral
+from nonadd.conditions import cond_distributive_scaling
+from nonadd.integrals import lower_integral, upper_integral
 from nonadd.measures import MonotoneMeasure, generate_measure
 from nonadd.metrics import (
     MetricSpec,
@@ -493,59 +495,6 @@ class TestSymmetryByConstruction:
             assert metric_eval(spec, f, g, mu).hex() == metric_eval(spec, g, f, mu).hex()
 
 
-class TestIntegrateOnce:
-    """``cauchy_probe`` integrates each distinct integrand once per call:
-    the same result bytes as integrating every term, in fewer integrals.
-    The convergence lemmas read their sequence and limit in one batch."""
-
-    @staticmethod
-    def _calls(k: int):
-        """One generated probe, as the campaigns build it."""
-        p = (0.5, 1.0, 2.0)[k % 3]
-        op = power_min(p, 1.0) if k % 2 == 0 else power_prod(p, 1.0)
-        n = 3 + k % 5
-        probe_mu = sampling.subadditive_measure(23, k, n)
-        return [lambda: cauchy_probe(MetricSpec("d_op_p", op, p), probe_mu, seed=k, levels=8)]
-
-    def _fingerprints(self):
-        results = [call() for k in range(12) for call in self._calls(k)]
-        return [(json.dumps(res.to_dict()), repr(res.margin)) for res in results]
-
-    def _count(self, monkeypatch):
-        seen = []
-        real = metrics.upper_integral
-        monkeypatch.setattr(metrics, "upper_integral",
-                            lambda f, *args: seen.append(f.values) or real(f, *args))
-        return seen
-
-    def test_same_bytes_as_every_term(self, monkeypatch):
-        seen = self._count(monkeypatch)
-        once = self._fingerprints()
-        distinct = len(seen)
-        monkeypatch.setattr(metrics, "_integrate_once", lambda mu, op:
-                            lambda fk: metrics.upper_integral(fk, mu, op))
-        assert self._fingerprints() == once
-        assert len(seen) - distinct > distinct // 2   # the per-term form repeats
-
-    def test_each_integrand_once_per_call(self, monkeypatch):
-        seen = self._count(monkeypatch)
-        for k in range(12):
-            for call in self._calls(k):
-                del seen[:]
-                call()
-                assert seen and len(seen) == len(set(seen))
-        # a stabilized sequence and its limit: one batch, no scalar integral
-        batches = []
-        real = metrics._upper_rows
-        monkeypatch.setattr(metrics, "_upper_rows",
-                            lambda rows, *args: batches.append(rows.tolist()) or real(rows, *args))
-        mu = sampling.measure_with_null_atoms(5, 4)
-        f = Fn([1.0, 2.0, 0.5, 1.5], NONNEG)
-        del seen[:]
-        assert check_convergence_lemmas(minimum(), mu, [f] * 5, f, "monotone").holds
-        assert seen == [] and batches == [[list(f.values)] * 6]
-
-
 # ---------------------------------------------------------------------------
 # The batched loops against the per-integrand loops they replaced
 # ---------------------------------------------------------------------------
@@ -568,7 +517,7 @@ def ref_check_metric_axioms(spec, mu, trials=200, seed=0):
     for k in range(trials):
         rng = rng_for(seed, "metric-triple", k)
         f, g, h = (sampling.signed_vector(rng, n) for _ in range(3))
-        dfg = metrics._distance(spec, f, g, mu)
+        dfg = metric_eval(spec, f, g, mu)
         diff = metrics._abs_diff(f, g)
         support = metrics._level_sets(diff, full)[1][0]
         equivalent = mu(support) <= metrics._TOL
@@ -579,13 +528,13 @@ def ref_check_metric_axioms(spec, mu, trials=200, seed=0):
                                                     "distance": dfg}, mode="sampled")
         if nulls and k % 7 == 0:
             g2 = [v + (1.0 if nulls >> i & 1 else 0.0) for i, v in enumerate(f)]
-            d2 = metrics._distance(spec, f, g2, mu)
+            d2 = metric_eval(spec, f, g2, mu)
             if d2 > metrics._TOL:
                 return metrics.CheckResult(False, d2, {"axiom": "identity", "f": f, "g": g2,
                                                        "null_set": nulls, "distance": d2},
                                            mode="sampled")
-        dfh = metrics._distance(spec, f, h, mu)
-        dhg = metrics._distance(spec, h, g, mu)
+        dfh = metric_eval(spec, f, h, mu)
+        dhg = metric_eval(spec, h, g, mu)
         gap = dfg - (dfh + dhg)
         if gap > metrics._TOL:
             return metrics.CheckResult(False, gap, {"axiom": "triangle", "f": f, "g": g, "h": h,
@@ -608,7 +557,7 @@ def ref_verify_mean_convergence(spec, mu, sequence, limit):
     if not sub.holds:
         raise HypothesisError("requires a subadditive measure", detail=sub)
     e = 1.0 / (spec.p ** 2 + 1.0)
-    dists = [metrics._distance(spec, fk, limit, mu) for fk in sequence]
+    dists = [metric_eval(spec, fk, limit, mu) for fk in sequence]
     if dists and dists[-1] > min(dists) + metrics._TOL:
         return metrics.CheckResult(False, dists[-1] - min(dists),
                                    {"reason": "distances do not settle", "distances": dists},
@@ -667,11 +616,80 @@ def ref_check_convergence_lemmas(op, mu, sequence, limit, kind):
     return metrics.CheckResult(True, margin=-gap if math.isfinite(gap) else INF, detail=detail)
 
 
+def ref_cauchy_probe(spec, mu, seed=0, levels=8, sequence=None):
+    """``cauchy_probe`` as it read each eps step and each distance by one
+    scalar integral, in order."""
+    if sequence is None:
+        metrics._at_least_one("levels", levels)
+    elif len(sequence) < 2:
+        raise DomainError("the probe needs a sequence of at least two terms")
+    if spec.kind != "d_op_p":
+        raise DomainError("the probe is stated for the operator metric")
+    metrics._gate_metric_op(spec)
+    sub = metrics.check_measure_property(mu, "subadditive")
+    if not sub.holds:
+        raise HypothesisError("requires a subadditive measure", detail=sub)
+    p, n = spec.p, mu.space.n
+    exponent = p * p + 1.0
+    if sequence is None:
+        rng = rng_for(seed, "cauchy", n)
+        acc = [rng.randrange(0, 17) / 8.0 for _ in range(n)]
+        sequence = [Fn(acc, NONNEG)]
+        for k in range(1, levels + 1):
+            eps = 4.0 ** (-k / p)
+            u = [rng.randrange(0, 9) / 8.0 for _ in range(n)]
+            for _ in range(60):
+                d = metrics.upper_integral(metrics.abs_power([eps * v for v in u], p),
+                                           mu, spec.op)
+                if d <= 4.0 ** (-k * p):
+                    break
+                eps /= 2.0
+            acc = [a + eps * v for a, v in zip(acc, u)]
+            sequence.append(Fn(acc, NONNEG))
+    dists = [metric_eval(spec, a, b, mu) for a, b in zip(sequence, sequence[1:])]
+    for k, d in enumerate(dists, start=1):
+        if d ** exponent > 4.0 ** (-k * p) + metrics._TOL:
+            return metrics.CheckResult(False, d ** exponent - 4.0 ** (-k * p),
+                                       {"index": k, "distance": d}, status="premise-failed",
+                                       detail={"distances": dists})
+    union, min_slack = 0, INF
+    for k in range(1, len(sequence)):
+        mask = sum(1 << i for i, (a, b) in enumerate(zip(sequence[k].values,
+                                                          sequence[k - 1].values))
+                   if abs(a - b) ** p >= 2.0 ** -k)
+        union |= mask
+        mu_k = mu(mask)
+        b1 = float(spec.op.fn(2.0 ** -k, mu_k))
+        if b1 > 4.0 ** (-k * p) + metrics._TOL:
+            return metrics.CheckResult(False, b1 - 4.0 ** (-k * p),
+                                       {"stage": "definitional", "k": k, "mu": mu_k})
+        b2 = float(spec.op.fn(1.0, mu_k))
+        if b2 > (2.0 ** (p * k)) * b1 + metrics._TOL:
+            return metrics.CheckResult(False, b2 - (2.0 ** (p * k)) * b1,
+                                       {"stage": "scaling", "k": k, "mu": mu_k})
+        if b2 > 2.0 ** (-k * p) + metrics._TOL:
+            return metrics.CheckResult(False, b2 - 2.0 ** (-k * p),
+                                       {"stage": "chain", "k": k, "mu": mu_k})
+        if 2.0 ** (-k * p) < 1.0 and mu_k > 2.0 ** (-k * p) + metrics._TOL:
+            return metrics.CheckResult(False, mu_k - 2.0 ** (-k * p),
+                                       {"stage": "unit-section", "k": k, "mu": mu_k})
+        min_slack = min(min_slack, 2.0 ** (-k * p) - mu_k)
+    geo = sum(2.0 ** (-k * p) for k in range(1, len(sequence)))
+    if mu(union) > geo + metrics._TOL:
+        return metrics.CheckResult(False, mu(union) - geo, {"stage": "tail-union",
+                                                            "mu_union": mu(union), "bound": geo})
+    return metrics.CheckResult(True, margin=min_slack,
+                               detail={"levels": len(sequence) - 1, "union_measure": mu(union),
+                                       "distances": dists,
+                                       "scope": "quantitative bound chain only; finite "
+                                                "spaces make pointwise limits trivial"})
+
+
 def loop_outcome(check, *args, **kwargs):
     """A check's result JSON and margin repr, or the type and message it raises."""
     try:
         res = check(*args, **kwargs)
-    except (DomainError, HypothesisError, OverflowError) as e:
+    except (DomainError, HypothesisError) as e:
         return type(e).__name__, str(e)
     return json.dumps(res.to_dict()), repr(res.margin)
 
@@ -750,24 +768,106 @@ class TestBatchedLoopsMatchTheirLoops:
             assert loop_outcome(check_convergence_lemmas, op, mu, seq, limit, kind) == \
                 loop_outcome(ref_check_convergence_lemmas, op, mu, seq, limit, kind)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated_cauchy_probe(self, data):
+        n = data.draw(st.integers(1, 6))
+        mu = data.draw(loop_measures(n))
+        factory = data.draw(st.sampled_from([power_min, power_prod]))
+        p = data.draw(st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 1 / 3]))
+        spec = MetricSpec("d_op_p", factory(p, 1.0), p)
+        levels, seed = data.draw(st.integers(1, 10)), data.draw(st.integers(0, 10 ** 6))
+        assert loop_outcome(cauchy_probe, spec, mu, seed, levels) == \
+            loop_outcome(ref_cauchy_probe, spec, mu, seed, levels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_supplied_cauchy_probe(self, data):
+        n = data.draw(st.integers(1, 5))
+        mu = data.draw(loop_measures(n))
+        factory, p = data.draw(st.sampled_from(_LOOP_OPS))
+        spec = MetricSpec("d_op_p", factory(p, 1.0), p)
+        base, *seq = data.draw(nonneg_terms(n, data.draw(st.integers(3, 9))))
+        shape = data.draw(st.sampled_from(["settling", "jump", "drawn", "length"]))
+        if shape in ("settling", "jump"):      # steps under the decay bound
+            seq = [Fn([v + 16.0 ** (-j / p) * (i % 3) / 4 for i, v in enumerate(base.values)],
+                      NONNEG) for j in range(len(seq))]
+        if shape == "jump":                    # a planted jump on the heaviest point
+            heavy = max(range(n), key=lambda i: mu(1 << i))
+            k = data.draw(st.integers(1, len(seq) - 1))
+            seq[k] = Fn([v + (1.0 if i == heavy else 0.0) for i, v in enumerate(seq[k].values)],
+                        NONNEG)
+        if shape == "length":                  # one term too long or too short
+            k = data.draw(st.integers(0, len(seq) - 1))
+            values = list(seq[k].values)
+            seq[k] = Fn(values + [0.5] if n == 1 or data.draw(st.booleans()) else values[1:],
+                        NONNEG)
+        assert loop_outcome(cauchy_probe, spec, mu, sequence=seq) == \
+            loop_outcome(ref_cauchy_probe, spec, mu, sequence=seq)
+
+    @pytest.mark.parametrize("lengths", [(3, 3, 2), (3, 2, 2), (4, 4, 3), (2, 2, 3), (3, 4)])
+    def test_cauchy_probe_length_refusals(self, lengths):
+        # a pair of unequal lengths is refused once the pairs before it were
+        # read; a length off the space's is refused by the first integral
+        spec = MetricSpec("d_op_p", power_min(1.0, 1.0), 1.0)
+        mu = sampling.subadditive_measure(23, 0, 3)
+        seq = [Fn([0.5] * m, NONNEG) for m in lengths]
+        want = loop_outcome(ref_cauchy_probe, spec, mu, sequence=seq)
+        assert want[0] == "DomainError"
+        assert loop_outcome(cauchy_probe, spec, mu, sequence=seq) == want
+
+    def test_probe_and_lemmas_read_their_batches(self, monkeypatch):
+        batches, scalars = [], []
+        real_rows, real_upper = metrics._upper_rows, metrics.upper_integral
+        monkeypatch.setattr(metrics, "_upper_rows",
+                            lambda rows, *args: batches.append(rows.tolist()) or
+                            real_rows(rows, *args))
+        monkeypatch.setattr(metrics, "upper_integral",
+                            lambda f, *args: scalars.append(f.values) or real_upper(f, *args))
+        # a generated probe: every first eps step in one batch, the distances in another
+        spec = MetricSpec("d_op_p", power_min(1.0, 1.0), 1.0)
+        res = cauchy_probe(spec, sampling.subadditive_measure(23, 0, 3), seed=0, levels=8)
+        assert res.holds and [len(rows) for rows in batches] == [8, 8]
+        assert len(scalars) == 0        # no step at this seed is too long
+        # a stabilized sequence and its limit: one batch, no scalar integral
+        del batches[:]
+        mu = sampling.measure_with_null_atoms(5, 4)
+        f = Fn([1.0, 2.0, 0.5, 1.5], NONNEG)
+        assert check_convergence_lemmas(minimum(), mu, [f] * 5, f, "monotone").holds
+        assert scalars == [] and batches == [[list(f.values)] * 6]
+
     def test_an_overflowing_power_raises_where_the_loop_does(self):
         mu = sampling.subadditive_measure(3, 1, 2)
         spec = MetricSpec("d_op_p", power_min(1.0, 1.0), 400.0)
-        with np.errstate(all="ignore"):          # the gate's own grid overflows at q = 400
-            metrics._gate_metric_op(spec)
-        # 8.0 ** 400 overflows: Python's ** raises, and the batch raises the
-        # same error when it reaches that row, after the rows before it
-        with pytest.raises(OverflowError) as want:
+        # 8.0 ** 400 overflows: the scalar route refuses it, and the batch
+        # refuses it the same way when it reaches that row, after the rows
+        # before it
+        with pytest.raises(DomainError) as want:
             metrics.metric_eval(spec, [8.0, 0.5], [0.0, 0.0], mu)
-        dists = metrics._distances(spec, np.array([[1.0, 0.5], [8.0, 0.5]]), np.zeros(2), mu)
+        dists = metrics._distances(spec, np.array([[1.0, 0.5], [8.0, 0.5]]), mu)
         assert next(dists) == metrics.metric_eval(spec, [1.0, 0.5], [0.0, 0.0], mu)
-        with pytest.raises(OverflowError) as got:
+        with pytest.raises(DomainError) as got:
             next(dists)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == str(want.value) == "|v|^p overflows a float at v=8.0, p=400.0"
         # no distance overflows (5.5 ** 400 does not), the second term's mean
         # (6.5 ** 400) does, after the first term's mean gap was read
         limit = Fn([1.0, 0.5], NONNEG)
         seq = [Fn([1.0, 0.5], NONNEG), Fn([6.5, 0.5], NONNEG), Fn([1.0, 0.5], NONNEG)]
         want = loop_outcome(ref_verify_mean_convergence, spec, mu, seq, limit)
-        assert want[0] == "OverflowError"
+        assert want == ("DomainError", "|v|^p overflows a float at v=6.5, p=400.0")
         assert loop_outcome(verify_mean_convergence, spec, mu, seq, limit) == want
+
+    def test_the_gate_at_a_large_exponent_does_not_warn(self):
+        # the distributive-scaling bounds 1.5 ** 400 and up overflow to inf,
+        # and inf * 0 meets the zero cells: both are read silently
+        mu = sampling.subadditive_measure(3, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for op in (power_min(1.0, 1.0), power_prod(1.0, 1.0)):
+                spec = MetricSpec("d_op_p", op, 400.0)
+                res = cond_distributive_scaling(op, q=400.0, r=1.0, scale=EXTENDED)
+                assert res.to_dict() == {"holds": True, "margin": 0.0, "mode": "grid",
+                                         "status": "checked"}
+                assert metric_eval(spec, [1.0, 0.5], [0.0, 0.0], mu) == \
+                    float(upper_integral(Fn([1.0, 0.5 ** 400], EXTENDED), mu, op)
+                          ** (1.0 / 160001.0))

@@ -647,6 +647,19 @@ class TestOneArithmetic:
         for b in (0.844, 0.1, 0.3, 1e-9, 0.999):
             assert op.fn(1.0, b) == op.fn(b, 1.0) == 1.0
 
+    def test_prob_sum_grid_is_as_silent_as_fn(self):
+        # at an infinite argument a + b(1 - a) meets inf - inf and 0 * inf:
+        # fn returns nan without a warning, and so does the grid, cell for cell
+        op = prob_sum()
+        a, b = np.array([INF, INF, INF, 0.5, 0.0, 1.0]), np.array([0.0, 0.5, INF, INF, INF, INF])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bits = np.array([op.fn(x, y) for x, y in zip(a.tolist(), b.tolist())])
+            assert np.isnan(bits).tolist() == [True, True, True, False, False, True]
+            assert (op.grid(a, b).view(np.uint64) == bits.view(np.uint64)).all()
+            for scale in (EXTENDED, NONNEG):    # nan cells fail the law, silently
+                assert not check_operator_property(op, "nondecreasing", scale).holds
+
 
 class TestSharedCatalog:
     """Catalog factories return one operator per argument tuple, so gate

@@ -87,6 +87,7 @@ from nonadd.theorems import (
     verify_upper_mh,
 )
 from nonadd import sampling
+from test_measures import unchecked
 
 MIN, PROD, JOIN, SUM = minimum(), product(), join(), plain_sum()
 SL, BSUM, PSUM = lukasiewicz(), bounded_sum(), prob_sum()
@@ -348,8 +349,7 @@ class TestShilkretMaxitive:
         # no disjoint pair violates maxitivity on this table, which is not
         # monotone: only the derived all-pairs form fails, and the backward
         # construction has no disjoint violating pair to start from
-        mu = MonotoneMeasure.explicit(FiniteSpace(3), [0, 1, .1, .1, 1, 1, .1, 1],
-                                      validate=False)
+        mu = unchecked(FiniteSpace(3), [0, 1, .1, .1, 1, 1, .1, 1])
         maxres = check_measure_property(mu, "maxitive")
         assert not maxres.holds
         assert (maxres.witness["set_a"], maxres.witness["set_b"]) == (3, 6)
@@ -413,8 +413,8 @@ SWEEP_VALUES = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 3.0, INF]
 @st.composite
 def sweep_measures(draw, max_n=8, kinds=("family", "dual", "raw", "inf")):
     """Measures on at most ``max_n`` points: the generator families and their
-    reciprocal duals, ``explicit(validate=False)`` tables (mostly
-    non-monotone) and monotone tables holding inf."""
+    reciprocal duals, :func:`unchecked` tables (mostly non-monotone) and
+    monotone tables holding inf."""
     kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(1, max_n))
     if kind in ("family", "dual"):
@@ -424,7 +424,7 @@ def sweep_measures(draw, max_n=8, kinds=("family", "dual", "raw", "inf")):
     tab = draw(st.lists(st.sampled_from(SWEEP_VALUES), min_size=1 << n, max_size=1 << n))
     tab[0] = 0.0
     if kind == "raw":
-        return MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        return unchecked(FiniteSpace(n), tab)
     for mask in range(1, 1 << n):
         tab[mask] = max([tab[mask]] + [tab[mask & ~(1 << b)]
                                        for b in range(n) if mask >> b & 1])
@@ -459,7 +459,7 @@ class TestIndicatorSweeps:
     @given(mu=sweep_measures())
     @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 0.5, 0.25, 0.5 - 1e-13],
                                          rounding=True))
-    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 3, 2], validate=False))
+    @example(mu=unchecked(FiniteSpace(2), [0, 1, 3, 2]))
     def test_max_product_sweep_matches_row_loop(self, mu):
         tol = 1e-12
         got = _max_product_indicator_sweep(mu)
@@ -472,9 +472,8 @@ class TestIndicatorSweeps:
 
     @settings(max_examples=150, deadline=None)
     @given(mu=sweep_measures(kinds=("family", "dual", "raw")))
-    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 1, 3], validate=False))
-    @example(mu=MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 0.5, 0.25], validate=False,
-                                         rounding=True))
+    @example(mu=unchecked(FiniteSpace(2), [0, 1, 1, 3]))
+    @example(mu=unchecked(FiniteSpace(2), [0, 1, 0.5, 0.25], rounding=True))
     def test_subadditive_check_is_the_indicator_sweep(self, mu):
         # on a finite table the subadditivity check decides the two-level
         # indicator instances of the max-min equivalence: verdict and witness
@@ -491,8 +490,7 @@ class TestIndicatorSweeps:
         # inf, so the margin is nan; (1, 2) violates by 1e308 all the same.
         # The overflow is the intended extended value: the kernel raises no
         # RuntimeWarning, which the suite would turn into an error
-        mu = MonotoneMeasure.explicit(FiniteSpace(2), [0.0, 1.0, 1.0, 1e308],
-                                      validate=False)
+        mu = unchecked(FiniteSpace(2), [0.0, 1.0, 1.0, 1e308])
         got = _max_product_indicator_sweep(mu)
         assert (got["set_a"], got["set_b"]) == (1, 2)
         with np.errstate(over="ignore"):
@@ -501,7 +499,7 @@ class TestIndicatorSweeps:
     def test_maxitive_measure_failing_the_sweep(self):
         # maxitive, but not monotone: (A, B) = ({0}, {0, 1}) gives
         # max(mu(A|B), 2 mu(A&B)) = 2 > mu(A) + mu(B) = 1, the largest excess
-        mu = MonotoneMeasure.explicit(FiniteSpace(2), [0, 1, 0.5, 0], validate=False)
+        mu = unchecked(FiniteSpace(2), [0, 1, 0.5, 0])
         res = verify_shilkret_maxitive(mu)
         assert res.detail["maxitive"].holds
         assert not res.holds and res.detail["stage"] == "indicator sweep"
@@ -528,7 +526,7 @@ class TestSugenoSubadditive:
             value = st.sampled_from([-0.0, 0.0, 0.25, 0.5, INF]) | st.floats(0.0, 2.0)
             tab = data.draw(st.lists(value, min_size=1 << n, max_size=1 << n))
             domain = data.draw(st.integers(0, (1 << n) - 1))
-        mu = MonotoneMeasure.explicit(FiniteSpace(n), tab, validate=False)
+        mu = unchecked(FiniteSpace(n), tab)
         bits = [i for i in range(n) if domain >> i & 1]
         want = sorted(set(float(v) for v in mu.table()[expand_masks(bits)]))
         got = realized_measure_values(mu, domain)
