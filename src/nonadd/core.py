@@ -118,6 +118,13 @@ def vinv(a):
     return np.where(np.isinf(a), 0.0, r)
 
 
+def _abs_gap(u, v):
+    """Elementwise ``|u - v|``, and 0 where both are equal, so two equal
+    infinities tie (inf - inf is nan)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(u == v, 0.0, np.abs(np.subtract(u, v)))
+
+
 # ---------------------------------------------------------------------------
 # broadcast sweeps
 # ---------------------------------------------------------------------------
@@ -387,6 +394,7 @@ def _domain_mask(n: int, domain: int | None) -> int:
 def _level_sets(values: Sequence[float], domain: int) -> tuple[list[float], list[int]]:
     """Thresholds T = sorted({0} | {values on the domain}) and, for each
     T[j], the bitmask A[j] of domain points whose value is above T[j].
+    On nonnegative values, every ``Fn``'s, T[0] is 0.0 (-0.0 joins its key).
 
     ``{f >= T[j]}`` on the domain is A[j-1], and the whole domain for j = 0.
     One pass over the distinct values, from the top down.

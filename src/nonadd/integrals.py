@@ -121,7 +121,7 @@ def _positive_levels(ts: list[float], scale: ValueScale) -> range:
     """Indices of the thresholds in the scale above 0, descending: the
     candidates after 0, in the order both integrals evaluate them."""
     end = bisect_right(ts, scale.upper) if scale.closed else bisect_left(ts, scale.upper)
-    return range(end - 1, bisect_right(ts, 0.0) - 1, -1)
+    return range(end - 1, 0, -1)                 # ts[0] is 0.0 (``core._level_sets``)
 
 
 def _refuse_all_nan(op: BinaryOp, vals) -> None:
@@ -317,15 +317,15 @@ def lower_integral_result(f: Fn, mu: MonotoneMeasure, op: BinaryOp,
     ts, above = _level_sets(values, domain)
     # candidates: 0, then the positive levels ts[j] descending, over above[j]
     fn = op.fn
-    zero, levels = ts.index(0.0), _positive_levels(ts, scale)
+    levels = _positive_levels(ts, scale)
     best, best_level = INF, 0.0
-    for j in chain((zero,), levels):
+    for j in chain((0,), levels):
         t = ts[j]
         val = float(fn(t, mass(above[j])))
         if val < best:
             best, best_level = val, t
     if best == INF:
-        _refuse_all_nan(op, [fn(ts[j], mass(above[j])) for j in chain((zero,), levels)])
+        _refuse_all_nan(op, [fn(ts[j], mass(above[j])) for j in chain((0,), levels)])
     return IntegralResult(best, True, best_level)
 
 

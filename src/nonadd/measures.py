@@ -98,12 +98,7 @@ the first one in (a, b) order.  A success reports minus the largest finite
 margin.  The chunked pair kernel (:func:`_pair_kernel`) sweeps one of two
 pair sets:
 
-* *disjoint pairs* (3**n): maxitivity is decided on them by definition,
-  unless the table is exactly monotone (below) and every nonempty entry is
-  at most the max of its singletons (their ``_subset_fold``): then for
-  disjoint A, B, mu(A | B) <= max of the singletons of A | B <=
-  max(mu(A), mu(B)), so no pair fails (an inf - inf margin reads 0) and
-  the check holds with the margin 0.0 the sweep reports on success.
+* *disjoint pairs* (3**n): maxitivity is decided on them by definition.
   Subadditivity is decided on them when the table is *exactly monotone*
   (every ``tab[a | bit] >= tab[a]``, no tolerance): then mu(B - A) <=
   mu(B), and float rounding is monotone, so (A, B - A) has a margin at least
@@ -297,12 +292,7 @@ class MonotoneMeasure:
         raise DomainError(f"cannot build table for kind {self.kind!r}")
 
     def __call__(self, mask: int) -> float:
-        self.space.validate_mask(mask)
-        if self._table is not None:
-            return float(self._table[mask])
-        if self.kind == "possibility":
-            return self._fold_reader()(mask)
-        return float(self.table()[mask])
+        return self.mass_reader(mask)(mask)
 
     def _fold_tables(self) -> list[np.ndarray]:
         """A table-less possibility measure's per-block max folds (module
@@ -699,14 +689,6 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
             m -= np.maximum(tab.take(a), tab.take(b))
             return m
 
-        # on an exactly monotone table bounded by the max of its singletons,
-        # mu(A | B) <= max over the points of A | B <= max(mu(A), mu(B)):
-        # no disjoint pair can fail, and neither can the all-pairs form
-        mono = _exactly_monotone(tab, n)
-        if mono:
-            singles = _subset_fold(tab[1 << np.arange(n)], np.maximum, 0.0)
-            if (tab[1:] <= singles[1:]).all():
-                return CheckResult(True, margin=0.0, detail={"all_pairs_asserted": True})
         # disjoint pairs decide the property; the all-pairs form must follow,
         # and it can only fail on a table that is not exactly monotone
         ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=True)
@@ -716,7 +698,7 @@ def check_measure_property(mu: MonotoneMeasure, prop: str) -> CheckResult:
                                {"set_a": a, "set_b": b, "mu_a": float(tab[a]),
                                 "mu_b": float(tab[b]), "mu_union": float(tab[a | b]),
                                 "disjoint": True})
-        if not mono:
+        if not _exactly_monotone(tab, n):
             ok, pair, extreme = _pair_kernel(tab, n, maxi, tol, "maxitive check", disjoint=False)
             if not ok:
                 a, b = pair

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .conditions import cached_condition
-from .core import (EXTENDED, Fn, INF, NONNEG, _TOL, _at_least_one, _check_length,
-                   _level_sets, _one_scale, _rel_gap, rng_for)
+from .core import (EXTENDED, Fn, INF, NONNEG, _TOL, _abs_gap, _at_least_one,
+                   _check_length, _level_sets, _one_scale, _rel_gap, rng_for)
 from .integrals import (
     _chunk_rows,
     _upper_rows,
@@ -126,15 +126,9 @@ def _power_integrals(rows: np.ndarray, p: float, mu: MonotoneMeasure, op: Binary
         yield next(results).value
 
 
-def _abs_diffs(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """:func:`_abs_diff` of each row pair of two arrays, bit for bit."""
-    with np.errstate(invalid="ignore"):          # inf - inf, where the values are equal
-        return np.where(fs == gs, 0.0, np.abs(fs - gs))
-
-
 def _distances(spec: MetricSpec, diffs: np.ndarray, mu: MonotoneMeasure):
     """Yield ``metric_eval(spec, f, g, mu)``, without its gate, for each
-    row ``_abs_diffs(fs, gs)`` of the (m, n) array ``diffs``, bit for bit,
+    row ``_abs_gap(fs, gs)`` of the (m, n) array ``diffs``, bit for bit,
     lazily: the upper-integral kinds integrate every row in one batch,
     ``frechet`` row by row."""
     if spec.kind == "frechet":
@@ -250,7 +244,7 @@ def check_metric_axioms(spec: MetricSpec, mu: MonotoneMeasure, trials: int = 200
         pairs = []
         for f, g, h, g2 in trial:
             pairs += [(f, g)] + ([(f, g2)] if g2 else []) + [(f, h), (h, g)]
-        diffs = _abs_diffs(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+        diffs = _abs_gap(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
         rows = zip(_distances(spec, diffs, mu), (diffs > 0.0).dot(weights).tolist())
         for f, g, h, g2 in trial:
             dfg, support = next(rows)
@@ -419,7 +413,7 @@ def verify_mean_convergence(spec: MetricSpec, mu: MonotoneMeasure,
     terms, last = np.array([fk.values for fk in sequence]), np.array(limit.values)
     # one batch: the distances' |fk - limit|**p, then the means' |limit|**p
     # and |fk|**p, read in the order the checks below take them
-    integrals = _power_integrals(np.vstack([_abs_diffs(terms, last), last, terms]),
+    integrals = _power_integrals(np.vstack([_abs_gap(terms, last), last, terms]),
                                  spec.p, mu, spec.op)
     dists = [float(next(integrals) ** e) for _ in sequence]
     if dists[-1] > min(dists) + _TOL:
@@ -506,7 +500,7 @@ def cauchy_probe(spec: MetricSpec, mu: MonotoneMeasure, seed: int = 0,
     same = next((k for k in range(1, len(values)) if len(values[k]) != len(values[k - 1])),
                 len(values))
     rows = np.array(values[:same])
-    dists = list(_distances(spec, _abs_diffs(rows[:-1], rows[1:]), mu))
+    dists = list(_distances(spec, _abs_gap(rows[:-1], rows[1:]), mu))
     if same < len(values):
         _abs_diff(values[same - 1], values[same])
     for k, d in enumerate(dists, start=1):

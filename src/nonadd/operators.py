@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ValueScale, UNIT, _TOL, _sweep_cells, vinv, vmul, xmul
+from .core import ValueScale, UNIT, _TOL, _abs_gap, _sweep_cells, vinv, vmul, xmul
 from .results import CheckResult, DomainError, HypothesisError
 
 OPERATOR_FLAGS = (
@@ -438,12 +438,6 @@ def _conjugate(op: BinaryOp, h: DualityMap) -> BinaryOp:
 # flag verification
 # ---------------------------------------------------------------------------
 
-def _dev(u, v):
-    """``|u - v|``, and 0 where both are equal, so two infinities tie."""
-    with np.errstate(invalid="ignore"):
-        return np.where(u == v, 0.0, np.abs(np.subtract(u, v)))
-
-
 def _section_law(op: BinaryOp, g: np.ndarray, x: float, target, sides: str) -> CheckResult:
     """``|op(a, b) - target| <= core._TOL`` through the section point x, for
     y on the grid g: (a, b) = (x, y) on side ``"l"``, (y, x) on side ``"r"``."""
@@ -451,7 +445,7 @@ def _section_law(op: BinaryOp, g: np.ndarray, x: float, target, sides: str) -> C
     cells = []
     for a, b in [(X, g) if side == "l" else (g, X) for side in sides]:
         vals = op.grid(a, b)
-        cells.append((_dev(vals, target), 0.0, None, {"a": a, "b": b, "value": vals}))
+        cells.append((_abs_gap(vals, target), 0.0, None, {"a": a, "b": b, "value": vals}))
     return _sweep_cells(g.shape, cells, _TOL, "grid")
 
 
@@ -481,10 +475,10 @@ def check_operator_property(op: BinaryOp, flag: str, scale: ValueScale = UNIT) -
             ok = B >= 2.0 ** -8
             near, far = (op.grid(A, np.where(ok, B - d, B)) for d in (2.0 ** -26, 2.0 ** -13))
         base = op.grid(A, B)
-        fine = _dev(near, base)
+        fine = _abs_gap(near, base)
         # a jump keeps its gap at the coarser shift; a gap that shrinks below
         # half of it is a continuous rise and reads 0
-        gap = (np.where(fine < _dev(far, base) / 2, 0.0, fine),
+        gap = (np.where(fine < _abs_gap(far, base) / 2, 0.0, fine),
                np.maximum(1e-7, 1e-7 * np.abs(base)), ok,
                {"a": A, "b": B, "value": base, "limit": near})
         return _sweep_cells(base.shape, [gap], 0.0, "sampled")

@@ -17,7 +17,8 @@ number is expected, ``NaN`` nowhere):
     }
 
 ``TASKS`` declares each task's fields (a resolver, and a default unless
-required) and its library call; ``SPACE``, ``SCALE``, ``MEASURE_KINDS`` and
+required) and its library call, which most tasks make by passing their fields
+by parameter name (``_calls``); ``SPACE``, ``SCALE``, ``MEASURE_KINDS`` and
 ``PROFILE_FORMS`` declare the other objects alike, and ``_TOP_LEVEL`` the
 document's own keys.  Parsing resolves everything through them, so an
 undeclared, missing or malformed field raises ``ScenarioError`` naming it
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -467,6 +469,37 @@ def _fuzz(sc, a):
     return res, {"campaign": rep}
 
 
+# a task field that fills a library parameter of another name
+_PARAM = {"operator": "op", "measure": "mu", "function": "f", "map": "h", "property": "prop"}
+_FIELD = {p: f for f, p in _PARAM.items()}
+
+
+def _arguments(params, sc, a) -> dict:
+    """The keyword arguments of a task's library call: each value of ``a``,
+    a resolved field or a value its ``bind`` set, that is not None and names
+    a parameter (through ``_PARAM``), and the scenario's scale for a
+    ``scale`` parameter that no field sets."""
+    kwargs = {_PARAM.get(k, k): v for k, v in vars(a).items()
+              if v is not None and _PARAM.get(k, k) in params}
+    if "scale" in params:
+        kwargs.setdefault("scale", sc.scale)
+    return kwargs
+
+
+def _calls(fn, bind=None, **fields) -> Spec:
+    """A task that calls ``fn`` by the one argument rule (``_arguments``),
+    looking ``fn`` up in its module when it runs, so a binding patched there
+    is the one called.  Without a ``bind``, a field that names no parameter
+    of ``fn`` raises here rather than go unread."""
+    params = inspect.signature(fn).parameters
+    unread = [k for k in fields if _PARAM.get(k, k) not in params]
+    if bind is None and unread:
+        raise TypeError(f"{fn.__name__} has no parameter for the fields {unread}")
+    module, name = sys.modules[fn.__module__], fn.__name__
+    return _task(lambda sc, a: getattr(module, name)(**_arguments(params, sc, a)), bind,
+                 **fields)
+
+
 # check_condition fields come from each condition's signature: every
 # parameter of a condition but its scale, which is the scenario's
 _CONDITION_PARAMS = {
@@ -478,17 +511,10 @@ _CONDITION_PARAMS = {
 
 def _condition_task(cid: str) -> Spec:
     params = inspect.signature(CONDITIONS[cid]).parameters
-    names = {"operator" if p == "op" else p: p for p in params if p in _CONDITION_PARAMS}
-
-    def call(sc, a):
-        kwargs = {p: getattr(a, f) for f, p in names.items() if getattr(a, f) is not None}
-        if "scale" in params:
-            kwargs["scale"] = sc.scale
-        return check_condition(cid, **kwargs)
-
-    return _task(call, **{f: Field(_CONDITION_PARAMS[p], _REQUIRED if params[p].default
-                                   is inspect.Parameter.empty else None)
-                          for f, p in names.items()})
+    return _task(lambda sc, a: check_condition(cid, **_arguments(params, sc, a)),
+                 **{_FIELD.get(p, p): Field(_CONDITION_PARAMS[p], _REQUIRED if params[p].default
+                                            is inspect.Parameter.empty else None)
+                    for p in params if p in _CONDITION_PARAMS})
 
 
 # the field that selects the table entry, for the kinds keyed by (kind, selector)
@@ -504,78 +530,56 @@ TASKS: dict[Any, Spec] = {
                               resolution=Field(_number, 1e-4), **_VALUE),
     "oracle": _task(_oracle, function=_FN, measure=_MEASURE, operator=_OP, domain=_DOMAIN,
                     tolerance=_TOLERANCE),
-    "check_measure": _task(lambda sc, a: check_measure_property(a.measure, a.property),
-                           measure=_MEASURE, property=_enum(MEASURE_PROPERTIES)),
-    ("check_relation", "comonotone"): _task(
-        lambda sc, a: is_comonotone(a.f, a.g, a.domain), f=_FN, g=_FN, domain=_DOMAIN),
-    ("check_relation", "star_associated"): _task(
-        lambda sc, a: is_star_associated(a.f, a.g, a.star, a.domain),
-        f=_FN, g=_FN, star=_OP, domain=_DOMAIN),
-    ("check_relation", "mu_subadditive"): _task(
-        lambda sc, a: is_mu_subadditive(a.f, a.g, a.boxplus, a.measure, a.domain),
-        f=_FN, g=_FN, boxplus=_OP, measure=_MEASURE, domain=_DOMAIN),
-    ("check_relation", "pqd"): _task(
-        lambda sc, a: is_pqd(a.f, a.g, a.measure), f=_FN, g=_FN, measure=_MEASURE),
+    "check_measure": _calls(check_measure_property, measure=_MEASURE,
+                            property=_enum(MEASURE_PROPERTIES)),
+    ("check_relation", "comonotone"): _calls(is_comonotone, f=_FN, g=_FN, domain=_DOMAIN),
+    ("check_relation", "star_associated"): _calls(
+        is_star_associated, f=_FN, g=_FN, star=_OP, domain=_DOMAIN),
+    ("check_relation", "mu_subadditive"): _calls(
+        is_mu_subadditive, f=_FN, g=_FN, boxplus=_OP, measure=_MEASURE, domain=_DOMAIN),
+    ("check_relation", "pqd"): _calls(is_pqd, f=_FN, g=_FN, measure=_MEASURE),
     **{("check_condition", cid): _condition_task(cid) for cid in CONDITIONS},
-    ("check_identity", "sugeno_identity"): _task(
-        lambda sc, a: check_sugeno_identity(a.function, a.measure, a.domain),
-        function=_FN, measure=_MEASURE, domain=_DOMAIN),
-    ("check_identity", "h_duality"): _task(
-        lambda sc, a: check_h_duality(a.function, a.measure, a.operator, a.map),
-        function=_FN, measure=_MEASURE, operator=_OP, map=_DUAL),
-    ("verify", "upper_mh"): _task(
-        lambda sc, a: verify_upper_mh(a.ops, a.measure, a.f, a.g, a.domain, a.direction),
-        _mh_bundle, **_MH,
+    ("check_identity", "sugeno_identity"): _calls(
+        check_sugeno_identity, function=_FN, measure=_MEASURE, domain=_DOMAIN),
+    ("check_identity", "h_duality"): _calls(
+        check_h_duality, function=_FN, measure=_MEASURE, operator=_OP, map=_DUAL),
+    ("verify", "upper_mh"): _calls(
+        verify_upper_mh, _mh_bundle, **_MH,
         direction=Field(_enum(("sufficiency", "necessity", "both")), "sufficiency")),
-    ("verify", "seminorm_minkowski"): _task(
-        lambda sc, a: verify_seminorm_minkowski(a.semicopula, a.star, a.p, a.measure,
-                                                a.f, a.g, a.domain, a.normalization),
-        semicopula=_OP, star=_OP, p=Field(_number, 1.0), measure=_MEASURE, f=_FN, g=_FN,
-        domain=_DOMAIN, normalization=Field(_enum(("total_one", "values_unit")), "total_one")),
-    ("verify", "comonotone_subadditive"): _task(
-        lambda sc, a: verify_comonotone_subadditive(a.operator, a.measure, a.f, a.g, a.domain),
-        operator=_OP, measure=_MEASURE, f=_FN, g=_FN, domain=_DOMAIN),
-    ("verify", "subadditive_minkowski"): _task(
-        lambda sc, a: verify_subadditive_minkowski(a.operator, a.q, a.r, a.p, a.measure,
-                                                   a.f, a.g),
-        operator=_OP, q=Field(_number, 1.0), r=Field(_number, 1.0), p=Field(_number, 1.0),
-        measure=_MEASURE, f=_VECTOR, g=_VECTOR),
-    ("verify", "shilkret_maxitive"): _task(
-        lambda sc, a: verify_shilkret_maxitive(a.measure, trials=a.trials, seed=a.seed),
-        measure=_MEASURE, trials=Field(_count, 8), seed=_SEED),
-    ("verify", "sugeno_subadditive"): _task(
-        lambda sc, a: verify_sugeno_subadditive(a.measure, trials=a.trials, seed=a.seed),
-        measure=_MEASURE, trials=Field(_count, 8), seed=_SEED),
-    ("verify", "sugeno_subadditive_boundary"): _task(
-        lambda sc, a: verify_sugeno_subadditive_boundary()),
-    ("verify", "lower_mh"): _task(
-        lambda sc, a: verify_lower_mh(a.ops, a.boxplus, a.measure, a.f, a.g, a.domain),
-        _mh_bundle, **_MH, boxplus=_OP),
+    ("verify", "seminorm_minkowski"): _calls(
+        verify_seminorm_minkowski, semicopula=_OP, star=_OP, p=Field(_number, 1.0),
+        measure=_MEASURE, f=_FN, g=_FN, domain=_DOMAIN,
+        normalization=Field(_enum(("total_one", "values_unit")), "total_one")),
+    ("verify", "comonotone_subadditive"): _calls(verify_comonotone_subadditive, operator=_OP,
+                                                 measure=_MEASURE, f=_FN, g=_FN, domain=_DOMAIN),
+    ("verify", "subadditive_minkowski"): _calls(
+        verify_subadditive_minkowski, operator=_OP, q=Field(_number, 1.0), r=Field(_number, 1.0),
+        p=Field(_number, 1.0), measure=_MEASURE, f=_VECTOR, g=_VECTOR),
+    ("verify", "shilkret_maxitive"): _calls(
+        verify_shilkret_maxitive, measure=_MEASURE, trials=Field(_count, 8), seed=_SEED),
+    ("verify", "sugeno_subadditive"): _calls(
+        verify_sugeno_subadditive, measure=_MEASURE, trials=Field(_count, 8), seed=_SEED),
+    ("verify", "sugeno_subadditive_boundary"): _calls(verify_sugeno_subadditive_boundary),
+    ("verify", "lower_mh"): _calls(verify_lower_mh, _mh_bundle, **_MH, boxplus=_OP),
     **{("verify", f"dual_minkowski_{kind}"): _task(
         lambda sc, a, kind=kind: verify_dual_minkowski(
             kind, a.star, a.operator, a.map, a.measure, a.f, a.g, boxplus=a.boxplus),
         star=_OP, operator=_OP, map=_DUAL, measure=_MEASURE, f=_FN, g=_FN,
         boxplus=Field(_OP)) for kind in ("single", "pair")},
-    ("verify", "mean_convergence"): _task(
-        lambda sc, a: verify_mean_convergence(a.spec, a.measure, a.sequence, a.limit),
-        _metric_spec, **_OP_METRIC, sequence=_listof(_FN_NONNEG), limit=_FN_NONNEG),
-    ("verify", "cauchy_probe"): _task(
-        lambda sc, a: cauchy_probe(a.spec, a.measure, seed=a.seed, levels=a.levels),
-        _metric_spec, **_METRIC, seed=_SEED, levels=Field(_count, 8)),
-    ("verify", "convergence_lemmas"): _task(
-        lambda sc, a: check_convergence_lemmas(a.operator, a.measure, a.sequence,
-                                               a.limit, a.kind),
-        operator=_OP, measure=_MEASURE, sequence=_listof(_FN_NONNEG), limit=_FN_NONNEG,
-        kind=Field(_enum(("monotone", "fatou")), "monotone")),
-    ("verify", "shilkret_norm"): _task(
-        lambda sc, a: check_shilkret_norm(a.measure, trials=a.trials, seed=a.seed),
-        measure=_MEASURE, trials=Field(_count, 50), seed=_SEED),
-    "metric_axioms": _task(
-        lambda sc, a: check_metric_axioms(a.spec, a.measure, trials=a.trials, seed=a.seed),
-        _metric_spec, **_METRIC, trials=Field(_count, 200), seed=_SEED),
-    "triangle_search": _task(
-        lambda sc, a: find_triangle_violation(a.measure, kinds=a.kinds),
-        measure=_MEASURE, kinds=Field(_listof(_enum(METRIC_KINDS)), METRIC_KINDS)),
+    ("verify", "mean_convergence"): _calls(
+        verify_mean_convergence, _metric_spec, **_OP_METRIC, sequence=_listof(_FN_NONNEG),
+        limit=_FN_NONNEG),
+    ("verify", "cauchy_probe"): _calls(
+        cauchy_probe, _metric_spec, **_METRIC, seed=_SEED, levels=Field(_count, 8)),
+    ("verify", "convergence_lemmas"): _calls(
+        check_convergence_lemmas, operator=_OP, measure=_MEASURE, sequence=_listof(_FN_NONNEG),
+        limit=_FN_NONNEG, kind=Field(_enum(("monotone", "fatou")), "monotone")),
+    ("verify", "shilkret_norm"): _calls(
+        check_shilkret_norm, measure=_MEASURE, trials=Field(_count, 50), seed=_SEED),
+    "metric_axioms": _calls(
+        check_metric_axioms, _metric_spec, **_METRIC, trials=Field(_count, 200), seed=_SEED),
+    "triangle_search": _calls(find_triangle_violation, measure=_MEASURE,
+                              kinds=Field(_listof(_enum(METRIC_KINDS)), METRIC_KINDS)),
     "metric": _task(
         lambda sc, a: _valued(metric_eval(a.spec, a.f, a.g, a.measure), a, _TOL),
         _metric_spec, **_METRIC, f=_VECTOR, g=_VECTOR, **_VALUE),

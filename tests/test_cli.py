@@ -13,7 +13,7 @@ from nonadd import campaigns, scenarios
 from nonadd.campaigns import CAMPAIGNS, Campaign, merge_report, run_campaign, run_trials
 from nonadd.cli import main
 from nonadd.conditions import cond_sum_split
-from nonadd.results import DomainError
+from nonadd.results import CheckResult, DomainError
 from nonadd.scenarios import BUILTIN_SCENARIOS, Scenario, ScenarioError, builtin_scenario
 
 
@@ -27,6 +27,38 @@ def run_cli_json(args, capsys):
     code = main(args + ["--format", "json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def subadditive_doc(n):
+    """Subadditive on an exactly monotone lambda measure: a sweep of the 3**n
+    disjoint pairs (a possibility measure would hold by its kind, unswept)."""
+    return {"version": 1, "space": {"n": n},
+            "measures": {"mu": {"kind": "lambda_sugeno", "lambda": -0.5, "density": [0.5] * n}},
+            "tasks": [{"task": "check_measure", "measure": "mu", "property": "subadditive"}]}
+
+
+def null_additive_doc(k, n=16):
+    """null_additive on a rounding table (every explicit table of a scenario
+    is one) whose highest null point k - 1 moves a value: a sweep of its 2**k
+    null sets times 2**n cells."""
+    table = [bin(a >> k).count("1") / (n - k) + (1 / 64 if a >> k and a >> (k - 1) & 1 else 0)
+             for a in range(1 << n)]
+    return {"version": 1, "space": {"n": n},
+            "measures": {"mu": {"kind": "explicit", "table": table}},
+            "tasks": [{"task": "check_measure", "measure": "mu", "property": "null_additive",
+                       "expect": "fails"}]}
+
+
+def lowered_table_doc(n=12):
+    """A possibility table given as an explicit one with one entry lowered:
+    the per-point sweep refuses it as the table is read."""
+    table = [max([0.0] + [(b % 5 + 1) / 8 for b in range(n) if a >> b & 1])
+             for a in range(1 << n)]
+    table[0b101101100110] = 0.0625
+    return {"version": 1, "space": {"n": n},
+            "measures": {"lowered": {"kind": "explicit", "table": table}},
+            "tasks": [{"task": "check_measure", "measure": "lowered", "property": "monotone",
+                       "expect": "fails"}]}
 
 
 class TestRun:
@@ -548,6 +580,57 @@ class TestRun:
         op = sc.operators["op"]
         want = cond_sum_split(op, sc.scale, c_values).to_dict()
         assert json.dumps(record["result"]) == json.dumps(want)
+
+    def test_a_field_that_names_no_parameter_raises_at_declaration(self):
+        # a misspelt field would otherwise resolve, go unread and let the
+        # library default stand
+        with pytest.raises(TypeError, match=r"is_pqd has no parameter for the fields \['mesure'\]"):
+            scenarios._calls(scenarios.is_pqd, f=scenarios._FN, g=scenarios._FN,
+                             mesure=scenarios._MEASURE)
+        # a bind may join fields that the library function does not read
+        scenarios._calls(scenarios.verify_lower_mh, scenarios._mh_bundle, **scenarios._MH,
+                         boxplus=scenarios._OP)
+
+    def test_a_task_calls_the_function_bound_in_its_module(self, monkeypatch):
+        # the call is looked up when the task runs, so a verifier patched on
+        # its own module (as the benchmark's tracer patches it) is the one called
+        from nonadd import theorems
+        calls = []
+
+        def patched(**kwargs):
+            calls.append(kwargs)
+            return CheckResult(False, 1.0, {"patched": True})
+
+        monkeypatch.setattr(theorems, "verify_upper_mh", patched)
+        sc = Scenario(builtin_scenario("verifier_tour"))
+        record = scenarios.run_task(sc, sc.tasks[0])
+        assert record["outcome"] == "fails" and record["result"]["witness"] == {"patched": True}
+        [kwargs] = calls
+        assert sorted(kwargs) == ["direction", "f", "g", "mu", "ops"]
+        assert (kwargs["mu"], kwargs["direction"]) == (sc.measures["pos"], "both")
+        assert kwargs["f"].values == (0.25, 0.5, 0.75)
+
+    @pytest.mark.parametrize("doc, refusal", [
+        pytest.param(subadditive_doc(15), None, id="budget_15"),
+        pytest.param(subadditive_doc(16), "tasks[0]: subadditive check over disjoint pairs "
+                     "enumerates 43,046,721 cells", id="budget_16"),
+        pytest.param(null_additive_doc(8), None, id="null_8"),
+        pytest.param(null_additive_doc(9), "tasks[0]: null-additive sweep over null sets "
+                     "enumerates 33,554,432 cells", id="null_9"),
+        pytest.param(lowered_table_doc(), "measures.lowered: table is not monotone: "
+                     "{'set': 2916, 'point': 1, 'value': 0.625, 'value_with_point': 0.0625}",
+                     id="fold_lowered_12"),
+    ])
+    def test_outside_input_over_the_budget_or_not_monotone_exits_2(self, doc, refusal,
+                                                                  tmp_path, capsys):
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        err = capsys.readouterr().err
+        if refusal is None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2 and err.startswith(f"error: {refusal}")
 
     def test_builtin_modes_follow_the_readme_table(self):
         # every task kind has a row, and every result of every built-in

@@ -156,14 +156,19 @@ class TestSpaceAndFn:
         assert _level_sets(vals, 0) == ([0.0], [0])
 
     @settings(max_examples=200, deadline=None)
-    @given(vals=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, INF]) | xreals,
+    @given(vals=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, INF]) | xreals,
                          min_size=1, max_size=10),
            data=st.data())
     @example(vals=[0.0, 0.5, 0.5, INF], data=None)
+    @example(vals=[-0.0, 0.5, -0.0], data=None)
+    @example(vals=[-0.0, 0.0], data=None)
+    @example(vals=[-0.0, -0.0], data=None)
     def test_level_sets_against_per_threshold_masks(self, vals, data):
         domain = (1 << len(vals)) - 1 if data is None else data.draw(
             st.integers(0, (1 << len(vals)) - 1))
         ts, above = _level_sets(vals, domain)
+        # the integrals read threshold 0 at index 0: a -0.0 value joins the 0.0 key
+        assert math.copysign(1.0, ts[0]) == 1.0
         assert ts == sorted(set([0.0] + [v for i, v in enumerate(vals) if domain >> i & 1]))
         assert above == [ref_level_mask_gt(vals, t, domain) for t in ts]
         # the >= sets, one threshold lower
