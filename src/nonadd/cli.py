@@ -19,7 +19,7 @@ import time
 
 from .campaigns import CAMPAIGNS, run_campaign
 from .conditions import CONDITIONS
-from .results import DomainError, _jsonify
+from .results import DomainError, _dumps, _jsonify
 from .scenarios import (
     BUILTIN_SCENARIOS,
     SCENARIO_VERSION,
@@ -50,9 +50,9 @@ def _load_scenario(ref: str) -> Scenario:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
         return
-    body = report.get("report", report)
+    body = _jsonify(report["report"])
     if "campaign" in body:
         print(f"campaign: {body['campaign']['id']}")
     else:
@@ -108,14 +108,14 @@ def _cmd_run(args) -> int:
         task_ms.append((time.perf_counter() - start) * 1000.0)
     failed = sum(1 for rec in tasks if rec["verdict"] != "pass")
     report = {
-        "report": _jsonify({
+        "report": {
             "version": SCENARIO_VERSION,
             "scenario": sc.name,
             "seed": args.seed,
             "tasks": tasks,
             "summary": {"passed": len(tasks) - failed, "failed": failed},
             **error,
-        }),
+        },
         "timing": {"total_ms": (time.perf_counter() - t0) * 1000.0,
                    "tasks_ms": task_ms},
     }
@@ -135,12 +135,12 @@ def _cmd_fuzz(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = {
-        "report": _jsonify({
+        "report": {
             "version": SCENARIO_VERSION,
             "campaign": rep,
             "seed": args.seed,
             "summary": {"passed": rep["passed"], "failed": rep["failed"]},
-        }),
+        },
         "timing": {"total_ms": (time.perf_counter() - t0) * 1000.0},
     }
     _emit(report, args.format)

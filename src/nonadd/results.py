@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 
@@ -113,3 +114,78 @@ def _jsonify(obj):
     if isinstance(obj, (CheckResult, RelationVerdict)):
         return obj.to_dict()
     return obj
+
+
+# JSON text of the scalar types a report is made of; only a float's repr
+# can be a bare inf, -inf or nan, which is replaced by the string _jsonify
+# gives it
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: float.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): {None: "null"}.__getitem__}
+_NONFINITE_TEXT = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(_jsonify(obj), sort_keys=True, indent=2)`` in one walk.
+
+    The pure-Python encoder that ``indent`` selects, fed by a converted copy,
+    is the slow part of printing a report; this writer converts as it goes."""
+    parts: list[str] = []
+    _write(obj, parts.append, "\n")
+    return "".join(parts)
+
+
+def _write(obj, append, newline: str) -> None:
+    """Append the JSON text of ``obj``, whose lines after the first start
+    with ``newline``.  A module-level function: a closure that called itself
+    would keep its output alive in a reference cycle until the cyclic GC ran."""
+    kind = type(obj)
+    text = _SCALAR_TEXT.get(kind)
+    if text is not None:
+        text = text(obj)
+        append(_NONFINITE_TEXT.get(text, text))
+        return
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            append("{}")
+            return
+        try:
+            keys = sorted(obj)
+            heads = list(map(_encode_str, keys))
+        except TypeError:                      # a key that is not a str
+            _write(_jsonify(obj), append, newline)
+            return
+        sep = "{" + inner
+        for key, head in zip(keys, heads):
+            append(sep + head + ": ")
+            _write(obj[key], append, inner)
+            sep = "," + inner
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            append("[]")
+            return
+        try:                                   # a list of scalars is one join
+            texts = [_SCALAR_TEXT[type(v)](v) for v in obj]
+        except KeyError:
+            sep = "[" + inner
+            for value in obj:
+                append(sep)
+                _write(value, append, inner)
+                sep = "," + inner
+            append(newline + "]")
+            return
+        if "inf" in texts or "-inf" in texts or "nan" in texts:
+            texts = [_NONFINITE_TEXT.get(t, t) for t in texts]
+        append("[" + inner + ("," + inner).join(texts) + newline + "]")
+    else:                                      # numpy scalars, results, subclasses
+        safe = _jsonify(obj)
+        if safe is not obj:
+            _write(safe, append, newline)
+        elif isinstance(obj, str):
+            append(_encode_str(obj))
+        elif isinstance(obj, (int, float)):    # as the encoder writes a subclass
+            append(int.__repr__(obj) if isinstance(obj, int) else float.__repr__(obj))
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -179,9 +179,20 @@ _OP = _ref("operators", "operator")
 _PHI = _ref("phis", "increasing map")
 _DUAL = _ref("duals", "duality map")
 _PROFILE = _ref("profiles", "profile")
-_NUMBERS = _listof(_number)
 _OPS3 = _listof(_OP, 3)
 _PHIS3 = _listof(_PHI, 3)
+_NUMBER_ITEMS = _listof(_number)
+
+
+def _numbers(sc, value, where: str) -> list[float]:
+    """A nonempty list of numbers.  A list of plain ints and floats, none
+    NaN, is read with no call per item; any other goes item by item, which
+    reads "inf" and names a failing item."""
+    if type(value) is list and value and set(map(type, value)) <= {int, float}:
+        floats = list(map(float, value))
+        if not any(map(math.isnan, floats)):
+            return floats
+    return _NUMBER_ITEMS(sc, value, where)
 
 
 def _fn(scale: ValueScale | None = None):
@@ -273,16 +284,16 @@ SCALE = _spec(lambda sc, a: ValueScale(a.upper, a.closed),
 MEASURE_KINDS = {
     "explicit": _spec(lambda sc, a: MonotoneMeasure.explicit(sc.space, a.table,
                                                              rounding=True),
-                      table=_NUMBERS),
+                      table=_numbers),
     "possibility": _spec(lambda sc, a: MonotoneMeasure.possibility(sc.space, a.density),
-                         density=_NUMBERS),
+                         density=_numbers),
     "distortion": _spec(lambda sc, a: MonotoneMeasure.distortion(
                             sc.space, a.probs, lambda x: x ** a.exponent,
                             name=f"power({a.exponent})"),
-                        exponent=Field(_nonnegative, 0.5), probs=_NUMBERS),
+                        exponent=Field(_nonnegative, 0.5), probs=_numbers),
     "lambda_sugeno": _spec(lambda sc, a: MonotoneMeasure.lambda_sugeno(
                                sc.space, getattr(a, "lambda"), a.density),
-                           **{"lambda": _number}, density=_NUMBERS),
+                           **{"lambda": _number}, density=_numbers),
 }
 
 # survival profiles: tabulated knots (the form when "form" is absent), or the
@@ -314,7 +325,7 @@ class Scenario:
                          for name, mdoc in (top.measures or {}).items()}
         self.functions: dict[str, list[float]] = {}
         for fname, fdoc in (top.functions or {}).items():
-            self.functions[fname] = _NUMBERS(self, fdoc, f"functions.{fname}")
+            self.functions[fname] = _numbers(self, fdoc, f"functions.{fname}")
             if len(self.functions[fname]) != self.space.n:
                 raise ScenarioError(f"functions.{fname}: length must equal space.n")
         self.operators = {name: self._make(f"operators.{name}", odoc, OPERATOR_FACTORIES)
@@ -505,7 +516,7 @@ def _calls(fn, bind=None, **fields) -> Spec:
 _CONDITION_PARAMS = {
     **dict.fromkeys(("p1", "p2", "p3", "q", "r"), _number),
     **dict.fromkeys(("op", "semicopula", "star", "combiner", "boxplus", "op_h"), _OP),
-    "circs": _OPS3, "phis": _PHIS3, "c_values": _NUMBERS,
+    "circs": _OPS3, "phis": _PHIS3, "c_values": _numbers,
 }
 
 

@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nonadd import campaigns, scenarios
 from nonadd.campaigns import CAMPAIGNS, Campaign, merge_report, run_campaign, run_trials
 from nonadd.cli import main
 from nonadd.conditions import cond_sum_split
-from nonadd.results import CheckResult, DomainError
+from nonadd.results import CheckResult, DomainError, _dumps, _jsonify
 from nonadd.scenarios import BUILTIN_SCENARIOS, Scenario, ScenarioError, builtin_scenario
 
 
@@ -111,7 +115,17 @@ class TestRun:
                         "profiles.p.knots[1]: expected a list of 2 items, got [0.5]"),
         "function entry": (("functions", "f"), [0.5, None],
                            "functions.f[1]: expected a number or \"inf\", got None"),
+        # a list of plain numbers is read in one pass, which hands these on
+        "NaN function entry": (("functions", "f"), [0.5, float("nan")],
+                               "functions.f[1]: expected a number or \"inf\", got nan"),
+        "bool function entry": (("functions", "f"), [True, 0.5],
+                                "functions.f[0]: expected a number or \"inf\", got True"),
     }
+
+    @pytest.mark.parametrize("value", [[0, 1, 2.5], [0.5, "inf", 1], [1e308 * 10, -0.0]])
+    def test_number_list_reads_as_item_by_item(self, value):
+        want = scenarios._NUMBER_ITEMS(None, value, "functions.f")
+        assert repr(scenarios._numbers(None, value, "functions.f")) == repr(want)
 
     @pytest.mark.parametrize("case", sorted(BAD_ITEMS))
     def test_bad_list_item_names_its_path(self, case):
@@ -192,6 +206,20 @@ class TestRun:
         assert lines[2] == "[FAIL] task 1 check_measure: fails (expected holds)"
         assert lines[3] == f"       witness: {json.dumps(witness, sort_keys=True)}"
         assert lines[4] == "summary: 0 passed, 1 failed"
+
+    def test_witness_of_numpy_scalars_prints_as_json(self, monkeypatch, capsys):
+        # the report is converted as it is printed, in either format
+        record = {"task": "check_measure", "expected": "holds", "outcome": "fails",
+                  "verdict": "fail", "result": {"holds": False, "mode": "exhaustive",
+                                                "witness": {"a": np.int64(3),
+                                                            "mu": np.float64(math.inf)}}}
+        monkeypatch.setattr("nonadd.cli.run_task", lambda *args, **kwargs: record)
+        code, out = run_cli(["run", "counterexample"], capsys)
+        assert code == 1
+        assert '       witness: {"a": 3, "mu": "inf"}' in out.splitlines()
+        code, doc = run_cli_json(["run", "counterexample"], capsys)
+        assert code == 1
+        assert doc["report"]["tasks"][0]["result"]["witness"] == {"a": 3, "mu": "inf"}
 
     @pytest.mark.parametrize("knots, message", [
         pytest.param([[0.5, 1], [0.25, 0]], "knots must be sorted by t", id="unsorted"),
@@ -759,6 +787,45 @@ class TestDeterminism:
                          capsys)[1]
         assert json.dumps(a["report"], sort_keys=True) == \
             json.dumps(b["report"], sort_keys=True)
+
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16]
+REPORT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
+    st.floats(), st.sampled_from(SPECIAL_FLOATS), st.text(),
+    st.builds(np.float64, st.floats() | st.sampled_from(SPECIAL_FLOATS)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
+    st.builds(CheckResult, st.just(False), st.floats(),
+              st.dictionaries(st.text(), st.floats() | st.builds(np.float64, st.floats()),
+                              min_size=1)),
+)
+REPORT_TREES = st.recursive(
+    REPORT_SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.text() | st.integers(), inner, max_size=3)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    """``--format json`` prints ``json.dumps(doc, sort_keys=True, indent=2)``,
+    the form the digests above hash, written in one walk by ``_dumps``."""
+
+    @given(REPORT_TREES)
+    @example({"witness": [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16],
+              "n": [10**30, np.int64(-7), np.bool_(True)], "s": "\u00e9\x00\n\ud800"})
+    @example({"r": CheckResult(False, -0.0, {"a": np.float64(math.inf), "b": (1, 2)}),
+              "e": [[], {}, ()], 3: None})
+    def test_matches_the_converted_dump(self, tree):
+        assert _dumps(tree) == json.dumps(_jsonify(tree), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("argv", [["run", name] for name in sorted(BUILTIN_SCENARIOS)]
+                             + [["fuzz", cid, "--trials", "3"] for cid in sorted(CAMPAIGNS)],
+                             ids=" ".join)
+    def test_stdout_is_the_canonical_dump(self, argv, capsys):
+        main(argv + ["--format", "json"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestFuzzCommand:
