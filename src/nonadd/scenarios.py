@@ -186,8 +186,8 @@ _NUMBER_ITEMS = _listof(_number)
 
 def _numbers(sc, value, where: str) -> list[float]:
     """A nonempty list of numbers.  A list of plain ints and floats, none
-    NaN, is read with no call per item; any other goes item by item, which
-    reads "inf" and names a failing item."""
+    NaN, is read with no Python call per item; any other goes item by item,
+    which reads "inf" and names a failing item."""
     if type(value) is list and value and set(map(type, value)) <= {int, float}:
         floats = list(map(float, value))
         if not any(map(math.isnan, floats)):

@@ -115,7 +115,7 @@ class TestRun:
                         "profiles.p.knots[1]: expected a list of 2 items, got [0.5]"),
         "function entry": (("functions", "f"), [0.5, None],
                            "functions.f[1]: expected a number or \"inf\", got None"),
-        # a list of plain numbers is read in one pass, which hands these on
+        # the shortcut for a list of plain numbers hands these to the item route
         "NaN function entry": (("functions", "f"), [0.5, float("nan")],
                                "functions.f[1]: expected a number or \"inf\", got nan"),
         "bool function entry": (("functions", "f"), [True, 0.5],
