@@ -161,22 +161,31 @@ def cond_mh_sugeno(star: BinaryOp, phis: Sequence[PhiMap],
     return _sweep((len(g), len(g)), [(cs, body)], _TOL, _mode(c_values))
 
 
+@functools.lru_cache(maxsize=1)
+def _product_power_cells() -> tuple[np.ndarray, ...]:
+    """The unit grid g, its cells A (a column) and B (a row), and A * B:
+    built once, read-only and shared by every :func:`cond_mh_product_power`."""
+    g = UNIT.grid(_DEFAULT_SPACING)
+    A, B = g[:, None], g[None, :]
+    AB = A * B
+    AB.flags.writeable = False
+    return g, A, B, AB
+
+
 def cond_mh_product_power(p1: float, p2: float, p3: float, c_values=None) -> CheckResult:
     """Power-map family on the unit scale; holds iff p1 <= p2 and p1 <= p3."""
     for p in (p1, p2, p3):
         if not p > 0:
             raise DomainError("exponents must be positive")
-    g = UNIT.grid(_DEFAULT_SPACING)
+    g, A, B, AB = _product_power_cells()
     cs = _as_values(UNIT, c_values, g)
-    A, B = g[:, None], g[None, :]
-    AB = A * B
     w1, w2, w3 = (np.float_power(cs, 1.0 / p) for p in (p1, p2, p3))
 
     def body(i):
         W1, W2, W3 = w1[i], w2[i], w3[i]
-        expr = A * (W2 - W1) + B * (W3 - W1)
-        expr += AB * (W1 - W2 * W3)
-        return np.negative(expr, out=expr), 0.0, None, {"a": A, "b": B, "c": cs[i]}
+        lhs = A * (W1 - W2) + B * (W1 - W3)
+        lhs += AB * (W2 * W3 - W1)
+        return lhs, 0.0, None, {"a": A, "b": B, "c": cs[i]}
 
     return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(c_values))
 

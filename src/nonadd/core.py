@@ -28,6 +28,7 @@ from which the sets ``{f >= t}`` are read one threshold lower.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -224,23 +225,32 @@ class ValueScale:
     def grid(self, spacing: float = 1.0 / 64.0) -> np.ndarray:
         """Standard verification grid: multiples of ``spacing`` within the
         scale plus endpoints; unbounded scales add a geometric ladder up to
-        2**10 (and inf when closed)."""
-        if math.isinf(self.upper):
-            pts = list(np.arange(0.0, 1.0 + spacing / 2, spacing)) + list(_LADDER)
-            if self.closed:
-                pts.append(INF)
-        else:
-            pts = list(np.arange(0.0, self.upper, spacing))
-            if self.closed:
-                pts.append(self.upper)
-            elif pts and pts[-1] < self.upper - spacing / 2:
-                # approach the open end without touching it
-                pts.append(self.upper - spacing / 2)
-        return np.array(sorted(set(float(p) for p in pts)))
+        2**10 (and inf when closed).  Built once per scale and spacing and
+        shared: the array is read-only."""
+        return _grid(self.upper, self.closed, spacing)
 
     def describe(self) -> str:
         upper = "inf" if math.isinf(self.upper) else repr(self.upper)
         return f"[0,{upper}{']' if self.closed else ')'}"
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(upper: float, closed: bool, spacing: float) -> np.ndarray:
+    """The body of :meth:`ValueScale.grid`, cached by value."""
+    if math.isinf(upper):
+        pts = list(np.arange(0.0, 1.0 + spacing / 2, spacing)) + list(_LADDER)
+        if closed:
+            pts.append(INF)
+    else:
+        pts = list(np.arange(0.0, upper, spacing))
+        if closed:
+            pts.append(upper)
+        elif pts and pts[-1] < upper - spacing / 2:
+            # approach the open end without touching it
+            pts.append(upper - spacing / 2)
+    grid = np.array(sorted(set(float(p) for p in pts)))
+    grid.flags.writeable = False
+    return grid
 
 
 UNIT = ValueScale(1.0, True)           # [0, 1]

@@ -87,13 +87,21 @@ def _shared(factory):
     Arguments are bound to the signature with defaults applied and keyed by
     ``(type, repr)``, so ``power_min(0.5)`` and ``power_min(p=0.5, u=1.0)``
     share an instance (and its gate caches), while ``1`` and ``1.0``, or
-    ``0.0`` and ``-0.0``, which name different operators, do not.
+    ``0.0`` and ``-0.0``, which name different operators, do not.  A call
+    with positional arguments only is answered, after its first bound call,
+    from ``by_args``, keyed the same way by the arguments as given.
     """
     sig = inspect.signature(factory)
     instances: dict[tuple, object] = {}
+    by_args: dict[tuple, object] = {}
 
     @functools.wraps(factory)
     def shared(*args, **kwargs):
+        if not kwargs:
+            args_key = tuple((type(a), repr(a)) for a in args)
+            op = by_args.get(args_key)
+            if op is not None:
+                return op
         try:
             bound = sig.bind(*args, **kwargs)
         except TypeError:
@@ -103,6 +111,8 @@ def _shared(factory):
         op = instances.get(key)
         if op is None:
             op = instances.setdefault(key, factory(*args, **kwargs))
+        if not kwargs:
+            by_args[args_key] = op
         return op
 
     return shared

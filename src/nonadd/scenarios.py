@@ -97,8 +97,14 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _number(sc, value, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value):
-        return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:           # an int; a float literal such as 1e400 reads as inf
+            raise ScenarioError(f"{where}: integer of {len(str(abs(value)))} digits "
+                                f"is too large for a float") from None
+        if not math.isnan(number):
+            return number
     if value == "inf":
         return INF
     raise ScenarioError(f"{where}: expected a number or \"inf\", got {value!r}")
@@ -186,12 +192,16 @@ _NUMBER_ITEMS = _listof(_number)
 
 def _numbers(sc, value, where: str) -> list[float]:
     """A nonempty list of numbers.  A list of plain ints and floats, none
-    NaN, is read with no Python call per item; any other goes item by item,
-    which reads "inf" and names a failing item."""
+    NaN or too large for a float, is read with no Python call per item; any
+    other goes item by item, which reads "inf" and names a failing item."""
     if type(value) is list and value and set(map(type, value)) <= {int, float}:
-        floats = list(map(float, value))
-        if not any(map(math.isnan, floats)):
-            return floats
+        try:
+            floats = list(map(float, value))
+        except OverflowError:           # an int too large: the item route names it
+            pass
+        else:
+            if not any(map(math.isnan, floats)):
+                return floats
     return _NUMBER_ITEMS(sc, value, where)
 
 

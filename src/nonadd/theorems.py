@@ -33,7 +33,8 @@ integral reads its integrand on the ``Fn``'s own scale, so the verifiers of
 a pair (f, g) refuse two scales (``core._one_scale``).  The max-product
 indicator sweep runs ``measures._pair_kernel`` over all pairs, so its
 witness follows the library's one pair rule: the largest violation, and
-among equal ones the smallest ``(a << n) | b``.
+among equal ones the smallest ``(a << n) | b``; a possibility measure
+decides it by its kind, as ``check_measure_property`` decides maxitivity.
 """
 
 from __future__ import annotations
@@ -558,7 +559,13 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
 # ---------------------------------------------------------------------------
 
 def _max_product_indicator_sweep(mu: MonotoneMeasure) -> dict | None:
-    """All indicator pairs: max(mu(A|B), 2*mu(A&B)) <= mu(A)+mu(B) within ``core._TOL``."""
+    """All indicator pairs: max(mu(A|B), 2*mu(A&B)) <= mu(A)+mu(B) within ``core._TOL``.
+
+    A possibility measure cannot fail it and is not swept: its table is the
+    max fold of a nonnegative density, so mu(A|B) = max(mu(A), mu(B)) and
+    mu(A&B) <= min(mu(A), mu(B)) hold exactly in floats, and neither side
+    of the max exceeds mu(A) + mu(B).
+    """
     tab = mu.table()
 
     def excess(a, b):
@@ -594,7 +601,7 @@ def verify_shilkret_maxitive(mu: MonotoneMeasure, *, trials: int = 8,
     detail: dict = {"maxitive": maxres}
 
     if maxres.holds:
-        wit = _max_product_indicator_sweep(mu)
+        wit = None if mu.kind == "possibility" else _max_product_indicator_sweep(mu)
         if wit is not None:
             return CheckResult(False, 0.0, wit,
                                detail={**detail, "stage": "indicator sweep"})

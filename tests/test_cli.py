@@ -65,6 +65,21 @@ def lowered_table_doc(n=12):
                        "expect": "fails"}]}
 
 
+def shilkret_doc(n, kind="possibility"):
+    """A ``verify shilkret_maxitive`` task on a maxitive measure of n points:
+    a possibility measure, or the same max fold as an explicit table, which
+    the max-product sweep reads over its 4**n pairs."""
+    density = [(k % 5 + 1) / 8 for k in range(n)]
+    if kind == "possibility":
+        measure = {"kind": "possibility", "density": density}
+    else:
+        measure = {"kind": "explicit",
+                   "table": [max([0.0] + [density[b] for b in range(n) if a >> b & 1])
+                             for a in range(1 << n)]}
+    return {"version": 1, "space": {"n": n}, "measures": {"mu": measure},
+            "tasks": [{"task": "verify", "theorem": "shilkret_maxitive", "measure": "mu"}]}
+
+
 class TestRun:
     def test_counterexample_builtin_passes(self, capsys):
         code, doc = run_cli_json(["run", "counterexample"], capsys)
@@ -576,6 +591,27 @@ class TestRun:
         assert f"{named}: expected a number" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("named", ["functions.f[1]", "measures.mu.density[0]",
+                                       "operators.pm.p"])
+    def test_oversized_integer_exits_2_naming_the_field(self, named, tmp_path, capsys):
+        # float() of a JSON integer past the float range raises OverflowError
+        doc = {"version": 1, "space": {"n": 2},
+               "measures": {"mu": {"kind": "possibility", "density": [0.5, 1.0]}},
+               "functions": {"f": [0.5, 0.25]},
+               "operators": {"pm": {"name": "power_min", "p": 1.0}},
+               "tasks": [{"task": "integral", "kind": "upper_generalized", "function": "f",
+                          "measure": "mu", "operator": "pm"}]}
+        node, key = {"functions.f[1]": (doc["functions"]["f"], 1),
+                     "measures.mu.density[0]": (doc["measures"]["mu"]["density"], 0),
+                     "operators.pm.p": (doc["operators"]["pm"], "p")}[named]
+        node[key] = "BIG"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 400))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {named}: integer of 401 digits is too large for a float\n"
+
     def test_negative_distortion_exponent_exits_2_naming_the_field(self, tmp_path, capsys):
         # x ** -1 has no value at 0: the distortion's g(0) check would raise
         # ZeroDivisionError, which exits 1 with a traceback
@@ -645,6 +681,8 @@ class TestRun:
         pytest.param(null_additive_doc(8), None, id="null_8"),
         pytest.param(null_additive_doc(9), "tasks[0]: null-additive sweep over null sets "
                      "enumerates 33,554,432 cells", id="null_9"),
+        pytest.param(shilkret_doc(13, "explicit"), "tasks[0]: max-product sweep over all "
+                     "pairs enumerates 67,108,864 cells", id="shilkret_explicit_13"),
         pytest.param(lowered_table_doc(), "measures.lowered: table is not monotone: "
                      "{'set': 2916, 'point': 1, 'value': 0.625, 'value_with_point': 0.0625}",
                      id="fold_lowered_12"),
@@ -659,6 +697,17 @@ class TestRun:
             assert (code, err) == (0, "")
         else:
             assert code == 2 and err.startswith(f"error: {refusal}")
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_possibility_shilkret_task_holds_by_its_kind(self, n, tmp_path, capsys):
+        # the max-product indicator sweep, over the cell budget from 13
+        # points, cannot fail a possibility measure and is not run
+        path = tmp_path / f"shilkret_{n}.json"
+        path.write_text(json.dumps(shilkret_doc(n)))
+        code, out = run_cli_json(["run", str(path)], capsys)
+        [task] = out["report"]["tasks"]
+        assert code == 0 and task["outcome"] == "holds"
+        assert task["result"]["mode"] == "sampled"
 
     def test_builtin_modes_follow_the_readme_table(self):
         # every task kind has a row, and every result of every built-in

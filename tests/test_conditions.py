@@ -2,6 +2,7 @@
 self-consistency between the general and specialized checkers."""
 
 import inspect
+import itertools
 import json
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from nonadd.conditions import (
     cond_mh_upper,
     cond_sum_split,
 )
-from nonadd.core import EXTENDED, INF, NONNEG, UNIT, UNIT_OPEN, ValueScale
+from nonadd.core import EXTENDED, INF, NONNEG, UNIT, UNIT_OPEN, _TOL, ValueScale, _sweep
 from nonadd.operators import (
     BinaryOp,
     PhiMap,
@@ -82,6 +83,35 @@ class TestProductPowerFamily:
         expr = (w["a"] * (c2 - c1) + w["b"] * (c3 - c1)
                 + w["a"] * w["b"] * (c1 - c2 * c3))
         assert expr < 0
+
+    @staticmethod
+    def _negated_body(p1, p2, p3, c_values=None):
+        """The sweep with the opposite signs: every term of the sum negated,
+        then the sum, so the cells differ from the library's at most in the
+        sign of a zero."""
+        g = UNIT.grid(_DEFAULT_SPACING)
+        cs = _as_values(UNIT, c_values, g)
+        A, B = g[:, None], g[None, :]
+        w1, w2, w3 = (np.float_power(cs, 1.0 / p) for p in (p1, p2, p3))
+
+        def body(i):
+            W1, W2, W3 = w1[i], w2[i], w3[i]
+            expr = A * (W2 - W1) + B * (W3 - W1)
+            expr += A * B * (W1 - W2 * W3)
+            return np.negative(expr), 0.0, None, {"a": A, "b": B, "c": cs[i]}
+
+        return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(c_values))
+
+    def test_equals_the_negated_sum(self):
+        # p1 = p2 gives W1 - W2 = +0.0 where the negated form has -0.0:
+        # neither the slack 0.0 - lhs nor a witness can see the sign
+        ps = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0)
+        c_sets = (None, [0.0, 0.25, 0.5, 1.0], [1e-9, 0.1, 1.0 / 3.0, 0.7, 1.0 - 1e-12])
+        for p1, p2, p3 in itertools.product(ps, repeat=3):
+            for cs in c_sets:
+                got = check_condition("mh_product_power", p1=p1, p2=p2, p3=p3, c_values=cs)
+                ref = self._negated_body(p1, p2, p3, cs)
+                assert got.to_dict() == ref.to_dict(), (p1, p2, p3, cs)
 
     def test_agrees_with_general_checker(self):
         # specializing the three-map condition to the product operator and

@@ -88,6 +88,28 @@ class TestValueScale:
         gn = NONNEG.grid()
         assert not math.isinf(gn[-1])
 
+    def test_grid_is_shared_and_read_only(self):
+        g = UNIT.grid()
+        assert UNIT.grid() is g and ValueScale(1.0, True).grid() is g
+        with pytest.raises(ValueError):
+            g[0] = 0.5
+
+    @pytest.mark.parametrize("scale", [UNIT, UNIT_OPEN, NONNEG, EXTENDED])
+    @pytest.mark.parametrize("spacing", [1.0 / 64.0, 1.0 / 16.0, 1.0 / 256.0])
+    def test_grid_equals_the_direct_construction(self, scale, spacing):
+        if math.isinf(scale.upper):
+            pts = list(np.arange(0.0, 1.0 + spacing / 2, spacing)) + \
+                [float(2 ** k) for k in range(1, 11)] + ([INF] if scale.closed else [])
+        else:
+            pts = list(np.arange(0.0, scale.upper, spacing))
+            if scale.closed:
+                pts.append(scale.upper)
+            elif pts[-1] < scale.upper - spacing / 2:
+                pts.append(scale.upper - spacing / 2)
+        ref = np.array(sorted(set(float(p) for p in pts)))
+        got = scale.grid(spacing)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
     def test_rejects_nonpositive_upper(self):
         with pytest.raises(DomainError):
             ValueScale(0.0, True)

@@ -1,5 +1,6 @@
 """Operator catalog, algebraic-law verification, rescaling and duality maps."""
 
+import inspect
 import math
 import warnings
 
@@ -688,6 +689,28 @@ class TestSharedCatalog:
         assert mo is not marshall_olkin(0.0, 0.0)
         assert mo.name == "marshall_olkin(0.0,-0.0)"
         assert marshall_olkin(0.0, 0.0).name == "marshall_olkin(0.0,0.0)"
+
+    def test_positional_repeat_skips_binding(self, monkeypatch):
+        op, low = power_min(0.5, 1.0), minimum()
+
+        def no_bind(*args, **kwargs):
+            raise AssertionError("a positional repeat bound its arguments")
+
+        monkeypatch.setattr(inspect.Signature, "bind", no_bind)
+        assert power_min(0.5, 1.0) is op and minimum() is low
+
+    def test_positional_route_keeps_arguments_apart(self):
+        # the first pass fills the positional dict by binding, the second
+        # reads it: both give the instances of the bound route
+        seen = []
+        for _ in range(2):
+            ops = [power_min(1), power_min(1.0), power_min(np.float64(0.5)), power_min(0.5),
+                   marshall_olkin(0.0, -0.0), marshall_olkin(0.0, 0.0)]
+            assert len({id(op) for op in ops}) == len(ops)
+            assert power_min(0.5) is power_min(p=0.5)
+            assert marshall_olkin(0.0, 0.0) is marshall_olkin(alpha=0.0, beta=0.0)
+            seen.append(ops)
+        assert all(a is b for a, b in zip(*seen))
 
     def test_constructed_operators_are_never_shared(self):
         fn = lambda a, b: a * b

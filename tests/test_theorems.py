@@ -485,6 +485,15 @@ class TestIndicatorSweeps:
             {k: res.witness[k] for k in ("set_a", "set_b", "mu_union", "mu_a", "mu_b")}
         check_against_reference(mu, tol, got, ref_subadditive_sweep(mu, tol), subadditive_excess)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_max_product_sweep_never_fails_a_possibility_measure(self, data, n):
+        # why verify_shilkret_maxitive decides a possibility measure by its kind
+        level = st.integers(0, 64).map(lambda k: k / 64) | st.sampled_from([0.0, INF])
+        density = data.draw(st.lists(level, min_size=n, max_size=n))
+        mu = MonotoneMeasure.possibility(FiniteSpace(n), density)
+        assert _max_product_indicator_sweep(mu) is None
+
     def test_nan_margin_on_a_finite_table_reads_as_zero(self):
         # at (3, 3) both 2 mu({0, 1}) and mu({0, 1}) + mu({0, 1}) overflow to
         # inf, so the margin is nan; (1, 2) violates by 1e308 all the same.
