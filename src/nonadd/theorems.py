@@ -561,10 +561,10 @@ def verify_subadditive_minkowski(op: BinaryOp, q: float, r: float, p: float,
 def _max_product_indicator_sweep(mu: MonotoneMeasure) -> dict | None:
     """All indicator pairs: max(mu(A|B), 2*mu(A&B)) <= mu(A)+mu(B) within ``core._TOL``.
 
-    A possibility measure cannot fail it and is not swept: its table is the
-    max fold of a nonnegative density, so mu(A|B) = max(mu(A), mu(B)) and
-    mu(A&B) <= min(mu(A), mu(B)) hold exactly in floats, and neither side
-    of the max exceeds mu(A) + mu(B).
+    A possibility measure cannot fail it, so :func:`verify_shilkret_maxitive`
+    does not sweep one: its table is the max fold of a nonnegative density,
+    so mu(A|B) = max(mu(A), mu(B)) and mu(A&B) <= min(mu(A), mu(B)) hold
+    exactly in floats, and neither side of the max exceeds mu(A) + mu(B).
     """
     tab = mu.table()
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonadd.campaigns import _UPPER_MH
+from nonadd import conditions
 from nonadd.conditions import (
     CONDITIONS,
     _as_values,
@@ -100,18 +101,30 @@ class TestProductPowerFamily:
             expr += A * B * (W1 - W2 * W3)
             return np.negative(expr), 0.0, None, {"a": A, "b": B, "c": cs[i]}
 
-        return _sweep((len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(c_values))
+        return (len(g), len(g)), [(np.arange(len(cs)), body)], _TOL, _mode(c_values)
 
-    def test_equals_the_negated_sum(self):
+    def test_equals_the_negated_sum(self, monkeypatch):
         # p1 = p2 gives W1 - W2 = +0.0 where the negated form has -0.0:
-        # neither the slack 0.0 - lhs nor a witness can see the sign
+        # neither the slack 0.0 - lhs nor a witness can see the sign.  The
+        # results compare by to_dict and the left sides cell by cell (== reads
+        # -0.0 as 0.0); a holding sweep's margin is the 0.0 at a = b = 0
+        sides = []
+
+        def recording_sweep(shape, passes, tol, mode):
+            [(lead, body)] = passes
+            sides.append(body(lead.reshape(-1, 1, 1))[0])
+            return _sweep(shape, passes, tol, mode)
+
+        monkeypatch.setattr(conditions, "_sweep", recording_sweep)
         ps = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0)
         c_sets = (None, [0.0, 0.25, 0.5, 1.0], [1e-9, 0.1, 1.0 / 3.0, 0.7, 1.0 - 1e-12])
         for p1, p2, p3 in itertools.product(ps, repeat=3):
             for cs in c_sets:
                 got = check_condition("mh_product_power", p1=p1, p2=p2, p3=p3, c_values=cs)
-                ref = self._negated_body(p1, p2, p3, cs)
+                ref = recording_sweep(*self._negated_body(p1, p2, p3, cs))
                 assert got.to_dict() == ref.to_dict(), (p1, p2, p3, cs)
+                got_lhs, ref_lhs = sides[-2:]
+                assert np.array_equal(got_lhs, ref_lhs), (p1, p2, p3, cs)
 
     def test_agrees_with_general_checker(self):
         # specializing the three-map condition to the product operator and
