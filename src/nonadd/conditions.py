@@ -70,7 +70,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import INF, ValueScale, UNIT, _TOL, _sweep, _sweep_cells, check_cells
-from .operators import BinaryOp, PhiMap, cached_gate, phi_identity
+from .operators import BinaryOp, PhiMap, cached_gate, minimum, phi_identity
 from .results import CheckResult, DomainError
 
 _DEFAULT_SPACING = 1.0 / 64.0
@@ -237,10 +237,18 @@ def cond_sum_split(op: BinaryOp, scale: ValueScale = UNIT, c_values=None) -> Che
     and b (``a + b`` and the sum of the two sections commute in IEEE
     arithmetic), so a violating cell with a > b has its mirror earlier in
     C order: the witness and both margins are those of the full grid.  The
-    cell budget counts the full grid per c value."""
+    cell budget counts the full grid per c value.
+
+    The catalog ``minimum()`` holds by its kind, after the value and budget
+    refusals, with the sweep's margin 0.0: for a, b, c >= 0 in IEEE doubles
+    the slack ``(a min c) + (b min c) - ((a + b) min c)`` is >= 0 or nan
+    (rounding is monotone, and the two sides are equal when c >= a + b),
+    and the cell a = b = 0 reads exactly 0."""
     g, A, B, values, ia, ib, isum = _sum_split_cells(scale)
     cs = _as_values(scale, c_values, g)
     check_cells(len(cs) * len(g) ** 2, "condition sweep")
+    if op is minimum():
+        return CheckResult(True, margin=0.0, mode=_mode(c_values))
 
     def body(C):
         table = op.grid(values, C)

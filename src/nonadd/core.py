@@ -114,8 +114,8 @@ def vinv(a):
     if type(a) is float:
         return INF if a == 0.0 else 0.0 if math.isinf(a) else 1.0 / a
     a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore"):
-        r = np.where(a == 0.0, INF, 1.0 / np.where(a == 0.0, 1.0, a))
+    zero = a == 0.0            # replaced before the division: it never divides by 0
+    r = np.where(zero, INF, 1.0 / np.where(zero, 1.0, a))
     return np.where(np.isinf(a), 0.0, r)
 
 

@@ -778,6 +778,13 @@ def generate_measure(seed: int, family: str, n: int) -> MonotoneMeasure:
     probability, hence is subadditive; ``non_maxitive`` returns an additive
     probability with two singletons of positive weight, which always
     violates maxitivity on that planted disjoint pair.
+
+    The two table families are built monotone, so their tables are wrapped
+    without the checks of :meth:`MonotoneMeasure.explicit`.  A running max
+    is exact.  The additive table folds positive weights in bit order: a set
+    with one more point adds one more positive term to the same partial
+    sums, and float addition, division by the positive total and clipping
+    are all monotone.  Both read 0 at the empty set and hold no nan.
     """
     if family not in GENERATOR_FAMILIES:
         raise DomainError(f"unknown generator family {family!r}")
@@ -791,7 +798,7 @@ def generate_measure(seed: int, family: str, n: int) -> MonotoneMeasure:
         for bit in range(n):
             low, high = _bit_halves(tab, bit)
             np.maximum(high, low, out=high)
-        return MonotoneMeasure.explicit(space, tab)
+        return MonotoneMeasure(space, "explicit", table=tab)
 
     if family == "possibility":
         dens = [rng.randrange(1, 65) / 64.0 for _ in range(n)]
@@ -813,7 +820,7 @@ def generate_measure(seed: int, family: str, n: int) -> MonotoneMeasure:
     s = float(sum(weights))
     tab = _subset_fold([w / s for w in weights], np.add, 0.0)
     tab = np.clip(tab / tab[-1], 0.0, 1.0)  # pin the total to exactly 1
-    return MonotoneMeasure.explicit(space, tab, rounding=True)
+    return MonotoneMeasure(space, "explicit", table=tab, rounding=True)
 
 
 def lambda_sugeno_random(seed: int, n: int) -> MonotoneMeasure:

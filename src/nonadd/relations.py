@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Fn, _TOL, _check_length, _domain_mask, _domain_points, _level_sets
 from .measures import MonotoneMeasure
-from .operators import BinaryOp
+from .operators import BinaryOp, minimum
 from .results import DomainError, RelationVerdict
 
 
@@ -68,10 +68,14 @@ def is_star_associated(f: Fn, g: Fn, star: BinaryOp,
     that subset's bitmask is no larger.  So the subsets of at most three
     points decide the relation exactly, and the witness is the violating
     subset with the smallest bitmask among all subsets.
+
+    The catalog ``minimum()`` holds by its kind, after the length and
+    domain refusals: the min of finitely many floats is exact, so on every
+    subset S, inf_S min(f, g) = min(inf_S f, inf_S g).
     """
     domain = _pair_domain(f, g, domain)
     pts = _domain_points(domain)
-    if not pts:
+    if not pts or star is minimum():
         return RelationVerdict("star_associated", True)
     fv = np.array(f.values)[pts]
     gv = np.array(g.values)[pts]

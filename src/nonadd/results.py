@@ -24,7 +24,7 @@ class HypothesisError(RuntimeError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckResult:
     """Outcome of an exhaustive, grid, or sampled check.
 
@@ -43,11 +43,17 @@ class CheckResult:
     status: str = "checked"
     detail: dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.holds and self.witness is None:
+    # written out: one __dict__ update costs half the generated frozen
+    # __init__, which calls object.__setattr__ per field, then __post_init__
+    def __init__(self, holds: bool, margin: float = math.inf,
+                 witness: dict[str, Any] | None = None, mode: str = "exhaustive",
+                 status: str = "checked", detail: dict[str, Any] | None = None):
+        if not holds and witness is None:
             raise ValueError("failing CheckResult requires a witness")
-        if isinstance(self.margin, float) and self.margin == 0.0:
-            object.__setattr__(self, "margin", 0.0)
+        if margin == 0.0 and isinstance(margin, float):
+            margin = 0.0
+        self.__dict__.update(holds=holds, margin=margin, witness=witness, mode=mode,
+                             status=status, detail={} if detail is None else detail)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -63,7 +69,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RelationVerdict:
     """Decision for a binary relation between two functions.
 
@@ -77,9 +83,11 @@ class RelationVerdict:
     witness: dict[str, Any] | None = None
     mode: str = "exhaustive"
 
-    def __post_init__(self):
-        if not self.holds and self.witness is None:
+    def __init__(self, relation: str, holds: bool,
+                 witness: dict[str, Any] | None = None, mode: str = "exhaustive"):
+        if not holds and witness is None:
             raise ValueError("failing RelationVerdict requires a witness")
+        self.__dict__.update(relation=relation, holds=holds, witness=witness, mode=mode)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -861,3 +861,47 @@ class TestSumSplitSections:
         g, a, b = cells[:3]
         assert len(a) == ((g[:, None] <= g[None, :]) & (g[:, None] + g[None, :] <= 1.0)).sum()
         assert all(not arr.flags.writeable for arr in cells)
+
+
+# min outside the catalog: the same arithmetic, so it takes the sweep
+_MIN_SWEPT = from_callable("min", MIN.fn, flags=MIN.flags, grid_fn=np.minimum)
+_KIND_SCALES = [UNIT, UNIT_OPEN, NONNEG, EXTENDED, ValueScale(3.0, True)]
+
+
+def _grid_c_values(scale: ValueScale):
+    """Short value lists drawn from the scale's grid, with -0.0."""
+    return st.lists(st.sampled_from([-0.0] + scale.grid(1.0 / 64.0).tolist()),
+                    min_size=1, max_size=8)
+
+
+class TestSumSplitUnderMinByKind:
+    """The catalog min holds ``sum_split`` by its kind: the result equals the
+    loop reference and the sweep that a clone of min takes, and every
+    refusal comes first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_reference_and_the_sweep(self, data):
+        scale = data.draw(st.sampled_from(_KIND_SCALES))
+        kw = dict(scale=scale, c_values=data.draw(
+            st.none() | _grid_c_values(scale) | _c_values(scale)))
+        got = cond_sum_split(MIN, **kw)
+        assert got.holds and got.mode == _mode(kw["c_values"])
+        with np.errstate(all="ignore"):
+            want = _fingerprint(ref_sum_split(MIN, **kw))
+        assert _fingerprint(got) == want == _fingerprint(cond_sum_split(_MIN_SWEPT, **kw))
+
+    def test_refusals_keep_their_order_and_text(self):
+        cases = [([], "supplied values must not be empty"),
+                 ([0.5, 1.5], "supplied value 1.5 outside [0,1.0]"),
+                 ([2.0] * 3971, "supplied value 2.0 outside [0,1.0]"),
+                 (np.linspace(0.0, 1.0, 3971),
+                  "condition sweep enumerates 16,777,475 cells, over the budget of 16,777,216")]
+        for c_values, message in cases:
+            for op in (MIN, _MIN_SWEPT):
+                with pytest.raises(DomainError) as err:
+                    cond_sum_split(op, UNIT, c_values=c_values)
+                assert str(err.value) == message
+        cs = np.linspace(0.0, 1.0, 3970)       # 3,970 x 65**2 cells fit the budget
+        assert _fingerprint(cond_sum_split(MIN, UNIT, c_values=cs)) == \
+            _fingerprint(cond_sum_split(_MIN_SWEPT, UNIT, c_values=cs))

@@ -55,6 +55,25 @@ class TestExtendedArithmetic:
     def test_reciprocal_conventions(self):
         assert vinv([0.0, INF, 4.0]).tolist() == [INF, 0.0, 0.25]
 
+    def test_reciprocal_raises_no_floating_point_error(self):
+        """The zeros are replaced before the division, so no errstate is
+        needed: under ``all="raise"`` the bits are those of the guarded
+        form."""
+        def guarded(a):
+            a = np.asarray(a, dtype=float)
+            with np.errstate(divide="ignore"):
+                r = np.where(a == 0.0, INF, 1.0 / np.where(a == 0.0, 1.0, a))
+            return np.where(np.isinf(a), 0.0, r)
+
+        cases = [[0.0, -0.0, INF, np.nan, 4.0, 0.5, 3.0, 1e-300],
+                 [[0.0, INF], [np.nan, -0.0]], np.float64(-0.0), np.array(np.nan), [INF]]
+        for a in cases:
+            with np.errstate(all="raise"):
+                got = vinv(a)
+            want = guarded(a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), a
+
     @given(a=xreals, b=xreals)
     @settings(max_examples=200, deadline=None)
     def test_scalar_and_array_products_agree(self, a, b):

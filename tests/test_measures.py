@@ -534,6 +534,25 @@ class TestTableBuilds:
         got = generate_measure(seed, "non_maxitive", n).table()
         assert got.tobytes() == ref_non_maxitive(seed, n).tobytes()
 
+    @pytest.mark.parametrize("family, ref, rounding",
+                             [("monotonized_random", ref_monotonized_random, False),
+                              ("non_maxitive", ref_non_maxitive, True)])
+    def test_generated_tables_pass_the_explicit_checks(self, family, ref, rounding):
+        """The two table families are wrapped unchecked: each table is the
+        reference's, exactly monotone, 0 at the empty set, finite and
+        nonnegative, and the measure is the one ``explicit`` builds."""
+        for seed in range(8):
+            for n in range(1, 11):
+                mu = generate_measure(seed, family, n)
+                tab = mu.table()
+                assert tab.tobytes() == ref(seed, n).tobytes(), (seed, n)
+                assert measures._check_monotone(tab, n, 0.0).holds, (seed, n)
+                assert tab[0] == 0.0 and np.isfinite(tab).all() and (tab >= 0.0).all()
+                checked = MonotoneMeasure.explicit(FiniteSpace(n), tab, rounding=rounding)
+                assert (mu.kind, mu.space, mu.rounding) == ("explicit", checked.space, rounding)
+                assert mu.table().tobytes() == checked.table().tobytes()
+                assert mu.tolerance() == checked.tolerance()
+
     def test_bulk_scores_are_per_subset_randrange_draws(self):
         """The scores come from bulk ``getrandbits`` words; they are the
         per-subset ``randrange(0, 65)`` draws, which a change in CPython's

@@ -25,6 +25,7 @@ from nonadd.measures import GENERATOR_FAMILIES, MonotoneMeasure, generate_measur
 from nonadd.operators import (
     OPERATOR_FACTORIES,
     bounded_sum,
+    from_callable,
     join,
     lukasiewicz,
     minimum,
@@ -195,6 +196,50 @@ class TestStarAssociatedOracle:
         got = json.dumps(is_star_associated(f, g, star, domain).to_dict(), sort_keys=True)
         want = json.dumps(_star_reference(f, g, star, domain).to_dict(), sort_keys=True)
         assert got == want
+
+
+# min outside the catalog: the same arithmetic, so it takes the triple sweep
+_MIN_SWEPT = from_callable("min", minimum().fn, flags=minimum().flags, grid_fn=np.minimum)
+
+
+@st.composite
+def _min_case(draw):
+    """Pairs on [0, 1] or on [0, inf] (with inf), with -0.0, on every
+    domain or a partial one."""
+    k = draw(st.integers(1, 12))
+    scale, value = draw(st.sampled_from([(UNIT, _unit_value), (EXTENDED, _ext_value)]))
+    value = value | st.just(-0.0)
+    f = Fn(draw(st.lists(value, min_size=k, max_size=k)), scale)
+    g = Fn(draw(st.lists(value, min_size=k, max_size=k)), scale)
+    domain = draw(st.one_of(st.none(), st.integers(0, (1 << k) - 1)))
+    return f, g, domain
+
+
+class TestStarAssociatedUnderMinByKind:
+    """The catalog min is star-associated with every pair by its kind: the
+    verdict equals the triple sweep of a clone of min and the subset sweep,
+    and the length and domain refusals come first."""
+
+    @given(case=_min_case())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_sweeps(self, case):
+        f, g, domain = case
+        got = is_star_associated(f, g, minimum(), domain)
+        assert got.holds
+        swept = is_star_associated(f, g, _MIN_SWEPT, domain)
+        assert got.to_dict() == swept.to_dict() == \
+            _star_reference(f, g, minimum(), domain).to_dict()
+
+    def test_refusals_keep_their_text(self):
+        pair = Fn([0.5, 0.25]), Fn([0.0, 1.0])
+        for star in (minimum(), _MIN_SWEPT):
+            with pytest.raises(DomainError) as err:
+                is_star_associated(pair[0], Fn([0.5]), star)
+            assert str(err.value) == "functions must live on the same space"
+            for domain in (4, -1, 1.0):
+                with pytest.raises(DomainError) as err:
+                    is_star_associated(*pair, star, domain)
+                assert str(err.value) == f"invalid domain bitmask {domain!r}"
 
 
 def _attempt_zero(rng, n, kind):
